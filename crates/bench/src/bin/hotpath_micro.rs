@@ -342,9 +342,12 @@ where
             .build(),
     );
     let cold_original = seed_engine.run(query, &fragments).expect("cold run");
-    let seeds = cold_original
+    let seeds: Vec<_> = cold_original
         .converged
-        .expect("converged snapshots captured");
+        .expect("converged snapshots captured")
+        .into_iter()
+        .map(|snapshot| Some(std::sync::Arc::new(snapshot)))
+        .collect();
 
     let mut delta = grape_graph::DeltaGraph::new(graph.clone());
     let receipt = delta.apply(batch).expect("bench mutation batch applies");
@@ -372,7 +375,7 @@ where
             .run_incremental(
                 query,
                 &updated,
-                seeds.iter().cloned().map(Some).collect(),
+                seeds.clone(),
                 &receipt.dirty,
                 &receipt.profile,
             )

@@ -31,8 +31,9 @@ use std::sync::Arc;
 pub struct ConvergedState {
     /// The [`DeltaLog::version`] of the graph the run converged on.
     pub version: u64,
-    /// Per-fragment snapshot bytes, indexed by fragment id.
-    pub partials: Vec<Vec<u8>>,
+    /// Per-fragment snapshot bytes, indexed by fragment id — shared, so a
+    /// warm plan hands them to a run without copying them.
+    pub partials: Arc<[Arc<Vec<u8>>]>,
 }
 
 /// An append-only log of applied mutation batches: per batch, the dirty
@@ -91,7 +92,7 @@ pub struct Seeded<P> {
     inner: Arc<P>,
     /// Per-fragment snapshot bytes, indexed by fragment id; `None` slots run
     /// the cold PEval.
-    seeds: Vec<Option<Vec<u8>>>,
+    seeds: Vec<Option<Arc<Vec<u8>>>>,
     dirty: Vec<VertexId>,
     profile: MutationProfile,
 }
@@ -101,7 +102,7 @@ impl<P> Seeded<P> {
     /// profile of the mutations applied since the seeds converged.
     pub fn new(
         inner: Arc<P>,
-        seeds: Vec<Option<Vec<u8>>>,
+        seeds: Vec<Option<Arc<Vec<u8>>>>,
         dirty: Vec<VertexId>,
         profile: MutationProfile,
     ) -> Self {
@@ -216,7 +217,7 @@ mod tests {
     fn converged_state_is_plain_data() {
         let s = ConvergedState {
             version: 3,
-            partials: vec![vec![1, 2], vec![]],
+            partials: [vec![1, 2], vec![]].map(Arc::new).into(),
         };
         assert_eq!(s.clone(), s);
     }

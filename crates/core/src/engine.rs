@@ -888,7 +888,7 @@ impl<P: PieProgram> GrapeEngine<P> {
         &self,
         query: &P::Query,
         fragments: &[Fragment<P::VertexData, P::EdgeData>],
-        seeds: Vec<Option<Vec<u8>>>,
+        seeds: Vec<Option<Arc<Vec<u8>>>>,
         dirty: &[VertexId],
         profile: &MutationProfile,
     ) -> Result<GrapeResult<P::Output>, RunError> {

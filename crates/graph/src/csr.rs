@@ -7,8 +7,13 @@
 //! the reverse adjacency for algorithms that need in-edges (graph simulation,
 //! PageRank, keyword search on undirected semantics).
 
+use crate::delta::NetMutations;
 use crate::types::{Direction, EdgeRecord, GraphError, VertexId};
 use std::collections::HashMap;
+
+/// Dense-index sentinel of the patch remap tables: the vertex has no
+/// counterpart on the other side of the patch.
+const ABSENT: u32 = u32::MAX;
 
 /// An immutable compressed-sparse-row graph.
 ///
@@ -19,7 +24,7 @@ use std::collections::HashMap;
 /// to dense indices `0..num_vertices`. All adjacency queries accept global
 /// ids and the dense index is available through [`CsrGraph::dense_index`] for
 /// algorithms that want to use flat arrays keyed by vertex.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CsrGraph<V, E> {
     /// Sorted list of global vertex ids; position = dense index.
     vertex_ids: Vec<VertexId>,
@@ -112,33 +117,166 @@ where
         let out_data: Vec<E> = out_data.into_iter().map(|d| d.expect("filled")).collect();
 
         let (in_offsets, in_sources, in_edge_pos) = if with_reverse {
-            let mut in_degree = vec![0usize; n];
-            for &t in &out_targets {
-                in_degree[t as usize] += 1;
-            }
-            let mut in_offsets = vec![0usize; n + 1];
-            for i in 0..n {
-                in_offsets[i + 1] = in_offsets[i] + in_degree[i];
-            }
-            let mut in_sources = vec![0u32; m];
-            let mut in_edge_pos = vec![0usize; m];
-            let mut cursor = in_offsets.clone();
-            for s in 0..n {
-                let range = out_offsets[s]..out_offsets[s + 1];
-                for (pos, &target) in out_targets[range.clone()].iter().enumerate() {
-                    let pos = range.start + pos;
-                    let t = target as usize;
-                    let p = cursor[t];
-                    in_sources[p] = s as u32;
-                    in_edge_pos[p] = pos;
-                    cursor[t] += 1;
-                }
-            }
-            (in_offsets, in_sources, in_edge_pos)
+            reverse_adjacency(&out_offsets, &out_targets)
         } else {
             (Vec::new(), Vec::new(), Vec::new())
         };
 
+        Ok(Self {
+            vertex_ids,
+            index_of,
+            vertex_data,
+            out_offsets,
+            out_targets,
+            out_data,
+            in_offsets,
+            in_sources,
+            in_edge_pos,
+        })
+    }
+
+    /// The graph after a net mutation batch, spliced from this graph's arrays
+    /// by linear passes — no per-edge hashing, no [`EdgeRecord`] round trip.
+    ///
+    /// The result is field for field what [`CsrGraph::from_records`] builds
+    /// from the equivalent records (surviving vertices plus `added_vertices`;
+    /// surviving edges in their CSR order, then `added_edges` in list order):
+    ///
+    /// * `vertex_ids` is sorted, so vertex inserts and removes are one sorted
+    ///   merge that also yields a monotone old → new dense-index remap;
+    /// * every source's adjacency run keeps its survivors in order (a removed
+    ///   `(src, dst)` pair drops all parallel copies, a removed vertex drops
+    ///   its incident edges) and appends its additions in insertion order;
+    /// * `index_of` is the old table with its values remapped in place, and
+    ///   the reverse arrays are re-derived from the patched forward arrays by
+    ///   the counting pass `from_records` runs.
+    ///
+    /// A removed vertex must be present, an added one must not be, and added
+    /// edges must join vertices of the patched graph. Removed pairs that
+    /// match no edge are ignored, as [`NetMutations`] allows.
+    pub fn patched(&self, net: &NetMutations<V, E>) -> Result<Self, GraphError> {
+        let mut removed: Vec<u32> = Vec::with_capacity(net.removed_vertices.len());
+        for &v in &net.removed_vertices {
+            removed.push(self.dense_index(v).ok_or(GraphError::UnknownVertex(v))?);
+        }
+        removed.sort_unstable();
+        removed.dedup();
+        let mut added: Vec<(VertexId, &V)> =
+            net.added_vertices.iter().map(|(v, d)| (*v, d)).collect();
+        added.sort_unstable_by_key(|&(v, _)| v);
+        if added.windows(2).any(|w| w[0].0 == w[1].0)
+            || added.iter().any(|&(v, _)| self.contains(v))
+        {
+            return Err(GraphError::InvalidParameter(
+                "CsrGraph::patched: an added vertex is already present".into(),
+            ));
+        }
+
+        // Vertex set: merge the sorted old ids with the sorted additions,
+        // skipping removals. `remap` sends old dense indices to new ones,
+        // `old_of` new ones back.
+        let n_old = self.num_vertices();
+        let n_new = n_old + added.len() - removed.len();
+        let mut vertex_ids = Vec::with_capacity(n_new);
+        let mut vertex_data = Vec::with_capacity(n_new);
+        let mut remap = vec![ABSENT; n_old];
+        let mut old_of = Vec::with_capacity(n_new);
+        let mut next_removed = removed.iter().copied().peekable();
+        let mut next_added = added.iter().copied().peekable();
+        for (old, &id) in self.vertex_ids.iter().enumerate() {
+            while let Some((new_id, data)) = next_added.next_if(|&(a, _)| a < id) {
+                vertex_ids.push(new_id);
+                vertex_data.push(data.clone());
+                old_of.push(ABSENT);
+            }
+            if next_removed.next_if_eq(&(old as u32)).is_some() {
+                continue;
+            }
+            remap[old] = vertex_ids.len() as u32;
+            vertex_ids.push(id);
+            vertex_data.push(self.vertex_data[old].clone());
+            old_of.push(old as u32);
+        }
+        for (new_id, data) in next_added {
+            vertex_ids.push(new_id);
+            vertex_data.push(data.clone());
+            old_of.push(ABSENT);
+        }
+        // Walking the cloned table's values hashes nothing; only the batch's
+        // own vertices are removed or inserted by key.
+        let mut index_of = self.index_of.clone();
+        for &old in &removed {
+            index_of.remove(&self.vertex_ids[old as usize]);
+        }
+        for dense in index_of.values_mut() {
+            *dense = remap[*dense as usize];
+        }
+        for (new, &old) in old_of.iter().enumerate() {
+            if old == ABSENT {
+                index_of.insert(vertex_ids[new], new as u32);
+            }
+        }
+
+        // The batch's edges by dense index: removed pairs over the old
+        // indices, additions over the new ones, both grouped by source (the
+        // stable sort keeps each source's insertion order).
+        let mut dropped: Vec<(u32, u32)> = net
+            .removed_edges
+            .iter()
+            .filter_map(|(s, d)| Some((self.dense_index(*s)?, self.dense_index(*d)?)))
+            .collect();
+        dropped.sort_unstable();
+        let dense = |v: &VertexId| {
+            index_of
+                .get(v)
+                .copied()
+                .ok_or(GraphError::UnknownVertex(*v))
+        };
+        let mut appended: Vec<(u32, u32, &E)> = Vec::with_capacity(net.added_edges.len());
+        for (s, d, data) in &net.added_edges {
+            appended.push((dense(s)?, dense(d)?, data));
+        }
+        appended.sort_by_key(|&(s, _, _)| s);
+
+        // Forward arrays: one pass over the new sources, splicing each run.
+        let capacity = self.num_edges() + appended.len();
+        let mut out_offsets = Vec::with_capacity(n_new + 1);
+        let mut out_targets = Vec::with_capacity(capacity);
+        let mut out_data = Vec::with_capacity(capacity);
+        out_offsets.push(0);
+        let mut next_appended = appended.into_iter().peekable();
+        let mut dropped = dropped.as_slice();
+        for (new, &old) in old_of.iter().enumerate() {
+            if old != ABSENT {
+                // Sources are visited in ascending old index, so the removed
+                // pairs of this source are a prefix of what is left.
+                let start = dropped.partition_point(|&(s, _)| s < old);
+                let end = dropped.partition_point(|&(s, _)| s <= old);
+                let dropped_here = &dropped[start..end];
+                dropped = &dropped[end..];
+                let o = old as usize;
+                for pos in self.out_offsets[o]..self.out_offsets[o + 1] {
+                    let target = self.out_targets[pos];
+                    let kept = remap[target as usize];
+                    if kept == ABSENT || dropped_here.iter().any(|&(_, d)| d == target) {
+                        continue;
+                    }
+                    out_targets.push(kept);
+                    out_data.push(self.out_data[pos].clone());
+                }
+            }
+            while let Some((_, target, data)) = next_appended.next_if(|a| a.0 as usize == new) {
+                out_targets.push(target);
+                out_data.push(data.clone());
+            }
+            out_offsets.push(out_targets.len());
+        }
+
+        let (in_offsets, in_sources, in_edge_pos) = if self.in_offsets.is_empty() {
+            (Vec::new(), Vec::new(), Vec::new())
+        } else {
+            reverse_adjacency(&out_offsets, &out_targets)
+        };
         Ok(Self {
             vertex_ids,
             index_of,
@@ -381,6 +519,36 @@ where
             + self.in_offsets.len() * 8
             + self.in_sources.len() * 4
     }
+}
+
+/// Derives the reverse adjacency `(in_offsets, in_sources, in_edge_pos)` of
+/// forward CSR arrays by one counting pass: in-edges of a vertex are ordered
+/// by source index, then by position in the source's run.
+fn reverse_adjacency(
+    out_offsets: &[usize],
+    out_targets: &[u32],
+) -> (Vec<usize>, Vec<u32>, Vec<usize>) {
+    let n = out_offsets.len() - 1;
+    let m = out_targets.len();
+    let mut in_offsets = vec![0usize; n + 1];
+    for &t in out_targets {
+        in_offsets[t as usize + 1] += 1;
+    }
+    for i in 0..n {
+        in_offsets[i + 1] += in_offsets[i];
+    }
+    let mut in_sources = vec![0u32; m];
+    let mut in_edge_pos = vec![0usize; m];
+    let mut cursor = in_offsets.clone();
+    for s in 0..n {
+        for pos in out_offsets[s]..out_offsets[s + 1] {
+            let p = &mut cursor[out_targets[pos] as usize];
+            in_sources[*p] = s as u32;
+            in_edge_pos[*p] = pos;
+            *p += 1;
+        }
+    }
+    (in_offsets, in_sources, in_edge_pos)
 }
 
 #[cfg(test)]

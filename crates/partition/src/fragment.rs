@@ -21,7 +21,7 @@ use grape_graph::{CsrGraph, DenseBitset, VertexId};
 use std::collections::{HashMap, HashSet};
 
 /// A graph fragment owned by one worker.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fragment<V, E> {
     /// This fragment's id (`P_i` in the paper).
     pub id: FragmentId,
@@ -35,10 +35,10 @@ pub struct Fragment<V, E> {
     /// Mirrors of remote vertices that appear in local edges (sorted).
     outer: Vec<VertexId>,
     /// Owner fragment of each outer vertex.
-    outer_owner: HashMap<VertexId, FragmentId>,
+    pub(crate) outer_owner: HashMap<VertexId, FragmentId>,
     /// For each inner vertex that is mirrored elsewhere, the fragments that
     /// hold a mirror of it.
-    mirrored_at: HashMap<VertexId, Vec<FragmentId>>,
+    pub(crate) mirrored_at: HashMap<VertexId, Vec<FragmentId>>,
     /// Membership bitset over the local graph's dense indices: bit set =
     /// inner vertex, bit clear = outer (mirror). Replaces per-call
     /// `HashSet<VertexId>` probes on the hot paths.
@@ -273,6 +273,16 @@ impl<V: Clone + Default, E: Clone> Fragment<V, E> {
             outer_owner,
             mirrored_at,
         } = parts;
+        // Shipped parts come from outside: the assembly below walks these
+        // lists in order, so hold them to their documented sortedness here.
+        if ![&inner, &outer]
+            .iter()
+            .all(|ids| ids.windows(2).all(|w| w[0] < w[1]))
+        {
+            return Err(grape_graph::GraphError::InvalidParameter(
+                "fragment parts list inner or outer vertices out of order".into(),
+            ));
+        }
         let edge_records: Vec<EdgeRecord<E>> = edges
             .into_iter()
             .map(|(s, d, w)| EdgeRecord::new(s, d, w))
@@ -425,21 +435,31 @@ pub(crate) fn assemble_fragment<V: Clone, E: Clone>(
     mirrored: HashMap<VertexId, Vec<FragmentId>>,
 ) -> Fragment<V, E> {
     // Precompute the dense lookup structures once, so the per-superstep
-    // hot paths never rebuild or hash anything.
-    let dense_of = |v: VertexId| {
-        local_graph
-            .dense_index(v)
-            .expect("inner and outer vertices are in the local graph")
+    // hot paths never rebuild or hash anything. Every id list here is sorted,
+    // like the local graph's own, so its dense indices fall out of one merge
+    // walk — no hashing either.
+    let local_ids = local_graph.vertex_ids();
+    let dense_of = |ids: &[VertexId]| -> Vec<u32> {
+        let mut cursor = 0usize;
+        ids.iter()
+            .map(|&v| {
+                cursor += local_ids[cursor..]
+                    .iter()
+                    .position(|&u| u == v)
+                    .expect("inner and outer vertices are in the local graph, in order");
+                cursor as u32
+            })
+            .collect()
     };
     let mut inner_mask = DenseBitset::new(local_graph.num_vertices());
-    let inner_dense: Vec<u32> = inner_list.iter().map(|&v| dense_of(v)).collect();
+    let inner_dense = dense_of(&inner_list);
     for &i in &inner_dense {
         inner_mask.set(i);
     }
-    let outer_dense: Vec<u32> = outer_list.iter().map(|&v| dense_of(v)).collect();
+    let outer_dense = dense_of(&outer_list);
     let mut mirrored_inner: Vec<VertexId> = mirrored.keys().copied().collect();
     mirrored_inner.sort_unstable();
-    let mirrored_inner_dense: Vec<u32> = mirrored_inner.iter().map(|&v| dense_of(v)).collect();
+    let mirrored_inner_dense = dense_of(&mirrored_inner);
     let mut border: Vec<VertexId> = outer_list
         .iter()
         .chain(mirrored_inner.iter())
@@ -447,7 +467,7 @@ pub(crate) fn assemble_fragment<V: Clone, E: Clone>(
         .collect();
     border.sort_unstable();
     border.dedup();
-    let border_dense: Vec<u32> = border.iter().map(|&v| dense_of(v)).collect();
+    let border_dense = dense_of(&border);
     // `mirrored_inner` is a sorted subset of the sorted `border`, so its
     // border positions fall out of one linear merge scan.
     let mut mirrored_inner_border_pos = Vec::with_capacity(mirrored_inner.len());

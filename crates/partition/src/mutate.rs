@@ -9,8 +9,19 @@
 //! inserted vertices are placed by [`hash_fragment_of`] — and attaches the
 //! payloads a fragment might need for brand-new mirrors. The resulting
 //! [`ResolvedMutations`] batch is fully self-contained: each fragment applies
-//! it *locally and deterministically* with [`Fragment::apply_mutations`], no
-//! global graph in sight.
+//! it *locally and deterministically* with [`Fragment::splice_mutations`] (or
+//! its by-value wrapper [`Fragment::apply_mutations`]), no global graph in
+//! sight.
+//!
+//! **Cost model.** Only touched fragments do any work: a fragment decides in
+//! O(batch) whether the batch concerns it (an inserted vertex or edge endpoint
+//! it owns, a removed edge with an endpoint it owns, a removed vertex it owns
+//! or mirrors) and otherwise stays as it is — holders keep sharing it. A
+//! touched fragment pays O(batch · degree) for mirror bookkeeping — only the
+//! batch's vertices are re-examined, each against its own adjacency run — plus
+//! one linear copy of its arrays: the local CSR is spliced from the old one
+//! ([`CsrGraph::patched`](grape_graph::CsrGraph::patched)), never re-hashed
+//! or rebuilt from edge records.
 //!
 //! **Equivalence guarantee** (pinned by tests here and exercised end-to-end
 //! by the incremental engine path): applying resolved batches to the
@@ -27,9 +38,8 @@ use crate::fragment::{assemble_fragment, Fragment};
 use crate::strategy::hash_fragment_of;
 use grape_comm::wire::{Wire, WireError, WireReader};
 use grape_graph::delta::NetMutations;
-use grape_graph::types::EdgeRecord;
-use grape_graph::{CsrGraph, GraphError, VertexId};
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use grape_graph::{GraphError, VertexId};
+use std::collections::{BTreeSet, HashMap, HashSet};
 
 /// A net mutation batch resolved against the partition: every vertex the
 /// batch references carries its owner fragment, and endpoints that may be
@@ -117,132 +127,207 @@ pub fn resolve_net_mutations<V: Clone, E: Clone>(
 }
 
 impl<V: Clone + Default, E: Clone> Fragment<V, E> {
-    /// Applies a resolved mutation batch and returns the updated fragment.
-    ///
-    /// Local and deterministic: surviving edges keep their CSR order, net
-    /// additions relevant to this fragment (an endpoint owned here) append in
-    /// insertion order, and every derived table is rebuilt through the same
-    /// assembly path as [`crate::build_fragments`] — so the result is
-    /// bit-identical to a from-scratch cut of the updated graph (see the
-    /// [module docs](self)).
+    /// Applies a resolved mutation batch and returns the updated fragment —
+    /// [`Fragment::splice_mutations`] for callers that hold fragments by
+    /// value; a batch that does not touch this fragment yields a plain copy.
     pub fn apply_mutations(
         &self,
         batch: &ResolvedMutations<V, E>,
     ) -> Result<Fragment<V, E>, GraphError> {
+        Ok(self
+            .splice_mutations(batch)?
+            .unwrap_or_else(|| self.clone()))
+    }
+
+    /// Splices a resolved mutation batch into this fragment, or returns
+    /// `None` when the batch does not touch it: no inserted vertex or edge
+    /// endpoint is owned here, no removed edge has an endpoint owned here,
+    /// and no removed vertex is owned or mirrored here. Deciding that costs
+    /// O(batch), so holders keep sharing an untouched fragment as it is.
+    ///
+    /// Local and deterministic: surviving edges keep their CSR order and net
+    /// additions relevant to this fragment (an endpoint owned here) append in
+    /// insertion order ([`CsrGraph::patched`]); the mirror tables are patched
+    /// for the batch's vertices only — each is re-derived from its own
+    /// adjacency run, so a removed cut edge un-mirrors a vertex only if no
+    /// other edge still ties it to that fragment — and the dense and border
+    /// tables go through the same assembly as [`crate::build_fragments`]. The
+    /// result is bit-identical to a from-scratch cut of the updated graph
+    /// (see the [module docs](self)).
+    ///
+    /// Cost: O(batch · degree) bookkeeping plus one linear copy of this
+    /// fragment's arrays.
+    pub fn splice_mutations(
+        &self,
+        batch: &ResolvedMutations<V, E>,
+    ) -> Result<Option<Fragment<V, E>>, GraphError> {
         let my = self.id;
-        let removed_v: HashSet<VertexId> = batch.net.removed_vertices.iter().copied().collect();
+        // The batch names the owner of everything new; this fragment's own
+        // tables cover the endpoints of its old edges.
+        let owner = |v: VertexId| -> Result<FragmentId, GraphError> {
+            match batch.owners.binary_search_by_key(&v, |&(u, _)| u) {
+                Ok(i) => Ok(batch.owners[i].1 as FragmentId),
+                Err(_) => self.owner_of(v).ok_or(GraphError::UnknownVertex(v)),
+            }
+        };
+
+        // 1. The batch as this fragment's local graph sees it.
+        let net = &batch.net;
+        let mut local: NetMutations<V, E> = NetMutations::default();
+        for (v, data) in &net.added_vertices {
+            if owner(*v)? == my {
+                local.added_vertices.push((*v, data.clone()));
+            }
+        }
+        for (s, d, w) in &net.added_edges {
+            if owner(*s)? == my || owner(*d)? == my {
+                local.added_edges.push((*s, *d, w.clone()));
+            }
+        }
+        for &(s, d) in &net.removed_edges {
+            if self.is_inner(s) || self.is_inner(d) {
+                local.removed_edges.push((s, d));
+            }
+        }
+        for &v in &net.removed_vertices {
+            if self.graph.contains(v) {
+                local.removed_vertices.push(v);
+            }
+        }
+        if local.is_empty() {
+            return Ok(None);
+        }
+
+        // 2. Vertices whose mirror status the batch can change: endpoints of
+        //    its local edges and the neighbours of its removed vertices.
+        let removed_v: HashSet<VertexId> = local.removed_vertices.iter().copied().collect();
         let removed_e: HashSet<(VertexId, VertexId)> =
-            batch.net.removed_edges.iter().copied().collect();
+            local.removed_edges.iter().copied().collect();
+        let mut gained: HashMap<VertexId, Vec<VertexId>> = HashMap::new();
+        let mut affected: BTreeSet<VertexId> = BTreeSet::new();
+        for (s, d, _) in &local.added_edges {
+            gained.entry(*s).or_default().push(*d);
+            gained.entry(*d).or_default().push(*s);
+            affected.extend([*s, *d]);
+        }
+        for &(s, d) in &local.removed_edges {
+            affected.extend([s, d]);
+        }
+        for &v in &local.removed_vertices {
+            affected.extend(self.graph.out_edges(v).map(|(n, _)| n));
+            affected.extend(self.graph.in_edges(v).map(|(n, _)| n));
+        }
+        // The neighbours a vertex keeps or gains: its old adjacency run minus
+        // the batch's removals, plus the batch's local additions.
+        let neighbours = |v: VertexId| -> Vec<VertexId> {
+            let graph = &self.graph;
+            let kept_out = graph.out_edges(v).map(|(n, _)| (n, (v, n)));
+            let kept_in = graph.in_edges(v).map(|(n, _)| (n, (n, v)));
+            kept_out
+                .chain(kept_in)
+                .filter(|(n, pair)| !removed_v.contains(n) && !removed_e.contains(pair))
+                .map(|(n, _)| n)
+                .chain(gained.get(&v).into_iter().flatten().copied())
+                .collect()
+        };
 
-        // Owner of every vertex this fragment can encounter: its own state
-        // covers the old edge endpoints, the batch covers everything new.
-        let mut owner: HashMap<VertexId, FragmentId> = HashMap::new();
-        for &v in self.inner_vertices() {
-            owner.insert(v, my);
-        }
-        for &v in self.outer_vertices() {
-            if let Some(f) = self.owner_of(v) {
-                owner.insert(v, f);
+        // 3. Patch the mirror tables for those vertices only.
+        let mut outer_owner = self.outer_owner.clone();
+        let mut mirrored = self.mirrored_at.clone();
+        let mut inner_gone: Vec<VertexId> = Vec::new();
+        let mut outer_gone: Vec<VertexId> = Vec::new();
+        let mut outer_new: Vec<VertexId> = Vec::new();
+        for &v in &local.removed_vertices {
+            if self.is_inner(v) {
+                mirrored.remove(&v);
+                inner_gone.push(v);
+            } else {
+                outer_owner.remove(&v);
+                outer_gone.push(v);
             }
         }
-        for &(v, f) in &batch.owners {
-            owner.insert(v, f as FragmentId);
+        for &v in affected.iter().filter(|v| !removed_v.contains(v)) {
+            let home = owner(v)?;
+            let neighbours = neighbours(v);
+            if home == my {
+                let mut fragments: Vec<FragmentId> = Vec::new();
+                for n in neighbours {
+                    fragments.push(owner(n)?);
+                }
+                fragments.retain(|&f| f != my);
+                fragments.sort_unstable();
+                fragments.dedup();
+                if fragments.is_empty() {
+                    mirrored.remove(&v);
+                } else {
+                    mirrored.insert(v, fragments);
+                }
+            } else if neighbours.is_empty() {
+                // Its last cut edge went: un-mirror.
+                if outer_owner.remove(&v).is_some() {
+                    outer_gone.push(v);
+                }
+            } else if outer_owner.insert(v, home).is_none() {
+                outer_new.push(v);
+            }
         }
-        let mut payload: HashMap<VertexId, &V> = HashMap::new();
-        for (v, d) in &batch.endpoint_data {
-            payload.insert(*v, d);
+        for gone in [&mut inner_gone, &mut outer_gone] {
+            gone.sort_unstable();
+            gone.dedup();
         }
-        for (v, d) in &batch.net.added_vertices {
-            payload.insert(*v, d);
-        }
+        let mut inner_new: Vec<VertexId> = local.added_vertices.iter().map(|(v, _)| *v).collect();
+        inner_new.sort_unstable();
+        let inner = spliced_ids(self.inner_vertices(), &inner_gone, &inner_new);
+        let outer = spliced_ids(self.outer_vertices(), &outer_gone, &outer_new);
 
-        // 1. Edge list: surviving local copies in CSR order, then relevant
-        //    net additions in insertion order.
-        let mut edges: Vec<EdgeRecord<E>> = Vec::with_capacity(self.graph.num_edges());
-        for r in self.graph.edge_records() {
-            if removed_e.contains(&(r.src, r.dst))
-                || removed_v.contains(&r.src)
-                || removed_v.contains(&r.dst)
-            {
-                continue;
-            }
-            edges.push(r);
+        // 4. The local graph loses its un-mirrored vertices and gains the new
+        //    mirrors, with the payloads the batch carries for them.
+        local.removed_vertices.extend(
+            outer_gone
+                .iter()
+                .copied()
+                .filter(|v| !removed_v.contains(v)),
+        );
+        let inserted: HashMap<VertexId, &V> =
+            net.added_vertices.iter().map(|(v, d)| (*v, d)).collect();
+        for &v in &outer_new {
+            let data = match batch.endpoint_data.binary_search_by_key(&v, |(u, _)| *u) {
+                Ok(i) => Some(&batch.endpoint_data[i].1),
+                Err(_) => inserted.get(&v).copied(),
+            };
+            local
+                .added_vertices
+                .push((v, data.cloned().unwrap_or_default()));
         }
-        for (s, d, w) in &batch.net.added_edges {
-            let os = *owner.get(s).ok_or(GraphError::UnknownVertex(*s))?;
-            let od = *owner.get(d).ok_or(GraphError::UnknownVertex(*d))?;
-            if os == my || od == my {
-                edges.push(EdgeRecord::new(*s, *d, w.clone()));
-            }
-        }
-
-        // 2. Inner set: survivors plus inserted vertices owned here.
-        let mut inner: BTreeSet<VertexId> = self
-            .inner_vertices()
-            .iter()
-            .copied()
-            .filter(|v| !removed_v.contains(v))
-            .collect();
-        for (v, _) in &batch.net.added_vertices {
-            if owner.get(v) == Some(&my) {
-                inner.insert(*v);
-            }
-        }
-
-        // 3. Outer set and mirror routing, re-derived from the final edge
-        //    list — the same discovery rule build_fragments applies to the
-        //    global edge stream, evaluated on the local one (which contains
-        //    every edge incident to an inner vertex by construction).
-        let mut outer: BTreeSet<VertexId> = BTreeSet::new();
-        let mut mirrored: BTreeMap<VertexId, BTreeSet<FragmentId>> = BTreeMap::new();
-        for r in &edges {
-            let os = *owner.get(&r.src).ok_or(GraphError::UnknownVertex(r.src))?;
-            let od = *owner.get(&r.dst).ok_or(GraphError::UnknownVertex(r.dst))?;
-            if os == od {
-                continue;
-            }
-            if os == my {
-                mirrored.entry(r.src).or_default().insert(od);
-                outer.insert(r.dst);
-            }
-            if od == my {
-                mirrored.entry(r.dst).or_default().insert(os);
-                outer.insert(r.src);
-            }
-        }
-
-        let inner_list: Vec<VertexId> = inner.into_iter().collect();
-        let outer_list: Vec<VertexId> = outer.into_iter().collect();
-        let mut vertices: Vec<(VertexId, V)> =
-            Vec::with_capacity(inner_list.len() + outer_list.len());
-        for &v in inner_list.iter().chain(outer_list.iter()) {
-            let data = self
-                .graph
-                .vertex_data(v)
-                .cloned()
-                .or_else(|| payload.get(&v).map(|d| (*d).clone()))
-                .unwrap_or_default();
-            vertices.push((v, data));
-        }
-        let local_graph = CsrGraph::from_records(vertices, edges, true)?;
-        let outer_owner: HashMap<VertexId, FragmentId> = outer_list
-            .iter()
-            .map(|&v| (v, *owner.get(&v).expect("outer endpoints have owners")))
-            .collect();
-        let mirrored: HashMap<VertexId, Vec<FragmentId>> = mirrored
-            .into_iter()
-            .map(|(v, fs)| (v, fs.into_iter().collect()))
-            .collect();
-        Ok(assemble_fragment(
+        let graph = self.graph.patched(&local)?;
+        Ok(Some(assemble_fragment(
             my,
             self.num_fragments,
-            local_graph,
-            inner_list,
-            outer_list,
+            graph,
+            inner,
+            outer,
             outer_owner,
             mirrored,
-        ))
+        )))
     }
+}
+
+/// The sorted id list `old` without `gone` and with `new` merged in (both
+/// sorted; `gone` ⊆ `old`, `new` disjoint from it) — one linear pass.
+fn spliced_ids(old: &[VertexId], gone: &[VertexId], new: &[VertexId]) -> Vec<VertexId> {
+    let mut out = Vec::with_capacity(old.len() + new.len());
+    let mut gone = gone.iter().peekable();
+    let mut new = new.iter().copied().peekable();
+    for &v in old {
+        while let Some(n) = new.next_if(|&n| n < v) {
+            out.push(n);
+        }
+        if gone.next_if_eq(&&v).is_none() {
+            out.push(v);
+        }
+    }
+    out.extend(new);
+    out
 }
 
 #[cfg(test)]
@@ -250,8 +335,9 @@ mod tests {
     use super::*;
     use crate::fragment::build_fragments;
     use crate::strategy::{HashPartitioner, Partitioner};
-    use grape_graph::generators::erdos_renyi;
-    use grape_graph::{DeltaGraph, GraphMutation};
+    use crate::BuiltinStrategy;
+    use grape_graph::generators::{erdos_renyi, road_network, RoadNetworkConfig};
+    use grape_graph::{CsrGraph, DeltaGraph, GraphMutation};
 
     fn assert_fragments_eq(
         incremental: &[Fragment<(), f64>],
@@ -273,15 +359,19 @@ mod tests {
                 b.mirrored_inner_border_positions(),
                 "{context}"
             );
+            // Every table, primary and derived, reverse adjacency included.
+            assert!(a == b, "{context}: fragment {} differs in a table", a.id);
         }
     }
 
     /// Applies batches both ways — incrementally to resident fragments, and
     /// by re-cutting the updated graph from scratch — and demands bitwise
-    /// equality after every batch.
-    fn check_batches(seed: u64, k: usize, batches: Vec<Vec<GraphMutation<(), f64>>>) {
-        let g = erdos_renyi(120, 0.04, seed).unwrap();
-        let mut assignment = HashPartitioner.partition(&g, k);
+    /// equality after every batch. Returns the fragments after the last one.
+    fn check_batches_on(
+        g: CsrGraph<(), f64>,
+        mut assignment: PartitionAssignment,
+        batches: Vec<Vec<GraphMutation<(), f64>>>,
+    ) -> Vec<Fragment<(), f64>> {
         let mut fragments = build_fragments(&g, &assignment);
         let mut delta = DeltaGraph::new(g);
         for (i, batch) in batches.into_iter().enumerate() {
@@ -296,6 +386,141 @@ mod tests {
             let fresh = build_fragments(&delta.snapshot(true), &assignment);
             assert_fragments_eq(&fragments, &fresh, &format!("batch {i}"));
         }
+        fragments
+    }
+
+    fn check_batches(seed: u64, k: usize, batches: Vec<Vec<GraphMutation<(), f64>>>) {
+        let g = erdos_renyi(120, 0.04, seed).unwrap();
+        let assignment = HashPartitioner.partition(&g, k);
+        check_batches_on(g, assignment, batches);
+    }
+
+    /// Every distinct `(src, dst)` pair of the local edges at `v`.
+    fn local_pairs(f: &Fragment<(), f64>, v: VertexId) -> BTreeSet<(VertexId, VertexId)> {
+        let outgoing = f.graph.out_edges(v).map(|(n, _)| (v, n));
+        let incoming = f.graph.in_edges(v).map(|(n, _)| (n, v));
+        outgoing.chain(incoming).collect()
+    }
+
+    #[test]
+    fn road_network_batches_match_a_fresh_cut_under_hash_and_metis() {
+        let config = RoadNetworkConfig {
+            width: 128,
+            height: 128,
+            ..Default::default()
+        };
+        for strategy in [BuiltinStrategy::Hash, BuiltinStrategy::MetisLike] {
+            let g = road_network(config, 5).unwrap();
+            let assignment = strategy.partition(&g, 4);
+            let fragments = build_fragments(&g, &assignment);
+            let f0 = &fragments[0];
+
+            // A brand-new mirror: an edge from a vertex fragment 0 owns to
+            // one it has never seen.
+            let here = f0.inner_vertices()[0];
+            let stranger = g.vertices().find(|&v| !f0.graph.contains(v)).unwrap();
+            let new_mirror = vec![GraphMutation::AddEdge {
+                src: here,
+                dst: stranger,
+                data: 2.5,
+            }];
+            // An un-mirror: every cut edge tying one mirror to fragment 0 goes.
+            let mirror = *f0
+                .outer_vertices()
+                .iter()
+                .min_by_key(|&&v| local_pairs(f0, v).len())
+                .unwrap();
+            let un_mirror: Vec<_> = local_pairs(f0, mirror)
+                .into_iter()
+                .map(|(src, dst)| GraphMutation::RemoveEdge { src, dst })
+                .collect();
+            // A vertex and edges to it, in one batch.
+            let newcomer = 1_000_000;
+            let vertex_then_edges = vec![
+                GraphMutation::AddVertex {
+                    id: newcomer,
+                    data: (),
+                },
+                GraphMutation::AddEdge {
+                    src: here,
+                    dst: newcomer,
+                    data: 1.0,
+                },
+                GraphMutation::AddEdge {
+                    src: newcomer,
+                    dst: stranger,
+                    data: 4.0,
+                },
+            ];
+            // And the mirror's owner loses it altogether.
+            let vertex_gone = vec![GraphMutation::RemoveVertex { id: mirror }];
+
+            // Only the two endpoint owners of the first batch are touched.
+            let mut a = assignment.clone();
+            let net = DeltaGraph::new(g.clone()).apply(&new_mirror).unwrap().net;
+            let resolved = resolve_net_mutations(net, &mut a, |_| Some(()));
+            let owners = [here, stranger].map(|v| assignment.fragment_of(v).unwrap());
+            for f in &fragments {
+                let spliced = f.splice_mutations(&resolved).unwrap();
+                assert_eq!(spliced.is_some(), owners.contains(&f.id), "{strategy:?}");
+            }
+
+            let after = check_batches_on(
+                g,
+                assignment,
+                vec![new_mirror, un_mirror, vertex_then_edges, vertex_gone],
+            );
+            assert!(after[0].is_outer(stranger), "{strategy:?}: new mirror");
+            assert!(!after[0].graph.contains(mirror), "{strategy:?}: un-mirror");
+            assert!(after.iter().any(|f| f.is_inner(newcomer)));
+        }
+    }
+
+    #[test]
+    fn random_batches_match_a_fresh_cut() {
+        // A seeded stream of mixed batches over a small dense graph, where
+        // mirrors appear and vanish constantly; ids 0..80 over 60 resident
+        // vertices make vertex inserts and re-targeted edges both likely.
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut draw = move |bound: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % bound
+        };
+        let g = erdos_renyi(60, 0.05, 23).unwrap();
+        let assignment = HashPartitioner.partition(&g, 3);
+        let mut live = DeltaGraph::new(g.clone());
+        let mut batches = Vec::new();
+        for _ in 0..60 {
+            let mut batch = Vec::new();
+            for _ in 0..draw(6) {
+                let (a, b) = (draw(80), draw(80));
+                let edges = live.live_edges();
+                let mutation = match draw(5) {
+                    0 => GraphMutation::AddVertex { id: a, data: () },
+                    1 => GraphMutation::RemoveVertex { id: a },
+                    2 if !edges.is_empty() => {
+                        let edge = &edges[a as usize % edges.len()];
+                        GraphMutation::RemoveEdge {
+                            src: edge.src,
+                            dst: edge.dst,
+                        }
+                    }
+                    _ => GraphMutation::AddEdge {
+                        src: a,
+                        dst: b,
+                        data: draw(9) as f64,
+                    },
+                };
+                // Keep what the evolving graph accepts.
+                if live.apply(std::slice::from_ref(&mutation)).is_ok() {
+                    batch.push(mutation);
+                }
+            }
+            batches.push(batch);
+        }
+        check_batches_on(g, assignment, batches);
     }
 
     #[test]

@@ -86,7 +86,7 @@ use std::fmt;
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex, RwLock};
 use std::time::Duration;
 
 // ---------------------------------------------------------------------------
@@ -354,8 +354,9 @@ impl Wire for QueryJob {
 /// that cannot seed under the profile fall back to cold automatically.
 #[derive(Debug, Clone, PartialEq)]
 pub struct IncrementalSeed {
-    /// Snapshot-encoded converged partial of this worker's fragment.
-    pub snapshot: Vec<u8>,
+    /// Snapshot-encoded converged partial of this worker's fragment, shared
+    /// with the session's converged cache rather than copied per query.
+    pub snapshot: Arc<Vec<u8>>,
     /// Union of the dirty sets of the updates applied since the snapshot
     /// converged (global ids, sorted).
     pub dirty: Vec<VertexId>,
@@ -372,7 +373,7 @@ impl Wire for IncrementalSeed {
 
     fn decode(reader: &mut WireReader<'_>) -> Result<Self, WireError> {
         Ok(IncrementalSeed {
-            snapshot: Vec::decode(reader)?,
+            snapshot: Arc::new(Vec::decode(reader)?),
             dirty: Vec::decode(reader)?,
             profile: MutationProfile::decode(reader)?,
         })
@@ -497,6 +498,7 @@ impl SessionGraph {
 }
 
 /// Built fragments of a loaded graph, per family.
+#[derive(Clone)]
 enum SessionFragments {
     Weighted(Vec<Fragment<(), f64>>),
     Labeled(Vec<Fragment<LabeledVertex, String>>),
@@ -588,6 +590,16 @@ impl ResidentFragments {
         match self {
             ResidentFragments::Weighted(_) => 0,
             ResidentFragments::Labeled(_) => 1,
+        }
+    }
+
+    /// Checks the fragment in slot `index` out (`None` if never loaded).
+    fn handle(&self, index: usize) -> Option<FragmentHandle> {
+        match self {
+            ResidentFragments::Weighted(slots) => {
+                slots[index].clone().map(FragmentHandle::Weighted)
+            }
+            ResidentFragments::Labeled(slots) => slots[index].clone().map(FragmentHandle::Labeled),
         }
     }
 }
@@ -896,17 +908,22 @@ fn load_fragment<S: ServiceStream>(
 /// Handles one `TAG_UPDATE`: applies the resolved mutation batch that
 /// follows the spec in the frame body to the targeted resident fragment,
 /// version-fenced so retries are idempotent, and acks with `TAG_UPDATED`.
+///
+/// The registry lock is held only to snapshot the fragment's `Arc` and,
+/// later, to swap the new one in: the splice itself runs unlocked, so an
+/// update never stalls the fragment lookups of concurrent queries.
 fn apply_update<S: ServiceStream>(
     stream: &mut S,
     spec: UpdateSpec,
     reader: WireReader<'_>,
     state: &ServiceState,
 ) -> io::Result<()> {
-    fn mutate<V, E>(
-        slots: &mut [Option<Arc<Fragment<V, E>>>],
+    /// Decodes the batch and splices it into `fragment`; `None` when the
+    /// batch does not touch it.
+    fn splice<V, E>(
+        fragment: &Fragment<V, E>,
         mut reader: WireReader<'_>,
-        index: usize,
-    ) -> io::Result<()>
+    ) -> io::Result<Option<Arc<Fragment<V, E>>>>
     where
         V: Wire + Clone + Default,
         E: Wire + Clone,
@@ -914,26 +931,22 @@ fn apply_update<S: ServiceStream>(
         let resolved = ResolvedMutations::<V, E>::decode(&mut reader)
             .and_then(|r| reader.finish().map(|()| r))
             .map_err(|e| bad_data(format!("bad update batch: {e}")))?;
-        let Some(fragment) = &slots[index] else {
-            return Err(bad_data(format!(
-                "update targets fragment {index}, which was never loaded"
-            )));
-        };
-        let updated = fragment
-            .apply_mutations(&resolved)
-            .map_err(|e| bad_data(format!("update failed on fragment {index}: {e}")))?;
-        slots[index] = Some(Arc::new(updated));
-        Ok(())
+        let spliced = fragment
+            .splice_mutations(&resolved)
+            .map_err(|e| bad_data(format!("update failed on fragment {}: {e}", fragment.id)))?;
+        Ok(spliced.map(Arc::new))
     }
 
-    let acked_version = {
-        let mut registry = state.registry.lock().unwrap();
-        let resident = registry.get_mut(&spec.graph_id).ok_or_else(|| {
-            bad_data(format!(
-                "graph {} is not resident in this service",
-                spec.graph_id
-            ))
-        })?;
+    let not_resident = || {
+        bad_data(format!(
+            "graph {} is not resident in this service",
+            spec.graph_id
+        ))
+    };
+    let index = spec.index as usize;
+    let (current, snapshot) = {
+        let registry = state.registry.lock().unwrap();
+        let resident = registry.get(&spec.graph_id).ok_or_else(not_resident)?;
         if spec.index >= resident.workers {
             return Err(bad_data(format!(
                 "update targets fragment {}/{} of graph {}",
@@ -946,25 +959,52 @@ fn apply_update<S: ServiceStream>(
                 spec.family
             )));
         }
-        let index = spec.index as usize;
-        let current = resident.versions[index];
-        if spec.version <= current {
-            // Already applied (a retry after a lost ack) — idempotent skip.
-            current
-        } else if spec.version == current + 1 {
-            match &mut resident.fragments {
-                ResidentFragments::Weighted(slots) => mutate(slots, reader, index)?,
-                ResidentFragments::Labeled(slots) => mutate(slots, reader, index)?,
+        (resident.versions[index], resident.fragments.handle(index))
+    };
+
+    let acked_version = if spec.version <= current {
+        // Already applied (a retry after a lost ack) — idempotent skip.
+        current
+    } else if spec.version == current + 1 {
+        let Some(snapshot) = snapshot else {
+            return Err(bad_data(format!(
+                "update targets fragment {index}, which was never loaded"
+            )));
+        };
+        let spliced = match &snapshot {
+            FragmentHandle::Weighted(f) => splice(f, reader)?.map(FragmentHandle::Weighted),
+            FragmentHandle::Labeled(f) => splice(f, reader)?.map(FragmentHandle::Labeled),
+        };
+        let mut registry = state.registry.lock().unwrap();
+        let resident = registry.get_mut(&spec.graph_id).ok_or_else(not_resident)?;
+        // The fence again: a retry of this very batch on another connection
+        // may have landed while this one spliced.
+        if resident.versions[index] == current {
+            match (&mut resident.fragments, spliced) {
+                (ResidentFragments::Weighted(slots), Some(FragmentHandle::Weighted(f))) => {
+                    slots[index] = Some(f)
+                }
+                (ResidentFragments::Labeled(slots), Some(FragmentHandle::Labeled(f))) => {
+                    slots[index] = Some(f)
+                }
+                // Untouched fragment: the same `Arc` stays, only the version moves.
+                (_, None) => {}
+                _ => return Err(bad_data("resident fragments changed family mid-update")),
             }
             resident.versions[index] = spec.version;
             resident.vertices = spec.vertices;
-            spec.version
-        } else {
+        } else if resident.versions[index] < spec.version {
             return Err(bad_data(format!(
-                "update jumps fragment {index} of graph {} from version {current} to {}",
-                spec.graph_id, spec.version
+                "fragment {index} of graph {} moved from version {current} to {} under update {}",
+                spec.graph_id, resident.versions[index], spec.version
             )));
         }
+        resident.versions[index]
+    } else {
+        return Err(bad_data(format!(
+            "update jumps fragment {index} of graph {} from version {current} to {}",
+            spec.graph_id, spec.version
+        )));
     };
 
     let epoch = spec.version as u32;
@@ -1005,15 +1045,10 @@ fn serve_query<S: ServiceStream>(
                 job.index, job.workers, job.graph_id, resident.workers
             )));
         }
-        let slot = match &resident.fragments {
-            ResidentFragments::Weighted(slots) => slots[job.index as usize]
-                .clone()
-                .map(FragmentHandle::Weighted),
-            ResidentFragments::Labeled(slots) => slots[job.index as usize]
-                .clone()
-                .map(FragmentHandle::Labeled),
-        };
-        (slot, resident.vertices)
+        (
+            resident.fragments.handle(job.index as usize),
+            resident.vertices,
+        )
     };
     let Some(fragment) = fragment_slot else {
         return Err(bad_data(format!(
@@ -1173,7 +1208,8 @@ fn serve_query<S: ServiceStream>(
     }
 }
 
-/// A resident fragment checked out of the registry for one query.
+/// A resident fragment checked out of the registry, for one query or as the
+/// snapshot an update splices from.
 enum FragmentHandle {
     Weighted(Arc<Fragment<(), f64>>),
     Labeled(Arc<Fragment<LabeledVertex, String>>),
@@ -1206,7 +1242,7 @@ where
 {
     match seed {
         Some(s) if program.incremental_eligible(&s.profile) => {
-            let mut seeds: Vec<Option<Vec<u8>>> = vec![None; fragment.id + 1];
+            let mut seeds: Vec<Option<Arc<Vec<u8>>>> = vec![None; fragment.id + 1];
             seeds[fragment.id] = Some(s.snapshot);
             let seeded = Seeded::new(Arc::new(program), seeds, s.dirty, s.profile);
             answer_run(
@@ -1408,6 +1444,11 @@ pub struct Session {
 struct SessionInner {
     config: SessionConfig,
     graph: Mutex<Option<LoadedGraph>>,
+    /// Orders remote queries against updates: a query holds it shared from
+    /// its snapshot of `graph` until its workers reported, an update holds it
+    /// exclusively while it ships — daemons keep one version per fragment, so
+    /// a query must not straddle one. Taken before `graph`, never after.
+    resident: RwLock<()>,
     next_run_id: AtomicU32,
     scratch: ScratchPool,
 }
@@ -1475,6 +1516,7 @@ impl Session {
             inner: Arc::new(SessionInner {
                 config,
                 graph: Mutex::new(None),
+                resident: RwLock::new(()),
                 next_run_id: AtomicU32::new(1),
                 scratch: ScratchPool::new(),
             }),
@@ -1630,7 +1672,7 @@ impl SessionInner {
     /// Applies one update batch end to end; see [`Session::update`].
     fn apply_session_update(&self, batch: SessionUpdate) -> io::Result<UpdateReceipt> {
         /// Family-generic core: mutate the overlay, resolve against the
-        /// assignment, and apply to every resident fragment.
+        /// assignment, and splice the batch into the fragments it touches.
         #[allow(clippy::type_complexity)]
         fn mutate<V, E>(
             delta: &mut DeltaGraph<V, E>,
@@ -1641,7 +1683,7 @@ impl SessionInner {
             Vec<VertexId>,
             MutationProfile,
             ResolvedMutations<V, E>,
-            Vec<Fragment<V, E>>,
+            Vec<(usize, Fragment<V, E>)>,
         )>
         where
             V: Wire + Clone + Default,
@@ -1652,40 +1694,55 @@ impl SessionInner {
                 .map_err(|e| bad_data(format!("bad update batch: {e}")))?;
             let resolved =
                 resolve_net_mutations(receipt.net, assignment, |v| delta.vertex_data(v).cloned());
-            let updated = fragments
-                .iter()
-                .map(|f| f.apply_mutations(&resolved))
-                .collect::<Result<Vec<_>, _>>()
-                .map_err(|e| bad_data(format!("fragment update failed: {e}")))?;
-            Ok((receipt.dirty, receipt.profile, resolved, updated))
+            let mut spliced = Vec::new();
+            for (index, fragment) in fragments.iter().enumerate() {
+                let updated = fragment
+                    .splice_mutations(&resolved)
+                    .map_err(|e| bad_data(format!("fragment update failed: {e}")))?;
+                spliced.extend(updated.map(|f| (index, f)));
+            }
+            Ok((receipt.dirty, receipt.profile, resolved, spliced))
         }
 
+        // Remote queries read the daemons' fragments, not this session's:
+        // wait for the ones in flight, so none sees a half-shipped version.
+        let _exclusive = self.resident.write().unwrap();
         let mut guard = self.graph.lock().unwrap();
         let loaded = guard
             .as_mut()
             .ok_or_else(|| bad_data("no graph loaded: call Session::load first"))?;
         let version = loaded.log.version() + 1;
+        // Untouched fragments stay where they are; in-flight in-process
+        // queries keep the `Arc` they started with (`make_mut` copies then).
         let (dirty, profile) = match (&mut loaded.delta, &batch) {
             (SessionDelta::Weighted(delta), SessionUpdate::Weighted(muts)) => {
                 let SessionFragments::Weighted(frags) = &*loaded.fragments else {
                     return Err(bad_data("resident fragments lost their family"));
                 };
-                let (dirty, profile, resolved, updated) =
+                let (dirty, profile, resolved, spliced) =
                     mutate(delta, &mut loaded.assignment, frags, muts)?;
                 loaded.vertices = delta.num_vertices() as u64;
                 self.ship_updates(loaded.graph_id, 0, version, loaded.vertices, &resolved)?;
-                loaded.fragments = Arc::new(SessionFragments::Weighted(updated));
+                if let SessionFragments::Weighted(frags) = Arc::make_mut(&mut loaded.fragments) {
+                    for (index, fragment) in spliced {
+                        frags[index] = fragment;
+                    }
+                }
                 (dirty, profile)
             }
             (SessionDelta::Labeled(delta), SessionUpdate::Labeled(muts)) => {
                 let SessionFragments::Labeled(frags) = &*loaded.fragments else {
                     return Err(bad_data("resident fragments lost their family"));
                 };
-                let (dirty, profile, resolved, updated) =
+                let (dirty, profile, resolved, spliced) =
                     mutate(delta, &mut loaded.assignment, frags, muts)?;
                 loaded.vertices = delta.num_vertices() as u64;
                 self.ship_updates(loaded.graph_id, 1, version, loaded.vertices, &resolved)?;
-                loaded.fragments = Arc::new(SessionFragments::Labeled(updated));
+                if let SessionFragments::Labeled(frags) = Arc::make_mut(&mut loaded.fragments) {
+                    for (index, fragment) in spliced {
+                        frags[index] = fragment;
+                    }
+                }
                 (dirty, profile)
             }
             _ => {
@@ -1816,6 +1873,7 @@ impl SessionInner {
         run_id: u32,
         kill: Option<(usize, usize)>,
     ) -> io::Result<QueryOutcome> {
+        let _shared = (!self.config.endpoints.is_empty()).then(|| self.resident.read().unwrap());
         let (graph_id, vertices, fragments, warm) = {
             let guard = self.graph.lock().unwrap();
             let loaded = guard
@@ -1837,7 +1895,7 @@ impl SessionInner {
                         .log
                         .since(entry.version)
                         .map(|(dirty, profile)| IncrementalPlan {
-                            partials: entry.partials.clone(),
+                            partials: Arc::clone(&entry.partials),
                             dirty,
                             profile,
                         })
@@ -2044,7 +2102,7 @@ impl SessionInner {
                 // mid-run re-enters with the same warm start.
                 seed: plan.and_then(|p| {
                     p.partials.get(worker).map(|snapshot| IncrementalSeed {
-                        snapshot: snapshot.clone(),
+                        snapshot: Arc::clone(snapshot),
                         dirty: p.dirty.clone(),
                         profile: p.profile,
                     })
@@ -2146,7 +2204,7 @@ impl SessionInner {
                     warm.cache_key.clone(),
                     ConvergedState {
                         version: warm.version,
-                        partials,
+                        partials: partials.into_iter().map(Arc::new).collect(),
                     },
                 );
             }
@@ -2169,7 +2227,7 @@ struct WarmContext {
 /// A warm-start plan: the cached per-fragment converged partials plus the
 /// merged dirty set and profile of every update applied since they converged.
 struct IncrementalPlan {
-    partials: Vec<Vec<u8>>,
+    partials: Arc<[Arc<Vec<u8>>]>,
     dirty: Vec<VertexId>,
     profile: MutationProfile,
 }
@@ -2185,6 +2243,96 @@ mod tests {
         let back = T::decode(&mut reader).expect("decodes");
         reader.finish().expect("no trailing bytes");
         assert_eq!(&back, value);
+    }
+
+    /// The weighted fragments a session holds — copies, and where each
+    /// one's arrays live (a spliced fragment gets new ones, one left alone
+    /// keeps them) — and the ones its daemon holds.
+    #[allow(clippy::type_complexity)]
+    fn resident_weighted(
+        session: &Session,
+        daemon: &ServiceHandle,
+    ) -> (
+        Vec<Fragment<(), f64>>,
+        Vec<*const VertexId>,
+        Vec<Arc<Fragment<(), f64>>>,
+    ) {
+        let guard = session.inner.graph.lock().unwrap();
+        let loaded = guard.as_ref().expect("graph loaded");
+        let SessionFragments::Weighted(held) = &*loaded.fragments else {
+            panic!("weighted graph expected")
+        };
+        let registry = daemon.state.registry.lock().unwrap();
+        let ResidentFragments::Weighted(slots) = &registry[&loaded.graph_id].fragments else {
+            panic!("weighted graph expected")
+        };
+        (
+            held.clone(),
+            held.iter().map(|f| f.graph.vertex_ids().as_ptr()).collect(),
+            slots.iter().map(|s| s.clone().expect("loaded")).collect(),
+        )
+    }
+
+    #[test]
+    fn an_update_inside_one_fragment_leaves_the_others_alone() {
+        let daemon = GrapeService::bind("127.0.0.1:0", ServiceOptions::default())
+            .expect("bind")
+            .spawn()
+            .expect("spawn");
+        let workers = 4;
+        let session = Session::connect(SessionConfig::remote(
+            workers,
+            vec![daemon.endpoint().clone()],
+        ))
+        .expect("connect");
+        let config = RoadNetworkConfig {
+            width: 24,
+            height: 24,
+            ..Default::default()
+        };
+        let graph = road_network(config, 3).expect("generator");
+        session
+            .load(&graph.into(), BuiltinStrategy::Range)
+            .expect("load");
+        let (held_before, arrays_before, slots_before) = resident_weighted(&session, &daemon);
+
+        // Both endpoints owned by fragment 2: no other fragment holds the edge.
+        let home = 2;
+        let inner = held_before[home].inner_vertices();
+        let batch = vec![GraphMutation::AddEdge {
+            src: inner[0],
+            dst: inner[inner.len() / 2],
+            data: 1.25,
+        }];
+        assert_eq!(session.update(batch).expect("update").version, 1);
+
+        let (held_after, arrays_after, slots_after) = resident_weighted(&session, &daemon);
+        for index in 0..workers {
+            let untouched = index != home;
+            assert_eq!(
+                Arc::ptr_eq(&slots_before[index], &slots_after[index]),
+                untouched,
+                "daemon slot {index}"
+            );
+            assert_eq!(
+                held_before[index] == held_after[index],
+                untouched,
+                "session fragment {index}"
+            );
+            assert_eq!(
+                arrays_before[index] == arrays_after[index],
+                untouched,
+                "session fragment {index} was rebuilt"
+            );
+            assert!(
+                held_after[index] == *slots_after[index],
+                "session and daemon disagree on fragment {index}"
+            );
+        }
+        let registry = daemon.state.registry.lock().unwrap();
+        assert!(registry.values().all(|g| g.versions == vec![1; workers]));
+        drop(registry);
+        daemon.shutdown().expect("shutdown");
     }
 
     #[test]
@@ -2221,7 +2369,7 @@ mod tests {
             query: Query::canonical_keyword(),
             kill_at: None,
             seed: Some(IncrementalSeed {
-                snapshot: vec![1, 2, 3, 250],
+                snapshot: Arc::new(vec![1, 2, 3, 250]),
                 dirty: vec![7, 9],
                 profile: MutationProfile {
                     edge_inserts: 2,

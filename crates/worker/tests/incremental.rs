@@ -14,6 +14,8 @@ use grape_worker::{
     GrapeService, GraphSpec, QueryOutcome, ServiceOptions, Session, SessionConfig, SessionGraph,
 };
 use std::collections::HashSet;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Barrier;
 
 fn weighted_graph() -> SessionGraph {
     SessionGraph::generate(&GraphSpec::parse("ba:160:3:5").expect("spec")).expect("generator")
@@ -441,6 +443,114 @@ fn a_worker_kill_mid_incremental_run_recovers_to_the_updated_answer() {
         "recovered incremental run diverged from a cold run on the updated graph"
     );
     assert_eq!(killed.result.digest(), cold.result.digest());
+    daemon.shutdown().expect("shutdown");
+}
+
+#[test]
+fn queries_beside_a_stream_of_updates_answer_one_graph_version_each() {
+    // A second handle on the session queries while the first streams updates
+    // into the daemon. Nothing may deadlock, and every answer must be the
+    // cold answer of one graph version: one between the last update finished
+    // when the query was submitted and the last one started when it returned
+    // — never a blend of two versions' fragments.
+    let daemon = GrapeService::bind("127.0.0.1:0", ServiceOptions::default())
+        .expect("bind")
+        .spawn()
+        .expect("spawn");
+    let workers = 3;
+    let strategy = BuiltinStrategy::Hash;
+    let graph = weighted_graph();
+    let session = Session::connect(SessionConfig::remote(
+        workers,
+        vec![daemon.endpoint().clone()],
+    ))
+    .expect("connect");
+    session.load(&graph, strategy).expect("load");
+
+    // Insert-only batches, so SSSP and CC take the warm path every time.
+    let batches: Vec<Vec<GraphMutation<(), f64>>> = (0..12u64)
+        .map(|i| {
+            vec![
+                GraphMutation::AddEdge {
+                    src: i,
+                    dst: 150 - 7 * i,
+                    data: 0.125 * (i + 1) as f64,
+                },
+                GraphMutation::AddEdge {
+                    src: 159 - i,
+                    dst: 3 * i + 1,
+                    data: 0.5,
+                },
+            ]
+        })
+        .collect();
+    let queries = [Query::sssp(0), Query::cc()];
+    let cold: Vec<Vec<_>> = (0..=batches.len())
+        .map(|version| {
+            queries
+                .iter()
+                .map(|query| {
+                    let replayed = &batches[..version];
+                    cold_after_weighted_updates(&graph, replayed, strategy, workers, query.clone())
+                        .result
+                })
+                .collect()
+        })
+        .collect();
+    for query in &queries {
+        session
+            .submit(query.clone())
+            .expect("submit")
+            .join()
+            .expect("first run");
+    }
+
+    let (started, finished) = (AtomicUsize::new(0), AtomicUsize::new(0));
+    let together = Barrier::new(2);
+    let reader = session.clone();
+    let answered = std::thread::scope(|scope| {
+        let reading = scope.spawn(|| {
+            together.wait();
+            let mut answered = 0;
+            while finished.load(Ordering::SeqCst) < batches.len() {
+                for (which, query) in queries.iter().enumerate() {
+                    let oldest = finished.load(Ordering::SeqCst);
+                    let outcome = reader
+                        .submit(query.clone())
+                        .expect("submit")
+                        .join()
+                        .expect("query beside updates");
+                    let newest = started.load(Ordering::SeqCst);
+                    assert!(
+                        (oldest..=newest).any(|version| cold[version][which] == outcome.result),
+                        "{:?}: answer matches no graph version in {oldest}..={newest}",
+                        query.class()
+                    );
+                    answered += 1;
+                }
+            }
+            answered
+        });
+        together.wait();
+        for batch in &batches {
+            started.fetch_add(1, Ordering::SeqCst);
+            session
+                .update(batch.clone())
+                .expect("update beside queries");
+            finished.fetch_add(1, Ordering::SeqCst);
+        }
+        reading.join().expect("reader thread")
+    });
+    assert!(answered > 0, "the reader never ran beside the updates");
+
+    for (which, query) in queries.iter().enumerate() {
+        let settled = session
+            .submit(query.clone())
+            .expect("submit")
+            .join()
+            .expect("query after the stream");
+        assert_eq!(settled.result, cold[batches.len()][which]);
+    }
     daemon.shutdown().expect("shutdown");
 }
 
