@@ -41,6 +41,7 @@ use grape_comm::CommStats;
 use grape_graph::delta::MutationProfile;
 use grape_graph::{CsrGraph, VertexId};
 use grape_partition::{build_fragments, Fragment, PartitionAssignment};
+use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
@@ -83,7 +84,7 @@ impl<V: Clone> SlotTable<V> {
     /// `Fragment::border_vertices()`) — the mapping the handshake ships to
     /// the workers. This is the only place global ids are hashed.
     fn build<VD, ED>(
-        fragments: &[grape_partition::Fragment<VD, ED>],
+        fragments: &[impl Borrow<Fragment<VD, ED>>],
         n_workers: usize,
     ) -> (Self, Vec<Vec<u32>>)
     where
@@ -94,6 +95,7 @@ impl<V: Clone> SlotTable<V> {
         let mut homes: Vec<Vec<usize>> = Vec::new();
         let mut fragment_slots: Vec<Vec<u32>> = Vec::with_capacity(fragments.len());
         for fragment in fragments {
+            let fragment = fragment.borrow();
             let borders = fragment.border_vertices();
             let mut local = Vec::with_capacity(borders.len());
             for &v in borders {
@@ -821,11 +823,13 @@ impl<P: PieProgram> GrapeEngine<P> {
         self.run(query, &fragments)
     }
 
-    /// Runs the simultaneous fixpoint over prebuilt fragments.
+    /// Runs the simultaneous fixpoint over prebuilt fragments, held by value
+    /// or shared (`Arc<Fragment>`): a holder that swaps single fragments, like
+    /// the query service, passes its table as it is.
     pub fn run(
         &self,
         query: &P::Query,
-        fragments: &[Fragment<P::VertexData, P::EdgeData>],
+        fragments: &[impl Borrow<Fragment<P::VertexData, P::EdgeData>> + Sync],
     ) -> Result<GrapeResult<P::Output>, RunError> {
         let n = fragments.len();
         if n == 0 {
@@ -887,7 +891,7 @@ impl<P: PieProgram> GrapeEngine<P> {
     pub fn run_incremental(
         &self,
         query: &P::Query,
-        fragments: &[Fragment<P::VertexData, P::EdgeData>],
+        fragments: &[impl Borrow<Fragment<P::VertexData, P::EdgeData>> + Sync],
         seeds: Vec<Option<Arc<Vec<u8>>>>,
         dirty: &[VertexId],
         profile: &MutationProfile,
@@ -918,7 +922,7 @@ impl<P: PieProgram> GrapeEngine<P> {
     /// `grape-worker` binary's digest protocol).
     pub fn run_coordinator(
         &self,
-        fragments: &[Fragment<P::VertexData, P::EdgeData>],
+        fragments: &[impl Borrow<Fragment<P::VertexData, P::EdgeData>> + Sync],
         transport: &impl CoordTransport<P::Value>,
     ) -> Result<RunStats, RunError> {
         let n = fragments.len();
@@ -984,7 +988,7 @@ impl<P: PieProgram> GrapeEngine<P> {
     /// transport ready to ship commands to the replacement at that epoch.
     pub fn run_coordinator_recoverable(
         &self,
-        fragments: &[Fragment<P::VertexData, P::EdgeData>],
+        fragments: &[impl Borrow<Fragment<P::VertexData, P::EdgeData>> + Sync],
         transport: &impl CoordTransport<P::Value>,
         recover: &mut dyn FnMut(usize, u32) -> Result<(), String>,
     ) -> Result<RunStats, RunError> {
@@ -1144,7 +1148,7 @@ impl<P: PieProgram> GrapeEngine<P> {
     fn drive<CT, WT>(
         &self,
         query: &P::Query,
-        fragments: &[Fragment<P::VertexData, P::EdgeData>],
+        fragments: &[impl Borrow<Fragment<P::VertexData, P::EdgeData>> + Sync],
         coord: CT,
         worker_transports: Vec<WT>,
     ) -> Result<(Vec<P::Partial>, RunStats), RunError>
@@ -1191,6 +1195,7 @@ impl<P: PieProgram> GrapeEngine<P> {
             let mut workers: Vec<WorkerRuntime<'_, P>> = fragments
                 .iter()
                 .map(|fragment| {
+                    let fragment = fragment.borrow();
                     let mut w = WorkerRuntime::new(&*program, query, fragment, Arc::clone(&pool));
                     w.checkpoint_every = config.checkpoint_every;
                     w
@@ -1228,6 +1233,7 @@ impl<P: PieProgram> GrapeEngine<P> {
                 let mut handles = Vec::with_capacity(n);
                 let checkpoint_every = config.checkpoint_every;
                 for (fragment, wt) in fragments.iter().zip(worker_transports) {
+                    let fragment = fragment.borrow();
                     let program = Arc::clone(&program);
                     handles.push(scope.spawn(move || {
                         run_worker_with(&*program, query, fragment, &wt, threads, checkpoint_every)
@@ -1729,7 +1735,8 @@ mod tests {
     #[test]
     fn empty_fragment_list_is_an_error() {
         let engine = GrapeEngine::new(MinLabelCc);
-        let err = engine.run(&(), &[]).unwrap_err();
+        let none: [Fragment<(), f64>; 0] = [];
+        let err = engine.run(&(), &none).unwrap_err();
         assert_eq!(err, RunError::NoFragments);
         assert!(err.to_string().contains("no fragments"));
     }

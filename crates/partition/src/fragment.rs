@@ -268,21 +268,16 @@ impl<V: Clone + Default, E: Clone> Fragment<V, E> {
             num_fragments,
             vertices,
             edges,
-            inner,
-            outer,
+            mut inner,
+            mut outer,
             outer_owner,
             mirrored_at,
         } = parts;
-        // Shipped parts come from outside: the assembly below walks these
-        // lists in order, so hold them to their documented sortedness here.
-        if ![&inner, &outer]
-            .iter()
-            .all(|ids| ids.windows(2).all(|w| w[0] < w[1]))
-        {
-            return Err(grape_graph::GraphError::InvalidParameter(
-                "fragment parts list inner or outer vertices out of order".into(),
-            ));
-        }
+        // Shipped parts come from outside and the assembly below walks these
+        // lists in order: restore their documented sortedness if it was lost
+        // (lists that kept it cost one linear pass).
+        inner.sort_unstable();
+        outer.sort_unstable();
         let edge_records: Vec<EdgeRecord<E>> = edges
             .into_iter()
             .map(|(s, d, w)| EdgeRecord::new(s, d, w))
@@ -709,6 +704,11 @@ mod tests {
             }
             // And re-flattening yields the same canonical parts.
             assert_eq!(back.to_parts(), f.to_parts());
+            // Parts whose id lists lost their order are still accepted.
+            let mut shuffled = parts;
+            shuffled.inner.reverse();
+            shuffled.outer.reverse();
+            assert!(Fragment::from_parts(shuffled).expect("rebuild") == f);
         }
     }
 

@@ -15,8 +15,8 @@
 //!
 //! **Cost model.** Only touched fragments do any work: a fragment decides in
 //! O(batch) whether the batch concerns it (an inserted vertex or edge endpoint
-//! it owns, a removed edge with an endpoint it owns, a removed vertex it owns
-//! or mirrors) and otherwise stays as it is — holders keep sharing it. A
+//! it owns, a removed edge it holds a copy of, a removed vertex it owns or
+//! mirrors) and otherwise stays as it is — holders keep sharing it. A
 //! touched fragment pays O(batch · degree) for mirror bookkeeping — only the
 //! batch's vertices are re-examined, each against its own adjacency run — plus
 //! one linear copy of its arrays: the local CSR is spliced from the old one
@@ -141,9 +141,10 @@ impl<V: Clone + Default, E: Clone> Fragment<V, E> {
 
     /// Splices a resolved mutation batch into this fragment, or returns
     /// `None` when the batch does not touch it: no inserted vertex or edge
-    /// endpoint is owned here, no removed edge has an endpoint owned here,
-    /// and no removed vertex is owned or mirrored here. Deciding that costs
-    /// O(batch), so holders keep sharing an untouched fragment as it is.
+    /// endpoint is owned here, no removed edge has a copy here, and no
+    /// removed vertex is owned or mirrored here. Deciding that costs
+    /// O(batch) — a removed pair is looked up in its source's adjacency run —
+    /// so holders keep sharing an untouched fragment as it is.
     ///
     /// Local and deterministic: surviving edges keep their CSR order and net
     /// additions relevant to this fragment (an endpoint owned here) append in
@@ -184,8 +185,11 @@ impl<V: Clone + Default, E: Clone> Fragment<V, E> {
                 local.added_edges.push((*s, *d, w.clone()));
             }
         }
+        // A removed pair counts only if a local copy matches it: the net also
+        // lists pairs whose every copy was added within the batch, and those
+        // may name vertices this fragment has never seen.
         for &(s, d) in &net.removed_edges {
-            if self.is_inner(s) || self.is_inner(d) {
+            if self.graph.out_edges(s).any(|(n, _)| n == d) {
                 local.removed_edges.push((s, d));
             }
         }
@@ -474,6 +478,59 @@ mod tests {
             assert!(!after[0].graph.contains(mirror), "{strategy:?}: un-mirror");
             assert!(after.iter().any(|f| f.is_inner(newcomer)));
         }
+    }
+
+    #[test]
+    fn pairs_added_and_removed_within_a_batch_match_a_fresh_cut() {
+        // The net lists such a pair as removed although no pre-batch copy
+        // exists, so its far endpoint may be unknown to the fragment — in
+        // the batch's owner table and in the local graph alike.
+        let g = erdos_renyi(120, 0.04, 29).unwrap();
+        let assignment = HashPartitioner.partition(&g, 3);
+        let fragments = build_fragments(&g, &assignment);
+        let f0 = &fragments[0];
+        let here = f0.inner_vertices()[0];
+        let strangers: Vec<VertexId> = g.vertices().filter(|&v| !f0.graph.contains(v)).collect();
+        let (stranger, other) = (strangers[0], strangers[1]);
+        let add = |src, dst| GraphMutation::AddEdge {
+            src,
+            dst,
+            data: 1.5,
+        };
+        let churn = vec![
+            add(here, stranger),
+            GraphMutation::RemoveEdge {
+                src: here,
+                dst: stranger,
+            },
+            add(here, other),
+        ];
+        // Same, with the far endpoint itself gone by the end of the batch.
+        let newcomer = 5_000;
+        let churned_vertex = vec![
+            GraphMutation::AddVertex {
+                id: newcomer,
+                data: (),
+            },
+            add(here, newcomer),
+            GraphMutation::RemoveEdge {
+                src: here,
+                dst: newcomer,
+            },
+            GraphMutation::RemoveVertex { id: newcomer },
+            add(stranger, here),
+        ];
+        // A batch that is churn only touches nothing.
+        let net = DeltaGraph::new(g.clone()).apply(&churn[..2]).unwrap().net;
+        assert_eq!(net.removed_edges, vec![(here, stranger)]);
+        let resolved = resolve_net_mutations(net, &mut assignment.clone(), |_| Some(()));
+        for f in &fragments {
+            assert!(f.splice_mutations(&resolved).unwrap().is_none());
+        }
+
+        let after = check_batches_on(g, assignment, vec![churn, churned_vertex]);
+        assert!(after[0].is_outer(other) && after[0].is_outer(stranger));
+        assert!(!after[0].graph.contains(newcomer));
     }
 
     #[test]

@@ -497,11 +497,13 @@ impl SessionGraph {
     }
 }
 
-/// Built fragments of a loaded graph, per family.
+/// Built fragments of a loaded graph, per family. Each fragment is shared on
+/// its own: a query checks the whole table out by cloning it, and an update
+/// replaces just the entries it spliced.
 #[derive(Clone)]
 enum SessionFragments {
-    Weighted(Vec<Fragment<(), f64>>),
-    Labeled(Vec<Fragment<LabeledVertex, String>>),
+    Weighted(Vec<Arc<Fragment<(), f64>>>),
+    Labeled(Vec<Arc<Fragment<LabeledVertex, String>>>),
 }
 
 impl SessionFragments {
@@ -511,6 +513,10 @@ impl SessionFragments {
             SessionFragments::Labeled(_) => 1,
         }
     }
+}
+
+fn shared<T>(items: Vec<T>) -> Vec<Arc<T>> {
+    items.into_iter().map(Arc::new).collect()
 }
 
 /// The loaded graph's delta overlay, per family — the session's source of
@@ -558,7 +564,7 @@ pub struct UpdateReceipt {
 struct LoadedGraph {
     graph_id: u64,
     vertices: u64,
-    fragments: Arc<SessionFragments>,
+    fragments: SessionFragments,
     /// Delta overlay over the loaded graph — the live global view updates
     /// are applied to (and the payload source for resolving them).
     delta: SessionDelta,
@@ -1536,7 +1542,7 @@ impl Session {
             SessionGraph::Weighted(g) => {
                 let assignment = strategy.partition(g, n);
                 (
-                    SessionFragments::Weighted(build_fragments(g, &assignment)),
+                    SessionFragments::Weighted(shared(build_fragments(g, &assignment))),
                     SessionDelta::Weighted(DeltaGraph::new(g.clone())),
                     assignment,
                 )
@@ -1544,7 +1550,7 @@ impl Session {
             SessionGraph::Labeled(g) => {
                 let assignment = strategy.partition(g, n);
                 (
-                    SessionFragments::Labeled(build_fragments(g, &assignment)),
+                    SessionFragments::Labeled(shared(build_fragments(g, &assignment))),
                     SessionDelta::Labeled(DeltaGraph::new(g.clone())),
                     assignment,
                 )
@@ -1572,7 +1578,7 @@ impl Session {
         *self.inner.graph.lock().unwrap() = Some(LoadedGraph {
             graph_id,
             vertices,
-            fragments: Arc::new(fragments),
+            fragments,
             delta,
             assignment,
             log: DeltaLog::new(),
@@ -1677,7 +1683,7 @@ impl SessionInner {
         fn mutate<V, E>(
             delta: &mut DeltaGraph<V, E>,
             assignment: &mut PartitionAssignment,
-            fragments: &[Fragment<V, E>],
+            fragments: &[Arc<Fragment<V, E>>],
             batch: &[GraphMutation<V, E>],
         ) -> io::Result<(
             Vec<VertexId>,
@@ -1712,36 +1718,32 @@ impl SessionInner {
             .as_mut()
             .ok_or_else(|| bad_data("no graph loaded: call Session::load first"))?;
         let version = loaded.log.version() + 1;
-        // Untouched fragments stay where they are; in-flight in-process
-        // queries keep the `Arc` they started with (`make_mut` copies then).
+        // Untouched fragments stay where they are, shared with the queries in
+        // flight; those keep the `Arc`s they started with.
         let (dirty, profile) = match (&mut loaded.delta, &batch) {
             (SessionDelta::Weighted(delta), SessionUpdate::Weighted(muts)) => {
-                let SessionFragments::Weighted(frags) = &*loaded.fragments else {
+                let SessionFragments::Weighted(frags) = &mut loaded.fragments else {
                     return Err(bad_data("resident fragments lost their family"));
                 };
                 let (dirty, profile, resolved, spliced) =
                     mutate(delta, &mut loaded.assignment, frags, muts)?;
                 loaded.vertices = delta.num_vertices() as u64;
                 self.ship_updates(loaded.graph_id, 0, version, loaded.vertices, &resolved)?;
-                if let SessionFragments::Weighted(frags) = Arc::make_mut(&mut loaded.fragments) {
-                    for (index, fragment) in spliced {
-                        frags[index] = fragment;
-                    }
+                for (index, fragment) in spliced {
+                    frags[index] = Arc::new(fragment);
                 }
                 (dirty, profile)
             }
             (SessionDelta::Labeled(delta), SessionUpdate::Labeled(muts)) => {
-                let SessionFragments::Labeled(frags) = &*loaded.fragments else {
+                let SessionFragments::Labeled(frags) = &mut loaded.fragments else {
                     return Err(bad_data("resident fragments lost their family"));
                 };
                 let (dirty, profile, resolved, spliced) =
                     mutate(delta, &mut loaded.assignment, frags, muts)?;
                 loaded.vertices = delta.num_vertices() as u64;
                 self.ship_updates(loaded.graph_id, 1, version, loaded.vertices, &resolved)?;
-                if let SessionFragments::Labeled(frags) = Arc::make_mut(&mut loaded.fragments) {
-                    for (index, fragment) in spliced {
-                        frags[index] = fragment;
-                    }
+                for (index, fragment) in spliced {
+                    frags[index] = Arc::new(fragment);
                 }
                 (dirty, profile)
             }
@@ -1903,7 +1905,7 @@ impl SessionInner {
             (
                 loaded.graph_id,
                 loaded.vertices,
-                Arc::clone(&loaded.fragments),
+                loaded.fragments.clone(),
                 WarmContext {
                     cache_key: key,
                     version: loaded.log.version(),
@@ -1912,7 +1914,7 @@ impl SessionInner {
             )
         };
         let warm = &warm;
-        match (&*fragments, query) {
+        match (&fragments, query) {
             (SessionFragments::Weighted(frags), Query::Sssp { source }) => self.run_class(
                 SsspProgram,
                 &grape_algo::SsspQuery::new(*source),
@@ -2030,7 +2032,7 @@ impl SessionInner {
         program: P,
         typed: &P::Query,
         wire_query: &Query,
-        fragments: &[Fragment<P::VertexData, P::EdgeData>],
+        fragments: &[Arc<Fragment<P::VertexData, P::EdgeData>>],
         graph_id: u64,
         run_id: u32,
         warm: &WarmContext,
@@ -2245,32 +2247,22 @@ mod tests {
         assert_eq!(&back, value);
     }
 
-    /// The weighted fragments a session holds — copies, and where each
-    /// one's arrays live (a spliced fragment gets new ones, one left alone
-    /// keeps them) — and the ones its daemon holds.
-    #[allow(clippy::type_complexity)]
-    fn resident_weighted(
-        session: &Session,
-        daemon: &ServiceHandle,
-    ) -> (
-        Vec<Fragment<(), f64>>,
-        Vec<*const VertexId>,
-        Vec<Arc<Fragment<(), f64>>>,
-    ) {
+    type Shared = Vec<Arc<Fragment<(), f64>>>;
+
+    /// The weighted fragments a session holds — checked out the way a query
+    /// does it — and the ones its daemon holds.
+    fn resident_weighted(session: &Session, daemon: &ServiceHandle) -> (Shared, Shared) {
         let guard = session.inner.graph.lock().unwrap();
         let loaded = guard.as_ref().expect("graph loaded");
-        let SessionFragments::Weighted(held) = &*loaded.fragments else {
+        let SessionFragments::Weighted(held) = loaded.fragments.clone() else {
             panic!("weighted graph expected")
         };
         let registry = daemon.state.registry.lock().unwrap();
         let ResidentFragments::Weighted(slots) = &registry[&loaded.graph_id].fragments else {
             panic!("weighted graph expected")
         };
-        (
-            held.clone(),
-            held.iter().map(|f| f.graph.vertex_ids().as_ptr()).collect(),
-            slots.iter().map(|s| s.clone().expect("loaded")).collect(),
-        )
+        let slots = slots.iter().map(|s| s.clone().expect("loaded")).collect();
+        (held, slots)
     }
 
     #[test]
@@ -2294,7 +2286,9 @@ mod tests {
         session
             .load(&graph.into(), BuiltinStrategy::Range)
             .expect("load");
-        let (held_before, arrays_before, slots_before) = resident_weighted(&session, &daemon);
+        // Held across the update, like the fragments of a query in flight:
+        // sharing them must not make the update copy what it leaves alone.
+        let (held_before, slots_before) = resident_weighted(&session, &daemon);
 
         // Both endpoints owned by fragment 2: no other fragment holds the edge.
         let home = 2;
@@ -2306,7 +2300,7 @@ mod tests {
         }];
         assert_eq!(session.update(batch).expect("update").version, 1);
 
-        let (held_after, arrays_after, slots_after) = resident_weighted(&session, &daemon);
+        let (held_after, slots_after) = resident_weighted(&session, &daemon);
         for index in 0..workers {
             let untouched = index != home;
             assert_eq!(
@@ -2315,17 +2309,17 @@ mod tests {
                 "daemon slot {index}"
             );
             assert_eq!(
-                held_before[index] == held_after[index],
+                Arc::ptr_eq(&held_before[index], &held_after[index]),
                 untouched,
                 "session fragment {index}"
             );
             assert_eq!(
-                arrays_before[index] == arrays_after[index],
+                held_before[index] == held_after[index],
                 untouched,
-                "session fragment {index} was rebuilt"
+                "session fragment {index} changed"
             );
             assert!(
-                held_after[index] == *slots_after[index],
+                held_after[index] == slots_after[index],
                 "session and daemon disagree on fragment {index}"
             );
         }

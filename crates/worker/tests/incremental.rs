@@ -555,6 +555,52 @@ fn queries_beside_a_stream_of_updates_answer_one_graph_version_each() {
 }
 
 #[test]
+fn edges_added_and_removed_within_one_batch_leave_the_session_consistent() {
+    // Such a pair reaches the fragments as a net removal with no copy to
+    // match, naming an endpoint most of them have never seen; the batch must
+    // go through and the rest of it must land.
+    let workers = 4;
+    let weighted = weighted_graph();
+    let SessionGraph::Weighted(g) = &weighted else {
+        panic!("weighted graph expected")
+    };
+    let linked: HashSet<(u64, u64)> = g.edges().map(|(s, d, _)| (s, d)).collect();
+    let mut batch = Vec::new();
+    for (src, dst) in (0..40u64).map(|i| (i, 159 - i)) {
+        if linked.contains(&(src, dst)) || linked.contains(&(dst, src)) {
+            continue;
+        }
+        batch.push(GraphMutation::AddEdge {
+            src,
+            dst,
+            data: 0.125,
+        });
+        batch.push(GraphMutation::RemoveEdge { src, dst });
+    }
+    assert!(batch.len() >= 40, "graph too dense for the churn batch");
+    batch.extend(weighted_inserts());
+
+    let session = Session::connect(SessionConfig::in_process(workers)).expect("connect");
+    session
+        .load(&weighted, BuiltinStrategy::Hash)
+        .expect("load");
+    let first = session.submit(Query::cc()).expect("submit").join();
+    first.expect("first run");
+    assert_eq!(session.update(batch.clone()).expect("update").version, 1);
+    let fresh = updated_weighted(&weighted, &[batch]);
+    for query in [Query::sssp(0), Query::cc()] {
+        let live = session.submit(query.clone()).expect("submit").join();
+        let cold = cold_run(&fresh, BuiltinStrategy::Hash, workers, query.clone());
+        assert_eq!(
+            live.expect("post-update run").result,
+            cold.result,
+            "{:?}: live session diverged from a fresh load of the updated graph",
+            query.class()
+        );
+    }
+}
+
+#[test]
 fn updates_reject_family_mismatches_and_advance_versions() {
     let session = Session::connect(SessionConfig::in_process(2)).expect("connect");
     session
