@@ -40,7 +40,7 @@ pub use marketing::{Gpar, MarketingProgram, MarketingQuery, Prospect};
 pub use pagerank::{PageRankProgram, PageRankQuery};
 pub use query::{
     digest_cf, digest_embeddings, digest_f64_map, digest_keyword, digest_prospects, digest_sim,
-    digest_u64_map, Query, QueryClass, QueryResult,
+    digest_u64_map, dispatch, ClassVisitor, FamilyFragments, Query, QueryClass, QueryResult,
 };
 pub use sim::{SimMatches, SimProgram, SimQuery, SimQueryError};
 pub use sssp::{SsspProgram, SsspQuery};

@@ -11,12 +11,16 @@
 //! queries from the same decoded value instead of re-hardcoding constants.
 
 use crate::{
-    CfModel, CfQuery, Embeddings, KeywordAnswer, KeywordQuery, MarketingQuery, PageRankQuery,
-    Prospect, SimMatches, SimQuery, SimQueryError, SsspQuery, SubIsoQuery,
+    CcProgram, CcQuery, CfModel, CfProgram, CfQuery, Embeddings, KeywordAnswer, KeywordProgram,
+    KeywordQuery, MarketingProgram, MarketingQuery, PageRankProgram, PageRankQuery, Prospect,
+    SimMatches, SimProgram, SimQuery, SimQueryError, SsspProgram, SsspQuery, SubIsoProgram,
+    SubIsoQuery,
 };
-use grape_core::{VertexId, Wire, WireError, WireReader};
-use grape_graph::labels::{PatternGraph, VertexLabel};
+use grape_core::{Fragment, PieProgram, VertexId, Wire, WireError, WireReader};
+use grape_graph::labels::{LabeledVertex, PatternGraph, VertexLabel};
 use std::collections::HashMap;
+use std::io;
+use std::sync::Arc;
 
 /// The eight query classes the engine serves, as a plain enum for grouping,
 /// dispatch and batch admission.
@@ -239,6 +243,22 @@ impl Query {
             product: q.product,
             min_recommend_ratio: q.min_recommend_ratio,
             min_followees: q.min_followees,
+        }
+    }
+
+    /// The canonical query of `class`, as the batch CLI and the drills run
+    /// it: `anchor` is the SSSP source or the promoted product of
+    /// `marketing`; every other class takes no vertex.
+    pub fn canonical(class: QueryClass, anchor: VertexId) -> Query {
+        match class {
+            QueryClass::Sssp => Query::sssp(anchor),
+            QueryClass::Cc => Query::cc(),
+            QueryClass::PageRank => Query::pagerank(),
+            QueryClass::Cf => Query::cf(),
+            QueryClass::Sim => Query::canonical_sim(),
+            QueryClass::SubIso => Query::canonical_subiso(),
+            QueryClass::Keyword => Query::canonical_keyword(),
+            QueryClass::Marketing => Query::marketing(anchor),
         }
     }
 
@@ -471,6 +491,125 @@ impl Wire for Query {
             }),
             other => Err(WireError::BadTag { found: other }),
         }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Class dispatch
+// ---------------------------------------------------------------------------
+
+/// The fragments of one loaded graph, in whichever of the two payload
+/// families it carries.
+#[derive(Clone, Copy)]
+pub enum FamilyFragments<'a> {
+    /// Unit vertices, `f64` edge weights: `sssp`, `cc`, `pagerank`, `cf`.
+    Weighted(&'a [Arc<Fragment<(), f64>>]),
+    /// Labeled vertices, relation-typed edges: `sim`, `subiso`, `keyword`,
+    /// `marketing`.
+    Labeled(&'a [Arc<Fragment<LabeledVertex, String>>]),
+}
+
+/// What a caller does with a [`Query`] once [`dispatch`] has resolved it to
+/// its PIE program: one generic method instead of a `match` per caller.
+pub trait ClassVisitor {
+    /// What the visit produces.
+    type Out;
+
+    /// Called exactly once, with the class's program, its typed query, the
+    /// [`QueryResult`] constructor for its output, and the fragments in the
+    /// program's payload family.
+    fn visit<P>(
+        self,
+        program: P,
+        query: P::Query,
+        wrap: impl Fn(P::Output) -> QueryResult,
+        fragments: &[Arc<Fragment<P::VertexData, P::EdgeData>>],
+    ) -> io::Result<Self::Out>
+    where
+        P: PieProgram,
+        P::VertexData: Wire,
+        P::EdgeData: Wire;
+}
+
+/// CF's user/item split on a generic weighted graph: the lower half of the
+/// id space plays the users.
+fn cf_num_users(vertices: u64) -> usize {
+    ((vertices / 2) as usize).max(1)
+}
+
+/// The one mapping from a [`Query`] to its PIE program: resolves `query`
+/// against a graph of `vertices` global vertices and hands the program, the
+/// typed query and the result constructor to `visitor`. A query of the other
+/// payload family than `fragments`, or an invalid simulation pattern, is an
+/// `InvalidData` error raised before the visitor runs.
+pub fn dispatch<T: ClassVisitor>(
+    query: &Query,
+    vertices: u64,
+    fragments: FamilyFragments<'_>,
+    visitor: T,
+) -> io::Result<T::Out> {
+    use FamilyFragments::{Labeled, Weighted};
+    let typed = "the arm matched the query's class";
+    match (query.class(), fragments) {
+        (QueryClass::Sssp, Weighted(f)) => visitor.visit(
+            SsspProgram,
+            query.to_sssp().expect(typed),
+            QueryResult::Distances,
+            f,
+        ),
+        (QueryClass::Cc, Weighted(f)) => {
+            visitor.visit(CcProgram, CcQuery, QueryResult::Components, f)
+        }
+        (QueryClass::PageRank, Weighted(f)) => visitor.visit(
+            PageRankProgram::new(vertices as usize),
+            query.to_pagerank().expect(typed),
+            QueryResult::Ranks,
+            f,
+        ),
+        (QueryClass::Cf, Weighted(f)) => visitor.visit(
+            CfProgram::new(cf_num_users(vertices)),
+            query.to_cf().expect(typed),
+            QueryResult::Model,
+            f,
+        ),
+        (QueryClass::Sim, Labeled(f)) => {
+            let sim = query.to_sim().expect(typed).map_err(|e| {
+                io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!("invalid simulation pattern: {e}"),
+                )
+            })?;
+            visitor.visit(SimProgram, sim, QueryResult::Matches, f)
+        }
+        (QueryClass::SubIso, Labeled(f)) => visitor.visit(
+            SubIsoProgram,
+            query.to_subiso().expect(typed),
+            QueryResult::Embeddings,
+            f,
+        ),
+        (QueryClass::Keyword, Labeled(f)) => visitor.visit(
+            KeywordProgram,
+            query.to_keyword().expect(typed),
+            QueryResult::Answers,
+            f,
+        ),
+        (QueryClass::Marketing, Labeled(f)) => visitor.visit(
+            MarketingProgram,
+            query.to_marketing().expect(typed),
+            QueryResult::Prospects,
+            f,
+        ),
+        (class, fragments) => Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!(
+                "query class {} does not run on the loaded graph family ({})",
+                class.name(),
+                match fragments {
+                    Weighted(_) => "weighted",
+                    Labeled(_) => "labeled",
+                }
+            ),
+        )),
     }
 }
 

@@ -28,7 +28,7 @@
 //! that checkpoint replayed. `recovery_ms` runs checkpoint cadence 1
 //! (snapshot on every superstep — cheapest replay), `recovery_k4_ms` the
 //! same drill at cadence 4 (snapshot every 4th superstep — up to 4 replayed
-//! commands). The recovered digests are asserted bit-identical to the
+//! commands). The recovered typed result is asserted bit-identical to the
 //! undisturbed run before the timing is accepted.
 //!
 //! `service_p50_ms` / `service_p99_ms` (single-threaded SSSP/CC/PageRank
@@ -273,12 +273,9 @@ fn recovery_best_ms(
         graph: spec.clone(),
         strategy: "hash".into(),
         workers: k,
-        index: 0,
         source: 0,
         threads: 1,
-        vertices: 0,
         checkpoint_every,
-        token: None,
     };
     let reference = run_local_framed(&job).expect("recovery reference run");
     // Kill at the victim's first evaluation command (its Init). The kill
@@ -290,11 +287,11 @@ fn recovery_best_ms(
     let mut best = f64::INFINITY;
     for _ in 0..reps.max(1) {
         let t0 = Instant::now();
-        let outcome = run_local_recoverable_tcp(&job, 1, kill_at).expect("recovery run");
+        let outcome = run_local_recoverable_tcp(&job, &[(1, kill_at)], &[]).expect("recovery run");
         let wall = t0.elapsed().as_secs_f64() * 1e3;
         assert_eq!(
-            outcome.digests, reference.digests,
-            "{algo}: recovered digests diverge from the undisturbed run"
+            outcome.result, reference.result,
+            "{algo}: recovered result diverges from the undisturbed run"
         );
         assert!(
             outcome.stats.recoveries >= 1,

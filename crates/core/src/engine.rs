@@ -445,29 +445,17 @@ impl<'a, P: PieProgram> WorkerRuntime<'a, P> {
 /// the PIE program cannot tell the difference.
 ///
 /// `threads` is the size of the worker's intra-fragment thread pool
-/// (1 = fully sequential evaluation, the historical behavior).
-pub fn run_worker<P: PieProgram>(
-    program: &P,
-    query: &P::Query,
-    fragment: &Fragment<P::VertexData, P::EdgeData>,
-    transport: &impl WorkerTransport<P::Value>,
-    threads: usize,
-) -> P::Partial {
-    run_worker_with(program, query, fragment, transport, threads, 0)
-        .expect("every worker ran PEval")
-}
-
-/// [`run_worker`] with control over the checkpoint cadence: with
-/// `checkpoint_every = k > 0` the first report of every k-superstep window
-/// carries a [`CheckpointState`] (if the program supports snapshots), which
-/// is what makes the coordinator's worker-loss recovery cheap — `k = 1`
-/// snapshots every superstep, larger `k` amortizes the snapshot cost against
-/// a bounded command replay. `0` disables checkpoints.
+/// (1 = fully sequential evaluation). With `checkpoint_every = k > 0` the
+/// first report of every k-superstep window carries a [`CheckpointState`]
+/// (if the program supports snapshots), which is what makes the
+/// coordinator's worker-loss recovery cheap — `k = 1` snapshots every
+/// superstep, larger `k` amortizes the snapshot cost against a bounded
+/// command replay. `0` disables checkpoints.
 ///
 /// Returns `None` only when the connection was torn down before PEval ever
 /// produced a partial — a worker killed at its Init command has no result,
 /// and its replacement reports in its stead.
-pub fn run_worker_with<P: PieProgram>(
+pub fn run_worker<P: PieProgram>(
     program: &P,
     query: &P::Query,
     fragment: &Fragment<P::VertexData, P::EdgeData>,
@@ -492,6 +480,22 @@ pub fn run_worker_with<P: PieProgram>(
             }
         }
     }
+}
+
+/// The report source of every driver whose workers run on their own threads
+/// or machines: blocks on the transport, and turns an empty receive into the
+/// typed loss the transport recorded.
+fn blocking_pump<V>(
+    transport: &impl CoordTransport<V>,
+) -> Result<Vec<(usize, WorkerReport<V>)>, RunError> {
+    let reports = transport.recv_blocking();
+    if reports.is_empty() {
+        return Err(match transport.failure() {
+            Some(err) => RunError::Transport(err),
+            None => RunError::WorkerPanic("a worker disconnected before reporting".into()),
+        });
+    }
+    Ok(reports)
 }
 
 /// How the engine executes its workers.
@@ -724,7 +728,7 @@ impl std::error::Error for RunError {}
 /// needed to rebuild a lost worker's world — its border→slot mapping, its
 /// last accepted checkpoint, and the log of commands sent since that
 /// checkpoint — plus the run epoch that fences stale traffic. Built by
-/// [`GrapeEngine::run_coordinator_recoverable`].
+/// [`GrapeEngine::run_coordinator`] when it is given a recovery hook.
 struct RecoveryCtx<'a, V> {
     /// Per-fragment border→slot mapping (what Init shipped), re-shipped via
     /// [`CoordCommand::Resume`] to a replacement worker.
@@ -915,15 +919,32 @@ impl<P: PieProgram> GrapeEngine<P> {
     /// transport whose workers live elsewhere (other processes or hosts, via
     /// [`transport::FramedStreamCoord`]). The fragments are used for the
     /// slot handshake and routing tables; evaluation happens wherever the
-    /// workers run [`run_worker`] on their own fragment replicas.
+    /// workers run [`run_worker`] on their own fragment replicas. Returns the
+    /// run statistics; partial results stay with the workers (shipping them
+    /// home is the driver's job — see `grape-worker`'s result frames).
     ///
-    /// Returns the run statistics; partial results stay with the workers
-    /// (shipping them home is a driver-level concern — see the
-    /// `grape-worker` binary's digest protocol).
+    /// Without a `recover` hook a lost worker fails the run with a typed
+    /// [`RunError::Transport`]. With one the run survives worker loss:
+    /// workers attach checkpoints on the [`EngineConfig::checkpoint_every`]
+    /// cadence, and when the transport loses workers the coordinator
+    /// recovers the whole batch — for each victim it bumps the run epoch,
+    /// calls `recover(worker, new_epoch)`, which must leave the transport
+    /// ready to ship commands to a replacement at that epoch (respawn or
+    /// reconnect + [`transport::FramedStreamCoord::replace_worker`]),
+    /// restores the lost worker's last checkpoint via
+    /// [`CoordCommand::Resume`], replays the logged commands sent since that
+    /// checkpoint in order, and continues. Replayed intermediate reports are
+    /// deduplicated, so recovered runs are bit-identical to undisturbed ones
+    /// for any cadence: same supersteps, same folded values, same final
+    /// answer. A replacement dying mid-replay re-enters recovery through the
+    /// same path; each worker has a crash-loop budget of [`MAX_RECOVERIES`]
+    /// attempts with deterministic exponential backoff between repeated
+    /// respawns.
     pub fn run_coordinator(
         &self,
         fragments: &[impl Borrow<Fragment<P::VertexData, P::EdgeData>> + Sync],
         transport: &impl CoordTransport<P::Value>,
+        recover: Option<&mut dyn FnMut(usize, u32) -> Result<(), String>>,
     ) -> Result<RunStats, RunError> {
         let n = fragments.len();
         if n == 0 {
@@ -932,6 +953,15 @@ impl<P: PieProgram> GrapeEngine<P> {
         let started = Instant::now();
         let (mut slots, fragment_slots): (SlotTable<P::Value>, Vec<Vec<u32>>) =
             SlotTable::build(fragments, n);
+        let mut rec = recover.map(|recover| RecoveryCtx {
+            fragment_slots: fragment_slots.clone(),
+            checkpoints: (0..n).map(|_| None).collect(),
+            log: (0..n).map(|_| Vec::new()).collect(),
+            attempts: vec![0; n],
+            epoch: self.config.run_id,
+            recoveries: 0,
+            recover,
+        });
         for (f, border_slots) in fragment_slots.into_iter().enumerate() {
             transport.send(f, CoordCommand::Init { border_slots });
         }
@@ -943,107 +973,15 @@ impl<P: PieProgram> GrapeEngine<P> {
             &mut slots,
             transport,
             false,
-            None,
-            || {
-                let reports = transport.recv_blocking();
-                if reports.is_empty() {
-                    return Err(match transport.failure() {
-                        Some(err) => RunError::Transport(err),
-                        None => {
-                            RunError::WorkerPanic("a worker disconnected before reporting".into())
-                        }
-                    });
-                }
-                Ok(reports)
-            },
+            rec.as_mut(),
+            || blocking_pump(transport),
         );
         // Always release the workers, even on error.
         for f in 0..n {
             transport.send(f, CoordCommand::Finish);
         }
         let mut stats_out = coordination?;
-        stats_out.num_workers = n;
-        stats_out.program = program.name().to_string();
-        stats_out.run_id = self.config.run_id;
-        stats_out.wall_time = started.elapsed();
-        Ok(stats_out)
-    }
-
-    /// [`GrapeEngine::run_coordinator`] with worker-loss recovery: workers
-    /// attach checkpoints on the [`EngineConfig::checkpoint_every`] cadence,
-    /// and when the transport loses workers the coordinator recovers the
-    /// whole batch — for each victim it bumps the run epoch, asks `recover`
-    /// for a replacement connection (respawn + fragment re-ship +
-    /// [`transport::FramedStreamCoord::replace_worker`]), restores the lost
-    /// worker's last checkpoint via [`CoordCommand::Resume`], replays the
-    /// logged commands sent since that checkpoint in order, and continues.
-    /// Replayed intermediate reports are deduplicated, so recovered runs are
-    /// bit-identical to undisturbed ones for any cadence: same supersteps,
-    /// same folded values, same final answer. A replacement dying mid-replay
-    /// re-enters recovery through the same path; each worker has a
-    /// crash-loop budget of [`MAX_RECOVERIES`] attempts with deterministic
-    /// exponential backoff between repeated respawns.
-    ///
-    /// `recover` is called with `(worker, new_epoch)` and must leave the
-    /// transport ready to ship commands to the replacement at that epoch.
-    pub fn run_coordinator_recoverable(
-        &self,
-        fragments: &[impl Borrow<Fragment<P::VertexData, P::EdgeData>> + Sync],
-        transport: &impl CoordTransport<P::Value>,
-        recover: &mut dyn FnMut(usize, u32) -> Result<(), String>,
-    ) -> Result<RunStats, RunError> {
-        let n = fragments.len();
-        if n == 0 {
-            return Err(RunError::NoFragments);
-        }
-        let started = Instant::now();
-        let (mut slots, fragment_slots): (SlotTable<P::Value>, Vec<Vec<u32>>) =
-            SlotTable::build(fragments, n);
-        for (f, border_slots) in fragment_slots.iter().enumerate() {
-            transport.send(
-                f,
-                CoordCommand::Init {
-                    border_slots: border_slots.clone(),
-                },
-            );
-        }
-        let mut rec = RecoveryCtx {
-            fragment_slots,
-            checkpoints: (0..n).map(|_| None).collect(),
-            log: (0..n).map(|_| Vec::new()).collect(),
-            attempts: vec![0; n],
-            epoch: self.config.run_id,
-            recoveries: 0,
-            recover,
-        };
-        let program = Arc::clone(&self.program);
-        let coordination = Self::coordinate(
-            &program,
-            &self.config,
-            n,
-            &mut slots,
-            transport,
-            false,
-            Some(&mut rec),
-            || {
-                let reports = transport.recv_blocking();
-                if reports.is_empty() {
-                    return Err(match transport.failure() {
-                        Some(err) => RunError::Transport(err),
-                        None => {
-                            RunError::WorkerPanic("a worker disconnected before reporting".into())
-                        }
-                    });
-                }
-                Ok(reports)
-            },
-        );
-        // Always release the workers, even on error.
-        for f in 0..n {
-            transport.send(f, CoordCommand::Finish);
-        }
-        let mut stats_out = coordination?;
-        stats_out.recoveries = rec.recoveries;
+        stats_out.recoveries = rec.map_or(0, |rec| rec.recoveries);
         stats_out.num_workers = n;
         stats_out.program = program.name().to_string();
         stats_out.run_id = self.config.run_id;
@@ -1236,7 +1174,7 @@ impl<P: PieProgram> GrapeEngine<P> {
                     let fragment = fragment.borrow();
                     let program = Arc::clone(&program);
                     handles.push(scope.spawn(move || {
-                        run_worker_with(&*program, query, fragment, &wt, threads, checkpoint_every)
+                        run_worker(&*program, query, fragment, &wt, threads, checkpoint_every)
                             .expect("every worker ran PEval")
                     }));
                 }
@@ -1250,18 +1188,7 @@ impl<P: PieProgram> GrapeEngine<P> {
                     &coord,
                     false,
                     None,
-                    || {
-                        let reports = coord.recv_blocking();
-                        if reports.is_empty() {
-                            return Err(match coord.failure() {
-                                Some(err) => RunError::Transport(err),
-                                None => RunError::WorkerPanic(
-                                    "a worker disconnected before reporting".into(),
-                                ),
-                            });
-                        }
-                        Ok(reports)
-                    },
+                    || blocking_pump(&coord),
                 );
 
                 // Always release the workers, even on error, so the scope can
@@ -2159,6 +2086,56 @@ mod tests {
             result.stats.history[0].messages, 4,
             "2 Init + 2 PEval reports"
         );
+    }
+
+    /// The coordinator half over framed channels, with the worker halves on
+    /// threads of their own — what a multi-process deployment runs.
+    fn coordinate_apart(
+        fragments: &[Fragment<(), f64>],
+        recover: Option<&mut dyn FnMut(usize, u32) -> Result<(), String>>,
+    ) -> Result<RunStats, RunError> {
+        let stats = Arc::new(CommStats::new());
+        let (coord, workers) = transport::framed_channel_pair::<u64>(fragments.len(), stats);
+        std::thread::scope(|scope| {
+            for (fragment, wt) in fragments.iter().zip(workers) {
+                scope.spawn(move || run_worker(&MinLabelCc, &(), fragment, &wt, 1, 1));
+            }
+            GrapeEngine::new(MinLabelCc).run_coordinator(fragments, &coord, recover)
+        })
+    }
+
+    #[test]
+    fn the_coordinator_half_alone_matches_the_full_run() {
+        let g = barabasi_albert(200, 2, 9).unwrap();
+        let fragments = build_fragments(&g, &HashPartitioner.partition(&g, 3));
+        let config = EngineConfig::builder()
+            .transport(TransportKind::Framed)
+            .checkpoint_every(1)
+            .build();
+        let whole = GrapeEngine::new(MinLabelCc)
+            .with_config(config)
+            .run(&(), &fragments)
+            .unwrap();
+        // With or without a recovery hook, an undisturbed run is the same
+        // run: same supersteps, same frames, and the hook is never called.
+        let plain = coordinate_apart(&fragments, None).unwrap();
+        let mut hook = |worker: usize, _epoch: u32| -> Result<(), String> {
+            panic!("nothing was lost, yet worker {worker} is being recovered")
+        };
+        let hooked = coordinate_apart(&fragments, Some(&mut hook)).unwrap();
+        for stats in [&plain, &hooked] {
+            assert_eq!(stats.supersteps, whole.stats.supersteps);
+            assert_eq!(stats.messages, whole.stats.messages);
+            assert_eq!(stats.bytes, whole.stats.bytes);
+            assert_eq!(stats.recoveries, 0);
+            assert_eq!(stats.num_workers, 3);
+        }
+    }
+
+    #[test]
+    fn a_coordinator_without_fragments_is_an_error() {
+        let err = coordinate_apart(&[], None).unwrap_err();
+        assert_eq!(err, RunError::NoFragments);
     }
 
     #[test]

@@ -69,6 +69,26 @@ impl ThreadCount {
     }
 }
 
+/// The wire and CLI spelling of a thread count: `0` is [`ThreadCount::Auto`],
+/// anything else is that many threads.
+impl From<u32> for ThreadCount {
+    fn from(threads: u32) -> Self {
+        match threads {
+            0 => ThreadCount::Auto,
+            t => ThreadCount::Fixed(t),
+        }
+    }
+}
+
+impl From<ThreadCount> for u32 {
+    fn from(count: ThreadCount) -> Self {
+        match count {
+            ThreadCount::Auto => 0,
+            ThreadCount::Fixed(t) => t,
+        }
+    }
+}
+
 /// One parallel invocation: a lifetime-erased task plus the claim/completion
 /// bookkeeping shared between the caller and the pool's worker threads.
 struct Job {
@@ -308,6 +328,19 @@ pub fn for_each_slice_chunk<T: Send>(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn thread_counts_round_trip_through_their_wire_spelling() {
+        assert_eq!(ThreadCount::from(0), ThreadCount::Auto);
+        assert_eq!(ThreadCount::from(3), ThreadCount::Fixed(3));
+        for count in [
+            ThreadCount::Auto,
+            ThreadCount::Fixed(1),
+            ThreadCount::Fixed(8),
+        ] {
+            assert_eq!(ThreadCount::from(u32::from(count)), count);
+        }
+    }
 
     #[test]
     fn map_chunks_is_bit_identical_across_pool_sizes() {

@@ -3,76 +3,47 @@
 //! Runs GRAPE workers as **separate OS processes**, speaking the framed wire
 //! protocol of [`grape_comm::wire`] over TCP or Unix-domain sockets.
 //!
-//! The division of labour mirrors the paper's deployment: a coordinator
-//! process owns the graph, partitions it, and drives the BSP fixpoint
-//! ([`grape_core::GrapeEngine::run_coordinator`]); each worker process owns
-//! one fragment and runs the *unchanged* PIE program through
-//! [`grape_core::run_worker`] — the same function the in-process threaded
-//! driver uses, pointed at a socket instead of a channel. Every query class
-//! of the paper is served: the traversal/ML classes (`sssp`, `cc`,
-//! `pagerank`, `cf`) on weighted graphs and the pattern-matching classes
-//! (`sim`, `subiso`, `keyword`, `marketing`) on labeled social graphs.
+//! The division of labour mirrors the paper's deployment: a coordinator owns
+//! the graph, partitions it, and drives the BSP fixpoint
+//! ([`grape_core::GrapeEngine::run_coordinator`]); each worker owns one
+//! fragment and runs the *unchanged* PIE program through
+//! [`grape_core::engine::run_worker`] — the same function the in-process
+//! threaded driver uses, pointed at a socket instead of a channel. Every
+//! query class of the paper is served: the traversal/ML classes (`sssp`,
+//! `cc`, `pagerank`, `cf`) on weighted graphs and the pattern-matching
+//! classes (`sim`, `subiso`, `keyword`, `marketing`) on labeled social
+//! graphs.
 //!
-//! ## Session protocol
+//! There is one job protocol, described once in [`service`]: load a
+//! fragment, submit a typed query, get the typed result back. A resident
+//! [`GrapeService`] daemon serves it to any number of [`Session`]s; a
+//! **batch run** — what the `grape-worker serve` CLI does — is a one-query
+//! session whose workers dial in instead of being dialled:
 //!
-//! 1. the worker connects and sends one [`TAG_HELLO`] frame carrying its
-//!    `Option<String>` auth token. The coordinator validates it against
-//!    [`EngineConfig::auth_token`] and rejects mismatched or missing tokens
-//!    with a typed `PermissionDenied` error before any job state is shipped;
-//! 2. the coordinator sends one epoch-stamped [`TAG_JOB`] frame — a
-//!    [`JobSpec`] naming the algorithm, the partition strategy, the worker
-//!    count and this worker's fragment index — followed by one
-//!    [`TAG_FRAGMENT`] frame *shipping the fragment itself* (CSR edges,
-//!    border tables, payloads). The worker adopts the job frame's epoch as
-//!    its run epoch; it never regenerates the graph locally;
-//! 3. the worker rebuilds the fragment from the shipped bytes
-//!    (bit-identical to a locally cut one) and enters the BSP loop:
-//!    `Init` → PEval report → (`IncEval` → report)* → `Finish`;
-//! 4. after `Finish` the worker assembles its own partial result, sends a
-//!    [`TAG_DIGEST`] frame (an order-independent FNV digest of the encoded
-//!    result items), and exits. The coordinator collects one digest per
-//!    worker, which the tests compare bit-for-bit against an in-process run
-//!    of the same job.
-//!
-//! ## Fault tolerance
-//!
-//! With [`JobSpec::checkpoint_every`] = k ≥ 1, every worker snapshots its
-//! dense local state onto the first accepted report of each k-superstep
-//! window, and [`run_coordinator_connections_recoverable`] survives worker
-//! loss: the run epoch is bumped, a replacement process is spawned, handed
-//! the lost fragment plus the last checkpoint at the new epoch, and the (at
-//! most k) commands sent since that checkpoint are replayed in order. Frames
-//! still in flight from the dead connection are fenced by their stale epoch
-//! tag. Same-superstep losses are recovered as a batch; each worker has a
-//! crash-loop budget with exponential respawn backoff. Recovered runs are
-//! bit-identical to undisturbed ones for every query class and every
-//! cadence.
+//! * [`run_worker`] is the worker side: it greets the coordinator and then
+//!   serves frames exactly as a daemon connection does, from a private
+//!   one-connection fragment registry;
+//! * [`run_coordinator`] is the coordinator side: it checks each accepted
+//!   connection's greeting, ships it its fragment and the query, and drives
+//!   the same open → drive → collect loop a remote [`Session`] query runs —
+//!   with a respawn hook, through worker loss (see [`service`]'s "Fault
+//!   tolerance");
+//! * [`run_local_framed`] and [`run_local_recoverable_tcp`] are the
+//!   in-process reference and recovery drill the tests and benches pin the
+//!   multi-process path against, both built on the pieces above.
 
 #![warn(missing_docs)]
 
-use grape_algo::{
-    CcProgram, CcQuery, CfProgram, CfQuery, KeywordProgram, KeywordQuery, MarketingProgram,
-    MarketingQuery, PageRankProgram, PageRankQuery, SimProgram, SimQuery, SsspProgram, SsspQuery,
-    SubIsoProgram, SubIsoQuery,
+use grape_algo::{dispatch, ClassVisitor, Query, QueryClass, QueryResult};
+use grape_comm::wire::{self, Wire, TAG_HELLO, TAG_QUERY};
+use grape_core::chaos::ChaosConfig;
+use grape_core::scratch::ScratchPool;
+use grape_core::{EngineConfig, Fragment, PieProgram, TransportKind};
+use grape_partition::BuiltinStrategy;
+use service::{
+    coordinate, expect_hello, serve_frames, ship_fragment, LoadSpec, QueryJob, ServiceSocket,
+    ServiceState, ServiceStream, SessionFragments,
 };
-use grape_comm::wire::{self, Wire, WireError, WireReader, TAG_HELLO};
-use grape_comm::CommStats;
-use grape_core::chaos::{ChaosConfig, ChaosWorkerTransport};
-use grape_core::engine::run_worker_with;
-use grape_core::par::ThreadCount;
-use grape_core::transport::{
-    framed_channel_pair, FramedStreamCoord, FramedStreamWorker, SplitStream,
-};
-use grape_core::{
-    decode_fragment, encode_fragment_epoch, EngineConfig, GrapeEngine, PieProgram, RunStats,
-    TAG_FRAGMENT,
-};
-use grape_graph::generators::{
-    barabasi_albert, labeled_social, road_network, RoadNetworkConfig, SocialGraphConfig,
-};
-use grape_graph::labels::{LabeledGraph, LabeledVertex};
-use grape_graph::WeightedGraph;
-use grape_partition::{build_fragments, BuiltinStrategy, Fragment};
 use std::io;
 use std::sync::Arc;
 use std::time::Duration;
@@ -81,15 +52,11 @@ pub mod service;
 
 pub use service::{
     Endpoint, GrapeService, IncrementalSeed, QueryHandle, QueryOutcome, ServiceHandle,
-    ServiceOptions, Session, SessionConfig, SessionGraph, SessionUpdate, UpdateReceipt, UpdateSpec,
+    ServiceListener, ServiceOptions, Session, SessionConfig, SessionGraph, SessionUpdate,
+    UpdateReceipt, UpdateSpec,
 };
 
-/// Frame tag of the coordinator→worker [`JobSpec`] handshake.
-pub const TAG_JOB: u8 = 0x20;
-/// Frame tag of the worker→coordinator result digest.
-pub const TAG_DIGEST: u8 = 0x21;
-
-/// A deterministic graph recipe both endpoints can rebuild independently.
+/// A deterministic graph recipe ([`SessionGraph::generate`] builds it).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum GraphSpec {
     /// `road_network(width × height, seed)` with default lake/shortcut
@@ -122,60 +89,6 @@ pub enum GraphSpec {
         /// Generator seed.
         seed: u32,
     },
-}
-
-impl Wire for GraphSpec {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            GraphSpec::Road {
-                width,
-                height,
-                seed,
-            } => {
-                0u8.encode(out);
-                width.encode(out);
-                height.encode(out);
-                seed.encode(out);
-            }
-            GraphSpec::Ba { n, m, seed } => {
-                1u8.encode(out);
-                n.encode(out);
-                m.encode(out);
-                seed.encode(out);
-            }
-            GraphSpec::Social {
-                persons,
-                products,
-                seed,
-            } => {
-                2u8.encode(out);
-                persons.encode(out);
-                products.encode(out);
-                seed.encode(out);
-            }
-        }
-    }
-
-    fn decode(reader: &mut WireReader<'_>) -> Result<Self, WireError> {
-        match reader.u8()? {
-            0 => Ok(GraphSpec::Road {
-                width: reader.u32()?,
-                height: reader.u32()?,
-                seed: reader.u32()?,
-            }),
-            1 => Ok(GraphSpec::Ba {
-                n: reader.u32()?,
-                m: reader.u32()?,
-                seed: reader.u32()?,
-            }),
-            2 => Ok(GraphSpec::Social {
-                persons: reader.u32()?,
-                products: reader.u32()?,
-                seed: reader.u32()?,
-            }),
-            other => Err(WireError::BadTag { found: other }),
-        }
-    }
 }
 
 impl GraphSpec {
@@ -213,78 +126,58 @@ impl GraphSpec {
     }
 }
 
-/// Everything a worker process needs to participate in one run.
+/// One batch run, as the CLI and the drills describe it: which canonical
+/// query, on which generated graph, cut how, over how many workers.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JobSpec {
-    /// Algorithm name: `sssp`, `cc`, `pagerank`, `cf` (weighted graphs) or
-    /// `sim`, `subiso`, `keyword`, `marketing` (labeled social graphs).
+    /// Algorithm name ([`QueryClass::name`]): `sssp`, `cc`, `pagerank`, `cf`
+    /// (weighted graphs) or `sim`, `subiso`, `keyword`, `marketing` (labeled
+    /// social graphs).
     pub algo: String,
-    /// The graph both endpoints rebuild.
+    /// The graph the coordinator generates.
     pub graph: GraphSpec,
     /// Partition strategy name (a [`BuiltinStrategy::name`]).
     pub strategy: String,
     /// Total number of workers / fragments.
     pub workers: u32,
-    /// This worker's fragment index (set per connection by the coordinator).
-    pub index: u32,
     /// Query anchor vertex: the SSSP source; the promoted product for
     /// `marketing` (0 = the graph's first product). Ignored elsewhere.
     pub source: u64,
     /// Intra-worker threads for the PIE hot loops (0 = auto: physical cores
     /// divided by the worker count).
     pub threads: u32,
-    /// Global vertex count, filled in by the coordinator when it ships the
-    /// job (workers no longer build the graph, and PageRank needs |V|).
-    pub vertices: u64,
     /// Checkpoint cadence: each worker snapshots its dense local state onto
     /// the first accepted report of every `k`-superstep window. 0 disables
-    /// checkpoints entirely; the recoverable entry points force at least 1.
+    /// checkpoints; a run with a respawn hook forces at least 1.
     pub checkpoint_every: u32,
-    /// Auth token the coordinator stamps into the shipped job spec. The
-    /// worker presented its own copy in the [`TAG_HELLO`] frame before this
-    /// spec was sent; mismatches never get this far.
-    pub token: Option<String>,
 }
 
 impl JobSpec {
-    /// The resolved intra-worker thread count this spec asks for.
-    pub fn resolved_threads(&self) -> usize {
-        let count = if self.threads == 0 {
-            ThreadCount::Auto
-        } else {
-            ThreadCount::Fixed(self.threads)
+    /// The canonical query of [`JobSpec::algo`], anchored at
+    /// [`JobSpec::source`].
+    pub fn query(&self) -> io::Result<Query> {
+        let class = QueryClass::parse(&self.algo)
+            .ok_or_else(|| bad_data(format!("unknown algorithm {:?}", self.algo)))?;
+        let anchor = match (class, self.source, &self.graph) {
+            // The first product vertex of a social graph follows its persons.
+            (QueryClass::Marketing, 0, GraphSpec::Social { persons, .. }) => *persons as u64,
+            (_, source, _) => source,
         };
-        count.resolve(self.workers as usize, false)
-    }
-}
-
-impl Wire for JobSpec {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.algo.encode(out);
-        self.graph.encode(out);
-        self.strategy.encode(out);
-        self.workers.encode(out);
-        self.index.encode(out);
-        self.source.encode(out);
-        self.threads.encode(out);
-        self.vertices.encode(out);
-        self.checkpoint_every.encode(out);
-        self.token.encode(out);
+        Ok(Query::canonical(class, anchor))
     }
 
-    fn decode(reader: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(JobSpec {
-            algo: String::decode(reader)?,
-            graph: GraphSpec::decode(reader)?,
-            strategy: String::decode(reader)?,
-            workers: reader.u32()?,
-            index: reader.u32()?,
-            source: reader.u64()?,
-            threads: reader.u32()?,
-            vertices: reader.u64()?,
-            checkpoint_every: reader.u32()?,
-            token: Option::<String>::decode(reader)?,
-        })
+    fn strategy(&self) -> io::Result<BuiltinStrategy> {
+        strategy_by_name(&self.strategy)
+            .ok_or_else(|| bad_data(format!("unknown strategy {:?}", self.strategy)))
+    }
+
+    /// `base` with this job's thread count and checkpoint cadence.
+    fn engine_config(&self, base: &EngineConfig) -> EngineConfig {
+        EngineConfig {
+            threads_per_worker: self.threads.into(),
+            checkpoint_every: self.checkpoint_every as usize,
+            ..base.clone()
+        }
     }
 }
 
@@ -300,190 +193,9 @@ pub(crate) fn bad_data(message: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, message.into())
 }
 
-fn denied(message: impl Into<String>) -> io::Error {
-    io::Error::new(io::ErrorKind::PermissionDenied, message.into())
-}
-
-// ---------------------------------------------------------------------------
-// Result digests
-// ---------------------------------------------------------------------------
-
-// The order-independent FNV digests moved next to the query/result types in
-// `grape_algo::query` (the service path digests on both ends of the wire);
-// re-exported here so existing `grape_worker::digest_*` callers keep working.
-pub use grape_algo::{
-    digest_cf, digest_embeddings, digest_f64_map, digest_keyword, digest_prospects, digest_sim,
-    digest_u64_map,
-};
-
-// ---------------------------------------------------------------------------
-// Canonical queries
-// ---------------------------------------------------------------------------
-//
-// Workers and the coordinator derive the query from the JobSpec alone, so
-// both endpoints must construct *exactly* the same query object. These
-// helpers delegate to the canonical [`grape_algo::Query`] constructors — the
-// service path ships those same values over the wire, so one definition
-// serves both the one-shot job protocol and resident sessions.
-
-/// Whether `algo` runs on a labeled social graph (`true`) or a weighted
-/// graph (`false`); `None` for unknown algorithms.
-fn algo_is_labeled(algo: &str) -> Option<bool> {
-    match algo {
-        "sssp" | "cc" | "pagerank" | "cf" => Some(false),
-        "sim" | "subiso" | "keyword" | "marketing" => Some(true),
-        _ => None,
-    }
-}
-
-/// The chain pattern of Fig. 4: person →`follows` person →`recommends`
-/// product. Used by `sim`.
-fn sim_query() -> SimQuery {
-    grape_algo::Query::canonical_sim()
-        .to_sim()
-        .expect("canonical_sim builds a Sim query")
-        .expect("the canonical chain pattern is valid")
-}
-
-/// A radius-1 star for `subiso`: with radius ≥ 2 the protocol replicates
-/// whole 2-hop neighbourhoods of a hubby social graph per border vertex.
-fn subiso_query() -> SubIsoQuery {
-    grape_algo::Query::canonical_subiso()
-        .to_subiso()
-        .expect("canonical_subiso builds a SubIso query")
-}
-
-fn keyword_query() -> KeywordQuery {
-    grape_algo::Query::canonical_keyword()
-        .to_keyword()
-        .expect("canonical_keyword builds a Keyword query")
-}
-
-/// The promoted product for `marketing`: [`JobSpec::source`] when set, else
-/// the graph's first product vertex (id = number of persons).
-fn marketing_query(job: &JobSpec) -> io::Result<MarketingQuery> {
-    let product = match (job.source, &job.graph) {
-        (0, GraphSpec::Social { persons, .. }) => *persons as u64,
-        (0, _) => return Err(bad_data("marketing needs a social graph or --source")),
-        (source, _) => source,
-    };
-    Ok(grape_algo::Query::marketing(product)
-        .to_marketing()
-        .expect("marketing builds a Marketing query"))
-}
-
-fn cf_query() -> CfQuery {
-    grape_algo::Query::cf()
-        .to_cf()
-        .expect("cf builds a Cf query")
-}
-
-/// CF's user/item split on a generic weighted graph: the lower half of the
-/// id space plays the users.
-pub(crate) fn cf_num_users(vertices: u64) -> usize {
-    ((vertices / 2) as usize).max(1)
-}
-
-// ---------------------------------------------------------------------------
-// Graph building
-// ---------------------------------------------------------------------------
-
-/// The outcome of one coordinated run: the coordinator's statistics plus one
-/// result digest per worker (in worker order).
-#[derive(Debug)]
-pub struct JobOutcome {
-    /// Run statistics as reported by the coordinator (supersteps, messages,
-    /// actual wire bytes, timings).
-    pub stats: RunStats,
-    /// Per-worker digests of the fragments' assembled partial results.
-    pub digests: Vec<u64>,
-}
-
-/// A job's graph and fragments, in whichever of the two payload families
-/// the algorithm runs on.
-enum JobGraph {
-    /// Unit vertices, `f64` edge weights: `sssp`, `cc`, `pagerank`, `cf`.
-    Weighted(WeightedGraph, Vec<Fragment<(), f64>>),
-    /// Labeled vertices, relation-typed edges: `sim`, `subiso`, `keyword`,
-    /// `marketing`.
-    Labeled(LabeledGraph, Vec<Fragment<LabeledVertex, String>>),
-}
-
-/// Builds `job`'s graph and its fragments exactly as both endpoints must,
-/// validating that the algorithm and the graph family agree.
-fn job_fragments(job: &JobSpec) -> io::Result<JobGraph> {
-    let labeled = algo_is_labeled(&job.algo)
-        .ok_or_else(|| bad_data(format!("unknown algorithm {:?}", job.algo)))?;
-    let strategy = strategy_by_name(&job.strategy)
-        .ok_or_else(|| bad_data(format!("unknown strategy {:?}", job.strategy)))?;
-    match (&job.graph, labeled) {
-        (
-            GraphSpec::Social {
-                persons,
-                products,
-                seed,
-            },
-            true,
-        ) => {
-            let graph = labeled_social(
-                SocialGraphConfig {
-                    num_persons: *persons as usize,
-                    num_products: *products as usize,
-                    ..Default::default()
-                },
-                *seed as u64,
-            )
-            .map_err(|e| bad_data(format!("bad social spec: {e}")))?;
-            let assignment = strategy.partition(&graph, job.workers as usize);
-            let fragments = build_fragments(&graph, &assignment);
-            Ok(JobGraph::Labeled(graph, fragments))
-        }
-        (GraphSpec::Social { .. }, false) => Err(bad_data(format!(
-            "algorithm {:?} needs a weighted graph (road/ba), not a social graph",
-            job.algo
-        ))),
-        (_, true) => Err(bad_data(format!(
-            "algorithm {:?} needs a labeled social graph (social:P:R:SEED)",
-            job.algo
-        ))),
-        (spec, false) => {
-            let graph = match spec {
-                GraphSpec::Road {
-                    width,
-                    height,
-                    seed,
-                } => road_network(
-                    RoadNetworkConfig {
-                        width: *width as usize,
-                        height: *height as usize,
-                        ..Default::default()
-                    },
-                    *seed as u64,
-                )
-                .map_err(|e| bad_data(format!("bad road spec: {e}")))?,
-                GraphSpec::Ba { n, m, seed } => {
-                    barabasi_albert(*n as usize, *m as usize, *seed as u64)
-                        .map_err(|e| bad_data(format!("bad BA spec: {e}")))?
-                }
-                GraphSpec::Social { .. } => unreachable!("matched above"),
-            };
-            let assignment = strategy.partition(&graph, job.workers as usize);
-            let fragments = build_fragments(&graph, &assignment);
-            Ok(JobGraph::Weighted(graph, fragments))
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Worker side
 // ---------------------------------------------------------------------------
-
-/// A worker's kill schedule: SIGKILL-equivalent death upon *receiving* the
-/// command with this index (0 = the Init handshake), plus the action that
-/// performs the death — the `grape-worker` binary SIGKILLs its own process;
-/// in-process harnesses shut the socket down, which is the same event at
-/// the transport level.
-pub type KillPlan = (usize, Box<dyn FnMut() + Send>);
 
 /// SIGKILLs the calling process: the real thing for multi-process chaos
 /// drills — no unwinding, no flushes, no goodbye frame.
@@ -497,7 +209,7 @@ pub fn kill_self() {
     std::process::abort();
 }
 
-/// The full worker-side knob set for [`run_worker_connection_opts`].
+/// The worker-side knob set of [`run_worker`].
 #[derive(Default)]
 pub struct WorkerOptions {
     /// OS-level read timeout on the connection: a vanished coordinator then
@@ -506,444 +218,57 @@ pub struct WorkerOptions {
     /// Auth token presented in the [`TAG_HELLO`] frame.
     pub token: Option<String>,
     /// Fault-injection schedule (kills, duplicated / muted / delayed
-    /// frames); [`ChaosConfig::default`] injects nothing.
+    /// frames); [`ChaosConfig::default`] injects nothing. The kill index
+    /// counts the evaluation commands of a query (0 = its Init handshake).
     pub chaos: ChaosConfig,
-    /// Action performed when [`ChaosConfig::kill_at`] fires.
-    pub on_kill: Option<Box<dyn FnMut() + Send>>,
+    /// How a scheduled kill dies: the `grape-worker` binary passes
+    /// [`kill_self`]; `None` severs the connection, which is the same event
+    /// at the transport level and what in-process harnesses need.
+    pub on_kill: Option<fn()>,
 }
 
-/// Runs one worker over an already-established connection: sends the
-/// [`TAG_HELLO`] greeting, reads the epoch-stamped [`JobSpec`] frame and the
-/// shipped [`TAG_FRAGMENT`] frame, serves the BSP loop at that epoch, sends
-/// the digest, and returns it.
-#[deprecated(
-    since = "0.9.0",
-    note = "use `run_worker_connection_opts` (one-shot jobs) or a resident \
-            `service::GrapeService` daemon instead"
-)]
-pub fn run_worker_connection<S: SplitStream>(stream: S) -> io::Result<u64> {
-    run_worker_connection_opts(stream, WorkerOptions::default())
-}
-
-/// [`run_worker_connection`] with a read timeout and an optional
-/// [`KillPlan`] — the knobs the recovery drills use.
-pub fn run_worker_connection_with<S: SplitStream>(
-    stream: S,
-    read_timeout: Option<Duration>,
-    kill: Option<KillPlan>,
-) -> io::Result<u64> {
-    let mut options = WorkerOptions {
-        read_timeout,
-        ..Default::default()
-    };
-    if let Some((kill_at, on_kill)) = kill {
-        options.chaos.kill_at = Some(kill_at);
-        options.on_kill = Some(on_kill);
-    }
-    run_worker_connection_opts(stream, options)
-}
-
-/// [`run_worker_connection`] with the full [`WorkerOptions`] knob set.
-pub fn run_worker_connection_opts<S: SplitStream>(
-    mut stream: S,
-    options: WorkerOptions,
-) -> io::Result<u64> {
-    let WorkerOptions {
-        read_timeout,
-        token,
-        chaos,
-        on_kill,
-    } = options;
-    if let Some(timeout) = read_timeout {
+/// Runs one dialled-in worker over an established connection: sends the
+/// [`TAG_HELLO`] greeting, then serves the coordinator's frames — its
+/// fragment, its query, the BSP loop, the result — until the coordinator
+/// hangs up, exactly as a [`GrapeService`] daemon serves a connection.
+pub fn run_worker<S: ServiceStream>(mut stream: S, options: WorkerOptions) -> io::Result<()> {
+    if let Some(timeout) = options.read_timeout {
         stream.set_read_timeout(Some(timeout))?;
     }
     // Present credentials before anything else: the coordinator will not
-    // ship a job (or even a byte) until the greeting passes validation.
-    wire::write_frame_io_epoch(&mut stream, TAG_HELLO, 0, &token)?;
+    // ship a byte until the greeting passes validation.
+    wire::write_frame_io_epoch(&mut stream, TAG_HELLO, 0, &options.token)?;
     stream.flush()?;
-    let (tag, epoch, body) = wire::read_frame_io_epoch(&mut stream)?
-        .ok_or_else(|| bad_data("connection closed before the job spec"))?;
-    if tag != TAG_JOB {
-        return Err(bad_data(format!("expected job frame, got tag {tag:#04x}")));
-    }
-    let mut reader = WireReader::new(&body);
-    let job = JobSpec::decode(&mut reader)
-        .and_then(|job| reader.finish().map(|()| job))
-        .map_err(|e| bad_data(format!("bad job spec: {e}")))?;
-    if job.index >= job.workers {
-        return Err(bad_data(format!(
-            "fragment index {} out of range for {} workers",
-            job.index, job.workers
-        )));
-    }
-    // The fragment arrives on the wire — workers never regenerate the graph.
-    let (ftag, fepoch, fbody) = wire::read_frame_io_epoch(&mut stream)?
-        .ok_or_else(|| bad_data("connection closed before the fragment"))?;
-    if ftag != TAG_FRAGMENT {
-        return Err(bad_data(format!(
-            "expected fragment frame, got tag {ftag:#04x}"
-        )));
-    }
-    if fepoch != epoch {
-        return Err(bad_data(format!(
-            "fragment frame at epoch {fepoch}, job at epoch {epoch}"
-        )));
-    }
-
-    fn shipped_fragment<V, E>(tag: u8, body: &[u8], index: u32) -> io::Result<Fragment<V, E>>
-    where
-        V: Wire + Clone + Default,
-        E: Wire + Clone,
-    {
-        let fragment: Fragment<V, E> =
-            decode_fragment(tag, body).map_err(|e| bad_data(format!("bad fragment frame: {e}")))?;
-        if fragment.id != index as usize {
-            return Err(bad_data(format!(
-                "shipped fragment {} but this worker is index {}",
-                fragment.id, index
-            )));
-        }
-        Ok(fragment)
-    }
-
-    let stats = Arc::new(CommStats::new());
-    let threads = job.resolved_threads();
-    let ck = job.checkpoint_every as usize;
-    match job.algo.as_str() {
-        "sssp" => {
-            let fragment = shipped_fragment::<(), f64>(ftag, &fbody, job.index)?;
-            serve(
-                SsspProgram,
-                &SsspQuery::new(job.source),
-                &fragment,
-                stream,
-                stats,
-                threads,
-                epoch,
-                ck,
-                chaos,
-                on_kill,
-                |out| digest_f64_map(&out),
-            )
-        }
-        "cc" => {
-            let fragment = shipped_fragment::<(), f64>(ftag, &fbody, job.index)?;
-            serve(
-                CcProgram,
-                &CcQuery,
-                &fragment,
-                stream,
-                stats,
-                threads,
-                epoch,
-                ck,
-                chaos,
-                on_kill,
-                |out| digest_u64_map(&out),
-            )
-        }
-        "pagerank" => {
-            let fragment = shipped_fragment::<(), f64>(ftag, &fbody, job.index)?;
-            serve(
-                PageRankProgram::new(job.vertices as usize),
-                &PageRankQuery::default(),
-                &fragment,
-                stream,
-                stats,
-                threads,
-                epoch,
-                ck,
-                chaos,
-                on_kill,
-                |out| digest_f64_map(&out),
-            )
-        }
-        "cf" => {
-            let fragment = shipped_fragment::<(), f64>(ftag, &fbody, job.index)?;
-            serve(
-                CfProgram::new(cf_num_users(job.vertices)),
-                &cf_query(),
-                &fragment,
-                stream,
-                stats,
-                threads,
-                epoch,
-                ck,
-                chaos,
-                on_kill,
-                |out| digest_cf(&out),
-            )
-        }
-        "sim" => {
-            let fragment = shipped_fragment::<LabeledVertex, String>(ftag, &fbody, job.index)?;
-            serve(
-                SimProgram,
-                &sim_query(),
-                &fragment,
-                stream,
-                stats,
-                threads,
-                epoch,
-                ck,
-                chaos,
-                on_kill,
-                |out| digest_sim(&out),
-            )
-        }
-        "subiso" => {
-            let fragment = shipped_fragment::<LabeledVertex, String>(ftag, &fbody, job.index)?;
-            serve(
-                SubIsoProgram,
-                &subiso_query(),
-                &fragment,
-                stream,
-                stats,
-                threads,
-                epoch,
-                ck,
-                chaos,
-                on_kill,
-                |out| digest_embeddings(&out),
-            )
-        }
-        "keyword" => {
-            let fragment = shipped_fragment::<LabeledVertex, String>(ftag, &fbody, job.index)?;
-            serve(
-                KeywordProgram,
-                &keyword_query(),
-                &fragment,
-                stream,
-                stats,
-                threads,
-                epoch,
-                ck,
-                chaos,
-                on_kill,
-                |out| digest_keyword(&out),
-            )
-        }
-        "marketing" => {
-            let fragment = shipped_fragment::<LabeledVertex, String>(ftag, &fbody, job.index)?;
-            serve(
-                MarketingProgram,
-                &marketing_query(&job)?,
-                &fragment,
-                stream,
-                stats,
-                threads,
-                epoch,
-                ck,
-                chaos,
-                on_kill,
-                |out| digest_prospects(&out),
-            )
-        }
-        other => Err(bad_data(format!("unknown algorithm {other:?}"))),
-    }
-}
-
-/// One worker's BSP session over an established, authenticated connection —
-/// generic over the program, so all eight query classes share this path.
-#[allow(clippy::too_many_arguments)]
-fn serve<P, S>(
-    program: P,
-    query: &P::Query,
-    fragment: &Fragment<P::VertexData, P::EdgeData>,
-    stream: S,
-    stats: Arc<CommStats>,
-    threads: usize,
-    epoch: u32,
-    checkpoint_every: usize,
-    chaos: ChaosConfig,
-    on_kill: Option<Box<dyn FnMut() + Send>>,
-    to_digest: impl Fn(P::Output) -> u64,
-) -> io::Result<u64>
-where
-    P: PieProgram,
-    S: SplitStream,
-{
-    let transport = FramedStreamWorker::<P::Value>::new(stream, stats)?.with_epoch(epoch);
-    let chaos_active = chaos.kill_at.is_some()
-        || chaos.mute_per_mille > 0
-        || chaos.duplicate_per_mille > 0
-        || chaos.delay_per_mille > 0;
-    let (partial, transport) = if chaos_active {
-        let on_kill = on_kill.unwrap_or_else(|| Box::new(|| {}));
-        let wrapped = ChaosWorkerTransport::new(transport, chaos, on_kill);
-        let partial = run_worker_with(
-            &program,
-            query,
-            fragment,
-            &wrapped,
-            threads,
-            checkpoint_every,
-        );
-        (partial, wrapped.into_inner())
-    } else {
-        (
-            run_worker_with(
-                &program,
-                query,
-                fragment,
-                &transport,
-                threads,
-                checkpoint_every,
-            ),
-            transport,
-        )
-    };
-    // The worker loop also stops on connection failure; only a clean
-    // Finish-terminated run may report a digest as success.
-    if let Some(reason) = transport.disconnect_reason() {
-        return Err(io::Error::other(format!("run torn down: {reason}")));
-    }
-    let Some(partial) = partial else {
-        return Err(io::Error::other("run torn down before PEval"));
-    };
-    // Assembling a single partial yields this fragment's view of the
-    // answer — the unit the coordinator's verification digests compare.
-    let digest = to_digest(program.assemble(vec![partial]));
-    transport.send_oob(TAG_DIGEST, &digest)?;
-    Ok(digest)
+    let state = ServiceState::new(ServiceOptions::default(), options.chaos, options.on_kill);
+    serve_frames(stream, &state)
 }
 
 // ---------------------------------------------------------------------------
 // Coordinator side
 // ---------------------------------------------------------------------------
 
-/// Reads and validates a worker's [`TAG_HELLO`] greeting. `expected = None`
-/// accepts any greeting; otherwise the presented token must match, and a
-/// mismatched or missing token is a typed `PermissionDenied` error.
-pub(crate) fn expect_hello<S: SplitStream>(
-    stream: &mut S,
-    expected: Option<&str>,
-    index: usize,
-    timeout: Option<Duration>,
-) -> io::Result<()> {
-    stream.set_read_timeout(timeout)?;
-    let frame = wire::read_frame_io_epoch(stream);
-    stream.set_read_timeout(None)?;
-    let (tag, _epoch, body) = frame
-        .map_err(|e| {
-            if matches!(
-                e.kind(),
-                io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-            ) {
-                io::Error::other(format!(
-                    "worker {index} lost during handshake: no hello frame within the read timeout"
-                ))
-            } else {
-                io::Error::other(format!("worker {index} lost during handshake: {e}"))
-            }
-        })?
-        .ok_or_else(|| {
-            io::Error::other(format!(
-                "worker {index} lost during handshake: connection closed before the hello frame"
-            ))
-        })?;
-    if tag != TAG_HELLO {
-        return Err(bad_data(format!(
-            "worker {index}: expected hello frame, got tag {tag:#04x}"
-        )));
-    }
-    let mut reader = WireReader::new(&body);
-    let token = Option::<String>::decode(&mut reader)
-        .and_then(|t| reader.finish().map(|()| t))
-        .map_err(|e| bad_data(format!("worker {index}: bad hello frame: {e}")))?;
-    match (expected, token) {
-        (None, _) => Ok(()),
-        (Some(want), Some(got)) if got == want => Ok(()),
-        (Some(_), Some(_)) => Err(denied(format!(
-            "worker {index} presented a mismatched auth token"
-        ))),
-        (Some(_), None) => Err(denied(format!(
-            "worker {index} presented no auth token, but this coordinator requires one"
-        ))),
-    }
-}
-
-/// Ships the epoch-stamped handshake down one connection: the [`JobSpec`]
-/// (with the per-connection `index` and global `vertices` filled in) followed
-/// by the fragment itself as a [`TAG_FRAGMENT`] frame.
-fn ship_job<S, V, E>(
-    stream: &mut S,
-    job: &JobSpec,
-    index: usize,
-    epoch: u32,
-    vertices: u64,
-    fragment: &Fragment<V, E>,
-) -> io::Result<()>
-where
-    S: SplitStream,
-    V: Wire + Clone,
-    E: Wire + Clone,
-{
-    let mut spec = job.clone();
-    spec.index = index as u32;
-    spec.vertices = vertices;
-    wire::write_frame_io_epoch(stream, TAG_JOB, epoch, &spec)?;
-    let mut frame = Vec::new();
-    encode_fragment_epoch(fragment, epoch, &mut frame);
-    stream.write_all(&frame)?;
-    stream.flush()
-}
-
-/// Runs the coordinator over `streams` (one accepted connection per worker,
-/// in fragment order): authenticates each worker's hello, ships each its
-/// [`JobSpec`] and fragment, drives the BSP fixpoint, and collects the
-/// result digests.
-#[deprecated(
-    since = "0.9.0",
-    note = "use `run_coordinator_connections_with` (one-shot jobs) or a \
-            resident `service::Session` instead"
-)]
-pub fn run_coordinator_connections<S: SplitStream>(
-    job: &JobSpec,
-    streams: Vec<S>,
-) -> io::Result<JobOutcome> {
-    run_coordinator_connections_with(job, streams, &EngineConfig::default())
-}
-
-/// Like [`run_coordinator_connections`], with an explicit [`EngineConfig`]:
-/// [`EngineConfig::read_timeout`] bounds every receive (a silent worker
-/// surfaces as a typed [`grape_core::TransportError::WorkerLost`] instead of
-/// a hang) and [`EngineConfig::auth_token`] is enforced against every
-/// worker's hello frame.
-pub fn run_coordinator_connections_with<S: SplitStream>(
-    job: &JobSpec,
-    streams: Vec<S>,
-    config: &EngineConfig,
-) -> io::Result<JobOutcome> {
-    run_coordinator_connections_inner(job, streams, config, None)
-}
-
-/// Like [`run_coordinator_connections_with`], but the run survives worker
-/// loss — including several workers in the same superstep, and replacements
-/// that die again mid-replay: `respawn(worker)` must produce a fresh
-/// accepted connection to a replacement worker process, which is handed the
-/// lost fragment and the last checkpoint at a bumped epoch, after which the
-/// commands since that checkpoint are replayed. A [`JobSpec::checkpoint_every`]
-/// of 0 is forced to 1 — recovery without snapshots would mean replaying the
-/// whole run's lineage on every loss.
-pub fn run_coordinator_connections_recoverable<S: SplitStream>(
-    job: &JobSpec,
-    streams: Vec<S>,
-    config: &EngineConfig,
-    respawn: &mut dyn FnMut(usize) -> io::Result<S>,
-) -> io::Result<JobOutcome> {
-    let mut job = job.clone();
-    if job.checkpoint_every == 0 {
-        job.checkpoint_every = 1;
-    }
-    run_coordinator_connections_inner(&job, streams, config, Some(respawn))
-}
-
-fn run_coordinator_connections_inner<S: SplitStream>(
+/// Runs `job` as the coordinator over `streams` — one accepted connection
+/// per dialled-in worker, in fragment order: authenticates each worker's
+/// hello against [`EngineConfig::auth_token`] (a mismatched or missing token
+/// is a typed `PermissionDenied` error before anything is shipped), ships it
+/// its fragment and the query, drives the BSP fixpoint, and assembles the
+/// typed result. [`EngineConfig::read_timeout`] bounds the handshake and
+/// every receive, so a silent worker surfaces as a typed
+/// [`grape_core::TransportError::WorkerLost`] instead of a hang.
+///
+/// With a `respawn` hook the run survives worker loss — including several
+/// workers in the same superstep, and replacements that die again
+/// mid-replay: `respawn(worker)` must produce a fresh accepted connection to
+/// a replacement worker process, which is shipped the lost fragment and the
+/// query at a bumped epoch and resumed from the last checkpoint. A
+/// [`JobSpec::checkpoint_every`] of 0 is then forced to 1 — recovery without
+/// snapshots would mean replaying the whole run's lineage on every loss.
+pub fn run_coordinator<S: ServiceStream>(
     job: &JobSpec,
     streams: Vec<S>,
     config: &EngineConfig,
     respawn: Option<&mut dyn FnMut(usize) -> io::Result<S>>,
-) -> io::Result<JobOutcome> {
+) -> io::Result<QueryOutcome> {
     if streams.len() != job.workers as usize {
         return Err(bad_data(format!(
             "{} connections for {} workers",
@@ -951,352 +276,158 @@ fn run_coordinator_connections_inner<S: SplitStream>(
             job.workers
         )));
     }
-    let stats = Arc::new(CommStats::new());
-    match job_fragments(job)? {
-        JobGraph::Weighted(graph, fragments) => {
-            let vertices = graph.num_vertices() as u64;
-            match job.algo.as_str() {
-                "sssp" => coordinate(
-                    SsspProgram,
-                    job,
-                    &fragments,
-                    streams,
-                    stats,
-                    config,
-                    respawn,
-                    vertices,
-                ),
-                "cc" => coordinate(
-                    CcProgram, job, &fragments, streams, stats, config, respawn, vertices,
-                ),
-                "pagerank" => coordinate(
-                    PageRankProgram::new(graph.num_vertices()),
-                    job,
-                    &fragments,
-                    streams,
-                    stats,
-                    config,
-                    respawn,
-                    vertices,
-                ),
-                "cf" => coordinate(
-                    CfProgram::new(cf_num_users(vertices)),
-                    job,
-                    &fragments,
-                    streams,
-                    stats,
-                    config,
-                    respawn,
-                    vertices,
-                ),
-                other => unreachable!("job_fragments admitted weighted algo {other:?}"),
-            }
-        }
-        JobGraph::Labeled(graph, fragments) => {
-            let vertices = graph.num_vertices() as u64;
-            match job.algo.as_str() {
-                "sim" => coordinate(
-                    SimProgram, job, &fragments, streams, stats, config, respawn, vertices,
-                ),
-                "subiso" => coordinate(
-                    SubIsoProgram,
-                    job,
-                    &fragments,
-                    streams,
-                    stats,
-                    config,
-                    respawn,
-                    vertices,
-                ),
-                "keyword" => coordinate(
-                    KeywordProgram,
-                    job,
-                    &fragments,
-                    streams,
-                    stats,
-                    config,
-                    respawn,
-                    vertices,
-                ),
-                "marketing" => coordinate(
-                    MarketingProgram,
-                    job,
-                    &fragments,
-                    streams,
-                    stats,
-                    config,
-                    respawn,
-                    vertices,
-                ),
-                other => unreachable!("job_fragments admitted labeled algo {other:?}"),
-            }
-        }
+    let query = job.query()?;
+    let graph = SessionGraph::generate(&job.graph)?;
+    let (fragments, _) = SessionFragments::cut(&graph, job.strategy()?, streams.len());
+    let mut config = job.engine_config(config);
+    if respawn.is_some() {
+        config.checkpoint_every = config.checkpoint_every.max(1);
     }
+    let vertices = graph.num_vertices() as u64;
+    let batch = Batch {
+        query: &query,
+        load: LoadSpec {
+            graph_id: 0, // the only graph a dialled-in worker ever holds
+            family: fragments.family(),
+            index: 0, // set per connection
+            workers: job.workers,
+            vertices,
+        },
+        streams,
+        respawn,
+        config,
+    };
+    dispatch(&query, vertices, fragments.as_family(), batch)
 }
 
-/// The coordinator's session over authenticated connections — generic over
-/// the program, so all eight query classes share this path.
-#[allow(clippy::too_many_arguments)]
-fn coordinate<P, S>(
-    program: P,
-    job: &JobSpec,
-    fragments: &[Fragment<P::VertexData, P::EdgeData>],
-    mut streams: Vec<S>,
-    stats: Arc<CommStats>,
-    config: &EngineConfig,
-    respawn: Option<&mut dyn FnMut(usize) -> io::Result<S>>,
-    vertices: u64,
-) -> io::Result<JobOutcome>
-where
-    P: PieProgram,
-    P::VertexData: Wire,
-    P::EdgeData: Wire,
-    S: SplitStream,
-{
-    let n = streams.len();
-    // Authenticate, then ship. The shipped spec carries the coordinator's
-    // token so the job-spec frame records which credential the session was
-    // established under.
-    let mut job = job.clone();
-    job.token = config.auth_token.clone();
-    for (index, stream) in streams.iter_mut().enumerate() {
-        expect_hello(
-            stream,
-            config.auth_token.as_deref(),
-            index,
-            config.read_timeout,
-        )?;
-        // A connection dead before the handshake completes is a startup
-        // failure, not a recoverable mid-run loss.
-        ship_job(stream, &job, index, 0, vertices, &fragments[index])
-            .map_err(|e| io::Error::other(format!("worker {index} lost during handshake: {e}")))?;
-    }
-    let transport =
-        FramedStreamCoord::<P::Value>::new(streams, stats)?.with_read_timeout(config.read_timeout);
-    let engine = GrapeEngine::new(program).with_config(config.clone());
-    let stats_out = match respawn {
-        None => engine.run_coordinator(fragments, &transport),
-        Some(respawn) => {
-            // Recovery glue: a fresh authenticated connection, the same
-            // fragment at the new epoch, and the transport's writer/reader
-            // swapped under it.
-            let mut recover = |worker: usize, epoch: u32| -> Result<(), String> {
-                let mut stream =
-                    respawn(worker).map_err(|e| format!("respawn worker {worker}: {e}"))?;
-                expect_hello(
-                    &mut stream,
-                    config.auth_token.as_deref(),
-                    worker,
-                    config.read_timeout,
-                )
-                .map_err(|e| format!("replacement handshake {worker}: {e}"))?;
-                ship_job(
-                    &mut stream,
-                    &job,
-                    worker,
-                    epoch,
-                    vertices,
-                    &fragments[worker],
-                )
-                .map_err(|e| format!("re-ship fragment {worker}: {e}"))?;
-                transport
-                    .replace_worker(worker, stream, epoch)
-                    .map_err(|e| format!("replace worker {worker}: {e}"))
-            };
-            engine.run_coordinator_recoverable(fragments, &transport, &mut recover)
-        }
-    }
-    .map_err(|e| io::Error::other(e.to_string()))?;
-    let mut digests = vec![0u64; n];
-    for _ in 0..n {
-        let (from, tag, body) = transport
-            .recv_oob_blocking()
-            .ok_or_else(|| bad_data("a worker closed before sending its digest"))?;
-        if tag != TAG_DIGEST {
-            return Err(bad_data(format!("expected digest frame, got {tag:#04x}")));
-        }
-        let mut reader = WireReader::new(&body);
-        digests[from] = u64::decode(&mut reader)
-            .and_then(|d| reader.finish().map(|()| d))
-            .map_err(|e| bad_data(format!("bad digest frame: {e}")))?;
-    }
-    Ok(JobOutcome {
-        stats: stats_out,
-        digests,
-    })
+/// One batch run, for whichever class [`dispatch`] resolves its query to.
+struct Batch<'q, 'r, S> {
+    query: &'q Query,
+    load: LoadSpec,
+    streams: Vec<S>,
+    respawn: Option<&'r mut dyn FnMut(usize) -> io::Result<S>>,
+    config: EngineConfig,
 }
 
-// ---------------------------------------------------------------------------
-// In-process reference + recovery drills
-// ---------------------------------------------------------------------------
+impl<S: ServiceStream> ClassVisitor for Batch<'_, '_, S> {
+    type Out = QueryOutcome;
 
-/// Runs the identical job fully in-process over the framed *channel*
-/// transport: the reference the multi-process path must match bit for bit
-/// (digests, supersteps, message counts). Also doubles as an executable
-/// example of the public transport API.
-pub fn run_local_framed(job: &JobSpec) -> io::Result<JobOutcome> {
-    let stats = Arc::new(CommStats::new());
-    let threads = job.resolved_threads();
-    let ck = job.checkpoint_every as usize;
-
-    fn local<P>(
+    fn visit<P>(
+        self,
         program: P,
-        query: &P::Query,
-        fragments: &[Fragment<P::VertexData, P::EdgeData>],
-        stats: Arc<CommStats>,
-        threads: usize,
-        checkpoint_every: usize,
-        to_digest: impl Fn(P::Output) -> u64 + Sync,
-    ) -> io::Result<JobOutcome>
+        _typed: P::Query,
+        wrap: impl Fn(P::Output) -> QueryResult,
+        fragments: &[Arc<Fragment<P::VertexData, P::EdgeData>>],
+    ) -> io::Result<QueryOutcome>
     where
-        P: PieProgram + Clone,
+        P: PieProgram,
+        P::VertexData: Wire,
+        P::EdgeData: Wire,
     {
-        let n = fragments.len();
-        let (coord, worker_transports) = framed_channel_pair::<P::Value>(n, stats);
-        let program_ref = &program;
-        let to_digest = &to_digest;
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = fragments
-                .iter()
-                .zip(worker_transports)
-                .map(|(fragment, wt)| {
-                    scope.spawn(move || {
-                        let partial = run_worker_with(
-                            program_ref,
-                            query,
-                            fragment,
-                            &wt,
-                            threads,
-                            checkpoint_every,
-                        )
-                        .expect("in-process worker ran PEval");
-                        to_digest(program_ref.assemble(vec![partial]))
-                    })
-                })
-                .collect();
-            let stats_out = GrapeEngine::new(program.clone())
-                .run_coordinator(fragments, &coord)
-                .map_err(|e| io::Error::other(e.to_string()))?;
-            let digests = handles
-                .into_iter()
-                .map(|h| h.join().expect("worker thread panicked"))
-                .collect();
-            Ok(JobOutcome {
-                stats: stats_out,
-                digests,
-            })
+        let Batch {
+            query,
+            load,
+            streams,
+            mut respawn,
+            config,
+        } = self;
+        let recoverable = respawn.is_some();
+        let scratch = ScratchPool::new();
+        let mut accepted: Vec<Option<S>> = streams.into_iter().map(Some).collect();
+        // A stream to worker `i` at epoch `e`: the connection accepted for it
+        // (or, after a loss, one to a respawned replacement), greeted, and —
+        // since a dialled-in worker starts empty — shipped its fragment.
+        let mut open = |worker: usize, epoch: u32| -> io::Result<S> {
+            let mut stream = match (accepted[worker].take(), respawn.as_mut()) {
+                (Some(stream), _) => stream,
+                (None, Some(respawn)) => respawn(worker)?,
+                (None, None) => return Err(io::Error::other("no respawn hook")),
+            };
+            expect_hello(
+                &mut stream,
+                config.auth_token.as_deref(),
+                worker,
+                config.read_timeout,
+            )?;
+            let spec = LoadSpec {
+                index: worker as u32,
+                ..load.clone()
+            };
+            let job = QueryJob {
+                graph_id: spec.graph_id,
+                index: spec.index,
+                workers: spec.workers,
+                run_id: epoch,
+                threads: config.threads_per_worker.into(),
+                checkpoint_every: config.checkpoint_every as u32,
+                query: query.clone(),
+                kill_at: None,
+                seed: None,
+            };
+            // A dialled-in worker acks its load, and a socket that has
+            // answered once delays its TCP ACKs: the coordinator's
+            // back-to-back small writes (query then Init, Resume then the
+            // replayed commands) must not wait on those.
+            stream.set_nodelay()?;
+            // A connection dead before the handshake completes is a startup
+            // failure of that worker, not a mid-run loss.
+            stream.set_read_timeout(config.read_timeout)?;
+            ship_fragment(&mut stream, &scratch, &spec, epoch, &fragments[worker])
+                .and_then(|()| stream.set_read_timeout(None))
+                .and_then(|()| wire::write_frame_io_epoch(&mut stream, TAG_QUERY, epoch, &job))
+                .and_then(|_| stream.flush())
+                .map_err(|e| {
+                    io::Error::other(format!("worker {worker} lost during handshake: {e}"))
+                })?;
+            Ok(stream)
+        };
+        let (output, _, stats) =
+            coordinate(program, fragments, config.clone(), recoverable, &mut open)?;
+        Ok(QueryOutcome {
+            result: wrap(output),
+            stats,
         })
     }
-
-    match job_fragments(job)? {
-        JobGraph::Weighted(graph, fragments) => match job.algo.as_str() {
-            "sssp" => local(
-                SsspProgram,
-                &SsspQuery::new(job.source),
-                &fragments,
-                stats,
-                threads,
-                ck,
-                |out| digest_f64_map(&out),
-            ),
-            "cc" => local(CcProgram, &CcQuery, &fragments, stats, threads, ck, |out| {
-                digest_u64_map(&out)
-            }),
-            "pagerank" => local(
-                PageRankProgram::new(graph.num_vertices()),
-                &PageRankQuery::default(),
-                &fragments,
-                stats,
-                threads,
-                ck,
-                |out| digest_f64_map(&out),
-            ),
-            "cf" => local(
-                CfProgram::new(cf_num_users(graph.num_vertices() as u64)),
-                &cf_query(),
-                &fragments,
-                stats,
-                threads,
-                ck,
-                |out| digest_cf(&out),
-            ),
-            other => unreachable!("job_fragments admitted weighted algo {other:?}"),
-        },
-        JobGraph::Labeled(_, fragments) => match job.algo.as_str() {
-            "sim" => local(
-                SimProgram,
-                &sim_query(),
-                &fragments,
-                stats,
-                threads,
-                ck,
-                |out| digest_sim(&out),
-            ),
-            "subiso" => local(
-                SubIsoProgram,
-                &subiso_query(),
-                &fragments,
-                stats,
-                threads,
-                ck,
-                |out| digest_embeddings(&out),
-            ),
-            "keyword" => local(
-                KeywordProgram,
-                &keyword_query(),
-                &fragments,
-                stats,
-                threads,
-                ck,
-                |out| digest_keyword(&out),
-            ),
-            "marketing" => local(
-                MarketingProgram,
-                &marketing_query(job)?,
-                &fragments,
-                stats,
-                threads,
-                ck,
-                |out| digest_prospects(&out),
-            ),
-            other => unreachable!("job_fragments admitted labeled algo {other:?}"),
-        },
-    }
 }
 
-/// Runs `job` over real TCP sockets with worker threads in this process, one
-/// of which is killed — its socket torn down, the SIGKILL event at the
-/// transport level — upon receiving command `kill_at`. The coordinator
-/// recovers via [`run_coordinator_connections_recoverable`]. This is the
+// ---------------------------------------------------------------------------
+// In-process reference + recovery drill
+// ---------------------------------------------------------------------------
+
+/// Runs the identical job fully in-process — an in-process [`Session`] over
+/// the framed *channel* transport: the reference the multi-process path must
+/// match bit for bit (typed result, supersteps, message and wire-byte
+/// counts).
+pub fn run_local_framed(job: &JobSpec) -> io::Result<QueryOutcome> {
+    let engine = job.engine_config(&EngineConfig {
+        transport: TransportKind::Framed,
+        ..Default::default()
+    });
+    let session =
+        Session::connect(SessionConfig::in_process(job.workers as usize).with_engine(engine))?;
+    session.load(&SessionGraph::generate(&job.graph)?, job.strategy()?)?;
+    session.submit(job.query()?)?.join()
+}
+
+/// Runs `job` over real TCP sockets with worker threads in this process,
+/// killed on schedule — their sockets torn down, the SIGKILL event at the
+/// transport level — and recovered by [`run_coordinator`]. This is the
 /// deterministic in-process recovery drill the chaos tests and the
 /// `recovery_ms` benchmark column share.
-pub fn run_local_recoverable_tcp(
-    job: &JobSpec,
-    kill_worker: usize,
-    kill_at: usize,
-) -> io::Result<JobOutcome> {
-    run_local_recoverable_tcp_plan(job, &[(kill_worker, kill_at)], &[])
-}
-
-/// The multi-victim, cascading form of [`run_local_recoverable_tcp`]:
+///
 /// `kills` schedules `(worker, kill_at)` deaths for the initial workers
 /// (several entries with the same `kill_at` exercise same-superstep batch
 /// recovery), and each `replacement_kills` entry `(worker, kill_at)` is
 /// consumed by one respawn of that worker, whose *replacement* then dies at
 /// its own command index — cascading failure mid-replay. Repeat a worker in
 /// `replacement_kills` to drive it into its crash-loop budget.
-pub fn run_local_recoverable_tcp_plan(
+pub fn run_local_recoverable_tcp(
     job: &JobSpec,
     kills: &[(usize, usize)],
     replacement_kills: &[(usize, usize)],
-) -> io::Result<JobOutcome> {
-    use std::net::{Shutdown, TcpListener, TcpStream};
-    let listener = TcpListener::bind("127.0.0.1:0")?;
-    let addr = listener.local_addr()?;
-    let mut job = job.clone();
-    if job.checkpoint_every == 0 {
-        job.checkpoint_every = 1;
-    }
+) -> io::Result<QueryOutcome> {
+    let listener = ServiceListener::bind(&Endpoint::Tcp("127.0.0.1:0".into()))?;
+    let endpoint = listener.endpoint()?;
     let n = job.workers as usize;
     for &(worker, _) in kills.iter().chain(replacement_kills) {
         if worker >= n {
@@ -1305,56 +436,36 @@ pub fn run_local_recoverable_tcp_plan(
             )));
         }
     }
-    let socket_kill = |stream: &TcpStream, kill_at: usize| -> io::Result<KillPlan> {
-        let victim = stream.try_clone()?;
-        Ok((
-            kill_at,
-            Box::new(move || {
-                let _ = victim.shutdown(Shutdown::Both);
-            }),
-        ))
-    };
     std::thread::scope(|scope| {
         // Connect + accept strictly in sequence so accepted-stream order is
         // fragment order — the index mapping must be deterministic.
-        let mut streams = Vec::with_capacity(n);
-        for index in 0..n {
-            let connect = TcpStream::connect(addr)?;
-            let (accepted, _) = listener.accept()?;
-            let kill = match kills.iter().find(|&&(worker, _)| worker == index) {
-                Some(&(_, kill_at)) => Some(socket_kill(&connect, kill_at)?),
-                None => None,
+        let spawn_worker = |kill_at: Option<usize>| -> io::Result<ServiceSocket> {
+            let connect = endpoint.connect()?;
+            let accepted = listener.accept()?;
+            let options = WorkerOptions {
+                chaos: ChaosConfig {
+                    kill_at,
+                    ..Default::default()
+                },
+                ..Default::default()
             };
             scope.spawn(move || {
-                // A killed worker exits with a torn-down connection; the
-                // replacement (respawned below) reports in its stead.
-                let _ = run_worker_connection_with(connect, None, kill);
-            });
-            streams.push(accepted);
-        }
-        let listener = &listener;
-        let mut pending: Vec<(usize, usize)> = replacement_kills.to_vec();
-        let mut respawn = |worker: usize| -> io::Result<TcpStream> {
-            let connect = TcpStream::connect(addr)?;
-            let (accepted, _) = listener.accept()?;
-            let kill = match pending.iter().position(|&(w, _)| w == worker) {
-                Some(i) => {
-                    let (_, kill_at) = pending.remove(i);
-                    Some(socket_kill(&connect, kill_at)?)
-                }
-                None => None,
-            };
-            scope.spawn(move || {
-                let _ = run_worker_connection_with(connect, None, kill);
+                // A killed worker exits with a torn-down connection; its
+                // replacement reports in its stead.
+                let _ = run_worker(connect, options);
             });
             Ok(accepted)
         };
-        run_coordinator_connections_recoverable(
-            &job,
-            streams,
-            &EngineConfig::default(),
-            &mut respawn,
-        )
+        let scheduled = |plan: &[(usize, usize)], worker: usize| {
+            plan.iter().position(|&(victim, _)| victim == worker)
+        };
+        let streams = (0..n)
+            .map(|worker| spawn_worker(scheduled(kills, worker).map(|i| kills[i].1)))
+            .collect::<io::Result<Vec<_>>>()?;
+        let mut pending = replacement_kills.to_vec();
+        let mut respawn =
+            |worker: usize| spawn_worker(scheduled(&pending, worker).map(|i| pending.remove(i).1));
+        run_coordinator(job, streams, &EngineConfig::default(), Some(&mut respawn))
     })
 }
 
@@ -1412,45 +523,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn job_spec_wire_roundtrip() {
-        for (graph, token) in [
-            (
-                GraphSpec::Road {
-                    width: 12,
-                    height: 9,
-                    seed: 7,
-                },
-                None,
-            ),
-            (
-                GraphSpec::Social {
-                    persons: 40,
-                    products: 5,
-                    seed: 21,
-                },
-                Some("secret".to_string()),
-            ),
-        ] {
-            let job = JobSpec {
-                algo: "sssp".into(),
-                graph,
-                strategy: "hash".into(),
-                workers: 4,
-                index: 2,
-                source: 0,
-                threads: 2,
-                vertices: 108,
-                checkpoint_every: 3,
-                token,
-            };
-            let bytes = job.encode_to_vec();
-            let mut reader = WireReader::new(&bytes);
-            assert_eq!(JobSpec::decode(&mut reader).unwrap(), job);
-            reader.finish().unwrap();
-        }
-    }
-
-    #[test]
     fn graph_spec_parsing() {
         assert_eq!(
             GraphSpec::parse("road:12x9:7").unwrap(),
@@ -1480,94 +552,76 @@ mod tests {
         assert!(GraphSpec::parse("lattice:3").is_err());
     }
 
-    #[test]
-    fn mismatched_algo_and_graph_families_are_rejected() {
-        let mut job = JobSpec {
-            algo: "sim".into(),
-            graph: GraphSpec::Road {
-                width: 4,
-                height: 4,
-                seed: 1,
-            },
+    fn job(algo: &str, graph: GraphSpec) -> JobSpec {
+        JobSpec {
+            algo: algo.into(),
+            graph,
             strategy: "hash".into(),
-            workers: 2,
-            index: 0,
+            workers: 3,
             source: 0,
             threads: 1,
-            vertices: 0,
             checkpoint_every: 0,
-            token: None,
+        }
+    }
+
+    fn weighted_job(algo: &str) -> JobSpec {
+        let graph = GraphSpec::Ba {
+            n: 200,
+            m: 3,
+            seed: 5,
         };
+        job(algo, graph)
+    }
+
+    fn labeled_job(algo: &str) -> JobSpec {
+        let graph = GraphSpec::Social {
+            persons: 60,
+            products: 6,
+            seed: 21,
+        };
+        job(algo, graph)
+    }
+
+    #[test]
+    fn mismatched_algo_and_graph_families_are_rejected() {
+        let mut job = weighted_job("sim");
         assert!(run_local_framed(&job).is_err(), "sim needs a social graph");
-        job.algo = "sssp".into();
-        job.graph = GraphSpec::Social {
-            persons: 20,
-            products: 3,
-            seed: 1,
-        };
+        job = labeled_job("sssp");
         assert!(
             run_local_framed(&job).is_err(),
             "sssp needs a weighted graph"
         );
     }
 
-    fn weighted_job(algo: &str) -> JobSpec {
-        JobSpec {
-            algo: algo.into(),
-            graph: GraphSpec::Ba {
-                n: 200,
-                m: 3,
-                seed: 5,
-            },
-            strategy: "hash".into(),
-            workers: 3,
-            index: 0,
-            source: 0,
-            threads: 1,
-            vertices: 0,
-            checkpoint_every: 0,
-            token: None,
-        }
-    }
-
-    fn labeled_job(algo: &str) -> JobSpec {
-        JobSpec {
-            algo: algo.into(),
-            graph: GraphSpec::Social {
-                persons: 60,
-                products: 6,
-                seed: 21,
-            },
-            strategy: "hash".into(),
-            workers: 3,
-            index: 0,
-            source: 0,
-            threads: 1,
-            vertices: 0,
-            checkpoint_every: 0,
-            token: None,
-        }
+    #[test]
+    fn marketing_defaults_to_the_first_product() {
+        assert_eq!(
+            labeled_job("marketing").query().unwrap(),
+            Query::marketing(60)
+        );
+        let mut job = labeled_job("marketing");
+        job.source = 63;
+        assert_eq!(job.query().unwrap(), Query::marketing(63));
+        assert!(labeled_job("dijkstra").query().is_err());
     }
 
     #[test]
     fn local_framed_runs_agree_across_algorithms() {
         // The in-process framed reference itself must be deterministic for
         // every query class, on both graph families.
-        for algo in ["sssp", "cc", "pagerank", "cf"] {
-            let job = weighted_job(algo);
+        for class in QueryClass::all() {
+            let algo = class.name();
+            let job = if class.is_labeled() {
+                labeled_job(algo)
+            } else {
+                weighted_job(algo)
+            };
             let first = run_local_framed(&job).unwrap();
             let second = run_local_framed(&job).unwrap();
-            assert_eq!(first.digests, second.digests, "{algo}");
+            assert_eq!(first.result, second.result, "{algo}");
             assert_eq!(first.stats.supersteps, second.stats.supersteps, "{algo}");
             assert_eq!(first.stats.messages, second.stats.messages, "{algo}");
             assert!(first.stats.bytes > 0);
-        }
-        for algo in ["sim", "subiso", "keyword", "marketing"] {
-            let job = labeled_job(algo);
-            let first = run_local_framed(&job).unwrap();
-            let second = run_local_framed(&job).unwrap();
-            assert_eq!(first.digests, second.digests, "{algo}");
-            assert_eq!(first.stats.supersteps, second.stats.supersteps, "{algo}");
         }
     }
 
@@ -1575,20 +629,16 @@ mod tests {
     fn checkpoint_cadence_does_not_change_results() {
         // Checkpoints ride on report frames; the answer and the superstep
         // count are invariant under any cadence.
-        for algo in ["sssp", "sim"] {
-            let mut job = if algo == "sssp" {
-                weighted_job(algo)
-            } else {
-                labeled_job(algo)
-            };
+        for mut job in [weighted_job("sssp"), labeled_job("sim")] {
             let reference = run_local_framed(&job).unwrap();
             for k in [1u32, 2, 4] {
                 job.checkpoint_every = k;
                 let run = run_local_framed(&job).unwrap();
-                assert_eq!(run.digests, reference.digests, "{algo} k={k}");
+                assert_eq!(run.result, reference.result, "{} k={k}", job.algo);
                 assert_eq!(
                     run.stats.supersteps, reference.stats.supersteps,
-                    "{algo} k={k}"
+                    "{} k={k}",
+                    job.algo
                 );
             }
         }
@@ -1597,15 +647,16 @@ mod tests {
     #[test]
     fn recovered_tcp_runs_match_the_undisturbed_reference() {
         // One in-process drill per graph family: kill worker 1 at its second
-        // command, recover, and pin the digests and superstep count against
+        // command, recover, and pin the result and superstep count against
         // an undisturbed framed run of the same job.
-        for (algo, job) in [("sssp", weighted_job("sssp")), ("sim", labeled_job("sim"))] {
+        for job in [weighted_job("sssp"), labeled_job("sim")] {
+            let algo = &job.algo;
             let reference = run_local_framed(&job).unwrap();
             // Kill on the last evaluation command the worker will receive,
             // so the schedule fires whatever the algorithm's depth.
             let kill_at = (reference.stats.supersteps - 1).min(2);
-            let recovered = run_local_recoverable_tcp(&job, 1, kill_at).unwrap();
-            assert_eq!(recovered.digests, reference.digests, "{algo}");
+            let recovered = run_local_recoverable_tcp(&job, &[(1, kill_at)], &[]).unwrap();
+            assert_eq!(recovered.result, reference.result, "{algo}");
             assert_eq!(
                 recovered.stats.supersteps, reference.stats.supersteps,
                 "{algo}"
@@ -1621,7 +672,7 @@ mod tests {
         // a typed crash-loop error instead of respawning forever.
         let job = weighted_job("sssp");
         let replacement_kills = [(1usize, 0usize); 8];
-        let err = run_local_recoverable_tcp_plan(&job, &[(1, 1)], &replacement_kills)
+        let err = run_local_recoverable_tcp(&job, &[(1, 1)], &replacement_kills)
             .expect_err("a crash-looping worker must exhaust its budget");
         let message = err.to_string();
         assert!(

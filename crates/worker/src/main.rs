@@ -1,7 +1,9 @@
 //! The `grape-worker` binary: multi-process GRAPE over the framed wire
 //! protocol.
 //!
-//! Coordinator (binds, ships job specs + fragments, drives the fixpoint):
+//! A batch run is a one-query session whose workers dial in: the coordinator
+//! binds, ships each worker its fragment and the query over the service
+//! frames, drives the fixpoint and assembles the typed result:
 //!
 //! ```text
 //! grape-worker serve --listen 127.0.0.1:4817 --workers 4 \
@@ -24,13 +26,14 @@
 //! `--spawn` makes the coordinator fork the workers itself (k child
 //! processes of this same binary) — the one-command demo. `--verify` reruns
 //! the job in-process over the framed channel transport and asserts the
-//! digests and superstep count match bit for bit. `--chaos K[,K2,...]`
+//! typed result and superstep count match bit for bit. `--chaos K[,K2,...]`
 //! (requires `--spawn`) is the fault drill: worker i SIGKILLs itself upon
 //! receiving its Ki-th command — several victims exercise concurrent
 //! failure — and the coordinator recovers every one (respawn, re-ship,
 //! replay) with `--verify` still holding. `--token` makes the coordinator
 //! require (and the spawned workers present) the given auth token in the
-//! session handshake.
+//! session handshake. A flag value that does not parse is a usage error
+//! (exit 2), never a silent default.
 //!
 //! Resident query-service daemon (fragments loaded once, then an unbounded
 //! stream of queries served over them — connect with
@@ -43,12 +46,11 @@
 
 use grape_core::EngineConfig;
 use grape_worker::{
-    kill_self, run_coordinator_connections_recoverable, run_coordinator_connections_with,
-    run_local_framed, run_worker_connection_opts, GrapeService, GraphSpec, JobSpec, ServiceOptions,
-    UdsPathGuard, WorkerOptions,
+    kill_self, run_coordinator, run_local_framed, run_worker, Endpoint, GrapeService, GraphSpec,
+    JobSpec, ServiceListener, ServiceOptions, WorkerOptions,
 };
-use std::net::{TcpListener, TcpStream};
 use std::process::{Command, Stdio};
+use std::str::FromStr;
 use std::time::Duration;
 
 fn usage() -> ! {
@@ -67,47 +69,49 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
-fn arg_value(args: &[String], name: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1).cloned())
+/// A usage error: the message, then exit status 2.
+fn bad_usage(message: String) -> ! {
+    eprintln!("grape-worker: {message}");
+    std::process::exit(2);
 }
 
-/// The worker-side knobs shared by `connect` and `connect-uds`.
-fn worker_knobs(args: &[String]) -> WorkerOptions {
-    let mut options = WorkerOptions {
-        read_timeout: arg_value(args, "--timeout")
-            .and_then(|v| v.parse::<u64>().ok())
-            .map(Duration::from_secs),
-        token: arg_value(args, "--token"),
-        ..Default::default()
-    };
-    if let Some(at) = arg_value(args, "--kill-at").and_then(|v| v.parse::<usize>().ok()) {
-        options.chaos.kill_at = Some(at);
-        options.on_kill = Some(Box::new(kill_self));
+/// The value following flag `name`, if the flag is present.
+fn arg_value(args: &[String], name: &str) -> Option<String> {
+    let at = args.iter().position(|a| a == name)?;
+    match args.get(at + 1) {
+        Some(value) => Some(value.clone()),
+        None => bad_usage(format!("{name} needs a value")),
     }
-    options
+}
+
+/// The value of flag `name` parsed as a `T`. A flag that is present but does
+/// not parse is a usage error, never a silent fallback to the default.
+fn parsed<T: FromStr>(args: &[String], name: &str) -> Option<T> {
+    arg_value(args, name).map(|value| {
+        value
+            .parse()
+            .unwrap_or_else(|_| bad_usage(format!("bad value {value:?} for {name}")))
+    })
+}
+
+/// Where `serve` and `daemon` listen: `--uds PATH`, else `--listen ADDR`.
+fn listen_endpoint(args: &[String]) -> Endpoint {
+    match arg_value(args, "--uds") {
+        #[cfg(unix)]
+        Some(path) => Endpoint::Uds(path.into()),
+        #[cfg(not(unix))]
+        Some(_) => bad_usage("--uds requires a unix platform".into()),
+        None => Endpoint::Tcp(arg_value(args, "--listen").unwrap_or_else(|| "127.0.0.1:0".into())),
+    }
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mode = args.first().map(String::as_str);
-    let result = match mode {
-        Some("connect") => {
-            let addr = args.get(1).cloned().unwrap_or_else(|| usage());
-            let options = worker_knobs(&args[1..]);
-            TcpStream::connect(&addr)
-                .and_then(|s| run_worker_connection_opts(s, options))
-                .map(|digest| println!("worker done, digest {digest:#018x}"))
-        }
+    let target = || args.get(1).cloned().unwrap_or_else(|| usage());
+    let result = match args.first().map(String::as_str) {
+        Some("connect") => worker(Endpoint::Tcp(target()), &args[1..]),
         #[cfg(unix)]
-        Some("connect-uds") => {
-            let path = args.get(1).cloned().unwrap_or_else(|| usage());
-            let options = worker_knobs(&args[1..]);
-            std::os::unix::net::UnixStream::connect(&path)
-                .and_then(|s| run_worker_connection_opts(s, options))
-                .map(|digest| println!("worker done, digest {digest:#018x}"))
-        }
+        Some("connect-uds") => worker(Endpoint::Uds(target().into()), &args[1..]),
         Some("serve") => serve(&args[1..]),
         Some("daemon") => daemon(&args[1..]),
         _ => usage(),
@@ -118,42 +122,40 @@ fn main() {
     }
 }
 
+/// Dials the coordinator at `endpoint` and serves it as one worker.
+fn worker(endpoint: Endpoint, args: &[String]) -> std::io::Result<()> {
+    let mut options = WorkerOptions {
+        read_timeout: parsed(args, "--timeout").map(Duration::from_secs),
+        token: arg_value(args, "--token"),
+        // This process is the worker: a scheduled kill is a real SIGKILL.
+        on_kill: Some(kill_self),
+        ..Default::default()
+    };
+    options.chaos.kill_at = parsed(args, "--kill-at");
+    run_worker(endpoint.connect()?, options)?;
+    println!("worker done");
+    Ok(())
+}
+
 /// Runs the resident query-service daemon until killed.
 fn daemon(args: &[String]) -> std::io::Result<()> {
     let options = ServiceOptions {
         token: arg_value(args, "--token"),
-        handshake_timeout: arg_value(args, "--handshake-timeout")
-            .and_then(|v| v.parse::<u64>().ok())
-            .map(Duration::from_secs),
+        handshake_timeout: parsed(args, "--handshake-timeout").map(Duration::from_secs),
     };
-    let service = if let Some(path) = arg_value(args, "--uds") {
+    let service = match listen_endpoint(args) {
+        Endpoint::Tcp(addr) => GrapeService::bind(&addr, options)?,
         #[cfg(unix)]
-        {
-            GrapeService::bind_uds(&path, options)?
-        }
-        #[cfg(not(unix))]
-        {
-            let _ = path;
-            return Err(std::io::Error::other("--uds requires a unix platform"));
-        }
-    } else {
-        let listen = arg_value(args, "--listen").unwrap_or_else(|| "127.0.0.1:0".into());
-        GrapeService::bind(&listen, options)?
+        Endpoint::Uds(path) => GrapeService::bind_uds(path, options)?,
     };
     eprintln!("service listening on {}", service.endpoint()?);
     service.serve()
 }
 
 fn serve(args: &[String]) -> std::io::Result<()> {
-    let workers: u32 = arg_value(args, "--workers")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or_else(|| usage());
-    let algo = arg_value(args, "--algo").unwrap_or_else(|| usage());
+    let workers: u32 = parsed(args, "--workers").unwrap_or_else(|| usage());
     let graph = GraphSpec::parse(&arg_value(args, "--graph").unwrap_or_else(|| usage()))
-        .unwrap_or_else(|e| {
-            eprintln!("grape-worker: {e}");
-            std::process::exit(2);
-        });
+        .unwrap_or_else(|e| bad_usage(e));
     let spawn = args.iter().any(|a| a == "--spawn");
     let verify = args.iter().any(|a| a == "--verify");
     let token = arg_value(args, "--token");
@@ -162,44 +164,30 @@ fn serve(args: &[String]) -> std::io::Result<()> {
     let chaos: Option<Vec<usize>> = arg_value(args, "--chaos").map(|v| {
         v.split(',')
             .map(|part| {
-                part.parse::<usize>().unwrap_or_else(|_| {
-                    eprintln!("grape-worker: bad --chaos entry {part:?}");
-                    std::process::exit(2);
-                })
+                part.parse()
+                    .unwrap_or_else(|_| bad_usage(format!("bad --chaos entry {part:?}")))
             })
             .collect()
     });
     if let Some(victims) = &chaos {
         if !spawn {
-            eprintln!(
-                "grape-worker: --chaos requires --spawn (the coordinator respawns the victims)"
-            );
-            std::process::exit(2);
+            bad_usage("--chaos requires --spawn (the coordinator respawns the victims)".into());
         }
         if victims.is_empty() || victims.len() > workers as usize {
-            eprintln!("grape-worker: --chaos needs 1..={workers} kill entries");
-            std::process::exit(2);
+            bad_usage(format!("--chaos needs 1..={workers} kill entries"));
         }
     }
     let job = JobSpec {
-        algo,
+        algo: arg_value(args, "--algo").unwrap_or_else(|| usage()),
         graph,
         strategy: arg_value(args, "--strategy").unwrap_or_else(|| "hash".into()),
         workers,
-        index: 0,
-        source: arg_value(args, "--source")
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(0),
-        threads: arg_value(args, "--threads")
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(0),
-        vertices: 0, // filled per connection by the coordinator
-        checkpoint_every: arg_value(args, "--checkpoint-every")
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(if chaos.is_some() { 1 } else { 0 }),
-        token: None, // stamped by the coordinator from the engine config
+        source: parsed(args, "--source").unwrap_or(0),
+        threads: parsed(args, "--threads").unwrap_or(0),
+        // Recovery needs checkpoints: a chaos drill defaults the cadence to 1.
+        checkpoint_every: parsed(args, "--checkpoint-every").unwrap_or(chaos.is_some() as u32),
     };
-    let timeout_secs = arg_value(args, "--timeout").and_then(|v| v.parse::<u64>().ok());
+    let timeout_secs: Option<u64> = parsed(args, "--timeout");
     let config = EngineConfig {
         read_timeout: Some(
             timeout_secs
@@ -209,75 +197,51 @@ fn serve(args: &[String]) -> std::io::Result<()> {
         auth_token: token.clone(),
         ..Default::default()
     };
+
+    let listener = ServiceListener::bind(&listen_endpoint(args))?;
+    let endpoint = listener.endpoint()?;
+    eprintln!("coordinator listening on {endpoint}");
     // Both endpoints run the same timeout and token: the flags are forwarded
     // to spawned workers so detection and auth are symmetric.
-    let mut shared_args: Vec<String> = timeout_secs
-        .map(|s| vec!["--timeout".into(), s.to_string()])
-        .unwrap_or_default();
-    if let Some(token) = &token {
-        shared_args.extend(["--token".into(), token.clone()]);
+    let mut connect_args = match &endpoint {
+        Endpoint::Tcp(addr) => vec!["connect".to_string(), addr.clone()],
+        #[cfg(unix)]
+        Endpoint::Uds(path) => vec!["connect-uds".to_string(), path.display().to_string()],
+    };
+    if let Some(secs) = timeout_secs {
+        connect_args.extend(["--timeout".into(), secs.to_string()]);
+    }
+    if let Some(token) = token {
+        connect_args.extend(["--token".into(), token]);
     }
 
-    let outcome = if let Some(path) = arg_value(args, "--uds") {
-        #[cfg(unix)]
-        {
-            // The guard unlinks a stale socket from a dead coordinator and
-            // removes ours again on every exit path, including panics.
-            let guard = UdsPathGuard::claim(&path)?;
-            let listener = std::os::unix::net::UnixListener::bind(guard.path())?;
-            eprintln!("coordinator listening on {path}");
-            let mut connect_args = vec!["connect-uds".to_string(), path.clone()];
-            connect_args.extend(shared_args.iter().cloned());
-            let children = maybe_spawn(spawn, workers, chaos.as_deref(), &connect_args)?;
-            let streams = (0..workers)
-                .map(|_| listener.accept().map(|(s, _)| s))
-                .collect::<std::io::Result<Vec<_>>>()?;
-            let replacements = std::cell::RefCell::new(Vec::new());
-            let outcome = match &chaos {
-                None => run_coordinator_connections_with(&job, streams, &config)?,
-                Some(_) => {
-                    let mut respawn = |_worker: usize| {
-                        replacements.borrow_mut().push(spawn_worker(&connect_args)?);
-                        listener.accept().map(|(s, _)| s)
-                    };
-                    run_coordinator_connections_recoverable(&job, streams, &config, &mut respawn)?
-                }
-            };
-            reap(children, chaos.as_ref().map_or(0, Vec::len))?;
-            reap(replacements.into_inner(), 0)?;
-            outcome
-        }
-        #[cfg(not(unix))]
-        {
-            let _ = path;
-            return Err(std::io::Error::other("--uds requires a unix platform"));
-        }
-    } else {
-        let listen = arg_value(args, "--listen").unwrap_or_else(|| "127.0.0.1:0".into());
-        let listener = TcpListener::bind(&listen)?;
-        let addr = listener.local_addr()?.to_string();
-        eprintln!("coordinator listening on {addr}");
-        let mut connect_args = vec!["connect".to_string(), addr.clone()];
-        connect_args.extend(shared_args.iter().cloned());
-        let children = maybe_spawn(spawn, workers, chaos.as_deref(), &connect_args)?;
-        let streams = (0..workers)
-            .map(|_| listener.accept().map(|(s, _)| s))
-            .collect::<std::io::Result<Vec<_>>>()?;
-        let replacements = std::cell::RefCell::new(Vec::new());
-        let outcome = match &chaos {
-            None => run_coordinator_connections_with(&job, streams, &config)?,
-            Some(_) => {
-                let mut respawn = |_worker: usize| {
-                    replacements.borrow_mut().push(spawn_worker(&connect_args)?);
-                    listener.accept().map(|(s, _)| s)
-                };
-                run_coordinator_connections_recoverable(&job, streams, &config, &mut respawn)?
+    let mut children = Vec::new();
+    if spawn {
+        // Under `--chaos`, victim worker i gets kill schedule entry i.
+        for index in 0..workers as usize {
+            let mut args = connect_args.clone();
+            if let Some(kill_at) = chaos.as_ref().and_then(|victims| victims.get(index)) {
+                args.extend(["--kill-at".to_string(), kill_at.to_string()]);
             }
-        };
-        reap(children, chaos.as_ref().map_or(0, Vec::len))?;
-        reap(replacements.into_inner(), 0)?;
-        outcome
+            children.push(spawn_worker(&args)?);
+        }
+    }
+    let streams = (0..workers)
+        .map(|_| listener.accept())
+        .collect::<std::io::Result<Vec<_>>>()?;
+    let mut replacements = Vec::new();
+    let mut respawn = |_worker: usize| {
+        replacements.push(spawn_worker(&connect_args)?);
+        listener.accept()
     };
+    let outcome = run_coordinator(
+        &job,
+        streams,
+        &config,
+        chaos.is_some().then_some(&mut respawn),
+    )?;
+    reap(children, chaos.as_ref().map_or(0, Vec::len))?;
+    reap(replacements, 0)?;
 
     println!(
         "{}: {} supersteps, {} messages, {} wire bytes, {} recoveries, wall {:.2}ms",
@@ -288,31 +252,24 @@ fn serve(args: &[String]) -> std::io::Result<()> {
         outcome.stats.recoveries,
         outcome.stats.wall_time.as_secs_f64() * 1e3
     );
-    for (worker, digest) in outcome.digests.iter().enumerate() {
-        println!("  worker {worker}: digest {digest:#018x}");
-    }
+    println!("  result digest {:#018x}", outcome.result.digest());
 
     if verify {
         // Recovery replays supersteps, so message counts legitimately exceed
-        // the reference after a kill; digests and superstep count must still
-        // match bit for bit. The recoverable path forces checkpoints on, so
-        // the reference must run the same cadence.
-        let mut reference_job = job.clone();
-        if chaos.is_some() && reference_job.checkpoint_every == 0 {
-            reference_job.checkpoint_every = 1;
-        }
-        let reference = run_local_framed(&reference_job)?;
+        // the reference after a kill; the typed result and the superstep
+        // count must still match bit for bit.
+        let reference = run_local_framed(&job)?;
         let messages_diverge =
             chaos.is_none() && reference.stats.messages != outcome.stats.messages;
-        if reference.digests != outcome.digests
+        if reference.result != outcome.result
             || reference.stats.supersteps != outcome.stats.supersteps
             || messages_diverge
         {
             return Err(std::io::Error::other(format!(
                 "multi-process run diverged from the in-process reference: \
-                 digests {:?} vs {:?}, supersteps {} vs {}, messages {} vs {}",
-                outcome.digests,
-                reference.digests,
+                 digest {:#018x} vs {:#018x}, supersteps {} vs {}, messages {} vs {}",
+                outcome.result.digest(),
+                reference.result.digest(),
                 outcome.stats.supersteps,
                 reference.stats.supersteps,
                 outcome.stats.messages,
@@ -331,28 +288,6 @@ fn spawn_worker(connect_args: &[String]) -> std::io::Result<std::process::Child>
         .args(connect_args)
         .stdout(Stdio::null())
         .spawn()
-}
-
-/// Spawns `workers` copies of this binary in worker mode when `spawn` is
-/// set. Under `--chaos`, victim worker i gets kill schedule entry i.
-fn maybe_spawn(
-    spawn: bool,
-    workers: u32,
-    chaos: Option<&[usize]>,
-    connect_args: &[String],
-) -> std::io::Result<Vec<std::process::Child>> {
-    if !spawn {
-        return Ok(Vec::new());
-    }
-    (0..workers)
-        .map(|index| {
-            let mut args = connect_args.to_vec();
-            if let Some(kill_at) = chaos.and_then(|victims| victims.get(index as usize)) {
-                args.extend(["--kill-at".to_string(), kill_at.to_string()]);
-            }
-            spawn_worker(&args)
-        })
-        .collect()
 }
 
 /// Waits for the spawned workers. Under chaos, `expected_kills` children

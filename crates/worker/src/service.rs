@@ -1,69 +1,80 @@
-//! Query-service mode: resident fragments, a unified session API, and
-//! concurrent-query serving.
+//! The job protocol and both of its ends: resident fragments, a unified
+//! session API, and concurrent-query serving.
 //!
-//! The one-shot pipeline (build fragments → spin up workers → one fixpoint →
-//! tear everything down) pays the whole load/partition/ship cost per query.
-//! This module keeps everything resident instead, the way GRAPE's production
-//! descendants run:
+//! There is one protocol for shipping work to a worker, and everything in
+//! this crate speaks it — a resident daemon serving many sessions, and the
+//! batch CLI, whose run is a one-query session whose workers dial in:
 //!
 //! * [`GrapeService`] is the daemon: it accepts framed TCP (or Unix-domain)
 //!   connections, loads shipped fragments **once** into a registry keyed by
 //!   graph id, and then serves a stream of typed [`Query`] submissions over
 //!   those resident fragments — each query a fresh BSP session fenced by its
 //!   own run id in the wire epoch header, with per-query scratch buffers
-//!   recycled through a [`ScratchPool`].
-//! * [`Session`] is the client facade that collapses the entry-point sprawl
-//!   (`run`, `run_on_graph`, `run_coordinator`, …) into
-//!   `connect → load → submit`: [`Session::connect`] picks the backend
-//!   (in-process resident engine, or remote daemons), [`Session::load`]
-//!   partitions and ships a graph once, and [`Session::submit`] returns a
-//!   [`QueryHandle`] whose [`QueryHandle::join`] yields the typed
-//!   [`QueryResult`] plus per-query [`RunStats`]. Queries of different
-//!   classes run concurrently over the same loaded fragments; results are
-//!   bit-identical to cold one-shot runs.
+//!   recycled through a [`ScratchPool`]. A dialled-in batch worker
+//!   ([`crate::run_worker`]) runs the same frame loop over a private
+//!   one-connection registry.
+//! * [`Session`] is the client facade, `connect → load → submit`:
+//!   [`Session::connect`] picks the backend (in-process resident engine, or
+//!   remote daemons), [`Session::load`] partitions and ships a graph once,
+//!   and [`Session::submit`] returns a [`QueryHandle`] whose
+//!   [`QueryHandle::join`] yields the typed [`QueryResult`] plus per-query
+//!   [`RunStats`]. Queries of different classes run concurrently over the
+//!   same loaded fragments; results are bit-identical to cold one-shot runs.
+//!   The batch coordinator ([`crate::run_coordinator`]) drives the same
+//!   open → drive → collect loop over connections it accepted.
 //!
-//! ## Service protocol
+//! ## Protocol
 //!
-//! On top of the session handshake of the crate root ([`TAG_HELLO`] with the
-//! auth token, validated before anything else):
+//! Whoever dials sends one [`TAG_HELLO`] frame carrying its
+//! `Option<String>` auth token; the accepting side validates it (a
+//! mismatched or missing token is a typed `PermissionDenied` error) before
+//! anything else happens. A session dials the daemon; a batch worker dials
+//! the coordinator. After that the coordinator side sends and the worker
+//! side answers:
 //!
 //! 1. `TAG_LOAD` carries a [`LoadSpec`] naming the graph id, payload family,
 //!    fragment index and global vertex count, immediately followed by one
-//!    [`TAG_FRAGMENT`] frame at the same epoch shipping the fragment itself.
-//!    The daemon stores the fragment in its registry and acks with
+//!    [`TAG_FRAGMENT`] frame at the same epoch shipping the fragment itself
+//!    (CSR edges, border tables, payloads — workers never regenerate the
+//!    graph). The worker stores the fragment in its registry and acks with
 //!    `TAG_LOADED`.
 //! 2. `TAG_QUERY` carries a [`QueryJob`] — the typed query plus its run id —
-//!    stamped with that run id as the frame epoch. The daemon resolves the
+//!    stamped with that run id as the frame epoch. The worker resolves the
 //!    resident fragment and enters the ordinary BSP worker loop at that
-//!    epoch; the client drives the ordinary coordinator fixpoint over a
-//!    per-query slot table.
+//!    epoch (`Init` → PEval report → (`IncEval` → report)* → `Finish`); the
+//!    coordinator drives the ordinary fixpoint over a per-query slot table.
 //! 3. After `Finish`, the worker answers with one `TAG_RESULT` frame: the
 //!    order-independent digest of its assembled partial plus the
-//!    snapshot-encoded partial itself, which the client restores and
+//!    snapshot-encoded partial itself, which the coordinator restores and
 //!    assembles into the typed output.
+//! 4. `TAG_UPDATE` (sessions only) carries a versioned mutation batch for one
+//!    resident fragment, acked with `TAG_UPDATED`.
 //!
-//! Recovery (PR 7–8) is intact: with a checkpoint cadence set, a worker lost
-//! mid-query is replaced by a *fresh connection to the same daemon* — the
-//! resident fragment is **not** re-shipped — resumed from its checkpoint at
-//! a bumped epoch, and replayed. Other in-flight queries run on their own
+//! ## Fault tolerance
+//!
+//! With a checkpoint cadence k ≥ 1, every worker snapshots its dense local
+//! state onto the first accepted report of each k-superstep window, and a
+//! worker lost mid-query is replaced: the run epoch is bumped, a stream to a
+//! replacement is opened — a session reconnects to the same daemon, whose
+//! resident fragment is **not** re-shipped; the batch coordinator respawns a
+//! process and ships it the lost fragment again — the replacement resumes
+//! from the last checkpoint at the new epoch, and the (at most k) commands
+//! sent since are replayed in order. Frames still in flight from the dead
+//! connection are fenced by their stale epoch. Same-superstep losses recover
+//! as a batch; each worker has a crash-loop budget with exponential respawn
+//! backoff. Recovered runs are bit-identical to undisturbed ones for every
+//! query class and cadence, and other in-flight queries run on their own
 //! connections and epochs and are never disturbed.
 
-use crate::{bad_data, cf_num_users, expect_hello, UdsPathGuard};
-use grape_algo::{
-    digest_cf, digest_embeddings, digest_f64_map, digest_keyword, digest_prospects, digest_sim,
-    digest_u64_map,
-};
-use grape_algo::{
-    CcProgram, CfProgram, KeywordProgram, MarketingProgram, PageRankProgram, Query, QueryResult,
-    SimProgram, SsspProgram, SubIsoProgram,
-};
+use crate::{bad_data, UdsPathGuard};
+use grape_algo::{dispatch, ClassVisitor, FamilyFragments, Query, QueryResult};
 use grape_comm::wire::{
     self, Wire, WireError, WireReader, TAG_HELLO, TAG_LOAD, TAG_LOADED, TAG_QUERY, TAG_RESULT,
     TAG_UPDATE, TAG_UPDATED,
 };
 use grape_comm::CommStats;
 use grape_core::chaos::{ChaosConfig, ChaosWorkerTransport};
-use grape_core::engine::run_worker_with;
+use grape_core::engine::run_worker;
 use grape_core::par::ThreadCount;
 use grape_core::scratch::ScratchPool;
 use grape_core::transport::{FramedStreamCoord, FramedStreamWorker, SplitStream};
@@ -111,6 +122,14 @@ impl Endpoint {
             return Endpoint::Uds(path.into());
         }
         Endpoint::Tcp(text.to_string())
+    }
+
+    /// Opens a connection and greets the daemon with the [`TAG_HELLO`] frame,
+    /// ahead of whatever the caller sends next.
+    fn dial(&self, token: &Option<String>) -> io::Result<ServiceSocket> {
+        let mut stream = self.connect()?;
+        wire::write_frame_io_epoch(&mut stream, TAG_HELLO, 0, token)?;
+        Ok(stream)
     }
 
     /// Opens a connection to the endpoint.
@@ -209,11 +228,21 @@ pub trait ServiceStream: SplitStream {
     /// Severs the connection in both directions — the transport-level
     /// equivalent of SIGKILLing the worker that owns it.
     fn shutdown_both(&self) -> io::Result<()>;
+
+    /// Sends every write at once instead of coalescing small ones (TCP's
+    /// `TCP_NODELAY`; nothing to do on a Unix-domain socket).
+    fn set_nodelay(&self) -> io::Result<()> {
+        Ok(())
+    }
 }
 
 impl ServiceStream for TcpStream {
     fn try_clone_stream(&self) -> io::Result<Self> {
         self.try_clone()
+    }
+
+    fn set_nodelay(&self) -> io::Result<()> {
+        TcpStream::set_nodelay(self, true)
     }
 
     fn shutdown_both(&self) -> io::Result<()> {
@@ -246,6 +275,14 @@ impl ServiceStream for ServiceSocket {
             ServiceSocket::Tcp(s) => s.shutdown(std::net::Shutdown::Both),
             #[cfg(unix)]
             ServiceSocket::Uds(s) => s.shutdown(std::net::Shutdown::Both),
+        }
+    }
+
+    fn set_nodelay(&self) -> io::Result<()> {
+        match self {
+            ServiceSocket::Tcp(s) => s.set_nodelay(true),
+            #[cfg(unix)]
+            ServiceSocket::Uds(_) => Ok(()),
         }
     }
 }
@@ -311,7 +348,8 @@ pub struct QueryJob {
     pub checkpoint_every: u32,
     /// The typed query itself.
     pub query: Query,
-    /// Chaos drill: sever the connection upon receiving this command index.
+    /// Chaos drill: the worker dies upon receiving this command index — a
+    /// daemon severs the connection, a dialled-in process SIGKILLs itself.
     pub kill_at: Option<u32>,
     /// Warm start: the worker's converged partial from a previous run of the
     /// same query, plus the dirty set of the updates applied since. `None`
@@ -501,22 +539,50 @@ impl SessionGraph {
 /// its own: a query checks the whole table out by cloning it, and an update
 /// replaces just the entries it spliced.
 #[derive(Clone)]
-enum SessionFragments {
+pub(crate) enum SessionFragments {
     Weighted(Vec<Arc<Fragment<(), f64>>>),
     Labeled(Vec<Arc<Fragment<LabeledVertex, String>>>),
 }
 
 impl SessionFragments {
-    fn family(&self) -> u8 {
+    /// Cuts `graph` into `workers` fragments with `strategy`.
+    pub(crate) fn cut(
+        graph: &SessionGraph,
+        strategy: BuiltinStrategy,
+        workers: usize,
+    ) -> (SessionFragments, PartitionAssignment) {
+        fn shared<T>(items: Vec<T>) -> Vec<Arc<T>> {
+            items.into_iter().map(Arc::new).collect()
+        }
+        match graph {
+            SessionGraph::Weighted(g) => {
+                let assignment = strategy.partition(g, workers);
+                let fragments = shared(build_fragments(g, &assignment));
+                (SessionFragments::Weighted(fragments), assignment)
+            }
+            SessionGraph::Labeled(g) => {
+                let assignment = strategy.partition(g, workers);
+                let fragments = shared(build_fragments(g, &assignment));
+                (SessionFragments::Labeled(fragments), assignment)
+            }
+        }
+    }
+
+    /// The `family` byte of [`LoadSpec`] and [`UpdateSpec`].
+    pub(crate) fn family(&self) -> u8 {
         match self {
             SessionFragments::Weighted(_) => 0,
             SessionFragments::Labeled(_) => 1,
         }
     }
-}
 
-fn shared<T>(items: Vec<T>) -> Vec<Arc<T>> {
-    items.into_iter().map(Arc::new).collect()
+    /// The borrowed view [`dispatch`] takes.
+    pub(crate) fn as_family(&self) -> FamilyFragments<'_> {
+        match self {
+            SessionFragments::Weighted(f) => FamilyFragments::Weighted(f),
+            SessionFragments::Labeled(f) => FamilyFragments::Labeled(f),
+        }
+    }
 }
 
 /// The loaded graph's delta overlay, per family — the session's source of
@@ -632,19 +698,77 @@ pub struct ServiceOptions {
     pub handshake_timeout: Option<Duration>,
 }
 
-/// Daemon-wide shared state.
-struct ServiceState {
+/// What a worker-side frame loop serves from: the fragment registry, plus
+/// what a chaos drill's kill means here.
+pub(crate) struct ServiceState {
     registry: Mutex<HashMap<u64, ResidentGraph>>,
     scratch: ScratchPool,
     options: ServiceOptions,
     stop: AtomicBool,
+    /// Fault injection applied to every query's BSP session;
+    /// [`QueryJob::kill_at`] overrides its kill index per query.
+    chaos: ChaosConfig,
+    /// How a scheduled kill dies. A daemon (`None`) severs the query's
+    /// connection and keeps serving the others; a dialled-in worker process
+    /// SIGKILLs itself ([`crate::kill_self`]).
+    on_kill: Option<fn()>,
 }
 
-/// The listening half of a daemon.
-enum ServiceListener {
+impl ServiceState {
+    pub(crate) fn new(options: ServiceOptions, chaos: ChaosConfig, on_kill: Option<fn()>) -> Self {
+        ServiceState {
+            registry: Mutex::new(HashMap::new()),
+            scratch: ScratchPool::new(),
+            options,
+            stop: AtomicBool::new(false),
+            chaos,
+            on_kill,
+        }
+    }
+}
+
+/// A bound listener of either transport: what a daemon serves from, and what
+/// a batch coordinator accepts its dialled-in workers on.
+pub enum ServiceListener {
+    /// TCP listener.
     Tcp(TcpListener),
+    /// Unix-domain listener; the guard unlinks a stale socket left by a dead
+    /// process before binding and removes ours again on drop.
     #[cfg(unix)]
     Uds(std::os::unix::net::UnixListener, UdsPathGuard),
+}
+
+impl ServiceListener {
+    /// Binds `endpoint` (e.g. `127.0.0.1:0` for an ephemeral TCP port).
+    pub fn bind(endpoint: &Endpoint) -> io::Result<ServiceListener> {
+        match endpoint {
+            Endpoint::Tcp(addr) => TcpListener::bind(addr.as_str()).map(ServiceListener::Tcp),
+            #[cfg(unix)]
+            Endpoint::Uds(path) => {
+                let guard = UdsPathGuard::claim(path)?;
+                let listener = std::os::unix::net::UnixListener::bind(guard.path())?;
+                Ok(ServiceListener::Uds(listener, guard))
+            }
+        }
+    }
+
+    /// Accepts the next connection.
+    pub fn accept(&self) -> io::Result<ServiceSocket> {
+        match self {
+            ServiceListener::Tcp(l) => l.accept().map(|(s, _)| ServiceSocket::Tcp(s)),
+            #[cfg(unix)]
+            ServiceListener::Uds(l, _) => l.accept().map(|(s, _)| ServiceSocket::Uds(s)),
+        }
+    }
+
+    /// The endpoint peers should connect to (with the port the OS picked).
+    pub fn endpoint(&self) -> io::Result<Endpoint> {
+        match self {
+            ServiceListener::Tcp(l) => Ok(Endpoint::Tcp(l.local_addr()?.to_string())),
+            #[cfg(unix)]
+            ServiceListener::Uds(_, guard) => Ok(Endpoint::Uds(guard.path().to_path_buf())),
+        }
+    }
 }
 
 /// The resident query daemon: loads shipped fragments once, then serves an
@@ -662,15 +786,7 @@ impl GrapeService {
     /// Binds a TCP daemon on `addr` (e.g. `127.0.0.1:0` for an ephemeral
     /// port).
     pub fn bind(addr: &str, options: ServiceOptions) -> io::Result<GrapeService> {
-        Ok(GrapeService {
-            listener: ServiceListener::Tcp(TcpListener::bind(addr)?),
-            state: Arc::new(ServiceState {
-                registry: Mutex::new(HashMap::new()),
-                scratch: ScratchPool::new(),
-                options,
-                stop: AtomicBool::new(false),
-            }),
-        })
+        Self::on(&Endpoint::Tcp(addr.to_string()), options)
     }
 
     /// Binds a Unix-domain daemon on `path`, reclaiming a stale socket left
@@ -680,26 +796,19 @@ impl GrapeService {
         path: impl Into<std::path::PathBuf>,
         options: ServiceOptions,
     ) -> io::Result<GrapeService> {
-        let guard = UdsPathGuard::claim(path)?;
-        let listener = std::os::unix::net::UnixListener::bind(guard.path())?;
+        Self::on(&Endpoint::Uds(path.into()), options)
+    }
+
+    fn on(endpoint: &Endpoint, options: ServiceOptions) -> io::Result<GrapeService> {
         Ok(GrapeService {
-            listener: ServiceListener::Uds(listener, guard),
-            state: Arc::new(ServiceState {
-                registry: Mutex::new(HashMap::new()),
-                scratch: ScratchPool::new(),
-                options,
-                stop: AtomicBool::new(false),
-            }),
+            listener: ServiceListener::bind(endpoint)?,
+            state: Arc::new(ServiceState::new(options, ChaosConfig::default(), None)),
         })
     }
 
     /// The endpoint clients should connect to.
     pub fn endpoint(&self) -> io::Result<Endpoint> {
-        match &self.listener {
-            ServiceListener::Tcp(l) => Ok(Endpoint::Tcp(l.local_addr()?.to_string())),
-            #[cfg(unix)]
-            ServiceListener::Uds(_, guard) => Ok(Endpoint::Uds(guard.path().to_path_buf())),
-        }
+        self.listener.endpoint()
     }
 
     /// Serves connections until shut down (blocking). Each accepted
@@ -707,11 +816,7 @@ impl GrapeService {
     /// connection only, never the daemon.
     pub fn serve(self) -> io::Result<()> {
         loop {
-            let socket = match &self.listener {
-                ServiceListener::Tcp(l) => l.accept().map(|(s, _)| ServiceSocket::Tcp(s)),
-                #[cfg(unix)]
-                ServiceListener::Uds(l, _) => l.accept().map(|(s, _)| ServiceSocket::Uds(s)),
-            };
+            let socket = self.listener.accept();
             if self.state.stop.load(Ordering::SeqCst) {
                 return Ok(());
             }
@@ -767,8 +872,95 @@ impl ServiceHandle {
     }
 }
 
-/// One accepted connection's life: authenticate, then serve `TAG_LOAD` and
-/// `TAG_QUERY` frames until the client closes.
+/// Reads and validates a dialler's [`TAG_HELLO`] greeting within `timeout`.
+/// `expected = None` accepts any greeting; otherwise the presented token
+/// must match, and a mismatched or missing token is a typed
+/// `PermissionDenied` error.
+pub(crate) fn expect_hello<S: SplitStream>(
+    stream: &mut S,
+    expected: Option<&str>,
+    index: usize,
+    timeout: Option<Duration>,
+) -> io::Result<()> {
+    stream.set_read_timeout(timeout)?;
+    let frame = wire::read_frame_io_epoch(stream);
+    stream.set_read_timeout(None)?;
+    let (tag, _epoch, body) = frame
+        .map_err(|e| {
+            if matches!(
+                e.kind(),
+                io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+            ) {
+                io::Error::other(format!(
+                    "worker {index} lost during handshake: no hello frame within the read timeout"
+                ))
+            } else {
+                io::Error::other(format!("worker {index} lost during handshake: {e}"))
+            }
+        })?
+        .ok_or_else(|| {
+            io::Error::other(format!(
+                "worker {index} lost during handshake: connection closed before the hello frame"
+            ))
+        })?;
+    if tag != TAG_HELLO {
+        return Err(bad_data(format!(
+            "worker {index}: expected hello frame, got tag {tag:#04x}"
+        )));
+    }
+    let token: Option<String> = decode_body(&body, "hello frame")?;
+    let denied = |message: String| io::Error::new(io::ErrorKind::PermissionDenied, message);
+    match (expected, token) {
+        (None, _) => Ok(()),
+        (Some(want), Some(got)) if got == want => Ok(()),
+        (Some(_), Some(_)) => Err(denied(format!(
+            "worker {index} presented a mismatched auth token"
+        ))),
+        (Some(_), None) => Err(denied(format!(
+            "worker {index} presented no auth token, but this coordinator requires one"
+        ))),
+    }
+}
+
+/// Decodes a whole frame body as one `T`; trailing bytes are an error.
+fn decode_body<T: Wire>(body: &[u8], what: &str) -> io::Result<T> {
+    let mut reader = WireReader::new(body);
+    T::decode(&mut reader)
+        .and_then(|value| reader.finish().map(|()| value))
+        .map_err(|e| bad_data(format!("bad {what}: {e}")))
+}
+
+/// Writes the frames `fill` appends through a scratch buffer recycled under
+/// `key`: released clean, or (on a failed write) not at all.
+fn send_scratch(
+    stream: &mut impl Write,
+    scratch: &ScratchPool,
+    key: u32,
+    fill: impl FnOnce(&mut Vec<u8>),
+) -> io::Result<()> {
+    let mut buf = scratch.acquire(key);
+    fill(&mut buf);
+    stream.write_all(&buf)?;
+    stream.flush()?;
+    buf.clear();
+    scratch.release(key, buf);
+    Ok(())
+}
+
+/// Reads the one frame that acknowledges a request, checking its tag.
+fn read_ack(stream: &mut impl Read, tag: u8, what: &str) -> io::Result<Vec<u8>> {
+    let (found, _epoch, body) = wire::read_frame_io_epoch(stream)?
+        .ok_or_else(|| io::Error::other(format!("connection closed before the ack of {what}")))?;
+    if found != tag {
+        return Err(bad_data(format!(
+            "expected ack tag {tag:#04x} for {what}, got tag {found:#04x}"
+        )));
+    }
+    Ok(body)
+}
+
+/// One accepted connection's life in a daemon: authenticate the client, then
+/// serve its frames.
 fn serve_connection<S: ServiceStream>(mut stream: S, state: &ServiceState) -> io::Result<()> {
     expect_hello(
         &mut stream,
@@ -776,23 +968,28 @@ fn serve_connection<S: ServiceStream>(mut stream: S, state: &ServiceState) -> io
         0,
         state.options.handshake_timeout,
     )?;
+    serve_frames(stream, state)
+}
+
+/// The worker side of the job protocol, from "frame read" to "`TAG_RESULT`
+/// written": serves `TAG_LOAD`, `TAG_QUERY` and `TAG_UPDATE` frames until the
+/// peer closes. A daemon runs it per accepted connection, a dialled-in batch
+/// worker over its one connection to the coordinator.
+pub(crate) fn serve_frames<S: ServiceStream>(
+    mut stream: S,
+    state: &ServiceState,
+) -> io::Result<()> {
     loop {
         let Some((tag, epoch, body)) = wire::read_frame_io_epoch(&mut stream)? else {
-            return Ok(()); // Client done with this connection.
+            return Ok(()); // The peer is done with this connection.
         };
         match tag {
             TAG_LOAD => {
-                let mut reader = WireReader::new(&body);
-                let spec = LoadSpec::decode(&mut reader)
-                    .and_then(|s| reader.finish().map(|()| s))
-                    .map_err(|e| bad_data(format!("bad load spec: {e}")))?;
+                let spec: LoadSpec = decode_body(&body, "load spec")?;
                 load_fragment(&mut stream, spec, epoch, state)?;
             }
             TAG_QUERY => {
-                let mut reader = WireReader::new(&body);
-                let job = QueryJob::decode(&mut reader)
-                    .and_then(|j| reader.finish().map(|()| j))
-                    .map_err(|e| bad_data(format!("bad query job: {e}")))?;
+                let job: QueryJob = decode_body(&body, "query job")?;
                 if epoch != job.run_id {
                     return Err(bad_data(format!(
                         "query frame at epoch {epoch} but run id {}",
@@ -901,14 +1098,9 @@ fn load_fragment<S: ServiceStream>(
         }
     }
 
-    // Ack through the per-load scratch buffer: recycled clean or not at all.
-    let mut buf = state.scratch.acquire(epoch);
-    wire::encode_frame_epoch(TAG_LOADED, epoch, &spec.graph_id, &mut buf);
-    stream.write_all(&buf)?;
-    stream.flush()?;
-    buf.clear();
-    state.scratch.release(epoch, buf);
-    Ok(())
+    send_scratch(stream, &state.scratch, epoch, |buf| {
+        wire::encode_frame_epoch(TAG_LOADED, epoch, &spec.graph_id, buf)
+    })
 }
 
 /// Handles one `TAG_UPDATE`: applies the resolved mutation batch that
@@ -1014,18 +1206,9 @@ fn apply_update<S: ServiceStream>(
     };
 
     let epoch = spec.version as u32;
-    let mut buf = state.scratch.acquire(epoch);
-    wire::encode_frame_epoch(
-        TAG_UPDATED,
-        epoch,
-        &(spec.graph_id, acked_version),
-        &mut buf,
-    );
-    stream.write_all(&buf)?;
-    stream.flush()?;
-    buf.clear();
-    state.scratch.release(epoch, buf);
-    Ok(())
+    send_scratch(stream, &state.scratch, epoch, |buf| {
+        wire::encode_frame_epoch(TAG_UPDATED, epoch, &(spec.graph_id, acked_version), buf)
+    })
 }
 
 /// Handles one `TAG_QUERY`: resolves the resident fragment and runs the BSP
@@ -1062,156 +1245,16 @@ fn serve_query<S: ServiceStream>(
             job.index, job.graph_id
         )));
     };
-
-    let threads = if job.threads == 0 {
-        ThreadCount::Auto
-    } else {
-        ThreadCount::Fixed(job.threads)
-    }
-    .resolve(job.workers as usize, false);
-    let ck = job.checkpoint_every as usize;
-    let run_id = job.run_id;
-    let kill_at = job.kill_at.map(|at| at as usize);
-    let seed = job.seed.clone();
-
-    match (&fragment, &job.query) {
-        (FragmentHandle::Weighted(f), Query::Sssp { .. }) => {
-            let q = job.query.to_sssp().expect("matched sssp");
-            answer(
-                SsspProgram,
-                &q,
-                f,
-                stream,
-                state,
-                run_id,
-                threads,
-                ck,
-                kill_at,
-                seed,
-                |o| digest_f64_map(&o),
-            )
-        }
-        (FragmentHandle::Weighted(f), Query::Cc) => {
-            let q = grape_algo::CcQuery;
-            answer(
-                CcProgram,
-                &q,
-                f,
-                stream,
-                state,
-                run_id,
-                threads,
-                ck,
-                kill_at,
-                seed,
-                |o| digest_u64_map(&o),
-            )
-        }
-        (FragmentHandle::Weighted(f), Query::PageRank { .. }) => {
-            let q = job.query.to_pagerank().expect("matched pagerank");
-            answer(
-                PageRankProgram::new(vertices as usize),
-                &q,
-                f,
-                stream,
-                state,
-                run_id,
-                threads,
-                ck,
-                kill_at,
-                seed,
-                |o| digest_f64_map(&o),
-            )
-        }
-        (FragmentHandle::Weighted(f), Query::Cf { .. }) => {
-            let q = job.query.to_cf().expect("matched cf");
-            answer(
-                CfProgram::new(cf_num_users(vertices)),
-                &q,
-                f,
-                stream,
-                state,
-                run_id,
-                threads,
-                ck,
-                kill_at,
-                seed,
-                |o| digest_cf(&o),
-            )
-        }
-        (FragmentHandle::Labeled(f), Query::Sim { .. }) => {
-            let q = job
-                .query
-                .to_sim()
-                .expect("matched sim")
-                .map_err(|e| bad_data(format!("bad sim pattern: {e}")))?;
-            answer(
-                SimProgram,
-                &q,
-                f,
-                stream,
-                state,
-                run_id,
-                threads,
-                ck,
-                kill_at,
-                seed,
-                |o| digest_sim(&o),
-            )
-        }
-        (FragmentHandle::Labeled(f), Query::SubIso { .. }) => {
-            let q = job.query.to_subiso().expect("matched subiso");
-            answer(
-                SubIsoProgram,
-                &q,
-                f,
-                stream,
-                state,
-                run_id,
-                threads,
-                ck,
-                kill_at,
-                seed,
-                |o| digest_embeddings(&o),
-            )
-        }
-        (FragmentHandle::Labeled(f), Query::Keyword { .. }) => {
-            let q = job.query.to_keyword().expect("matched keyword");
-            answer(
-                KeywordProgram,
-                &q,
-                f,
-                stream,
-                state,
-                run_id,
-                threads,
-                ck,
-                kill_at,
-                seed,
-                |o| digest_keyword(&o),
-            )
-        }
-        (FragmentHandle::Labeled(f), Query::Marketing { .. }) => {
-            let q = job.query.to_marketing().expect("matched marketing");
-            answer(
-                MarketingProgram,
-                &q,
-                f,
-                stream,
-                state,
-                run_id,
-                threads,
-                ck,
-                kill_at,
-                seed,
-                |o| digest_prospects(&o),
-            )
-        }
-        _ => Err(bad_data(format!(
-            "query class {:?} does not run on the loaded graph family",
-            job.query.class()
-        ))),
-    }
+    let fragments = match &fragment {
+        FragmentHandle::Weighted(f) => FamilyFragments::Weighted(std::slice::from_ref(f)),
+        FragmentHandle::Labeled(f) => FamilyFragments::Labeled(std::slice::from_ref(f)),
+    };
+    let answer = Answer {
+        stream,
+        state,
+        job: &job,
+    };
+    dispatch(&job.query, vertices, fragments, answer)
 }
 
 /// A resident fragment checked out of the registry, for one query or as the
@@ -1221,104 +1264,81 @@ enum FragmentHandle {
     Labeled(Arc<Fragment<LabeledVertex, String>>),
 }
 
-/// One query's BSP session over a borrowed resident connection — generic
-/// over the program, so all eight query classes share this path. When the
-/// job carries an [`IncrementalSeed`] and the program can seed under its
-/// mutation profile, the program is wrapped in [`Seeded`] so PEval warm-starts
-/// from the shipped converged partial; otherwise (no seed, ineligible
-/// profile, or the program declines at seed time) the cold path runs
-/// unchanged.
-#[allow(clippy::too_many_arguments)]
-fn answer<P, S>(
-    program: P,
-    query: &P::Query,
-    fragment: &Fragment<P::VertexData, P::EdgeData>,
-    stream: &S,
-    state: &ServiceState,
-    run_id: u32,
-    threads: usize,
-    checkpoint_every: usize,
-    kill_at: Option<usize>,
-    seed: Option<IncrementalSeed>,
-    to_digest: impl Fn(P::Output) -> u64,
-) -> io::Result<()>
-where
-    P: PieProgram,
-    S: ServiceStream,
-{
-    match seed {
-        Some(s) if program.incremental_eligible(&s.profile) => {
-            let mut seeds: Vec<Option<Arc<Vec<u8>>>> = vec![None; fragment.id + 1];
-            seeds[fragment.id] = Some(s.snapshot);
-            let seeded = Seeded::new(Arc::new(program), seeds, s.dirty, s.profile);
-            answer_run(
-                seeded,
-                query,
-                fragment,
-                stream,
-                state,
-                run_id,
-                threads,
-                checkpoint_every,
-                kill_at,
-                to_digest,
-            )
+/// One query's BSP session over a borrowed connection, for whichever class
+/// [`dispatch`] resolves the job's query to.
+struct Answer<'a, S> {
+    stream: &'a S,
+    state: &'a ServiceState,
+    job: &'a QueryJob,
+}
+
+impl<S: ServiceStream> ClassVisitor for Answer<'_, S> {
+    type Out = ();
+
+    /// When the job carries an [`IncrementalSeed`] and the program can seed
+    /// under its mutation profile, the program is wrapped in [`Seeded`] so
+    /// PEval warm-starts from the shipped converged partial; otherwise (no
+    /// seed, ineligible profile, or the program declines at seed time) the
+    /// cold path runs unchanged.
+    fn visit<P: PieProgram>(
+        self,
+        program: P,
+        query: P::Query,
+        wrap: impl Fn(P::Output) -> QueryResult,
+        fragments: &[Arc<Fragment<P::VertexData, P::EdgeData>>],
+    ) -> io::Result<()> {
+        let fragment = &*fragments[0];
+        match &self.job.seed {
+            Some(s) if program.incremental_eligible(&s.profile) => {
+                let mut seeds: Vec<Option<Arc<Vec<u8>>>> = vec![None; fragment.id + 1];
+                seeds[fragment.id] = Some(Arc::clone(&s.snapshot));
+                let seeded = Seeded::new(Arc::new(program), seeds, s.dirty.clone(), s.profile);
+                self.run(seeded, &query, fragment, wrap)
+            }
+            _ => self.run(program, &query, fragment, wrap),
         }
-        _ => answer_run(
-            program,
-            query,
-            fragment,
-            stream,
-            state,
-            run_id,
-            threads,
-            checkpoint_every,
-            kill_at,
-            to_digest,
-        ),
     }
 }
 
-/// The BSP session body of [`answer`]: the transport runs on an alias
-/// (`try_clone`) of the connection at the query's epoch; the outer serve
-/// loop keeps the original for the next frame, which is safe because the
-/// protocol is strictly request-response (the client sends nothing after
-/// `Finish` until it has our `TAG_RESULT`).
-#[allow(clippy::too_many_arguments)]
-fn answer_run<P, S>(
-    program: P,
-    query: &P::Query,
-    fragment: &Fragment<P::VertexData, P::EdgeData>,
-    stream: &S,
-    state: &ServiceState,
-    run_id: u32,
-    threads: usize,
-    checkpoint_every: usize,
-    kill_at: Option<usize>,
-    to_digest: impl Fn(P::Output) -> u64,
-) -> io::Result<()>
-where
-    P: PieProgram,
-    S: ServiceStream,
-{
-    let stats = Arc::new(CommStats::new());
-    let bsp = stream.try_clone_stream()?;
-    let transport = FramedStreamWorker::<P::Value>::new(bsp, stats)?.with_epoch(run_id);
-    let (partial, transport) = match kill_at {
-        Some(at) => {
+impl<S: ServiceStream> Answer<'_, S> {
+    /// The BSP session body: the transport runs on an alias (`try_clone`) of
+    /// the connection at the query's epoch; the outer frame loop keeps the
+    /// original for the next frame, which is safe because the protocol is
+    /// strictly request-response (the coordinator sends nothing after
+    /// `Finish` until it has our `TAG_RESULT`).
+    fn run<P: PieProgram>(
+        &self,
+        program: P,
+        query: &P::Query,
+        fragment: &Fragment<P::VertexData, P::EdgeData>,
+        wrap: impl Fn(P::Output) -> QueryResult,
+    ) -> io::Result<()> {
+        let (stream, state, job) = (self.stream, self.state, self.job);
+        let run_id = job.run_id;
+        let threads = ThreadCount::from(job.threads).resolve(job.workers as usize, false);
+        let checkpoint_every = job.checkpoint_every as usize;
+        let chaos = ChaosConfig {
+            kill_at: job.kill_at.map(|at| at as usize).or(state.chaos.kill_at),
+            ..state.chaos
+        };
+        let stats = Arc::new(CommStats::new());
+        let transport = FramedStreamWorker::<P::Value>::new(stream.try_clone_stream()?, stats)?
+            .with_epoch(run_id);
+        let chaos_active = chaos.kill_at.is_some()
+            || chaos.mute_per_mille > 0
+            || chaos.duplicate_per_mille > 0
+            || chaos.delay_per_mille > 0;
+        let (partial, transport) = if chaos_active {
             let victim = stream.try_clone_stream()?;
-            let chaos = ChaosConfig {
-                kill_at: Some(at),
-                ..Default::default()
-            };
-            let wrapped = ChaosWorkerTransport::new(
-                transport,
-                chaos,
-                Box::new(move || {
+            let die = state.on_kill;
+            let on_kill = move || match die {
+                Some(die) => die(),
+                None => {
                     let _ = victim.shutdown_both();
-                }),
-            );
-            let partial = run_worker_with(
+                }
+            };
+            let wrapped = ChaosWorkerTransport::new(transport, chaos, Box::new(on_kill));
+            let partial = run_worker(
                 &program,
                 query,
                 fragment,
@@ -1327,49 +1347,52 @@ where
                 checkpoint_every,
             );
             (partial, wrapped.into_inner())
-        }
-        None => (
-            run_worker_with(
+        } else {
+            let partial = run_worker(
                 &program,
                 query,
                 fragment,
                 &transport,
                 threads,
                 checkpoint_every,
-            ),
-            transport,
-        ),
-    };
-    if let Some(reason) = transport.disconnect_reason() {
-        return Err(io::Error::other(format!(
-            "query {run_id} torn down: {reason}"
-        )));
+            );
+            (partial, transport)
+        };
+        // The worker loop also stops on connection failure; only a clean
+        // Finish-terminated run may report a result.
+        if let Some(reason) = transport.disconnect_reason() {
+            return Err(io::Error::other(format!(
+                "query {run_id} torn down: {reason}"
+            )));
+        }
+        let Some(partial) = partial else {
+            return Err(io::Error::other(format!(
+                "query {run_id} torn down before PEval"
+            )));
+        };
+        // The result goes home as (digest, snapshot-encoded partial): the
+        // digest of this fragment's view of the answer for cheap
+        // verification, the snapshot so the coordinator can restore and
+        // assemble the typed answer. Snapshot before assemble — assemble
+        // consumes the partial.
+        let snapshot = program
+            .snapshot_partial(&partial)
+            .ok_or_else(|| io::Error::other("program cannot snapshot its partial result"))?;
+        let digest = wrap(program.assemble(vec![partial])).digest();
+        send_scratch(
+            &mut stream.try_clone_stream()?,
+            &state.scratch,
+            run_id,
+            |buf| {
+                wire::encode_frame_with_epoch(TAG_RESULT, run_id, buf, |out| {
+                    digest.encode(out);
+                    snapshot.encode(out);
+                })
+            },
+        )?;
+        state.scratch.retire(run_id);
+        Ok(())
     }
-    let Some(partial) = partial else {
-        return Err(io::Error::other(format!(
-            "query {run_id} torn down before PEval"
-        )));
-    };
-    // The result goes home as (digest, snapshot-encoded partial): the digest
-    // for cheap verification, the snapshot so the client can restore and
-    // assemble the typed answer. Snapshot before assemble — assemble
-    // consumes the partial.
-    let snapshot = program
-        .snapshot_partial(&partial)
-        .ok_or_else(|| io::Error::other("program cannot snapshot its partial result"))?;
-    let digest = to_digest(program.assemble(vec![partial]));
-    let mut buf = state.scratch.acquire(run_id);
-    wire::encode_frame_with_epoch(TAG_RESULT, run_id, &mut buf, |out| {
-        digest.encode(out);
-        snapshot.encode(out);
-    });
-    let mut writer = stream.try_clone_stream()?;
-    writer.write_all(&buf)?;
-    writer.flush()?;
-    buf.clear();
-    state.scratch.release(run_id, buf);
-    state.scratch.retire(run_id);
-    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -1512,11 +1535,12 @@ impl Session {
             return Err(bad_data("a session needs at least one worker"));
         }
         for endpoint in &config.endpoints {
-            let mut stream = endpoint.connect().map_err(|e| {
-                io::Error::other(format!("service endpoint {endpoint} unreachable: {e}"))
-            })?;
-            wire::write_frame_io_epoch(&mut stream, TAG_HELLO, 0, &config.engine.auth_token)?;
-            stream.flush()?;
+            endpoint
+                .dial(&config.engine.auth_token)
+                .and_then(|mut stream| stream.flush())
+                .map_err(|e| {
+                    io::Error::other(format!("service endpoint {endpoint} unreachable: {e}"))
+                })?;
         }
         Ok(Session {
             inner: Arc::new(SessionInner {
@@ -1538,23 +1562,10 @@ impl Session {
         let n = self.inner.config.workers;
         let graph_id = fresh_graph_id();
         let vertices = graph.num_vertices() as u64;
-        let (fragments, delta, assignment) = match graph {
-            SessionGraph::Weighted(g) => {
-                let assignment = strategy.partition(g, n);
-                (
-                    SessionFragments::Weighted(shared(build_fragments(g, &assignment))),
-                    SessionDelta::Weighted(DeltaGraph::new(g.clone())),
-                    assignment,
-                )
-            }
-            SessionGraph::Labeled(g) => {
-                let assignment = strategy.partition(g, n);
-                (
-                    SessionFragments::Labeled(shared(build_fragments(g, &assignment))),
-                    SessionDelta::Labeled(DeltaGraph::new(g.clone())),
-                    assignment,
-                )
-            }
+        let (fragments, assignment) = SessionFragments::cut(graph, strategy, n);
+        let delta = match graph {
+            SessionGraph::Weighted(g) => SessionDelta::Weighted(DeltaGraph::new(g.clone())),
+            SessionGraph::Labeled(g) => SessionDelta::Labeled(DeltaGraph::new(g.clone())),
         };
         if !self.inner.config.endpoints.is_empty() {
             for index in 0..n {
@@ -1565,12 +1576,13 @@ impl Session {
                     workers: n as u32,
                     vertices,
                 };
+                let (stream, scratch) = (&mut self.inner.dial(index)?, &self.inner.scratch);
                 match &fragments {
                     SessionFragments::Weighted(frags) => {
-                        self.inner.ship_fragment(&spec, &frags[index])?
+                        ship_fragment(stream, scratch, &spec, 0, &frags[index])?
                     }
                     SessionFragments::Labeled(frags) => {
-                        self.inner.ship_fragment(&spec, &frags[index])?
+                        ship_fragment(stream, scratch, &spec, 0, &frags[index])?
                     }
                 }
             }
@@ -1762,6 +1774,12 @@ impl SessionInner {
         })
     }
 
+    /// A greeted connection to the daemon hosting worker `index`.
+    fn dial(&self, index: usize) -> io::Result<ServiceSocket> {
+        self.config.endpoints[index % self.config.endpoints.len()]
+            .dial(&self.config.engine.auth_token)
+    }
+
     /// Ships one resolved batch to every daemon-resident fragment (no-op for
     /// in-process sessions): per worker, a versioned `TAG_UPDATE` frame
     /// answered by `TAG_UPDATED`. The version fence makes retries after a
@@ -1790,80 +1808,21 @@ impl SessionInner {
                 version,
                 vertices,
             };
-            let endpoint = &self.config.endpoints[index % self.config.endpoints.len()];
-            let mut stream = endpoint.connect()?;
-            wire::write_frame_io_epoch(&mut stream, TAG_HELLO, 0, &self.config.engine.auth_token)?;
-            let mut frame = self.scratch.acquire(epoch);
-            wire::encode_frame_with_epoch(TAG_UPDATE, epoch, &mut frame, |out| {
-                spec.encode(out);
-                resolved.encode(out);
-            });
-            stream.write_all(&frame)?;
-            stream.flush()?;
-            frame.clear();
-            self.scratch.release(epoch, frame);
-            let (tag, _epoch, payload) =
-                wire::read_frame_io_epoch(&mut stream)?.ok_or_else(|| {
-                    io::Error::other(format!(
-                        "daemon {endpoint} closed the connection before acking update {version}"
-                    ))
-                })?;
-            if tag != TAG_UPDATED {
-                return Err(bad_data(format!(
-                    "expected TAG_UPDATED ack for fragment {index}, got tag {tag:#04x}"
-                )));
-            }
-            let mut reader = WireReader::new(&payload);
-            let (acked_graph, acked_version) = <(u64, u64)>::decode(&mut reader)
-                .and_then(|pair| reader.finish().map(|()| pair))
-                .map_err(|e| bad_data(e.to_string()))?;
+            let mut stream = self.dial(index)?;
+            send_scratch(&mut stream, &self.scratch, epoch, |buf| {
+                wire::encode_frame_with_epoch(TAG_UPDATE, epoch, buf, |out| {
+                    spec.encode(out);
+                    resolved.encode(out);
+                })
+            })?;
+            let ack = read_ack(&mut stream, TAG_UPDATED, &format!("update {version}"))?;
+            let (acked_graph, acked_version): (u64, u64) = decode_body(&ack, "update ack")?;
             if acked_graph != graph_id || acked_version != version {
                 return Err(bad_data(format!(
                     "daemon acked graph {acked_graph:#x} at version {acked_version}, \
                      expected {graph_id:#x} at {version}"
                 )));
             }
-        }
-        Ok(())
-    }
-
-    /// Ships one fragment to its daemon: hello, `TAG_LOAD`, the fragment
-    /// frame, then waits for the `TAG_LOADED` ack.
-    fn ship_fragment<V, E>(&self, spec: &LoadSpec, fragment: &Fragment<V, E>) -> io::Result<()>
-    where
-        V: Wire + Clone + Default,
-        E: Wire + Clone,
-    {
-        let endpoint = &self.config.endpoints[spec.index as usize % self.config.endpoints.len()];
-        let mut stream = endpoint.connect()?;
-        wire::write_frame_io_epoch(&mut stream, TAG_HELLO, 0, &self.config.engine.auth_token)?;
-        wire::write_frame_io_epoch(&mut stream, TAG_LOAD, 0, spec)?;
-        let mut frame = self.scratch.acquire(0);
-        encode_fragment_epoch(fragment, 0, &mut frame);
-        stream.write_all(&frame)?;
-        stream.flush()?;
-        frame.clear();
-        self.scratch.release(0, frame);
-        let (tag, _epoch, payload) = wire::read_frame_io_epoch(&mut stream)?.ok_or_else(|| {
-            io::Error::other(format!(
-                "daemon {endpoint} closed the connection before acking fragment {}",
-                spec.index
-            ))
-        })?;
-        if tag != TAG_LOADED {
-            return Err(bad_data(format!(
-                "expected TAG_LOADED ack for fragment {}, got tag {tag:#04x}",
-                spec.index
-            )));
-        }
-        let mut reader = WireReader::new(&payload);
-        let acked = u64::decode(&mut reader).map_err(|e| bad_data(e.to_string()))?;
-        reader.finish().map_err(|e| bad_data(e.to_string()))?;
-        if acked != spec.graph_id {
-            return Err(bad_data(format!(
-                "daemon acked graph {acked:#x}, expected {:#x}",
-                spec.graph_id
-            )));
         }
         Ok(())
     }
@@ -1913,279 +1872,15 @@ impl SessionInner {
                 },
             )
         };
-        let warm = &warm;
-        match (&fragments, query) {
-            (SessionFragments::Weighted(frags), Query::Sssp { source }) => self.run_class(
-                SsspProgram,
-                &grape_algo::SsspQuery::new(*source),
-                query,
-                frags,
-                graph_id,
-                run_id,
-                warm,
-                kill,
-                QueryResult::Distances,
-            ),
-            (SessionFragments::Weighted(frags), Query::Cc) => self.run_class(
-                CcProgram,
-                &grape_algo::CcQuery,
-                query,
-                frags,
-                graph_id,
-                run_id,
-                warm,
-                kill,
-                QueryResult::Components,
-            ),
-            (SessionFragments::Weighted(frags), Query::PageRank { .. }) => self.run_class(
-                PageRankProgram::new(vertices as usize),
-                &query.to_pagerank().expect("variant checked"),
-                query,
-                frags,
-                graph_id,
-                run_id,
-                warm,
-                kill,
-                QueryResult::Ranks,
-            ),
-            (SessionFragments::Weighted(frags), Query::Cf { .. }) => self.run_class(
-                CfProgram::new(cf_num_users(vertices)),
-                &query.to_cf().expect("variant checked"),
-                query,
-                frags,
-                graph_id,
-                run_id,
-                warm,
-                kill,
-                QueryResult::Model,
-            ),
-            (SessionFragments::Labeled(frags), Query::Sim { .. }) => {
-                let typed = query
-                    .to_sim()
-                    .expect("variant checked")
-                    .map_err(|e| bad_data(format!("invalid simulation pattern: {e}")))?;
-                self.run_class(
-                    SimProgram,
-                    &typed,
-                    query,
-                    frags,
-                    graph_id,
-                    run_id,
-                    warm,
-                    kill,
-                    QueryResult::Matches,
-                )
-            }
-            (SessionFragments::Labeled(frags), Query::SubIso { .. }) => self.run_class(
-                SubIsoProgram,
-                &query.to_subiso().expect("variant checked"),
-                query,
-                frags,
-                graph_id,
-                run_id,
-                warm,
-                kill,
-                QueryResult::Embeddings,
-            ),
-            (SessionFragments::Labeled(frags), Query::Keyword { .. }) => self.run_class(
-                KeywordProgram,
-                &query.to_keyword().expect("variant checked"),
-                query,
-                frags,
-                graph_id,
-                run_id,
-                warm,
-                kill,
-                QueryResult::Answers,
-            ),
-            (SessionFragments::Labeled(frags), Query::Marketing { .. }) => self.run_class(
-                MarketingProgram,
-                &query.to_marketing().expect("variant checked"),
-                query,
-                frags,
-                graph_id,
-                run_id,
-                warm,
-                kill,
-                QueryResult::Prospects,
-            ),
-            (fragments, query) => Err(bad_data(format!(
-                "query class {:?} does not run on the loaded graph family ({})",
-                query.class(),
-                match fragments {
-                    SessionFragments::Weighted(_) => "weighted",
-                    SessionFragments::Labeled(_) => "labeled",
-                }
-            ))),
-        }
-    }
-
-    /// Drives one typed query class: in-process over the resident fragments,
-    /// or as a coordinator over per-query daemon connections. With a warm
-    /// plan whose profile the program can seed under, the run is
-    /// incremental — PEval warm-starts from the cached converged partials
-    /// and the dirty set of the updates applied since; either way the
-    /// converged partials of this run are cached for the next submission.
-    #[allow(clippy::too_many_arguments)]
-    fn run_class<P>(
-        &self,
-        program: P,
-        typed: &P::Query,
-        wire_query: &Query,
-        fragments: &[Arc<Fragment<P::VertexData, P::EdgeData>>],
-        graph_id: u64,
-        run_id: u32,
-        warm: &WarmContext,
-        kill: Option<(usize, usize)>,
-        wrap: impl Fn(P::Output) -> QueryResult,
-    ) -> io::Result<QueryOutcome>
-    where
-        P: PieProgram,
-        P::VertexData: Wire + Clone + Default,
-        P::EdgeData: Wire + Clone,
-    {
-        let mut config = self.config.engine.clone();
-        config.run_id = run_id;
-        if kill.is_some() && config.checkpoint_every == 0 {
-            config.checkpoint_every = 1;
-        }
-        // Only seed when the program can replay this update shape from its
-        // old fixpoint; everything else runs cold (and still refreshes the
-        // converged cache).
-        let plan = warm
-            .plan
-            .as_ref()
-            .filter(|p| program.incremental_eligible(&p.profile));
-
-        if self.config.endpoints.is_empty() {
-            if kill.is_some() {
-                return Err(bad_data("kill drills need a remote service session"));
-            }
-            config.capture_converged = true;
-            let engine = GrapeEngine::new(program).with_config(config);
-            let result = match plan {
-                Some(p) => engine.run_incremental(
-                    typed,
-                    fragments,
-                    p.partials.iter().cloned().map(Some).collect(),
-                    &p.dirty,
-                    &p.profile,
-                ),
-                None => engine.run(typed, fragments),
-            }
-            .map_err(|e| io::Error::other(e.to_string()))?;
-            if let Some(partials) = result.converged {
-                self.store_converged(graph_id, warm, partials);
-            }
-            return Ok(QueryOutcome {
-                result: wrap(result.output),
-                stats: result.stats,
-            });
-        }
-
-        let n = fragments.len();
-        let open = |worker: usize, epoch: u32, kill_at: Option<u32>| -> io::Result<ServiceSocket> {
-            let endpoint = &self.config.endpoints[worker % self.config.endpoints.len()];
-            let mut stream = endpoint.connect()?;
-            wire::write_frame_io_epoch(&mut stream, TAG_HELLO, 0, &config.auth_token)?;
-            let job = QueryJob {
-                graph_id,
-                index: worker as u32,
-                workers: n as u32,
-                run_id: epoch,
-                threads: match config.threads_per_worker {
-                    ThreadCount::Auto => 0,
-                    ThreadCount::Fixed(t) => t,
-                },
-                checkpoint_every: config.checkpoint_every as u32,
-                query: wire_query.clone(),
-                kill_at,
-                // The seed rides on the job itself, so a worker replaced
-                // mid-run re-enters with the same warm start.
-                seed: plan.and_then(|p| {
-                    p.partials.get(worker).map(|snapshot| IncrementalSeed {
-                        snapshot: Arc::clone(snapshot),
-                        dirty: p.dirty.clone(),
-                        profile: p.profile,
-                    })
-                }),
-            };
-            let mut frame = self.scratch.acquire(run_id);
-            wire::encode_frame_epoch(TAG_QUERY, epoch, &job, &mut frame);
-            stream.write_all(&frame)?;
-            stream.flush()?;
-            frame.clear();
-            self.scratch.release(run_id, frame);
-            Ok(stream)
+        let run = SessionRun {
+            session: self,
+            query,
+            graph_id,
+            run_id,
+            warm: &warm,
+            kill,
         };
-
-        let mut streams = Vec::with_capacity(n);
-        for worker in 0..n {
-            let kill_at = kill.and_then(|(w, at)| (w == worker).then_some(at as u32));
-            streams.push(open(worker, run_id, kill_at)?);
-        }
-        let comm_stats = Arc::new(CommStats::new());
-        let transport = FramedStreamCoord::<P::Value>::new_at_epoch(streams, comm_stats, run_id)?
-            .with_read_timeout(config.read_timeout);
-
-        let engine = GrapeEngine::new(program).with_config(config.clone());
-        let stats = if config.checkpoint_every > 0 {
-            // Recovery glue for the service path: a fresh connection to the
-            // same daemon re-enters the query at the bumped epoch; the
-            // resident fragment is *not* re-shipped.
-            let mut recover = |worker: usize, epoch: u32| -> Result<(), String> {
-                let stream = open(worker, epoch, None)
-                    .map_err(|e| format!("reconnect worker {worker}: {e}"))?;
-                transport
-                    .replace_worker(worker, stream, epoch)
-                    .map_err(|e| format!("replace worker {worker}: {e}"))
-            };
-            engine.run_coordinator_recoverable(fragments, &transport, &mut recover)
-        } else {
-            engine.run_coordinator(fragments, &transport)
-        }
-        .map_err(|e| io::Error::other(e.to_string()))?;
-
-        // Collect one TAG_RESULT per worker (any order).
-        let mut results: Vec<Option<(u64, Vec<u8>)>> = (0..n).map(|_| None).collect();
-        while results.iter().any(Option::is_none) {
-            let (from, tag, payload) = transport.recv_oob_blocking().ok_or_else(|| {
-                io::Error::other("service connection closed before every worker reported a result")
-            })?;
-            if tag != TAG_RESULT {
-                return Err(bad_data(format!(
-                    "expected TAG_RESULT from worker {from}, got tag {tag:#04x}"
-                )));
-            }
-            let mut reader = WireReader::new(&payload);
-            let decoded = u64::decode(&mut reader)
-                .and_then(|digest| Vec::<u8>::decode(&mut reader).map(|snap| (digest, snap)))
-                .and_then(|pair| reader.finish().map(|()| pair))
-                .map_err(|e| bad_data(format!("bad result frame: {e}")))?;
-            results[from] = Some(decoded);
-        }
-
-        let mut partials = Vec::with_capacity(n);
-        let mut snapshots = Vec::with_capacity(n);
-        for (worker, slot) in results.into_iter().enumerate() {
-            let (_digest, snapshot) = slot.expect("all slots filled above");
-            let partial = engine.program().restore_partial(&snapshot).ok_or_else(|| {
-                bad_data(format!(
-                    "worker {worker} returned an undecodable result snapshot"
-                ))
-            })?;
-            partials.push(partial);
-            snapshots.push(snapshot);
-        }
-        let output = engine.program().assemble(partials);
-        // The result snapshots *are* the converged partials — cache them for
-        // the next submission of this query.
-        self.store_converged(graph_id, warm, snapshots);
-        self.scratch.retire(run_id);
-        Ok(QueryOutcome {
-            result: wrap(output),
-            stats,
-        })
+        dispatch(query, vertices, fragments.as_family(), run)
     }
 
     /// Caches a run's converged partials under its query key, stamped with
@@ -2212,6 +1907,255 @@ impl SessionInner {
             }
         }
     }
+}
+
+/// One submitted query of a [`Session`], for whichever class [`dispatch`]
+/// resolves it to.
+struct SessionRun<'a> {
+    session: &'a SessionInner,
+    query: &'a Query,
+    graph_id: u64,
+    run_id: u32,
+    warm: &'a WarmContext,
+    kill: Option<(usize, usize)>,
+}
+
+impl ClassVisitor for SessionRun<'_> {
+    type Out = QueryOutcome;
+
+    /// Drives the query in-process over the resident fragments, or as a
+    /// coordinator over per-query daemon connections. With a warm plan whose
+    /// profile the program can seed under, the run is incremental — PEval
+    /// warm-starts from the cached converged partials and the dirty set of
+    /// the updates applied since; either way the converged partials of this
+    /// run are cached for the next submission.
+    fn visit<P: PieProgram>(
+        self,
+        program: P,
+        typed: P::Query,
+        wrap: impl Fn(P::Output) -> QueryResult,
+        fragments: &[Arc<Fragment<P::VertexData, P::EdgeData>>],
+    ) -> io::Result<QueryOutcome> {
+        let SessionRun {
+            session,
+            query,
+            graph_id,
+            run_id,
+            warm,
+            kill,
+        } = self;
+        let mut config = session.config.engine.clone();
+        config.run_id = run_id;
+        if kill.is_some() && config.checkpoint_every == 0 {
+            config.checkpoint_every = 1;
+        }
+        // Only seed when the program can replay this update shape from its
+        // old fixpoint; everything else runs cold (and still refreshes the
+        // converged cache).
+        let plan = warm
+            .plan
+            .as_ref()
+            .filter(|p| program.incremental_eligible(&p.profile));
+
+        if session.config.endpoints.is_empty() {
+            if kill.is_some() {
+                return Err(bad_data("kill drills need a remote service session"));
+            }
+            config.capture_converged = true;
+            let engine = GrapeEngine::new(program).with_config(config);
+            let result = match plan {
+                Some(p) => engine.run_incremental(
+                    &typed,
+                    fragments,
+                    p.partials.iter().cloned().map(Some).collect(),
+                    &p.dirty,
+                    &p.profile,
+                ),
+                None => engine.run(&typed, fragments),
+            }
+            .map_err(|e| io::Error::other(e.to_string()))?;
+            if let Some(partials) = result.converged {
+                session.store_converged(graph_id, warm, partials);
+            }
+            return Ok(QueryOutcome {
+                result: wrap(result.output),
+                stats: result.stats,
+            });
+        }
+
+        // A stream to worker `i` at epoch `e`: a fresh connection to its
+        // daemon, which holds the fragment resident — reconnecting after a
+        // loss re-ships nothing.
+        let threads = u32::from(config.threads_per_worker);
+        let checkpoint_every = config.checkpoint_every;
+        let mut open = |worker: usize, epoch: u32| -> io::Result<ServiceSocket> {
+            let job = QueryJob {
+                graph_id,
+                index: worker as u32,
+                workers: fragments.len() as u32,
+                run_id: epoch,
+                threads,
+                checkpoint_every: checkpoint_every as u32,
+                query: query.clone(),
+                // Only the first connection of the victim carries the kill;
+                // its replacement must live.
+                kill_at: kill
+                    .filter(|&(victim, _)| victim == worker && epoch == run_id)
+                    .map(|(_, at)| at as u32),
+                // The seed rides on the job itself, so a worker replaced
+                // mid-run re-enters with the same warm start.
+                seed: plan.and_then(|p| {
+                    p.partials.get(worker).map(|snapshot| IncrementalSeed {
+                        snapshot: Arc::clone(snapshot),
+                        dirty: p.dirty.clone(),
+                        profile: p.profile,
+                    })
+                }),
+            };
+            let mut stream = session.dial(worker)?;
+            send_scratch(&mut stream, &session.scratch, run_id, |buf| {
+                wire::encode_frame_epoch(TAG_QUERY, epoch, &job, buf)
+            })?;
+            Ok(stream)
+        };
+        let recoverable = checkpoint_every > 0;
+        let (output, snapshots, stats) =
+            coordinate(program, fragments, config, recoverable, &mut open)?;
+        // The result snapshots *are* the converged partials — cache them for
+        // the next submission of this query.
+        session.store_converged(graph_id, warm, snapshots);
+        session.scratch.retire(run_id);
+        Ok(QueryOutcome {
+            result: wrap(output),
+            stats,
+        })
+    }
+}
+
+/// Ships one fragment down a greeted connection and waits for the ack:
+/// `TAG_LOAD`, the fragment frame at the same `epoch`, then `TAG_LOADED`.
+pub(crate) fn ship_fragment<V, E>(
+    stream: &mut (impl Read + Write),
+    scratch: &ScratchPool,
+    spec: &LoadSpec,
+    epoch: u32,
+    fragment: &Fragment<V, E>,
+) -> io::Result<()>
+where
+    V: Wire + Clone,
+    E: Wire + Clone,
+{
+    send_scratch(stream, scratch, epoch, |buf| {
+        wire::encode_frame_epoch(TAG_LOAD, epoch, spec, buf);
+        encode_fragment_epoch(fragment, epoch, buf);
+    })?;
+    let ack = read_ack(stream, TAG_LOADED, &format!("fragment {}", spec.index))?;
+    let acked: u64 = decode_body(&ack, "load ack")?;
+    if acked != spec.graph_id {
+        return Err(bad_data(format!(
+            "worker acked graph {acked:#x}, expected {:#x}",
+            spec.graph_id
+        )));
+    }
+    Ok(())
+}
+
+/// Hangs up every connection a query opened once its coordinator is done
+/// with them, on success and on error alike: the reader threads of the
+/// transport hold their own aliases of the sockets, so dropping the
+/// transport alone would leave each worker waiting for a next frame that
+/// never comes.
+struct Hangup<S: ServiceStream>(Vec<S>);
+
+impl<S: ServiceStream> Drop for Hangup<S> {
+    fn drop(&mut self) {
+        for stream in &self.0 {
+            let _ = stream.shutdown_both();
+        }
+    }
+}
+
+/// The coordinator side of one query over remote workers: opens a stream per
+/// worker, drives the BSP fixpoint over them, collects one `TAG_RESULT` per
+/// worker, and restores + assembles the typed output. Returns it with the
+/// workers' result snapshots (their converged partials) and the run's stats.
+///
+/// `open(worker, epoch)` is the only thing that differs between callers: it
+/// must return a stream on which worker `worker` has been sent its
+/// `TAG_QUERY` at `epoch` — called once per worker at [`EngineConfig::run_id`]
+/// and, when `recoverable`, again at a bumped epoch for every worker lost
+/// mid-run. A session dials the daemon; the batch coordinator takes an
+/// accepted connection (or respawns a process) and ships the fragment first.
+pub(crate) fn coordinate<P, S>(
+    program: P,
+    fragments: &[Arc<Fragment<P::VertexData, P::EdgeData>>],
+    config: EngineConfig,
+    recoverable: bool,
+    open: &mut dyn FnMut(usize, u32) -> io::Result<S>,
+) -> io::Result<(P::Output, Vec<Vec<u8>>, RunStats)>
+where
+    P: PieProgram,
+    S: ServiceStream,
+{
+    let n = fragments.len();
+    let run_id = config.run_id;
+    let mut hangup = Hangup(Vec::with_capacity(n));
+    let mut streams = Vec::with_capacity(n);
+    for worker in 0..n {
+        let stream = open(worker, run_id)?;
+        hangup.0.push(stream.try_clone_stream()?);
+        streams.push(stream);
+    }
+    let comm_stats = Arc::new(CommStats::new());
+    let transport = FramedStreamCoord::<P::Value>::new_at_epoch(streams, comm_stats, run_id)?
+        .with_read_timeout(config.read_timeout);
+    let engine = GrapeEngine::new(program).with_config(config);
+    let mut recover = |worker: usize, epoch: u32| -> Result<(), String> {
+        let stream = open(worker, epoch).map_err(|e| format!("reopen worker {worker}: {e}"))?;
+        let alias = stream
+            .try_clone_stream()
+            .map_err(|e| format!("alias worker {worker}'s stream: {e}"))?;
+        hangup.0.push(alias);
+        transport
+            .replace_worker(worker, stream, epoch)
+            .map_err(|e| format!("replace worker {worker}: {e}"))
+    };
+    let recover: Option<&mut dyn FnMut(usize, u32) -> Result<(), String>> = if recoverable {
+        Some(&mut recover)
+    } else {
+        None
+    };
+    let stats = engine
+        .run_coordinator(fragments, &transport, recover)
+        .map_err(|e| io::Error::other(e.to_string()))?;
+
+    // Collect one TAG_RESULT per worker (any order).
+    let mut snapshots: Vec<Option<Vec<u8>>> = vec![None; n];
+    while snapshots.iter().any(Option::is_none) {
+        let (from, tag, payload) = transport.recv_oob_blocking().ok_or_else(|| {
+            io::Error::other("connection closed before every worker reported a result")
+        })?;
+        if tag != TAG_RESULT {
+            return Err(bad_data(format!(
+                "expected TAG_RESULT from worker {from}, got tag {tag:#04x}"
+            )));
+        }
+        let (_digest, snapshot): (u64, Vec<u8>) = decode_body(&payload, "result frame")?;
+        snapshots[from] = Some(snapshot);
+    }
+    let snapshots: Vec<Vec<u8>> = snapshots.into_iter().flatten().collect();
+    let partials = snapshots
+        .iter()
+        .enumerate()
+        .map(|(worker, snapshot)| {
+            engine.program().restore_partial(snapshot).ok_or_else(|| {
+                bad_data(format!(
+                    "worker {worker} returned an undecodable result snapshot"
+                ))
+            })
+        })
+        .collect::<io::Result<Vec<_>>>()?;
+    Ok((engine.program().assemble(partials), snapshots, stats))
 }
 
 /// Context a query carries for the converged-state cache: its cache key, the
@@ -2327,6 +2271,106 @@ mod tests {
         assert!(registry.values().all(|g| g.versions == vec![1; workers]));
         drop(registry);
         daemon.shutdown().expect("shutdown");
+    }
+
+    #[test]
+    fn a_retired_batch_tag_is_refused_and_the_daemon_keeps_serving() {
+        // 0x20 was the batch job frame; it is retired, never reassigned, and
+        // handled like any other unknown tag.
+        const RETIRED_TAG: u8 = 0x20;
+        let daemon = GrapeService::bind("127.0.0.1:0", ServiceOptions::default())
+            .expect("bind")
+            .spawn()
+            .expect("spawn");
+
+        // What the frame loop says about it...
+        let (mut client, server) = std::os::unix::net::UnixStream::pair().expect("pair");
+        wire::write_frame_io_epoch(&mut client, RETIRED_TAG, 0, &7u64).expect("write");
+        let err = serve_frames(server, &daemon.state).expect_err("retired tag");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert_eq!(
+            err.to_string(),
+            "unexpected frame tag 0x20 on a service connection"
+        );
+
+        // ...and what a live daemon does: that connection is hung up on, and
+        // a session arriving afterwards is served as if nothing happened.
+        let mut stale = daemon.endpoint().dial(&None).expect("dial");
+        wire::write_frame_io_epoch(&mut stale, RETIRED_TAG, 0, &7u64).expect("write");
+        let mut rest = Vec::new();
+        stale.read_to_end(&mut rest).expect("the daemon closes");
+        assert!(rest.is_empty(), "the daemon answered a retired frame");
+
+        let session = Session::connect(SessionConfig::remote(2, vec![daemon.endpoint().clone()]))
+            .expect("connect");
+        let graph = barabasi_albert(60, 2, 5).expect("generator");
+        session
+            .load(&graph.into(), BuiltinStrategy::Hash)
+            .expect("load");
+        let outcome = session.submit(Query::cc()).expect("submit").join();
+        assert!(outcome.is_ok(), "the daemon stopped serving: {outcome:?}");
+        daemon.shutdown().expect("shutdown");
+    }
+
+    #[test]
+    fn hellos_are_checked_against_the_expected_token() {
+        use std::os::unix::net::UnixStream;
+        let greet = |token: Option<&str>, expected: Option<&str>| {
+            let (mut dialler, mut acceptor) = UnixStream::pair().expect("pair");
+            let token = token.map(String::from);
+            wire::write_frame_io_epoch(&mut dialler, TAG_HELLO, 0, &token).expect("write");
+            expect_hello(&mut acceptor, expected, 3, None)
+        };
+        assert!(greet(None, None).is_ok());
+        assert!(greet(Some("anything"), None).is_ok());
+        assert!(greet(Some("secret"), Some("secret")).is_ok());
+        for presented in [Some("wrong"), None] {
+            let err = greet(presented, Some("secret")).expect_err("rejected");
+            assert_eq!(err.kind(), io::ErrorKind::PermissionDenied, "{err}");
+            assert!(err.to_string().contains("worker 3"), "{err}");
+        }
+
+        // Anything but a hello, a silent dialler and a hang-up are all typed.
+        let (mut dialler, mut acceptor) = UnixStream::pair().expect("pair");
+        wire::write_frame_io_epoch(&mut dialler, TAG_QUERY, 0, &0u8).expect("write");
+        let err = expect_hello(&mut acceptor, None, 0, None).expect_err("not a hello");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        let timeout = Some(Duration::from_millis(20));
+        let err = expect_hello(&mut acceptor, None, 0, timeout).expect_err("silence");
+        assert!(err.to_string().contains("read timeout"), "{err}");
+        drop(dialler);
+        let err = expect_hello(&mut acceptor, None, 0, None).expect_err("hang-up");
+        assert!(err.to_string().contains("lost during handshake"), "{err}");
+    }
+
+    #[test]
+    fn a_load_acked_for_another_graph_is_refused() {
+        let (mut coordinator, mut worker) = std::os::unix::net::UnixStream::pair().expect("pair");
+        let graph = barabasi_albert(30, 2, 1).expect("generator");
+        let (fragments, _) = SessionFragments::cut(&graph.into(), BuiltinStrategy::Hash, 1);
+        let SessionFragments::Weighted(fragments) = fragments else {
+            panic!("weighted graph expected")
+        };
+        let spec = LoadSpec {
+            graph_id: 11,
+            family: 0,
+            index: 0,
+            workers: 1,
+            vertices: 30,
+        };
+        // A "worker" that acks graph 12 whatever it was sent.
+        wire::write_frame_io_epoch(&mut worker, TAG_LOADED, 0, &12u64).expect("ack");
+        let scratch = ScratchPool::new();
+        let err = ship_fragment(&mut coordinator, &scratch, &spec, 0, &fragments[0])
+            .expect_err("foreign ack");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("acked graph 0xc"), "{err}");
+        // What went out is the load spec, then the fragment, at one epoch.
+        let (tag, _, body) = wire::read_frame_io_epoch(&mut worker).unwrap().unwrap();
+        assert_eq!(tag, TAG_LOAD);
+        assert_eq!(decode_body::<LoadSpec>(&body, "load spec").unwrap(), spec);
+        let (tag, epoch, _) = wire::read_frame_io_epoch(&mut worker).unwrap().unwrap();
+        assert_eq!((tag, epoch), (TAG_FRAGMENT, 0));
     }
 
     #[test]

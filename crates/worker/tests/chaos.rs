@@ -1,8 +1,8 @@
 //! Multi-process fault drills: real `grape-worker` OS processes that SIGKILL
 //! themselves at scheduled supersteps, with the coordinator recovering —
-//! respawn, re-ship the fragment and last checkpoint at a bumped epoch,
-//! replay the commands since that checkpoint — and every recovered result
-//! pinned bit-identical to an undisturbed run of the same job.
+//! respawn, re-ship the fragment and the query at a bumped epoch, resume from
+//! the last checkpoint, replay the commands since — and every recovered
+//! typed result pinned bit-identical to an undisturbed run of the same job.
 //!
 //! The kill schedule sweeps *every* superstep index of the run, over both
 //! TCP and Unix-domain sockets, for all eight query classes, at every
@@ -15,8 +15,8 @@
 use grape_core::chaos::ChaosConfig;
 use grape_core::EngineConfig;
 use grape_worker::{
-    run_coordinator_connections_recoverable, run_local_framed, run_worker_connection_opts,
-    GraphSpec, JobOutcome, JobSpec, UdsPathGuard, WorkerOptions,
+    run_coordinator, run_local_framed, run_worker, Endpoint, GraphSpec, JobSpec, QueryOutcome,
+    ServiceListener, WorkerOptions,
 };
 use std::cell::RefCell;
 use std::process::{Child, Command, Stdio};
@@ -61,12 +61,9 @@ fn job(algo: &str) -> JobSpec {
         },
         strategy: "hash".into(),
         workers: 2,
-        index: 0,
         source: 0,
         threads: 1,
-        vertices: 0,
         checkpoint_every: 1,
-        token: None,
     }
 }
 
@@ -87,98 +84,82 @@ fn reap_lenient(children: Vec<Child>) {
     }
 }
 
-/// One TCP drill with an arbitrary kill plan: each `kills` entry
-/// `(worker, kill_at)` arms that initial worker to die at its `kill_at`-th
-/// evaluation command; each `replacement_kills` entry is consumed by one
-/// respawn of that worker, arming the *replacement* — cascading failure.
-/// Spawn/accept run strictly in sequence so accepted-stream order is
-/// fragment order.
-fn tcp_drill_plan(
+/// One drill over `endpoint` (TCP or Unix-domain) with an arbitrary kill
+/// plan: each `kills` entry `(worker, kill_at)` arms that initial worker to
+/// die at its `kill_at`-th evaluation command; each `replacement_kills` entry
+/// is consumed by one respawn of that worker, arming the *replacement* —
+/// cascading failure. Spawn/accept run strictly in sequence so
+/// accepted-stream order is fragment order.
+fn drill_plan(
     job: &JobSpec,
+    endpoint: &Endpoint,
     kills: &[(usize, usize)],
     replacement_kills: &[(usize, usize)],
-) -> JobOutcome {
-    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
-    let addr = listener.local_addr().expect("addr").to_string();
+) -> QueryOutcome {
+    let listener = ServiceListener::bind(endpoint).expect("bind");
+    let connect_args = match listener.endpoint().expect("endpoint") {
+        Endpoint::Tcp(addr) => vec!["connect".to_string(), addr],
+        #[cfg(unix)]
+        Endpoint::Uds(path) => vec![
+            "connect-uds".to_string(),
+            path.to_str().expect("utf-8 socket path").to_string(),
+        ],
+    };
+    let spawn_armed = |kill_at: Option<usize>| {
+        let mut args = connect_args.clone();
+        if let Some(kill_at) = kill_at {
+            args.extend(["--kill-at".to_string(), kill_at.to_string()]);
+        }
+        spawn_worker(&args)
+    };
     let mut streams = Vec::new();
     let mut children = Vec::new();
     for index in 0..job.workers as usize {
-        let mut args = vec!["connect".to_string(), addr.clone()];
-        if let Some(&(_, kill_at)) = kills.iter().find(|&&(worker, _)| worker == index) {
-            args.extend(["--kill-at".to_string(), kill_at.to_string()]);
-        }
-        children.push(spawn_worker(&args));
-        streams.push(listener.accept().expect("accept").0);
+        let armed = kills.iter().find(|&&(worker, _)| worker == index);
+        children.push(spawn_armed(armed.map(|&(_, kill_at)| kill_at)));
+        streams.push(listener.accept().expect("accept"));
     }
     let children = RefCell::new(children);
-    let pending = RefCell::new(replacement_kills.to_vec());
+    let mut pending = replacement_kills.to_vec();
     let mut respawn = |worker: usize| {
-        let mut args = vec!["connect".to_string(), addr.clone()];
-        let position = pending.borrow().iter().position(|&(w, _)| w == worker);
-        if let Some(i) = position {
-            let (_, kill_at) = pending.borrow_mut().remove(i);
-            args.extend(["--kill-at".to_string(), kill_at.to_string()]);
-        }
-        children.borrow_mut().push(spawn_worker(&args));
-        listener.accept().map(|(s, _)| s)
+        let position = pending.iter().position(|&(w, _)| w == worker);
+        let kill_at = position.map(|i| pending.remove(i).1);
+        children.borrow_mut().push(spawn_armed(kill_at));
+        listener.accept()
     };
-    let outcome = run_coordinator_connections_recoverable(
-        job,
-        streams,
-        &EngineConfig::default(),
-        &mut respawn,
-    )
-    .expect("recoverable run");
+    let outcome = run_coordinator(job, streams, &EngineConfig::default(), Some(&mut respawn))
+        .expect("recoverable run");
     reap_lenient(children.into_inner());
     outcome
 }
 
-fn tcp_drill(job: &JobSpec, kill_at: usize) -> JobOutcome {
+fn tcp_drill_plan(
+    job: &JobSpec,
+    kills: &[(usize, usize)],
+    replacement_kills: &[(usize, usize)],
+) -> QueryOutcome {
+    let endpoint = Endpoint::Tcp("127.0.0.1:0".into());
+    drill_plan(job, &endpoint, kills, replacement_kills)
+}
+
+fn tcp_drill(job: &JobSpec, kill_at: usize) -> QueryOutcome {
     tcp_drill_plan(job, &[(0, kill_at)], &[])
 }
 
 /// The Unix-domain-socket twin of [`tcp_drill`].
 #[cfg(unix)]
-fn uds_drill(job: &JobSpec, kill_at: usize, tag: &str) -> JobOutcome {
+fn uds_drill(job: &JobSpec, kill_at: usize, tag: &str) -> QueryOutcome {
     let path = std::env::temp_dir().join(format!(
         "grape-chaos-{}-{tag}-{kill_at}.sock",
         std::process::id()
     ));
-    let path_str = path.to_str().expect("utf-8 socket path").to_string();
-    let guard = UdsPathGuard::claim(&path).expect("claim socket path");
-    let listener = std::os::unix::net::UnixListener::bind(guard.path()).expect("bind uds");
-    let mut streams = Vec::new();
-    let mut children = Vec::new();
-    for index in 0..job.workers as usize {
-        let mut args = vec!["connect-uds".to_string(), path_str.clone()];
-        if index == 0 {
-            args.extend(["--kill-at".to_string(), kill_at.to_string()]);
-        }
-        children.push(spawn_worker(&args));
-        streams.push(listener.accept().expect("accept").0);
-    }
-    let children = RefCell::new(children);
-    let mut respawn = |_worker: usize| {
-        children
-            .borrow_mut()
-            .push(spawn_worker(&["connect-uds".to_string(), path_str.clone()]));
-        listener.accept().map(|(s, _)| s)
-    };
-    let outcome = run_coordinator_connections_recoverable(
-        job,
-        streams,
-        &EngineConfig::default(),
-        &mut respawn,
-    )
-    .expect("recoverable run");
-    reap_lenient(children.into_inner());
-    outcome
+    drill_plan(job, &Endpoint::Uds(path), &[(0, kill_at)], &[])
 }
 
 /// Sweeps the kill schedule over every superstep of the reference run, at
 /// every checkpoint cadence, and pins each recovered outcome against the
 /// undisturbed one.
-fn sweep(algo: &str, drill: impl Fn(&JobSpec, usize) -> JobOutcome) {
+fn sweep(algo: &str, drill: impl Fn(&JobSpec, usize) -> QueryOutcome) {
     let mut job = job(algo);
     for k in checkpoint_cadences() {
         job.checkpoint_every = k;
@@ -189,8 +170,13 @@ fn sweep(algo: &str, drill: impl Fn(&JobSpec, usize) -> JobOutcome) {
         for kill_at in 0..supersteps {
             let recovered = drill(&job, kill_at);
             assert_eq!(
-                recovered.digests, reference.digests,
-                "{algo} k={k} kill_at={kill_at}: recovered digests diverge"
+                recovered.result, reference.result,
+                "{algo} k={k} kill_at={kill_at}: recovered result diverges"
+            );
+            assert_eq!(
+                recovered.result.digest(),
+                reference.result.digest(),
+                "{algo} k={k} kill_at={kill_at}: recovered digest diverges"
             );
             assert_eq!(
                 recovered.stats.supersteps, reference.stats.supersteps,
@@ -317,7 +303,7 @@ fn two_victims_in_the_same_superstep_recover_as_a_batch() {
         let reference = run_local_framed(&job).expect("reference run");
         let kill_at = (reference.stats.supersteps - 1).min(1);
         let recovered = tcp_drill_plan(&job, &[(0, kill_at), (1, kill_at)], &[]);
-        assert_eq!(recovered.digests, reference.digests, "{algo}");
+        assert_eq!(recovered.result, reference.result, "{algo}");
         assert_eq!(
             recovered.stats.supersteps, reference.stats.supersteps,
             "{algo}"
@@ -337,7 +323,7 @@ fn a_replacement_dying_mid_replay_reenters_recovery() {
     let job = job("sssp");
     let reference = run_local_framed(&job).expect("reference run");
     let recovered = tcp_drill_plan(&job, &[(0, 1)], &[(0, 0)]);
-    assert_eq!(recovered.digests, reference.digests);
+    assert_eq!(recovered.result, reference.result);
     assert_eq!(recovered.stats.supersteps, reference.stats.supersteps);
     assert!(
         recovered.stats.recoveries >= 2,
@@ -377,7 +363,7 @@ fn a_muted_worker_hits_the_timeout_path_and_is_replaced() {
                 WorkerOptions::default()
             };
             scope.spawn(move || {
-                let _ = run_worker_connection_opts(connect, options);
+                let _ = run_worker(connect, options);
             });
             streams.push(accepted);
         }
@@ -386,7 +372,7 @@ fn a_muted_worker_hits_the_timeout_path_and_is_replaced() {
             let connect = std::net::TcpStream::connect(addr)?;
             let (accepted, _) = listener.accept()?;
             scope.spawn(move || {
-                let _ = run_worker_connection_opts(connect, WorkerOptions::default());
+                let _ = run_worker(connect, WorkerOptions::default());
             });
             Ok(accepted)
         };
@@ -394,10 +380,9 @@ fn a_muted_worker_hits_the_timeout_path_and_is_replaced() {
             read_timeout: Some(Duration::from_millis(300)),
             ..Default::default()
         };
-        run_coordinator_connections_recoverable(&job, streams, &config, &mut respawn)
-            .expect("recoverable run")
+        run_coordinator(&job, streams, &config, Some(&mut respawn)).expect("recoverable run")
     });
-    assert_eq!(outcome.digests, reference.digests);
+    assert_eq!(outcome.result, reference.result);
     assert_eq!(outcome.stats.supersteps, reference.stats.supersteps);
     assert!(
         outcome.stats.recoveries >= 1,
@@ -410,15 +395,14 @@ fn duplicated_frames_are_fenced_by_the_gather() {
     // Workers whose every frame is sent twice: the recoverable gather's
     // dedup must drop the echoes (they are out-of-phase reports) and land
     // on exactly the clean run's digests and superstep count.
-    use grape_algo::{SsspProgram, SsspQuery};
+    use grape_algo::{digest_f64_map, SsspProgram, SsspQuery};
     use grape_comm::CommStats;
     use grape_core::chaos::ChaosWorkerTransport;
-    use grape_core::engine::run_worker_with;
+    use grape_core::engine::run_worker;
     use grape_core::transport::framed_channel_pair;
     use grape_core::{GrapeEngine, PieProgram};
     use grape_graph::generators::{road_network, RoadNetworkConfig};
     use grape_partition::{build_fragments, BuiltinStrategy};
-    use grape_worker::digest_f64_map;
     use std::sync::Arc;
 
     let graph = road_network(
@@ -450,9 +434,8 @@ fn duplicated_frames_are_fenced_by_the_gather() {
                             ..Default::default()
                         };
                         let wrapped = ChaosWorkerTransport::new(wt, chaos, Box::new(|| {}));
-                        let partial =
-                            run_worker_with(&SsspProgram, query, fragment, &wrapped, 1, 1)
-                                .expect("worker ran");
+                        let partial = run_worker(&SsspProgram, query, fragment, &wrapped, 1, 1)
+                            .expect("worker ran");
                         digest_f64_map(&SsspProgram.assemble(vec![partial]))
                     })
                 })
@@ -461,7 +444,7 @@ fn duplicated_frames_are_fenced_by_the_gather() {
                 panic!("duplicated frames must not trigger recovery (worker {worker})")
             };
             let stats_out = GrapeEngine::new(SsspProgram)
-                .run_coordinator_recoverable(&fragments, &coord, &mut recover)
+                .run_coordinator(&fragments, &coord, Some(&mut recover))
                 .expect("coordinator ran");
             let digests: Vec<u64> = handles.into_iter().map(|h| h.join().unwrap()).collect();
             (digests, stats_out.supersteps)

@@ -11,8 +11,6 @@
 //!   METIS-like) and fragment construction.
 //! * [`comm`] — the in-process message bus standing in for the MPI
 //!   controller, with full communication accounting.
-//! * [`storage`] — the DFS-simulating fragment store, Index Manager and Load
-//!   Balancer.
 //! * [`core`] — the PIE programming model and the BSP fixpoint engine.
 //! * [`algo`] — registered PIE programs: SSSP, CC, PageRank, Sim, SubIso,
 //!   Keyword, CF and the GPAR marketing use case.
@@ -77,7 +75,6 @@ pub use grape_comm as comm;
 pub use grape_core as core;
 pub use grape_graph as graph;
 pub use grape_partition as partition;
-pub use grape_storage as storage;
 pub use grape_worker as worker;
 
 // The coherent public surface of the service mode, re-exported at the root:
@@ -111,7 +108,6 @@ pub mod prelude {
     pub use grape_partition::{
         BuiltinStrategy, HashPartitioner, MetisLikePartitioner, PartitionAssignment, Partitioner,
     };
-    pub use grape_storage::{FragmentStore, IndexManager};
     pub use grape_worker::{
         QueryHandle, QueryOutcome, Session, SessionConfig, SessionGraph, SessionUpdate,
         UpdateReceipt,

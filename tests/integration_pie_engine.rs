@@ -337,60 +337,3 @@ fn grape_and_all_baselines_agree_on_sssp() {
         assert!((blogel[v] - d).abs() < 1e-9);
     }
 }
-
-#[test]
-fn storage_round_trip_feeds_the_engine() {
-    let dir = std::env::temp_dir().join(format!("grape_it_store_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let store = FragmentStore::open(&dir).unwrap();
-    let graph = road();
-    let assignment = BuiltinStrategy::MetisLike.partition(&graph, 4);
-    store
-        .save_partitioned("road", &graph, &assignment, "metis-like")
-        .unwrap();
-
-    // Reload the fragments from "DFS" and run the query on them directly.
-    let fragments = store.load_fragments("road").unwrap();
-    let result = GrapeEngine::new(SsspProgram)
-        .run(&SsspQuery::new(0), &fragments)
-        .unwrap();
-    let expected = sequential_sssp(&graph, 0);
-    for (v, d) in &expected {
-        assert!((result.output[v] - d).abs() < 1e-9);
-    }
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn load_balancer_assigns_every_fragment_and_keeps_balance() {
-    let graph = barabasi_albert(2_000, 4, 7).unwrap();
-    let assignment = BuiltinStrategy::Ldg.partition(&graph, 16);
-    let fragments = build_fragments(&graph, &assignment);
-    let estimates: Vec<grape::storage::WorkloadEstimate> = fragments
-        .iter()
-        .map(grape::storage::WorkloadEstimate::of)
-        .collect();
-    let balanced = grape::storage::balance_fragments(&estimates, 4);
-    assert_eq!(balanced.worker_of.len(), 16);
-    assert!(balanced.imbalance() < 1.5);
-    let hosted: usize = (0..4).map(|w| balanced.fragments_of(w).len()).sum();
-    assert_eq!(hosted, 16);
-}
-
-#[test]
-fn index_manager_supports_pie_program_optimizations() {
-    let graph = labeled_social(
-        SocialGraphConfig {
-            num_persons: 300,
-            num_products: 6,
-            ..Default::default()
-        },
-        3,
-    )
-    .unwrap();
-    let manager = IndexManager::new();
-    let labels = manager.label_index("social", &graph);
-    assert_eq!(labels.vertices_with("product").len(), 6);
-    let degrees = manager.degree_index("social", &graph);
-    assert!(degrees.top_k(3).len() == 3);
-}
