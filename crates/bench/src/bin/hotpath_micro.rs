@@ -60,7 +60,7 @@ use grape_algo::{
     PageRankQuery, SimProgram, SimQuery, SsspProgram, SsspQuery, SubIsoProgram, SubIsoQuery,
 };
 use grape_core::par::ThreadCount;
-use grape_core::{EngineConfig, GrapeEngine, PieProgram, RunStats, TransportKind};
+use grape_core::{EngineConfig, GrapeEngine, IncrementalSeed, PieProgram, RunStats, TransportKind};
 use grape_graph::generators::{
     barabasi_albert, bipartite_ratings, labeled_social, road_network, RoadNetworkConfig,
     SocialGraphConfig,
@@ -74,6 +74,7 @@ use grape_worker::{
     Session, SessionConfig, SessionGraph,
 };
 use std::fmt::Write as _;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// One benchmark row, serialized by hand so the harness stays shim-free.
@@ -303,11 +304,11 @@ fn recovery_best_ms(
 }
 
 /// Best-of-`reps` wall time of an incremental re-answer: a single-threaded
-/// cold run on the original fragments captures its converged state, `batch`
-/// is applied to the graph and fragments through the same delta-overlay path
-/// the query service uses, and the engine re-runs seeded from the old
-/// fixpoint. `check` compares the warm output against a cold run on the
-/// updated fragments before any timing is accepted.
+/// cold run on the original fragments hands back its converged partials,
+/// `batch` is applied to the graph and fragments through the same
+/// delta-overlay path the query service uses, and the same engine re-runs
+/// seeded from the old fixpoint. `check` compares the warm output against a
+/// cold run on the updated fragments before any timing is accepted.
 #[allow(clippy::too_many_arguments)]
 fn incremental_best_ms<P>(
     algo: &'static str,
@@ -324,30 +325,30 @@ where
 {
     let mut assignment = HashPartitioner.partition(graph, k);
     let fragments = grape_partition::build_fragments(graph, &assignment);
-    // Only the seeding run captures converged snapshots; the timed warm runs
-    // (and the cold reference they are compared with) use the same plain
-    // config `wall_ms` was measured under, so the two columns are comparable.
-    let seed_engine = GrapeEngine::new(program.clone()).with_config(
-        EngineConfig::builder()
-            .threads_per_worker(ThreadCount::Fixed(1))
-            .capture_converged(true)
-            .build(),
-    );
     let engine = GrapeEngine::new(program.clone()).with_config(
         EngineConfig::builder()
             .threads_per_worker(ThreadCount::Fixed(1))
             .build(),
     );
-    let cold_original = seed_engine.run(query, &fragments).expect("cold run");
-    let seeds: Vec<_> = cold_original
-        .converged
-        .expect("converged snapshots captured")
-        .into_iter()
-        .map(|snapshot| Some(std::sync::Arc::new(snapshot)))
-        .collect();
+    let (converged, _) = engine
+        .run_partials(query, &fragments, &[])
+        .expect("cold run");
 
     let mut delta = grape_graph::DeltaGraph::new(graph.clone());
     let receipt = delta.apply(batch).expect("bench mutation batch applies");
+    let dirty = Arc::new(receipt.dirty);
+    let seeds: Vec<IncrementalSeed> = converged
+        .iter()
+        .map(|partial| IncrementalSeed {
+            snapshot: Arc::new(
+                program
+                    .snapshot_partial(partial)
+                    .expect("program snapshots"),
+            ),
+            dirty: Arc::clone(&dirty),
+            profile: receipt.profile,
+        })
+        .collect();
     assert!(
         program.incremental_eligible(&receipt.profile),
         "{algo}: bench mutation batch is not warm-eligible — inc_ms would time a cold run"
@@ -369,13 +370,7 @@ where
     for _ in 0..(reps * 3).max(5) {
         let t0 = Instant::now();
         let warm = engine
-            .run_incremental(
-                query,
-                &updated,
-                seeds.clone(),
-                &receipt.dirty,
-                &receipt.profile,
-            )
+            .run_incremental(query, &updated, &seeds)
             .expect("incremental run");
         let wall = t0.elapsed().as_secs_f64() * 1e3;
         assert!(

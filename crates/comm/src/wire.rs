@@ -73,9 +73,9 @@ pub const TAG_LOADED: u8 = 0x31;
 /// with it, and recovery bumps it exactly like the one-shot epoch path.
 pub const TAG_QUERY: u8 = 0x32;
 
-/// Frame tag of the service→client **query result**: the fragment's result
-/// digest plus its snapshot-encoded partial result, from which the client
-/// reassembles the full typed answer.
+/// Frame tag of the service→client **query result**: the body is the
+/// fragment's snapshot-encoded partial result and nothing else; the client
+/// restores every worker's partial and assembles the full typed answer.
 pub const TAG_RESULT: u8 = 0x33;
 
 /// Frame tag of a client→service **graph update**: a resolved mutation batch

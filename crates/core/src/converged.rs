@@ -3,28 +3,28 @@
 //! A query service that keeps fragments resident can answer a repeated query
 //! after a mutation batch *from the old fixpoint* instead of from scratch:
 //!
-//! 1. A converged run captures every fragment's final partial as bytes
-//!    ([`ConvergedState`], via [`crate::EngineConfig::capture_converged`]).
+//! 1. A converged run hands back every fragment's final partial
+//!    ([`crate::GrapeEngine::run_partials`]); the holder snapshots them as
+//!    bytes into a [`ConvergedState`].
 //! 2. Each mutation batch records its dirty set and profile in a
 //!    [`DeltaLog`]; [`DeltaLog::since`] merges everything applied since the
 //!    cached state was captured.
-//! 3. [`crate::GrapeEngine::run_incremental`] wraps the program in a
-//!    [`Seeded`] adapter whose PEval restores the old partial and
-//!    re-evaluates only from the dirty vertices
-//!    ([`crate::PieProgram::seed_partial`]); the BSP fixpoint then proceeds
-//!    unchanged and — for profiles the program declares eligible — lands on
-//!    a state bit-identical to a cold run on the mutated graph.
+//! 3. The next run of that query gives each worker an [`IncrementalSeed`].
+//!    A cold run is a warm run with no seed: a worker's PEval step restores
+//!    the old partial and re-evaluates only from the dirty vertices
+//!    ([`crate::PieProgram::seed_partial`]) when it holds a seed whose
+//!    profile the program declares eligible, and runs the cold PEval
+//!    otherwise; the BSP fixpoint then proceeds unchanged and lands on a
+//!    state bit-identical to a cold run on the mutated graph.
 
-use crate::context::PieContext;
-use crate::program::PieProgram;
+use grape_comm::{Wire, WireError, WireReader};
 use grape_graph::delta::MutationProfile;
 use grape_graph::VertexId;
-use grape_partition::Fragment;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// The converged dense state of one finished run: every fragment's final
-/// partial, serialized with [`PieProgram::snapshot_partial`], plus the
+/// partial, serialized with [`crate::PieProgram::snapshot_partial`], plus the
 /// graph version the run observed. A service caches one per
 /// `(graph, query)` pair and seeds later runs from it.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -82,101 +82,37 @@ impl DeltaLog {
     }
 }
 
-/// Adapter that turns a cold program into a warm one: PEval first tries
-/// [`PieProgram::seed_partial`] with the fragment's cached snapshot bytes,
-/// falling back to the inner cold PEval when no seed exists (or the program
-/// declines); every other method delegates unchanged. Built by
+/// Warm start for one fragment: its snapshot-encoded converged partial from
+/// the previous run of the same query, and the merged dirty set + mutation
+/// profile of every update applied since that run converged. Rides on a
+/// query job to a remote worker, or goes straight to
 /// [`crate::GrapeEngine::run_incremental`].
-#[derive(Debug, Clone)]
-pub struct Seeded<P> {
-    inner: Arc<P>,
-    /// Per-fragment snapshot bytes, indexed by fragment id; `None` slots run
-    /// the cold PEval.
-    seeds: Vec<Option<Arc<Vec<u8>>>>,
-    dirty: Vec<VertexId>,
-    profile: MutationProfile,
+#[derive(Debug, Clone, PartialEq)]
+pub struct IncrementalSeed {
+    /// Snapshot-encoded converged partial of the fragment, shared with the
+    /// converged cache it came from rather than copied per query.
+    pub snapshot: Arc<Vec<u8>>,
+    /// Union of the dirty sets of the updates applied since the snapshot
+    /// converged (global ids, sorted); one list shared by every fragment's
+    /// seed.
+    pub dirty: Arc<Vec<VertexId>>,
+    /// Merged shape of those updates.
+    pub profile: MutationProfile,
 }
 
-impl<P> Seeded<P> {
-    /// Wraps `inner` with per-fragment seeds and the merged dirty set +
-    /// profile of the mutations applied since the seeds converged.
-    pub fn new(
-        inner: Arc<P>,
-        seeds: Vec<Option<Arc<Vec<u8>>>>,
-        dirty: Vec<VertexId>,
-        profile: MutationProfile,
-    ) -> Self {
-        Self {
-            inner,
-            seeds,
-            dirty,
-            profile,
-        }
-    }
-}
-
-impl<P: PieProgram> PieProgram for Seeded<P> {
-    type Query = P::Query;
-    type VertexData = P::VertexData;
-    type EdgeData = P::EdgeData;
-    type Value = P::Value;
-    type Partial = P::Partial;
-    type Output = P::Output;
-
-    fn peval(
-        &self,
-        query: &Self::Query,
-        fragment: &Fragment<Self::VertexData, Self::EdgeData>,
-        ctx: &mut PieContext<Self::Value>,
-    ) -> Self::Partial {
-        if let Some(Some(bytes)) = self.seeds.get(fragment.id) {
-            if let Some(partial) =
-                self.inner
-                    .seed_partial(query, fragment, bytes, &self.dirty, &self.profile, ctx)
-            {
-                return partial;
-            }
-        }
-        self.inner.peval(query, fragment, ctx)
+impl Wire for IncrementalSeed {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.snapshot.encode(out);
+        self.dirty.encode(out);
+        self.profile.encode(out);
     }
 
-    fn inceval(
-        &self,
-        query: &Self::Query,
-        fragment: &Fragment<Self::VertexData, Self::EdgeData>,
-        partial: &mut Self::Partial,
-        messages: &[(VertexId, Self::Value)],
-        ctx: &mut PieContext<Self::Value>,
-    ) {
-        self.inner.inceval(query, fragment, partial, messages, ctx);
-    }
-
-    fn assemble(&self, partials: Vec<Self::Partial>) -> Self::Output {
-        self.inner.assemble(partials)
-    }
-
-    fn aggregate(&self, a: &Self::Value, b: &Self::Value) -> Self::Value {
-        self.inner.aggregate(a, b)
-    }
-
-    fn monotonic(&self, old: &Self::Value, new: &Self::Value) -> Option<bool> {
-        self.inner.monotonic(old, new)
-    }
-
-    fn snapshot_partial(&self, partial: &Self::Partial) -> Option<Vec<u8>> {
-        self.inner.snapshot_partial(partial)
-    }
-
-    fn restore_partial(&self, bytes: &[u8]) -> Option<Self::Partial> {
-        self.inner.restore_partial(bytes)
-    }
-
-    fn incremental_eligible(&self, profile: &MutationProfile) -> bool {
-        self.inner.incremental_eligible(profile)
-    }
-
-    fn name(&self) -> &str {
-        self.inner.name()
+    fn decode(reader: &mut WireReader<'_>) -> Result<Self, WireError> {
+        Ok(IncrementalSeed {
+            snapshot: Arc::new(Vec::decode(reader)?),
+            dirty: Arc::new(Vec::decode(reader)?),
+            profile: MutationProfile::decode(reader)?,
+        })
     }
 }
 

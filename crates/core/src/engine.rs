@@ -29,7 +29,7 @@
 //! vice versa), so the steady-state superstep path allocates nothing.
 
 use crate::context::PieContext;
-use crate::converged::Seeded;
+use crate::converged::IncrementalSeed;
 use crate::message::{CheckpointState, CoordCommand, WorkerReport};
 use crate::par::{ThreadCount, ThreadPool};
 use crate::program::PieProgram;
@@ -38,7 +38,6 @@ use crate::transport::{
     self, CoordTransport, DrainableWorkerTransport, TransportError, TransportKind, WorkerTransport,
 };
 use grape_comm::CommStats;
-use grape_graph::delta::MutationProfile;
 use grape_graph::{CsrGraph, VertexId};
 use grape_partition::{build_fragments, Fragment, PartitionAssignment};
 use std::borrow::Borrow;
@@ -271,6 +270,8 @@ struct WorkerRuntime<'a, P: PieProgram> {
     /// worker starts at `None` and therefore re-checkpoints on its first
     /// accepted report, re-arming the coordinator's bounded command log.
     reported_window: Option<usize>,
+    /// Warm start consulted by the PEval step; `None` is a cold run.
+    seed: Option<&'a IncrementalSeed>,
 }
 
 /// What [`WorkerRuntime::handle`] asks the surrounding loop to do.
@@ -290,6 +291,8 @@ impl<'a, P: PieProgram> WorkerRuntime<'a, P> {
         query: &'a P::Query,
         fragment: &'a Fragment<P::VertexData, P::EdgeData>,
         pool: Arc<ThreadPool>,
+        checkpoint_every: usize,
+        seed: Option<&'a IncrementalSeed>,
     ) -> Self {
         let mut ctx = PieContext::new();
         ctx.set_pool(pool);
@@ -301,8 +304,9 @@ impl<'a, P: PieProgram> WorkerRuntime<'a, P> {
             slot_translation: SlotTranslation::Dense(Vec::new()),
             messages: Vec::new(),
             partial: None,
-            checkpoint_every: 0,
+            checkpoint_every,
             reported_window: None,
+            seed,
         }
     }
 
@@ -314,10 +318,25 @@ impl<'a, P: PieProgram> WorkerRuntime<'a, P> {
             SlotTranslation::build(self.fragment.border_vertices(), border_slots);
     }
 
-    /// Runs PEval and builds its superstep-0 report.
+    /// The PEval step and its superstep-0 report: the seed's partial when
+    /// the program is eligible for its profile and accepts it, the cold
+    /// PEval otherwise. Init and a checkpoint-less Resume both land here, so
+    /// a replacement worker re-enters with the same warm start.
     fn run_peval(&mut self) -> WorkerReport<P::Value> {
         let t0 = Instant::now();
-        let partial = self.program.peval(self.query, self.fragment, &mut self.ctx);
+        let seeded = match self.seed {
+            Some(s) if self.program.incremental_eligible(&s.profile) => self.program.seed_partial(
+                self.query,
+                self.fragment,
+                &s.snapshot,
+                &s.dirty,
+                &s.profile,
+                &mut self.ctx,
+            ),
+            _ => None,
+        };
+        let partial =
+            seeded.unwrap_or_else(|| self.program.peval(self.query, self.fragment, &mut self.ctx));
         let eval_seconds = t0.elapsed().as_secs_f64();
         self.partial = Some(partial);
         self.report(0, Vec::new(), eval_seconds)
@@ -450,7 +469,8 @@ impl<'a, P: PieProgram> WorkerRuntime<'a, P> {
 /// (if the program supports snapshots), which is what makes the
 /// coordinator's worker-loss recovery cheap — `k = 1` snapshots every
 /// superstep, larger `k` amortizes the snapshot cost against a bounded
-/// command replay. `0` disables checkpoints.
+/// command replay. `0` disables checkpoints. A `seed` warm-starts the PEval
+/// step (see [`crate::converged`]); `None` is a cold run.
 ///
 /// Returns `None` only when the connection was torn down before PEval ever
 /// produced a partial — a worker killed at its Init command has no result,
@@ -462,10 +482,10 @@ pub fn run_worker<P: PieProgram>(
     transport: &impl WorkerTransport<P::Value>,
     threads: usize,
     checkpoint_every: usize,
+    seed: Option<&IncrementalSeed>,
 ) -> Option<P::Partial> {
     let pool = Arc::new(ThreadPool::new(threads));
-    let mut worker = WorkerRuntime::new(program, query, fragment, pool);
-    worker.checkpoint_every = checkpoint_every;
+    let mut worker = WorkerRuntime::new(program, query, fragment, pool, checkpoint_every, seed);
     loop {
         let batch = transport.recv_blocking();
         if batch.is_empty() {
@@ -565,13 +585,6 @@ pub struct EngineConfig {
     /// epoch per recovered worker, starting from this base). One-shot runs
     /// keep the default `0`.
     pub run_id: u32,
-    /// When set, [`GrapeEngine::run`] snapshots every fragment's converged
-    /// partial ([`PieProgram::snapshot_partial`]) right before Assemble and
-    /// returns them in [`GrapeResult::converged`] — the raw material of a
-    /// [`crate::converged::ConvergedState`] that can seed a later
-    /// [`GrapeEngine::run_incremental`] after graph mutations. Off by
-    /// default; programs without snapshot support yield `None` regardless.
-    pub capture_converged: bool,
 }
 
 impl Default for EngineConfig {
@@ -586,7 +599,6 @@ impl Default for EngineConfig {
             checkpoint_every: 0,
             auth_token: None,
             run_id: 0,
-            capture_converged: false,
         }
     }
 }
@@ -672,12 +684,6 @@ impl EngineConfigBuilder {
     /// Sets [`EngineConfig::run_id`].
     pub fn run_id(mut self, run_id: u32) -> Self {
         self.config.run_id = run_id;
-        self
-    }
-
-    /// Sets [`EngineConfig::capture_converged`].
-    pub fn capture_converged(mut self, capture: bool) -> Self {
-        self.config.capture_converged = capture;
         self
     }
 
@@ -781,10 +787,6 @@ pub struct GrapeResult<O> {
     pub output: O,
     /// Timing / communication statistics.
     pub stats: RunStats,
-    /// Per-fragment converged partial snapshots, captured right before
-    /// Assemble when [`EngineConfig::capture_converged`] is set and the
-    /// program supports [`PieProgram::snapshot_partial`]; `None` otherwise.
-    pub converged: Option<Vec<Vec<u8>>>,
 }
 
 /// The parallel query engine: wraps a [`PieProgram`] and executes it over
@@ -815,6 +817,11 @@ impl<P: PieProgram> GrapeEngine<P> {
         &self.program
     }
 
+    /// The configuration the engine runs with.
+    pub fn config(&self) -> &EngineConfig {
+        &self.config
+    }
+
     /// Partitions `graph` with `assignment`, builds the fragments and runs
     /// the query.
     pub fn run_on_graph(
@@ -829,12 +836,50 @@ impl<P: PieProgram> GrapeEngine<P> {
 
     /// Runs the simultaneous fixpoint over prebuilt fragments, held by value
     /// or shared (`Arc<Fragment>`): a holder that swaps single fragments, like
-    /// the query service, passes its table as it is.
+    /// the query service, passes its table as it is. A cold run is a warm run
+    /// with no seed.
     pub fn run(
         &self,
         query: &P::Query,
         fragments: &[impl Borrow<Fragment<P::VertexData, P::EdgeData>> + Sync],
     ) -> Result<GrapeResult<P::Output>, RunError> {
+        self.run_incremental(query, fragments, &[])
+    }
+
+    /// Runs the fixpoint *warm*: instead of a cold PEval, fragment `i` is
+    /// restored from `seeds[i]` — its snapshot from a previous converged run
+    /// on the pre-mutation graph — via [`PieProgram::seed_partial`] and
+    /// re-evaluated only from the dirty vertices of the mutations applied
+    /// since (see [`crate::converged`]).
+    ///
+    /// A fragment runs the cold PEval when it has no seed, when the program
+    /// rejects the seed's mutation profile
+    /// ([`PieProgram::incremental_eligible`]) or when `seed_partial`
+    /// declines. For eligible profiles the result is bit-identical to the
+    /// cold run on the mutated fragments.
+    pub fn run_incremental(
+        &self,
+        query: &P::Query,
+        fragments: &[impl Borrow<Fragment<P::VertexData, P::EdgeData>> + Sync],
+        seeds: &[IncrementalSeed],
+    ) -> Result<GrapeResult<P::Output>, RunError> {
+        let started = Instant::now();
+        let (partials, mut stats) = self.run_partials(query, fragments, seeds)?;
+        let output = self.program.assemble(partials);
+        stats.wall_time = started.elapsed();
+        Ok(GrapeResult { output, stats })
+    }
+
+    /// [`GrapeEngine::run_incremental`] up to the step before Assemble: the
+    /// converged partial of every fragment, in fragment order, plus the run's
+    /// statistics. What a caller wants that snapshots the partials (to seed a
+    /// later run) before it assembles them.
+    pub fn run_partials(
+        &self,
+        query: &P::Query,
+        fragments: &[impl Borrow<Fragment<P::VertexData, P::EdgeData>> + Sync],
+        seeds: &[IncrementalSeed],
+    ) -> Result<(Vec<P::Partial>, RunStats), RunError> {
         let n = fragments.len();
         if n == 0 {
             return Err(RunError::NoFragments);
@@ -844,75 +889,19 @@ impl<P: PieProgram> GrapeEngine<P> {
         // One set of communication counters shared by both directions of
         // whichever transport backend the config selects.
         let stats = Arc::new(CommStats::new());
-        let run_result = match self.config.transport {
+        let (partials, mut stats_out) = match self.config.transport {
             TransportKind::InProcess => {
                 let (coord, workers) = transport::typed_channel_pair(n, stats);
-                self.drive(query, fragments, coord, workers)
+                self.drive(query, fragments, seeds, coord, workers)
             }
             TransportKind::Framed => {
                 let (coord, workers) = transport::framed_channel_pair(n, stats);
-                self.drive(query, fragments, coord, workers)
+                self.drive(query, fragments, seeds, coord, workers)
             }
-        };
-
-        let (partials, mut stats_out) = run_result?;
-        let converged = if self.config.capture_converged {
-            let mut snaps = Vec::with_capacity(partials.len());
-            for partial in &partials {
-                match self.program.snapshot_partial(partial) {
-                    Some(bytes) => snaps.push(bytes),
-                    None => {
-                        snaps.clear();
-                        break;
-                    }
-                }
-            }
-            (snaps.len() == partials.len()).then_some(snaps)
-        } else {
-            None
-        };
-        let output = self.program.assemble(partials);
+        }?;
         stats_out.run_id = self.config.run_id;
         stats_out.wall_time = started.elapsed();
-        Ok(GrapeResult {
-            output,
-            stats: stats_out,
-            converged,
-        })
-    }
-
-    /// Runs the fixpoint *warm*: instead of a cold PEval, each fragment with
-    /// a seed in `seeds` (its snapshot from a previous converged run on the
-    /// pre-mutation graph, indexed by fragment id) is restored via
-    /// [`PieProgram::seed_partial`] and re-evaluated only from the `dirty`
-    /// vertices of the mutations applied since — see [`crate::converged`].
-    ///
-    /// Falls back to a cold [`GrapeEngine::run`] when the program rejects
-    /// the mutation `profile` ([`PieProgram::incremental_eligible`]); a
-    /// fragment whose seed is `None` (or whose `seed_partial` declines) runs
-    /// the cold PEval individually. For eligible profiles the result is
-    /// bit-identical to the cold run on the mutated fragments.
-    pub fn run_incremental(
-        &self,
-        query: &P::Query,
-        fragments: &[impl Borrow<Fragment<P::VertexData, P::EdgeData>> + Sync],
-        seeds: Vec<Option<Arc<Vec<u8>>>>,
-        dirty: &[VertexId],
-        profile: &MutationProfile,
-    ) -> Result<GrapeResult<P::Output>, RunError> {
-        if !self.program.incremental_eligible(profile) {
-            return self.run(query, fragments);
-        }
-        let seeded = GrapeEngine {
-            program: Arc::new(Seeded::new(
-                Arc::clone(&self.program),
-                seeds,
-                dirty.to_vec(),
-                *profile,
-            )),
-            config: self.config.clone(),
-        };
-        seeded.run(query, fragments)
+        Ok((partials, stats_out))
     }
 
     /// Runs only the coordinator half of the fixpoint over an external
@@ -1087,6 +1076,7 @@ impl<P: PieProgram> GrapeEngine<P> {
         &self,
         query: &P::Query,
         fragments: &[impl Borrow<Fragment<P::VertexData, P::EdgeData>> + Sync],
+        seeds: &[IncrementalSeed],
         coord: CT,
         worker_transports: Vec<WT>,
     ) -> Result<(Vec<P::Partial>, RunStats), RunError>
@@ -1095,20 +1085,6 @@ impl<P: PieProgram> GrapeEngine<P> {
         WT: DrainableWorkerTransport<P::Value>,
     {
         let n = fragments.len();
-        // Stable aggregation slots: one per border vertex, with its routing
-        // targets. Built once; reused every superstep. `fragment_slots[f]`
-        // is the border→slot mapping the handshake ships to worker `f`.
-        let (mut slots, fragment_slots): (SlotTable<P::Value>, Vec<Vec<u32>>) =
-            SlotTable::build(fragments, n);
-
-        // One-time handshake: each worker learns the slot of every border
-        // vertex before PEval, so all superstep traffic is slot-addressed.
-        // Sent before the workers spawn — the command channel is ordered, so
-        // Init is always the first command a worker sees.
-        for (f, border_slots) in fragment_slots.into_iter().enumerate() {
-            coord.send(f, CoordCommand::Init { border_slots });
-        }
-
         let program = Arc::clone(&self.program);
         let config = self.config.clone();
         let inline = match config.execution {
@@ -1129,14 +1105,30 @@ impl<P: PieProgram> GrapeEngine<P> {
             // through the same transport so the accounting and the message
             // protocol are identical to the threaded mode. The workers run
             // serialized, so they share one intra-fragment pool.
+            //
+            // Stable aggregation slots: one per border vertex, with its
+            // routing targets. Built once; reused every superstep.
+            // `fragment_slots[f]` is the border→slot mapping the one-time
+            // Init handshake ships to worker `f`, so that all superstep
+            // traffic is slot-addressed.
+            let (mut slots, fragment_slots): (SlotTable<P::Value>, Vec<Vec<u32>>) =
+                SlotTable::build(fragments, n);
+            for (f, border_slots) in fragment_slots.into_iter().enumerate() {
+                coord.send(f, CoordCommand::Init { border_slots });
+            }
             let pool = Arc::new(ThreadPool::new(threads));
             let mut workers: Vec<WorkerRuntime<'_, P>> = fragments
                 .iter()
-                .map(|fragment| {
-                    let fragment = fragment.borrow();
-                    let mut w = WorkerRuntime::new(&*program, query, fragment, Arc::clone(&pool));
-                    w.checkpoint_every = config.checkpoint_every;
-                    w
+                .enumerate()
+                .map(|(f, fragment)| {
+                    WorkerRuntime::new(
+                        &*program,
+                        query,
+                        fragment.borrow(),
+                        Arc::clone(&pool),
+                        config.checkpoint_every,
+                        seeds.get(f),
+                    )
                 })
                 .collect();
             let coordination =
@@ -1170,32 +1162,28 @@ impl<P: PieProgram> GrapeEngine<P> {
                 // ---------------- threaded driver ----------------
                 let mut handles = Vec::with_capacity(n);
                 let checkpoint_every = config.checkpoint_every;
-                for (fragment, wt) in fragments.iter().zip(worker_transports) {
+                for (f, (fragment, wt)) in fragments.iter().zip(worker_transports).enumerate() {
                     let fragment = fragment.borrow();
                     let program = Arc::clone(&program);
+                    let seed = seeds.get(f);
                     handles.push(scope.spawn(move || {
-                        run_worker(&*program, query, fragment, &wt, threads, checkpoint_every)
-                            .expect("every worker ran PEval")
+                        run_worker(
+                            &*program,
+                            query,
+                            fragment,
+                            &wt,
+                            threads,
+                            checkpoint_every,
+                            seed,
+                        )
+                        .expect("every worker ran PEval")
                     }));
                 }
 
-                // ---------------- coordinator ----------------
-                let coordination = Self::coordinate(
-                    &program,
-                    &config,
-                    n,
-                    &mut slots,
-                    &coord,
-                    false,
-                    None,
-                    || blocking_pump(&coord),
-                );
-
-                // Always release the workers, even on error, so the scope can
-                // join them.
-                for f in 0..n {
-                    coord.send(f, CoordCommand::Finish);
-                }
+                // The coordinator half is the one remote workers are driven
+                // by; it releases the workers even on error, so the scope
+                // can join them.
+                let coordination = self.run_coordinator(fragments, &coord, None);
                 let mut partials = Vec::with_capacity(n);
                 let mut panic_message = None;
                 for handle in handles {
@@ -1214,10 +1202,7 @@ impl<P: PieProgram> GrapeEngine<P> {
                 if let Some(msg) = panic_message {
                     return Err(RunError::WorkerPanic(msg));
                 }
-                let mut stats_out = coordination?;
-                stats_out.num_workers = n;
-                stats_out.program = program.name().to_string();
-                Ok((partials, stats_out))
+                Ok((partials, coordination?))
             })
         }
     }
@@ -2098,7 +2083,7 @@ mod tests {
         let (coord, workers) = transport::framed_channel_pair::<u64>(fragments.len(), stats);
         std::thread::scope(|scope| {
             for (fragment, wt) in fragments.iter().zip(workers) {
-                scope.spawn(move || run_worker(&MinLabelCc, &(), fragment, &wt, 1, 1));
+                scope.spawn(move || run_worker(&MinLabelCc, &(), fragment, &wt, 1, 1, None));
             }
             GrapeEngine::new(MinLabelCc).run_coordinator(fragments, &coord, recover)
         })

@@ -40,14 +40,13 @@ pub mod engine;
 pub mod message;
 pub mod par;
 pub mod program;
-pub mod scratch;
 pub mod ship;
 pub mod stats;
 pub mod transport;
 
 pub use chaos::{ChaosConfig, ChaosCoordTransport, ChaosWorkerTransport, DeterministicRng};
 pub use context::PieContext;
-pub use converged::{ConvergedState, DeltaLog, Seeded};
+pub use converged::{ConvergedState, DeltaLog, IncrementalSeed};
 pub use engine::{
     run_worker, EngineConfig, EngineConfigBuilder, ExecutionMode, GrapeEngine, GrapeResult,
     RunError,
@@ -55,7 +54,6 @@ pub use engine::{
 pub use message::VertexValue;
 pub use par::{ThreadCount, ThreadPool};
 pub use program::PieProgram;
-pub use scratch::ScratchPool;
 pub use ship::{
     decode_fragment, decode_fragment_parts, encode_fragment, encode_fragment_epoch,
     encode_fragment_parts, TAG_FRAGMENT,

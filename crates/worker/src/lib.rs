@@ -37,8 +37,7 @@
 use grape_algo::{dispatch, ClassVisitor, Query, QueryClass, QueryResult};
 use grape_comm::wire::{self, Wire, TAG_HELLO, TAG_QUERY};
 use grape_core::chaos::ChaosConfig;
-use grape_core::scratch::ScratchPool;
-use grape_core::{EngineConfig, Fragment, PieProgram, TransportKind};
+use grape_core::{EngineConfig, Fragment, GrapeEngine, PieProgram, TransportKind};
 use grape_partition::BuiltinStrategy;
 use service::{
     coordinate, expect_hello, serve_frames, ship_fragment, LoadSpec, QueryJob, ServiceSocket,
@@ -50,10 +49,10 @@ use std::time::Duration;
 
 pub mod service;
 
+pub use grape_core::IncrementalSeed;
 pub use service::{
-    Endpoint, GrapeService, IncrementalSeed, QueryHandle, QueryOutcome, ServiceHandle,
-    ServiceListener, ServiceOptions, Session, SessionConfig, SessionGraph, SessionUpdate,
-    UpdateReceipt, UpdateSpec,
+    Endpoint, GrapeService, QueryHandle, QueryOutcome, ServiceHandle, ServiceListener,
+    ServiceOptions, Session, SessionConfig, SessionGraph, SessionUpdate, UpdateReceipt, UpdateSpec,
 };
 
 /// A deterministic graph recipe ([`SessionGraph::generate`] builds it).
@@ -332,7 +331,8 @@ impl<S: ServiceStream> ClassVisitor for Batch<'_, '_, S> {
             config,
         } = self;
         let recoverable = respawn.is_some();
-        let scratch = ScratchPool::new();
+        let engine = GrapeEngine::new(program).with_config(config);
+        let config = engine.config();
         let mut accepted: Vec<Option<S>> = streams.into_iter().map(Some).collect();
         // A stream to worker `i` at epoch `e`: the connection accepted for it
         // (or, after a loss, one to a respawned replacement), greeted, and —
@@ -372,7 +372,7 @@ impl<S: ServiceStream> ClassVisitor for Batch<'_, '_, S> {
             // A connection dead before the handshake completes is a startup
             // failure of that worker, not a mid-run loss.
             stream.set_read_timeout(config.read_timeout)?;
-            ship_fragment(&mut stream, &scratch, &spec, epoch, &fragments[worker])
+            ship_fragment(&mut stream, &spec, epoch, &fragments[worker])
                 .and_then(|()| stream.set_read_timeout(None))
                 .and_then(|()| wire::write_frame_io_epoch(&mut stream, TAG_QUERY, epoch, &job))
                 .and_then(|_| stream.flush())
@@ -381,10 +381,9 @@ impl<S: ServiceStream> ClassVisitor for Batch<'_, '_, S> {
                 })?;
             Ok(stream)
         };
-        let (output, _, stats) =
-            coordinate(program, fragments, config.clone(), recoverable, &mut open)?;
+        let (partials, _, stats) = coordinate(&engine, fragments, recoverable, &mut open)?;
         Ok(QueryOutcome {
-            result: wrap(output),
+            result: wrap(engine.program().assemble(partials)),
             stats,
         })
     }

@@ -9,8 +9,7 @@
 //!   connections, loads shipped fragments **once** into a registry keyed by
 //!   graph id, and then serves a stream of typed [`Query`] submissions over
 //!   those resident fragments — each query a fresh BSP session fenced by its
-//!   own run id in the wire epoch header, with per-query scratch buffers
-//!   recycled through a [`ScratchPool`]. A dialled-in batch worker
+//!   own run id in the wire epoch header. A dialled-in batch worker
 //!   ([`crate::run_worker`]) runs the same frame loop over a private
 //!   one-connection registry.
 //! * [`Session`] is the client facade, `connect → load → submit`:
@@ -38,15 +37,15 @@
 //!    (CSR edges, border tables, payloads — workers never regenerate the
 //!    graph). The worker stores the fragment in its registry and acks with
 //!    `TAG_LOADED`.
-//! 2. `TAG_QUERY` carries a [`QueryJob`] — the typed query plus its run id —
-//!    stamped with that run id as the frame epoch. The worker resolves the
-//!    resident fragment and enters the ordinary BSP worker loop at that
-//!    epoch (`Init` → PEval report → (`IncEval` → report)* → `Finish`); the
-//!    coordinator drives the ordinary fixpoint over a per-query slot table.
-//! 3. After `Finish`, the worker answers with one `TAG_RESULT` frame: the
-//!    order-independent digest of its assembled partial plus the
-//!    snapshot-encoded partial itself, which the coordinator restores and
-//!    assembles into the typed output.
+//! 2. `TAG_QUERY` carries a [`QueryJob`] — the typed query, its run id and,
+//!    for a warm start, the worker's [`IncrementalSeed`] — stamped with that
+//!    run id as the frame epoch. The worker resolves the resident fragment
+//!    and enters the ordinary BSP worker loop at that epoch (`Init` → PEval
+//!    report → (`IncEval` → report)* → `Finish`); the coordinator drives the
+//!    ordinary fixpoint over a per-query slot table.
+//! 3. After `Finish`, the worker answers with one `TAG_RESULT` frame whose
+//!    body is its snapshot-encoded partial and nothing else; the coordinator
+//!    restores the k partials and assembles them into the typed output.
 //! 4. `TAG_UPDATE` (sessions only) carries a versioned mutation batch for one
 //!    resident fragment, acked with `TAG_UPDATED`.
 //!
@@ -76,11 +75,10 @@ use grape_comm::CommStats;
 use grape_core::chaos::{ChaosConfig, ChaosWorkerTransport};
 use grape_core::engine::run_worker;
 use grape_core::par::ThreadCount;
-use grape_core::scratch::ScratchPool;
 use grape_core::transport::{FramedStreamCoord, FramedStreamWorker, SplitStream};
 use grape_core::{
     decode_fragment, encode_fragment_epoch, ConvergedState, DeltaLog, EngineConfig, GrapeEngine,
-    MutationProfile, PieProgram, RunStats, Seeded, VertexId, TAG_FRAGMENT,
+    IncrementalSeed, MutationProfile, PieProgram, RunStats, VertexId, TAG_FRAGMENT,
 };
 use grape_graph::delta::GraphMutation;
 use grape_graph::generators::{
@@ -385,39 +383,6 @@ impl Wire for QueryJob {
     }
 }
 
-/// Warm-start payload riding on a [`QueryJob`]: the worker's snapshot-encoded
-/// converged partial from the previous run of the same query, and the merged
-/// dirty set + mutation profile of every update applied since it converged.
-/// The worker seeds IncEval from it instead of running PEval cold; programs
-/// that cannot seed under the profile fall back to cold automatically.
-#[derive(Debug, Clone, PartialEq)]
-pub struct IncrementalSeed {
-    /// Snapshot-encoded converged partial of this worker's fragment, shared
-    /// with the session's converged cache rather than copied per query.
-    pub snapshot: Arc<Vec<u8>>,
-    /// Union of the dirty sets of the updates applied since the snapshot
-    /// converged (global ids, sorted).
-    pub dirty: Vec<VertexId>,
-    /// Merged shape of those updates.
-    pub profile: MutationProfile,
-}
-
-impl Wire for IncrementalSeed {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.snapshot.encode(out);
-        self.dirty.encode(out);
-        self.profile.encode(out);
-    }
-
-    fn decode(reader: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(IncrementalSeed {
-            snapshot: Arc::new(Vec::decode(reader)?),
-            dirty: Vec::decode(reader)?,
-            profile: MutationProfile::decode(reader)?,
-        })
-    }
-}
-
 /// Header of a [`TAG_UPDATE`] frame: which resident fragment the resolved
 /// mutation batch that follows (in the same frame body) targets, and the
 /// fragment version the batch advances it to. Versions make retries
@@ -674,6 +639,21 @@ impl ResidentFragments {
             ResidentFragments::Labeled(slots) => slots[index].clone().map(FragmentHandle::Labeled),
         }
     }
+
+    /// Puts `fragment` into slot `index`; `false` if it is of the other
+    /// family.
+    fn put(&mut self, index: usize, fragment: FragmentHandle) -> bool {
+        match (self, fragment) {
+            (ResidentFragments::Weighted(slots), FragmentHandle::Weighted(f)) => {
+                slots[index] = Some(f)
+            }
+            (ResidentFragments::Labeled(slots), FragmentHandle::Labeled(f)) => {
+                slots[index] = Some(f)
+            }
+            _ => return false,
+        }
+        true
+    }
 }
 
 /// One graph resident in a daemon.
@@ -702,7 +682,6 @@ pub struct ServiceOptions {
 /// what a chaos drill's kill means here.
 pub(crate) struct ServiceState {
     registry: Mutex<HashMap<u64, ResidentGraph>>,
-    scratch: ScratchPool,
     options: ServiceOptions,
     stop: AtomicBool,
     /// Fault injection applied to every query's BSP session;
@@ -718,7 +697,6 @@ impl ServiceState {
     pub(crate) fn new(options: ServiceOptions, chaos: ChaosConfig, on_kill: Option<fn()>) -> Self {
         ServiceState {
             registry: Mutex::new(HashMap::new()),
-            scratch: ScratchPool::new(),
             options,
             stop: AtomicBool::new(false),
             chaos,
@@ -930,21 +908,11 @@ fn decode_body<T: Wire>(body: &[u8], what: &str) -> io::Result<T> {
         .map_err(|e| bad_data(format!("bad {what}: {e}")))
 }
 
-/// Writes the frames `fill` appends through a scratch buffer recycled under
-/// `key`: released clean, or (on a failed write) not at all.
-fn send_scratch(
-    stream: &mut impl Write,
-    scratch: &ScratchPool,
-    key: u32,
-    fill: impl FnOnce(&mut Vec<u8>),
-) -> io::Result<()> {
-    let mut buf = scratch.acquire(key);
-    fill(&mut buf);
-    stream.write_all(&buf)?;
-    stream.flush()?;
-    buf.clear();
-    scratch.release(key, buf);
-    Ok(())
+/// Writes already-encoded frames in one go: back-to-back frames leave as one
+/// write, so none of them waits on a delayed ACK of the one before.
+fn send(stream: &mut impl Write, frames: &[u8]) -> io::Result<()> {
+    stream.write_all(frames)?;
+    stream.flush()
 }
 
 /// Reads the one frame that acknowledges a request, checking its tag.
@@ -1019,14 +987,45 @@ pub(crate) fn serve_frames<S: ServiceStream>(
     }
 }
 
+/// Most fragments one resident graph may be cut into. A [`LoadSpec`] is
+/// peer-controlled, and its worker count sizes the registry's slot tables.
+const MAX_WORKERS: u32 = 4096;
+
 /// Handles one `TAG_LOAD`: reads the following fragment frame, stores the
-/// fragment in the registry, and acks.
+/// fragment in the registry, and acks. Spec and fragment are checked in
+/// full before the registry is touched, so a refused load leaves nothing
+/// behind.
 fn load_fragment<S: ServiceStream>(
     stream: &mut S,
     spec: LoadSpec,
     epoch: u32,
     state: &ServiceState,
 ) -> io::Result<()> {
+    fn decode<V, E>(body: &[u8], index: u32) -> io::Result<Arc<Fragment<V, E>>>
+    where
+        V: Wire + Clone + Default,
+        E: Wire + Clone,
+    {
+        let fragment: Fragment<V, E> = decode_fragment(TAG_FRAGMENT, body)
+            .map_err(|e| bad_data(format!("bad fragment frame: {e}")))?;
+        if fragment.id != index as usize {
+            return Err(bad_data(format!(
+                "shipped fragment {} under load index {index}",
+                fragment.id
+            )));
+        }
+        Ok(Arc::new(fragment))
+    }
+
+    if spec.workers > MAX_WORKERS || spec.index >= spec.workers {
+        return Err(bad_data(format!(
+            "fragment index {} out of range for {} workers (at most {MAX_WORKERS})",
+            spec.index, spec.workers
+        )));
+    }
+    if spec.family > 1 {
+        return Err(bad_data(format!("unknown payload family {}", spec.family)));
+    }
     let (ftag, fepoch, fbody) = wire::read_frame_io_epoch(stream)?
         .ok_or_else(|| bad_data("connection closed before the fragment"))?;
     if ftag != TAG_FRAGMENT {
@@ -1039,68 +1038,36 @@ fn load_fragment<S: ServiceStream>(
             "fragment frame at epoch {fepoch}, load spec at epoch {epoch}"
         )));
     }
-    if spec.index >= spec.workers {
-        return Err(bad_data(format!(
-            "fragment index {} out of range for {} workers",
-            spec.index, spec.workers
-        )));
-    }
-
-    fn store<V, E>(
-        slots: &mut [Option<Arc<Fragment<V, E>>>],
-        tag: u8,
-        body: &[u8],
-        index: u32,
-    ) -> io::Result<()>
-    where
-        V: Wire + Clone + Default,
-        E: Wire + Clone,
-    {
-        let fragment: Fragment<V, E> =
-            decode_fragment(tag, body).map_err(|e| bad_data(format!("bad fragment frame: {e}")))?;
-        if fragment.id != index as usize {
-            return Err(bad_data(format!(
-                "shipped fragment {} under load index {index}",
-                fragment.id
-            )));
-        }
-        slots[index as usize] = Some(Arc::new(fragment));
-        Ok(())
-    }
+    let fragment = match spec.family {
+        0 => FragmentHandle::Weighted(decode(&fbody, spec.index)?),
+        _ => FragmentHandle::Labeled(decode(&fbody, spec.index)?),
+    };
 
     {
+        let n = spec.workers as usize;
         let mut registry = state.registry.lock().unwrap();
-        let entry = registry.entry(spec.graph_id).or_insert_with(|| {
-            let n = spec.workers as usize;
-            ResidentGraph {
+        let entry = registry
+            .entry(spec.graph_id)
+            .or_insert_with(|| ResidentGraph {
                 workers: spec.workers,
                 vertices: spec.vertices,
-                fragments: match spec.family {
-                    0 => ResidentFragments::Weighted(vec![None; n]),
-                    _ => ResidentFragments::Labeled(vec![None; n]),
+                fragments: match fragment {
+                    FragmentHandle::Weighted(_) => ResidentFragments::Weighted(vec![None; n]),
+                    FragmentHandle::Labeled(_) => ResidentFragments::Labeled(vec![None; n]),
                 },
                 versions: vec![0; n],
-            }
-        });
-        if entry.workers != spec.workers
-            || entry.vertices != spec.vertices
-            || entry.fragments.family() != spec.family
-            || spec.family > 1
-        {
+            });
+        let fits = entry.workers == spec.workers && entry.vertices == spec.vertices;
+        if !(fits && entry.fragments.put(spec.index as usize, fragment)) {
             return Err(bad_data(format!(
                 "load spec for graph {} conflicts with its resident shape",
                 spec.graph_id
             )));
         }
-        match &mut entry.fragments {
-            ResidentFragments::Weighted(slots) => store(slots, ftag, &fbody, spec.index)?,
-            ResidentFragments::Labeled(slots) => store(slots, ftag, &fbody, spec.index)?,
-        }
     }
 
-    send_scratch(stream, &state.scratch, epoch, |buf| {
-        wire::encode_frame_epoch(TAG_LOADED, epoch, &spec.graph_id, buf)
-    })
+    wire::write_frame_io_epoch(stream, TAG_LOADED, epoch, &spec.graph_id)?;
+    stream.flush()
 }
 
 /// Handles one `TAG_UPDATE`: applies the resolved mutation batch that
@@ -1178,16 +1145,9 @@ fn apply_update<S: ServiceStream>(
         // The fence again: a retry of this very batch on another connection
         // may have landed while this one spliced.
         if resident.versions[index] == current {
-            match (&mut resident.fragments, spliced) {
-                (ResidentFragments::Weighted(slots), Some(FragmentHandle::Weighted(f))) => {
-                    slots[index] = Some(f)
-                }
-                (ResidentFragments::Labeled(slots), Some(FragmentHandle::Labeled(f))) => {
-                    slots[index] = Some(f)
-                }
-                // Untouched fragment: the same `Arc` stays, only the version moves.
-                (_, None) => {}
-                _ => return Err(bad_data("resident fragments changed family mid-update")),
+            // Untouched fragment: the same `Arc` stays, only the version moves.
+            if spliced.is_some_and(|f| !resident.fragments.put(index, f)) {
+                return Err(bad_data("resident fragments changed family mid-update"));
             }
             resident.versions[index] = spec.version;
             resident.vertices = spec.vertices;
@@ -1205,10 +1165,9 @@ fn apply_update<S: ServiceStream>(
         )));
     };
 
-    let epoch = spec.version as u32;
-    send_scratch(stream, &state.scratch, epoch, |buf| {
-        wire::encode_frame_epoch(TAG_UPDATED, epoch, &(spec.graph_id, acked_version), buf)
-    })
+    let ack = (spec.graph_id, acked_version);
+    wire::write_frame_io_epoch(stream, TAG_UPDATED, spec.version as u32, &ack)?;
+    stream.flush()
 }
 
 /// Handles one `TAG_QUERY`: resolves the resident fragment and runs the BSP
@@ -1275,45 +1234,21 @@ struct Answer<'a, S> {
 impl<S: ServiceStream> ClassVisitor for Answer<'_, S> {
     type Out = ();
 
-    /// When the job carries an [`IncrementalSeed`] and the program can seed
-    /// under its mutation profile, the program is wrapped in [`Seeded`] so
-    /// PEval warm-starts from the shipped converged partial; otherwise (no
-    /// seed, ineligible profile, or the program declines at seed time) the
-    /// cold path runs unchanged.
-    fn visit<P: PieProgram>(
-        self,
-        program: P,
-        query: P::Query,
-        wrap: impl Fn(P::Output) -> QueryResult,
-        fragments: &[Arc<Fragment<P::VertexData, P::EdgeData>>],
-    ) -> io::Result<()> {
-        let fragment = &*fragments[0];
-        match &self.job.seed {
-            Some(s) if program.incremental_eligible(&s.profile) => {
-                let mut seeds: Vec<Option<Arc<Vec<u8>>>> = vec![None; fragment.id + 1];
-                seeds[fragment.id] = Some(Arc::clone(&s.snapshot));
-                let seeded = Seeded::new(Arc::new(program), seeds, s.dirty.clone(), s.profile);
-                self.run(seeded, &query, fragment, wrap)
-            }
-            _ => self.run(program, &query, fragment, wrap),
-        }
-    }
-}
-
-impl<S: ServiceStream> Answer<'_, S> {
     /// The BSP session body: the transport runs on an alias (`try_clone`) of
     /// the connection at the query's epoch; the outer frame loop keeps the
     /// original for the next frame, which is safe because the protocol is
     /// strictly request-response (the coordinator sends nothing after
-    /// `Finish` until it has our `TAG_RESULT`).
-    fn run<P: PieProgram>(
-        &self,
+    /// `Finish` until it has our `TAG_RESULT`). A seed on the job goes to the
+    /// worker loop as it is.
+    fn visit<P: PieProgram>(
+        self,
         program: P,
-        query: &P::Query,
-        fragment: &Fragment<P::VertexData, P::EdgeData>,
-        wrap: impl Fn(P::Output) -> QueryResult,
+        query: P::Query,
+        _wrap: impl Fn(P::Output) -> QueryResult,
+        fragments: &[Arc<Fragment<P::VertexData, P::EdgeData>>],
     ) -> io::Result<()> {
-        let (stream, state, job) = (self.stream, self.state, self.job);
+        let Answer { stream, state, job } = self;
+        let fragment = &*fragments[0];
         let run_id = job.run_id;
         let threads = ThreadCount::from(job.threads).resolve(job.workers as usize, false);
         let checkpoint_every = job.checkpoint_every as usize;
@@ -1324,43 +1259,29 @@ impl<S: ServiceStream> Answer<'_, S> {
         let stats = Arc::new(CommStats::new());
         let transport = FramedStreamWorker::<P::Value>::new(stream.try_clone_stream()?, stats)?
             .with_epoch(run_id);
-        let chaos_active = chaos.kill_at.is_some()
-            || chaos.mute_per_mille > 0
-            || chaos.duplicate_per_mille > 0
-            || chaos.delay_per_mille > 0;
-        let (partial, transport) = if chaos_active {
-            let victim = stream.try_clone_stream()?;
-            let die = state.on_kill;
-            let on_kill = move || match die {
-                Some(die) => die(),
-                None => {
-                    let _ = victim.shutdown_both();
-                }
-            };
-            let wrapped = ChaosWorkerTransport::new(transport, chaos, Box::new(on_kill));
-            let partial = run_worker(
-                &program,
-                query,
-                fragment,
-                &wrapped,
-                threads,
-                checkpoint_every,
-            );
-            (partial, wrapped.into_inner())
-        } else {
-            let partial = run_worker(
-                &program,
-                query,
-                fragment,
-                &transport,
-                threads,
-                checkpoint_every,
-            );
-            (partial, transport)
+        // The fault schedule of a drill; empty (the default), the wrapper
+        // passes every command and report through.
+        let victim = stream.try_clone_stream()?;
+        let die = state.on_kill;
+        let on_kill = move || match die {
+            Some(die) => die(),
+            None => {
+                let _ = victim.shutdown_both();
+            }
         };
+        let transport = ChaosWorkerTransport::new(transport, chaos, Box::new(on_kill));
+        let partial = run_worker(
+            &program,
+            &query,
+            fragment,
+            &transport,
+            threads,
+            checkpoint_every,
+            job.seed.as_ref(),
+        );
         // The worker loop also stops on connection failure; only a clean
         // Finish-terminated run may report a result.
-        if let Some(reason) = transport.disconnect_reason() {
+        if let Some(reason) = transport.inner().disconnect_reason() {
             return Err(io::Error::other(format!(
                 "query {run_id} torn down: {reason}"
             )));
@@ -1370,28 +1291,16 @@ impl<S: ServiceStream> Answer<'_, S> {
                 "query {run_id} torn down before PEval"
             )));
         };
-        // The result goes home as (digest, snapshot-encoded partial): the
-        // digest of this fragment's view of the answer for cheap
-        // verification, the snapshot so the coordinator can restore and
-        // assemble the typed answer. Snapshot before assemble — assemble
-        // consumes the partial.
+        // The result goes home as the snapshot-encoded partial and nothing
+        // else: the coordinator restores and assembles.
         let snapshot = program
             .snapshot_partial(&partial)
             .ok_or_else(|| io::Error::other("program cannot snapshot its partial result"))?;
-        let digest = wrap(program.assemble(vec![partial])).digest();
-        send_scratch(
-            &mut stream.try_clone_stream()?,
-            &state.scratch,
-            run_id,
-            |buf| {
-                wire::encode_frame_with_epoch(TAG_RESULT, run_id, buf, |out| {
-                    digest.encode(out);
-                    snapshot.encode(out);
-                })
-            },
-        )?;
-        state.scratch.retire(run_id);
-        Ok(())
+        let mut frame = Vec::with_capacity(wire::HEADER_LEN + snapshot.len());
+        wire::encode_frame_with_epoch(TAG_RESULT, run_id, &mut frame, |out| {
+            out.extend_from_slice(&snapshot)
+        });
+        send(&mut stream.try_clone_stream()?, &frame)
     }
 }
 
@@ -1479,7 +1388,6 @@ struct SessionInner {
     /// a query must not straddle one. Taken before `graph`, never after.
     resident: RwLock<()>,
     next_run_id: AtomicU32,
-    scratch: ScratchPool,
 }
 
 /// Process-wide graph id sequence; combined with the pid so ids from
@@ -1548,7 +1456,6 @@ impl Session {
                 graph: Mutex::new(None),
                 resident: RwLock::new(()),
                 next_run_id: AtomicU32::new(1),
-                scratch: ScratchPool::new(),
             }),
         })
     }
@@ -1568,23 +1475,16 @@ impl Session {
             SessionGraph::Labeled(g) => SessionDelta::Labeled(DeltaGraph::new(g.clone())),
         };
         if !self.inner.config.endpoints.is_empty() {
-            for index in 0..n {
-                let spec = LoadSpec {
-                    graph_id,
-                    family: fragments.family(),
-                    index: index as u32,
-                    workers: n as u32,
-                    vertices,
-                };
-                let (stream, scratch) = (&mut self.inner.dial(index)?, &self.inner.scratch);
-                match &fragments {
-                    SessionFragments::Weighted(frags) => {
-                        ship_fragment(stream, scratch, &spec, 0, &frags[index])?
-                    }
-                    SessionFragments::Labeled(frags) => {
-                        ship_fragment(stream, scratch, &spec, 0, &frags[index])?
-                    }
-                }
+            let spec = LoadSpec {
+                graph_id,
+                family: fragments.family(),
+                index: 0, // set per fragment
+                workers: n as u32,
+                vertices,
+            };
+            match &fragments {
+                SessionFragments::Weighted(frags) => self.inner.ship_fragments(spec, frags)?,
+                SessionFragments::Labeled(frags) => self.inner.ship_fragments(spec, frags)?,
             }
         }
         *self.inner.graph.lock().unwrap() = Some(LoadedGraph {
@@ -1689,39 +1589,6 @@ impl Session {
 impl SessionInner {
     /// Applies one update batch end to end; see [`Session::update`].
     fn apply_session_update(&self, batch: SessionUpdate) -> io::Result<UpdateReceipt> {
-        /// Family-generic core: mutate the overlay, resolve against the
-        /// assignment, and splice the batch into the fragments it touches.
-        #[allow(clippy::type_complexity)]
-        fn mutate<V, E>(
-            delta: &mut DeltaGraph<V, E>,
-            assignment: &mut PartitionAssignment,
-            fragments: &[Arc<Fragment<V, E>>],
-            batch: &[GraphMutation<V, E>],
-        ) -> io::Result<(
-            Vec<VertexId>,
-            MutationProfile,
-            ResolvedMutations<V, E>,
-            Vec<(usize, Fragment<V, E>)>,
-        )>
-        where
-            V: Wire + Clone + Default,
-            E: Wire + Clone,
-        {
-            let receipt = delta
-                .apply(batch)
-                .map_err(|e| bad_data(format!("bad update batch: {e}")))?;
-            let resolved =
-                resolve_net_mutations(receipt.net, assignment, |v| delta.vertex_data(v).cloned());
-            let mut spliced = Vec::new();
-            for (index, fragment) in fragments.iter().enumerate() {
-                let updated = fragment
-                    .splice_mutations(&resolved)
-                    .map_err(|e| bad_data(format!("fragment update failed: {e}")))?;
-                spliced.extend(updated.map(|f| (index, f)));
-            }
-            Ok((receipt.dirty, receipt.profile, resolved, spliced))
-        }
-
         // Remote queries read the daemons' fragments, not this session's:
         // wait for the ones in flight, so none sees a half-shipped version.
         let _exclusive = self.resident.write().unwrap();
@@ -1729,49 +1596,97 @@ impl SessionInner {
         let loaded = guard
             .as_mut()
             .ok_or_else(|| bad_data("no graph loaded: call Session::load first"))?;
-        let version = loaded.log.version() + 1;
-        // Untouched fragments stay where they are, shared with the queries in
-        // flight; those keep the `Arc`s they started with.
-        let (dirty, profile) = match (&mut loaded.delta, &batch) {
-            (SessionDelta::Weighted(delta), SessionUpdate::Weighted(muts)) => {
-                let SessionFragments::Weighted(frags) = &mut loaded.fragments else {
-                    return Err(bad_data("resident fragments lost their family"));
-                };
-                let (dirty, profile, resolved, spliced) =
-                    mutate(delta, &mut loaded.assignment, frags, muts)?;
-                loaded.vertices = delta.num_vertices() as u64;
-                self.ship_updates(loaded.graph_id, 0, version, loaded.vertices, &resolved)?;
-                for (index, fragment) in spliced {
-                    frags[index] = Arc::new(fragment);
-                }
-                (dirty, profile)
-            }
-            (SessionDelta::Labeled(delta), SessionUpdate::Labeled(muts)) => {
-                let SessionFragments::Labeled(frags) = &mut loaded.fragments else {
-                    return Err(bad_data("resident fragments lost their family"));
-                };
-                let (dirty, profile, resolved, spliced) =
-                    mutate(delta, &mut loaded.assignment, frags, muts)?;
-                loaded.vertices = delta.num_vertices() as u64;
-                self.ship_updates(loaded.graph_id, 1, version, loaded.vertices, &resolved)?;
-                for (index, fragment) in spliced {
-                    frags[index] = Arc::new(fragment);
-                }
-                (dirty, profile)
-            }
+        let spec = UpdateSpec {
+            graph_id: loaded.graph_id,
+            family: loaded.fragments.family(),
+            index: 0,    // set per fragment
+            vertices: 0, // known once the overlay took the batch
+            version: loaded.log.version() + 1,
+        };
+        let version = spec.version;
+        let assignment = &mut loaded.assignment;
+        let (dirty, profile, vertices) = match (&mut loaded.delta, &mut loaded.fragments, &batch) {
+            (
+                SessionDelta::Weighted(delta),
+                SessionFragments::Weighted(frags),
+                SessionUpdate::Weighted(muts),
+            ) => self.update_family(spec, delta, assignment, frags, muts)?,
+            (
+                SessionDelta::Labeled(delta),
+                SessionFragments::Labeled(frags),
+                SessionUpdate::Labeled(muts),
+            ) => self.update_family(spec, delta, assignment, frags, muts)?,
             _ => {
                 return Err(bad_data(
                     "update family does not match the loaded graph's family",
                 ))
             }
         };
-        let recorded = loaded.log.record(dirty.clone(), profile);
-        debug_assert_eq!(recorded, version);
-        Ok(UpdateReceipt {
+        loaded.vertices = vertices;
+        let receipt = UpdateReceipt {
             version,
             dirty: dirty.len(),
             profile,
-        })
+        };
+        let recorded = loaded.log.record(dirty, profile);
+        debug_assert_eq!(recorded, version);
+        Ok(receipt)
+    }
+
+    /// Family-generic core of an update: mutate the overlay, resolve against
+    /// the assignment, splice the batch into the fragments it touches, ship
+    /// it to the daemons, and only then swap the spliced fragments in.
+    /// Untouched fragments stay where they are, shared with the queries in
+    /// flight; those keep the `Arc`s they started with. Returns the batch's
+    /// dirty set and profile and the new global vertex count.
+    fn update_family<V, E>(
+        &self,
+        mut spec: UpdateSpec,
+        delta: &mut DeltaGraph<V, E>,
+        assignment: &mut PartitionAssignment,
+        fragments: &mut [Arc<Fragment<V, E>>],
+        batch: &[GraphMutation<V, E>],
+    ) -> io::Result<(Vec<VertexId>, MutationProfile, u64)>
+    where
+        V: Wire + Clone + Default,
+        E: Wire + Clone,
+    {
+        let receipt = delta
+            .apply(batch)
+            .map_err(|e| bad_data(format!("bad update batch: {e}")))?;
+        let resolved =
+            resolve_net_mutations(receipt.net, assignment, |v| delta.vertex_data(v).cloned());
+        let mut spliced = Vec::new();
+        for (index, fragment) in fragments.iter().enumerate() {
+            let updated = fragment
+                .splice_mutations(&resolved)
+                .map_err(|e| bad_data(format!("fragment update failed: {e}")))?;
+            spliced.extend(updated.map(|f| (index, f)));
+        }
+        spec.vertices = delta.num_vertices() as u64;
+        self.ship_updates(&spec, &resolved)?;
+        for (index, fragment) in spliced {
+            fragments[index] = Arc::new(fragment);
+        }
+        Ok((receipt.dirty, receipt.profile, spec.vertices))
+    }
+
+    /// Ships every fragment of a freshly cut graph to the daemon hosting its
+    /// worker, each over a connection of its own.
+    fn ship_fragments<V, E>(
+        &self,
+        mut spec: LoadSpec,
+        fragments: &[Arc<Fragment<V, E>>],
+    ) -> io::Result<()>
+    where
+        V: Wire + Clone,
+        E: Wire + Clone,
+    {
+        for (index, fragment) in fragments.iter().enumerate() {
+            spec.index = index as u32;
+            ship_fragment(&mut self.dial(index)?, &spec, 0, fragment)?;
+        }
+        Ok(())
     }
 
     /// A greeted connection to the daemon hosting worker `index`.
@@ -1786,10 +1701,7 @@ impl SessionInner {
     /// lost ack idempotent on the daemon.
     fn ship_updates<V, E>(
         &self,
-        graph_id: u64,
-        family: u8,
-        version: u64,
-        vertices: u64,
+        spec: &UpdateSpec,
         resolved: &ResolvedMutations<V, E>,
     ) -> io::Result<()>
     where
@@ -1799,22 +1711,20 @@ impl SessionInner {
         if self.config.endpoints.is_empty() {
             return Ok(());
         }
-        let epoch = version as u32;
+        let (graph_id, version) = (spec.graph_id, spec.version);
+        let mut frame = Vec::new();
         for index in 0..self.config.workers {
             let spec = UpdateSpec {
-                graph_id,
-                family,
                 index: index as u32,
-                version,
-                vertices,
+                ..spec.clone()
             };
+            frame.clear();
+            wire::encode_frame_with_epoch(TAG_UPDATE, version as u32, &mut frame, |out| {
+                spec.encode(out);
+                resolved.encode(out);
+            });
             let mut stream = self.dial(index)?;
-            send_scratch(&mut stream, &self.scratch, epoch, |buf| {
-                wire::encode_frame_with_epoch(TAG_UPDATE, epoch, buf, |out| {
-                    spec.encode(out);
-                    resolved.encode(out);
-                })
-            })?;
+            send(&mut stream, &frame)?;
             let ack = read_ack(&mut stream, TAG_UPDATED, &format!("update {version}"))?;
             let (acked_graph, acked_version): (u64, u64) = decode_body(&ack, "update ack")?;
             if acked_graph != graph_id || acked_version != version {
@@ -1842,25 +1752,23 @@ impl SessionInner {
                 .ok_or_else(|| bad_data("no graph loaded: call Session::load first"))?;
             let mut key = Vec::new();
             query.encode(&mut key);
-            // Warm-start plan: the cached converged state of this exact
-            // query (if any), re-based across every update applied since it
-            // converged. Only built when updates actually happened — a plain
-            // resubmission stays cold, so its stats (supersteps, messages)
-            // reproduce exactly.
-            let plan = loaded
-                .converged
-                .get(&key)
-                .filter(|entry| entry.version < loaded.log.version())
-                .and_then(|entry| {
-                    loaded
-                        .log
-                        .since(entry.version)
-                        .map(|(dirty, profile)| IncrementalPlan {
-                            partials: Arc::clone(&entry.partials),
-                            dirty,
-                            profile,
-                        })
-                });
+            // Warm start: the cached converged state of this exact query (if
+            // any), one seed per fragment, re-based across every update
+            // applied since it converged. Only built when updates actually
+            // happened — a plain resubmission stays cold, so its stats
+            // (supersteps, messages) reproduce exactly.
+            let mut seeds = Vec::new();
+            let cached = loaded.converged.get(&key);
+            if let Some(entry) = cached.filter(|entry| entry.version < loaded.log.version()) {
+                if let Some((dirty, profile)) = loaded.log.since(entry.version) {
+                    let dirty = Arc::new(dirty);
+                    seeds.extend(entry.partials.iter().map(|snapshot| IncrementalSeed {
+                        snapshot: Arc::clone(snapshot),
+                        dirty: Arc::clone(&dirty),
+                        profile,
+                    }));
+                }
+            }
             (
                 loaded.graph_id,
                 loaded.vertices,
@@ -1868,7 +1776,7 @@ impl SessionInner {
                 WarmContext {
                     cache_key: key,
                     version: loaded.log.version(),
-                    plan,
+                    seeds,
                 },
             )
         };
@@ -1924,11 +1832,11 @@ impl ClassVisitor for SessionRun<'_> {
     type Out = QueryOutcome;
 
     /// Drives the query in-process over the resident fragments, or as a
-    /// coordinator over per-query daemon connections. With a warm plan whose
-    /// profile the program can seed under, the run is incremental — PEval
-    /// warm-starts from the cached converged partials and the dirty set of
-    /// the updates applied since; either way the converged partials of this
-    /// run are cached for the next submission.
+    /// coordinator over per-query daemon connections. With cached seeds the
+    /// run is incremental — PEval warm-starts from the cached converged
+    /// partials and the dirty set of the updates applied since; either way
+    /// both backends end in the same tail: the converged partials of this run
+    /// are cached for the next submission, then assembled.
     fn visit<P: PieProgram>(
         self,
         program: P,
@@ -1944,89 +1852,67 @@ impl ClassVisitor for SessionRun<'_> {
             warm,
             kill,
         } = self;
+        let remote = !session.config.endpoints.is_empty();
         let mut config = session.config.engine.clone();
         config.run_id = run_id;
         if kill.is_some() && config.checkpoint_every == 0 {
             config.checkpoint_every = 1;
         }
-        // Only seed when the program can replay this update shape from its
-        // old fixpoint; everything else runs cold (and still refreshes the
-        // converged cache).
-        let plan = warm
-            .plan
-            .as_ref()
-            .filter(|p| program.incremental_eligible(&p.profile));
-
-        if session.config.endpoints.is_empty() {
-            if kill.is_some() {
-                return Err(bad_data("kill drills need a remote service session"));
-            }
-            config.capture_converged = true;
-            let engine = GrapeEngine::new(program).with_config(config);
-            let result = match plan {
-                Some(p) => engine.run_incremental(
-                    &typed,
-                    fragments,
-                    p.partials.iter().cloned().map(Some).collect(),
-                    &p.dirty,
-                    &p.profile,
-                ),
-                None => engine.run(&typed, fragments),
-            }
-            .map_err(|e| io::Error::other(e.to_string()))?;
-            if let Some(partials) = result.converged {
-                session.store_converged(graph_id, warm, partials);
-            }
-            return Ok(QueryOutcome {
-                result: wrap(result.output),
-                stats: result.stats,
-            });
-        }
-
-        // A stream to worker `i` at epoch `e`: a fresh connection to its
-        // daemon, which holds the fragment resident — reconnecting after a
-        // loss re-ships nothing.
-        let threads = u32::from(config.threads_per_worker);
-        let checkpoint_every = config.checkpoint_every;
-        let mut open = |worker: usize, epoch: u32| -> io::Result<ServiceSocket> {
-            let job = QueryJob {
-                graph_id,
-                index: worker as u32,
-                workers: fragments.len() as u32,
-                run_id: epoch,
-                threads,
-                checkpoint_every: checkpoint_every as u32,
-                query: query.clone(),
-                // Only the first connection of the victim carries the kill;
-                // its replacement must live.
-                kill_at: kill
-                    .filter(|&(victim, _)| victim == worker && epoch == run_id)
-                    .map(|(_, at)| at as u32),
-                // The seed rides on the job itself, so a worker replaced
-                // mid-run re-enters with the same warm start.
-                seed: plan.and_then(|p| {
-                    p.partials.get(worker).map(|snapshot| IncrementalSeed {
-                        snapshot: Arc::clone(snapshot),
-                        dirty: p.dirty.clone(),
-                        profile: p.profile,
-                    })
-                }),
-            };
-            let mut stream = session.dial(worker)?;
-            send_scratch(&mut stream, &session.scratch, run_id, |buf| {
-                wire::encode_frame_epoch(TAG_QUERY, epoch, &job, buf)
-            })?;
-            Ok(stream)
+        // Do not ship a seed that will be refused: the worker decides, but an
+        // update shape the program cannot replay from its old fixpoint runs
+        // cold either way (and still refreshes the converged cache).
+        let seeds = match warm.seeds.first() {
+            Some(seed) if program.incremental_eligible(&seed.profile) => &warm.seeds[..],
+            _ => &[],
         };
-        let recoverable = checkpoint_every > 0;
-        let (output, snapshots, stats) =
-            coordinate(program, fragments, config, recoverable, &mut open)?;
-        // The result snapshots *are* the converged partials — cache them for
-        // the next submission of this query.
+        let engine = GrapeEngine::new(program).with_config(config);
+        let program = engine.program();
+
+        let (partials, snapshots, stats) = if remote {
+            // A stream to worker `i` at epoch `e`: a fresh connection to its
+            // daemon, which holds the fragment resident — reconnecting after
+            // a loss re-ships nothing.
+            let config = engine.config();
+            let mut frame = Vec::new();
+            let mut open = |worker: usize, epoch: u32| -> io::Result<ServiceSocket> {
+                let job = QueryJob {
+                    graph_id,
+                    index: worker as u32,
+                    workers: fragments.len() as u32,
+                    run_id: epoch,
+                    threads: config.threads_per_worker.into(),
+                    checkpoint_every: config.checkpoint_every as u32,
+                    query: query.clone(),
+                    // Only the first connection of the victim carries the
+                    // kill; its replacement must live.
+                    kill_at: kill
+                        .filter(|&(victim, _)| victim == worker && epoch == run_id)
+                        .map(|(_, at)| at as u32),
+                    // The seed rides on the job itself, so a worker replaced
+                    // mid-run re-enters with the same warm start.
+                    seed: seeds.get(worker).cloned(),
+                };
+                frame.clear();
+                wire::encode_frame_epoch(TAG_QUERY, epoch, &job, &mut frame);
+                let mut stream = session.dial(worker)?;
+                send(&mut stream, &frame)?;
+                Ok(stream)
+            };
+            coordinate(&engine, fragments, config.checkpoint_every > 0, &mut open)?
+        } else {
+            let (partials, stats) = engine
+                .run_partials(&typed, fragments, seeds)
+                .map_err(|e| io::Error::other(e.to_string()))?;
+            let snapshots = partials
+                .iter()
+                .map(|partial| program.snapshot_partial(partial))
+                .collect::<Option<Vec<_>>>()
+                .ok_or_else(|| io::Error::other("program cannot snapshot its partial result"))?;
+            (partials, snapshots, stats)
+        };
         session.store_converged(graph_id, warm, snapshots);
-        session.scratch.retire(run_id);
         Ok(QueryOutcome {
-            result: wrap(output),
+            result: wrap(program.assemble(partials)),
             stats,
         })
     }
@@ -2036,7 +1922,6 @@ impl ClassVisitor for SessionRun<'_> {
 /// `TAG_LOAD`, the fragment frame at the same `epoch`, then `TAG_LOADED`.
 pub(crate) fn ship_fragment<V, E>(
     stream: &mut (impl Read + Write),
-    scratch: &ScratchPool,
     spec: &LoadSpec,
     epoch: u32,
     fragment: &Fragment<V, E>,
@@ -2045,10 +1930,10 @@ where
     V: Wire + Clone,
     E: Wire + Clone,
 {
-    send_scratch(stream, scratch, epoch, |buf| {
-        wire::encode_frame_epoch(TAG_LOAD, epoch, spec, buf);
-        encode_fragment_epoch(fragment, epoch, buf);
-    })?;
+    let mut frames = Vec::new();
+    wire::encode_frame_epoch(TAG_LOAD, epoch, spec, &mut frames);
+    encode_fragment_epoch(fragment, epoch, &mut frames);
+    send(stream, &frames)?;
     let ack = read_ack(stream, TAG_LOADED, &format!("fragment {}", spec.index))?;
     let acked: u64 = decode_body(&ack, "load ack")?;
     if acked != spec.graph_id {
@@ -2076,9 +1961,10 @@ impl<S: ServiceStream> Drop for Hangup<S> {
 }
 
 /// The coordinator side of one query over remote workers: opens a stream per
-/// worker, drives the BSP fixpoint over them, collects one `TAG_RESULT` per
-/// worker, and restores + assembles the typed output. Returns it with the
-/// workers' result snapshots (their converged partials) and the run's stats.
+/// worker, drives the BSP fixpoint over them, and collects one `TAG_RESULT`
+/// per worker. Returns, in worker order, the workers' converged partials —
+/// restored, ready for Assemble — and the frame bodies they came as (their
+/// snapshots), plus the run's stats.
 ///
 /// `open(worker, epoch)` is the only thing that differs between callers: it
 /// must return a stream on which worker `worker` has been sent its
@@ -2086,19 +1972,19 @@ impl<S: ServiceStream> Drop for Hangup<S> {
 /// and, when `recoverable`, again at a bumped epoch for every worker lost
 /// mid-run. A session dials the daemon; the batch coordinator takes an
 /// accepted connection (or respawns a process) and ships the fragment first.
+#[allow(clippy::type_complexity)]
 pub(crate) fn coordinate<P, S>(
-    program: P,
+    engine: &GrapeEngine<P>,
     fragments: &[Arc<Fragment<P::VertexData, P::EdgeData>>],
-    config: EngineConfig,
     recoverable: bool,
     open: &mut dyn FnMut(usize, u32) -> io::Result<S>,
-) -> io::Result<(P::Output, Vec<Vec<u8>>, RunStats)>
+) -> io::Result<(Vec<P::Partial>, Vec<Vec<u8>>, RunStats)>
 where
     P: PieProgram,
     S: ServiceStream,
 {
     let n = fragments.len();
-    let run_id = config.run_id;
+    let run_id = engine.config().run_id;
     let mut hangup = Hangup(Vec::with_capacity(n));
     let mut streams = Vec::with_capacity(n);
     for worker in 0..n {
@@ -2108,8 +1994,7 @@ where
     }
     let comm_stats = Arc::new(CommStats::new());
     let transport = FramedStreamCoord::<P::Value>::new_at_epoch(streams, comm_stats, run_id)?
-        .with_read_timeout(config.read_timeout);
-    let engine = GrapeEngine::new(program).with_config(config);
+        .with_read_timeout(engine.config().read_timeout);
     let mut recover = |worker: usize, epoch: u32| -> Result<(), String> {
         let stream = open(worker, epoch).map_err(|e| format!("reopen worker {worker}: {e}"))?;
         let alias = stream
@@ -2129,7 +2014,8 @@ where
         .run_coordinator(fragments, &transport, recover)
         .map_err(|e| io::Error::other(e.to_string()))?;
 
-    // Collect one TAG_RESULT per worker (any order).
+    // Collect one TAG_RESULT per worker (any order); its body is the
+    // snapshot, taken as it arrived.
     let mut snapshots: Vec<Option<Vec<u8>>> = vec![None; n];
     while snapshots.iter().any(Option::is_none) {
         let (from, tag, payload) = transport.recv_oob_blocking().ok_or_else(|| {
@@ -2140,8 +2026,7 @@ where
                 "expected TAG_RESULT from worker {from}, got tag {tag:#04x}"
             )));
         }
-        let (_digest, snapshot): (u64, Vec<u8>) = decode_body(&payload, "result frame")?;
-        snapshots[from] = Some(snapshot);
+        snapshots[from] = Some(payload);
     }
     let snapshots: Vec<Vec<u8>> = snapshots.into_iter().flatten().collect();
     let partials = snapshots
@@ -2154,28 +2039,22 @@ where
                 ))
             })
         })
-        .collect::<io::Result<Vec<_>>>()?;
-    Ok((engine.program().assemble(partials), snapshots, stats))
+        .collect::<io::Result<_>>()?;
+    Ok((partials, snapshots, stats))
 }
 
 /// Context a query carries for the converged-state cache: its cache key, the
 /// graph version its fragments correspond to, and — on a cache hit — the
-/// warm-start plan.
+/// warm start.
 struct WarmContext {
     /// The query's wire encoding: one cache slot per distinct query.
     cache_key: Vec<u8>,
     /// Graph version of the fragments this query runs on.
     version: u64,
-    /// Cached converged state re-based to this version, if any.
-    plan: Option<IncrementalPlan>,
-}
-
-/// A warm-start plan: the cached per-fragment converged partials plus the
-/// merged dirty set and profile of every update applied since they converged.
-struct IncrementalPlan {
-    partials: Arc<[Arc<Vec<u8>>]>,
-    dirty: Vec<VertexId>,
-    profile: MutationProfile,
+    /// The cached converged state re-based to this version, one seed per
+    /// fragment: its partial plus the merged dirty set and profile of every
+    /// update applied since it converged. Empty on a cache miss.
+    seeds: Vec<IncrementalSeed>,
 }
 
 #[cfg(test)]
@@ -2360,9 +2239,8 @@ mod tests {
         };
         // A "worker" that acks graph 12 whatever it was sent.
         wire::write_frame_io_epoch(&mut worker, TAG_LOADED, 0, &12u64).expect("ack");
-        let scratch = ScratchPool::new();
-        let err = ship_fragment(&mut coordinator, &scratch, &spec, 0, &fragments[0])
-            .expect_err("foreign ack");
+        let err =
+            ship_fragment(&mut coordinator, &spec, 0, &fragments[0]).expect_err("foreign ack");
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("acked graph 0xc"), "{err}");
         // What went out is the load spec, then the fragment, at one epoch.
@@ -2371,6 +2249,59 @@ mod tests {
         assert_eq!(decode_body::<LoadSpec>(&body, "load spec").unwrap(), spec);
         let (tag, epoch, _) = wire::read_frame_io_epoch(&mut worker).unwrap().unwrap();
         assert_eq!((tag, epoch), (TAG_FRAGMENT, 0));
+    }
+
+    /// The converged partials a session caches for `query`, per fragment.
+    fn cached_partials(session: &Session, query: &Query) -> Vec<Vec<u8>> {
+        let guard = session.inner.graph.lock().unwrap();
+        let cache = &guard.as_ref().expect("graph loaded").converged;
+        let entry = cache.get(&query.encode_to_vec()).expect("query converged");
+        entry.partials.iter().map(|p| p.to_vec()).collect()
+    }
+
+    #[test]
+    fn both_backends_cache_the_same_converged_partials() {
+        let daemon = GrapeService::bind("127.0.0.1:0", ServiceOptions::default())
+            .expect("bind")
+            .spawn()
+            .expect("spawn");
+        let workers = 3;
+        let remote = SessionConfig::remote(workers, vec![daemon.endpoint().clone()]);
+        let sessions = [SessionConfig::in_process(workers), remote]
+            .map(|config| Session::connect(config).expect("connect"));
+        let graph = barabasi_albert(200, 3, 5).expect("generator");
+        for session in &sessions {
+            session
+                .load(&graph.clone().into(), BuiltinStrategy::MetisLike)
+                .expect("load");
+        }
+        // Both end in one tail — snapshots, cache, assemble — so after a cold
+        // run and after a warm one they hold the same bytes per fragment.
+        let agree = |stage: &str| {
+            for query in [Query::sssp(0), Query::cc(), Query::pagerank()] {
+                let [local, remote] = sessions.each_ref().map(|session| {
+                    let outcome = session.submit(query.clone()).expect("submit").join();
+                    let result = outcome.expect("query").result;
+                    (result, cached_partials(session, &query))
+                });
+                assert_eq!(local.0, remote.0, "{stage} {:?}: answers", query.class());
+                assert_eq!(local.1.len(), workers);
+                assert!(local.1 == remote.1, "{stage} {:?}: partials", query.class());
+            }
+        };
+        agree("cold");
+        let inserts: Vec<GraphMutation<(), f64>> = (1..7)
+            .map(|i| GraphMutation::AddEdge {
+                src: i * 7,
+                dst: 199 - i * 11,
+                data: 0.5 + i as f64,
+            })
+            .collect();
+        for session in &sessions {
+            session.update(inserts.clone()).expect("update");
+        }
+        agree("warm");
+        daemon.shutdown().expect("shutdown");
     }
 
     #[test]
@@ -2408,7 +2339,7 @@ mod tests {
             kill_at: None,
             seed: Some(IncrementalSeed {
                 snapshot: Arc::new(vec![1, 2, 3, 250]),
-                dirty: vec![7, 9],
+                dirty: Arc::new(vec![7, 9]),
                 profile: MutationProfile {
                     edge_inserts: 2,
                     ..Default::default()

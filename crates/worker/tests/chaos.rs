@@ -434,8 +434,9 @@ fn duplicated_frames_are_fenced_by_the_gather() {
                             ..Default::default()
                         };
                         let wrapped = ChaosWorkerTransport::new(wt, chaos, Box::new(|| {}));
-                        let partial = run_worker(&SsspProgram, query, fragment, &wrapped, 1, 1)
-                            .expect("worker ran");
+                        let partial =
+                            run_worker(&SsspProgram, query, fragment, &wrapped, 1, 1, None)
+                                .expect("worker ran");
                         digest_f64_map(&SsspProgram.assemble(vec![partial]))
                     })
                 })

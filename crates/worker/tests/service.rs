@@ -3,12 +3,25 @@
 //! multiplex different classes in flight, and survive a worker kill
 //! mid-query-stream without disturbing concurrent queries.
 
-use grape_algo::{Query, QueryResult};
-use grape_core::EngineConfig;
-use grape_partition::BuiltinStrategy;
-use grape_worker::{
-    GrapeService, GraphSpec, QueryOutcome, ServiceOptions, Session, SessionConfig, SessionGraph,
+use grape_algo::{Query, QueryResult, SsspProgram, SsspQuery};
+use grape_comm::wire::{self, TAG_HELLO, TAG_LOAD, TAG_LOADED, TAG_QUERY, TAG_RESULT};
+use grape_comm::CommStats;
+use grape_core::ship::encode_fragment_epoch;
+use grape_core::transport::FramedStreamCoord;
+use grape_core::{
+    build_fragments, EngineConfig, Fragment, GrapeEngine, IncrementalSeed, MutationProfile,
+    PieProgram,
 };
+use grape_graph::generators::{barabasi_albert, road_network, RoadNetworkConfig};
+use grape_graph::GraphBuilder;
+use grape_partition::BuiltinStrategy;
+use grape_worker::service::{LoadSpec, QueryJob, ServiceSocket, ServiceStream};
+use grape_worker::{
+    run_worker, Endpoint, GrapeService, GraphSpec, QueryOutcome, ServiceOptions, Session,
+    SessionConfig, SessionGraph, WorkerOptions,
+};
+use std::io::{self, Read, Write};
+use std::sync::Arc;
 
 fn weighted_graph() -> SessionGraph {
     SessionGraph::generate(&GraphSpec::parse("ba:160:3:5").expect("spec")).expect("generator")
@@ -216,9 +229,9 @@ fn worker_kill_mid_stream_leaves_the_concurrent_query_undisturbed() {
 
 #[test]
 fn resubmitting_a_query_yields_identical_results_and_stats() {
-    // Per-query scratch state on the resident workers must reset fully
-    // between queries: the second run of the same query sees the same
-    // supersteps, messages, and wire bytes as the first, not residue.
+    // Nothing per-query outlives a query on the resident workers — there is
+    // no scratch registry left to reset: the second run of the same query
+    // sees the same supersteps, messages, and wire bytes as the first.
     let daemon = GrapeService::bind("127.0.0.1:0", ServiceOptions::default())
         .expect("bind")
         .spawn()
@@ -292,5 +305,210 @@ fn the_daemon_enforces_its_auth_token() {
         outcome.result,
         cold_run(&graph, BuiltinStrategy::Hash, 2, Query::cc()).result
     );
+    daemon.shutdown().expect("shutdown");
+}
+
+/// A connection to `endpoint` that has said hello, as a session's would.
+fn greeted(endpoint: &Endpoint) -> ServiceSocket {
+    let mut stream = endpoint.connect().expect("connect");
+    wire::write_frame_io_epoch(&mut stream, TAG_HELLO, 0, &None::<String>).expect("hello");
+    stream
+}
+
+/// The two frames of a load, at epoch 0: the spec, then the fragment.
+fn load_frames(spec: &LoadSpec, fragment: &Fragment<(), f64>) -> Vec<u8> {
+    let mut frames = Vec::new();
+    wire::encode_frame_epoch(TAG_LOAD, 0, spec, &mut frames);
+    encode_fragment_epoch(fragment, 0, &mut frames);
+    frames
+}
+
+#[test]
+fn hostile_load_specs_are_refused_and_leave_nothing_behind() {
+    let daemon = GrapeService::bind("127.0.0.1:0", ServiceOptions::default())
+        .expect("bind")
+        .spawn()
+        .expect("spawn");
+    let graph = barabasi_albert(30, 2, 1).expect("generator");
+    let fragments = build_fragments(&graph, &BuiltinStrategy::Hash.partition(&graph, 1));
+    let good = LoadSpec {
+        graph_id: 77,
+        family: 0,
+        index: 0,
+        workers: 1,
+        vertices: 30,
+    };
+    let hostile = [
+        // Would size two slot tables of 2^32 - 1 entries each.
+        LoadSpec {
+            workers: u32::MAX,
+            ..good.clone()
+        },
+        // No such payload family: must not be stored as a labeled graph.
+        LoadSpec {
+            family: 2,
+            ..good.clone()
+        },
+        // Fragment 0 shipped as fragment 1 of 2.
+        LoadSpec {
+            index: 1,
+            workers: 2,
+            ..good.clone()
+        },
+    ];
+    for spec in hostile {
+        let frames = load_frames(&spec, &fragments[0]);
+        // What the frame loop says about it — a dialled-in worker runs the
+        // daemon's, and hands its verdict back...
+        let (mut coordinator, worker) = std::os::unix::net::UnixStream::pair().expect("pair");
+        let served = std::thread::spawn(move || run_worker(worker, WorkerOptions::default()));
+        let hello = wire::read_frame_io_epoch(&mut coordinator).expect("hello");
+        assert_eq!(hello.expect("hello").0, TAG_HELLO);
+        coordinator.write_all(&frames).expect("write");
+        let err = served.join().expect("worker thread").expect_err("refused");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{spec:?}: {err}");
+        // ...and what a live daemon does: no ack, only a hang-up (a reset
+        // when the fragment frame was never read).
+        let mut live = greeted(daemon.endpoint());
+        live.write_all(&frames).expect("write");
+        let mut answer = Vec::new();
+        if let Err(err) = live.read_to_end(&mut answer) {
+            assert_eq!(err.kind(), io::ErrorKind::ConnectionReset, "{spec:?}");
+        }
+        assert!(answer.is_empty(), "{spec:?} was answered");
+    }
+
+    // The daemon still serves, and nothing was left behind under the graph
+    // id: a correct load of it goes through.
+    let mut stream = greeted(daemon.endpoint());
+    stream
+        .write_all(&load_frames(&good, &fragments[0]))
+        .expect("write");
+    let (tag, _, body) = wire::read_frame_io_epoch(&mut stream)
+        .expect("ack")
+        .expect("the daemon answers a correct load");
+    assert_eq!((tag, body), (TAG_LOADED, 77u64.to_le_bytes().to_vec()));
+    daemon.shutdown().expect("shutdown");
+}
+
+#[test]
+fn a_seed_the_program_is_not_eligible_for_yields_the_cold_answer() {
+    const RUN: u32 = 41;
+    const GRAPH: u64 = 5;
+    let config = RoadNetworkConfig {
+        width: 12,
+        height: 12,
+        ..Default::default()
+    };
+    let graph = road_network(config, 3).expect("generator");
+    let k = 3;
+    let assignment = BuiltinStrategy::Hash.partition(&graph, k);
+    let source = graph.vertex_ids()[0];
+    let query = SsspQuery::new(source);
+    let engine =
+        GrapeEngine::new(SsspProgram).with_config(EngineConfig::builder().run_id(RUN).build());
+
+    // The old fixpoint, on the graph as it was; then the source is cut off,
+    // which sssp cannot repair from its old distances.
+    let before = build_fragments(&graph, &assignment);
+    let (old, _) = engine.run_partials(&query, &before, &[]).expect("old run");
+    let mut cut = GraphBuilder::<(), f64>::new();
+    for v in graph.vertices() {
+        cut.ensure_vertex(v);
+    }
+    for (src, dst, weight) in graph.edges().filter(|&(src, ..)| src != source) {
+        cut.add_edge(src, dst, *weight);
+    }
+    let cut = cut.build().expect("graph");
+    let fragments = build_fragments(&cut, &assignment);
+    let cold = engine.run(&query, &fragments).expect("cold run").output;
+
+    let deleted = graph.out_degree(source);
+    let seed = |worker: usize, profile: MutationProfile| IncrementalSeed {
+        snapshot: Arc::new(
+            SsspProgram
+                .snapshot_partial(&old[worker])
+                .expect("snapshot"),
+        ),
+        dirty: Arc::new(vec![source]),
+        profile,
+    };
+    // Passed off as inserts the seeds are consumed, and the old distances
+    // survive: refusing them is what the answer below depends on.
+    let lie = MutationProfile {
+        edge_inserts: deleted,
+        ..Default::default()
+    };
+    let consumed: Vec<_> = (0..k).map(|worker| seed(worker, lie)).collect();
+    let stale = engine.run_incremental(&query, &fragments, &consumed);
+    assert_ne!(stale.expect("seeded run").output, cold);
+
+    // A coordinator that ships such seeds under their true profile, on query
+    // jobs built by hand — a session would not have sent them.
+    let daemon = GrapeService::bind("127.0.0.1:0", ServiceOptions::default())
+        .expect("bind")
+        .spawn()
+        .expect("spawn");
+    for (index, fragment) in fragments.iter().enumerate() {
+        let spec = LoadSpec {
+            graph_id: GRAPH,
+            family: 0,
+            index: index as u32,
+            workers: k as u32,
+            vertices: cut.num_vertices() as u64,
+        };
+        let mut stream = greeted(daemon.endpoint());
+        stream
+            .write_all(&load_frames(&spec, fragment))
+            .expect("write");
+        let ack = wire::read_frame_io_epoch(&mut stream).expect("ack");
+        assert_eq!(ack.expect("ack").0, TAG_LOADED);
+    }
+    let truth = MutationProfile {
+        edge_deletes: deleted,
+        ..Default::default()
+    };
+    let streams: Vec<ServiceSocket> = (0..k)
+        .map(|worker| {
+            let job = QueryJob {
+                graph_id: GRAPH,
+                index: worker as u32,
+                workers: k as u32,
+                run_id: RUN,
+                threads: 1,
+                checkpoint_every: 0,
+                query: Query::sssp(source),
+                kill_at: None,
+                seed: Some(seed(worker, truth)),
+            };
+            let mut stream = greeted(daemon.endpoint());
+            wire::write_frame_io_epoch(&mut stream, TAG_QUERY, RUN, &job).expect("query");
+            stream
+        })
+        .collect();
+    let hangup: Vec<ServiceSocket> = streams
+        .iter()
+        .map(|stream| stream.try_clone_stream().expect("alias"))
+        .collect();
+    let stats = Arc::new(CommStats::new());
+    let transport = FramedStreamCoord::<f64>::new_at_epoch(streams, stats, RUN).expect("transport");
+    engine
+        .run_coordinator(&fragments, &transport, None)
+        .expect("fixpoint");
+    let mut partials: Vec<_> = (0..k).map(|_| None).collect();
+    for _ in 0..k {
+        let (from, tag, body) = transport.recv_oob_blocking().expect("result frame");
+        assert_eq!(tag, TAG_RESULT);
+        partials[from] = SsspProgram.restore_partial(&body);
+    }
+    let partials = partials.into_iter().map(|p| p.expect("restored"));
+    assert_eq!(
+        SsspProgram.assemble(partials.collect()),
+        cold,
+        "a worker consumed a seed it had to refuse"
+    );
+    for stream in &hangup {
+        let _ = stream.shutdown_both();
+    }
     daemon.shutdown().expect("shutdown");
 }

@@ -118,6 +118,57 @@ fn replay_cold(
         .expect("cold query")
 }
 
+/// `run` and `run_incremental` with no seeds through every observable: the
+/// answer, the supersteps, the messages and the bytes.
+fn assert_no_seeds_is_cold<P>(
+    program: P,
+    query: &P::Query,
+    fragments: &[Fragment<P::VertexData, P::EdgeData>],
+) where
+    P: PieProgram + Clone,
+    P::Output: PartialEq + std::fmt::Debug,
+{
+    for transport in [TransportKind::InProcess, TransportKind::Framed] {
+        let config = EngineConfig::builder().transport(transport).build();
+        let engine = GrapeEngine::new(program.clone()).with_config(config);
+        let cold = engine.run(query, fragments).expect("cold run");
+        let unseeded = engine
+            .run_incremental(query, fragments, &[])
+            .expect("run without seeds");
+        let name = engine.program().name();
+        assert_eq!(unseeded.output, cold.output, "{name}");
+        assert_eq!(unseeded.stats.supersteps, cold.stats.supersteps, "{name}");
+        assert_eq!(unseeded.stats.messages, cold.stats.messages, "{name}");
+        assert_eq!(unseeded.stats.bytes, cold.stats.bytes, "{name}");
+    }
+}
+
+/// The degenerate case the one run path rests on: a cold run *is* the warm
+/// run with no seed, for a program of every warm-start rule (insert-only,
+/// delete-only, always).
+#[test]
+fn a_run_with_no_seeds_is_the_cold_run() {
+    use grape::graph::generators::{barabasi_albert, labeled_social, SocialGraphConfig};
+    let graph = barabasi_albert(300, 3, 7).expect("generator");
+    let fragments = build_fragments(&graph, &BuiltinStrategy::Hash.partition(&graph, 4));
+    assert_no_seeds_is_cold(SsspProgram, &SsspQuery::new(0), &fragments);
+    assert_no_seeds_is_cold(CcProgram, &CcQuery, &fragments);
+    let ranks = PageRankProgram::new(graph.num_vertices());
+    assert_no_seeds_is_cold(ranks, &patient_pagerank_query(), &fragments);
+
+    let config = SocialGraphConfig {
+        num_persons: 60,
+        num_products: 6,
+        ..Default::default()
+    };
+    let social = labeled_social(config, 21).expect("generator");
+    let fragments = build_fragments(&social, &BuiltinStrategy::Hash.partition(&social, 3));
+    let Some(Ok(pattern)) = Query::canonical_sim().to_sim() else {
+        panic!("the canonical sim query is a valid pattern")
+    };
+    assert_no_seeds_is_cold(SimProgram, &pattern, &fragments);
+}
+
 /// Monotonically increasing suffix so concurrent / repeated cases never
 /// collide on a Unix socket path.
 static CASE: AtomicUsize = AtomicUsize::new(0);

@@ -491,3 +491,144 @@ fn frame_header_layout_is_pinned() {
     );
     assert_eq!(frame.len(), HEADER_LEN + 1);
 }
+
+#[test]
+fn a_query_frame_carrying_a_seed_is_pinned() {
+    use grape::core::IncrementalSeed;
+    use grape::graph::MutationProfile;
+    use grape::worker::service::QueryJob;
+    use std::sync::Arc;
+
+    let job = QueryJob {
+        graph_id: 0x0102,
+        index: 1,
+        workers: 3,
+        run_id: 17,
+        threads: 2,
+        checkpoint_every: 1,
+        query: grape::Query::cc(),
+        kill_at: Some(4),
+        seed: Some(IncrementalSeed {
+            snapshot: Arc::new(vec![0xaa, 0xbb]),
+            dirty: Arc::new(vec![7, 9]),
+            profile: MutationProfile {
+                edge_inserts: 2,
+                ..Default::default()
+            },
+        }),
+    };
+    let mut frame = Vec::new();
+    wire::encode_frame_epoch(wire::TAG_QUERY, job.run_id, &job, &mut frame);
+    #[rustfmt::skip]
+    let golden: &[u8] = &[
+        b'G', b'W', 2, 0x32, 17, 0, 0, 0, 93, 0, 0, 0, // header: epoch = run id, 93-byte body
+        2, 1, 0, 0, 0, 0, 0, 0,                         // graph id
+        1, 0, 0, 0,  3, 0, 0, 0,                        // index, workers
+        17, 0, 0, 0,  2, 0, 0, 0,  1, 0, 0, 0,          // run id, threads, checkpoint cadence
+        1,                                              // query: cc
+        1, 4, 0, 0, 0,                                  // kill_at: Some(4)
+        1,                                              // seed: Some
+        2, 0, 0, 0, 0xaa, 0xbb,                         //   snapshot bytes
+        2, 0, 0, 0,                                     //   dirty vertices
+        7, 0, 0, 0, 0, 0, 0, 0,  9, 0, 0, 0, 0, 0, 0, 0,
+        2, 0, 0, 0, 0, 0, 0, 0,  0, 0, 0, 0, 0, 0, 0, 0, //  profile: edge inserts, edge deletes,
+        0, 0, 0, 0, 0, 0, 0, 0,  0, 0, 0, 0, 0, 0, 0, 0, //  vertex inserts, vertex deletes
+    ];
+    assert_eq!(frame, golden);
+}
+
+#[test]
+fn a_result_frame_is_the_snapshot_and_nothing_else() {
+    // One dialled-in worker holding the whole path 0 - 1 - 2, driven frame
+    // by frame: what comes back after Finish is the header and the bytes of
+    // `snapshot_partial`, which the coordinator restores and assembles.
+    use grape::core::ship::encode_fragment_epoch;
+    use grape::prelude::*;
+    use grape::worker::service::{LoadSpec, QueryJob};
+    use grape::worker::{run_worker, WorkerOptions};
+    use std::io::{Read, Write};
+
+    const RUN: u32 = 23;
+    type Value = <SsspProgram as PieProgram>::Value;
+    let mut builder = GraphBuilder::<(), f64>::new();
+    builder.add_edge(0, 1, 1.5);
+    builder.add_edge(1, 2, 2.0);
+    let graph = builder.build().expect("graph");
+    let fragments = build_fragments(&graph, &BuiltinStrategy::Hash.partition(&graph, 1));
+
+    let (mut coordinator, worker) = std::os::unix::net::UnixStream::pair().expect("pair");
+    let served = std::thread::spawn(move || run_worker(worker, WorkerOptions::default()));
+    let next_frame = |coordinator: &mut std::os::unix::net::UnixStream, out: &[u8]| {
+        coordinator.write_all(out).expect("write");
+        let mut header = [0u8; HEADER_LEN];
+        coordinator.read_exact(&mut header).expect("header");
+        let len = u32::from_le_bytes(header[8..12].try_into().unwrap()) as usize;
+        let mut body = vec![0u8; len];
+        coordinator.read_exact(&mut body).expect("body");
+        (header, body)
+    };
+    let (hello, _) = next_frame(&mut coordinator, &[]);
+    assert_eq!(hello[3], wire::TAG_HELLO);
+
+    let spec = LoadSpec {
+        graph_id: 0,
+        family: 0,
+        index: 0,
+        workers: 1,
+        vertices: 3,
+    };
+    let mut out = Vec::new();
+    wire::encode_frame_epoch(wire::TAG_LOAD, RUN, &spec, &mut out);
+    encode_fragment_epoch(&fragments[0], RUN, &mut out);
+    let (loaded, _) = next_frame(&mut coordinator, &out);
+    assert_eq!(loaded[3], wire::TAG_LOADED);
+
+    let job = QueryJob {
+        graph_id: 0,
+        index: 0,
+        workers: 1,
+        run_id: RUN,
+        threads: 1,
+        checkpoint_every: 0,
+        query: Query::sssp(0),
+        kill_at: None,
+        seed: None,
+    };
+    out.clear();
+    wire::encode_frame_epoch(wire::TAG_QUERY, RUN, &job, &mut out);
+    CoordCommand::<Value>::Init {
+        border_slots: Vec::new(),
+    }
+    .encode_frame_epoch(RUN, &mut out);
+    let (report, _) = next_frame(&mut coordinator, &out);
+    assert_eq!(report[3], grape::core::message::TAG_REPORT);
+
+    out.clear();
+    CoordCommand::<Value>::Finish.encode_frame_epoch(RUN, &mut out);
+    let (header, body) = next_frame(&mut coordinator, &out);
+
+    let engine = GrapeEngine::new(SsspProgram);
+    let (partials, _) = engine
+        .run_partials(&SsspQuery::new(0), &fragments, &[])
+        .expect("local run");
+    let snapshot = SsspProgram
+        .snapshot_partial(&partials[0])
+        .expect("snapshot");
+    assert_eq!(body, snapshot, "the body is the snapshot, bare");
+    #[rustfmt::skip]
+    let golden: &[u8] = &[
+        b'G', b'W', 2, 0x33, 23, 0, 0, 0, 64, 0, 0, 0, // header: epoch = run id, 64-byte body
+        3, 0, 0, 0,                                     // distances by dense index
+        0, 0, 0, 0, 0, 0, 0, 0,  0, 0, 0, 0, 0, 0, 0xf8, 0x3f,  0, 0, 0, 0, 0, 0, 0x0c, 0x40,
+        3, 0, 0, 0,                                     // vertex ids by dense index
+        0, 0, 0, 0, 0, 0, 0, 0,  1, 0, 0, 0, 0, 0, 0, 0,  2, 0, 0, 0, 0, 0, 0, 0,
+        0, 0, 0, 0, 0, 0, 0, 0,                         // IncEval change counter
+    ];
+    assert_eq!([&header[..], &body[..]].concat(), golden);
+    let restored = SsspProgram.restore_partial(&body).expect("restores");
+    assert_eq!(SsspProgram.assemble(vec![restored])[&2], 3.5);
+
+    drop(coordinator);
+    let served = served.join().expect("worker thread");
+    served.expect("the worker saw a clean hang-up");
+}
