@@ -292,22 +292,20 @@ impl PieProgram for CcProgram {
         _query: &CcQuery,
         fragment: &Fragment<(), f64>,
         partial: &mut CcPartial,
-        messages: &[(VertexId, VertexId)],
+        messages: &[(u32, VertexId)],
         ctx: &mut PieContext<VertexId>,
     ) {
         // Labels are component-uniform after PEval, so a message for any
         // vertex of a class lowers the whole class: fold it into the root's
         // slot and, if anything moved, rebuild the flat label array in O(n)
         // instead of re-propagating along edges.
-        let g = &fragment.graph;
+        let border = fragment.border_dense_indices();
         let mut touched = false;
-        for &(v, label) in messages {
-            if let Some(i) = g.dense_index(v) {
-                let r = partial.comp[i as usize] as usize;
-                if label < partial.comp_label[r] {
-                    partial.comp_label[r] = label;
-                    touched = true;
-                }
+        for &(pos, label) in messages {
+            let r = partial.comp[border[pos as usize] as usize] as usize;
+            if label < partial.comp_label[r] {
+                partial.comp_label[r] = label;
+                touched = true;
             }
         }
         if !touched {

@@ -20,9 +20,13 @@
 //!   aggregate is the element-wise average (different fragments see different
 //!   ratings of a shared item and their estimates are blended, as in
 //!   distributed parameter averaging).
-//! * **IncEval** absorbs the averaged factors of its mirrors and runs another
-//!   epoch, up to the query's epoch budget; after the last epoch it stops
-//!   posting updates, so the engine reaches its fixpoint.
+//! * **IncEval** blends the averaged factors of its mirrors into its own and
+//!   runs another epoch, up to the query's epoch budget; after the last epoch
+//!   it stops posting updates, so the engine reaches its fixpoint. A vertex
+//!   not touched yet holds its deterministic initial factor, so a delivery is
+//!   always blended, never adopted verbatim: the answer is not an echo (the
+//!   engine drops those) and wakes the sender for its next epoch — every
+//!   fragment with a border spends its whole budget.
 //!
 //! CF is not monotonic — it is the example in the paper's library of a
 //! program that relies on a bounded number of rounds rather than the
@@ -286,24 +290,20 @@ impl PieProgram for CfProgram {
         query: &CfQuery,
         fragment: &Fragment<(), f64>,
         partial: &mut CfPartial,
-        messages: &[(VertexId, Vec<f64>)],
+        messages: &[(u32, Vec<f64>)],
         ctx: &mut PieContext<Vec<f64>>,
     ) {
         // Blend the received (already averaged) factors of mirror vertices
-        // into the local model; translate once at the boundary through the
-        // precomputed border tables (no hashing).
-        for (v, remote) in messages {
-            let Some(pos) = fragment.border_position(*v) else {
-                continue;
-            };
-            let i = fragment.border_dense_indices()[pos as usize];
+        // into the local model, addressed by border position.
+        let border = fragment.border_dense_indices();
+        for (pos, remote) in messages {
+            let i = border[*pos as usize];
             let local = &mut partial.factors[i];
             if local.is_empty() {
-                *local = remote.clone();
-            } else {
-                for (l, r) in local.iter_mut().zip(remote.iter()) {
-                    *l = (*l + *r) / 2.0;
-                }
+                *local = initial_factor(partial.vertex_ids[i as usize], query.rank);
+            }
+            for (l, r) in local.iter_mut().zip(remote.iter()) {
+                *l = (*l + *r) / 2.0;
             }
         }
         if partial.epochs_done >= query.epochs {
@@ -396,7 +396,9 @@ mod tests {
     use super::*;
     use grape_core::GrapeEngine;
     use grape_graph::generators::bipartite_ratings;
-    use grape_partition::{build_fragments, BuiltinStrategy, HashPartitioner, Partitioner};
+    use grape_partition::{
+        build_fragments, BuiltinStrategy, HashPartitioner, PartitionAssignment, Partitioner,
+    };
 
     fn as_triples(data: &grape_graph::generators::RatingData) -> Vec<(VertexId, VertexId, f64)> {
         data.train
@@ -467,6 +469,43 @@ mod tests {
         // The engine terminates because each fragment's epoch budget bounds
         // the total number of rounds by (fragments × epochs) + 2.
         assert!(result.stats.supersteps <= 4 * query.epochs + 2);
+    }
+
+    #[test]
+    fn every_fragment_with_a_border_spends_its_epoch_budget() {
+        // Rounds must not depend on echoes, which the engine drops. Users on
+        // one fragment, items on the other: the item side trains nothing, yet
+        // its answers — blends, never the delivered factor itself — drive the
+        // user side through all its epochs, one every other superstep.
+        let data = bipartite_ratings(30, 80, 12, 4, 5).unwrap();
+        let triples = as_triples(&data);
+        let query = CfQuery::default();
+        let run = |assignment: &PartitionAssignment| {
+            GrapeEngine::new(CfProgram::new(data.num_users))
+                .run_on_graph(&query, &data.graph, assignment)
+                .unwrap()
+        };
+        let mut lopsided = PartitionAssignment::new(2);
+        for v in data.graph.vertices() {
+            lopsided.assign(v, usize::from(v as usize >= data.num_users));
+        }
+        let result = run(&lopsided);
+        assert_eq!(result.stats.supersteps, 2 * query.epochs + 2);
+        let untrained = CfQuery {
+            epochs: 0,
+            ..query.clone()
+        };
+        let one_epoch = sequential_cf(&untrained, &triples).rmse(&triples);
+        let rmse = result.output.rmse(&triples);
+        assert!(
+            rmse < 0.16 && rmse < 0.6 * one_epoch,
+            "a spent budget trains well past the PEval epoch: {rmse} vs {one_epoch}"
+        );
+        // A regular cut, where every fragment trains: one epoch per superstep.
+        let result = run(&HashPartitioner.partition(&data.graph, 4));
+        assert_eq!(result.stats.supersteps, query.epochs + 2);
+        let rmse = result.output.rmse(&triples);
+        assert!(rmse < 0.2, "hash/4 train RMSE {rmse}");
     }
 
     #[test]

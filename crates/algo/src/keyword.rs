@@ -365,27 +365,20 @@ impl PieProgram for KeywordProgram {
         query: &KeywordQuery,
         fragment: &Fragment<LabeledVertex, String>,
         partial: &mut KeywordPartial,
-        messages: &[(VertexId, DistanceVector)],
+        messages: &[(u32, DistanceVector)],
         ctx: &mut PieContext<DistanceVector>,
     ) {
         let g = &fragment.graph;
-        // Translate the message vertices once at the boundary through the
-        // precomputed border tables (binary search, no hashing).
-        let dense_messages: Vec<(u32, &DistanceVector)> = messages
-            .iter()
-            .filter_map(|(v, vec)| {
-                fragment
-                    .border_position(*v)
-                    .map(|pos| (fragment.border_dense_indices()[pos as usize], vec))
-            })
-            .collect();
+        // Messages arrive addressed by border position: the dense index is
+        // one load from the precomputed border table.
+        let border = fragment.border_dense_indices();
         let pool = std::sync::Arc::clone(ctx.pool());
         let mut total_changed = 0usize;
         for k in 0..query.keywords.len() {
-            let seeds: Vec<(u32, f64)> = dense_messages
+            let seeds: Vec<(u32, f64)> = messages
                 .iter()
                 .filter(|(_, vec)| vec.len() > k && vec[k].is_finite())
-                .map(|(i, vec)| (*i, vec[k]))
+                .map(|(pos, vec)| (border[*pos as usize], vec[k]))
                 .collect();
             if seeds.is_empty() {
                 continue;

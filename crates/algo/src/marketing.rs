@@ -367,17 +367,14 @@ impl PieProgram for MarketingProgram {
         query: &MarketingQuery,
         fragment: &Fragment<LabeledVertex, String>,
         partial: &mut MarketingPartial,
-        messages: &[(VertexId, u8)],
+        messages: &[(u32, u8)],
         ctx: &mut PieContext<u8>,
     ) {
+        let border = fragment.border_dense_indices();
         let mut changed = false;
-        for &(v, flags) in messages {
-            // Translate once at the boundary through the border tables (no
-            // hashing); only mirror flags can change.
-            let Some(pos) = fragment.border_position(v) else {
-                continue;
-            };
-            let i = fragment.border_dense_indices()[pos as usize];
+        for &(pos, flags) in messages {
+            // Addressed by border position; only mirror flags can change.
+            let i = border[pos as usize];
             if !fragment.is_outer_dense(i) {
                 continue;
             }

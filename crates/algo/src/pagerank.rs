@@ -346,27 +346,27 @@ impl PieProgram for PageRankProgram {
         query: &PageRankQuery,
         fragment: &Fragment<(), f64>,
         partial: &mut PageRankPartial,
-        messages: &[(VertexId, f64)],
+        messages: &[(u32, f64)],
         ctx: &mut PieContext<f64>,
     ) {
         let g = &fragment.graph;
+        let border = fragment.border_dense_indices();
         let mut changed = false;
-        for &(u, share) in messages {
-            if let Some(o) = g.dense_index(u) {
-                if fragment.is_outer_dense(o)
-                    && (partial.mirror_share[o] - share).abs() >= query.tolerance / 2.0
-                {
-                    partial.mirror_share[o] = share;
-                    partial.contrib[o] = query.damping * share;
-                    // Only the cone downstream of the moved mirror needs
-                    // re-sweeping; everything else is bitwise at fixpoint.
-                    for &w in g.out_neighbors_dense(o) {
-                        if fragment.is_inner_dense(w) {
-                            partial.pending.set(w);
-                        }
+        for &(pos, share) in messages {
+            let o = border[pos as usize];
+            if fragment.is_outer_dense(o)
+                && (partial.mirror_share[o] - share).abs() >= query.tolerance / 2.0
+            {
+                partial.mirror_share[o] = share;
+                partial.contrib[o] = query.damping * share;
+                // Only the cone downstream of the moved mirror needs
+                // re-sweeping; everything else is bitwise at fixpoint.
+                for &w in g.out_neighbors_dense(o) {
+                    if fragment.is_inner_dense(w) {
+                        partial.pending.set(w);
                     }
-                    changed = true;
                 }
+                changed = true;
             }
         }
         if !changed {

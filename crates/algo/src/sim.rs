@@ -402,18 +402,16 @@ impl PieProgram for SimProgram {
         query: &SimQuery,
         fragment: &Fragment<LabeledVertex, String>,
         partial: &mut SimPartial,
-        messages: &[(VertexId, u64)],
+        messages: &[(u32, u64)],
         ctx: &mut PieContext<u64>,
     ) {
         let g = &fragment.graph;
-        // Tighten mirror masks with the received values; translate once at
-        // the boundary through the precomputed border tables (no hashing).
+        // Tighten mirror masks with the received values, addressed by
+        // border position.
+        let border = fragment.border_dense_indices();
         let mut tightened: Vec<u32> = Vec::new();
-        for &(v, mask) in messages {
-            let Some(pos) = fragment.border_position(v) else {
-                continue;
-            };
-            let i = fragment.border_dense_indices()[pos as usize];
+        for &(pos, mask) in messages {
+            let i = border[pos as usize];
             if !fragment.is_outer_dense(i) {
                 continue;
             }

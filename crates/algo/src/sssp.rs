@@ -343,22 +343,17 @@ impl PieProgram for SsspProgram {
         _query: &SsspQuery,
         fragment: &Fragment<(), Distance>,
         partial: &mut SsspPartial,
-        messages: &[(VertexId, Distance)],
+        messages: &[(u32, Distance)],
         ctx: &mut PieContext<Distance>,
     ) {
         let g = &fragment.graph;
         // Treat improved border distances as seeds for the incremental
-        // algorithm. Routed messages only ever name this fragment's border
-        // vertices, so the dense translation goes through the precomputed
-        // border tables (binary search over the sorted border list — no
-        // hashing) instead of the graph's id map.
+        // algorithm. Messages arrive addressed by border position, so the
+        // dense index is one load from the precomputed border table.
+        let border = fragment.border_dense_indices();
         let seeds: Vec<(u32, Distance)> = messages
             .iter()
-            .filter_map(|&(v, d)| {
-                fragment
-                    .border_position(v)
-                    .map(|pos| (fragment.border_dense_indices()[pos as usize], d))
-            })
+            .map(|&(pos, d)| (border[pos as usize], d))
             .collect();
         let pool = std::sync::Arc::clone(ctx.pool());
         let changed = dense_relax_par(&pool, g, &mut partial.dist, &seeds);

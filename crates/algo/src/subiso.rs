@@ -631,7 +631,7 @@ impl PieProgram for SubIsoProgram {
         query: &SubIsoQuery,
         fragment: &Fragment<LabeledVertex, String>,
         partial: &mut SubIsoPartial,
-        messages: &[(VertexId, NeighborhoodDelta)],
+        messages: &[(u32, NeighborhoodDelta)],
         ctx: &mut PieContext<NeighborhoodDelta>,
     ) {
         let mut grew = false;

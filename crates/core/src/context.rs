@@ -17,14 +17,20 @@ use std::sync::Arc;
 /// Inside the engine the context is configured with the fragment's border
 /// list and the coordinator-assigned slot ids
 /// ([`PieContext::configure_borders`]). Border updates then live in flat
-/// arrays indexed by the border position (resolved by binary search over the
-/// sorted border list — no hashing), dirtiness is a [`DenseBitset`] plus an
-/// insertion-ordered index list, and [`PieContext::drain_dirty_into`] drains
-/// in O(changed) instead of O(border). Updates to vertices outside the
+/// arrays indexed by the **border position** — the index into
+/// `Fragment::border_vertices()`, the address space of
+/// [`PieContext::update_at`] and of the messages IncEval receives —
+/// dirtiness is a [`DenseBitset`] plus an insertion-ordered index list, and
+/// [`PieContext::drain_dirty_into`] drains in O(changed). Updates outside the
 /// border (possible only in buggy or diagnostic programs) fall back to a
 /// `HashMap` side table and are reported as *strays*. An unconfigured
 /// context — the state of a standalone driver or test — treats every vertex
 /// through that side table, preserving the original behavior.
+///
+/// **The echo rule.** A position is reported when its value differs from the
+/// one this worker last published there — and never when it equals the value
+/// the command being answered delivered for it ([`PieContext::absorb`]): the
+/// coordinator already holds that value and would only route it back.
 #[derive(Debug, Clone)]
 pub struct PieContext<V> {
     /// Sorted global ids of the fragment's border vertices (empty until
@@ -39,7 +45,7 @@ pub struct PieContext<V> {
     /// Which border positions changed since the last drain.
     border_dirty: DenseBitset,
     /// The dirty border positions in first-touch order, so draining is
-    /// O(changed); the bitset deduplicates and survives `absorb`.
+    /// O(changed); the bitset deduplicates, and a cleared bit is skipped.
     dirty_list: Vec<u32>,
     /// Values of non-border vertices (strays) — the legacy path.
     values: HashMap<VertexId, V>,
@@ -122,16 +128,7 @@ impl<V: Clone + PartialEq> PieContext<V> {
     /// delivered to another fragment.
     pub fn update(&mut self, vertex: VertexId, value: V) {
         if let Some(pos) = self.border_position(vertex) {
-            let stored = &mut self.border_values[pos as usize];
-            if stored.as_ref() != Some(&value) {
-                *stored = Some(value);
-                if !self.border_dirty.contains(pos) {
-                    self.border_dirty.set(pos);
-                    self.dirty_list.push(pos);
-                }
-                self.changed_updates += 1;
-            }
-            return;
+            return self.update_at(pos, value);
         }
         match self.values.get(&vertex) {
             Some(existing) if *existing == value => {}
@@ -287,18 +284,17 @@ impl<V: Clone + PartialEq> PieContext<V> {
         self.dirty_list.clear();
     }
 
-    /// Records an externally received value (from the coordinator) without
-    /// marking it dirty, so the worker will not echo it back unchanged.
-    pub fn absorb(&mut self, vertex: VertexId, value: V) {
-        if let Some(pos) = self.border_position(vertex) {
-            self.border_values[pos as usize] = Some(value);
-            // A stale `dirty_list` entry may remain; the cleared bit makes
-            // the drain skip it.
+    /// The echo rule, one delivered pair at a time: the command being
+    /// answered delivered `value` for border position `pos`; if the position
+    /// holds that value now — the program adopted it — it is not reported (a
+    /// stale `dirty_list` entry may remain; the cleared bit makes the drain
+    /// skip it). The engine calls this after IncEval, before the drain, with
+    /// positions it has checked against the border list.
+    #[inline]
+    pub fn absorb(&mut self, pos: u32, value: &V) {
+        if self.border_values[pos as usize].as_ref() == Some(value) {
             self.border_dirty.clear(pos);
-            return;
         }
-        self.values.insert(vertex, value);
-        self.dirty.remove(&vertex);
     }
 
     /// Iterates over all `(vertex, value)` pairs currently stored.
@@ -342,25 +338,11 @@ mod tests {
     }
 
     #[test]
-    fn absorb_does_not_echo() {
-        let mut ctx = PieContext::<u64>::new();
-        ctx.absorb(3, 30);
-        assert!(ctx.take_dirty().is_empty());
-        assert_eq!(ctx.get(3), Some(&30));
-        // A later genuine improvement is still reported.
-        ctx.update(3, 10);
-        assert_eq!(ctx.take_dirty(), vec![(3, 10)]);
-        // Absorbing over a dirty value clears the dirty flag.
-        ctx.update(3, 5);
-        ctx.absorb(3, 1);
-        assert!(ctx.take_dirty().is_empty());
-    }
-
-    #[test]
     fn iter_sees_everything() {
         let mut ctx = PieContext::<u64>::new();
         ctx.update(1, 1);
-        ctx.absorb(2, 2);
+        ctx.update(2, 2);
+        assert_eq!(ctx.take_dirty(), vec![(1, 1), (2, 2)]);
         let mut all: Vec<(VertexId, u64)> = ctx.iter().map(|(v, x)| (v, *x)).collect();
         all.sort_unstable();
         assert_eq!(all, vec![(1, 1), (2, 2)]);
@@ -406,20 +388,47 @@ mod tests {
     }
 
     #[test]
-    fn absorb_on_border_clears_dirtiness_but_keeps_value() {
+    fn an_adopted_delivery_is_not_reported() {
+        let mut ctx = PieContext::<u64>::new();
+        ctx.configure_borders(&[10, 20, 30], &[0, 1, 2]);
+        let mut changes = Vec::new();
+        let mut strays = Vec::new();
+        // The command delivered 3 for position 0 and 9 for position 1; the
+        // program adopted the first and improved on the second.
+        ctx.update_at(0, 3);
+        ctx.update_at(1, 8);
+        ctx.update_at(2, 4);
+        ctx.absorb(0, &3);
+        ctx.absorb(1, &9);
+        ctx.drain_dirty_into(&mut changes, &mut strays);
+        assert_eq!(changes, vec![(1, 8), (2, 4)], "the echo of (0, 3) is gone");
+        // The adopted value is the position's value from now on: publishing
+        // it again stays silent, a genuine change is reported.
+        assert_eq!(ctx.get_at(0), Some(&3));
+        changes.clear();
+        ctx.update_at(0, 3);
+        ctx.drain_dirty_into(&mut changes, &mut strays);
+        assert!(changes.is_empty());
+        ctx.update_at(0, 1);
+        ctx.drain_dirty_into(&mut changes, &mut strays);
+        assert_eq!(changes, vec![(0, 1)]);
+    }
+
+    #[test]
+    fn absorb_compares_with_the_value_held_after_the_call() {
         let mut ctx = PieContext::<u64>::new();
         ctx.configure_borders(&[10, 20], &[0, 1]);
-        ctx.update(10, 5);
-        ctx.absorb(10, 3);
+        // Moving away from the delivered value and back is still an echo; a
+        // delivery the program did not adopt leaves its own report alone.
+        ctx.update_at(0, 5);
+        ctx.update_at(0, 3);
+        ctx.update_at(1, 7);
+        ctx.absorb(0, &3);
+        ctx.absorb(1, &9);
         let mut changes = Vec::new();
         let mut strays = Vec::new();
         ctx.drain_dirty_into(&mut changes, &mut strays);
-        assert!(changes.is_empty(), "absorbed value must not be echoed");
-        assert_eq!(ctx.get(10), Some(&3));
-        // Re-dirtying after an absorb reports again.
-        ctx.update(10, 1);
-        ctx.drain_dirty_into(&mut changes, &mut strays);
-        assert_eq!(changes, vec![(0, 1)]);
+        assert_eq!(changes, vec![(1, 7)]);
     }
 
     #[test]

@@ -10,9 +10,12 @@
 //!    pairs) to the coordinator.
 //! 3. **IncEval supersteps** — the coordinator folds the changed values into
 //!    its flat slot table (using the program's aggregate function; no
-//!    hashing per superstep), routes the results to every fragment that has
-//!    the vertex on its border, and those workers run IncEval; they again
-//!    report changed values.
+//!    hashing per superstep) and routes the results to every fragment that
+//!    has the vertex on its border and does not hold the value yet. A worker
+//!    turns each routed slot into a *border position* (one indexed load),
+//!    runs IncEval on `(position, value)` messages — no global id in either
+//!    direction — and reports its changed values, minus any pair the command
+//!    just delivered (the echo rule, [`PieContext::absorb`]).
 //! 4. **Termination** — when a superstep produces no changed update
 //!    parameters (every worker is inactive), the coordinator collects the
 //!    partial results and Assemble combines them into `Q(G)`.
@@ -56,11 +59,13 @@ type GatheredReport<V> = (usize, Vec<(u32, V)>, Vec<(VertexId, V)>, f64);
 /// Every superstep the coordinator folds the workers' slot-addressed
 /// proposals straight into flat arrays — the global-id→slot `HashMap` exists
 /// only while the table is built, so the per-superstep fold path performs
-/// zero hashing — and echo suppression is a single bit test per
-/// `(slot, worker)` instead of a linear `Vec::contains` scan.
+/// zero hashing — and routing is one mask per slot word: the fragments that
+/// have the vertex (`homes`) minus those already holding the fold
+/// (`holders`).
 struct SlotTable<V> {
-    /// Slot -> fragments that have the vertex on their border.
-    homes: Vec<Vec<usize>>,
+    /// Packed per-slot fragment bitmask, shaped like `holders`: bit `f` of
+    /// slot `s` set means fragment `f` has the vertex on its border.
+    homes: Vec<u64>,
     /// Folded value of each slot in the current superstep (`None` =
     /// untouched this superstep).
     value: Vec<Option<V>>,
@@ -91,24 +96,25 @@ impl<V: Clone> SlotTable<V> {
         ED: Clone,
     {
         let mut slot_of: HashMap<VertexId, u32> = HashMap::new();
-        let mut homes: Vec<Vec<usize>> = Vec::new();
         let mut fragment_slots: Vec<Vec<u32>> = Vec::with_capacity(fragments.len());
         for fragment in fragments {
-            let fragment = fragment.borrow();
-            let borders = fragment.border_vertices();
+            let borders = fragment.borrow().border_vertices();
             let mut local = Vec::with_capacity(borders.len());
             for &v in borders {
-                let slot = *slot_of.entry(v).or_insert_with(|| {
-                    homes.push(Vec::new());
-                    (homes.len() - 1) as u32
-                });
-                homes[slot as usize].push(fragment.id);
-                local.push(slot);
+                let next = slot_of.len() as u32;
+                local.push(*slot_of.entry(v).or_insert(next));
             }
             fragment_slots.push(local);
         }
-        let num_slots = homes.len();
+        let num_slots = slot_of.len();
         let words_per_slot = n_workers.div_ceil(64).max(1);
+        let mut homes = vec![0u64; num_slots * words_per_slot];
+        for (fragment, local) in fragments.iter().zip(&fragment_slots) {
+            let f = fragment.borrow().id;
+            for &slot in local {
+                homes[slot as usize * words_per_slot + f / 64] |= 1u64 << (f % 64);
+            }
+        }
         let table = Self {
             homes,
             value: vec![None; num_slots],
@@ -118,12 +124,6 @@ impl<V: Clone> SlotTable<V> {
             touched: Vec::new(),
         };
         (table, fragment_slots)
-    }
-
-    #[inline]
-    fn holds(&self, slot: u32, worker: usize) -> bool {
-        let base = slot as usize * self.words_per_slot;
-        self.holders[base + worker / 64] & (1u64 << (worker % 64)) != 0
     }
 
     #[inline]
@@ -180,22 +180,44 @@ impl<V: Clone> SlotTable<V> {
             }
         }
     }
+
+    /// Queues the folded value of every touched slot for every fragment
+    /// that has the vertex and does not hold the fold yet (`homes &
+    /// !holders`); O(changed). Returns the number of pairs queued.
+    fn route(&self, outbox: &mut [Vec<(u32, V)>]) -> usize {
+        let mut published = 0usize;
+        for &slot in &self.touched {
+            let value = self.value[slot as usize]
+                .as_ref()
+                .expect("touched slots carry values");
+            let base = slot as usize * self.words_per_slot;
+            for word in 0..self.words_per_slot {
+                let mut waiting = self.homes[base + word] & !self.holders[base + word];
+                while waiting != 0 {
+                    let f = word * 64 + waiting.trailing_zeros() as usize;
+                    outbox[f].push((slot, value.clone()));
+                    published += 1;
+                    waiting &= waiting - 1;
+                }
+            }
+        }
+        published
+    }
 }
 
-/// Worker-side slot→vertex translation, sized to the fragment rather than
-/// the job: a dense table when the fragment's slots span a modest range, a
-/// sorted list otherwise. Slot ids are assigned job-wide in fragment order,
-/// so a late fragment in a large job may hold slots scattered across a huge
-/// id space — a dense table indexed by global slot id would then be O(total
-/// borders) per worker. The dense fast path (one indexed load) covers the
-/// common small-k case; the sparse fallback is a binary search over O(local
-/// border) memory.
+/// Worker-side slot→border-position translation, sized to the fragment
+/// rather than the job: a dense table when the fragment's slots span a modest
+/// range, a sorted list otherwise. Slot ids are assigned job-wide in fragment
+/// order, so a late fragment in a large job may hold slots scattered across a
+/// huge id space — a dense table indexed by global slot id would then be
+/// O(total borders) per worker. The dense fast path (one indexed load) covers
+/// the common small-k case; the sparse fallback is a binary search over
+/// O(local border) memory.
 enum SlotTranslation {
-    /// `table[slot] = vertex`; unfilled entries are `VertexId::MAX` and are
-    /// never routed here by the coordinator.
-    Dense(Vec<VertexId>),
-    /// `(slot, vertex)` sorted by slot.
-    Sparse(Vec<(u32, VertexId)>),
+    /// `table[slot] = position`; unfilled entries are `u32::MAX`.
+    Dense(Vec<u32>),
+    /// `(slot, position)` sorted by slot.
+    Sparse(Vec<(u32, u32)>),
 }
 
 impl SlotTranslation {
@@ -203,41 +225,40 @@ impl SlotTranslation {
     /// before switching to the sparse form.
     const MAX_DENSE_WASTE: usize = 8;
 
-    fn build(border_vertices: &[VertexId], border_slots: &[u32]) -> Self {
+    /// `border_slots[pos]` is the slot of the fragment's `pos`-th border
+    /// vertex, as shipped by the handshake.
+    fn build(border_slots: &[u32]) -> Self {
         let slot_space = border_slots
             .iter()
             .map(|&s| s as usize + 1)
             .max()
             .unwrap_or(0);
+        let by_slot = border_slots.iter().zip(0u32..).map(|(&s, pos)| (s, pos));
         if slot_space <= border_slots.len().saturating_mul(Self::MAX_DENSE_WASTE) {
-            let mut table = vec![VertexId::MAX; slot_space];
-            for (&v, &s) in border_vertices.iter().zip(border_slots) {
-                table[s as usize] = v;
+            let mut table = vec![u32::MAX; slot_space];
+            for (s, pos) in by_slot {
+                table[s as usize] = pos;
             }
             SlotTranslation::Dense(table)
         } else {
-            let mut pairs: Vec<(u32, VertexId)> = border_slots
-                .iter()
-                .copied()
-                .zip(border_vertices.iter().copied())
-                .collect();
+            let mut pairs: Vec<(u32, u32)> = by_slot.collect();
             pairs.sort_unstable_by_key(|&(s, _)| s);
             SlotTranslation::Sparse(pairs)
         }
     }
 
-    /// The vertex carried by `slot`. The coordinator only routes this
-    /// fragment's border slots here, so the lookup always hits.
+    /// The border position carried by `slot`; `None` for a slot that is not
+    /// on this fragment's border (the coordinator never routes one here).
     #[inline]
-    fn vertex(&self, slot: u32) -> VertexId {
+    fn position(&self, slot: u32) -> Option<u32> {
         match self {
-            SlotTranslation::Dense(table) => table[slot as usize],
-            SlotTranslation::Sparse(pairs) => {
-                let i = pairs
-                    .binary_search_by_key(&slot, |&(s, _)| s)
-                    .expect("routed slot belongs to this fragment's border");
-                pairs[i].1
+            SlotTranslation::Dense(table) => {
+                table.get(slot as usize).copied().filter(|&p| p != u32::MAX)
             }
+            SlotTranslation::Sparse(pairs) => pairs
+                .binary_search_by_key(&slot, |&(s, _)| s)
+                .ok()
+                .map(|i| pairs[i].1),
         }
     }
 }
@@ -253,11 +274,9 @@ struct WorkerRuntime<'a, P: PieProgram> {
     query: &'a P::Query,
     fragment: &'a Fragment<P::VertexData, P::EdgeData>,
     ctx: PieContext<P::Value>,
-    /// Slot -> local vertex id for this fragment's border slots, which is
+    /// Slot -> border position for this fragment's border slots, which is
     /// exactly the set the coordinator may route here.
     slot_translation: SlotTranslation,
-    /// Translated incoming messages, reused across supersteps.
-    messages: Vec<(VertexId, P::Value)>,
     /// The fragment's partial result; `Some` once PEval has run.
     partial: Option<P::Partial>,
     /// Checkpoint cadence: a [`CheckpointState`] is attached to the *first*
@@ -302,7 +321,6 @@ impl<'a, P: PieProgram> WorkerRuntime<'a, P> {
             fragment,
             ctx,
             slot_translation: SlotTranslation::Dense(Vec::new()),
-            messages: Vec::new(),
             partial: None,
             checkpoint_every,
             reported_window: None,
@@ -314,8 +332,7 @@ impl<'a, P: PieProgram> WorkerRuntime<'a, P> {
     fn install_borders(&mut self, border_slots: &[u32]) {
         self.ctx
             .configure_borders(self.fragment.border_vertices(), border_slots);
-        self.slot_translation =
-            SlotTranslation::build(self.fragment.border_vertices(), border_slots);
+        self.slot_translation = SlotTranslation::build(border_slots);
     }
 
     /// The PEval step and its superstep-0 report: the seed's partial when
@@ -378,25 +395,26 @@ impl<'a, P: PieProgram> WorkerRuntime<'a, P> {
                 superstep,
                 mut updates,
             } => {
-                // Translate the routed slots back to the program's global-id
-                // view (one indexed load each on the dense path).
-                self.messages.clear();
-                for (slot, value) in updates.drain(..) {
-                    self.messages
-                        .push((self.slot_translation.vertex(slot), value));
-                }
+                // Rewrite the routed slots in place into border positions
+                // (one indexed load each on the dense path, no global ids);
+                // a slot that is not this fragment's (a corrupt frame) is
+                // dropped, so the program and `absorb` index unchecked.
+                updates.retain_mut(|(slot, _)| {
+                    let position = self.slot_translation.position(*slot);
+                    position.map(|pos| *slot = pos).is_some()
+                });
                 let t0 = Instant::now();
                 let partial = self.partial.as_mut().expect("IncEval before PEval");
-                self.program.inceval(
-                    self.query,
-                    self.fragment,
-                    partial,
-                    &self.messages,
-                    &mut self.ctx,
-                );
+                self.program
+                    .inceval(self.query, self.fragment, partial, &updates, &mut self.ctx);
                 let eval_seconds = t0.elapsed().as_secs_f64();
-                // The drained command buffer becomes this report's payload:
+                // The echo rule: an adopted delivery is not reported back.
+                for (pos, value) in &updates {
+                    self.ctx.absorb(*pos, value);
+                }
+                // The spent command buffer becomes this report's payload:
                 // buffers circulate instead of reallocating.
+                updates.clear();
                 HandleOutcome::Reply(self.report(superstep, updates, eval_seconds))
             }
             CoordCommand::Finish => HandleOutcome::Stop,
@@ -1308,6 +1326,7 @@ impl<P: PieProgram> GrapeEngine<P> {
             // deliver reports in whatever order the wire produced them, and
             // order-sensitive aggregates (float sums, CF's averaging) must
             // still fold identically to the serialized reference.
+            let fold_started = Instant::now();
             reports.sort_unstable_by_key(|&(from, ..)| from);
             slots.begin_superstep();
             let mut changed_parameters = 0usize;
@@ -1339,6 +1358,7 @@ impl<P: PieProgram> GrapeEngine<P> {
                     }
                 }
             }
+            run_stats.fold_seconds += fold_started.elapsed().as_secs_f64();
 
             if config.check_monotonicity {
                 for idx in 0..slots.touched.len() {
@@ -1398,20 +1418,10 @@ impl<P: PieProgram> GrapeEngine<P> {
 
             // Route the aggregated values to every fragment that has the
             // vertex on its border, except fragments already holding the
-            // aggregated value (one bit test per recipient). Walks only the
-            // touched slots: O(changed), never a full-border republication.
-            let mut published = 0usize;
-            for &slot in &slots.touched {
-                let value = slots.value[slot as usize]
-                    .as_ref()
-                    .expect("touched slots carry values");
-                for &f in &slots.homes[slot as usize] {
-                    if !slots.holds(slot, f) {
-                        outbox[f].push((slot, value.clone()));
-                        published += 1;
-                    }
-                }
-            }
+            // aggregated value.
+            let route_started = Instant::now();
+            let published = slots.route(&mut outbox);
+            run_stats.route_seconds += route_started.elapsed().as_secs_f64();
             run_stats
                 .history
                 .last_mut()
@@ -1504,16 +1514,16 @@ mod tests {
             _q: &(),
             fragment: &Fragment<(), f64>,
             partial: &mut Self::Partial,
-            messages: &[(VertexId, u64)],
+            messages: &[(u32, u64)],
             ctx: &mut PieContext<u64>,
         ) {
             let mut changed = false;
-            for (v, incoming) in messages {
-                if let Some(current) = partial.get_mut(v) {
-                    if *incoming < *current {
-                        *current = *incoming;
-                        changed = true;
-                    }
+            for &(pos, incoming) in messages {
+                let v = fragment.border_vertices()[pos as usize];
+                let current = partial.get_mut(&v).expect("border vertices are local");
+                if incoming < *current {
+                    *current = incoming;
+                    changed = true;
                 }
             }
             while changed {
@@ -1681,7 +1691,7 @@ mod tests {
                 _q: &(),
                 fragment: &Fragment<(), f64>,
                 partial: &mut u64,
-                _messages: &[(VertexId, u64)],
+                _messages: &[(u32, u64)],
                 ctx: &mut PieContext<u64>,
             ) {
                 *partial += 1;
@@ -1713,6 +1723,17 @@ mod tests {
         });
         let err = engine.run_on_graph(&(), &g, &assignment).unwrap_err();
         assert_eq!(err, RunError::SuperstepLimit(10));
+    }
+
+    /// Appends `messages` to `log` with each border position resolved to the
+    /// vertex it stands for.
+    fn record_by_vertex(
+        fragment: &Fragment<(), f64>,
+        log: &mut Vec<(VertexId, u64)>,
+        messages: &[(u32, u64)],
+    ) {
+        let border = fragment.border_vertices();
+        log.extend(messages.iter().map(|&(pos, v)| (border[pos as usize], v)));
     }
 
     /// A probe program for the coordinator's echo suppression: PEval proposes
@@ -1748,12 +1769,12 @@ mod tests {
         fn inceval(
             &self,
             _q: &(),
-            _fragment: &Fragment<(), f64>,
+            fragment: &Fragment<(), f64>,
             partial: &mut Self::Partial,
-            messages: &[(VertexId, u64)],
+            messages: &[(u32, u64)],
             _ctx: &mut PieContext<u64>,
         ) {
-            partial.extend_from_slice(messages);
+            record_by_vertex(fragment, partial, messages);
         }
 
         fn assemble(&self, partials: Vec<Self::Partial>) -> Self::Output {
@@ -1816,12 +1837,12 @@ mod tests {
             fn inceval(
                 &self,
                 _q: &(),
-                _fragment: &Fragment<(), f64>,
+                fragment: &Fragment<(), f64>,
                 partial: &mut Self::Partial,
-                messages: &[(VertexId, u64)],
+                messages: &[(u32, u64)],
                 _ctx: &mut PieContext<u64>,
             ) {
-                partial.extend_from_slice(messages);
+                record_by_vertex(fragment, partial, messages);
             }
             fn assemble(&self, partials: Vec<Self::Partial>) -> Self::Output {
                 partials
@@ -1891,7 +1912,7 @@ mod tests {
                 _q: &(),
                 fragment: &Fragment<(), f64>,
                 partial: &mut u64,
-                _messages: &[(VertexId, u64)],
+                _messages: &[(u32, u64)],
                 ctx: &mut PieContext<u64>,
             ) {
                 *partial += 1;
@@ -1961,7 +1982,7 @@ mod tests {
                 _q: &(),
                 _f: &Fragment<(), f64>,
                 partial: &mut usize,
-                messages: &[(VertexId, u64)],
+                messages: &[(u32, u64)],
                 _ctx: &mut PieContext<u64>,
             ) {
                 *partial += messages.len();
@@ -1989,22 +2010,139 @@ mod tests {
     #[test]
     fn slot_translation_dense_and_sparse_agree() {
         // A compact slot range stays dense; a scattered one (a late fragment
-        // of a big job) switches to the sorted form. Both translate the same.
-        let vertices = [10, 20, 30];
+        // of a big job) switches to the sorted form. Both translate a slot
+        // to the border position it was shipped for.
         let compact = [2, 0, 1];
         let scattered = [900_000, 5, 400_000];
-        let dense = SlotTranslation::build(&vertices, &compact);
+        let dense = SlotTranslation::build(&compact);
         assert!(matches!(dense, SlotTranslation::Dense(_)));
-        let sparse = SlotTranslation::build(&vertices, &scattered);
+        let sparse = SlotTranslation::build(&scattered);
         assert!(matches!(sparse, SlotTranslation::Sparse(_)));
-        for (i, &v) in vertices.iter().enumerate() {
-            assert_eq!(dense.vertex(compact[i]), v);
-            assert_eq!(sparse.vertex(scattered[i]), v);
+        for pos in 0..3u32 {
+            assert_eq!(dense.position(compact[pos as usize]), Some(pos));
+            assert_eq!(sparse.position(scattered[pos as usize]), Some(pos));
         }
+        // A slot that is not the fragment's translates to nothing.
+        let gappy = SlotTranslation::build(&[0, 5, 2]);
+        assert!(matches!(gappy, SlotTranslation::Dense(_)));
+        assert_eq!(gappy.position(1), None);
+        assert_eq!(gappy.position(6), None);
+        assert_eq!(sparse.position(6), None);
         // Sparse memory stays O(border), not O(slot space).
         if let SlotTranslation::Sparse(pairs) = &sparse {
             assert_eq!(pairs.len(), 3);
         }
+    }
+
+    #[test]
+    fn a_slot_that_is_not_the_fragments_is_dropped_before_inceval() {
+        // A coordinator frame arrives over TCP in service mode; a slot the
+        // handshake never assigned to this fragment must not reach the
+        // program as an out-of-range position.
+        let g = barabasi_albert(60, 2, 3).unwrap();
+        let fragments = build_fragments(&g, &HashPartitioner.partition(&g, 2));
+        let fragment = &fragments[0];
+        // Even slots only: odd ones are gaps of the dense table.
+        let border_slots: Vec<u32> = (0..fragment.border_vertices().len() as u32)
+            .map(|pos| pos * 2)
+            .collect();
+        let pool = Arc::new(ThreadPool::new(1));
+        let mut worker = WorkerRuntime::new(&MinLabelCc, &(), fragment, pool, 0, None);
+        assert!(matches!(
+            worker.handle(CoordCommand::Init { border_slots }),
+            HandleOutcome::Reply(_)
+        ));
+        let last = fragment.border_vertices().len() - 1;
+        let updates = vec![(1, 0), (2 * last as u32, 0), (1_000_000, 0)];
+        let HandleOutcome::Reply(WorkerReport::Done { changes, .. }) =
+            worker.handle(CoordCommand::IncEval {
+                superstep: 1,
+                updates,
+            })
+        else {
+            panic!("IncEval replies");
+        };
+        // Only the fragment's own slot was delivered — and adopted, so the
+        // echo rule keeps it out of the report.
+        assert_eq!(
+            worker.partial.as_ref().unwrap()[&fragment.border_vertices()[last]],
+            0
+        );
+        assert!(changes.iter().all(|&(slot, _)| slot != 2 * last as u32));
+    }
+
+    #[test]
+    fn inceval_positions_name_the_routed_vertex_on_both_translation_forms() {
+        /// PEval proposes `vertex * 100 + fragment` for every border vertex,
+        /// so the fold (min) of a slot names its vertex; IncEval checks every
+        /// delivered position against it.
+        struct PositionProbe;
+        impl PieProgram for PositionProbe {
+            type Query = ();
+            type VertexData = ();
+            type EdgeData = f64;
+            type Value = u64;
+            type Partial = usize;
+            type Output = usize;
+            fn peval(
+                &self,
+                _q: &(),
+                fragment: &Fragment<(), f64>,
+                ctx: &mut PieContext<u64>,
+            ) -> usize {
+                for (pos, &b) in fragment.border_vertices().iter().enumerate() {
+                    ctx.update_at(pos as u32, b * 100 + fragment.id as u64);
+                }
+                0
+            }
+            fn inceval(
+                &self,
+                _q: &(),
+                fragment: &Fragment<(), f64>,
+                delivered: &mut usize,
+                messages: &[(u32, u64)],
+                _ctx: &mut PieContext<u64>,
+            ) {
+                for &(pos, value) in messages {
+                    assert_eq!(fragment.border_vertices()[pos as usize], value / 100);
+                }
+                *delivered += messages.len();
+            }
+            fn assemble(&self, partials: Vec<usize>) -> usize {
+                partials.into_iter().sum()
+            }
+            fn aggregate(&self, a: &u64, b: &u64) -> u64 {
+                *a.min(b)
+            }
+        }
+        // 32 fragments of a 16x16 grid: early fragments draw compact slot
+        // ranges, late ones a few slots scattered over the whole space.
+        let g = road_network(
+            RoadNetworkConfig {
+                width: 16,
+                height: 16,
+                ..Default::default()
+            },
+            4,
+        )
+        .unwrap();
+        let fragments = build_fragments(&g, &HashPartitioner.partition(&g, 32));
+        let (_, fragment_slots) = SlotTable::<u64>::build(&fragments, fragments.len());
+        let sparse = fragment_slots
+            .iter()
+            .filter(|slots| matches!(SlotTranslation::build(slots), SlotTranslation::Sparse(_)))
+            .count();
+        assert!(
+            0 < sparse && sparse < fragments.len(),
+            "{sparse} sparse of 32"
+        );
+        let engine = GrapeEngine::new(PositionProbe).with_config(EngineConfig {
+            execution: ExecutionMode::Inline,
+            ..Default::default()
+        });
+        let result = engine.run(&(), &fragments).unwrap();
+        assert_eq!(result.output, result.stats.history[0].published_updates);
+        assert!(result.output > 0);
     }
 
     #[test]

@@ -6,7 +6,9 @@
 //! [`CoordCommand::Init`] handshake. All subsequent reports and routed
 //! updates identify border vertices by slot (`(u32, V)` pairs), which both
 //! halves the id bytes on the wire (`u32` vs `u64`) and lets both endpoints
-//! fold updates into flat arrays with no hashing per superstep.
+//! fold updates into flat arrays with no hashing per superstep (a worker
+//! turns a slot into a border position, never into a global id). A report
+//! never repeats a pair its command delivered ([`crate::PieContext::absorb`]).
 
 use grape_comm::wire::{self, Wire, WireError, WireReader, HEADER_LEN};
 use grape_comm::MessageSize;
@@ -60,8 +62,8 @@ impl<V: Wire> Wire for CheckpointState<V> {
 }
 
 /// A `(vertex, value)` pair: one changed update parameter, addressed by
-/// global vertex id. Used at the program-facing API boundary and for stray
-/// (unroutable) updates.
+/// global vertex id. Used for stray (unroutable) updates only; routed
+/// traffic is slot-addressed, and position-addressed at the program.
 pub type VertexValue<V> = (VertexId, V);
 
 /// A `(slot, value)` pair: one changed update parameter, addressed by the

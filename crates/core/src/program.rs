@@ -44,12 +44,19 @@ pub trait PieProgram: Send + Sync {
     /// Incremental evaluation: apply the message `M_i` (aggregated border
     /// values) to the partial result, updating any border values that change
     /// through `ctx`.
+    ///
+    /// Each message is `(pos, value)` with `pos` a *border position*: the
+    /// index into `fragment.border_vertices()` / `border_dense_indices()`,
+    /// the address space of [`PieContext::update_at`] — no global-id lookup
+    /// on the superstep path. A position appears at most once per call. A
+    /// value published here that equals the one delivered for its position
+    /// is not reported back (the echo rule, see [`PieContext`]).
     fn inceval(
         &self,
         query: &Self::Query,
         fragment: &Fragment<Self::VertexData, Self::EdgeData>,
         partial: &mut Self::Partial,
-        messages: &[(VertexId, Self::Value)],
+        messages: &[(u32, Self::Value)],
         ctx: &mut PieContext<Self::Value>,
     );
 
@@ -162,7 +169,7 @@ mod tests {
             _q: &(),
             fragment: &Fragment<(), f64>,
             partial: &mut u64,
-            messages: &[(VertexId, u64)],
+            messages: &[(u32, u64)],
             ctx: &mut PieContext<u64>,
         ) {
             let incoming = messages.iter().map(|(_, v)| *v).min().unwrap_or(u64::MAX);
@@ -221,10 +228,8 @@ mod tests {
         // Exchange: feed every fragment the global minimum proposal.
         let global_min = *partials.iter().min().unwrap();
         for ((f, c), partial) in frags.iter().zip(ctxs.iter_mut()).zip(partials.iter_mut()) {
-            let msgs: Vec<(VertexId, u64)> = f
-                .border_vertices()
-                .iter()
-                .map(|&v| (v, global_min))
+            let msgs: Vec<(u32, u64)> = (0..f.border_vertices().len() as u32)
+                .map(|pos| (pos, global_min))
                 .collect();
             p.inceval(&(), f, partial, &msgs, c);
         }

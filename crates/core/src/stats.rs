@@ -58,6 +58,10 @@ pub struct RunStats {
     /// Wall-clock seconds spent in IncEval supersteps (critical path, see
     /// [`RunStats::peval_seconds`]).
     pub inceval_seconds: f64,
+    /// Coordinator seconds folding gathered reports, summed over supersteps.
+    pub fold_seconds: f64,
+    /// Coordinator seconds queueing the folds (sends excluded), likewise.
+    pub route_seconds: f64,
     /// Total messages shipped through the coordinator.
     pub messages: u64,
     /// Total bytes shipped.
@@ -114,6 +118,8 @@ mod tests {
             wall_time: Duration::from_millis(1500),
             peval_seconds: 0.6,
             inceval_seconds: 0.4,
+            fold_seconds: 0.05,
+            route_seconds: 0.03,
             messages: 1000,
             bytes: 2_000_000,
             monotonicity_violations: 0,

@@ -426,8 +426,22 @@ fn a_worker_kill_mid_incremental_run_recovers_to_the_updated_answer() {
         .expect("first run");
     session.update(weighted_inserts()).expect("update");
 
+    // The same warm resubmission, undisturbed and in process, says how many
+    // commands a worker can receive: kill on the last one (capped at the 3rd).
+    let undisturbed = Session::connect(SessionConfig::in_process(workers)).expect("connect");
+    undisturbed
+        .load(&graph, BuiltinStrategy::Hash)
+        .expect("load");
+    let run = |session: &Session| {
+        let handle = session.submit(Query::sssp(0)).expect("submit");
+        handle.join().expect("undisturbed run")
+    };
+    run(&undisturbed);
+    undisturbed.update(weighted_inserts()).expect("update");
+    let kill_at = (run(&undisturbed).stats.supersteps - 1).min(2);
+
     let killed = session
-        .submit_with_kill(Query::sssp(0), 1, 2)
+        .submit_with_kill(Query::sssp(0), 1, kill_at)
         .expect("submit kill drill")
         .join()
         .expect("killed query must recover");

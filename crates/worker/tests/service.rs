@@ -196,10 +196,13 @@ fn worker_kill_mid_stream_leaves_the_concurrent_query_undisturbed() {
     let session = Session::connect(config).expect("connect");
     session.load(&graph, BuiltinStrategy::Hash).expect("load");
 
-    // The drill: worker 1's connection is severed upon its 2nd command,
-    // while a PageRank query runs concurrently on its own connections.
+    // The drill: worker 1's connection is severed on the last evaluation
+    // command the undisturbed run would send (capped at its 3rd), while a
+    // PageRank query runs concurrently on its own connections.
+    let cold_sssp = cold_run(&graph, BuiltinStrategy::Hash, workers, Query::sssp(0));
+    let kill_at = (cold_sssp.stats.supersteps - 1).min(2);
     let killed = session
-        .submit_with_kill(Query::sssp(0), 1, 2)
+        .submit_with_kill(Query::sssp(0), 1, kill_at)
         .expect("submit kill drill");
     let concurrent = session.submit(Query::pagerank()).expect("submit pagerank");
 

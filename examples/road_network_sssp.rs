@@ -88,4 +88,13 @@ fn main() {
         grape_run.stats.messages,
         grape_run.stats.megabytes()
     );
+    // Where the PIE run's time went: evaluation on the critical path, and
+    // the coordinator's own fold and route work between supersteps.
+    println!(
+        "\ngrape (PIE) breakdown: {:.2} ms peval + {:.2} ms inceval, coordinator {:.2} ms fold + {:.2} ms route",
+        grape_run.stats.peval_seconds * 1e3,
+        grape_run.stats.inceval_seconds * 1e3,
+        grape_run.stats.fold_seconds * 1e3,
+        grape_run.stats.route_seconds * 1e3
+    );
 }

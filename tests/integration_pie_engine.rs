@@ -6,11 +6,15 @@ use grape::algo::{
     cc::sequential_cc, keyword::sequential_keyword, marketing::sequential_marketing,
     sim::sequential_sim, sssp::sequential_sssp, subiso::sequential_subiso,
 };
+use grape::comm::CommStats;
+use grape::core::message::{CoordCommand, WorkerReport};
+use grape::core::{run_worker, transport::framed_channel_pair, CoordTransport};
 use grape::graph::generators::{
     barabasi_albert, labeled_social, road_network, RoadNetworkConfig, SocialGraphConfig,
 };
 use grape::graph::labels::PatternGraph;
 use grape::prelude::*;
+use std::sync::{Arc, Mutex};
 
 fn road() -> WeightedGraph {
     road_network(
@@ -315,6 +319,142 @@ fn sssp_publishes_only_changed_border_slots_per_superstep() {
     for (v, d) in &expected {
         assert!((result.output[v] - d).abs() < 1e-9);
     }
+}
+
+/// A coordinator transport that watches the traffic crossing it for echoes:
+/// a report pair equal to the pair the command it answers delivered to that
+/// worker for that slot.
+struct EchoWatch<T, V> {
+    inner: T,
+    /// Per worker, the pairs of the last `IncEval` command sent to it.
+    delivered: Mutex<Vec<Vec<(u32, V)>>>,
+    /// Per superstep, `(pairs reported, of which echoes)`.
+    reported: Mutex<Vec<(usize, usize)>>,
+}
+
+impl<T, V: Clone + PartialEq> EchoWatch<T, V> {
+    fn inspect(&self, reports: Vec<(usize, WorkerReport<V>)>) -> Vec<(usize, WorkerReport<V>)> {
+        let delivered = self.delivered.lock().unwrap();
+        let mut reported = self.reported.lock().unwrap();
+        for (from, report) in &reports {
+            let WorkerReport::Done {
+                superstep, changes, ..
+            } = report;
+            if reported.len() <= *superstep {
+                reported.resize(superstep + 1, (0, 0));
+            }
+            reported[*superstep].0 += changes.len();
+            // Superstep 0 answers the handshake, which delivers no pairs.
+            if *superstep > 0 {
+                reported[*superstep].1 += changes
+                    .iter()
+                    .filter(|pair| delivered[*from].contains(pair))
+                    .count();
+            }
+        }
+        reports
+    }
+}
+
+impl<T, V> CoordTransport<V> for EchoWatch<T, V>
+where
+    T: CoordTransport<V>,
+    V: Clone + PartialEq + Send,
+{
+    fn send(&self, worker: usize, command: CoordCommand<V>) {
+        if let CoordCommand::IncEval { updates, .. } = &command {
+            self.delivered.lock().unwrap()[worker] = updates.clone();
+        }
+        self.inner.send(worker, command);
+    }
+    fn recv_blocking(&self) -> Vec<(usize, WorkerReport<V>)> {
+        self.inspect(self.inner.recv_blocking())
+    }
+    fn drain(&self) -> Vec<(usize, WorkerReport<V>)> {
+        self.inspect(self.inner.drain())
+    }
+    fn comm_stats(&self) -> Arc<CommStats> {
+        self.inner.comm_stats()
+    }
+}
+
+#[test]
+fn no_report_repeats_the_pair_its_command_delivered() {
+    // The echo rule, watched on the wire: for the four classes whose workers
+    // adopt and republish delivered values (sssp, cc, keyword) or publish
+    // owner-side only (sim), no report pair equals the pair the previous
+    // command routed to that worker for that slot — so no superstep is spent
+    // on echoes, and the run ends on its first quiescent round.
+    fn watch<P: PieProgram>(
+        program: P,
+        query: &P::Query,
+        graph: &CsrGraph<P::VertexData, P::EdgeData>,
+    ) {
+        let k = 4;
+        let fragments = build_fragments(graph, &BuiltinStrategy::Hash.partition(graph, k));
+        let stats = Arc::new(CommStats::new());
+        let (coord, workers) = framed_channel_pair::<P::Value>(k, stats);
+        let watch = EchoWatch {
+            inner: coord,
+            delivered: Mutex::new(vec![Vec::new(); k]),
+            reported: Mutex::new(Vec::new()),
+        };
+        let engine = GrapeEngine::new(program);
+        let program = engine.program();
+        let stats = std::thread::scope(|scope| {
+            for (fragment, wt) in fragments.iter().zip(workers) {
+                scope.spawn(move || run_worker(program, query, fragment, &wt, 1, 0, None));
+            }
+            engine.run_coordinator(&fragments, &watch, None).unwrap()
+        });
+        let name = program.name();
+        let reported = watch.reported.into_inner().unwrap();
+        assert_eq!(reported.len(), stats.history.len(), "{name}");
+        assert!(
+            stats.supersteps >= 2,
+            "{name}: the run must exchange values"
+        );
+        for (trace, &(pairs, echoes)) in stats.history.iter().zip(&reported) {
+            assert_eq!(trace.changed_parameters, pairs, "{name}");
+            assert_eq!(echoes, 0, "{name}: superstep {} echoed", trace.superstep);
+        }
+        // Every superstep but the last carried news somebody needed; the
+        // last is quiescent (or all agreement), not a round of echoes.
+        let (last, earlier) = stats.history.split_last().unwrap();
+        assert_eq!(last.published_updates, 0, "{name}");
+        assert!(earlier.iter().all(|t| t.published_updates > 0), "{name}");
+    }
+
+    let grid = road_network(
+        RoadNetworkConfig {
+            width: 16,
+            height: 16,
+            ..Default::default()
+        },
+        17,
+    )
+    .unwrap();
+    watch(SsspProgram, &SsspQuery::new(0), &grid);
+    watch(CcProgram, &CcQuery, &grid);
+
+    let social = labeled_social(
+        SocialGraphConfig {
+            num_persons: 200,
+            num_products: 6,
+            ..Default::default()
+        },
+        9,
+    )
+    .unwrap();
+    let pattern = PatternGraph::new(vec!["person".into(), "person".into(), "product".into()])
+        .edge_labeled(0, 1, "follows")
+        .edge_labeled(1, 2, "recommends");
+    watch(SimProgram, &SimQuery::new(pattern), &social);
+    watch(
+        KeywordProgram,
+        &KeywordQuery::new(["phone", "laptop"], f64::INFINITY),
+        &social,
+    );
 }
 
 #[test]
