@@ -19,7 +19,7 @@
 
 use grape_core::par::{for_each_slice_chunk, num_chunks, ThreadPool, CHUNK};
 use grape_core::{Fragment, PieContext, PieProgram, VertexId};
-use grape_graph::{CsrGraph, VertexDenseMap};
+use grape_graph::{merge_join, strictly_ascending, CsrGraph, DenseBitset, VertexDenseMap};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU32, Ordering};
 
@@ -230,6 +230,9 @@ pub struct CcPartial {
     labels: VertexDenseMap<VertexId>,
     /// Global ids aligned with `labels`, for Assemble.
     vertex_ids: Vec<VertexId>,
+    /// The owner marker: bit `i` set = local vertex `i` is inner, so this
+    /// partial is the one Assemble reads its label from.
+    owned: DenseBitset,
     /// Root dense index of each vertex's *local* component, fixed at PEval
     /// (the fragment graph never changes during a run).
     comp: Vec<u32>,
@@ -282,6 +285,7 @@ impl PieProgram for CcProgram {
         CcPartial {
             labels,
             vertex_ids: g.vertex_ids().to_vec(),
+            owned: fragment.inner_bitset().clone(),
             comp,
             comp_label,
         }
@@ -323,12 +327,16 @@ impl PieProgram for CcProgram {
     }
 
     fn assemble(&self, partials: Vec<CcPartial>) -> HashMap<VertexId, VertexId> {
-        let mut out: HashMap<VertexId, VertexId> = HashMap::new();
-        for partial in partials {
-            for (&v, &label) in partial.vertex_ids.iter().zip(partial.labels.as_slice()) {
-                out.entry(v)
-                    .and_modify(|l| *l = (*l).min(label))
-                    .or_insert(label);
+        // Each vertex once, from its owner: every copy of a shared vertex is
+        // a border vertex and the folded minimum is routed to all of them, so
+        // at the fixpoint the owner's label is the smallest any copy has. The
+        // map is sized once, to the owned count (the sum of local sizes would
+        // be twice that on a hash cut).
+        let owned = partials.iter().map(|p| p.owned.count_ones()).sum();
+        let mut out = HashMap::with_capacity(owned);
+        for partial in &partials {
+            for i in partial.owned.iter_ones() {
+                out.insert(partial.vertex_ids[i as usize], partial.labels[i]);
             }
         }
         out
@@ -351,6 +359,7 @@ impl PieProgram for CcProgram {
             label.encode(&mut out);
         }
         partial.vertex_ids.encode(&mut out);
+        partial.owned.encode(&mut out);
         partial.comp.encode(&mut out);
         partial.comp_label.encode(&mut out);
         Some(out)
@@ -361,12 +370,24 @@ impl PieProgram for CcProgram {
         let mut reader = WireReader::new(bytes);
         let labels = Vec::<VertexId>::decode(&mut reader).ok()?;
         let vertex_ids = Vec::<VertexId>::decode(&mut reader).ok()?;
+        let owned = DenseBitset::decode(&mut reader).ok()?;
         let comp = Vec::<u32>::decode(&mut reader).ok()?;
         let comp_label = Vec::<VertexId>::decode(&mut reader).ok()?;
         reader.finish().ok()?;
-        Some(CcPartial {
+        // The bytes may be a peer's. Assemble indexes by the owner marker, a
+        // warm start merge-joins `vertex_ids` and adopts `comp` as a forest:
+        // all five must agree in length, the ids must ascend, and a root is
+        // the smallest index of its class, so no entry of `comp` points above
+        // itself — which also keeps the forest in range and acyclic.
+        let n = labels.len();
+        let aligned = [vertex_ids.len(), owned.len(), comp.len(), comp_label.len()] == [n; 4];
+        let valid = aligned
+            && strictly_ascending(&vertex_ids)
+            && comp.iter().zip(0u32..).all(|(&root, i)| root <= i);
+        valid.then(|| CcPartial {
             labels: VertexDenseMap::from_vec(labels),
             vertex_ids,
+            owned,
             comp,
             comp_label,
         })
@@ -420,19 +441,17 @@ impl PieProgram for CcProgram {
             local_components(&pool, g)
         };
         let mut comp_label: Vec<VertexId> = (0..n as u32).map(|i| g.vertex_of(i)).collect();
-        for (&v, &label) in old.vertex_ids.iter().zip(old.labels.as_slice()) {
-            if let Some(i) = g.dense_index(v) {
-                let r = comp[i as usize] as usize;
-                if label < comp_label[r] {
-                    comp_label[r] = label;
-                }
-            }
-        }
+        let old_labels = old.labels.as_slice();
+        merge_join(&old.vertex_ids, g.vertex_ids(), |i, j| {
+            let r = comp[j] as usize;
+            comp_label[r] = comp_label[r].min(old_labels[i]);
+        });
         let labels = VertexDenseMap::from_fn(n, |i| comp_label[comp[i as usize] as usize]);
         Self::publish_borders(fragment, &labels, ctx);
         Some(CcPartial {
             labels,
             vertex_ids: g.vertex_ids().to_vec(),
+            owned: fragment.inner_bitset().clone(),
             comp,
             comp_label,
         })
@@ -449,13 +468,15 @@ mod tests {
     use grape_core::{EngineConfig, GrapeEngine};
     use grape_graph::generators::{barabasi_albert, erdos_renyi, road_network, RoadNetworkConfig};
     use grape_graph::GraphBuilder;
-    use grape_partition::{BuiltinStrategy, HashPartitioner, Partitioner, RangePartitioner};
+    use grape_partition::{
+        build_fragments, BuiltinStrategy, HashPartitioner, Partitioner, RangePartitioner,
+    };
 
     #[test]
     fn partial_snapshot_roundtrips_bit_identically() {
         let g = barabasi_albert(150, 2, 17).unwrap();
         let assignment = HashPartitioner.partition(&g, 2);
-        let frags = grape_partition::build_fragments(&g, &assignment);
+        let frags = build_fragments(&g, &assignment);
         let program = CcProgram;
         let mut ctx = PieContext::new();
         let slots: Vec<u32> = (0..frags[1].border_vertices().len() as u32).collect();
@@ -465,9 +486,93 @@ mod tests {
         let back = program.restore_partial(&bytes).expect("restore");
         assert_eq!(partial.labels.as_slice(), back.labels.as_slice());
         assert_eq!(partial.vertex_ids, back.vertex_ids);
+        assert_eq!(partial.owned, back.owned);
         assert_eq!(partial.comp, back.comp);
         assert_eq!(partial.comp_label, back.comp_label);
         assert!(program.restore_partial(&bytes[..bytes.len() - 1]).is_none());
+    }
+
+    /// Assemble as it was before partials carried an owner marker: for every
+    /// vertex the smallest label over *all* its copies, mirrors included. The
+    /// oracle of the owner-only Assemble.
+    fn assemble_min_over_copies(partials: &[CcPartial]) -> HashMap<VertexId, VertexId> {
+        let mut out: HashMap<VertexId, VertexId> = HashMap::new();
+        for partial in partials {
+            for (&v, &label) in partial.vertex_ids.iter().zip(partial.labels.as_slice()) {
+                out.entry(v)
+                    .and_modify(|l| *l = (*l).min(label))
+                    .or_insert(label);
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn owner_only_assemble_is_the_minimum_over_all_copies() {
+        // Several components of a thinned road grid, plus isolated vertices.
+        let road = road_network(
+            RoadNetworkConfig {
+                width: 14,
+                height: 14,
+                removal_prob: 0.35,
+                ..Default::default()
+            },
+            9,
+        )
+        .unwrap();
+        let mut b = GraphBuilder::<(), f64>::new();
+        for (s, d, w) in road.edges() {
+            b.add_edge(s, d, *w);
+        }
+        for v in 2000..2005u64 {
+            b.ensure_vertex(v);
+        }
+        let g = b.build().unwrap();
+        let reference = sequential_cc(&g);
+        for strategy in [BuiltinStrategy::Hash, BuiltinStrategy::MetisLike] {
+            for k in [1, 2, 5] {
+                let fragments = build_fragments(&g, &strategy.partition(&g, k));
+                let (partials, _) = GrapeEngine::new(CcProgram)
+                    .run_partials(&CcQuery, &fragments, &[])
+                    .unwrap();
+                let owned: usize = partials.iter().map(|p| p.owned.count_ones()).sum();
+                assert_eq!(owned, g.num_vertices(), "every vertex has one owner");
+                let expected = assemble_min_over_copies(&partials);
+                let got = CcProgram.assemble(partials);
+                assert_eq!(got, expected, "{strategy:?} k={k}");
+                assert_eq!(got, reference, "{strategy:?} k={k}");
+                assert_eq!(got[&2003], 2003);
+            }
+        }
+    }
+
+    #[test]
+    fn a_snapshot_that_would_misjoin_or_index_out_of_range_is_refused() {
+        let g = barabasi_albert(60, 2, 17).unwrap();
+        let frags = build_fragments(&g, &HashPartitioner.partition(&g, 2));
+        let mut ctx = PieContext::new();
+        let slots: Vec<u32> = (0..frags[1].border_vertices().len() as u32).collect();
+        ctx.configure_borders(frags[1].border_vertices(), &slots);
+        let good = CcProgram.peval(&CcQuery, &frags[1], &mut ctx);
+        let n = good.labels.len();
+        let refused = |corrupt: &dyn Fn(&mut CcPartial)| {
+            let mut partial = good.clone();
+            corrupt(&mut partial);
+            let bytes = CcProgram.snapshot_partial(&partial).unwrap();
+            CcProgram.restore_partial(&bytes).is_none()
+        };
+        assert!(!refused(&|_| {}), "the untouched snapshot restores");
+        assert!(refused(&|p| p.labels = VertexDenseMap::new(n + 1, 0)));
+        assert!(refused(&|p| p.owned = DenseBitset::new(n - 1)));
+        assert!(refused(&|p| p.comp_label.truncate(1)));
+        assert!(refused(&|p| {
+            p.comp.pop();
+        }));
+        // A forest entry past the array (or merely above itself, which could
+        // close a cycle) must not reach `DenseUnionFind::from_parents`.
+        assert!(refused(&|p| p.comp[0] = n as u32));
+        assert!(refused(&|p| p.comp[3] = 4));
+        assert!(refused(&|p| p.vertex_ids.swap(2, 3)), "unsorted ids");
     }
 
     #[test]

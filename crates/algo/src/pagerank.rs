@@ -33,7 +33,7 @@
 
 use grape_core::par::{map_chunks, ThreadPool};
 use grape_core::{Fragment, PieContext, PieProgram, VertexId};
-use grape_graph::{CsrGraph, DenseBitset, VertexDenseMap};
+use grape_graph::{merge_join, strictly_ascending, CsrGraph, DenseBitset, VertexDenseMap};
 use std::collections::HashMap;
 
 /// PageRank query parameters.
@@ -378,7 +378,8 @@ impl PieProgram for PageRankProgram {
     }
 
     fn assemble(&self, partials: Vec<PageRankPartial>) -> HashMap<VertexId, f64> {
-        let mut out = HashMap::new();
+        // Every vertex is inner to exactly one fragment: sized once, exactly.
+        let mut out = HashMap::with_capacity(partials.iter().map(|p| p.inner_ids.len()).sum());
         // Accumulate the total leaked-system mass in deterministic fragment /
         // inner-vertex order, then rescale once: at the fixpoint this equals
         // redistributing the dangling mass uniformly every iteration (see the
@@ -440,11 +441,24 @@ impl PieProgram for PageRankProgram {
         let pending_len = u32::decode(&mut reader).ok()? as usize;
         let pending_ones = Vec::<u32>::decode(&mut reader).ok()?;
         reader.finish().ok()?;
+        // The bytes may be a peer's. Assemble and a warm start index `rank`
+        // by `inner_dense` and pair it with `inner_ids`, which the warm start
+        // merge-joins: the dense vectors must agree in length, the inner
+        // lists with each other, every index must be in range and the ids
+        // must ascend.
+        let n = rank.len();
+        let aligned = [mirror_share.len(), contrib.len(), pending_len] == [n; 3]
+            && inner_ids.len() == inner_dense.len();
+        let in_range = |indices: &[u32]| indices.iter().all(|&i| (i as usize) < n);
+        if !(aligned
+            && in_range(&inner_dense)
+            && in_range(&pending_ones)
+            && strictly_ascending(&inner_ids))
+        {
+            return None;
+        }
         let mut pending = DenseBitset::new(pending_len);
         for i in pending_ones {
-            if i as usize >= pending_len {
-                return None;
-            }
             pending.set(i);
         }
         Some(PageRankPartial {
@@ -489,21 +503,14 @@ impl PieProgram for PageRankProgram {
             contrib: VertexDenseMap::new(n_local, 0.0),
             pending: DenseBitset::new(n_local),
         };
-        // Carry the old converged inner ranks over by global id; vertices
-        // inserted since start at the uniform prior like a cold run. Mirror
+        // Carry the old converged inner ranks over by global id — both inner
+        // lists ascend, so one merge-join does it; vertices inserted since
+        // start at the uniform prior like a cold run. Mirror
         // shares start at 0 exactly as in PEval — superstep-0 publications
         // re-deliver every owner share in round 1 and requeue the cones.
-        let old_rank: std::collections::HashMap<VertexId, f64> = old
-            .inner_ids
-            .iter()
-            .zip(&old.inner_dense)
-            .map(|(&v, &i)| (v, old.rank[i]))
-            .collect();
-        for (&v, &i) in partial.inner_ids.iter().zip(&partial.inner_dense) {
-            if let Some(&r) = old_rank.get(&v) {
-                partial.rank[i] = r;
-            }
-        }
+        merge_join(&old.inner_ids, &partial.inner_ids, |i, j| {
+            partial.rank[partial.inner_dense[j]] = old.rank[old.inner_dense[i]];
+        });
         for i in 0..n_local as u32 {
             partial.contrib[i] = self.contribution_of(query, fragment, &partial, i);
         }
@@ -581,6 +588,39 @@ mod tests {
         );
         assert_eq!(partial.pending.len(), back.pending.len());
         assert!(program.restore_partial(&bytes[..bytes.len() - 1]).is_none());
+    }
+
+    #[test]
+    fn a_snapshot_that_would_misjoin_or_index_out_of_range_is_refused() {
+        let g = barabasi_albert(60, 2, 17).unwrap();
+        let frags = grape_partition::build_fragments(&g, &HashPartitioner.partition(&g, 2));
+        let program = PageRankProgram::new(g.num_vertices());
+        let mut ctx = PieContext::new();
+        let slots: Vec<u32> = (0..frags[0].border_vertices().len() as u32).collect();
+        ctx.configure_borders(frags[0].border_vertices(), &slots);
+        let good = program.peval(&PageRankQuery::default(), &frags[0], &mut ctx);
+        let n = good.rank.len();
+        let refused = |corrupt: &dyn Fn(&mut PageRankPartial)| {
+            let mut partial = good.clone();
+            corrupt(&mut partial);
+            let bytes = program.snapshot_partial(&partial).unwrap();
+            program.restore_partial(&bytes).is_none()
+        };
+        assert!(!refused(&|_| {}), "the untouched snapshot restores");
+        assert!(refused(&|p| p.rank = VertexDenseMap::new(n - 1, 0.0)));
+        assert!(refused(
+            &|p| p.mirror_share = VertexDenseMap::new(n + 1, 0.0)
+        ));
+        assert!(refused(&|p| p.contrib = VertexDenseMap::new(0, 0.0)));
+        assert!(refused(&|p| p.pending = DenseBitset::new(n + 1)));
+        assert!(refused(&|p| {
+            p.inner_dense.pop();
+        }));
+        assert!(
+            refused(&|p| p.inner_dense[0] = n as u32),
+            "an owner past the ranks"
+        );
+        assert!(refused(&|p| p.inner_ids.swap(0, 1)), "unsorted ids");
     }
 
     #[test]

@@ -5,7 +5,8 @@
 //!   Ramalingam & Reps: when border distances drop, only the affected
 //!   vertices are re-relaxed, so its cost depends on the size of the change
 //!   (`|M| + |ΔO|`), not on the fragment size.
-//! * **Assemble** takes, for every vertex, the smallest distance any fragment
+//! * **Assemble** takes every vertex's distance from the fragment that owns
+//!   it: at the fixpoint the owner holds the smallest distance any fragment
 //!   knows.
 //! * The update parameters are the distances of border vertices, aggregated
 //!   with `min`; they decrease monotonically, so the Assurance Theorem
@@ -20,7 +21,7 @@
 
 use grape_core::par::{map_chunks, ThreadPool};
 use grape_core::{Fragment, PieContext, PieProgram, VertexId};
-use grape_graph::{CsrGraph, DenseBitset, VertexDenseMap};
+use grape_graph::{merge_join, strictly_ascending, CsrGraph, DenseBitset, VertexDenseMap};
 use std::collections::{BinaryHeap, HashMap};
 
 /// Distance value used throughout: `f64` seconds/metres/weights.
@@ -289,6 +290,9 @@ pub struct SsspPartial {
     /// Global ids aligned with `dist` (the local graph's vertex-id table),
     /// kept so Assemble can translate without the fragments at hand.
     vertex_ids: Vec<VertexId>,
+    /// The owner marker: bit `i` set = local vertex `i` is inner, so this
+    /// partial is the one Assemble reads its distance from.
+    owned: DenseBitset,
     /// Total number of distance changes applied by IncEval calls; used by the
     /// boundedness experiment (F-inc).
     pub inceval_changes: usize,
@@ -334,6 +338,7 @@ impl PieProgram for SsspProgram {
         SsspPartial {
             dist,
             vertex_ids: g.vertex_ids().to_vec(),
+            owned: fragment.inner_bitset().clone(),
             inceval_changes: 0,
         }
     }
@@ -370,19 +375,19 @@ impl PieProgram for SsspProgram {
     }
 
     fn assemble(&self, partials: Vec<SsspPartial>) -> HashMap<VertexId, Distance> {
-        let mut out: HashMap<VertexId, Distance> = HashMap::new();
-        for partial in partials {
-            for (&v, &d) in partial.vertex_ids.iter().zip(partial.dist.as_slice()) {
-                if !d.is_finite() {
-                    continue;
+        // Each vertex once, from its owner. Every copy of a shared vertex is
+        // a border vertex and the coordinator routes the folded minimum to
+        // all of them, so at the fixpoint the owner holds it: no pass over
+        // mirrors, no compare — and a map sized once, to the owned count (the
+        // sum of local sizes would be twice that on a hash cut).
+        let owned = partials.iter().map(|p| p.owned.count_ones()).sum();
+        let mut out = HashMap::with_capacity(owned);
+        for partial in &partials {
+            for i in partial.owned.iter_ones() {
+                let d = partial.dist[i];
+                if d.is_finite() {
+                    out.insert(partial.vertex_ids[i as usize], d);
                 }
-                out.entry(v)
-                    .and_modify(|cur| {
-                        if d < *cur {
-                            *cur = d;
-                        }
-                    })
-                    .or_insert(d);
             }
         }
         out
@@ -406,6 +411,7 @@ impl PieProgram for SsspProgram {
             d.encode(&mut out);
         }
         partial.vertex_ids.encode(&mut out);
+        partial.owned.encode(&mut out);
         partial.inceval_changes.encode(&mut out);
         Some(out)
     }
@@ -415,11 +421,17 @@ impl PieProgram for SsspProgram {
         let mut reader = WireReader::new(bytes);
         let dist = Vec::<Distance>::decode(&mut reader).ok()?;
         let vertex_ids = Vec::<VertexId>::decode(&mut reader).ok()?;
+        let owned = DenseBitset::decode(&mut reader).ok()?;
         let inceval_changes = usize::decode(&mut reader).ok()?;
         reader.finish().ok()?;
-        Some(SsspPartial {
+        // The bytes may be a peer's: Assemble indexes `dist` and `vertex_ids`
+        // by the owner marker and a warm start merge-joins `vertex_ids`, so
+        // the three must agree in length and the ids must ascend.
+        let aligned = dist.len() == vertex_ids.len() && owned.len() == dist.len();
+        (aligned && strictly_ascending(&vertex_ids)).then(|| SsspPartial {
             dist: VertexDenseMap::from_vec(dist),
             vertex_ids,
+            owned,
             inceval_changes,
         })
     }
@@ -443,13 +455,13 @@ impl PieProgram for SsspProgram {
         let old = self.restore_partial(snapshot)?;
         let g = &fragment.graph;
         // Carry the converged distances over by global id (dense indices may
-        // have shifted); inserted vertices start unreached like a cold run.
+        // have shifted) — both id lists ascend, so one merge-join does it;
+        // inserted vertices start unreached like a cold run.
         let mut dist = VertexDenseMap::for_graph(g, Distance::INFINITY);
-        for (&v, &d) in old.vertex_ids.iter().zip(old.dist.as_slice()) {
-            if let Some(i) = g.dense_index(v) {
-                dist[i] = d;
-            }
-        }
+        let (carried, settled) = (dist.as_mut_slice(), old.dist.as_slice());
+        merge_join(&old.vertex_ids, g.vertex_ids(), |i, j| {
+            carried[j] = settled[i]
+        });
         // Every path the update can improve starts by crossing an edge out
         // of a dirty vertex, so relaxing each dirty vertex's out-edges from
         // its settled distance is a complete seed set. Re-seeding the source
@@ -486,6 +498,7 @@ impl PieProgram for SsspProgram {
         Some(SsspPartial {
             dist,
             vertex_ids: g.vertex_ids().to_vec(),
+            owned: fragment.inner_bitset().clone(),
             inceval_changes: 0,
         })
     }
@@ -501,7 +514,9 @@ mod tests {
     use grape_core::{EngineConfig, GrapeEngine};
     use grape_graph::generators::{barabasi_albert, road_network, RoadNetworkConfig};
     use grape_graph::GraphBuilder;
-    use grape_partition::{BuiltinStrategy, HashPartitioner, Partitioner, RangePartitioner};
+    use grape_partition::{
+        build_fragments, BuiltinStrategy, HashPartitioner, Partitioner, RangePartitioner,
+    };
 
     fn assert_distances_match(
         got: &HashMap<VertexId, Distance>,
@@ -526,7 +541,7 @@ mod tests {
     fn partial_snapshot_roundtrips_bit_identically() {
         let g = barabasi_albert(200, 3, 13).unwrap();
         let assignment = HashPartitioner.partition(&g, 2);
-        let frags = grape_partition::build_fragments(&g, &assignment);
+        let frags = build_fragments(&g, &assignment);
         let program = SsspProgram;
         let mut ctx = PieContext::new();
         let slots: Vec<u32> = (0..frags[0].border_vertices().len() as u32).collect();
@@ -549,9 +564,96 @@ mod tests {
             "distances must survive bit for bit (including infinities)"
         );
         assert_eq!(partial.vertex_ids, back.vertex_ids);
+        assert_eq!(partial.owned, back.owned);
         assert_eq!(partial.inceval_changes, back.inceval_changes);
         // Corrupt bytes fail typed, not by panic.
         assert!(program.restore_partial(&bytes[..bytes.len() - 1]).is_none());
+    }
+
+    /// Assemble as it was before partials carried an owner marker: for every
+    /// vertex the smallest finite distance over *all* its copies, mirrors
+    /// included. The oracle of the owner-only Assemble.
+    fn assemble_min_over_copies(partials: &[SsspPartial]) -> HashMap<VertexId, Distance> {
+        let mut out: HashMap<VertexId, Distance> = HashMap::new();
+        for partial in partials {
+            for (&v, &d) in partial.vertex_ids.iter().zip(partial.dist.as_slice()) {
+                if d.is_finite() {
+                    out.entry(v)
+                        .and_modify(|cur| *cur = cur.min(d))
+                        .or_insert(d);
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn owner_only_assemble_is_the_minimum_over_all_copies() {
+        // A road grid, a chain the source cannot reach, isolated vertices.
+        let road = road_network(
+            RoadNetworkConfig {
+                width: 14,
+                height: 14,
+                removal_prob: 0.1,
+                ..Default::default()
+            },
+            5,
+        )
+        .unwrap();
+        let mut b = GraphBuilder::<(), f64>::new();
+        for (s, d, w) in road.edges() {
+            b.add_edge(s, d, *w);
+        }
+        for v in 1000..1010u64 {
+            b.add_edge(v, v + 1, 1.0);
+        }
+        for v in 2000..2005u64 {
+            b.ensure_vertex(v);
+        }
+        let g = b.build().unwrap();
+        let query = SsspQuery::new(road.vertex_ids()[0]);
+        let reference = sequential_sssp(&g, query.source);
+        for strategy in [BuiltinStrategy::Hash, BuiltinStrategy::MetisLike] {
+            for k in [1, 2, 5] {
+                let fragments = build_fragments(&g, &strategy.partition(&g, k));
+                let (partials, _) = GrapeEngine::new(SsspProgram)
+                    .run_partials(&query, &fragments, &[])
+                    .unwrap();
+                let owned: usize = partials.iter().map(|p| p.owned.count_ones()).sum();
+                assert_eq!(owned, g.num_vertices(), "every vertex has one owner");
+                let expected = assemble_min_over_copies(&partials);
+                let got = SsspProgram.assemble(partials);
+                assert_eq!(got, expected, "{strategy:?} k={k}");
+                assert_eq!(got, reference, "{strategy:?} k={k}");
+                assert!(!got.contains_key(&1005) && !got.contains_key(&2003));
+            }
+        }
+    }
+
+    #[test]
+    fn a_snapshot_that_would_misjoin_or_index_out_of_range_is_refused() {
+        let g = barabasi_albert(60, 2, 13).unwrap();
+        let frags = build_fragments(&g, &HashPartitioner.partition(&g, 2));
+        let mut ctx = PieContext::new();
+        let slots: Vec<u32> = (0..frags[0].border_vertices().len() as u32).collect();
+        ctx.configure_borders(frags[0].border_vertices(), &slots);
+        let good = SsspProgram.peval(&SsspQuery::new(0), &frags[0], &mut ctx);
+        let n = good.dist.len();
+        let refused = |corrupt: &dyn Fn(&mut SsspPartial)| {
+            let mut partial = good.clone();
+            corrupt(&mut partial);
+            let bytes = SsspProgram.snapshot_partial(&partial).unwrap();
+            SsspProgram.restore_partial(&bytes).is_none()
+        };
+        assert!(!refused(&|_| {}), "the untouched snapshot restores");
+        assert!(refused(&|p| p.dist = VertexDenseMap::new(n - 1, 0.0)));
+        assert!(refused(&|p| p.vertex_ids.push(u64::MAX)));
+        assert!(refused(&|p| p.owned = DenseBitset::new(n + 64)));
+        assert!(refused(&|p| p.vertex_ids.swap(0, 1)), "unsorted ids");
+        assert!(
+            refused(&|p| p.vertex_ids[1] = p.vertex_ids[0]),
+            "a repeated id"
+        );
     }
 
     #[test]

@@ -3,8 +3,10 @@
 //! [`GrapeEngine::run`] implements the workflow of Fig. 1 / Section 2.2:
 //!
 //! 1. **Handshake** — the coordinator assigns every distinct border vertex a
-//!    stable `u32` slot id and ships each fragment its local border→slot
-//!    mapping ([`CoordCommand::Init`]). All later traffic is slot-addressed.
+//!    stable `u32` slot id — by merging the fragments' sorted border lists,
+//!    not by hashing ids; [`RunStats::slot_build_seconds`] — and ships each
+//!    fragment its local border→slot mapping ([`CoordCommand::Init`]). All
+//!    later traffic is slot-addressed.
 //! 2. **PEval superstep** — every worker runs PEval on its fragment in
 //!    parallel and reports its changed update parameters (as `(slot, value)`
 //!    pairs) to the coordinator.
@@ -18,7 +20,10 @@
 //!    just delivered (the echo rule, [`PieContext::absorb`]).
 //! 4. **Termination** — when a superstep produces no changed update
 //!    parameters (every worker is inactive), the coordinator collects the
-//!    partial results and Assemble combines them into `Q(G)`.
+//!    partial results and Assemble combines them into `Q(G)`
+//!    ([`RunStats::assemble_seconds`]). At that point every copy of a border
+//!    vertex holds its folded value, so a per-vertex-value program assembles
+//!    from each vertex's owner alone.
 //!
 //! Workers are OS threads — or, when the host has a single hardware thread
 //! (or [`ExecutionMode::Inline`] is requested), the same workers driven
@@ -41,7 +46,7 @@ use crate::transport::{
     self, CoordTransport, DrainableWorkerTransport, TransportError, TransportKind, WorkerTransport,
 };
 use grape_comm::CommStats;
-use grape_graph::{CsrGraph, VertexId};
+use grape_graph::{union_ranks, CsrGraph, VertexId};
 use grape_partition::{build_fragments, Fragment, PartitionAssignment};
 use std::borrow::Borrow;
 use std::collections::HashMap;
@@ -57,11 +62,10 @@ type GatheredReport<V> = (usize, Vec<(u32, V)>, Vec<(VertexId, V)>, f64);
 /// built once per run from the fragments' border lists.
 ///
 /// Every superstep the coordinator folds the workers' slot-addressed
-/// proposals straight into flat arrays — the global-id→slot `HashMap` exists
-/// only while the table is built, so the per-superstep fold path performs
-/// zero hashing — and routing is one mask per slot word: the fragments that
-/// have the vertex (`homes`) minus those already holding the fold
-/// (`holders`).
+/// proposals straight into flat arrays — no global id is hashed, neither
+/// here nor while the table is built — and routing is one mask per slot
+/// word: the fragments that have the vertex (`homes`) minus those already
+/// holding the fold (`holders`).
 struct SlotTable<V> {
     /// Packed per-slot fragment bitmask, shaped like `holders`: bit `f` of
     /// slot `s` set means fragment `f` has the vertex on its border.
@@ -86,33 +90,39 @@ impl<V: Clone> SlotTable<V> {
     /// distinct border vertex a slot. Also returns, per fragment, the slot
     /// of each of its border vertices (aligned with
     /// `Fragment::border_vertices()`) — the mapping the handshake ships to
-    /// the workers. This is the only place global ids are hashed.
-    fn build<VD, ED>(
-        fragments: &[impl Borrow<Fragment<VD, ED>>],
-        n_workers: usize,
-    ) -> (Self, Vec<Vec<u32>>)
+    /// the workers. Workers are addressed by their position in `fragments`,
+    /// here as in every later send, whatever `Fragment::id` says.
+    ///
+    /// The border lists are sorted, so [`union_ranks`] ranks the distinct
+    /// vertices by id with a tree of two-list merges — O(total borders ·
+    /// log k), no hashing; the ranks are then renumbered in the order a scan
+    /// of fragment 0's borders, then fragment 1's, … first meets each vertex,
+    /// which is the numbering every `Init` frame has always carried.
+    fn build<VD, ED>(fragments: &[impl Borrow<Fragment<VD, ED>>]) -> (Self, Vec<Vec<u32>>)
     where
         VD: Clone,
         ED: Clone,
     {
-        let mut slot_of: HashMap<VertexId, u32> = HashMap::new();
-        let mut fragment_slots: Vec<Vec<u32>> = Vec::with_capacity(fragments.len());
-        for fragment in fragments {
-            let borders = fragment.borrow().border_vertices();
-            let mut local = Vec::with_capacity(borders.len());
-            for &v in borders {
-                let next = slot_of.len() as u32;
-                local.push(*slot_of.entry(v).or_insert(next));
-            }
-            fragment_slots.push(local);
-        }
-        let num_slots = slot_of.len();
-        let words_per_slot = n_workers.div_ceil(64).max(1);
+        let borders: Vec<&[VertexId]> = fragments
+            .iter()
+            .map(|fragment| fragment.borrow().border_vertices())
+            .collect();
+        let (mut fragment_slots, num_slots) = union_ranks(&borders);
+        // Renumber by a scan in fragment order: a rank takes the next slot
+        // the first time it is met.
+        let words_per_slot = fragments.len().div_ceil(64).max(1);
         let mut homes = vec![0u64; num_slots * words_per_slot];
-        for (fragment, local) in fragments.iter().zip(&fragment_slots) {
-            let f = fragment.borrow().id;
-            for &slot in local {
-                homes[slot as usize * words_per_slot + f / 64] |= 1u64 << (f % 64);
+        let mut slot_of_rank = vec![u32::MAX; num_slots];
+        let mut next_slot = 0u32;
+        for (f, local) in fragment_slots.iter_mut().enumerate() {
+            for slot in local {
+                let assigned = &mut slot_of_rank[*slot as usize];
+                if *assigned == u32::MAX {
+                    *assigned = next_slot;
+                    next_slot += 1;
+                }
+                *slot = *assigned;
+                homes[*slot as usize * words_per_slot + f / 64] |= 1u64 << (f % 64);
             }
         }
         let table = Self {
@@ -883,7 +893,9 @@ impl<P: PieProgram> GrapeEngine<P> {
     ) -> Result<GrapeResult<P::Output>, RunError> {
         let started = Instant::now();
         let (partials, mut stats) = self.run_partials(query, fragments, seeds)?;
+        let assemble_started = Instant::now();
         let output = self.program.assemble(partials);
+        stats.assemble_seconds = assemble_started.elapsed().as_secs_f64();
         stats.wall_time = started.elapsed();
         Ok(GrapeResult { output, stats })
     }
@@ -959,7 +971,8 @@ impl<P: PieProgram> GrapeEngine<P> {
         }
         let started = Instant::now();
         let (mut slots, fragment_slots): (SlotTable<P::Value>, Vec<Vec<u32>>) =
-            SlotTable::build(fragments, n);
+            SlotTable::build(fragments);
+        let slot_build_seconds = started.elapsed().as_secs_f64();
         let mut rec = recover.map(|recover| RecoveryCtx {
             fragment_slots: fragment_slots.clone(),
             checkpoints: (0..n).map(|_| None).collect(),
@@ -988,6 +1001,7 @@ impl<P: PieProgram> GrapeEngine<P> {
             transport.send(f, CoordCommand::Finish);
         }
         let mut stats_out = coordination?;
+        stats_out.slot_build_seconds = slot_build_seconds;
         stats_out.recoveries = rec.map_or(0, |rec| rec.recoveries);
         stats_out.num_workers = n;
         stats_out.program = program.name().to_string();
@@ -1129,8 +1143,10 @@ impl<P: PieProgram> GrapeEngine<P> {
             // `fragment_slots[f]` is the border→slot mapping the one-time
             // Init handshake ships to worker `f`, so that all superstep
             // traffic is slot-addressed.
+            let build_started = Instant::now();
             let (mut slots, fragment_slots): (SlotTable<P::Value>, Vec<Vec<u32>>) =
-                SlotTable::build(fragments, n);
+                SlotTable::build(fragments);
+            let slot_build_seconds = build_started.elapsed().as_secs_f64();
             for (f, border_slots) in fragment_slots.into_iter().enumerate() {
                 coord.send(f, CoordCommand::Init { border_slots });
             }
@@ -1167,6 +1183,7 @@ impl<P: PieProgram> GrapeEngine<P> {
                     Ok(reports)
                 });
             coordination.map(|mut stats_out| {
+                stats_out.slot_build_seconds = slot_build_seconds;
                 stats_out.num_workers = n;
                 stats_out.program = program.name().to_string();
                 let partials = workers
@@ -2007,6 +2024,105 @@ mod tests {
         assert_eq!(result.stats.supersteps, 1);
     }
 
+    /// The slot table as it was built before the merge: slots handed out by
+    /// a `HashMap` in the order a scan of the fragments' borders first meets
+    /// each vertex. Kept as the oracle of [`SlotTable::build`]; returns the
+    /// per-fragment slots and the `homes` masks.
+    fn build_hashed(fragments: &[Fragment<(), f64>]) -> (Vec<Vec<u32>>, Vec<u64>) {
+        let mut slot_of: HashMap<VertexId, u32> = HashMap::new();
+        let mut fragment_slots: Vec<Vec<u32>> = Vec::with_capacity(fragments.len());
+        for fragment in fragments {
+            let mut local = Vec::new();
+            for &v in fragment.border_vertices() {
+                let next = slot_of.len() as u32;
+                local.push(*slot_of.entry(v).or_insert(next));
+            }
+            fragment_slots.push(local);
+        }
+        let words_per_slot = fragments.len().div_ceil(64).max(1);
+        let mut homes = vec![0u64; slot_of.len() * words_per_slot];
+        for (f, local) in fragment_slots.iter().enumerate() {
+            for &slot in local {
+                homes[slot as usize * words_per_slot + f / 64] |= 1u64 << (f % 64);
+            }
+        }
+        (fragment_slots, homes)
+    }
+
+    #[test]
+    fn the_merge_built_slot_table_is_the_hash_built_one() {
+        // A road grid plus isolated vertices: at large k some fragment draws
+        // only isolated ones (or nothing) and has no border at all, and the
+        // late fragments' slots scatter widely enough for the sparse form.
+        let mut b = GraphBuilder::<(), f64>::new();
+        let road = road_network(
+            RoadNetworkConfig {
+                width: 16,
+                height: 16,
+                ..Default::default()
+            },
+            4,
+        )
+        .unwrap();
+        for (s, d, w) in road.edges() {
+            b.add_edge(s, d, *w);
+        }
+        for v in 1000..1040u64 {
+            b.ensure_vertex(v);
+        }
+        let g = b.build().unwrap();
+        let (mut empty_borders, mut sparse) = (0, 0);
+        for &strategy in BuiltinStrategy::all() {
+            for k in [1usize, 2, 4, 16, 64, 130] {
+                let fragments = build_fragments(&g, &strategy.partition(&g, k));
+                let (table, fragment_slots) = SlotTable::<u64>::build(&fragments);
+                let (expected_slots, expected_homes) = build_hashed(&fragments);
+                assert_eq!(fragment_slots, expected_slots, "{strategy:?} k={k}");
+                assert_eq!(table.homes, expected_homes, "{strategy:?} k={k}");
+                assert_eq!(table.words_per_slot, k.div_ceil(64));
+                assert_eq!(table.value.len() * table.words_per_slot, table.homes.len());
+                empty_borders += fragments
+                    .iter()
+                    .filter(|f| f.border_vertices().is_empty())
+                    .count();
+                sparse += fragment_slots
+                    .iter()
+                    .filter(|s| matches!(SlotTranslation::build(s), SlotTranslation::Sparse(_)))
+                    .count();
+            }
+        }
+        assert!(
+            empty_borders > 0,
+            "no fragment without a border was covered"
+        );
+        assert!(sparse > 0, "no sparse slot translation was covered");
+    }
+
+    #[test]
+    fn workers_are_addressed_by_position_whatever_the_fragment_ids_say() {
+        // `fragments[i]` is worker `i`'s, in the handshake as in every later
+        // send. A reversed slice must route like the ordered one, and a
+        // partial slice (ids 2 and 3 at positions 0 and 1) must not index
+        // the routing tables by id.
+        let g = barabasi_albert(300, 3, 9).unwrap();
+        let mut fragments = build_fragments(&g, &HashPartitioner.partition(&g, 4));
+        let engine = GrapeEngine::new(MinLabelCc);
+        let ordered = engine.run(&(), &fragments).unwrap();
+        let tail = engine.run(&(), &fragments[2..]).unwrap();
+        assert_eq!(tail.stats.num_workers, 2);
+        fragments.reverse();
+        let (table, fragment_slots) = SlotTable::<u64>::build(&fragments);
+        for (position, slots) in fragment_slots.iter().enumerate() {
+            for &slot in slots {
+                assert_ne!(table.homes[slot as usize] & (1 << position), 0);
+            }
+        }
+        let reversed = engine.run(&(), &fragments).unwrap();
+        assert_eq!(reversed.output, ordered.output);
+        assert_eq!(reversed.stats.supersteps, ordered.stats.supersteps);
+        assert_eq!(reversed.stats.messages, ordered.stats.messages);
+    }
+
     #[test]
     fn slot_translation_dense_and_sparse_agree() {
         // A compact slot range stays dense; a scattered one (a late fragment
@@ -2127,7 +2243,7 @@ mod tests {
         )
         .unwrap();
         let fragments = build_fragments(&g, &HashPartitioner.partition(&g, 32));
-        let (_, fragment_slots) = SlotTable::<u64>::build(&fragments, fragments.len());
+        let (_, fragment_slots) = SlotTable::<u64>::build(&fragments);
         let sparse = fragment_slots
             .iter()
             .filter(|slots| matches!(SlotTranslation::build(slots), SlotTranslation::Sparse(_)))

@@ -58,10 +58,17 @@ pub struct RunStats {
     /// Wall-clock seconds spent in IncEval supersteps (critical path, see
     /// [`RunStats::peval_seconds`]).
     pub inceval_seconds: f64,
+    /// Coordinator seconds building the border slot table, before the first
+    /// `Init` goes out.
+    pub slot_build_seconds: f64,
     /// Coordinator seconds folding gathered reports, summed over supersteps.
     pub fold_seconds: f64,
     /// Coordinator seconds queueing the folds (sends excluded), likewise.
     pub route_seconds: f64,
+    /// Seconds Assemble took to combine the partials into the answer; `0`
+    /// from the entry points that stop before it
+    /// ([`crate::GrapeEngine::run_partials`], `run_coordinator`).
+    pub assemble_seconds: f64,
     /// Total messages shipped through the coordinator.
     pub messages: u64,
     /// Total bytes shipped.
@@ -118,8 +125,10 @@ mod tests {
             wall_time: Duration::from_millis(1500),
             peval_seconds: 0.6,
             inceval_seconds: 0.4,
+            slot_build_seconds: 0.01,
             fold_seconds: 0.05,
             route_seconds: 0.03,
+            assemble_seconds: 0.02,
             messages: 1000,
             bytes: 2_000_000,
             monotonicity_violations: 0,

@@ -13,6 +13,9 @@
 
 use crate::csr::CsrGraph;
 use crate::types::VertexId;
+use grape_comm::wire::{Wire, WireError, WireReader};
+use std::borrow::Cow;
+use std::ops::Range;
 
 /// A dense per-vertex value table: `map[dense_index] = value`.
 ///
@@ -160,6 +163,113 @@ impl<T> std::ops::IndexMut<u32> for VertexDenseMap<T> {
     }
 }
 
+/// Whether `ids` is strictly ascending — the invariant of every id list the
+/// dense layer hands out ([`CsrGraph::vertex_ids`], a fragment's border and
+/// inner lists) and the precondition of [`merge_walk`]. One linear pass; what
+/// a decoder checks before it trusts a peer's list.
+pub fn strictly_ascending(ids: &[VertexId]) -> bool {
+    ids.windows(2).all(|w| w[0] < w[1])
+}
+
+/// Walks two strictly ascending id lists in step: calls `visit(id, i, j)`
+/// once per distinct id of their union, in ascending order, with the id's
+/// position in `a` and in `b` (`None` where that list lacks it). O(|a| + |b|)
+/// sequential reads, no hashing — the building block of every pass that
+/// relates two dense index spaces: [`merge_join`] for the ids both lists
+/// hold, [`union_ranks`] for the sorted union of many.
+pub fn merge_walk(
+    a: &[VertexId],
+    b: &[VertexId],
+    mut visit: impl FnMut(VertexId, Option<usize>, Option<usize>),
+) {
+    debug_assert!(strictly_ascending(a) && strictly_ascending(b));
+    let (mut i, mut j) = (0, 0);
+    loop {
+        match (a.get(i), b.get(j)) {
+            (Some(&x), Some(&y)) if x == y => {
+                visit(x, Some(i), Some(j));
+                i += 1;
+                j += 1;
+            }
+            (Some(&x), y) if y.is_none_or(|&y| x < y) => {
+                visit(x, Some(i), None);
+                i += 1;
+            }
+            (_, Some(&y)) => {
+                visit(y, None, Some(j));
+                j += 1;
+            }
+            _ => return,
+        }
+    }
+}
+
+/// Merge-join of two strictly ascending id lists: calls `on_match(i, j)` for
+/// every pair of positions with `a[i] == b[j]`, in ascending id order — how
+/// state keyed by one dense index space is carried into another (a converged
+/// partial onto a mutated fragment, whose indices may have shifted).
+pub fn merge_join(a: &[VertexId], b: &[VertexId], mut on_match: impl FnMut(usize, usize)) {
+    merge_walk(a, b, |_, i, j| {
+        if let (Some(i), Some(j)) = (i, j) {
+            on_match(i, j);
+        }
+    });
+}
+
+/// Ranks every entry of `lists` — each strictly ascending — in the sorted
+/// union of them all: `ranks[l][pos]` is how many distinct ids, over all the
+/// lists, are smaller than `lists[l][pos]`. Also returns the size of the
+/// union. A perfect hash of the ids the lists share, without hashing: a
+/// balanced tree of two-list merges ([`merge_walk`]), O(total entries ·
+/// log k) sequential reads and writes.
+pub fn union_ranks(lists: &[&[VertexId]]) -> (Vec<Vec<u32>>, usize) {
+    // `ranks[l]` holds list `l`'s ranks in the tree node that covers it; a
+    // leaf is the list itself.
+    let mut ranks: Vec<Vec<u32>> = lists
+        .iter()
+        .map(|list| (0..list.len() as u32).collect())
+        .collect();
+    let mut level: Vec<(Cow<'_, [VertexId]>, Range<usize>)> = lists
+        .iter()
+        .enumerate()
+        .map(|(l, &list)| (Cow::Borrowed(list), l..l + 1))
+        .collect();
+    while level.len() > 1 {
+        let mut nodes = level.into_iter();
+        level = Vec::with_capacity(nodes.len().div_ceil(2));
+        while let Some((left, covers)) = nodes.next() {
+            let Some((right, right_covers)) = nodes.next() else {
+                level.push((left, covers));
+                break;
+            };
+            let mut union = Vec::with_capacity(left.len() + right.len());
+            let mut up_left = Vec::with_capacity(left.len());
+            let mut up_right = Vec::with_capacity(right.len());
+            merge_walk(&left, &right, |id, i, j| {
+                let rank = union.len() as u32;
+                union.push(id);
+                if i.is_some() {
+                    up_left.push(rank);
+                }
+                if j.is_some() {
+                    up_right.push(rank);
+                }
+            });
+            for (covered, up) in [
+                (covers.clone(), &up_left),
+                (right_covers.clone(), &up_right),
+            ] {
+                for rank in ranks[covered].iter_mut().flatten() {
+                    *rank = up[*rank as usize];
+                }
+            }
+            level.push((Cow::Owned(union), covers.start..right_covers.end));
+        }
+    }
+    let distinct = level.pop().map_or(0, |(root, _)| root.len());
+    (ranks, distinct)
+}
+
 /// A packed bitset over dense vertex indices.
 ///
 /// One bit per vertex; used for constant-time inner/outer membership tests
@@ -237,6 +347,35 @@ impl DenseBitset {
     }
 }
 
+/// Wire layout: the covered length (`u32`), then the packed words — their
+/// count follows from the length. Decoding refuses a bit set past the length,
+/// so `count_ones` and `iter_ones` of a decoded set stay inside it.
+impl Wire for DenseBitset {
+    fn encode(&self, out: &mut Vec<u8>) {
+        (self.len as u32).encode(out);
+        for word in &self.words {
+            word.encode(out);
+        }
+    }
+
+    fn decode(reader: &mut WireReader<'_>) -> Result<Self, WireError> {
+        let len = reader.u32()? as usize;
+        let words: Vec<u64> = reader
+            .bytes(len.div_ceil(64) * 8)?
+            .chunks_exact(8)
+            .map(|word| u64::from_le_bytes(word.try_into().expect("8-byte chunk")))
+            .collect();
+        let slack = (words.len() * 64 - len) as u32;
+        if words
+            .last()
+            .is_some_and(|last| last.leading_zeros() < slack)
+        {
+            return Err(WireError::Malformed("bitset has a bit set past its length"));
+        }
+        Ok(Self { words, len })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -275,6 +414,85 @@ mod tests {
         let v = m.into_vec();
         assert_eq!(VertexDenseMap::from_vec(v).len(), 4);
         assert!(VertexDenseMap::<u8>::new(0, 0).is_empty());
+    }
+
+    #[test]
+    fn merge_walk_visits_the_union_once_and_merge_join_the_intersection() {
+        let a = [2u64, 3, 7, 9, 40];
+        let b = [1u64, 3, 8, 9, 10, 11];
+        assert!(strictly_ascending(&a) && strictly_ascending(&b));
+        assert!(!strictly_ascending(&[1, 1]) && !strictly_ascending(&[2, 1]));
+        assert!(strictly_ascending(&[]) && strictly_ascending(&[5]));
+        let mut walked = Vec::new();
+        merge_walk(&a, &b, |id, i, j| walked.push((id, i, j)));
+        let ids: Vec<VertexId> = walked.iter().map(|&(id, ..)| id).collect();
+        assert_eq!(ids, [1, 2, 3, 7, 8, 9, 10, 11, 40]);
+        for &(id, i, j) in &walked {
+            assert_eq!(i, a.iter().position(|&x| x == id));
+            assert_eq!(j, b.iter().position(|&x| x == id));
+        }
+        let mut joined = Vec::new();
+        merge_join(&a, &b, |i, j| joined.push((i, j)));
+        assert_eq!(joined, [(1, 1), (3, 3)]);
+        // Empty sides: nothing to join, the other side walked alone.
+        merge_join(&a, &[], |_, _| panic!("nothing matches an empty list"));
+        let mut alone = 0;
+        merge_walk(&[], &b, |_, i, j| {
+            assert!(i.is_none() && j == Some(alone));
+            alone += 1;
+        });
+        assert_eq!(alone, b.len());
+    }
+
+    #[test]
+    fn union_ranks_rank_every_entry_in_the_sorted_union() {
+        let lists: [&[VertexId]; 5] = [&[3, 9, 20], &[], &[1, 3, 20, 40], &[9], &[2, 3, 41]];
+        for k in 0..=lists.len() {
+            let (ranks, distinct) = union_ranks(&lists[..k]);
+            let mut union: Vec<VertexId> = lists[..k].concat();
+            union.sort_unstable();
+            union.dedup();
+            assert_eq!(distinct, union.len(), "k={k}");
+            assert_eq!(ranks.len(), k);
+            for (list, ranks) in lists.iter().zip(&ranks) {
+                let expected: Vec<u32> = list
+                    .iter()
+                    .map(|id| union.binary_search(id).unwrap() as u32)
+                    .collect();
+                assert_eq!(ranks, &expected, "k={k}");
+            }
+        }
+    }
+
+    #[test]
+    fn bitset_wire_round_trip_and_refusals() {
+        for n in [0usize, 1, 63, 64, 65, 130] {
+            let mut b = DenseBitset::new(n);
+            for i in (0..n as u32).step_by(3) {
+                b.set(i);
+            }
+            let mut bytes = Vec::new();
+            b.encode(&mut bytes);
+            assert_eq!(bytes.len(), 4 + n.div_ceil(64) * 8);
+            let mut reader = WireReader::new(&bytes);
+            assert_eq!(DenseBitset::decode(&mut reader).unwrap(), b);
+            reader.finish().unwrap();
+            if n > 0 {
+                let mut reader = WireReader::new(&bytes[..bytes.len() - 1]);
+                assert!(
+                    DenseBitset::decode(&mut reader).is_err(),
+                    "truncated, n={n}"
+                );
+            }
+        }
+        // A bit past the length, and a length the buffer cannot hold.
+        let mut slack = Vec::new();
+        3u32.encode(&mut slack);
+        0b1000u64.encode(&mut slack);
+        assert!(DenseBitset::decode(&mut WireReader::new(&slack)).is_err());
+        let mut huge = Vec::new();
+        u32::MAX.encode(&mut huge);
+        assert!(DenseBitset::decode(&mut WireReader::new(&huge)).is_err());
     }
 
     #[test]

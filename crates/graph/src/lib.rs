@@ -46,7 +46,9 @@ pub mod types;
 pub use builder::GraphBuilder;
 pub use csr::CsrGraph;
 pub use delta::{AppliedBatch, DeltaGraph, GraphMutation, MutationProfile, NetMutations};
-pub use dense::{DenseBitset, VertexDenseMap};
+pub use dense::{
+    merge_join, merge_walk, strictly_ascending, union_ranks, DenseBitset, VertexDenseMap,
+};
 pub use labels::{LabeledGraph, VertexLabel};
 pub use types::{Direction, EdgeId, GraphError, VertexId, INVALID_VERTEX};
 

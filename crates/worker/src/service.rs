@@ -96,7 +96,7 @@ use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex, RwLock};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 // ---------------------------------------------------------------------------
 // Endpoints and sockets
@@ -1868,7 +1868,7 @@ impl ClassVisitor for SessionRun<'_> {
         let engine = GrapeEngine::new(program).with_config(config);
         let program = engine.program();
 
-        let (partials, snapshots, stats) = if remote {
+        let (partials, snapshots, mut stats) = if remote {
             // A stream to worker `i` at epoch `e`: a fresh connection to its
             // daemon, which holds the fragment resident — reconnecting after
             // a loss re-ships nothing.
@@ -1911,8 +1911,11 @@ impl ClassVisitor for SessionRun<'_> {
             (partials, snapshots, stats)
         };
         session.store_converged(graph_id, warm, snapshots);
+        let assemble_started = Instant::now();
+        let output = program.assemble(partials);
+        stats.assemble_seconds = assemble_started.elapsed().as_secs_f64();
         Ok(QueryOutcome {
-            result: wrap(program.assemble(partials)),
+            result: wrap(output),
             stats,
         })
     }

@@ -400,6 +400,91 @@ fn updates_then_queries_match_cold_runs_over_the_wire() {
     daemon.shutdown().expect("shutdown");
 }
 
+/// A BA graph relabelled to even ids, so a vertex can be inserted *between*
+/// residents: every dense index above it shifts, and the id list a cached
+/// partial was keyed by no longer lines up with the fragment's.
+fn gapped_graph() -> SessionGraph {
+    let SessionGraph::Weighted(ba) = weighted_graph() else {
+        panic!("weighted graph expected")
+    };
+    let mut gapped = grape_graph::GraphBuilder::<(), f64>::new();
+    for v in ba.vertices() {
+        gapped.ensure_vertex(2 * v);
+    }
+    for (src, dst, weight) in ba.edges() {
+        gapped.add_edge(2 * src, 2 * dst, *weight);
+    }
+    SessionGraph::Weighted(gapped.build().expect("graph"))
+}
+
+/// Three batch shapes a warm start has to join old state across: the id
+/// lists unchanged (edges only), grown in the middle, shrunk in the middle.
+fn id_list_batches() -> [Vec<GraphMutation<(), f64>>; 3] {
+    let edge = |src, dst, data| GraphMutation::AddEdge { src, dst, data };
+    [
+        vec![edge(0, 154, 0.25), edge(10, 180, 0.5)],
+        vec![
+            GraphMutation::AddVertex { id: 41, data: () },
+            edge(40, 41, 1.0),
+            edge(41, 120, 1.5),
+        ],
+        vec![GraphMutation::RemoveVertex { id: 60 }],
+    ]
+}
+
+/// Answers once, then after every batch of [`id_list_batches`] demands the
+/// resubmission — warm where the program is eligible — be the cold answer on
+/// the same updated fragments, bit for bit.
+fn drill_id_lists(session: &Session, strategy: BuiltinStrategy, workers: usize) {
+    let graph = gapped_graph();
+    session.load(&graph, strategy).expect("load");
+    let queries = [Query::sssp(0), Query::cc(), patient_pagerank()];
+    for query in &queries {
+        let first = session.submit(query.clone()).expect("submit").join();
+        first.expect("first run");
+    }
+    let batches = id_list_batches();
+    for applied in 1..=batches.len() {
+        let receipt = session
+            .update(batches[applied - 1].clone())
+            .expect("update");
+        assert_eq!(receipt.version, applied as u64);
+        for query in &queries {
+            let label = format!("{:?}/{}/v{applied}", query.class(), strategy.name());
+            let warm = session
+                .submit(query.clone())
+                .expect("submit")
+                .join()
+                .unwrap_or_else(|e| panic!("{label}: post-update query failed: {e}"));
+            let cold = cold_after_weighted_updates(
+                &graph,
+                &batches[..applied],
+                strategy,
+                workers,
+                query.clone(),
+            );
+            assert_eq!(warm.result, cold.result, "{label}: warm differs from cold");
+            assert_eq!(warm.result.digest(), cold.result.digest(), "{label}");
+        }
+    }
+}
+
+#[test]
+fn warm_seeds_join_by_id_across_vertex_inserts_removals_and_edge_only_batches() {
+    for (strategy, workers) in [(BuiltinStrategy::Hash, 3), (BuiltinStrategy::MetisLike, 2)] {
+        let session = Session::connect(SessionConfig::in_process(workers)).expect("connect");
+        drill_id_lists(&session, strategy, workers);
+    }
+    let daemon = GrapeService::bind("127.0.0.1:0", ServiceOptions::default())
+        .expect("bind")
+        .spawn()
+        .expect("spawn");
+    let endpoints = vec![daemon.endpoint().clone()];
+    let session = Session::connect(SessionConfig::remote(3, endpoints)).expect("connect");
+    drill_id_lists(&session, BuiltinStrategy::Hash, 3);
+    daemon.shutdown().expect("shutdown");
+}
+
 #[test]
 fn a_worker_kill_mid_incremental_run_recovers_to_the_updated_answer() {
     let daemon = GrapeService::bind("127.0.0.1:0", ServiceOptions::default())

@@ -452,40 +452,85 @@ fn a_seed_the_program_is_not_eligible_for_yields_the_cold_answer() {
         .expect("bind")
         .spawn()
         .expect("spawn");
+    load_by_hand(daemon.endpoint(), GRAPH, &fragments, cut.num_vertices());
+    let truth = MutationProfile {
+        edge_deletes: deleted,
+        ..Default::default()
+    };
+    let answer = query_by_hand(
+        daemon.endpoint(),
+        SsspProgram,
+        Query::sssp(source),
+        (GRAPH, RUN),
+        &fragments,
+        &|worker| Some(seed(worker, truth)),
+    );
+    assert_eq!(
+        answer.expect("answered"),
+        cold,
+        "a worker consumed a seed it had to refuse"
+    );
+    daemon.shutdown().expect("shutdown");
+}
+
+/// Ships `fragments` to the daemon under `graph_id`, one connection each, as
+/// a session's load would.
+fn load_by_hand(
+    endpoint: &Endpoint,
+    graph_id: u64,
+    fragments: &[Fragment<(), f64>],
+    vertices: usize,
+) {
     for (index, fragment) in fragments.iter().enumerate() {
         let spec = LoadSpec {
-            graph_id: GRAPH,
+            graph_id,
             family: 0,
             index: index as u32,
-            workers: k as u32,
-            vertices: cut.num_vertices() as u64,
+            workers: fragments.len() as u32,
+            vertices: vertices as u64,
         };
-        let mut stream = greeted(daemon.endpoint());
+        let mut stream = greeted(endpoint);
         stream
             .write_all(&load_frames(&spec, fragment))
             .expect("write");
         let ack = wire::read_frame_io_epoch(&mut stream).expect("ack");
         assert_eq!(ack.expect("ack").0, TAG_LOADED);
     }
-    let truth = MutationProfile {
-        edge_deletes: deleted,
-        ..Default::default()
-    };
+}
+
+/// One query against resident fragments, driven by hand: a `TAG_QUERY` per
+/// worker carrying whatever seed `seed_of` hands it, the coordinator half of
+/// the fixpoint, then the `TAG_RESULT` bodies restored and assembled. An
+/// error is a worker that hung up instead of answering.
+fn query_by_hand<P>(
+    endpoint: &Endpoint,
+    program: P,
+    query: Query,
+    (graph_id, run_id): (u64, u32),
+    fragments: &[Fragment<(), f64>],
+    seed_of: &dyn Fn(usize) -> Option<IncrementalSeed>,
+) -> Result<P::Output, String>
+where
+    P: PieProgram<VertexData = (), EdgeData = f64>,
+{
+    let k = fragments.len();
+    let engine =
+        GrapeEngine::new(program).with_config(EngineConfig::builder().run_id(run_id).build());
     let streams: Vec<ServiceSocket> = (0..k)
         .map(|worker| {
             let job = QueryJob {
-                graph_id: GRAPH,
+                graph_id,
                 index: worker as u32,
                 workers: k as u32,
-                run_id: RUN,
+                run_id,
                 threads: 1,
                 checkpoint_every: 0,
-                query: Query::sssp(source),
+                query: query.clone(),
                 kill_at: None,
-                seed: Some(seed(worker, truth)),
+                seed: seed_of(worker),
             };
-            let mut stream = greeted(daemon.endpoint());
-            wire::write_frame_io_epoch(&mut stream, TAG_QUERY, RUN, &job).expect("query");
+            let mut stream = greeted(endpoint);
+            wire::write_frame_io_epoch(&mut stream, TAG_QUERY, run_id, &job).expect("query");
             stream
         })
         .collect();
@@ -494,24 +539,187 @@ fn a_seed_the_program_is_not_eligible_for_yields_the_cold_answer() {
         .map(|stream| stream.try_clone_stream().expect("alias"))
         .collect();
     let stats = Arc::new(CommStats::new());
-    let transport = FramedStreamCoord::<f64>::new_at_epoch(streams, stats, RUN).expect("transport");
-    engine
-        .run_coordinator(&fragments, &transport, None)
-        .expect("fixpoint");
-    let mut partials: Vec<_> = (0..k).map(|_| None).collect();
-    for _ in 0..k {
-        let (from, tag, body) = transport.recv_oob_blocking().expect("result frame");
-        assert_eq!(tag, TAG_RESULT);
-        partials[from] = SsspProgram.restore_partial(&body);
-    }
-    let partials = partials.into_iter().map(|p| p.expect("restored"));
-    assert_eq!(
-        SsspProgram.assemble(partials.collect()),
-        cold,
-        "a worker consumed a seed it had to refuse"
-    );
+    let transport =
+        FramedStreamCoord::<P::Value>::new_at_epoch(streams, stats, run_id).expect("transport");
+    let answer = engine
+        .run_coordinator(fragments, &transport, None)
+        .map_err(|e| e.to_string())
+        .and_then(|_| {
+            let mut partials: Vec<_> = (0..k).map(|_| None).collect();
+            for _ in 0..k {
+                let (from, tag, body) = transport.recv_oob_blocking().ok_or("no result frame")?;
+                assert_eq!(tag, TAG_RESULT);
+                partials[from] = engine.program().restore_partial(&body);
+            }
+            let partials: Option<Vec<_>> = partials.into_iter().collect();
+            Ok(engine
+                .program()
+                .assemble(partials.ok_or("undecodable result")?))
+        });
     for stream in &hangup {
         let _ = stream.shutdown_both();
     }
+    answer
+}
+
+/// The snapshot of a converged sssp / cc / pagerank partial, taken apart
+/// with the wire codec and put back together wrong, one way per entry: every
+/// shape `restore_partial` must refuse before a warm start indexes or
+/// merge-joins by it.
+fn corrupt_snapshots(class: &str, snapshot: &[u8]) -> Vec<(&'static str, Vec<u8>)> {
+    use grape_comm::wire::{Wire, WireReader};
+    use grape_graph::DenseBitset;
+    /// A named way to spoil the decoded parts `T` of a snapshot.
+    type Edit<'a, T> = (&'static str, &'a dyn Fn(&mut T));
+    /// Decodes the snapshot as `T` (tuples encode their fields in order),
+    /// checks that is all of it, and re-encodes it once per edit.
+    fn edited<T: Wire + Clone>(
+        snapshot: &[u8],
+        edits: Vec<Edit<'_, T>>,
+    ) -> Vec<(&'static str, Vec<u8>)> {
+        let good = T::decode(&mut WireReader::new(snapshot)).expect("snapshot layout");
+        let bytes = |parts: &T| {
+            let mut out = Vec::new();
+            parts.encode(&mut out);
+            out
+        };
+        assert_eq!(bytes(&good), snapshot, "snapshot layout");
+        let corrupt = |(name, edit): Edit<'_, T>| {
+            let mut parts = good.clone();
+            edit(&mut parts);
+            (name, bytes(&parts))
+        };
+        edits.into_iter().map(corrupt).collect()
+    }
+    type Ids = Vec<u64>;
+    // distances, ids, owner marker, IncEval counter
+    type Sssp = (Vec<f64>, Ids, DenseBitset, usize);
+    // labels, ids, owner marker, (forest, root labels)
+    type Cc = (Ids, Ids, DenseBitset, (Vec<u32>, Ids));
+    // (rank, mirror share, contrib), (inner ids, inner indices), frontier
+    type PageRank = (
+        (Vec<f64>, Vec<f64>, Vec<f64>),
+        (Ids, Vec<u32>),
+        (u32, Vec<u32>),
+    );
+    match class {
+        "sssp" => edited::<Sssp>(
+            snapshot,
+            vec![
+                ("a distance short", &|p| p.0.truncate(1)),
+                ("an owner marker of another length", &|p| {
+                    p.2 = DenseBitset::new(p.0.len() + 64)
+                }),
+                ("unsorted ids", &|p| p.1.swap(0, 1)),
+            ],
+        ),
+        "cc" => edited::<Cc>(
+            snapshot,
+            vec![
+                ("a forest entry past the array", &|p| p.3 .0[0] = u32::MAX),
+                ("a root label short", &|p| p.3 .1.truncate(1)),
+                ("unsorted ids", &|p| p.1.swap(0, 1)),
+            ],
+        ),
+        "pagerank" => edited::<PageRank>(
+            snapshot,
+            vec![
+                ("an owner past the ranks", &|p| p.1 .1[0] = u32::MAX),
+                ("a rank short", &|p| p.0 .0.truncate(1)),
+                ("unsorted ids", &|p| p.1 .0.swap(0, 1)),
+            ],
+        ),
+        other => panic!("no snapshot layout known for {other}"),
+    }
+}
+
+/// For one program: every corrupt seed is answered, with the cold answer,
+/// and the daemon then still consumes a sound one.
+fn corrupt_seeds_are_answered_cold<P>(
+    endpoint: &Endpoint,
+    program: P,
+    typed: P::Query,
+    query: Query,
+    graph_id: u64,
+    fragments: &[Fragment<(), f64>],
+) where
+    P: PieProgram<VertexData = (), EdgeData = f64> + Clone,
+    P::Output: PartialEq + std::fmt::Debug,
+{
+    let class = program.name().to_string();
+    let engine = GrapeEngine::new(program.clone());
+    let (partials, _) = engine.run_partials(&typed, fragments, &[]).expect("cold");
+    let snapshots: Vec<Vec<u8>> = partials
+        .iter()
+        .map(|partial| program.snapshot_partial(partial).expect("snapshot"))
+        .collect();
+    let cold = program.assemble(partials);
+    // An edge-only insert profile — one every class is eligible for — naming
+    // a vertex every fragment of a hash cut is likely to hold.
+    let seed = |snapshot: Vec<u8>| IncrementalSeed {
+        snapshot: Arc::new(snapshot),
+        dirty: Arc::new(vec![fragments[0].graph.vertex_ids()[0]]),
+        profile: MutationProfile {
+            edge_inserts: 1,
+            ..Default::default()
+        },
+    };
+    let corruptions = corrupt_snapshots(&class, &snapshots[0]);
+    for (which, (name, _)) in corruptions.iter().enumerate() {
+        let answer = query_by_hand(
+            endpoint,
+            program.clone(),
+            query.clone(),
+            (graph_id, 101 + which as u32),
+            fragments,
+            &|worker| {
+                let corrupt = corrupt_snapshots(&class, &snapshots[worker]);
+                Some(seed(corrupt.into_iter().nth(which)?.1))
+            },
+        );
+        let answer = answer.unwrap_or_else(|e| panic!("{class}, {name}: not answered: {e}"));
+        assert_eq!(answer, cold, "{class}, {name}: not the cold answer");
+    }
+    // Nothing changed under the sound seeds, so warm is cold here too.
+    let warm = query_by_hand(
+        endpoint,
+        program,
+        query,
+        (graph_id, 100),
+        fragments,
+        &|worker| Some(seed(snapshots[worker].clone())),
+    );
+    assert_eq!(warm.expect("the daemon still serves"), cold, "{class}");
+}
+
+#[test]
+fn a_corrupt_seed_is_answered_cold_and_the_daemon_keeps_serving() {
+    use grape_algo::{CcProgram, CcQuery, PageRankProgram, PageRankQuery};
+    const GRAPH: u64 = 9;
+    let graph = barabasi_albert(120, 3, 7).expect("generator");
+    let fragments = build_fragments(&graph, &BuiltinStrategy::Hash.partition(&graph, 3));
+    let daemon = GrapeService::bind("127.0.0.1:0", ServiceOptions::default())
+        .expect("bind")
+        .spawn()
+        .expect("spawn");
+    let endpoint = daemon.endpoint();
+    load_by_hand(endpoint, GRAPH, &fragments, graph.num_vertices());
+    corrupt_seeds_are_answered_cold(
+        endpoint,
+        SsspProgram,
+        SsspQuery::new(0),
+        Query::sssp(0),
+        GRAPH,
+        &fragments,
+    );
+    corrupt_seeds_are_answered_cold(endpoint, CcProgram, CcQuery, Query::cc(), GRAPH, &fragments);
+    corrupt_seeds_are_answered_cold(
+        endpoint,
+        PageRankProgram::new(graph.num_vertices()),
+        PageRankQuery::default(),
+        Query::pagerank(),
+        GRAPH,
+        &fragments,
+    );
     daemon.shutdown().expect("shutdown");
 }

@@ -617,11 +617,13 @@ fn a_result_frame_is_the_snapshot_and_nothing_else() {
     assert_eq!(body, snapshot, "the body is the snapshot, bare");
     #[rustfmt::skip]
     let golden: &[u8] = &[
-        b'G', b'W', 2, 0x33, 23, 0, 0, 0, 64, 0, 0, 0, // header: epoch = run id, 64-byte body
+        b'G', b'W', 2, 0x33, 23, 0, 0, 0, 76, 0, 0, 0, // header: epoch = run id, 76-byte body
         3, 0, 0, 0,                                     // distances by dense index
         0, 0, 0, 0, 0, 0, 0, 0,  0, 0, 0, 0, 0, 0, 0xf8, 0x3f,  0, 0, 0, 0, 0, 0, 0x0c, 0x40,
         3, 0, 0, 0,                                     // vertex ids by dense index
         0, 0, 0, 0, 0, 0, 0, 0,  1, 0, 0, 0, 0, 0, 0, 0,  2, 0, 0, 0, 0, 0, 0, 0,
+        3, 0, 0, 0,  0b111, 0, 0, 0, 0, 0, 0, 0,        // owner marker: bit length, then one word —
+                                                        // the only fragment owns all three vertices
         0, 0, 0, 0, 0, 0, 0, 0,                         // IncEval change counter
     ];
     assert_eq!([&header[..], &body[..]].concat(), golden);
