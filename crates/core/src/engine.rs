@@ -32,9 +32,17 @@
 //! Either way the "network" traffic flows through
 //! [`grape_comm::CommNetwork`] so every message and byte is accounted in the
 //! run statistics, mirroring the communication columns of the paper's
-//! tables. Report and command buffers circulate between the endpoints
-//! (received report buffers become the next superstep's command buffers and
-//! vice versa), so the steady-state superstep path allocates nothing.
+//! tables. On the typed transport ([`TransportKind::InProcess`]) report and
+//! command buffers circulate between the endpoints — a received report
+//! buffer becomes the next superstep's command buffer and vice versa — so
+//! its steady-state superstep path allocates nothing. The framed transport
+//! ([`TransportKind::Framed`], and the socket streams) recycles nothing:
+//! every frame is a fresh `Vec` grown by doubling, decoding allocates fresh
+//! vectors, and an encoded command's buffer is dropped, so the command-buffer
+//! pool holds only what decode just allocated. The coordinator's time is
+//! split from inside: [`RunStats::gather_seconds`] (blocked on reports,
+//! decode included), `fold_seconds`, `route_seconds` and
+//! [`RunStats::send_seconds`] (encode included).
 
 use crate::context::PieContext;
 use crate::converged::IncrementalSeed;
@@ -1277,8 +1285,9 @@ impl<P: PieProgram> GrapeEngine<P> {
         let mut got = vec![false; n];
         // Superstep-scoped buffers, reused across the whole run. Report
         // buffers received from the workers are recycled through `pool` into
-        // the next superstep's command buffers, so the steady-state loop
-        // allocates nothing.
+        // the next superstep's command buffers, so on the typed transport the
+        // steady-state loop allocates nothing (a framed one allocates per
+        // frame; see the module doc).
         let mut reports: Vec<GatheredReport<P::Value>> = Vec::with_capacity(n);
         let mut pool: Vec<Vec<(u32, P::Value)>> = Vec::with_capacity(n);
         let mut outbox: Vec<Vec<(u32, P::Value)>> = (0..n).map(|_| Vec::new()).collect();
@@ -1286,7 +1295,10 @@ impl<P: PieProgram> GrapeEngine<P> {
         loop {
             // Gather the reports of every worker that evaluated this superstep.
             while reports.len() < pending {
-                let batch = match pump() {
+                let gather_started = Instant::now();
+                let pumped = pump();
+                run_stats.gather_seconds += gather_started.elapsed().as_secs_f64();
+                let batch = match pumped {
                     Ok(batch) => batch,
                     Err(err) => {
                         let Some(rec) = recovery.as_deref_mut() else {
@@ -1447,6 +1459,7 @@ impl<P: PieProgram> GrapeEngine<P> {
             superstep += 1;
             pending = 0;
             got.iter_mut().for_each(|g| *g = false);
+            let send_started = Instant::now();
             for (f, buffer) in outbox.iter_mut().enumerate() {
                 awaiting[f] = !buffer.is_empty();
                 if !buffer.is_empty() {
@@ -1462,6 +1475,7 @@ impl<P: PieProgram> GrapeEngine<P> {
                     pending += 1;
                 }
             }
+            run_stats.send_seconds += send_started.elapsed().as_secs_f64();
             if pending == 0 {
                 // Changes happened but every interested fragment already
                 // holds the aggregated values: fixpoint.
@@ -2369,6 +2383,39 @@ mod tests {
             assert_eq!(stats.recoveries, 0);
             assert_eq!(stats.num_workers, 3);
         }
+    }
+
+    #[test]
+    fn the_coordinators_time_is_split_on_every_run_path() {
+        // A chain cut into ranges: labels cross a boundary per superstep.
+        let mut b = GraphBuilder::<(), f64>::new();
+        for v in 0..64u64 {
+            b.add_edge(v, v + 1, 1.0);
+        }
+        let g = b.build().unwrap();
+        let fragments = build_fragments(&g, &grape_partition::RangePartitioner.partition(&g, 4));
+        for execution in [ExecutionMode::Inline, ExecutionMode::Threads] {
+            for transport in [TransportKind::InProcess, TransportKind::Framed] {
+                let config = EngineConfig::builder()
+                    .execution(execution)
+                    .transport(transport)
+                    .build();
+                let stats = GrapeEngine::new(MinLabelCc)
+                    .with_config(config)
+                    .run(&(), &fragments)
+                    .unwrap()
+                    .stats;
+                assert!(stats.supersteps > 1, "{execution:?}/{transport:?}");
+                assert!(stats.gather_seconds > 0.0 && stats.send_seconds > 0.0);
+                let inside = stats.gather_seconds
+                    + stats.fold_seconds
+                    + stats.route_seconds
+                    + stats.send_seconds;
+                assert!(inside <= stats.wall_time.as_secs_f64());
+            }
+        }
+        let apart = coordinate_apart(&fragments, None).unwrap();
+        assert!(apart.gather_seconds > 0.0 && apart.send_seconds > 0.0);
     }
 
     #[test]

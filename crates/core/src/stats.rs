@@ -65,6 +65,14 @@ pub struct RunStats {
     pub fold_seconds: f64,
     /// Coordinator seconds queueing the folds (sends excluded), likewise.
     pub route_seconds: f64,
+    /// Coordinator seconds blocked gathering worker reports, likewise:
+    /// waiting for them, and decoding them on a framed transport. Under
+    /// inline execution the gather runs the workers, so it holds their
+    /// evaluation as well.
+    pub gather_seconds: f64,
+    /// Coordinator seconds in the IncEval send loop, likewise: building each
+    /// command, encoding it on a framed transport, handing it over.
+    pub send_seconds: f64,
     /// Seconds Assemble took to combine the partials into the answer; `0`
     /// from the entry points that stop before it
     /// ([`crate::GrapeEngine::run_partials`], `run_coordinator`).
@@ -128,6 +136,8 @@ mod tests {
             slot_build_seconds: 0.01,
             fold_seconds: 0.05,
             route_seconds: 0.03,
+            gather_seconds: 0.2,
+            send_seconds: 0.04,
             assemble_seconds: 0.02,
             messages: 1000,
             bytes: 2_000_000,

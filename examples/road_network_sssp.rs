@@ -90,14 +90,17 @@ fn main() {
     );
     // Where the PIE run's time went: evaluation on the critical path, and
     // the coordinator's own work around it — the slot table before the first
-    // superstep, fold and route between supersteps, Assemble after the last.
+    // superstep; gather (blocked on reports), fold, route and send between
+    // supersteps; Assemble after the last.
     println!(
-        "\ngrape (PIE) breakdown: {:.2} ms peval + {:.2} ms inceval, coordinator {:.2} ms slot table + {:.2} ms fold + {:.2} ms route + {:.2} ms assemble",
+        "\ngrape (PIE) breakdown: {:.2} ms peval + {:.2} ms inceval, coordinator {:.2} ms slot table + {:.2} ms gather + {:.2} ms fold + {:.2} ms route + {:.2} ms send + {:.2} ms assemble",
         grape_run.stats.peval_seconds * 1e3,
         grape_run.stats.inceval_seconds * 1e3,
         grape_run.stats.slot_build_seconds * 1e3,
+        grape_run.stats.gather_seconds * 1e3,
         grape_run.stats.fold_seconds * 1e3,
         grape_run.stats.route_seconds * 1e3,
+        grape_run.stats.send_seconds * 1e3,
         grape_run.stats.assemble_seconds * 1e3
     );
 }

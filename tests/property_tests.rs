@@ -9,7 +9,7 @@
 //!   scratch.
 
 use grape::algo::pagerank::sequential_pagerank;
-use grape::algo::sssp::{incremental_sssp, sequential_sssp};
+use grape::algo::sssp::{dense_relax, incremental_sssp, sequential_sssp};
 use grape::algo::{
     cc::sequential_cc, keyword::sequential_keyword, sim::sequential_sim, subiso::sequential_subiso,
     CcProgram, CcQuery, CfProgram, CfQuery, KeywordProgram, KeywordQuery, PageRankProgram,
@@ -454,6 +454,98 @@ proptest! {
         let by_history: u64 = result.stats.history.iter().map(|t| t.messages).sum();
         prop_assert_eq!(by_history, result.stats.messages);
         prop_assert_eq!(result.stats.history.len(), result.stats.supersteps);
+    }
+}
+
+/// Edge weights for the relaxation-kernel property: zeros (zero-weight
+/// cycles, pushes at the key just popped), dyadic values (exact ties between
+/// paths) and non-dyadic ones (rounded sums).
+const RELAX_WEIGHTS: [f64; 8] = [0.0, 0.0, 0.5, 1.0, 2.5, 0.1, 0.3, 1.0 / 3.0];
+
+/// Strategy: a graph over `0..n` with parallel edges, self-loops and
+/// unreachable vertices as chance makes them, plus two seed batches
+/// `(vertex, distance)` — a PEval-shaped first call and an IncEval-shaped
+/// second one.
+#[allow(clippy::type_complexity)]
+fn arb_relax_case() -> impl Strategy<Value = (WeightedGraph, Vec<(u64, f64)>, Vec<(u64, f64)>)> {
+    (2usize..40, 1usize..120).prop_flat_map(|(n, m)| {
+        let edges = proptest::collection::vec(
+            (0..n as u64, 0..n as u64, 0..RELAX_WEIGHTS.len()),
+            1..m.max(2),
+        );
+        let seeds = || proptest::collection::vec((0..n as u64, 0u32..8), 1..5);
+        (edges, seeds(), seeds()).prop_map(move |(edges, first, second)| {
+            let mut b = GraphBuilder::<(), f64>::new();
+            for v in 0..n as u64 {
+                b.ensure_vertex(v);
+            }
+            for (s, d, w) in edges {
+                b.add_edge(s, d, RELAX_WEIGHTS[w]);
+            }
+            let at = |seeds: Vec<(u64, u32)>| -> Vec<(u64, f64)> {
+                seeds
+                    .into_iter()
+                    .map(|(v, d)| (v, d as f64 * 0.7))
+                    .collect()
+            };
+            (b.build().expect("valid edges"), at(first), at(second))
+        })
+    })
+}
+
+/// The least fixpoint a multi-seed relaxation must reach, by an independent
+/// route: a fresh source with an edge of weight `d` to every seed `(v, d)`,
+/// then [`sequential_sssp`] from it (`0.0 + d` is `d` exactly).
+fn multi_seed_reference(graph: &WeightedGraph, seeds: &[(u64, f64)]) -> HashMap<VertexId, f64> {
+    let source = graph.vertices().max().map_or(0, |v| v + 1);
+    let mut b = GraphBuilder::<(), f64>::new();
+    for v in graph.vertices() {
+        b.ensure_vertex(v);
+    }
+    for (s, d, w) in graph.edges() {
+        b.add_edge(s, d, *w);
+    }
+    for &(v, d) in seeds {
+        b.add_edge(source, v, d);
+    }
+    sequential_sssp(&b.build().expect("valid edges"), source)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn dense_relax_is_bit_identical_to_sequential_dijkstra(case in arb_relax_case()) {
+        let (graph, first, mut second) = case;
+        let dense = |seeds: &[(u64, f64)]| -> Vec<(u32, f64)> {
+            seeds
+                .iter()
+                .map(|&(v, d)| (graph.dense_index(v).expect("seeds are vertices"), d))
+                .collect()
+        };
+        let bits_match = |dist: &VertexDenseMap<f64>, seeds: &[(u64, f64)]| {
+            let reference = multi_seed_reference(&graph, seeds);
+            graph.vertices().find(|&v| {
+                let want = reference.get(&v).copied().unwrap_or(f64::INFINITY);
+                dist[graph.dense_index(v).unwrap()].to_bits() != want.to_bits()
+            })
+        };
+        let mut dist = VertexDenseMap::for_graph(&graph, f64::INFINITY);
+        dense_relax(&graph, &mut dist, &dense(&first));
+        let mismatch = bits_match(&dist, &first);
+        prop_assert!(mismatch.is_none(), "first call, vertex {:?}", mismatch);
+        // The IncEval shape: the same `dist` again, seeds at unequal
+        // distances, and re-seeds that cannot improve (equal, or worse).
+        for &(v, _) in &first {
+            let settled = dist[graph.dense_index(v).unwrap()];
+            second.push((v, settled));
+            second.push((v, settled + 1.0));
+        }
+        dense_relax(&graph, &mut dist, &dense(&second));
+        let all: Vec<(u64, f64)> = first.iter().chain(&second).copied().collect();
+        let mismatch = bits_match(&dist, &all);
+        prop_assert!(mismatch.is_none(), "second call, vertex {:?}", mismatch);
+        prop_assert_eq!(dense_relax(&graph, &mut dist, &dense(&all)), 0);
     }
 }
 
