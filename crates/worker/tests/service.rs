@@ -1,6 +1,7 @@
 //! Service-mode integration: resident fragments served over framed TCP/UDS
 //! must answer every query class bit-identically to cold one-shot runs,
-//! multiplex different classes in flight, and survive a worker kill
+//! multiplex different classes in flight (from several client threads on
+//! one session too), and survive a worker kill
 //! mid-query-stream without disturbing concurrent queries.
 
 use grape_algo::{Query, QueryResult, SsspProgram, SsspQuery};
@@ -227,6 +228,53 @@ fn worker_kill_mid_stream_leaves_the_concurrent_query_undisturbed() {
         cold_run(&graph, BuiltinStrategy::Hash, workers, Query::pagerank()).result,
         "concurrent query diverged from the cold run"
     );
+    daemon.shutdown().expect("shutdown");
+}
+
+#[test]
+fn client_threads_sharing_one_session_each_get_the_cold_answer() {
+    // Four client threads share one remote session and submit sssp / cc /
+    // pagerank round-robin, so every class is in flight from several
+    // threads at once; each answer must equal its cold one-shot run.
+    let daemon = GrapeService::bind("127.0.0.1:0", ServiceOptions::default())
+        .expect("bind")
+        .spawn()
+        .expect("spawn");
+    let workers = 3;
+    let graph = weighted_graph();
+    let classes = [Query::sssp(0), Query::cc(), Query::pagerank()];
+    let cold: Vec<QueryResult> = classes
+        .iter()
+        .map(|query| cold_run(&graph, BuiltinStrategy::Hash, workers, query.clone()).result)
+        .collect();
+
+    let session = Session::connect(SessionConfig::remote(
+        workers,
+        vec![daemon.endpoint().clone()],
+    ))
+    .expect("connect");
+    session.load(&graph, BuiltinStrategy::Hash).expect("load");
+    std::thread::scope(|scope| {
+        for client in 0..4 {
+            let (session, classes, cold) = (&session, &classes, &cold);
+            scope.spawn(move || {
+                for i in 0..6 {
+                    let which = (client + i) % classes.len();
+                    let outcome = session
+                        .submit(classes[which].clone())
+                        .expect("submit")
+                        .join()
+                        .expect("service query");
+                    assert_eq!(
+                        outcome.result,
+                        cold[which],
+                        "client {client} query {i} ({:?}) differs from the cold run",
+                        classes[which].class()
+                    );
+                }
+            });
+        }
+    });
     daemon.shutdown().expect("shutdown");
 }
 
