@@ -351,13 +351,9 @@ impl PieProgram for CcProgram {
     }
 
     fn snapshot_partial(&self, partial: &CcPartial) -> Option<Vec<u8>> {
-        use grape_core::Wire;
+        use grape_core::{wire, Wire};
         let mut out = Vec::new();
-        // Same layout as Vec<VertexId>: u32 length prefix, then elements.
-        out.extend_from_slice(&(partial.labels.len() as u32).to_le_bytes());
-        for label in partial.labels.as_slice() {
-            label.encode(&mut out);
-        }
+        wire::encode_seq(partial.labels.as_slice(), &mut out);
         partial.vertex_ids.encode(&mut out);
         partial.owned.encode(&mut out);
         partial.comp.encode(&mut out);

@@ -357,13 +357,9 @@ impl PieProgram for CfProgram {
     }
 
     fn snapshot_partial(&self, partial: &CfPartial) -> Option<Vec<u8>> {
-        use grape_core::Wire;
+        use grape_core::{wire, Wire};
         let mut out = Vec::new();
-        // Same layout as Vec<Vec<f64>>: u32 length prefix, then elements.
-        out.extend_from_slice(&(partial.factors.len() as u32).to_le_bytes());
-        for factor in partial.factors.as_slice() {
-            factor.encode(&mut out);
-        }
+        wire::encode_seq(partial.factors.as_slice(), &mut out);
         partial.ratings.encode(&mut out);
         partial.vertex_ids.encode(&mut out);
         partial.epochs_done.encode(&mut out);

@@ -434,17 +434,12 @@ impl PieProgram for KeywordProgram {
     }
 
     fn snapshot_partial(&self, partial: &KeywordPartial) -> Option<Vec<u8>> {
-        use grape_core::Wire;
+        use grape_core::{wire, Wire};
         let mut out = Vec::new();
         (partial.dist.len() as u32).encode(&mut out);
         for layer in &partial.dist {
-            // Same layout as Vec<f64>: u32 length prefix, then elements.
-            // Infinity (unreached) round-trips bit-exactly through the f64
-            // codec.
-            out.extend_from_slice(&(layer.len() as u32).to_le_bytes());
-            for d in layer.as_slice() {
-                d.encode(&mut out);
-            }
+            // Infinity (unreached) round-trips bit-exactly.
+            wire::encode_seq(layer.as_slice(), &mut out);
         }
         partial.vertex_ids.encode(&mut out);
         partial.max_total_distance.encode(&mut out);

@@ -409,13 +409,9 @@ impl PieProgram for MarketingProgram {
     }
 
     fn snapshot_partial(&self, partial: &MarketingPartial) -> Option<Vec<u8>> {
-        use grape_core::Wire;
+        use grape_core::{wire, Wire};
         let mut out = Vec::new();
-        // Same layout as Vec<u8>: u32 length prefix, then elements.
-        out.extend_from_slice(&(partial.flags.len() as u32).to_le_bytes());
-        for flag in partial.flags.as_slice() {
-            flag.encode(&mut out);
-        }
+        wire::encode_seq(partial.flags.as_slice(), &mut out);
         (partial.prospects.len() as u32).encode(&mut out);
         for p in &partial.prospects {
             (p.person, p.recommend_ratio, p.followees).encode(&mut out);

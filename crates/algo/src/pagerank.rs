@@ -407,14 +407,10 @@ impl PieProgram for PageRankProgram {
     }
 
     fn snapshot_partial(&self, partial: &PageRankPartial) -> Option<Vec<u8>> {
-        use grape_core::Wire;
+        use grape_core::{wire, Wire};
         let mut out = Vec::new();
-        // Dense maps use the Vec layout: u32 length prefix, then elements.
         for dense in [&partial.rank, &partial.mirror_share, &partial.contrib] {
-            out.extend_from_slice(&(dense.len() as u32).to_le_bytes());
-            for value in dense.as_slice() {
-                value.encode(&mut out);
-            }
+            wire::encode_seq(dense.as_slice(), &mut out);
         }
         partial.inner_ids.encode(&mut out);
         partial.inner_dense.encode(&mut out);

@@ -469,13 +469,9 @@ impl PieProgram for SimProgram {
     }
 
     fn snapshot_partial(&self, partial: &SimPartial) -> Option<Vec<u8>> {
-        use grape_core::Wire;
+        use grape_core::{wire, Wire};
         let mut out = Vec::new();
-        // Same layout as Vec<u64>: u32 length prefix, then elements.
-        out.extend_from_slice(&(partial.masks.len() as u32).to_le_bytes());
-        for mask in partial.masks.as_slice() {
-            mask.encode(&mut out);
-        }
+        wire::encode_seq(partial.masks.as_slice(), &mut out);
         partial.inner_ids.encode(&mut out);
         partial.inner_dense.encode(&mut out);
         partial.pattern_width.encode(&mut out);

@@ -462,14 +462,10 @@ impl PieProgram for SsspProgram {
     }
 
     fn snapshot_partial(&self, partial: &SsspPartial) -> Option<Vec<u8>> {
-        use grape_core::Wire;
+        use grape_core::{wire, Wire};
         let mut out = Vec::new();
-        // Same layout as Vec<f64>: u32 length prefix, then raw f64 bits —
-        // infinities (unreached vertices) survive exactly.
-        out.extend_from_slice(&(partial.dist.len() as u32).to_le_bytes());
-        for d in partial.dist.as_slice() {
-            d.encode(&mut out);
-        }
+        // Raw f64 bits: infinities (unreached vertices) survive exactly.
+        wire::encode_seq(partial.dist.as_slice(), &mut out);
         partial.vertex_ids.encode(&mut out);
         partial.owned.encode(&mut out);
         partial.inceval_changes.encode(&mut out);

@@ -29,10 +29,18 @@
 //! The 12-byte header is [`HEADER_LEN`]. Payload encodings are defined by the
 //! [`Wire`] trait and deliberately mirror the [`crate::MessageSize`]
 //! estimates byte for byte: fixed-width little-endian integers and floats,
-//! and `u32` length prefixes for vectors and strings. Decoding is zero-copy
-//! where the type system allows it — [`decode_frame`] hands back a borrowed
-//! payload slice, and [`WireReader`] reads primitives straight out of that
-//! slice without intermediate buffers.
+//! and `u32` length prefixes for vectors and strings.
+//!
+//! What is copied: [`decode_frame`] hands back the payload as a borrowed
+//! slice of the frame, and [`WireReader::bytes`] borrows from it too, so
+//! locating a value copies nothing. Every decoded value is owned, so its
+//! bytes are copied once, out of the frame; encoding copies once, into the
+//! caller's buffer. A `Vec` of fixed-width numbers (`u8`…`u64`,
+//! `i8`…`i64`, `f32`, `f64`) is coded as one run, not element by element
+//! ([`Wire::encode_slice`], [`Wire::decode_many`]): one bounds check for the
+//! whole length, then one pass over contiguous bytes; a `Vec<u8>` is a
+//! single `memcpy` each way. Other element types, the `(u32, V)` superstep
+//! messages included, still go one element at a time.
 //!
 //! Truncated input, bad magic/version, unknown tags and trailing garbage all
 //! surface as typed [`WireError`]s; nothing panics on malformed bytes.
@@ -198,6 +206,11 @@ impl<'a> WireReader<'a> {
         Ok(slice)
     }
 
+    /// Copies the next `N` bytes out as an array.
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], WireError> {
+        Ok(self.bytes(N)?.try_into().expect("N bytes"))
+    }
+
     /// Reads one byte.
     pub fn u8(&mut self) -> Result<u8, WireError> {
         Ok(self.bytes(1)?[0])
@@ -205,27 +218,27 @@ impl<'a> WireReader<'a> {
 
     /// Reads a little-endian `u16`.
     pub fn u16(&mut self) -> Result<u16, WireError> {
-        Ok(u16::from_le_bytes(self.bytes(2)?.try_into().unwrap()))
+        self.array().map(u16::from_le_bytes)
     }
 
     /// Reads a little-endian `u32`.
     pub fn u32(&mut self) -> Result<u32, WireError> {
-        Ok(u32::from_le_bytes(self.bytes(4)?.try_into().unwrap()))
+        self.array().map(u32::from_le_bytes)
     }
 
     /// Reads a little-endian `u64`.
     pub fn u64(&mut self) -> Result<u64, WireError> {
-        Ok(u64::from_le_bytes(self.bytes(8)?.try_into().unwrap()))
+        self.array().map(u64::from_le_bytes)
     }
 
     /// Reads a little-endian `f32` (bit pattern preserved exactly).
     pub fn f32(&mut self) -> Result<f32, WireError> {
-        Ok(f32::from_le_bytes(self.bytes(4)?.try_into().unwrap()))
+        self.array().map(f32::from_le_bytes)
     }
 
     /// Reads a little-endian `f64` (bit pattern preserved exactly).
     pub fn f64(&mut self) -> Result<f64, WireError> {
-        Ok(f64::from_le_bytes(self.bytes(8)?.try_into().unwrap()))
+        self.array().map(f64::from_le_bytes)
     }
 
     /// Asserts every byte was consumed; [`WireError::TrailingBytes`]
@@ -249,12 +262,37 @@ impl<'a> WireReader<'a> {
 /// estimated and the framed payload sizes agree (frame headers and
 /// uncharged bookkeeping fields are accounted separately by the message
 /// layer).
+///
+/// A run of values — the body of a `Vec<T>` — goes through
+/// [`Wire::encode_slice`] and [`Wire::decode_many`]. Their defaults are the
+/// per-element loops. The fixed-width numbers override them to code the
+/// whole run in one pass, and an override must produce and accept exactly
+/// the bytes of the per-element default: the run's layout is the elements'
+/// encodings back to back, with no header of its own.
 pub trait Wire: Sized {
     /// Appends the canonical encoding of `self` to `out`.
     fn encode(&self, out: &mut Vec<u8>);
 
     /// Decodes a value from `reader`, consuming exactly the encoded bytes.
     fn decode(reader: &mut WireReader<'_>) -> Result<Self, WireError>;
+
+    /// Appends the encodings of `items`, back to back, to `out`.
+    fn encode_slice(items: &[Self], out: &mut Vec<u8>) {
+        for item in items {
+            item.encode(out);
+        }
+    }
+
+    /// Decodes `len` values written by [`Wire::encode_slice`].
+    fn decode_many(reader: &mut WireReader<'_>, len: usize) -> Result<Vec<Self>, WireError> {
+        // `len` is peer-controlled and must not drive a huge allocation:
+        // cap the pre-allocation by what the buffer could possibly hold.
+        let mut out = Vec::with_capacity(len.min(reader.remaining().max(16)));
+        for _ in 0..len {
+            out.push(Self::decode(reader)?);
+        }
+        Ok(out)
+    }
 
     /// Convenience: the encoding as a fresh vector.
     fn encode_to_vec(&self) -> Vec<u8> {
@@ -264,29 +302,54 @@ pub trait Wire: Sized {
     }
 }
 
-macro_rules! wire_int {
-    ($($t:ty => $read:ident / $wide:ty),* $(,)?) => {
+/// Fixed-width little-endian numbers: one element is `to_le_bytes`, and a
+/// run of them is one bounds check and one pass over a contiguous buffer.
+macro_rules! wire_fixed {
+    ($($t:ty),* $(,)?) => {
         $(impl Wire for $t {
             fn encode(&self, out: &mut Vec<u8>) {
-                out.extend_from_slice(&(*self as $wide).to_le_bytes());
+                out.extend_from_slice(&self.to_le_bytes());
             }
             fn decode(reader: &mut WireReader<'_>) -> Result<Self, WireError> {
-                Ok(reader.$read()? as $t)
+                Ok(<$t>::from_le_bytes(reader.array()?))
+            }
+            fn encode_slice(items: &[Self], out: &mut Vec<u8>) {
+                const W: usize = std::mem::size_of::<$t>();
+                let start = out.len();
+                out.resize(start + items.len() * W, 0);
+                for (chunk, item) in out[start..].chunks_exact_mut(W).zip(items) {
+                    chunk.copy_from_slice(&item.to_le_bytes());
+                }
+            }
+            fn decode_many(reader: &mut WireReader<'_>, len: usize) -> Result<Vec<Self>, WireError> {
+                const W: usize = std::mem::size_of::<$t>();
+                Ok(reader
+                    .bytes(len.saturating_mul(W))?
+                    .chunks_exact(W)
+                    .map(|chunk| <$t>::from_le_bytes(chunk.try_into().expect("W-byte chunk")))
+                    .collect())
             }
         })*
     };
 }
 
-wire_int!(
-    u8 => u8 / u8,
-    u16 => u16 / u16,
-    u32 => u32 / u32,
-    u64 => u64 / u64,
-    i8 => u8 / u8,
-    i16 => u16 / u16,
-    i32 => u32 / u32,
-    i64 => u64 / u64,
-);
+wire_fixed!(u16, u32, u64, i8, i16, i32, i64, f32, f64);
+
+/// Bytes are their own encoding: a run of them is one copy each way.
+impl Wire for u8 {
+    fn encode(&self, out: &mut Vec<u8>) {
+        out.push(*self);
+    }
+    fn decode(reader: &mut WireReader<'_>) -> Result<Self, WireError> {
+        reader.u8()
+    }
+    fn encode_slice(items: &[Self], out: &mut Vec<u8>) {
+        out.extend_from_slice(items);
+    }
+    fn decode_many(reader: &mut WireReader<'_>, len: usize) -> Result<Vec<Self>, WireError> {
+        Ok(reader.bytes(len)?.to_vec())
+    }
+}
 
 impl Wire for usize {
     fn encode(&self, out: &mut Vec<u8>) {
@@ -303,24 +366,6 @@ impl Wire for isize {
     }
     fn decode(reader: &mut WireReader<'_>) -> Result<Self, WireError> {
         isize::try_from(reader.u64()? as i64).map_err(|_| WireError::Malformed("isize overflow"))
-    }
-}
-
-impl Wire for f32 {
-    fn encode(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.to_le_bytes());
-    }
-    fn decode(reader: &mut WireReader<'_>) -> Result<Self, WireError> {
-        reader.f32()
-    }
-}
-
-impl Wire for f64 {
-    fn encode(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.to_le_bytes());
-    }
-    fn decode(reader: &mut WireReader<'_>) -> Result<Self, WireError> {
-        reader.f64()
     }
 }
 
@@ -377,23 +422,21 @@ impl<T: Wire> Wire for Option<T> {
     }
 }
 
+/// Writes `items` in the layout of `Vec<T>`: a `u32` length, then the
+/// elements through [`Wire::encode_slice`]. For callers that hold a slice
+/// (a dense map, a borrowed column) rather than an owned `Vec`.
+pub fn encode_seq<T: Wire>(items: &[T], out: &mut Vec<u8>) {
+    out.extend_from_slice(&(items.len() as u32).to_le_bytes());
+    T::encode_slice(items, out);
+}
+
 impl<T: Wire> Wire for Vec<T> {
     fn encode(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&(self.len() as u32).to_le_bytes());
-        for item in self {
-            item.encode(out);
-        }
+        encode_seq(self, out);
     }
     fn decode(reader: &mut WireReader<'_>) -> Result<Self, WireError> {
         let len = reader.u32()? as usize;
-        // A corrupted length must not drive a huge allocation: every element
-        // consumes at least one byte only for non-() types, so cap the
-        // pre-allocation by what the buffer could possibly hold.
-        let mut out = Vec::with_capacity(len.min(reader.remaining().max(16)));
-        for _ in 0..len {
-            out.push(T::decode(reader)?);
-        }
-        Ok(out)
+        T::decode_many(reader, len)
     }
 }
 
@@ -798,12 +841,31 @@ mod tests {
     #[test]
     fn corrupt_vec_length_does_not_overallocate() {
         // Length claims u32::MAX elements; the decoder must fail fast with a
-        // bounded allocation instead of reserving gigabytes.
+        // bounded allocation instead of reserving gigabytes. The slice path
+        // checks the whole length before it allocates, for every width.
+        fn refuses<T: Wire + std::fmt::Debug>() {
+            let mut bytes = Vec::new();
+            bytes.extend_from_slice(&u32::MAX.to_le_bytes());
+            bytes.extend_from_slice(&[1, 2, 3]);
+            let mut reader = WireReader::new(&bytes);
+            assert_eq!(
+                Vec::<T>::decode(&mut reader).unwrap_err(),
+                WireError::Truncated {
+                    needed: u32::MAX as usize * std::mem::size_of::<T>(),
+                    have: 3
+                }
+            );
+        }
+        refuses::<u8>();
+        refuses::<f32>();
+        refuses::<u64>();
+        // An element type without a slice path takes the per-element loop,
+        // whose pre-allocation is capped by the bytes present.
         let mut bytes = Vec::new();
         bytes.extend_from_slice(&u32::MAX.to_le_bytes());
         bytes.extend_from_slice(&[1, 2, 3]);
         let mut reader = WireReader::new(&bytes);
-        assert!(Vec::<u64>::decode(&mut reader).is_err());
+        assert!(Vec::<(u32, u8)>::decode(&mut reader).is_err());
     }
 
     #[test]

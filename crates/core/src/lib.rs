@@ -62,7 +62,7 @@ pub use stats::{RunStats, SuperstepTrace};
 pub use transport::{CoordTransport, TransportError, TransportKind, WorkerTransport};
 
 // Re-exports used by almost every PIE program.
-pub use grape_comm::{MessageSize, Wire, WireError, WireReader};
+pub use grape_comm::{wire, MessageSize, Wire, WireError, WireReader};
 pub use grape_graph::delta::MutationProfile;
 pub use grape_graph::VertexId;
 pub use grape_partition::{

@@ -77,6 +77,23 @@ pub struct RunStats {
     /// from the entry points that stop before it
     /// ([`crate::GrapeEngine::run_partials`], `run_coordinator`).
     pub assemble_seconds: f64,
+    /// Seconds a query through daemons spent handing each worker its job:
+    /// dialling (or taking the connection), encoding the `TAG_QUERY` frame,
+    /// warm seed included, and sending it, summed over workers (a batch run
+    /// ships the fragment in the same step). Reconnects after a worker loss
+    /// count too; those run inside [`RunStats::wall_time`]. `0` when the
+    /// workers are in-process.
+    pub dispatch_seconds: f64,
+    /// Seconds from the end of the BSP run until the workers' converged
+    /// partials are in hand on a query through daemons: waiting for every
+    /// `TAG_RESULT` frame, then `restore_partial` on each. `0` when the
+    /// workers are in-process.
+    pub collect_seconds: f64,
+    /// Bytes of the query's `TAG_QUERY` frames sent plus its `TAG_RESULT`
+    /// frames received, headers included: the per-query state that crosses
+    /// the service boundary outside the supersteps. Not part of
+    /// [`RunStats::bytes`]. `0` when the workers are in-process.
+    pub boundary_bytes: u64,
     /// Total messages shipped through the coordinator.
     pub messages: u64,
     /// Total bytes shipped.
@@ -139,6 +156,9 @@ mod tests {
             gather_seconds: 0.2,
             send_seconds: 0.04,
             assemble_seconds: 0.02,
+            dispatch_seconds: 0.0,
+            collect_seconds: 0.0,
+            boundary_bytes: 0,
             messages: 1000,
             bytes: 2_000_000,
             monotonicity_violations: 0,

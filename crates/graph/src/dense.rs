@@ -353,18 +353,12 @@ impl DenseBitset {
 impl Wire for DenseBitset {
     fn encode(&self, out: &mut Vec<u8>) {
         (self.len as u32).encode(out);
-        for word in &self.words {
-            word.encode(out);
-        }
+        u64::encode_slice(&self.words, out);
     }
 
     fn decode(reader: &mut WireReader<'_>) -> Result<Self, WireError> {
         let len = reader.u32()? as usize;
-        let words: Vec<u64> = reader
-            .bytes(len.div_ceil(64) * 8)?
-            .chunks_exact(8)
-            .map(|word| u64::from_le_bytes(word.try_into().expect("8-byte chunk")))
-            .collect();
+        let words = u64::decode_many(reader, len.div_ceil(64))?;
         let slack = (words.len() * 64 - len) as u32;
         if words
             .last()

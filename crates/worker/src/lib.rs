@@ -337,7 +337,7 @@ impl<S: ServiceStream> ClassVisitor for Batch<'_, '_, S> {
         // A stream to worker `i` at epoch `e`: the connection accepted for it
         // (or, after a loss, one to a respawned replacement), greeted, and —
         // since a dialled-in worker starts empty — shipped its fragment.
-        let mut open = |worker: usize, epoch: u32| -> io::Result<S> {
+        let mut open = |worker: usize, epoch: u32| -> io::Result<(S, usize)> {
             let mut stream = match (accepted[worker].take(), respawn.as_mut()) {
                 (Some(stream), _) => stream,
                 (None, Some(respawn)) => respawn(worker)?,
@@ -372,14 +372,14 @@ impl<S: ServiceStream> ClassVisitor for Batch<'_, '_, S> {
             // A connection dead before the handshake completes is a startup
             // failure of that worker, not a mid-run loss.
             stream.set_read_timeout(config.read_timeout)?;
-            ship_fragment(&mut stream, &spec, epoch, &fragments[worker])
+            let sent = ship_fragment(&mut stream, &spec, epoch, &fragments[worker])
                 .and_then(|()| stream.set_read_timeout(None))
                 .and_then(|()| wire::write_frame_io_epoch(&mut stream, TAG_QUERY, epoch, &job))
-                .and_then(|_| stream.flush())
+                .and_then(|sent| stream.flush().map(|()| sent))
                 .map_err(|e| {
                     io::Error::other(format!("worker {worker} lost during handshake: {e}"))
                 })?;
-            Ok(stream)
+            Ok((stream, sent))
         };
         let (partials, _, stats) = coordinate(&engine, fragments, recoverable, &mut open)?;
         Ok(QueryOutcome {

@@ -68,8 +68,8 @@
 use crate::{bad_data, UdsPathGuard};
 use grape_algo::{dispatch, ClassVisitor, FamilyFragments, Query, QueryResult};
 use grape_comm::wire::{
-    self, Wire, WireError, WireReader, TAG_HELLO, TAG_LOAD, TAG_LOADED, TAG_QUERY, TAG_RESULT,
-    TAG_UPDATE, TAG_UPDATED,
+    self, Wire, WireError, WireReader, HEADER_LEN, TAG_HELLO, TAG_LOAD, TAG_LOADED, TAG_QUERY,
+    TAG_RESULT, TAG_UPDATE, TAG_UPDATED,
 };
 use grape_comm::CommStats;
 use grape_core::chaos::{ChaosConfig, ChaosWorkerTransport};
@@ -1874,7 +1874,7 @@ impl ClassVisitor for SessionRun<'_> {
             // a loss re-ships nothing.
             let config = engine.config();
             let mut frame = Vec::new();
-            let mut open = |worker: usize, epoch: u32| -> io::Result<ServiceSocket> {
+            let mut open = |worker: usize, epoch: u32| -> io::Result<(ServiceSocket, usize)> {
                 let job = QueryJob {
                     graph_id,
                     index: worker as u32,
@@ -1896,7 +1896,7 @@ impl ClassVisitor for SessionRun<'_> {
                 wire::encode_frame_epoch(TAG_QUERY, epoch, &job, &mut frame);
                 let mut stream = session.dial(worker)?;
                 send(&mut stream, &frame)?;
-                Ok(stream)
+                Ok((stream, frame.len()))
             };
             coordinate(&engine, fragments, config.checkpoint_every > 0, &mut open)?
         } else {
@@ -1971,16 +1971,20 @@ impl<S: ServiceStream> Drop for Hangup<S> {
 ///
 /// `open(worker, epoch)` is the only thing that differs between callers: it
 /// must return a stream on which worker `worker` has been sent its
-/// `TAG_QUERY` at `epoch` — called once per worker at [`EngineConfig::run_id`]
-/// and, when `recoverable`, again at a bumped epoch for every worker lost
-/// mid-run. A session dials the daemon; the batch coordinator takes an
-/// accepted connection (or respawns a process) and ships the fragment first.
+/// `TAG_QUERY` at `epoch`, and the bytes of that frame — called once per
+/// worker at [`EngineConfig::run_id`] and, when `recoverable`, again at a
+/// bumped epoch for every worker lost mid-run. A session dials the daemon;
+/// the batch coordinator takes an accepted connection (or respawns a
+/// process) and ships the fragment first. The stats carry the service
+/// boundary's share: time in `open` ([`RunStats::dispatch_seconds`]), the
+/// result wait and restore ([`RunStats::collect_seconds`]), and the query
+/// and result frame bytes ([`RunStats::boundary_bytes`]).
 #[allow(clippy::type_complexity)]
 pub(crate) fn coordinate<P, S>(
     engine: &GrapeEngine<P>,
     fragments: &[Arc<Fragment<P::VertexData, P::EdgeData>>],
     recoverable: bool,
-    open: &mut dyn FnMut(usize, u32) -> io::Result<S>,
+    open: &mut dyn FnMut(usize, u32) -> io::Result<(S, usize)>,
 ) -> io::Result<(Vec<P::Partial>, Vec<Vec<u8>>, RunStats)>
 where
     P: PieProgram,
@@ -1988,6 +1992,15 @@ where
 {
     let n = fragments.len();
     let run_id = engine.config().run_id;
+    let mut dispatch_seconds = 0.0;
+    let mut query_bytes = 0;
+    let mut open = |worker: usize, epoch: u32| -> io::Result<S> {
+        let started = Instant::now();
+        let (stream, sent) = open(worker, epoch)?;
+        dispatch_seconds += started.elapsed().as_secs_f64();
+        query_bytes += sent;
+        Ok(stream)
+    };
     let mut hangup = Hangup(Vec::with_capacity(n));
     let mut streams = Vec::with_capacity(n);
     for worker in 0..n {
@@ -2013,12 +2026,13 @@ where
     } else {
         None
     };
-    let stats = engine
+    let mut stats = engine
         .run_coordinator(fragments, &transport, recover)
         .map_err(|e| io::Error::other(e.to_string()))?;
 
     // Collect one TAG_RESULT per worker (any order); its body is the
     // snapshot, taken as it arrived.
+    let collect_started = Instant::now();
     let mut snapshots: Vec<Option<Vec<u8>>> = vec![None; n];
     while snapshots.iter().any(Option::is_none) {
         let (from, tag, payload) = transport.recv_oob_blocking().ok_or_else(|| {
@@ -2043,6 +2057,10 @@ where
             })
         })
         .collect::<io::Result<_>>()?;
+    stats.collect_seconds = collect_started.elapsed().as_secs_f64();
+    stats.dispatch_seconds = dispatch_seconds;
+    let result_bytes: usize = snapshots.iter().map(|s| HEADER_LEN + s.len()).sum();
+    stats.boundary_bytes = (query_bytes + result_bytes) as u64;
     Ok((partials, snapshots, stats))
 }
 

@@ -317,6 +317,112 @@ fn resubmitting_a_query_yields_identical_results_and_stats() {
 }
 
 #[test]
+fn the_service_boundary_is_measured_from_inside_run_stats() {
+    // A remote query reports what crossed the service boundary outside the
+    // supersteps: its job frames out, its result frames back, and the time
+    // each took. A warm query's seeds ride on its job frames.
+    use grape_algo::{CcProgram, CcQuery};
+    use grape_graph::delta::GraphMutation;
+    use grape_worker::SessionGraph::Weighted;
+    use std::time::{Duration, Instant};
+
+    let workers = 3;
+    let strategy = BuiltinStrategy::MetisLike;
+    let graph = weighted_graph();
+    let Weighted(csr) = &graph else {
+        unreachable!("a ba spec generates a weighted graph")
+    };
+    // The warm query's seeds are the cold query's converged partials, which
+    // are bit-identical to an in-process run's.
+    let fragments = build_fragments(csr, &strategy.partition(csr, workers));
+    let (partials, _) = GrapeEngine::new(CcProgram)
+        .run_partials(&CcQuery, &fragments, &[])
+        .expect("in-process cc");
+    let seeds: u64 = partials
+        .iter()
+        .map(|partial| CcProgram.snapshot_partial(partial).expect("snapshot").len() as u64)
+        .sum();
+
+    let in_process = cold_run(&graph, strategy, workers, Query::cc()).stats;
+    assert_eq!(
+        (
+            in_process.dispatch_seconds,
+            in_process.collect_seconds,
+            in_process.boundary_bytes
+        ),
+        (0.0, 0.0, 0),
+        "an in-process query crosses no service boundary"
+    );
+
+    let daemon = GrapeService::bind("127.0.0.1:0", ServiceOptions::default())
+        .expect("bind")
+        .spawn()
+        .expect("spawn");
+    let session = Session::connect(SessionConfig::remote(
+        workers,
+        vec![daemon.endpoint().clone()],
+    ))
+    .expect("connect");
+    session.load(&graph, strategy).expect("load");
+    let timed = |label: &str| {
+        let started = Instant::now();
+        let outcome = session
+            .submit(Query::cc())
+            .expect("submit")
+            .join()
+            .unwrap_or_else(|e| panic!("{label} query failed: {e}"));
+        let latency = started.elapsed();
+        let stats = &outcome.stats;
+        assert!(
+            stats.dispatch_seconds > 0.0 && stats.collect_seconds > 0.0,
+            "{label}: a remote query dispatches and collects"
+        );
+        let inside = stats.wall_time
+            + Duration::from_secs_f64(
+                stats.dispatch_seconds + stats.collect_seconds + stats.assemble_seconds,
+            );
+        assert!(
+            inside <= latency,
+            "{label}: the parts ({inside:?}) exceed the client's latency ({latency:?})"
+        );
+        outcome.stats
+    };
+
+    let cold = timed("cold");
+    assert!(
+        cold.boundary_bytes >= seeds,
+        "a cold query's results come back: {} < {seeds}",
+        cold.boundary_bytes
+    );
+    assert!(
+        cold.boundary_bytes < 2 * seeds,
+        "a cold query ships no seed: {} ≥ 2 × {seeds}",
+        cold.boundary_bytes
+    );
+    session
+        .update(vec![
+            GraphMutation::AddEdge {
+                src: 0,
+                dst: 155,
+                data: 0.25,
+            },
+            GraphMutation::AddEdge {
+                src: 155,
+                dst: 3,
+                data: 0.5,
+            },
+        ])
+        .expect("update");
+    let warm = timed("warm");
+    assert!(
+        warm.boundary_bytes >= 2 * seeds,
+        "a warm query ships its seeds out and its results back: {} < 2 × {seeds}",
+        warm.boundary_bytes
+    );
+    daemon.shutdown().expect("shutdown");
+}
+
+#[test]
 fn the_daemon_enforces_its_auth_token() {
     let daemon = GrapeService::bind(
         "127.0.0.1:0",

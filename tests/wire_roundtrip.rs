@@ -20,6 +20,74 @@ fn arb_slot_values(max_len: usize) -> impl Strategy<Value = Vec<(u32, f64)>> {
     proptest::collection::vec((0u32..1_000_000, arb_f64_bits()), 0..max_len)
 }
 
+/// Bit patterns that a lossy or mis-sized run codec would betray first, read
+/// through the low bytes of each fixed-width type: f64 and f32 NaNs with
+/// payloads, ±∞ of both, the sign bit alone, all ones (−1 as a signed
+/// integer) and zero.
+const EDGE_BITS: [u64; 9] = [
+    0x7ff8_0000_0000_1234,
+    0x7ff0_0000_0000_0000,
+    0xfff0_0000_0000_0000,
+    0x0000_0000_7fc0_0abc,
+    0x0000_0000_7f80_0000,
+    0x0000_0000_ff80_0000,
+    0x8000_0000_8000_8080,
+    u64::MAX,
+    0,
+];
+
+/// Strategy: runs of raw 64-bit patterns, a quarter of them from
+/// [`EDGE_BITS`], empty runs included. Each fixed-width type takes its value
+/// from the low bytes of a pattern.
+fn arb_bit_runs() -> impl Strategy<Value = Vec<u64>> {
+    proptest::collection::vec(
+        (0usize..4 * EDGE_BITS.len(), 0u64..u64::MAX)
+            .prop_map(|(pick, bits)| EDGE_BITS.get(pick).copied().unwrap_or(bits)),
+        0..40,
+    )
+}
+
+/// A `Vec<T>` on the wire is its `u32` length and then each element's own
+/// encoding, byte for byte, however the run is coded; it decodes back
+/// bit-exactly, and every strict prefix is a typed truncation.
+fn check_run<T: Wire + Copy + std::fmt::Debug>(
+    values: Vec<T>,
+    bits: fn(T) -> u64,
+) -> Result<(), TestCaseError> {
+    let mut expected = (values.len() as u32).encode_to_vec();
+    for value in &values {
+        value.encode(&mut expected);
+    }
+    let encoded = values.encode_to_vec();
+    prop_assert_eq!(&encoded, &expected);
+    let mut from_slice = Vec::new();
+    wire::encode_seq(values.as_slice(), &mut from_slice);
+    prop_assert_eq!(&from_slice, &expected);
+
+    let mut reader = WireReader::new(&encoded);
+    let back = Vec::<T>::decode(&mut reader)
+        .map_err(|e| TestCaseError::fail(format!("decode failed: {e}")))?;
+    reader
+        .finish()
+        .map_err(|e| TestCaseError::fail(format!("{e}")))?;
+    prop_assert_eq!(
+        back.into_iter().map(bits).collect::<Vec<_>>(),
+        values.iter().copied().map(bits).collect::<Vec<_>>()
+    );
+    for cut in 0..encoded.len() {
+        match Vec::<T>::decode(&mut WireReader::new(&encoded[..cut])) {
+            Err(WireError::Truncated { needed, have }) if have < needed => {}
+            other => {
+                return Err(TestCaseError::fail(format!(
+                    "prefix of {cut}/{} bytes: {other:?}",
+                    encoded.len()
+                )))
+            }
+        }
+    }
+    Ok(())
+}
+
 /// Strategy: an optional recovery checkpoint — opaque partial bytes plus
 /// sparse border values.
 fn arb_checkpoint() -> impl Strategy<Value = Option<CheckpointState<f64>>> {
@@ -467,6 +535,42 @@ proptest! {
             prop_assert_eq!(va.to_bits(), vb.to_bits(), "f64 bits must survive");
         }
     }
+}
+
+/// [`check_run`] for every element type with a slice path, each reading the
+/// same bit patterns.
+fn check_every_width(raw: &[u64]) -> Result<(), TestCaseError> {
+    check_run(raw.iter().map(|&b| b as u8).collect(), |v| v as u64)?;
+    check_run(raw.iter().map(|&b| b as u16).collect(), |v| v as u64)?;
+    check_run(raw.iter().map(|&b| b as u32).collect(), |v| v as u64)?;
+    check_run(raw.to_vec(), |v| v)?;
+    check_run(raw.iter().map(|&b| b as i8).collect(), |v| v as u64)?;
+    check_run(raw.iter().map(|&b| b as i16).collect(), |v| v as u64)?;
+    check_run(raw.iter().map(|&b| b as i32).collect(), |v| v as u64)?;
+    check_run(raw.iter().map(|&b| b as i64).collect(), |v| v as u64)?;
+    check_run(
+        raw.iter().map(|&b| f32::from_bits(b as u32)).collect(),
+        |v| v.to_bits() as u64,
+    )?;
+    check_run(
+        raw.iter().map(|&b| f64::from_bits(b)).collect(),
+        f64::to_bits,
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn fixed_width_runs_are_their_elements_back_to_back(raw in arb_bit_runs()) {
+        check_every_width(&raw)?;
+    }
+}
+
+#[test]
+fn empty_and_edge_runs_are_their_elements_back_to_back() {
+    check_every_width(&[]).expect("empty runs");
+    check_every_width(&EDGE_BITS).expect("NaN payloads, infinities, negatives");
 }
 
 #[test]
