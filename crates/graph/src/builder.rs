@@ -4,15 +4,21 @@
 //! finalizes into a [`CsrGraph`]. It tolerates edges that mention vertices
 //! which were never explicitly added (they receive the default payload),
 //! which matches how raw edge-list datasets are usually consumed.
+//!
+//! Insertions only append; [`GraphBuilder::build`] sorts and deduplicates
+//! the ids once, so no vertex id is hashed.
 
 use crate::csr::CsrGraph;
 use crate::types::{EdgeRecord, GraphError, VertexId};
-use std::collections::HashMap;
 
 /// Edge-at-a-time builder for [`CsrGraph`].
 #[derive(Debug, Clone)]
 pub struct GraphBuilder<V, E> {
-    vertices: HashMap<VertexId, V>,
+    /// Ids ensured explicitly, duplicates included; edge endpoints are
+    /// collected from `edges` at build time.
+    ids: Vec<VertexId>,
+    /// Explicit payloads in insertion order; the last one per id wins.
+    payloads: Vec<(VertexId, V)>,
     edges: Vec<EdgeRecord<E>>,
     with_reverse: bool,
     symmetric: bool,
@@ -28,7 +34,8 @@ impl<V: Clone + Default, E: Clone> GraphBuilder<V, E> {
     /// Creates an empty builder that will also build the reverse adjacency.
     pub fn new() -> Self {
         Self {
-            vertices: HashMap::new(),
+            ids: Vec::new(),
+            payloads: Vec::new(),
             edges: Vec::new(),
             with_reverse: true,
             symmetric: false,
@@ -51,20 +58,19 @@ impl<V: Clone + Default, E: Clone> GraphBuilder<V, E> {
 
     /// Adds (or overwrites) a vertex with an explicit payload.
     pub fn add_vertex(&mut self, id: VertexId, data: V) -> &mut Self {
-        self.vertices.insert(id, data);
+        self.payloads.push((id, data));
         self
     }
 
-    /// Ensures a vertex exists, inserting the default payload if not.
+    /// Ensures a vertex exists, with the default payload unless an explicit
+    /// one is added before or after.
     pub fn ensure_vertex(&mut self, id: VertexId) -> &mut Self {
-        self.vertices.entry(id).or_default();
+        self.ids.push(id);
         self
     }
 
     /// Adds a directed edge; endpoints are created on demand.
     pub fn add_edge(&mut self, src: VertexId, dst: VertexId, data: E) -> &mut Self {
-        self.ensure_vertex(src);
-        self.ensure_vertex(dst);
         self.edges.push(EdgeRecord::new(src, dst, data.clone()));
         if self.symmetric && src != dst {
             self.edges.push(EdgeRecord::new(dst, src, data));
@@ -72,9 +78,10 @@ impl<V: Clone + Default, E: Clone> GraphBuilder<V, E> {
         self
     }
 
-    /// Number of vertices currently known to the builder.
+    /// Number of distinct vertices currently known to the builder. Sorts a
+    /// copy of the ids: meant for checks, not for a per-insert loop.
     pub fn num_vertices(&self) -> usize {
-        self.vertices.len()
+        Self::distinct_ids(self.ids.clone(), &self.payloads, &self.edges).len()
     }
 
     /// Number of edge records accumulated (including symmetric duplicates).
@@ -82,9 +89,37 @@ impl<V: Clone + Default, E: Clone> GraphBuilder<V, E> {
         self.edges.len()
     }
 
+    /// `ids` plus every id given a payload or touching an edge, sorted and
+    /// deduplicated.
+    fn distinct_ids(
+        mut ids: Vec<VertexId>,
+        payloads: &[(VertexId, V)],
+        edges: &[EdgeRecord<E>],
+    ) -> Vec<VertexId> {
+        ids.extend(payloads.iter().map(|&(id, _)| id));
+        ids.extend(edges.iter().flat_map(|e| [e.src, e.dst]));
+        ids.sort_unstable();
+        ids.dedup();
+        ids
+    }
+
     /// Finalizes into a [`CsrGraph`].
-    pub fn build(self) -> Result<CsrGraph<V, E>, GraphError> {
-        let vertices: Vec<(VertexId, V)> = self.vertices.into_iter().collect();
+    pub fn build(mut self) -> Result<CsrGraph<V, E>, GraphError> {
+        let ids = Self::distinct_ids(std::mem::take(&mut self.ids), &self.payloads, &self.edges);
+        // A stable sort keeps each id's payloads in insertion order, so the
+        // last of a run is the one that wins.
+        self.payloads.sort_by_key(|&(id, _)| id);
+        let mut payloads = self.payloads.into_iter().peekable();
+        let vertices: Vec<(VertexId, V)> = ids
+            .into_iter()
+            .map(|id| {
+                let mut data = None;
+                while let Some((_, d)) = payloads.next_if(|&(p, _)| p == id) {
+                    data = Some(d);
+                }
+                (id, data.unwrap_or_default())
+            })
+            .collect();
         CsrGraph::from_records(vertices, self.edges, self.with_reverse)
     }
 }
@@ -153,5 +188,39 @@ mod tests {
         b.add_edge(0, 1, ());
         assert_eq!(b.num_vertices(), 2);
         assert_eq!(b.num_edges(), 1);
+    }
+
+    #[test]
+    fn the_last_explicit_payload_wins() {
+        let mut b = GraphBuilder::<u8, ()>::new();
+        b.add_vertex(1, 5).add_vertex(2, 6).add_vertex(1, 7);
+        let g = b.build().unwrap();
+        assert_eq!(g.vertex_data(1), Some(&7));
+        assert_eq!(g.vertex_data(2), Some(&6));
+    }
+
+    #[test]
+    fn ensure_vertex_after_add_vertex_keeps_the_payload() {
+        let mut b = GraphBuilder::<u8, ()>::new();
+        b.add_vertex(1, 5).ensure_vertex(1).add_edge(1, 2, ());
+        assert_eq!(b.build().unwrap().vertex_data(1), Some(&5));
+    }
+
+    #[test]
+    fn add_vertex_after_ensure_vertex_replaces_the_default() {
+        let mut b = GraphBuilder::<u8, ()>::new();
+        b.ensure_vertex(1).add_edge(2, 1, ()).add_vertex(1, 5);
+        let g = b.build().unwrap();
+        assert_eq!(g.vertex_data(1), Some(&5));
+        assert_eq!(g.vertex_data(2), Some(&0));
+    }
+
+    #[test]
+    fn num_vertices_counts_distinct_ids() {
+        let mut b = GraphBuilder::<u8, ()>::new();
+        b.ensure_vertex(4).ensure_vertex(4).add_vertex(4, 1);
+        b.add_edge(4, 9, ()).add_edge(9, 4, ()).add_vertex(7, 2);
+        assert_eq!(b.num_vertices(), 3);
+        assert_eq!(b.build().unwrap().num_vertices(), 3);
     }
 }

@@ -6,14 +6,88 @@
 //! forward adjacency as the classic `(offsets, targets)` pair and, optionally,
 //! the reverse adjacency for algorithms that need in-edges (graph simulation,
 //! PageRank, keyword search on undirected semantics).
+//!
+//! Global ids map to dense indices without hashing. When the ids span at
+//! most eight times their count (`0..n`, a road grid with removed cells, a
+//! fragment's slice of such a graph), a direct table answers
+//! [`CsrGraph::dense_index`] in O(1), one indexed load; sparser id sets fall
+//! back to a binary search over the sorted ids, O(log n), with no extra
+//! memory.
 
 use crate::delta::NetMutations;
 use crate::types::{Direction, EdgeRecord, GraphError, VertexId};
-use std::collections::HashMap;
 
-/// Dense-index sentinel of the patch remap tables: the vertex has no
-/// counterpart on the other side of the patch.
+/// Dense-index sentinel: a hole of the direct index, or a vertex with no
+/// counterpart on the other side of a patch in the patch remap tables.
 const ABSENT: u32 = u32::MAX;
+
+/// How many direct-table slots per vertex the id index may spend before it
+/// switches to a binary search: the same 8× rule as the engine's border slot
+/// translation.
+const MAX_DENSE_WASTE: u64 = 8;
+
+/// Global id → dense index, derived from the sorted `vertex_ids` it indexes.
+#[derive(Debug, Clone, PartialEq)]
+enum VertexIndex {
+    /// `table[id - first]` is the dense index of `id`; [`ABSENT`] marks a
+    /// hole. Used when the ids span at most [`MAX_DENSE_WASTE`] times their
+    /// count.
+    Direct { first: VertexId, table: Vec<u32> },
+    /// A binary search over `vertex_ids`, for sparser (or no) ids.
+    Sorted,
+}
+
+impl VertexIndex {
+    /// The index over `ids`, which must be sorted and distinct.
+    fn build(ids: &[VertexId]) -> Self {
+        let (Some(&first), Some(&last)) = (ids.first(), ids.last()) else {
+            return Self::Sorted;
+        };
+        // Sorted ids: `last - first` cannot overflow, even next to
+        // `INVALID_VERTEX`; the table needs one slot more than that.
+        let span = last - first;
+        if span >= (ids.len() as u64).saturating_mul(MAX_DENSE_WASTE) {
+            return Self::Sorted;
+        }
+        let mut table = vec![ABSENT; span as usize + 1];
+        for (dense, &id) in (0u32..).zip(ids) {
+            table[(id - first) as usize] = dense;
+        }
+        Self::Direct { first, table }
+    }
+
+    /// The dense index of `v` among `ids` (the slice the index was built on).
+    #[inline]
+    fn find(&self, ids: &[VertexId], v: VertexId) -> Option<u32> {
+        match self {
+            Self::Direct { first, table } => {
+                let slot = usize::try_from(v.checked_sub(*first)?).ok()?;
+                table.get(slot).copied().filter(|&i| i != ABSENT)
+            }
+            Self::Sorted => ids.binary_search(&v).ok().map(|i| i as u32),
+        }
+    }
+
+    /// Bytes of the direct table (the sorted form owns nothing).
+    fn memory(&self) -> usize {
+        match self {
+            Self::Direct { table, .. } => table.len() * 4,
+            Self::Sorted => 0,
+        }
+    }
+}
+
+/// Dense indices are `u32` with [`ABSENT`] reserved, and `in_edge_pos` holds
+/// edge positions as `u32`: refuse a graph either would not fit.
+fn check_dense_range(vertices: usize, edges: usize) -> Result<(), GraphError> {
+    if vertices >= ABSENT as usize || edges > u32::MAX as usize {
+        return Err(GraphError::InvalidParameter(format!(
+            "CsrGraph holds fewer than 2^32 - 1 vertices and at most 2^32 - 1 edges, \
+             got {vertices} vertices and {edges} edges"
+        )));
+    }
+    Ok(())
+}
 
 /// An immutable compressed-sparse-row graph.
 ///
@@ -28,8 +102,8 @@ const ABSENT: u32 = u32::MAX;
 pub struct CsrGraph<V, E> {
     /// Sorted list of global vertex ids; position = dense index.
     vertex_ids: Vec<VertexId>,
-    /// Map from global id to dense index.
-    index_of: HashMap<VertexId, u32>,
+    /// Global id → dense index over `vertex_ids`.
+    index: VertexIndex,
     /// Per-vertex payloads, indexed densely.
     vertex_data: Vec<V>,
     /// CSR offsets for out-edges (`len = n + 1`).
@@ -44,7 +118,7 @@ pub struct CsrGraph<V, E> {
     in_sources: Vec<u32>,
     /// For each in-edge, the position of the corresponding out-edge, so the
     /// payload can be shared without cloning.
-    in_edge_pos: Vec<usize>,
+    in_edge_pos: Vec<u32>,
 }
 
 impl<V, E> CsrGraph<V, E>
@@ -54,67 +128,64 @@ where
 {
     /// Builds a CSR graph from vertex and edge records.
     ///
-    /// `vertices` supplies `(id, payload)` pairs; every edge endpoint must be
-    /// present. When `with_reverse` is true the in-adjacency is also built.
+    /// `vertices` supplies `(id, payload)` pairs in any order; every edge
+    /// endpoint must be present. Each source's out-edges keep the order of
+    /// `edges`. When `with_reverse` is true the in-adjacency is also built.
     pub fn from_records(
-        vertices: Vec<(VertexId, V)>,
+        mut vertices: Vec<(VertexId, V)>,
         edges: Vec<EdgeRecord<E>>,
         with_reverse: bool,
     ) -> Result<Self, GraphError> {
-        let mut vertex_ids: Vec<VertexId> = vertices.iter().map(|(id, _)| *id).collect();
-        vertex_ids.sort_unstable();
-        vertex_ids.dedup();
-        let index_of: HashMap<VertexId, u32> = vertex_ids
-            .iter()
-            .enumerate()
-            .map(|(i, id)| (*id, i as u32))
-            .collect();
-        if index_of.len() != vertices.len() {
-            // Duplicate vertex ids: keep the first payload for each id but
-            // treat it as a parameter problem so callers notice.
+        check_dense_range(vertices.len(), edges.len())?;
+        vertices.sort_unstable_by_key(|&(id, _)| id);
+        if vertices.windows(2).any(|w| w[0].0 == w[1].0) {
             return Err(GraphError::InvalidParameter(
                 "duplicate vertex ids supplied to CsrGraph::from_records".into(),
             ));
         }
+        let (vertex_ids, vertex_data): (Vec<VertexId>, Vec<V>) = vertices.into_iter().unzip();
+        let index = VertexIndex::build(&vertex_ids);
         let n = vertex_ids.len();
-        let mut vertex_data: Vec<Option<V>> = vec![None; n];
-        for (id, data) in vertices {
-            let idx = index_of[&id] as usize;
-            vertex_data[idx] = Some(data);
-        }
-        let vertex_data: Vec<V> = vertex_data
-            .into_iter()
-            .map(|d| d.expect("filled"))
-            .collect();
 
-        // Count out-degrees.
-        let mut out_degree = vec![0usize; n];
-        for e in &edges {
-            let s = *index_of
-                .get(&e.src)
-                .ok_or(GraphError::UnknownVertex(e.src))? as usize;
-            let _ = *index_of
-                .get(&e.dst)
-                .ok_or(GraphError::UnknownVertex(e.dst))?;
-            out_degree[s] += 1;
-        }
-        let mut out_offsets = vec![0usize; n + 1];
-        for i in 0..n {
-            out_offsets[i + 1] = out_offsets[i] + out_degree[i];
-        }
+        // Resolve both endpoints of every edge once, counting out-degrees.
         let m = edges.len();
-        let mut out_targets = vec![0u32; m];
-        let mut out_data: Vec<Option<E>> = vec![None; m];
-        let mut cursor = out_offsets.clone();
+        let mut sources = Vec::with_capacity(m);
+        let mut targets = Vec::with_capacity(m);
+        let mut out_offsets = vec![0usize; n + 1];
+        let dense = |v| {
+            index
+                .find(&vertex_ids, v)
+                .ok_or(GraphError::UnknownVertex(v))
+        };
         for e in &edges {
-            let s = index_of[&e.src] as usize;
-            let d = index_of[&e.dst];
-            let pos = cursor[s];
-            out_targets[pos] = d;
-            out_data[pos] = Some(e.data.clone());
-            cursor[s] += 1;
+            let s = dense(e.src)?;
+            targets.push(dense(e.dst)?);
+            sources.push(s);
+            out_offsets[s as usize + 1] += 1;
         }
-        let out_data: Vec<E> = out_data.into_iter().map(|d| d.expect("filled")).collect();
+        for i in 0..n {
+            out_offsets[i + 1] += out_offsets[i];
+        }
+        // Records already grouped by ascending source (a fragment's edges,
+        // gathered in its global graph's CSR order) are the CSR order as
+        // they stand; anything else takes a stable counting sort.
+        let (out_targets, out_data) = if sources.is_sorted() {
+            (targets, edges.into_iter().map(|e| e.data).collect())
+        } else {
+            let mut cursor = out_offsets.clone();
+            let mut record_at = vec![0u32; m];
+            for (record, &s) in (0u32..).zip(&sources) {
+                let p = &mut cursor[s as usize];
+                record_at[*p] = record;
+                *p += 1;
+            }
+            let out_targets = record_at.iter().map(|&r| targets[r as usize]).collect();
+            let out_data = record_at
+                .iter()
+                .map(|&r| edges[r as usize].data.clone())
+                .collect();
+            (out_targets, out_data)
+        };
 
         let (in_offsets, in_sources, in_edge_pos) = if with_reverse {
             reverse_adjacency(&out_offsets, &out_targets)
@@ -124,7 +195,7 @@ where
 
         Ok(Self {
             vertex_ids,
-            index_of,
+            index,
             vertex_data,
             out_offsets,
             out_targets,
@@ -147,9 +218,9 @@ where
     /// * every source's adjacency run keeps its survivors in order (a removed
     ///   `(src, dst)` pair drops all parallel copies, a removed vertex drops
     ///   its incident edges) and appends its additions in insertion order;
-    /// * `index_of` is the old table with its values remapped in place, and
-    ///   the reverse arrays are re-derived from the patched forward arrays by
-    ///   the counting pass `from_records` runs.
+    /// * the id index is rebuilt by one linear pass over the new ids, and the
+    ///   reverse arrays are re-derived from the patched forward arrays by the
+    ///   counting pass `from_records` runs.
     ///
     /// A removed vertex must be present, an added one must not be, and added
     /// edges must join vertices of the patched graph. Removed pairs that
@@ -202,20 +273,7 @@ where
             vertex_data.push(data.clone());
             old_of.push(ABSENT);
         }
-        // Walking the cloned table's values hashes nothing; only the batch's
-        // own vertices are removed or inserted by key.
-        let mut index_of = self.index_of.clone();
-        for &old in &removed {
-            index_of.remove(&self.vertex_ids[old as usize]);
-        }
-        for dense in index_of.values_mut() {
-            *dense = remap[*dense as usize];
-        }
-        for (new, &old) in old_of.iter().enumerate() {
-            if old == ABSENT {
-                index_of.insert(vertex_ids[new], new as u32);
-            }
-        }
+        let index = VertexIndex::build(&vertex_ids);
 
         // The batch's edges by dense index: removed pairs over the old
         // indices, additions over the new ones, both grouped by source (the
@@ -227,9 +285,8 @@ where
             .collect();
         dropped.sort_unstable();
         let dense = |v: &VertexId| {
-            index_of
-                .get(v)
-                .copied()
+            index
+                .find(&vertex_ids, *v)
                 .ok_or(GraphError::UnknownVertex(*v))
         };
         let mut appended: Vec<(u32, u32, &E)> = Vec::with_capacity(net.added_edges.len());
@@ -271,6 +328,7 @@ where
             }
             out_offsets.push(out_targets.len());
         }
+        check_dense_range(n_new, out_targets.len())?;
 
         let (in_offsets, in_sources, in_edge_pos) = if self.in_offsets.is_empty() {
             (Vec::new(), Vec::new(), Vec::new())
@@ -279,7 +337,7 @@ where
         };
         Ok(Self {
             vertex_ids,
-            index_of,
+            index,
             vertex_data,
             out_offsets,
             out_targets,
@@ -307,12 +365,15 @@ where
 
     /// Returns true if the graph contains the given global id.
     pub fn contains(&self, v: VertexId) -> bool {
-        self.index_of.contains_key(&v)
+        self.dense_index(v).is_some()
     }
 
-    /// The dense index (`0..n`) of a global vertex id.
+    /// The dense index (`0..n`) of a global vertex id, without hashing: O(1)
+    /// through a direct table when the ids span at most eight times their
+    /// count, O(log n) by binary search over the sorted ids otherwise.
+    #[inline]
     pub fn dense_index(&self, v: VertexId) -> Option<u32> {
-        self.index_of.get(&v).copied()
+        self.index.find(&self.vertex_ids, v)
     }
 
     /// The global id at a dense index.
@@ -378,7 +439,12 @@ where
         } else {
             self.in_offsets[u as usize]..self.in_offsets[u as usize + 1]
         };
-        range.map(move |pos| (self.in_sources[pos], &self.out_data[self.in_edge_pos[pos]]))
+        range.map(move |pos| {
+            (
+                self.in_sources[pos],
+                &self.out_data[self.in_edge_pos[pos] as usize],
+            )
+        })
     }
 
     /// Iterator over all global vertex ids in ascending order.
@@ -454,7 +520,7 @@ where
         range.map(move |pos| {
             (
                 self.vertex_ids[self.in_sources[pos] as usize],
-                &self.out_data[self.in_edge_pos[pos]],
+                &self.out_data[self.in_edge_pos[pos] as usize],
             )
         })
     }
@@ -510,14 +576,16 @@ where
         Self::from_records(vertices, edges, self.has_reverse()).expect("subset of valid graph")
     }
 
-    /// Total payload-free memory footprint estimate in bytes (offsets +
-    /// targets + ids); used by the load balancer's workload estimates.
+    /// Memory footprint estimate in bytes: every array the graph owns (ids,
+    /// id index, offsets, targets, reverse arrays, and the payload arrays at
+    /// their inline size; heap memory behind a payload is not counted).
     pub fn memory_estimate(&self) -> usize {
-        self.vertex_ids.len() * 8
-            + self.out_offsets.len() * 8
-            + self.out_targets.len() * 4
-            + self.in_offsets.len() * 8
-            + self.in_sources.len() * 4
+        self.vertex_ids.len() * size_of::<VertexId>()
+            + self.index.memory()
+            + self.vertex_data.len() * size_of::<V>()
+            + (self.out_offsets.len() + self.in_offsets.len()) * size_of::<usize>()
+            + (self.out_targets.len() + self.in_sources.len() + self.in_edge_pos.len()) * 4
+            + self.out_data.len() * size_of::<E>()
     }
 }
 
@@ -527,7 +595,7 @@ where
 fn reverse_adjacency(
     out_offsets: &[usize],
     out_targets: &[u32],
-) -> (Vec<usize>, Vec<u32>, Vec<usize>) {
+) -> (Vec<usize>, Vec<u32>, Vec<u32>) {
     let n = out_offsets.len() - 1;
     let m = out_targets.len();
     let mut in_offsets = vec![0usize; n + 1];
@@ -538,13 +606,13 @@ fn reverse_adjacency(
         in_offsets[i + 1] += in_offsets[i];
     }
     let mut in_sources = vec![0u32; m];
-    let mut in_edge_pos = vec![0usize; m];
+    let mut in_edge_pos = vec![0u32; m];
     let mut cursor = in_offsets.clone();
     for s in 0..n {
         for pos in out_offsets[s]..out_offsets[s + 1] {
             let p = &mut cursor[out_targets[pos] as usize];
             in_sources[*p] = s as u32;
-            in_edge_pos[*p] = pos;
+            in_edge_pos[*p] = pos as u32;
             *p += 1;
         }
     }
@@ -554,7 +622,8 @@ fn reverse_adjacency(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashSet;
+    use proptest::prelude::*;
+    use std::collections::{HashMap, HashSet};
 
     fn diamond() -> CsrGraph<(), f64> {
         // 0 -> 1 (1.0), 0 -> 2 (2.0), 1 -> 3 (3.0), 2 -> 3 (1.0)
@@ -678,6 +747,31 @@ mod tests {
     }
 
     #[test]
+    fn memory_estimate_counts_every_array_in_both_index_forms() {
+        // Ids 32 B, offsets 2 × 5 × 8 B, targets + in-sources + in-edge
+        // positions 3 × 4 × 4 B, weights 4 × 8 B; `()` payloads take none.
+        let arrays = 32 + 80 + 48 + 32;
+        let g = diamond();
+        assert!(matches!(g.index, VertexIndex::Direct { .. }));
+        assert_eq!(g.memory_estimate(), arrays + 4 * 4, "direct table: 4 slots");
+        let spread = |v: VertexId| 100 * v;
+        let sparse = CsrGraph::from_records(
+            g.vertices().map(|v| (spread(v), ())).collect(),
+            g.edges()
+                .map(|(s, d, w)| EdgeRecord::new(spread(s), spread(d), *w))
+                .collect(),
+            true,
+        )
+        .unwrap();
+        assert_eq!(sparse.index, VertexIndex::Sorted);
+        assert_eq!(
+            sparse.memory_estimate(),
+            arrays,
+            "the sorted index owns nothing"
+        );
+    }
+
+    #[test]
     fn empty_graph() {
         let g = CsrGraph::<(), ()>::from_records(vec![], vec![], true).unwrap();
         assert_eq!(g.num_vertices(), 0);
@@ -698,5 +792,109 @@ mod tests {
         assert_eq!(g.out_degree(0), 3);
         assert_eq!(g.in_degree(1), 2);
         assert_eq!(g.in_degree(0), 1);
+    }
+
+    /// Sorted distinct id sets of every shape the index tells apart: empty,
+    /// contiguous, gapped within 8× (direct), sparse beyond 8× (sorted),
+    /// dense or sparse sets ending at `u64::MAX`, and sets whose span is one
+    /// short of 8× their count (direct) or exactly that (sorted).
+    fn arb_id_set() -> impl Strategy<Value = Vec<VertexId>> {
+        (0u8..8, 0u64..1_000).prop_flat_map(|(kind, first)| {
+            let (steps, count) = match kind {
+                0 => (1u64..2, 0..1),
+                1 | 6 | 7 => (1..2, 1..40),
+                2 | 4 => (1..5, 1..40),
+                _ => (17..1 << 40, 1..40),
+            };
+            proptest::collection::vec(steps, count).prop_map(move |steps| {
+                if kind == 0 {
+                    return Vec::new();
+                }
+                let mut offsets = vec![0u64];
+                for step in steps {
+                    offsets.push(offsets.last().unwrap() + step);
+                }
+                if kind >= 6 {
+                    let count = offsets.len() as u64;
+                    *offsets.last_mut().unwrap() = 8 * count - 1 + u64::from(kind - 6);
+                }
+                let span = *offsets.last().unwrap();
+                if kind == 4 || kind == 5 {
+                    offsets.iter().map(|o| u64::MAX - span + o).collect()
+                } else {
+                    offsets.iter().map(|o| first + o).collect()
+                }
+            })
+        })
+    }
+
+    /// Every id, its neighbours on both sides (the misses below `first`,
+    /// above `last` and in the holes), the ends of the id space and `random`.
+    fn probes(ids: &[VertexId], random: &[u64]) -> Vec<VertexId> {
+        let mut probes = vec![0, u64::MAX];
+        probes.extend_from_slice(random);
+        for &v in ids {
+            probes.extend(
+                [Some(v), v.checked_sub(1), v.checked_add(1)]
+                    .into_iter()
+                    .flatten(),
+            );
+        }
+        probes
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn id_index_agrees_with_a_hash_map(
+            ids in arb_id_set(),
+            random in proptest::collection::vec(0u64..u64::MAX, 0..8),
+        ) {
+            let g = CsrGraph::<u32, ()>::from_records(
+                ids.iter().zip(0u32..).map(|(&v, i)| (v, i)).collect(),
+                vec![],
+                false,
+            )
+            .unwrap();
+            let direct = match (ids.first(), ids.last()) {
+                (Some(&first), Some(&last)) => last - first < 8 * ids.len() as u64,
+                _ => false,
+            };
+            prop_assert_eq!(matches!(g.index, VertexIndex::Direct { .. }), direct);
+            let reference: HashMap<VertexId, u32> = ids.iter().copied().zip(0u32..).collect();
+            for v in probes(&ids, &random) {
+                prop_assert_eq!(g.dense_index(v), reference.get(&v).copied(), "probe {}", v);
+                prop_assert_eq!(g.contains(v), reference.contains_key(&v), "probe {}", v);
+            }
+        }
+
+        #[test]
+        fn from_records_ignores_the_order_of_vertex_records(
+            ids in arb_id_set(),
+            edges in proptest::collection::vec((0usize..40, 0usize..40, 0u32..9), 0..30),
+            keys in proptest::collection::vec(0u64..u64::MAX, 40..41),
+        ) {
+            if ids.is_empty() {
+                return Ok(());
+            }
+            let at = |i: usize| ids[i % ids.len()];
+            let records = || -> Vec<EdgeRecord<u32>> {
+                edges.iter().map(|&(s, d, w)| EdgeRecord::new(at(s), at(d), w)).collect()
+            };
+            let vertices: Vec<(VertexId, u32)> = ids.iter().zip(0u32..).map(|(&v, i)| (v, i)).collect();
+            let sorted = CsrGraph::from_records(vertices.clone(), records(), true).unwrap();
+            let mut shuffled = vertices;
+            shuffled.sort_by_key(|&(_, i)| keys[i as usize]);
+            let rebuilt = CsrGraph::from_records(shuffled.clone(), records(), true).unwrap();
+            prop_assert!(rebuilt == sorted);
+            for (&v, i) in ids.iter().zip(0u32..) {
+                prop_assert_eq!(rebuilt.vertex_data(v), Some(&i));
+            }
+            // A repeated id is refused wherever it sits.
+            shuffled.insert(keys[0] as usize % shuffled.len(), (at(keys[1] as usize), 99));
+            let duplicate = CsrGraph::from_records(shuffled, records(), true).unwrap_err();
+            prop_assert!(matches!(duplicate, GraphError::InvalidParameter(_)));
+        }
     }
 }

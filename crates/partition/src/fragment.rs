@@ -18,7 +18,7 @@
 use crate::assignment::{FragmentId, PartitionAssignment};
 use grape_graph::types::EdgeRecord;
 use grape_graph::{CsrGraph, DenseBitset, VertexId};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 /// A graph fragment owned by one worker.
 #[derive(Debug, Clone, PartialEq)]
@@ -339,77 +339,106 @@ pub struct FragmentParts<V, E> {
 /// so both out-edges of inner vertices and in-edges from remote vertices are
 /// locally visible (the latter are what IncEval needs to relax when a border
 /// value arrives).
+///
+/// One assignment lookup per vertex, no hashing after: the cut works in the
+/// global graph's dense index space, with one owner per vertex and a bitmask
+/// of the fragments mirroring it. Only the finished fragment's own owner and
+/// mirror maps are filled by key, once per border vertex.
 pub fn build_fragments<V: Clone + Default, E: Clone>(
     graph: &CsrGraph<V, E>,
     assignment: &PartitionAssignment,
 ) -> Vec<Fragment<V, E>> {
     let k = assignment.num_fragments().max(1);
-    let owner = |v: VertexId| assignment.fragment_of(v).unwrap_or(0);
+    let n = graph.num_vertices();
+    let owner: Vec<FragmentId> = graph
+        .vertices()
+        .map(|v| assignment.fragment_of(v).unwrap_or(0))
+        .collect();
 
-    // Vertex memberships.
-    let mut inner: Vec<Vec<VertexId>> = vec![Vec::new(); k];
-    for v in graph.vertices() {
-        inner[owner(v)].push(v);
+    // Mirror discovery: bit `f` of vertex `v`'s mask = `v` is mirrored at
+    // fragment `f`. A cross edge mirrors each endpoint at the other's owner.
+    let words = k.div_ceil(64);
+    let mut mirrors = vec![0u64; n * words];
+    let mut mirror_at = |v: usize, f: FragmentId| mirrors[v * words + f / 64] |= 1 << (f % 64);
+    let mut num_edges = vec![0usize; k];
+    for s in 0..n {
+        let fs = owner[s];
+        for &d in graph.out_neighbors_dense(s as u32) {
+            let fd = owner[d as usize];
+            num_edges[fs] += 1;
+            if fd != fs {
+                num_edges[fd] += 1;
+                mirror_at(s, fd);
+                mirror_at(d as usize, fs);
+            }
+        }
     }
 
-    // Edge memberships and mirror discovery.
-    let mut edges: Vec<Vec<EdgeRecord<E>>> = vec![Vec::new(); k];
-    let mut outer: Vec<HashSet<VertexId>> = vec![HashSet::new(); k];
-    // mirrored_at[owner fragment] : vertex -> set of fragments mirroring it
-    let mut mirrored_at: Vec<HashMap<VertexId, HashSet<FragmentId>>> = vec![HashMap::new(); k];
-    for (s, d, w) in graph.edges() {
-        let fs = owner(s);
-        let fd = owner(d);
-        edges[fs].push(EdgeRecord::new(s, d, w.clone()));
-        if fd != fs {
-            // The destination fragment also sees this edge (as an in-edge of
-            // its inner vertex d from the mirror of s).
-            edges[fd].push(EdgeRecord::new(s, d, w.clone()));
-            // s is mirrored at fd; d is mirrored at fs.
-            outer[fd].insert(s);
-            outer[fs].insert(d);
-            mirrored_at[fs].entry(s).or_default().insert(fd);
-            mirrored_at[fd].entry(d).or_default().insert(fs);
+    // Each fragment's edges in the global CSR order: its source's fragment
+    // sees the edge, and so does its destination's if that is another one
+    // (as an in-edge of its inner vertex from the mirror of the source).
+    let mut edges: Vec<Vec<EdgeRecord<E>>> =
+        num_edges.iter().map(|&m| Vec::with_capacity(m)).collect();
+    for s in 0..n {
+        let fs = owner[s];
+        let src = graph.vertex_id(s as u32);
+        for (d, w) in graph.out_edges_dense(s as u32) {
+            let fd = owner[d as usize];
+            let record = EdgeRecord::new(src, graph.vertex_id(d), w.clone());
+            if fd != fs {
+                edges[fd].push(record.clone());
+            }
+            edges[fs].push(record);
+        }
+    }
+
+    // Vertex memberships from one ascending scan, so every list comes out
+    // sorted. Local vertices are inner + outer, each with its payload from
+    // the global graph (mirrors keep the payload so label/keyword predicates
+    // still work on them).
+    let mut inner: Vec<Vec<VertexId>> = vec![Vec::new(); k];
+    let mut outer: Vec<Vec<VertexId>> = vec![Vec::new(); k];
+    let mut vertices: Vec<Vec<(VertexId, V)>> = vec![Vec::new(); k];
+    let mut outer_owner: Vec<HashMap<VertexId, FragmentId>> = vec![HashMap::new(); k];
+    let mut mirrored: Vec<HashMap<VertexId, Vec<FragmentId>>> = vec![HashMap::new(); k];
+    for (i, &f) in owner.iter().enumerate() {
+        let v = graph.vertex_id(i as u32);
+        let data = graph.vertex_data_at(i as u32);
+        inner[f].push(v);
+        vertices[f].push((v, data.clone()));
+        let mut at = Vec::new();
+        let mask = &mirrors[i * words..(i + 1) * words];
+        for (word, mut bits) in mask.iter().copied().enumerate() {
+            while bits != 0 {
+                let g = word * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                outer[g].push(v);
+                vertices[g].push((v, data.clone()));
+                outer_owner[g].insert(v, f);
+                at.push(g);
+            }
+        }
+        if !at.is_empty() {
+            mirrored[f].insert(v, at);
         }
     }
 
     let mut fragments = Vec::with_capacity(k);
     for f in 0..k {
-        let mut inner_list = std::mem::take(&mut inner[f]);
-        inner_list.sort_unstable();
-        let mut outer_list: Vec<VertexId> = outer[f].iter().copied().collect();
-        outer_list.sort_unstable();
-        let outer_owner: HashMap<VertexId, FragmentId> =
-            outer_list.iter().map(|&v| (v, owner(v))).collect();
-        let mirrored: HashMap<VertexId, Vec<FragmentId>> = mirrored_at[f]
-            .iter()
-            .map(|(v, set)| {
-                let mut list: Vec<FragmentId> = set.iter().copied().collect();
-                list.sort_unstable();
-                (*v, list)
-            })
-            .collect();
-
-        // Local vertex set: inner + outer, each with its payload from the
-        // global graph (mirrors keep the payload so label/keyword predicates
-        // still work on them).
-        let mut vertices: Vec<(VertexId, V)> =
-            Vec::with_capacity(inner_list.len() + outer_list.len());
-        for &v in inner_list.iter().chain(outer_list.iter()) {
-            let data = graph.vertex_data(v).cloned().unwrap_or_default();
-            vertices.push((v, data));
-        }
-        let local_graph = CsrGraph::from_records(vertices, std::mem::take(&mut edges[f]), true)
-            .expect("fragment edges reference only local vertices");
-
+        let local_graph = CsrGraph::from_records(
+            std::mem::take(&mut vertices[f]),
+            std::mem::take(&mut edges[f]),
+            true,
+        )
+        .expect("fragment edges reference only local vertices");
         fragments.push(assemble_fragment(
             f,
             k,
             local_graph,
-            inner_list,
-            outer_list,
-            outer_owner,
-            mirrored,
+            std::mem::take(&mut inner[f]),
+            std::mem::take(&mut outer[f]),
+            std::mem::take(&mut outer_owner[f]),
+            std::mem::take(&mut mirrored[f]),
         ));
     }
     fragments
@@ -499,6 +528,7 @@ mod tests {
     use crate::strategy::{HashPartitioner, Partitioner, RangePartitioner};
     use grape_graph::generators::{barabasi_albert, erdos_renyi};
     use grape_graph::GraphBuilder;
+    use std::collections::HashSet;
 
     fn chain(n: u64) -> CsrGraph<(), f64> {
         let mut b = GraphBuilder::<(), f64>::new();

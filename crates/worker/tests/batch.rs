@@ -45,13 +45,17 @@ fn a_batch_run_needs_one_connection_per_worker() {
 fn workers_are_hung_up_on_when_a_run_fails() {
     // Worker 0 is real. "Worker 1" greets, acks its load and then never
     // reports, so the run fails on the read timeout — after which both
-    // must see their connection closed instead of waiting forever.
+    // must see their connection closed instead of waiting forever. The real
+    // worker's claim is that it returns, not how: the hang-up can reach it
+    // between frames, as the clean end of stream `run_worker` answers with
+    // `Ok(())`.
     let (real, real_accepted) = UnixStream::pair().unwrap();
     let (mut fake, fake_accepted) = UnixStream::pair().unwrap();
     let (done, joined) = mpsc::channel();
     let real_done = done.clone();
     std::thread::spawn(move || {
-        let _ = real_done.send(run_worker(real, WorkerOptions::default()).is_err());
+        let _ = run_worker(real, WorkerOptions::default());
+        let _ = real_done.send(true);
     });
     std::thread::spawn(move || {
         wire::write_frame_io_epoch(&mut fake, TAG_HELLO, 0, &None::<String>).unwrap();

@@ -837,3 +837,123 @@ proptest! {
         );
     }
 }
+
+/// The reference cut for `build_fragments`, written the straightforward way:
+/// two assignment lookups per edge, hash sets of outer vertices and of
+/// mirror locations, assembled through [`Fragment::from_parts`] (the
+/// assembly `build_fragments` shares).
+fn reference_fragments<V: Clone + Default, E: Clone>(
+    graph: &CsrGraph<V, E>,
+    assignment: &PartitionAssignment,
+) -> Vec<Fragment<V, E>> {
+    use std::collections::HashSet;
+    let k = assignment.num_fragments().max(1);
+    let owner = |v: VertexId| assignment.fragment_of(v).unwrap_or(0);
+    let mut inner: Vec<Vec<VertexId>> = vec![Vec::new(); k];
+    for v in graph.vertices() {
+        inner[owner(v)].push(v);
+    }
+    let mut edges: Vec<Vec<(VertexId, VertexId, E)>> = vec![Vec::new(); k];
+    let mut outer: Vec<HashSet<VertexId>> = vec![HashSet::new(); k];
+    let mut mirrored_at: Vec<HashMap<VertexId, HashSet<usize>>> = vec![HashMap::new(); k];
+    for (s, d, w) in graph.edges() {
+        let (fs, fd) = (owner(s), owner(d));
+        edges[fs].push((s, d, w.clone()));
+        if fd != fs {
+            edges[fd].push((s, d, w.clone()));
+            outer[fd].insert(s);
+            outer[fs].insert(d);
+            mirrored_at[fs].entry(s).or_default().insert(fd);
+            mirrored_at[fd].entry(d).or_default().insert(fs);
+        }
+    }
+    (0..k)
+        .map(|f| {
+            let mut outer_list: Vec<VertexId> = outer[f].iter().copied().collect();
+            outer_list.sort_unstable();
+            let vertices = inner[f]
+                .iter()
+                .chain(&outer_list)
+                .map(|&v| (v, graph.vertex_data(v).cloned().unwrap_or_default()))
+                .collect();
+            let outer_owner = outer_list.iter().map(|&v| (v, owner(v) as u32)).collect();
+            let mut mirrored: Vec<(VertexId, Vec<u32>)> = mirrored_at[f]
+                .iter()
+                .map(|(&v, at)| {
+                    let mut at: Vec<u32> = at.iter().map(|&g| g as u32).collect();
+                    at.sort_unstable();
+                    (v, at)
+                })
+                .collect();
+            mirrored.sort_unstable_by_key(|&(v, _)| v);
+            Fragment::from_parts(grape::partition::FragmentParts {
+                id: f,
+                num_fragments: k,
+                vertices,
+                edges: std::mem::take(&mut edges[f]),
+                inner: std::mem::take(&mut inner[f]),
+                outer: outer_list,
+                outer_owner,
+                mirrored_at: mirrored,
+            })
+            .expect("reference fragment")
+        })
+        .collect()
+}
+
+/// Strategy: a graph with vertex payloads whose `n` ids are `i * stretch`,
+/// so the id index is direct (stretch 1 or 3) or sorted (stretch 1000).
+fn arb_cut_graph() -> impl Strategy<Value = CsrGraph<u32, f64>> {
+    (2usize..90, 1usize..300, 0usize..3).prop_flat_map(|(n, m, shape)| {
+        let stretch = [1u64, 3, 1000][shape];
+        let edges = proptest::collection::vec((0..n as u64, 0..n as u64, 1u32..20), 0..m);
+        edges.prop_map(move |edges| {
+            let mut b = GraphBuilder::<u32, f64>::new();
+            for v in 0..n as u64 {
+                b.add_vertex(v * stretch, v as u32 % 7);
+            }
+            for (s, d, w) in edges {
+                b.add_edge(s * stretch, d * stretch, w as f64 / 2.0);
+            }
+            b.build().expect("valid edges")
+        })
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The dense-index cut equals the hash-based reference on every built-in
+    /// strategy and on an assignment that leaves vertices out; k = 65 takes
+    /// the mirror masks into their second word.
+    #[test]
+    fn fragments_equal_the_reference_cut(graph in arb_cut_graph()) {
+        for k in [1usize, 2, 3, 4, 7, 65] {
+            let mut partial = PartitionAssignment::new(k);
+            for (i, v) in graph.vertices().enumerate() {
+                if i % 3 != 0 {
+                    partial.assign(v, i % k);
+                }
+            }
+            let mut assignments: Vec<PartitionAssignment> = BuiltinStrategy::all()
+                .iter()
+                .map(|strategy| strategy.partition(&graph, k))
+                .collect();
+            assignments.push(partial);
+            for assignment in &assignments {
+                let fragments = build_fragments(&graph, assignment);
+                let reference = reference_fragments(&graph, assignment);
+                prop_assert_eq!(fragments.len(), reference.len());
+                for (fragment, expected) in fragments.iter().zip(&reference) {
+                    prop_assert!(fragment == expected, "fragment {} of {}", fragment.id, k);
+                    prop_assert!(fragment.to_parts() == expected.to_parts());
+                }
+            }
+            // Vertices the partial assignment leaves out land on fragment 0.
+            let fragments = build_fragments(&graph, assignments.last().unwrap());
+            for v in graph.vertices().step_by(3) {
+                prop_assert!(fragments[0].is_inner(v), "vertex {}", v);
+            }
+        }
+    }
+}
