@@ -1,30 +1,33 @@
-//! Mutable-graph support: a delta overlay over the immutable [`CsrGraph`].
+//! Graph updates: the mutation batch, how a batch is checked and netted,
+//! and a delta overlay over the immutable [`CsrGraph`] that serves as the
+//! reference for what a batch does to a graph.
 //!
 //! GRAPE's IncEval is a *bounded incremental* algorithm, which only pays off
-//! if the graph can actually change between runs. [`CsrGraph`] is deliberately
-//! immutable (its packed arrays are what make the superstep loop fast), so
-//! mutability lives one layer up: a [`DeltaGraph`] wraps a CSR base and
-//! absorbs [`GraphMutation`] batches into small side structures —
+//! if the graph can actually change between runs. A batch of
+//! [`GraphMutation`]s is staged by [`stage_batch`] against a read-only
+//! [`LiveView`] of the graph: checked in batch order, and netted into the
+//! [`NetMutations`] that fragment holders splice. Staging changes nothing, so
+//! a holder can splice and ship first and commit last.
+//!
+//! Two views implement [`LiveView`]. A session's resident fragments are one
+//! (`grape_partition::FragmentView`): the owner of a vertex holds every edge
+//! incident to it. [`DeltaGraph`] is the other, and the reference the splice
+//! tests and the benchmark compare fragments against. It wraps a CSR base
+//! and folds each accepted batch's net effect into small side structures —
 //!
 //! * **inserted vertices** are appended after the base's dense range, so every
-//!   base vertex keeps its dense index (border tables, bitsets and slot maps
-//!   built against the base stay valid);
+//!   base vertex keeps its dense index;
 //! * **deleted vertices and edges** become tombstones consulted by the
 //!   read-through accessors, never holes in the packed arrays;
 //! * **inserted edges** live in a per-source overlay adjacency.
 //!
-//! Once the overlay grows past a threshold the delta is **compacted**: the
-//! live view is rebuilt into a fresh CSR base and the overlay reset. Dense
-//! indices may be reassigned at that point, which is why everything that
-//! survives across batches (converged run state, fragment seeds) is keyed by
-//! global [`VertexId`], not by dense index.
+//! [`DeltaGraph::snapshot`] materializes the live view as a fresh CSR.
 //!
-//! Each [`DeltaGraph::apply`] call returns the batch's [`AppliedBatch`]
-//! receipt: the *dirty set* (live vertices whose local neighbourhood changed
-//! — the initial IncEval frontier of an incremental run) and a
-//! [`MutationProfile`] that incremental seeders use to decide whether a warm
-//! start is sound for their algorithm (e.g. SSSP only for insert-only
-//! batches).
+//! Each staged batch comes with its [`AppliedBatch`] receipt: the *dirty
+//! set* (live vertices whose local neighbourhood changed — the initial
+//! IncEval frontier of an incremental run) and a [`MutationProfile`] that
+//! incremental seeders use to decide whether a warm start is sound for their
+//! algorithm (e.g. SSSP only for insert-only batches).
 
 use crate::csr::CsrGraph;
 use crate::types::{EdgeRecord, GraphError, VertexId};
@@ -33,14 +36,15 @@ use std::collections::{BTreeSet, HashMap, HashSet};
 
 /// A single graph update.
 ///
-/// Mutations are applied in batch order by [`DeltaGraph::apply`]; a batch is
+/// Mutations are staged in batch order by [`stage_batch`]; a batch is
 /// validated against the evolving state, so e.g. an edge may target a vertex
 /// inserted earlier in the same batch.
 #[derive(Debug, Clone, PartialEq)]
 pub enum GraphMutation<V, E> {
     /// Insert a new vertex. Fails if the id is already live, and also if it
-    /// was previously removed and not yet compacted away (resurrecting a
-    /// tombstoned dense slot would silently revive stale per-index state).
+    /// was ever removed — by an earlier batch or earlier in this one. An id
+    /// is never re-added, so state still keyed by it (its partition
+    /// placement, a cached converged partial) never meets a new vertex.
     AddVertex {
         /// Global id of the new vertex.
         id: VertexId,
@@ -259,7 +263,7 @@ impl<V: Wire, E: Wire> Wire for NetMutations<V, E> {
     }
 }
 
-/// Receipt of one applied mutation batch.
+/// Receipt of one staged or applied mutation batch.
 #[derive(Debug, Clone)]
 pub struct AppliedBatch<V, E> {
     /// Live vertices whose local neighbourhood changed: endpoints of
@@ -270,50 +274,220 @@ pub struct AppliedBatch<V, E> {
     pub dirty: Vec<VertexId>,
     /// Shape of the batch.
     pub profile: MutationProfile,
-    /// Whether applying this batch triggered a compaction (dense indices may
-    /// have been reassigned).
-    pub compacted: bool,
     /// The batch's net effect, ready to distribute to fragment holders.
     pub net: NetMutations<V, E>,
 }
 
+/// The read-only questions [`stage_batch`] asks of the graph a batch applies
+/// to. [`DeltaGraph`] answers them from its base and overlay; a resident
+/// fragment set answers them from the owner fragments and the partition
+/// assignment (`grape_partition::FragmentView`). One staging routine over
+/// both is what makes them agree on what a batch means.
+pub trait LiveView<V> {
+    /// Whether `v` is live.
+    fn contains(&self, v: VertexId) -> bool;
+    /// Whether `v` was live once and has been removed. Such an id is never
+    /// re-added: per-vertex state keyed by it elsewhere may still exist.
+    fn was_removed(&self, v: VertexId) -> bool;
+    /// Targets of the live out-edges of `v`, one per parallel copy; empty
+    /// unless `v` is live.
+    fn out_targets(&self, v: VertexId) -> Vec<VertexId>;
+    /// Sources of the live in-edges of `v`, one per parallel copy; empty
+    /// unless `v` is live.
+    fn in_sources(&self, v: VertexId) -> Vec<VertexId>;
+    /// Payload of a live vertex.
+    fn vertex_data(&self, v: VertexId) -> Option<&V>;
+}
+
+/// Checks a batch against `view` and nets it, without changing anything:
+/// either every mutation is valid against the view as the batch's earlier
+/// mutations left it, and the batch's receipt is returned, or the first
+/// offending mutation's error is.
+///
+/// Mutations apply in batch order, so an edge may target a vertex inserted
+/// earlier in the same batch. An id removed — by an earlier batch or earlier
+/// in this one — is never re-added.
+pub fn stage_batch<V: Clone, E: Clone>(
+    view: &(impl LiveView<V> + ?Sized),
+    batch: &[GraphMutation<V, E>],
+) -> Result<AppliedBatch<V, E>, GraphError> {
+    let mut staged = Staging {
+        view,
+        net: NetMutations::default(),
+        dirty: BTreeSet::new(),
+        born: HashSet::new(),
+        gone: HashSet::new(),
+        cut: HashSet::new(),
+    };
+    let mut profile = MutationProfile::default();
+    for m in batch {
+        staged.apply_one(m)?;
+        profile.record(m);
+    }
+    let dirty = staged
+        .dirty
+        .iter()
+        .copied()
+        .filter(|&v| staged.contains(v))
+        .collect();
+    Ok(AppliedBatch {
+        dirty,
+        profile,
+        net: staged.net,
+    })
+}
+
+/// One batch in flight over a read-only view: the view as it was before the
+/// batch, plus what the batch has done to it so far.
+struct Staging<'a, G: ?Sized, V, E> {
+    view: &'a G,
+    /// The net effect so far. Its added edges are exactly the live copies
+    /// this batch inserted, and its added vertices the live ids it inserted.
+    net: NetMutations<V, E>,
+    dirty: BTreeSet<VertexId>,
+    /// Ids of `net.added_vertices`.
+    born: HashSet<VertexId>,
+    /// Every id this batch removed, pre-batch vertices and its own.
+    gone: HashSet<VertexId>,
+    /// Pairs whose pre-batch copies this batch removed.
+    cut: HashSet<(VertexId, VertexId)>,
+}
+
+impl<G: LiveView<V> + ?Sized, V: Clone, E: Clone> Staging<'_, G, V, E> {
+    fn contains(&self, v: VertexId) -> bool {
+        self.born.contains(&v) || (!self.gone.contains(&v) && self.view.contains(v))
+    }
+
+    /// Whether a pre-batch copy of `s -> d` survives the batch so far.
+    fn pre_batch_edge_live(&self, s: VertexId, d: VertexId) -> bool {
+        !self.cut.contains(&(s, d)) && !self.gone.contains(&s) && !self.gone.contains(&d)
+    }
+
+    fn apply_one(&mut self, m: &GraphMutation<V, E>) -> Result<(), GraphError> {
+        match m {
+            GraphMutation::AddVertex { id, data } => {
+                if self.contains(*id) {
+                    return Err(GraphError::InvalidParameter(format!(
+                        "AddVertex: vertex {id} already exists"
+                    )));
+                }
+                if self.gone.contains(id) || self.view.was_removed(*id) {
+                    return Err(GraphError::InvalidParameter(format!(
+                        "AddVertex: vertex {id} was removed and cannot be re-inserted"
+                    )));
+                }
+                self.born.insert(*id);
+                self.net.added_vertices.push((*id, data.clone()));
+                self.dirty.insert(*id);
+            }
+            GraphMutation::RemoveVertex { id } => {
+                if !self.contains(*id) {
+                    return Err(GraphError::UnknownVertex(*id));
+                }
+                // Neighbours lose an edge: they are the dirty frontier. A
+                // vertex born in this batch has no pre-batch edges.
+                let id = *id;
+                if !self.born.contains(&id) {
+                    for d in self.view.out_targets(id) {
+                        if self.pre_batch_edge_live(id, d) {
+                            self.dirty.insert(d);
+                        }
+                    }
+                    for s in self.view.in_sources(id) {
+                        if self.pre_batch_edge_live(s, id) {
+                            self.dirty.insert(s);
+                        }
+                    }
+                }
+                for &(s, d, _) in &self.net.added_edges {
+                    if s == id {
+                        self.dirty.insert(d);
+                    }
+                    if d == id {
+                        self.dirty.insert(s);
+                    }
+                }
+                self.dirty.insert(id);
+                // Net effect: a same-batch insertion simply disappears;
+                // otherwise the pre-batch vertex is recorded as removed.
+                // Same-batch edges incident to the vertex disappear too.
+                self.net
+                    .added_edges
+                    .retain(|(s, d, _)| *s != id && *d != id);
+                if self.born.remove(&id) {
+                    self.net.added_vertices.retain(|(v, _)| *v != id);
+                } else {
+                    self.net.removed_vertices.push(id);
+                }
+                self.gone.insert(id);
+            }
+            GraphMutation::AddEdge { src, dst, data } => {
+                for v in [src, dst] {
+                    if !self.contains(*v) {
+                        return Err(GraphError::UnknownVertex(*v));
+                    }
+                }
+                self.net.added_edges.push((*src, *dst, data.clone()));
+                self.dirty.insert(*src);
+                self.dirty.insert(*dst);
+            }
+            GraphMutation::RemoveEdge { src, dst } => {
+                let (src, dst) = (*src, *dst);
+                let pre_batch_copy =
+                    self.pre_batch_edge_live(src, dst) && self.view.out_targets(src).contains(&dst);
+                let batch_copy = self
+                    .net
+                    .added_edges
+                    .iter()
+                    .any(|(s, d, _)| *s == src && *d == dst);
+                if !pre_batch_copy && !batch_copy {
+                    return Err(GraphError::InvalidParameter(format!(
+                        "RemoveEdge: no live edge {src} -> {dst}"
+                    )));
+                }
+                // Net effect: same-batch copies are cancelled outright, and
+                // the pair is recorded as removed (holders remove by pair, so
+                // recording it when no pre-batch copy exists matches nothing
+                // and is harmless).
+                self.net
+                    .added_edges
+                    .retain(|(s, d, _)| !(*s == src && *d == dst));
+                if self.cut.insert((src, dst)) {
+                    self.net.removed_edges.push((src, dst));
+                }
+                self.dirty.insert(src);
+                self.dirty.insert(dst);
+            }
+        }
+        Ok(())
+    }
+}
+
 /// A [`CsrGraph`] plus a mutation overlay: insertions appended, deletions
-/// tombstoned, compacted back into a fresh CSR past
-/// [`pending threshold`](DeltaGraph::with_threshold).
+/// tombstoned.
 ///
 /// See the [module docs](self) for the design.
 #[derive(Debug, Clone)]
 pub struct DeltaGraph<V, E> {
     base: CsrGraph<V, E>,
-    /// Ids of vertices inserted since the last compaction, in insertion
-    /// order; `added_ids[i]` has stable dense index `base.num_vertices() + i`.
+    /// Ids of inserted vertices, in insertion order; `added_ids[i]` has
+    /// stable dense index `base.num_vertices() + i`.
     added_ids: Vec<VertexId>,
     added_index: HashMap<VertexId, u32>,
     added_data: Vec<V>,
-    /// Tombstoned vertices (base vertices only — removing an added vertex
-    /// also tombstones it so its id cannot be re-inserted before compaction).
+    /// Removed vertices, base and inserted alike: an id stays here for good,
+    /// so it is never re-added.
     removed_vertices: HashSet<VertexId>,
-    /// Overlay adjacency: edges inserted since the last compaction. Invariant:
-    /// every entry is live (incident removals purge the overlay eagerly).
+    /// Overlay adjacency: inserted edges. Invariant: every entry is live
+    /// (removals purge the overlay eagerly).
     extra_out: HashMap<VertexId, Vec<(VertexId, E)>>,
     /// Tombstoned base edges: `(src, dst)` suppresses every base copy.
     removed_edges: HashSet<(VertexId, VertexId)>,
-    pending_ops: usize,
-    threshold: usize,
 }
 
 impl<V: Clone + Default, E: Clone> DeltaGraph<V, E> {
-    /// Default number of pending mutations before a compaction.
-    pub const DEFAULT_COMPACTION_THRESHOLD: usize = 4096;
-
-    /// Wraps a base graph with the default compaction threshold.
+    /// Wraps a base graph with an empty overlay.
     pub fn new(base: CsrGraph<V, E>) -> Self {
-        Self::with_threshold(base, Self::DEFAULT_COMPACTION_THRESHOLD)
-    }
-
-    /// Wraps a base graph, compacting once `threshold` mutations are pending.
-    /// A threshold of 0 compacts after every batch.
-    pub fn with_threshold(base: CsrGraph<V, E>, threshold: usize) -> Self {
         Self {
             base,
             added_ids: Vec::new(),
@@ -322,19 +496,7 @@ impl<V: Clone + Default, E: Clone> DeltaGraph<V, E> {
             removed_vertices: HashSet::new(),
             extra_out: HashMap::new(),
             removed_edges: HashSet::new(),
-            pending_ops: 0,
-            threshold,
         }
-    }
-
-    /// The current CSR base (excludes the overlay).
-    pub fn base(&self) -> &CsrGraph<V, E> {
-        &self.base
-    }
-
-    /// Mutations applied since the last compaction.
-    pub fn pending_ops(&self) -> usize {
-        self.pending_ops
     }
 
     /// Whether `v` is live (present and not tombstoned).
@@ -362,8 +524,8 @@ impl<V: Clone + Default, E: Clone> DeltaGraph<V, E> {
     }
 
     /// The stable dense index of a live vertex: its base index, or appended
-    /// after the base range for vertices inserted since the last compaction.
-    /// `None` for tombstoned / unknown vertices.
+    /// after the base range for inserted vertices. `None` for tombstoned /
+    /// unknown vertices.
     pub fn dense_index(&self, v: VertexId) -> Option<u32> {
         if self.removed_vertices.contains(&v) {
             return None;
@@ -405,11 +567,9 @@ impl<V: Clone + Default, E: Clone> DeltaGraph<V, E> {
         if !self.contains(v) {
             return out;
         }
-        if self.base.contains(v) {
-            for (d, data) in self.base.out_edges(v) {
-                if self.base_edge_live(v, d) {
-                    out.push((d, data.clone()));
-                }
+        for (d, data) in self.base.out_edges(v) {
+            if self.base_edge_live(v, d) {
+                out.push((d, data.clone()));
             }
         }
         if let Some(extra) = self.extra_out.get(&v) {
@@ -448,90 +608,43 @@ impl<V: Clone + Default, E: Clone> DeltaGraph<V, E> {
             && !self.removed_vertices.contains(&d)
     }
 
-    /// Applies a mutation batch atomically: either every mutation is applied
-    /// (and the receipt returned), or the graph is left untouched and the
-    /// first offending mutation's error is returned.
-    ///
-    /// Triggers a compaction when the pending-mutation count crosses the
-    /// threshold; `AppliedBatch::compacted` reports it so callers know dense
-    /// indices may have been reassigned.
+    /// Applies a mutation batch atomically: [`stage_batch`] checks and nets
+    /// it against the live view, and only an accepted batch's net effect is
+    /// folded into the overlay. On `Err` the graph is untouched.
     pub fn apply(
         &mut self,
         batch: &[GraphMutation<V, E>],
     ) -> Result<AppliedBatch<V, E>, GraphError> {
-        // Stage on a clone of the overlay state; the base is shared and never
-        // mutated here, so cloning is proportional to the delta, not the graph.
-        let mut staged = self.clone_overlay();
-        let mut dirty: BTreeSet<VertexId> = BTreeSet::new();
-        let mut profile = MutationProfile::default();
-        let mut net = NetMutations::default();
-        for m in batch {
-            staged.apply_one(m, &mut dirty, &mut net)?;
-            profile.record(m);
+        let applied = stage_batch(self, batch)?;
+        let net = &applied.net;
+        for &v in &net.removed_vertices {
+            self.removed_vertices.insert(v);
+            self.extra_out.remove(&v);
         }
-        // Commit: destructure the staged overlay first so the borrow of
-        // `self.base` it carries ends before `self` is mutated.
-        let OverlayState {
-            base: _,
-            added_ids,
-            added_index,
-            added_data,
-            removed_vertices,
-            extra_out,
-            removed_edges,
-        } = staged;
-        self.added_ids = added_ids;
-        self.added_index = added_index;
-        self.added_data = added_data;
-        self.removed_vertices = removed_vertices;
-        self.extra_out = extra_out;
-        self.removed_edges = removed_edges;
-        self.pending_ops += batch.len();
-        let dirty: Vec<VertexId> = dirty.into_iter().filter(|&v| self.contains(v)).collect();
-        let compacted = self.pending_ops >= self.threshold && self.pending_ops > 0;
-        if compacted {
-            self.compact();
+        for &(s, d) in &net.removed_edges {
+            self.removed_edges.insert((s, d));
+            if let Some(extra) = self.extra_out.get_mut(&s) {
+                extra.retain(|(t, _)| *t != d);
+            }
         }
-        Ok(AppliedBatch {
-            dirty,
-            profile,
-            compacted,
-            net,
-        })
-    }
-
-    fn clone_overlay(&self) -> OverlayState<'_, V, E> {
-        OverlayState {
-            base: &self.base,
-            added_ids: self.added_ids.clone(),
-            added_index: self.added_index.clone(),
-            added_data: self.added_data.clone(),
-            removed_vertices: self.removed_vertices.clone(),
-            extra_out: self.extra_out.clone(),
-            removed_edges: self.removed_edges.clone(),
+        if !net.removed_vertices.is_empty() {
+            for extra in self.extra_out.values_mut() {
+                extra.retain(|(d, _)| !self.removed_vertices.contains(d));
+            }
         }
-    }
-
-    /// Rebuilds the base CSR from the live view and clears the overlay.
-    /// Dense indices may be reassigned (vertex ids are re-sorted); everything
-    /// that outlives a compaction must be keyed by global id.
-    pub fn compact(&mut self) {
-        let vertices: Vec<(VertexId, V)> = self
-            .vertices()
-            .into_iter()
-            .map(|v| (v, self.vertex_data(v).cloned().unwrap_or_default()))
-            .collect();
-        let edges = self.live_edges();
-        let with_reverse = self.base.has_reverse();
-        self.base = CsrGraph::from_records(vertices, edges, with_reverse)
-            .expect("live view is internally consistent");
-        self.added_ids.clear();
-        self.added_index.clear();
-        self.added_data.clear();
-        self.removed_vertices.clear();
-        self.extra_out.clear();
-        self.removed_edges.clear();
-        self.pending_ops = 0;
+        self.extra_out.retain(|_, extra| !extra.is_empty());
+        for (v, data) in &net.added_vertices {
+            self.added_index.insert(*v, self.added_ids.len() as u32);
+            self.added_ids.push(*v);
+            self.added_data.push(data.clone());
+        }
+        for (s, d, data) in &net.added_edges {
+            self.extra_out
+                .entry(*s)
+                .or_default()
+                .push((*d, data.clone()));
+        }
+        Ok(applied)
     }
 
     /// Materializes the live view as a fresh CSR (the overlay is untouched).
@@ -547,175 +660,55 @@ impl<V: Clone + Default, E: Clone> DeltaGraph<V, E> {
     }
 }
 
-/// The staged overlay of an in-flight [`DeltaGraph::apply`] batch.
-struct OverlayState<'a, V, E> {
-    base: &'a CsrGraph<V, E>,
-    added_ids: Vec<VertexId>,
-    added_index: HashMap<VertexId, u32>,
-    added_data: Vec<V>,
-    removed_vertices: HashSet<VertexId>,
-    extra_out: HashMap<VertexId, Vec<(VertexId, E)>>,
-    removed_edges: HashSet<(VertexId, VertexId)>,
-}
-
-impl<V: Clone, E: Clone> OverlayState<'_, V, E> {
+impl<V: Clone + Default, E: Clone> LiveView<V> for DeltaGraph<V, E> {
     fn contains(&self, v: VertexId) -> bool {
-        !self.removed_vertices.contains(&v)
-            && (self.base.contains(v) || self.added_index.contains_key(&v))
+        DeltaGraph::contains(self, v)
     }
 
-    fn base_edge_live(&self, s: VertexId, d: VertexId) -> bool {
-        !self.removed_edges.contains(&(s, d))
-            && !self.removed_vertices.contains(&s)
-            && !self.removed_vertices.contains(&d)
+    fn was_removed(&self, v: VertexId) -> bool {
+        self.removed_vertices.contains(&v)
     }
 
-    fn apply_one(
-        &mut self,
-        m: &GraphMutation<V, E>,
-        dirty: &mut BTreeSet<VertexId>,
-        net: &mut NetMutations<V, E>,
-    ) -> Result<(), GraphError> {
-        match m {
-            GraphMutation::AddVertex { id, data } => {
-                if self.contains(*id) {
-                    return Err(GraphError::InvalidParameter(format!(
-                        "AddVertex: vertex {id} already exists"
-                    )));
-                }
-                if self.removed_vertices.contains(id) || self.base.contains(*id) {
-                    return Err(GraphError::InvalidParameter(format!(
-                        "AddVertex: vertex {id} was removed and cannot be re-inserted \
-                         before compaction"
-                    )));
-                }
-                self.added_index.insert(*id, self.added_ids.len() as u32);
-                self.added_ids.push(*id);
-                self.added_data.push(data.clone());
-                net.added_vertices.push((*id, data.clone()));
-                dirty.insert(*id);
-            }
-            GraphMutation::RemoveVertex { id } => {
-                if !self.contains(*id) {
-                    return Err(GraphError::UnknownVertex(*id));
-                }
-                // Neighbours lose an edge: they are the dirty frontier.
-                for (d, _) in self.live_out_edges(*id) {
-                    dirty.insert(d);
-                }
-                for s in self.live_in_sources(*id) {
-                    dirty.insert(s);
-                }
-                dirty.insert(*id);
-                // Purge overlay edges incident to the vertex so the overlay
-                // invariant (everything in extra_out is live) holds.
-                self.extra_out.remove(id);
-                for extra in self.extra_out.values_mut() {
-                    extra.retain(|(d, _)| d != id);
-                }
-                self.extra_out.retain(|_, extra| !extra.is_empty());
-                self.removed_vertices.insert(*id);
-                // Net effect: a same-batch insertion simply disappears;
-                // otherwise the pre-batch vertex is recorded as removed.
-                // Same-batch edges incident to the vertex disappear too.
-                net.added_edges.retain(|(s, d, _)| s != id && d != id);
-                if let Some(pos) = net.added_vertices.iter().position(|(v, _)| v == id) {
-                    net.added_vertices.remove(pos);
-                } else {
-                    net.removed_vertices.push(*id);
-                }
-            }
-            GraphMutation::AddEdge { src, dst, data } => {
-                for v in [src, dst] {
-                    if !self.contains(*v) {
-                        return Err(GraphError::UnknownVertex(*v));
-                    }
-                }
-                self.extra_out
-                    .entry(*src)
-                    .or_default()
-                    .push((*dst, data.clone()));
-                net.added_edges.push((*src, *dst, data.clone()));
-                dirty.insert(*src);
-                dirty.insert(*dst);
-            }
-            GraphMutation::RemoveEdge { src, dst } => {
-                let mut removed_any = false;
-                if self.base.contains(*src)
-                    && self.base_edge_live(*src, *dst)
-                    && self.base.out_edges(*src).any(|(d, _)| d == *dst)
-                {
-                    self.removed_edges.insert((*src, *dst));
-                    removed_any = true;
-                }
-                if let Some(extra) = self.extra_out.get_mut(src) {
-                    let before = extra.len();
-                    extra.retain(|(d, _)| d != dst);
-                    if extra.len() < before {
-                        removed_any = true;
-                    }
-                    if extra.is_empty() {
-                        self.extra_out.remove(src);
-                    }
-                }
-                if !removed_any {
-                    return Err(GraphError::InvalidParameter(format!(
-                        "RemoveEdge: no live edge {src} -> {dst}"
-                    )));
-                }
-                // Net effect: same-batch copies are cancelled outright, and
-                // the pair is recorded as removed (holders remove by pair, so
-                // recording it when no pre-batch copy exists matches nothing
-                // and is harmless).
-                net.added_edges.retain(|(s, d, _)| !(s == src && d == dst));
-                if !net.removed_edges.contains(&(*src, *dst)) {
-                    net.removed_edges.push((*src, *dst));
-                }
-                dirty.insert(*src);
-                dirty.insert(*dst);
-            }
+    fn out_targets(&self, v: VertexId) -> Vec<VertexId> {
+        if !DeltaGraph::contains(self, v) {
+            return Vec::new();
         }
-        Ok(())
+        let base = self.base.out_edges(v).map(|(d, _)| d);
+        let extra = self
+            .extra_out
+            .get(&v)
+            .into_iter()
+            .flatten()
+            .map(|(d, _)| *d);
+        base.filter(|&d| self.base_edge_live(v, d))
+            .chain(extra)
+            .collect()
     }
 
-    fn live_out_edges(&self, v: VertexId) -> Vec<(VertexId, ())> {
+    fn in_sources(&self, v: VertexId) -> Vec<VertexId> {
         let mut out = Vec::new();
-        if self.base.contains(v) && !self.removed_vertices.contains(&v) {
-            for (d, _) in self.base.out_edges(v) {
-                if self.base_edge_live(v, d) {
-                    out.push((d, ()));
-                }
-            }
+        if !DeltaGraph::contains(self, v) {
+            return out;
         }
-        if let Some(extra) = self.extra_out.get(&v) {
-            out.extend(extra.iter().map(|(d, _)| (*d, ())));
+        if self.base.has_reverse() {
+            out.extend(self.base.in_edges(v).map(|(s, _)| s));
+        } else {
+            out.extend(
+                self.base
+                    .edges()
+                    .filter(|(_, d, _)| *d == v)
+                    .map(|(s, _, _)| s),
+            );
         }
-        out
-    }
-
-    fn live_in_sources(&self, v: VertexId) -> Vec<VertexId> {
-        let mut out = Vec::new();
-        if self.base.contains(v) && !self.removed_vertices.contains(&v) {
-            if self.base.has_reverse() {
-                for (s, _) in self.base.in_edges(v) {
-                    if self.base_edge_live(s, v) {
-                        out.push(s);
-                    }
-                }
-            } else {
-                for (s, d, _) in self.base.edges() {
-                    if d == v && self.base_edge_live(s, d) {
-                        out.push(s);
-                    }
-                }
-            }
-        }
+        out.retain(|&s| self.base_edge_live(s, v));
         for (s, extra) in &self.extra_out {
-            if extra.iter().any(|(d, _)| *d == v) {
-                out.push(*s);
-            }
+            out.extend(extra.iter().filter(|(d, _)| *d == v).map(|_| *s));
         }
         out
+    }
+
+    fn vertex_data(&self, v: VertexId) -> Option<&V> {
+        DeltaGraph::vertex_data(self, v)
     }
 }
 
@@ -754,7 +747,6 @@ mod tests {
             .unwrap();
         assert_eq!(receipt.dirty, vec![0, 3, 9]);
         assert!(receipt.profile.insert_only());
-        assert!(!receipt.compacted);
         assert_eq!(dg.num_vertices(), 5);
         assert_eq!(dg.num_edges(), 6);
         assert!(dg.contains(9));
@@ -808,7 +800,7 @@ mod tests {
             .apply(&[GraphMutation::RemoveEdge { src: 1, dst: 0 }])
             .is_err());
         assert!(dg.apply(&[GraphMutation::RemoveVertex { id: 42 }]).is_err());
-        // A removed vertex id cannot be resurrected before compaction.
+        // A removed vertex id is never resurrected.
         dg.apply(&[GraphMutation::RemoveVertex { id: 1 }]).unwrap();
         assert!(dg
             .apply(&[GraphMutation::AddVertex { id: 1, data: () }])
@@ -830,38 +822,6 @@ mod tests {
         // though the base copies stay suppressed.
         dg.apply(&[add_edge(0, 1, 4.0)]).unwrap();
         assert_eq!(dg.out_edges(0), vec![(1, 4.0)]);
-    }
-
-    #[test]
-    fn compaction_fires_on_threshold_and_preserves_the_live_view() {
-        let mut dg = DeltaGraph::with_threshold(diamond(), 3);
-        let before = {
-            let r = dg
-                .apply(&[
-                    GraphMutation::AddVertex { id: 7, data: () },
-                    add_edge(7, 0, 9.0),
-                ])
-                .unwrap();
-            assert!(!r.compacted);
-            (dg.num_vertices(), dg.num_edges())
-        };
-        let r = dg
-            .apply(&[GraphMutation::RemoveEdge { src: 0, dst: 1 }])
-            .unwrap();
-        assert!(r.compacted);
-        assert_eq!(dg.pending_ops(), 0);
-        assert_eq!(dg.num_vertices(), before.0);
-        assert_eq!(dg.num_edges(), before.1 - 1);
-        // The overlay is folded into the base; the view is unchanged.
-        assert!(dg.base().contains(7));
-        assert_eq!(dg.out_edges(7), vec![(0, 9.0)]);
-        assert!(dg.out_edges(0).iter().all(|(d, _)| *d != 1));
-        // A removed id is usable again after compaction.
-        dg.apply(&[GraphMutation::RemoveVertex { id: 7 }]).unwrap();
-        dg.compact();
-        dg.apply(&[GraphMutation::AddVertex { id: 7, data: () }])
-            .unwrap();
-        assert!(dg.contains(7));
     }
 
     #[test]

@@ -11,10 +11,11 @@
 //!   data.
 //! * [`GraphBuilder`] — an edge-at-a-time builder that produces a
 //!   [`CsrGraph`].
-//! * [`delta`] — a mutation overlay ([`DeltaGraph`]) that makes the immutable
-//!   CSR updatable: edge/vertex insert + delete with tombstones, stable dense
-//!   indices, and threshold-triggered compaction — the substrate of the
-//!   cross-run incremental (streaming-update) path.
+//! * [`delta`] — graph updates for the cross-run incremental
+//!   (streaming-update) path: [`GraphMutation`] batches, [`stage_batch`],
+//!   which checks and nets a batch against any read-only [`LiveView`], and
+//!   [`DeltaGraph`], a CSR plus a mutation overlay (inserts appended,
+//!   deletes tombstoned) that serves as the reference view.
 //! * [`dense`] — flat per-vertex state keyed by the dense `0..n` CSR indices
 //!   ([`VertexDenseMap`], [`DenseBitset`]), the fast path used by the hot
 //!   algorithm loops instead of `HashMap<VertexId, T>`.
@@ -45,7 +46,9 @@ pub mod types;
 
 pub use builder::GraphBuilder;
 pub use csr::CsrGraph;
-pub use delta::{AppliedBatch, DeltaGraph, GraphMutation, MutationProfile, NetMutations};
+pub use delta::{
+    stage_batch, AppliedBatch, DeltaGraph, GraphMutation, LiveView, MutationProfile, NetMutations,
+};
 pub use dense::{
     merge_join, merge_walk, strictly_ascending, union_ranks, DenseBitset, VertexDenseMap,
 };

@@ -102,8 +102,8 @@ fn expand(live: &DeltaGraph<u8, u32>, (kind, a, b, w): Draw) -> Vec<Mutation> {
 
 fn check(n: usize, edges: &[(u64, u64, u32)], batches: &[Vec<Draw>], with_reverse: bool) {
     let mut patched = base_graph(n, edges, with_reverse);
-    // Never compacts: the overlay keeps the live view, the splice keeps up.
-    let mut live = DeltaGraph::with_threshold(patched.clone(), usize::MAX);
+    // The overlay keeps the live view, the splice keeps up.
+    let mut live = DeltaGraph::new(patched.clone());
     for draws in batches {
         // Draws that the evolving graph rejects (a duplicate vertex id, say)
         // are dropped one by one; the rest form the batch.

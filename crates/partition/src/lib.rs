@@ -25,7 +25,7 @@ pub mod streaming;
 pub use assignment::{FragmentId, PartitionAssignment};
 pub use fragment::{build_fragments, Fragment, FragmentParts};
 pub use multilevel::MetisLikePartitioner;
-pub use mutate::{resolve_net_mutations, ResolvedMutations};
+pub use mutate::{resolve_net_mutations, FragmentView, ResolvedMutations};
 pub use quality::{evaluate_partition, PartitionQuality};
 pub use strategy::{
     hash_fragment_of, Grid2DPartitioner, HashPartitioner, Partitioner, RangePartitioner,

@@ -1,17 +1,21 @@
 //! Fragment mutation: applying a resolved update batch to a resident
 //! [`Fragment`] without re-cutting the whole graph.
 //!
-//! The flow mirrors how a coordinator distributes work. The graph holder
-//! (a session / service) applies a user batch to its
-//! [`DeltaGraph`](grape_graph::DeltaGraph) and obtains the batch's
-//! [`NetMutations`]. [`resolve_net_mutations`] then stamps every referenced
-//! vertex with its owner fragment — existing vertices keep their assignment,
-//! inserted vertices are placed by [`hash_fragment_of`] — and attaches the
-//! payloads a fragment might need for brand-new mirrors. The resulting
-//! [`ResolvedMutations`] batch is fully self-contained: each fragment applies
-//! it *locally and deterministically* with [`Fragment::splice_mutations`] (or
-//! its by-value wrapper [`Fragment::apply_mutations`]), no global graph in
-//! sight.
+//! The flow mirrors how a coordinator distributes work. The resident
+//! fragments are the graph: the owner of a vertex holds every edge incident
+//! to it. The graph holder (a session / service) stages a user batch against
+//! them through a [`FragmentView`] with [`stage_batch`](grape_graph::stage_batch),
+//! read-only, and obtains the batch's [`NetMutations`].
+//! [`ResolvedMutations::resolve`] then stamps every referenced vertex with
+//! its owner fragment — existing vertices keep their assignment, inserted
+//! vertices are placed by [`hash_fragment_of`] — and attaches the payloads a
+//! fragment might need for brand-new mirrors, still without changing the
+//! assignment. The resulting [`ResolvedMutations`] batch is fully
+//! self-contained: each fragment applies it *locally and deterministically*
+//! with [`Fragment::splice_mutations`] (or its by-value wrapper
+//! [`Fragment::apply_mutations`]), no global graph in sight. Only once every
+//! holder has the batch does the holder record its
+//! [`placements`](ResolvedMutations::placements) in the assignment.
 //!
 //! **Cost model.** Only touched fragments do any work: a fragment decides in
 //! O(batch) whether the batch concerns it (an inserted vertex or edge endpoint
@@ -28,7 +32,8 @@
 //! fragments of graph `G` yields fragments **bit-identical** to cutting the
 //! updated graph `G'` from scratch with [`build_fragments`] under the updated
 //! assignment — same CSR edge order (surviving copies keep their order, net
-//! additions append in insertion order, exactly like the delta overlay), same
+//! additions append in insertion order, exactly like
+//! [`DeltaGraph`](grape_graph::DeltaGraph)'s overlay), same
 //! border tables, same dense indices. That is what lets an incremental run on
 //! mutated fragments reproduce a cold run on `G'` bit for bit, even for
 //! order-sensitive float accumulations.
@@ -37,9 +42,73 @@ use crate::assignment::{FragmentId, PartitionAssignment};
 use crate::fragment::{assemble_fragment, Fragment};
 use crate::strategy::hash_fragment_of;
 use grape_comm::wire::{Wire, WireError, WireReader};
-use grape_graph::delta::NetMutations;
+use grape_graph::delta::{LiveView, NetMutations};
 use grape_graph::{GraphError, VertexId};
+use std::borrow::Borrow;
 use std::collections::{BTreeSet, HashMap, HashSet};
+
+/// A resident fragment set read as the live graph, for staging a batch
+/// against it ([`LiveView`]).
+///
+/// The owner of `v` is `assignment.fragment_of(v)`, or fragment 0 when the
+/// assignment does not name one — the rule of [`crate::build_fragments`].
+/// `v` is live when its owner holds it as an inner vertex, and removed when
+/// the assignment names it but it is not live. That takes an assignment that
+/// names every vertex of the graph it cut, as every
+/// [`BuiltinStrategy`](crate::BuiltinStrategy) does, extended with the
+/// [`placements`](ResolvedMutations::placements) of each committed batch: it
+/// then keeps every vertex that was ever live. The owner's local CSR holds
+/// every edge incident to an inner vertex, in both directions, and its
+/// payload.
+pub struct FragmentView<'a, V, E> {
+    fragments: Vec<&'a Fragment<V, E>>,
+    assignment: &'a PartitionAssignment,
+}
+
+impl<'a, V: Clone, E: Clone> FragmentView<'a, V, E> {
+    /// Views `fragments`, cut under `assignment`.
+    pub fn new<F: Borrow<Fragment<V, E>>>(
+        fragments: &'a [F],
+        assignment: &'a PartitionAssignment,
+    ) -> Self {
+        FragmentView {
+            fragments: fragments.iter().map(Borrow::borrow).collect(),
+            assignment,
+        }
+    }
+
+    /// The fragment that owns `v`, if `v` is live.
+    fn live_owner(&self, v: VertexId) -> Option<&'a Fragment<V, E>> {
+        let owner = self.assignment.fragment_of(v).unwrap_or(0);
+        self.fragments.get(owner).copied().filter(|f| f.is_inner(v))
+    }
+}
+
+impl<V: Clone, E: Clone> LiveView<V> for FragmentView<'_, V, E> {
+    fn contains(&self, v: VertexId) -> bool {
+        self.live_owner(v).is_some()
+    }
+
+    fn was_removed(&self, v: VertexId) -> bool {
+        self.assignment.fragment_of(v).is_some() && !self.contains(v)
+    }
+
+    fn out_targets(&self, v: VertexId) -> Vec<VertexId> {
+        self.live_owner(v)
+            .map(|f| f.graph.out_edges(v).map(|(d, _)| d).collect())
+            .unwrap_or_default()
+    }
+
+    fn in_sources(&self, v: VertexId) -> Vec<VertexId> {
+        self.live_owner(v)
+            .map(|f| f.graph.in_edges(v).map(|(s, _)| s).collect())
+            .unwrap_or_default()
+    }
+
+    fn vertex_data(&self, v: VertexId) -> Option<&V> {
+        self.live_owner(v).and_then(|f| f.graph.vertex_data(v))
+    }
+}
 
 /// A net mutation batch resolved against the partition: every vertex the
 /// batch references carries its owner fragment, and endpoints that may be
@@ -82,48 +151,79 @@ impl<V: Wire, E: Wire> Wire for ResolvedMutations<V, E> {
     }
 }
 
-/// Resolves a net mutation batch against the partition assignment.
-///
-/// Inserted vertices that the assignment has never seen are placed by the
-/// [`hash_fragment_of`] rule and **recorded into `assignment`**, so later
-/// batches (and a from-scratch cut of the updated graph under this
-/// assignment) agree on ownership. `payload_of` supplies the payload of an
-/// existing vertex (typically `DeltaGraph::vertex_data`), consulted only for
-/// inserted-edge endpoints.
+impl<V: Clone, E: Clone> ResolvedMutations<V, E> {
+    /// Resolves a net mutation batch against the partition assignment,
+    /// leaving it as it is.
+    ///
+    /// An inserted vertex the assignment has never seen is placed by the
+    /// [`hash_fragment_of`] rule; that placement travels in
+    /// [`owners`](Self::owners) and reaches the assignment only through
+    /// [`placements`](Self::placements). `payload_of` supplies the payload of
+    /// an existing vertex (typically the staging view's `vertex_data`),
+    /// consulted only for inserted-edge endpoints.
+    pub fn resolve(
+        net: NetMutations<V, E>,
+        assignment: &PartitionAssignment,
+        payload_of: impl Fn(VertexId) -> Option<V>,
+    ) -> Self {
+        let k = assignment.num_fragments();
+        let inserted: HashSet<VertexId> = net.added_vertices.iter().map(|(v, _)| *v).collect();
+        let mut referenced: BTreeSet<VertexId> = inserted.iter().copied().collect();
+        for (s, d, _) in &net.added_edges {
+            referenced.insert(*s);
+            referenced.insert(*d);
+        }
+        let owners: Vec<(VertexId, u32)> = referenced
+            .iter()
+            .map(|&v| {
+                let fallback = if inserted.contains(&v) {
+                    hash_fragment_of(v, k)
+                } else {
+                    0
+                };
+                (v, assignment.fragment_of(v).unwrap_or(fallback) as u32)
+            })
+            .collect();
+        let endpoint_data: Vec<(VertexId, V)> = referenced
+            .iter()
+            .filter(|v| !inserted.contains(v))
+            .filter_map(|&v| payload_of(v).map(|d| (v, d)))
+            .collect();
+        ResolvedMutations {
+            net,
+            owners,
+            endpoint_data,
+        }
+    }
+
+    /// The `(vertex, fragment)` entries committing this batch adds to
+    /// `assignment`: every inserted vertex it has never seen, at its owner.
+    pub fn placements(&self, assignment: &PartitionAssignment) -> Vec<(VertexId, FragmentId)> {
+        let owner = |v: &VertexId| self.owners.binary_search_by_key(v, |&(u, _)| u).ok();
+        self.net
+            .added_vertices
+            .iter()
+            .filter(|(v, _)| assignment.fragment_of(*v).is_none())
+            .filter_map(|(v, _)| owner(v).map(|i| (*v, self.owners[i].1 as FragmentId)))
+            .collect()
+    }
+}
+
+/// Resolves a net mutation batch against the partition assignment
+/// ([`ResolvedMutations::resolve`]) and records the batch's
+/// [`placements`](ResolvedMutations::placements) into `assignment` at once,
+/// so later batches (and a from-scratch cut of the updated graph under this
+/// assignment) agree on ownership.
 pub fn resolve_net_mutations<V: Clone, E: Clone>(
     net: NetMutations<V, E>,
     assignment: &mut PartitionAssignment,
     payload_of: impl Fn(VertexId) -> Option<V>,
 ) -> ResolvedMutations<V, E> {
-    let k = assignment.num_fragments();
-    for (v, _) in &net.added_vertices {
-        if assignment.fragment_of(*v).is_none() {
-            assignment.assign(*v, hash_fragment_of(*v, k));
-        }
+    let resolved = ResolvedMutations::resolve(net, assignment, payload_of);
+    for (v, f) in resolved.placements(assignment) {
+        assignment.assign(v, f);
     }
-    let mut referenced: BTreeSet<VertexId> = BTreeSet::new();
-    for (v, _) in &net.added_vertices {
-        referenced.insert(*v);
-    }
-    for (s, d, _) in &net.added_edges {
-        referenced.insert(*s);
-        referenced.insert(*d);
-    }
-    let owners: Vec<(VertexId, u32)> = referenced
-        .iter()
-        .map(|&v| (v, assignment.fragment_of(v).unwrap_or(0) as u32))
-        .collect();
-    let inserted: HashSet<VertexId> = net.added_vertices.iter().map(|(v, _)| *v).collect();
-    let endpoint_data: Vec<(VertexId, V)> = referenced
-        .iter()
-        .filter(|v| !inserted.contains(v))
-        .filter_map(|&v| payload_of(v).map(|d| (v, d)))
-        .collect();
-    ResolvedMutations {
-        net,
-        owners,
-        endpoint_data,
-    }
+    resolved
 }
 
 impl<V: Clone + Default, E: Clone> Fragment<V, E> {

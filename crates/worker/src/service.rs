@@ -80,14 +80,14 @@ use grape_core::{
     decode_fragment, encode_fragment_epoch, ConvergedState, DeltaLog, EngineConfig, GrapeEngine,
     IncrementalSeed, MutationProfile, PieProgram, RunStats, VertexId, TAG_FRAGMENT,
 };
-use grape_graph::delta::GraphMutation;
+use grape_graph::delta::{stage_batch, GraphMutation, LiveView};
 use grape_graph::generators::{
     barabasi_albert, labeled_social, road_network, RoadNetworkConfig, SocialGraphConfig,
 };
 use grape_graph::labels::{LabeledGraph, LabeledVertex};
-use grape_graph::{DeltaGraph, WeightedGraph};
+use grape_graph::WeightedGraph;
 use grape_partition::{
-    build_fragments, resolve_net_mutations, BuiltinStrategy, Fragment, PartitionAssignment,
+    build_fragments, BuiltinStrategy, Fragment, FragmentId, FragmentView, PartitionAssignment,
     ResolvedMutations,
 };
 use std::collections::HashMap;
@@ -509,6 +509,18 @@ pub(crate) enum SessionFragments {
     Labeled(Vec<Arc<Fragment<LabeledVertex, String>>>),
 }
 
+impl From<Vec<Arc<Fragment<(), f64>>>> for SessionFragments {
+    fn from(fragments: Vec<Arc<Fragment<(), f64>>>) -> Self {
+        SessionFragments::Weighted(fragments)
+    }
+}
+
+impl From<Vec<Arc<Fragment<LabeledVertex, String>>>> for SessionFragments {
+    fn from(fragments: Vec<Arc<Fragment<LabeledVertex, String>>>) -> Self {
+        SessionFragments::Labeled(fragments)
+    }
+}
+
 impl SessionFragments {
     /// Cuts `graph` into `workers` fragments with `strategy`.
     pub(crate) fn cut(
@@ -550,13 +562,6 @@ impl SessionFragments {
     }
 }
 
-/// The loaded graph's delta overlay, per family — the session's source of
-/// truth for the live graph, mutated by [`Session::update`].
-enum SessionDelta {
-    Weighted(DeltaGraph<(), f64>),
-    Labeled(DeltaGraph<LabeledVertex, String>),
-}
-
 /// A mutation batch submitted through [`Session::update`], in the family of
 /// the loaded graph.
 #[derive(Debug, Clone)]
@@ -591,17 +596,22 @@ pub struct UpdateReceipt {
 }
 
 /// A graph made resident by [`Session::load`] and kept live across
-/// [`Session::update`] batches.
+/// [`Session::update`] batches. The fragments are the graph: the owner of a
+/// vertex holds every edge incident to it, and the assignment names the
+/// owner, so the session keeps no other copy. An update stages against them,
+/// splices into new fragments, ships, and only then commits — fragments,
+/// placements, vertex count and log entry together, under the session lock.
 struct LoadedGraph {
     graph_id: u64,
+    /// Number of live vertices.
     vertices: u64,
     fragments: SessionFragments,
-    /// Delta overlay over the loaded graph — the live global view updates
-    /// are applied to (and the payload source for resolving them).
-    delta: SessionDelta,
-    /// The partition assignment, extended in place as updates insert
-    /// vertices, so incremental fragments and a fresh cut agree on ownership.
-    assignment: PartitionAssignment,
+    /// The partition assignment, extended at each commit with the placements
+    /// of inserted vertices, so incremental fragments and a fresh cut agree
+    /// on ownership. Shared: an update stages and resolves against a
+    /// snapshot of it outside the lock; the commit writes in place once that
+    /// snapshot is gone.
+    assignment: Arc<PartitionAssignment>,
     /// Update history: per-version dirty sets + profiles, so a converged
     /// state cached at version `v` can be re-seeded across any number of
     /// later updates.
@@ -610,6 +620,39 @@ struct LoadedGraph {
     /// snapshot-encoded partials of the last completed run of that query,
     /// and the graph version they converged at.
     converged: HashMap<Vec<u8>, ConvergedState>,
+    /// The wire encoding of a resolved batch whose ship to the daemons
+    /// failed: some of them may hold version `log.version() + 1` already,
+    /// and their version fence would skip any other batch sent under that
+    /// version. Until that batch is shipped again, no other update is
+    /// accepted and no query runs.
+    in_doubt: Option<Vec<u8>>,
+}
+
+/// What an update stages against besides the fragments: a snapshot of the
+/// session taken under its lock. The assignment is shared with the session
+/// until the update returns, so the commit must come after.
+struct UpdateBase {
+    vertices: u64,
+    assignment: Arc<PartitionAssignment>,
+    in_doubt: Option<Vec<u8>>,
+}
+
+/// A staged, spliced and shipped update, ready to commit.
+struct StagedUpdate {
+    /// The fragment table at the new version.
+    fragments: SessionFragments,
+    /// Assignment entries the batch adds ([`ResolvedMutations::placements`]).
+    placements: Vec<(VertexId, FragmentId)>,
+    vertices: u64,
+    dirty: Vec<VertexId>,
+    profile: MutationProfile,
+}
+
+/// A ship that failed, possibly after some daemons applied the batch.
+struct InDoubt {
+    error: io::Error,
+    /// The resolved batch's wire encoding: the one batch a retry may ship.
+    resolved: Vec<u8>,
 }
 
 // ---------------------------------------------------------------------------
@@ -1470,10 +1513,6 @@ impl Session {
         let graph_id = fresh_graph_id();
         let vertices = graph.num_vertices() as u64;
         let (fragments, assignment) = SessionFragments::cut(graph, strategy, n);
-        let delta = match graph {
-            SessionGraph::Weighted(g) => SessionDelta::Weighted(DeltaGraph::new(g.clone())),
-            SessionGraph::Labeled(g) => SessionDelta::Labeled(DeltaGraph::new(g.clone())),
-        };
         if !self.inner.config.endpoints.is_empty() {
             let spec = LoadSpec {
                 graph_id,
@@ -1491,20 +1530,31 @@ impl Session {
             graph_id,
             vertices,
             fragments,
-            delta,
-            assignment,
+            assignment: Arc::new(assignment),
             log: DeltaLog::new(),
             converged: HashMap::new(),
+            in_doubt: None,
         });
         Ok(())
     }
 
     /// Applies a mutation batch to the resident graph, atomically for every
-    /// subsequent query: the session's delta overlay, the resident fragments
-    /// (in place, via the resolved-batch path — bit-identical to re-cutting
-    /// the updated graph), and, for remote sessions, every daemon's resident
-    /// fragment over versioned `TAG_UPDATE` frames. Queries already in
-    /// flight keep the fragments they started with.
+    /// subsequent query. The batch is checked and netted against the
+    /// resident fragments without changing them, spliced into new copies of
+    /// the fragments it touches (bit-identical to re-cutting the updated
+    /// graph), and, for remote sessions, shipped to every daemon's resident
+    /// fragment over versioned `TAG_UPDATE` frames. Only then does the
+    /// session commit the new version. Queries already in flight keep the
+    /// fragments they started with.
+    ///
+    /// On `Err` the session is at its old version: an invalid batch, a
+    /// failed splice and a failed ship all leave its fragments, assignment
+    /// and version log as they were. A failed ship may still have reached
+    /// some daemons, which then hold the next version; the session records
+    /// the batch as *in doubt*. Until the same batch is retried (it is
+    /// shipped again, and committed) or a graph is loaded afresh, the
+    /// session refuses any other batch and every query, naming the version
+    /// in doubt. In-process sessions ship nothing and are never in doubt.
     ///
     /// Subsequent [`Session::submit`] calls of a query class that has already
     /// converged on this session are transparently **incremental**: they
@@ -1591,84 +1641,151 @@ impl SessionInner {
     fn apply_session_update(&self, batch: SessionUpdate) -> io::Result<UpdateReceipt> {
         // Remote queries read the daemons' fragments, not this session's:
         // wait for the ones in flight, so none sees a half-shipped version.
+        // Holding it also keeps updates one at a time.
         let _exclusive = self.resident.write().unwrap();
-        let mut guard = self.graph.lock().unwrap();
-        let loaded = guard
-            .as_mut()
-            .ok_or_else(|| bad_data("no graph loaded: call Session::load first"))?;
-        let spec = UpdateSpec {
-            graph_id: loaded.graph_id,
-            family: loaded.fragments.family(),
-            index: 0,    // set per fragment
-            vertices: 0, // known once the overlay took the batch
-            version: loaded.log.version() + 1,
+        let (graph_id, version, fragments, base) = {
+            let guard = self.graph.lock().unwrap();
+            let loaded = guard
+                .as_ref()
+                .ok_or_else(|| bad_data("no graph loaded: call Session::load first"))?;
+            let base = UpdateBase {
+                vertices: loaded.vertices,
+                assignment: Arc::clone(&loaded.assignment),
+                in_doubt: loaded.in_doubt.clone(),
+            };
+            let version = loaded.log.version() + 1;
+            (loaded.graph_id, version, loaded.fragments.clone(), base)
         };
-        let version = spec.version;
-        let assignment = &mut loaded.assignment;
-        let (dirty, profile, vertices) = match (&mut loaded.delta, &mut loaded.fragments, &batch) {
-            (
-                SessionDelta::Weighted(delta),
-                SessionFragments::Weighted(frags),
-                SessionUpdate::Weighted(muts),
-            ) => self.update_family(spec, delta, assignment, frags, muts)?,
-            (
-                SessionDelta::Labeled(delta),
-                SessionFragments::Labeled(frags),
-                SessionUpdate::Labeled(muts),
-            ) => self.update_family(spec, delta, assignment, frags, muts)?,
+        let spec = UpdateSpec {
+            graph_id,
+            family: fragments.family(),
+            index: 0,    // set per fragment
+            vertices: 0, // known once the batch is staged
+            version,
+        };
+        let shipped = match (&fragments, &batch) {
+            (SessionFragments::Weighted(frags), SessionUpdate::Weighted(muts)) => {
+                self.stage_and_ship(spec, base, frags, muts)?
+            }
+            (SessionFragments::Labeled(frags), SessionUpdate::Labeled(muts)) => {
+                self.stage_and_ship(spec, base, frags, muts)?
+            }
             _ => {
                 return Err(bad_data(
                     "update family does not match the loaded graph's family",
                 ))
             }
         };
-        loaded.vertices = vertices;
+
+        let mut guard = self.graph.lock().unwrap();
+        let loaded = guard
+            .as_mut()
+            .filter(|loaded| loaded.graph_id == graph_id)
+            .ok_or_else(|| {
+                bad_data(format!(
+                    "the graph was replaced while update {version} was in flight"
+                ))
+            })?;
+        let staged = match shipped {
+            Ok(staged) => staged,
+            Err(InDoubt { error: e, resolved }) => {
+                loaded.in_doubt = Some(resolved);
+                return Err(io::Error::new(
+                    e.kind(),
+                    format!(
+                        "update {version} failed mid-ship and is in doubt \
+                         (retry the same batch): {e}"
+                    ),
+                ));
+            }
+        };
+        loaded.fragments = staged.fragments;
+        let assignment = Arc::make_mut(&mut loaded.assignment);
+        for (v, f) in staged.placements {
+            assignment.assign(v, f);
+        }
+        loaded.vertices = staged.vertices;
+        loaded.in_doubt = None;
         let receipt = UpdateReceipt {
             version,
-            dirty: dirty.len(),
-            profile,
+            dirty: staged.dirty.len(),
+            profile: staged.profile,
         };
-        let recorded = loaded.log.record(dirty, profile);
+        let recorded = loaded.log.record(staged.dirty, staged.profile);
         debug_assert_eq!(recorded, version);
         Ok(receipt)
     }
 
-    /// Family-generic core of an update: mutate the overlay, resolve against
-    /// the assignment, splice the batch into the fragments it touches, ship
-    /// it to the daemons, and only then swap the spliced fragments in.
-    /// Untouched fragments stay where they are, shared with the queries in
-    /// flight; those keep the `Arc`s they started with. Returns the batch's
-    /// dirty set and profile and the new global vertex count.
-    fn update_family<V, E>(
+    /// Family-generic core of an update, outside the session lock: stage
+    /// the batch against the resident fragments, resolve it against the
+    /// assignment, splice it into new copies of the fragments it touches,
+    /// and ship it to the daemons. Nothing the session holds changes here;
+    /// the caller commits what this returns. Untouched fragments stay shared
+    /// with the queries in flight, and with the next version's table.
+    ///
+    /// `Err` if the batch is refused before anything leaves the session;
+    /// `Ok(Err(_))` if the ship failed.
+    fn stage_and_ship<V, E>(
         &self,
         mut spec: UpdateSpec,
-        delta: &mut DeltaGraph<V, E>,
-        assignment: &mut PartitionAssignment,
-        fragments: &mut [Arc<Fragment<V, E>>],
+        base: UpdateBase,
+        fragments: &[Arc<Fragment<V, E>>],
         batch: &[GraphMutation<V, E>],
-    ) -> io::Result<(Vec<VertexId>, MutationProfile, u64)>
+    ) -> io::Result<Result<StagedUpdate, InDoubt>>
     where
         V: Wire + Clone + Default,
         E: Wire + Clone,
+        SessionFragments: From<Vec<Arc<Fragment<V, E>>>>,
     {
-        let receipt = delta
-            .apply(batch)
-            .map_err(|e| bad_data(format!("bad update batch: {e}")))?;
-        let resolved =
-            resolve_net_mutations(receipt.net, assignment, |v| delta.vertex_data(v).cloned());
-        let mut spliced = Vec::new();
+        let version = spec.version;
+        // While a batch is in doubt, only that batch may ship as `version`.
+        let in_doubt = || {
+            bad_data(format!(
+                "update {version} is in doubt: retry the batch that failed to ship, \
+                 or load the graph again"
+            ))
+        };
+        let view = FragmentView::new(fragments, &base.assignment);
+        let staged = stage_batch(&view, batch).map_err(|e| match base.in_doubt {
+            Some(_) => in_doubt(),
+            None => bad_data(format!("bad update batch: {e}")),
+        })?;
+        let added = staged.net.added_vertices.len() as u64;
+        let removed = staged.net.removed_vertices.len() as u64;
+        let resolved = ResolvedMutations::resolve(staged.net, &base.assignment, |v| {
+            view.vertex_data(v).cloned()
+        });
+        let encoded = resolved.encode_to_vec();
+        if base
+            .in_doubt
+            .as_ref()
+            .is_some_and(|pending| *pending != encoded)
+        {
+            return Err(in_doubt());
+        }
+        let mut next = fragments.to_vec();
         for (index, fragment) in fragments.iter().enumerate() {
             let updated = fragment
                 .splice_mutations(&resolved)
                 .map_err(|e| bad_data(format!("fragment update failed: {e}")))?;
-            spliced.extend(updated.map(|f| (index, f)));
+            if let Some(updated) = updated {
+                next[index] = Arc::new(updated);
+            }
         }
-        spec.vertices = delta.num_vertices() as u64;
-        self.ship_updates(&spec, &resolved)?;
-        for (index, fragment) in spliced {
-            fragments[index] = Arc::new(fragment);
+        spec.vertices = base.vertices + added - removed;
+        if let Err(error) = self.ship_updates(&spec, &resolved) {
+            return Ok(Err(InDoubt {
+                error,
+                resolved: encoded,
+            }));
         }
-        Ok((receipt.dirty, receipt.profile, spec.vertices))
+        Ok(Ok(StagedUpdate {
+            fragments: next.into(),
+            placements: resolved.placements(&base.assignment),
+            vertices: spec.vertices,
+            dirty: staged.dirty,
+            profile: staged.profile,
+        }))
     }
 
     /// Ships every fragment of a freshly cut graph to the daemon hosting its
@@ -1750,6 +1867,13 @@ impl SessionInner {
             let loaded = guard
                 .as_ref()
                 .ok_or_else(|| bad_data("no graph loaded: call Session::load first"))?;
+            if loaded.in_doubt.is_some() {
+                return Err(bad_data(format!(
+                    "update {} is in doubt: the daemons may hold different graph \
+                     versions until that batch is retried",
+                    loaded.log.version() + 1
+                )));
+            }
             let mut key = Vec::new();
             query.encode(&mut key);
             // Warm start: the cached converged state of this exact query (if

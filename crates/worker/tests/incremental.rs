@@ -11,11 +11,13 @@ use grape_graph::labels::LabeledVertex;
 use grape_graph::{DeltaGraph, GraphMutation};
 use grape_partition::BuiltinStrategy;
 use grape_worker::{
-    GrapeService, GraphSpec, QueryOutcome, ServiceOptions, Session, SessionConfig, SessionGraph,
+    Endpoint, GrapeService, GraphSpec, QueryOutcome, ServiceOptions, Session, SessionConfig,
+    SessionGraph,
 };
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Barrier;
+use std::net::{Shutdown, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, Barrier};
 
 fn weighted_graph() -> SessionGraph {
     SessionGraph::generate(&GraphSpec::parse("ba:160:3:5").expect("spec")).expect("generator")
@@ -727,4 +729,115 @@ fn updates_reject_family_mismatches_and_advance_versions() {
             .version,
         2
     );
+}
+
+/// A TCP proxy in front of `upstream` that pipes every connection through,
+/// except that once armed it drops the next one it accepts.
+fn dropping_proxy(upstream: &Endpoint) -> (Endpoint, Arc<AtomicBool>) {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind proxy");
+    let endpoint = Endpoint::parse(&listener.local_addr().expect("addr").to_string());
+    let (armed, upstream) = (Arc::new(AtomicBool::new(false)), upstream.to_string());
+    let trigger = Arc::clone(&armed);
+    std::thread::spawn(move || {
+        for client in listener.incoming().flatten() {
+            if trigger.swap(false, Ordering::SeqCst) {
+                continue; // dropped, so closed
+            }
+            let Ok(server) = TcpStream::connect(&upstream) else {
+                continue;
+            };
+            let (c, s) = (client.try_clone().unwrap(), server.try_clone().unwrap());
+            for (mut from, mut to) in [(client, s), (server, c)] {
+                let _ = to.set_nodelay(true);
+                std::thread::spawn(move || {
+                    let _ = std::io::copy(&mut from, &mut to);
+                    let _ = to.shutdown(Shutdown::Write);
+                });
+            }
+        }
+    });
+    (endpoint, armed)
+}
+
+#[test]
+fn an_update_that_fails_mid_ship_leaves_the_session_at_its_old_version() {
+    // Three daemons, the third behind a proxy that drops the update's
+    // connection: the first two apply version 1, the third stays at 0. The
+    // session must neither commit nor let anything but a retry of the same
+    // batch through, and the retry must land everywhere.
+    let daemons: Vec<_> = (0..3)
+        .map(|_| {
+            GrapeService::bind("127.0.0.1:0", ServiceOptions::default())
+                .expect("bind")
+                .spawn()
+                .expect("spawn")
+        })
+        .collect();
+    let (proxy, armed) = dropping_proxy(daemons[2].endpoint());
+    let endpoints = vec![
+        daemons[0].endpoint().clone(),
+        daemons[1].endpoint().clone(),
+        proxy,
+    ];
+    let (workers, strategy) = (3, BuiltinStrategy::Hash);
+    let graph = weighted_graph();
+    let session = Session::connect(SessionConfig::remote(workers, endpoints)).expect("connect");
+    session.load(&graph, strategy).expect("load");
+    let classes = [Query::sssp(0), Query::cc(), patient_pagerank(), Query::cf()];
+    for query in &classes {
+        session
+            .submit(query.clone())
+            .expect("submit")
+            .join()
+            .expect("first run");
+    }
+
+    let SessionGraph::Weighted(g) = &graph else {
+        panic!("weighted graph expected")
+    };
+    let (src, dst, _) = g.edges().next().expect("an edge");
+    let batch = vec![
+        GraphMutation::RemoveEdge { src, dst },
+        GraphMutation::AddEdge {
+            src: 0,
+            dst: 155,
+            data: 0.25,
+        },
+        GraphMutation::AddVertex { id: 500, data: () },
+    ];
+    armed.store(true, Ordering::SeqCst);
+    let err = session.update(batch.clone()).expect_err("the ship fails");
+    assert!(err.to_string().contains("in doubt"), "{err}");
+    let err = session.submit(Query::cc()).expect("submit").join();
+    let err = err.expect_err("a query while update 1 is in doubt");
+    assert!(err.to_string().contains("update 1"), "{err}");
+    let err = session.update(weighted_inserts_round_two());
+    let err = err.expect_err("another batch while update 1 is in doubt");
+    assert!(err.to_string().contains("update 1"), "{err}");
+
+    let retried = session.update(batch.clone()).expect("the retry ships");
+    assert_eq!(retried.version, 1);
+    let replay = Session::connect(SessionConfig::in_process(workers)).expect("connect");
+    replay.load(&graph, strategy).expect("load");
+    let replayed = replay.update(batch.clone()).expect("replay");
+    assert_eq!(
+        (retried.dirty, retried.profile),
+        (replayed.dirty, replayed.profile)
+    );
+    let fresh = updated_weighted(&graph, std::slice::from_ref(&batch));
+    for query in &classes {
+        let live = session.submit(query.clone()).expect("submit").join();
+        let live = live.expect("query after the retry").result;
+        let replayed = replay.submit(query.clone()).expect("submit").join();
+        assert_eq!(live, replayed.expect("replayed query").result, "{query:?}");
+        let cold = cold_run(&fresh, strategy, workers, query.clone()).result;
+        assert_eq!(live, cold, "{query:?}: diverged from a fresh load");
+    }
+    let next = session
+        .update(weighted_inserts_round_two())
+        .expect("update");
+    assert_eq!(next.version, 2);
+    for daemon in daemons {
+        daemon.shutdown().expect("shutdown");
+    }
 }

@@ -6,7 +6,9 @@
 //! * the PIE engine's answers are independent of the partition strategy and
 //!   the number of workers (the Assurance Theorem's observable consequence);
 //! * the bounded incremental SSSP always agrees with recomputation from
-//!   scratch.
+//!   scratch;
+//! * a batch staged against resident fragments means what it means to the
+//!   `DeltaGraph` reference, and splicing it yields a fresh cut.
 
 use grape::algo::pagerank::sequential_pagerank;
 use grape::algo::sssp::{dense_relax, incremental_sssp, sequential_sssp};
@@ -953,6 +955,174 @@ proptest! {
             let fragments = build_fragments(&graph, assignments.last().unwrap());
             for v in graph.vertices().step_by(3) {
                 prop_assert!(fragments[0].is_inner(v), "vertex {}", v);
+            }
+        }
+    }
+}
+
+/// One drawn mutation: `(kind, a, b)` over ids `0..n + 8`, so draws name
+/// residents, strangers, and ids the stream removed before.
+type Draw = (u8, u64, u64);
+
+/// Expands a draw into mutations, in the shapes `mutate.rs`'s churn stream
+/// draws plus same-batch pairs — a vertex added, wired and removed again, an
+/// edge added and removed again — and re-inserts of `removed` ids.
+fn expand_draw(
+    live: &DeltaGraph<u32, f64>,
+    removed: &[VertexId],
+    (kind, a, b): Draw,
+) -> Vec<GraphMutation<u32, f64>> {
+    let edge = |src, dst| GraphMutation::AddEdge {
+        src,
+        dst,
+        data: (a + b) as f64 / 4.0,
+    };
+    match kind {
+        0 => vec![GraphMutation::AddVertex {
+            id: a,
+            data: b as u32 % 5 + 1,
+        }],
+        1 | 2 => vec![GraphMutation::RemoveVertex { id: a }],
+        3 => {
+            let edges = live.live_edges();
+            match edges.get(a as usize % edges.len().max(1)) {
+                Some(e) => vec![GraphMutation::RemoveEdge {
+                    src: e.src,
+                    dst: e.dst,
+                }],
+                None => Vec::new(),
+            }
+        }
+        4 => vec![
+            GraphMutation::AddVertex { id: a, data: 9 },
+            edge(a, b),
+            edge(b, a),
+            GraphMutation::RemoveVertex { id: a },
+        ],
+        5 => vec![edge(a, b), GraphMutation::RemoveEdge { src: a, dst: b }],
+        6 if !removed.is_empty() => vec![GraphMutation::AddVertex {
+            id: removed[a as usize % removed.len()],
+            data: 1,
+        }],
+        _ => vec![edge(a, b)],
+    }
+}
+
+/// Strategy: a payload-carrying graph, and a stream of batches, each a list
+/// of draws kept only where the evolving graph accepts them plus one final
+/// draw kept as drawn — so some batches are refused as a whole.
+#[allow(clippy::type_complexity)]
+fn arb_update_stream() -> impl Strategy<Value = (CsrGraph<u32, f64>, Vec<(Vec<Draw>, Draw)>)> {
+    (2u64..40, 0usize..120).prop_flat_map(|(n, m)| {
+        let edges = proptest::collection::vec((0..n, 0..n, 1u32..20), 0..m.max(1));
+        let draw = || (0u8..8, 0..n + 8, 0..n + 8);
+        let batch = (proptest::collection::vec(draw(), 0..8), draw());
+        (edges, proptest::collection::vec(batch, 1..6)).prop_map(move |(edges, batches)| {
+            let mut b = GraphBuilder::<u32, f64>::new().with_reverse(true);
+            for v in 0..n {
+                b.add_vertex(v, v as u32 % 3);
+            }
+            for (s, d, w) in edges {
+                b.add_edge(s, d, w as f64 / 2.0);
+            }
+            (b.build().expect("valid edges"), batches)
+        })
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Staging a batch on the fragments `build_fragments` cut agrees with the
+    /// `DeltaGraph` reference on accept or reject (the same error) and on the
+    /// receipt; resolving it leaves the assignment alone, and splicing it and
+    /// recording its placements yields the fresh cut of the updated graph.
+    /// Batches stack, so removed ids come back as re-insert attempts.
+    #[test]
+    fn staging_on_fragments_agrees_with_the_delta_reference(case in arb_update_stream()) {
+        use grape::graph::{stage_batch, LiveView};
+        use grape::partition::{resolve_net_mutations, FragmentView, ResolvedMutations};
+
+        let (graph, stream) = case;
+        for strategy in BuiltinStrategy::all() {
+            for k in 1..=4usize {
+                let mut assignment = strategy.partition(&graph, k);
+                let mut fragments = build_fragments(&graph, &assignment);
+                let mut reference = DeltaGraph::new(graph.clone());
+                let mut reference_assignment = assignment.clone();
+                let mut removed = Vec::new();
+                for (i, (draws, last)) in stream.iter().enumerate() {
+                    let context = format!("{} k={k} batch {i}", strategy.name());
+                    let mut scratch = reference.clone();
+                    let mut batch = Vec::new();
+                    for &draw in draws {
+                        let mutations = expand_draw(&scratch, &removed, draw);
+                        if scratch.apply(&mutations).is_ok() {
+                            batch.extend(mutations);
+                        }
+                    }
+                    batch.extend(expand_draw(&scratch, &removed, *last));
+
+                    let view = FragmentView::new(&fragments, &assignment);
+                    let staged = stage_batch(&view, &batch);
+                    let applied = reference.apply(&batch);
+                    let (staged, applied) = match (staged, applied) {
+                        (Ok(staged), Ok(applied)) => (staged, applied),
+                        (Err(a), Err(b)) => {
+                            prop_assert_eq!(&a, &b, "{}: {:?} vs {:?}", context, a, b);
+                            continue;
+                        }
+                        (a, b) => {
+                            return Err(TestCaseError::fail(format!(
+                                "{context}: fragments {:?}, reference {:?}",
+                                a.map(|s| s.net),
+                                b.map(|s| s.net)
+                            )));
+                        }
+                    };
+                    prop_assert_eq!(&staged.dirty, &applied.dirty, "{}: dirty", context);
+                    prop_assert_eq!(staged.profile, applied.profile, "{}: profile", context);
+                    removed.extend(&applied.net.removed_vertices);
+                    prop_assert_eq!(
+                        &staged.net, &applied.net,
+                        "{}: {:?} vs {:?}", context, staged.net, applied.net
+                    );
+
+                    let before = assignment.clone();
+                    let resolved = ResolvedMutations::resolve(staged.net, &assignment, |v| {
+                        view.vertex_data(v).cloned()
+                    });
+                    let expected = resolve_net_mutations(
+                        applied.net,
+                        &mut reference_assignment,
+                        |v| reference.vertex_data(v).cloned(),
+                    );
+                    prop_assert_eq!(&resolved, &expected, "{}: resolved", context);
+                    let spliced: Vec<_> = fragments
+                        .iter()
+                        .map(|f| f.apply_mutations(&resolved).expect("splice"))
+                        .collect();
+                    for (v, f) in resolved.placements(&assignment) {
+                        assignment.assign(v, f);
+                    }
+                    prop_assert!(
+                        before.iter().all(|(v, f)| assignment.fragment_of(v) == Some(f)),
+                        "{}: a placement moved a vertex", context
+                    );
+                    prop_assert_eq!(
+                        assignment.members(),
+                        reference_assignment.members(),
+                        "{}: assignments differ", context
+                    );
+                    fragments = spliced;
+                    let fresh = build_fragments(&reference.snapshot(true), &assignment);
+                    for (fragment, expected) in fragments.iter().zip(&fresh) {
+                        prop_assert!(
+                            fragment == expected,
+                            "{}: fragment {} differs from a fresh cut", context, fragment.id
+                        );
+                    }
+                }
             }
         }
     }
