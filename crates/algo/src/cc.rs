@@ -6,9 +6,17 @@
 //!
 //! * **PEval** — a sequential union-find pass over the fragment's local
 //!   edges, run entirely over dense CSR indices.
-//! * **IncEval** — incremental min-label propagation: arriving border labels
-//!   are merged into the flat label array and propagated along the dense
-//!   adjacency until stable.
+//! * **IncEval** — min-label propagation with pointer jumping. An arriving
+//!   border label lowers the label of the border vertex's whole class. A
+//!   label is the id of a vertex connected to the one it labels, so when
+//!   that vertex is local as well, its class and the border vertex's are
+//!   joined first, in the spirit of Shiloach–Vishkin's hooking and pointer
+//!   jumping. A small label then jumps to every class its vertex reaches
+//!   instead of walking one fragment-hop per superstep: label propagation
+//!   costs O(diameter · m), the reason GBBS (Dhulipala, Blelloch & Shun)
+//!   drops it. Sound because a union joins only connected vertices and
+//!   labels still only fall; the fixpoint, the component minimum, is unique
+//!   and independent of message order.
 //! * **Aggregate** — `min`, which is monotonically decreasing, so termination
 //!   and correctness follow from the Assurance Theorem.
 //!
@@ -91,7 +99,17 @@ impl DenseUnionFind {
 
     /// Adopts an existing parent array (e.g. a canonicalized component map
     /// from an earlier run) as the starting forest.
+    ///
+    /// Precondition: every entry is at most its own index, i.e. the array is
+    /// an acyclic forest rooted at each class's smallest index — the shape
+    /// [`DenseUnionFind::union`] and path halving preserve and
+    /// [`DenseUnionFind::into_roots`] relies on. A component map from
+    /// [`CcPartial`] has it (snapshots that lack it are refused on restore).
     pub fn from_parents(parent: Vec<u32>) -> Self {
+        debug_assert!(
+            parent.iter().zip(0u32..).all(|(&p, i)| p <= i),
+            "a parent above its child"
+        );
         Self { parent }
     }
 
@@ -106,16 +124,32 @@ impl DenseUnionFind {
         i
     }
 
-    /// Unions the classes of `a` and `b`, keeping the smaller index as root.
+    /// Unions the classes of `a` and `b`, keeping the smaller index as root,
+    /// and returns that root.
     #[inline]
-    pub fn union(&mut self, a: u32, b: u32) {
+    pub fn union(&mut self, a: u32, b: u32) -> u32 {
         let ra = self.find(a);
         let rb = self.find(b);
-        if ra == rb {
-            return;
-        }
         let (small, large) = if ra < rb { (ra, rb) } else { (rb, ra) };
         self.parent[large as usize] = small;
+        small
+    }
+
+    /// The parent array as it stands (canonical if no union has run since
+    /// a canonical array was adopted: path halving leaves a flat forest
+    /// flat).
+    pub fn into_parents(self) -> Vec<u32> {
+        self.parent
+    }
+
+    /// The canonical component map: entry `i` is the root of `i`'s class.
+    /// Every parent sits below its child, so one ascending pass flattens the
+    /// forest — each parent has already been pointed at its root.
+    pub fn into_roots(mut self) -> Vec<u32> {
+        for i in 0..self.parent.len() {
+            self.parent[i] = self.parent[self.parent[i] as usize];
+        }
+        self.parent
     }
 
     /// Number of elements in the forest.
@@ -200,7 +234,7 @@ fn local_components(pool: &ThreadPool, g: &CsrGraph<(), f64>) -> Vec<u32> {
                 uf.union(u, w);
             }
         }
-        return (0..n as u32).map(|i| uf.find(i)).collect();
+        return uf.into_roots();
     }
     let parent: Vec<AtomicU32> = (0..n as u32).map(AtomicU32::new).collect();
     let parent_ref: &[AtomicU32] = &parent;
@@ -233,8 +267,10 @@ pub struct CcPartial {
     /// The owner marker: bit `i` set = local vertex `i` is inner, so this
     /// partial is the one Assemble reads its label from.
     owned: DenseBitset,
-    /// Root dense index of each vertex's *local* component, fixed at PEval
-    /// (the fragment graph never changes during a run).
+    /// Root dense index (the smallest) of each vertex's class, canonical:
+    /// `comp[i]` is the root itself, so `comp[i] <= i`. PEval starts from
+    /// the components of the local edges; IncEval joins two classes when a
+    /// label shows they are connected through other fragments.
     comp: Vec<u32>,
     /// Current label per root slot (only entries named by `comp` are live).
     comp_label: Vec<VertexId>,
@@ -299,20 +335,41 @@ impl PieProgram for CcProgram {
         messages: &[(u32, VertexId)],
         ctx: &mut PieContext<VertexId>,
     ) {
-        // Labels are component-uniform after PEval, so a message for any
-        // vertex of a class lowers the whole class: fold it into the root's
-        // slot and, if anything moved, rebuild the flat label array in O(n)
-        // instead of re-propagating along edges.
+        // Labels are class-uniform, so a message for any vertex of a class
+        // lowers the whole class: fold it into the root's slot and, if
+        // anything moved, rebuild the flat label array in O(n) instead of
+        // re-propagating along edges. A label is the id of a vertex connected
+        // to the one it labels; when that vertex is local too, its class and
+        // the border vertex's are one component, so join them first (pointer
+        // jumping). The smaller root survives with the smaller label, so the
+        // result does not depend on the order of the messages.
         let border = fragment.border_dense_indices();
-        let mut touched = false;
+        let g = &fragment.graph;
+        let comp_label = &mut partial.comp_label;
+        let mut uf = DenseUnionFind::from_parents(std::mem::take(&mut partial.comp));
+        let (mut merged, mut touched) = (false, false);
         for &(pos, label) in messages {
-            let r = partial.comp[border[pos as usize] as usize] as usize;
-            if label < partial.comp_label[r] {
-                partial.comp_label[r] = label;
+            let mut r = uf.find(border[pos as usize]);
+            if let Some(j) = g.dense_index(label) {
+                let rj = uf.find(j);
+                if rj != r {
+                    let joined = comp_label[r as usize].min(comp_label[rj as usize]);
+                    r = uf.union(r, rj);
+                    comp_label[r as usize] = joined;
+                    merged = true;
+                }
+            }
+            if label < comp_label[r as usize] {
+                comp_label[r as usize] = label;
                 touched = true;
             }
         }
-        if !touched {
+        partial.comp = if merged {
+            uf.into_roots()
+        } else {
+            uf.into_parents()
+        };
+        if !(merged || touched) {
             return;
         }
         let pool = std::sync::Arc::clone(ctx.pool());
@@ -417,10 +474,12 @@ impl PieProgram for CcProgram {
         let n = g.num_vertices();
         let comp = if old.vertex_ids == g.vertex_ids() {
             // Edge-only batches keep the fragment's dense-index space, so the
-            // old canonicalized component map is a valid forest over the new
-            // graph minus the inserted edges — and every inserted edge has a
-            // dirty source, so folding the out-edges of the dirty vertices
-            // into it reconnects exactly what changed. This skips the
+            // old canonical component map is a valid forest over the new
+            // graph. Its classes are local components joined by IncEval
+            // through other fragments; all were connected in the old graph,
+            // so they still are under insert-only batches. Every inserted
+            // edge has a dirty source, so folding the out-edges of the dirty
+            // vertices into it reconnects what changed. This skips the
             // whole-fragment union-find rebuild of PEval.
             let mut uf = DenseUnionFind::from_parents(old.comp.clone());
             for &v in dirty {
@@ -430,7 +489,7 @@ impl PieProgram for CcProgram {
                     }
                 }
             }
-            (0..n as u32).map(|i| uf.find(i)).collect()
+            uf.into_roots()
         } else {
             // The local vertex set moved (new mirrors or inserted vertices):
             // dense indices shifted, rebuild from the edges.
@@ -705,7 +764,10 @@ mod tests {
             .unwrap();
         assert!(result.output.values().all(|&l| l == 0));
         // Label 0 must hop across 9 fragment boundaries one superstep at a
-        // time, plus the PEval round and a final quiescent round.
+        // time, plus the PEval round and a final quiescent round. Pointer
+        // jumping cannot shortcut a range-cut chain: a label arriving at a
+        // range's first vertex names a vertex of an earlier range, never one
+        // local to this range, so no classes join.
         assert!(result.stats.supersteps >= 10);
     }
 
@@ -747,6 +809,31 @@ mod tests {
             assert_eq!(result.stats.supersteps, reference.stats.supersteps);
             assert_eq!(result.stats.messages, reference.stats.messages);
         }
+    }
+
+    #[test]
+    fn hash_cut_road_grid_collapses_in_a_few_supersteps() {
+        // Under a hash cut a fragment-hop is about one graph-hop, so plain
+        // min-label propagation walks the grid's diameter: 32 supersteps
+        // here before IncEval joined a label's class to the label's local
+        // vertex. Pointer jumping carries a small label across the grid in
+        // a handful.
+        let g = road_network(RoadNetworkConfig::default(), 7).unwrap();
+        let assignment = HashPartitioner.partition(&g, 4);
+        let result = GrapeEngine::new(CcProgram)
+            .with_config(EngineConfig {
+                check_monotonicity: true,
+                ..Default::default()
+            })
+            .run_on_graph(&CcQuery, &g, &assignment)
+            .unwrap();
+        assert_eq!(result.output, sequential_cc(&g));
+        assert_eq!(result.stats.monotonicity_violations, 0);
+        assert!(
+            result.stats.supersteps <= 4,
+            "{} supersteps",
+            result.stats.supersteps
+        );
     }
 
     #[test]

@@ -169,6 +169,133 @@ fn a_run_with_no_seeds_is_the_cold_run() {
     assert_no_seeds_is_cold(SimProgram, &pattern, &fragments);
 }
 
+/// Classes in a cc snapshot's component map (`comp[i] == i` marks a root);
+/// the map is the fourth field of the snapshot.
+fn cc_snapshot_classes(snapshot: &[u8]) -> usize {
+    use grape::core::{Wire, WireReader};
+    let mut reader = WireReader::new(snapshot);
+    Vec::<VertexId>::decode(&mut reader).expect("labels");
+    Vec::<VertexId>::decode(&mut reader).expect("vertex ids");
+    DenseBitset::decode(&mut reader).expect("owner marker");
+    let comp = Vec::<u32>::decode(&mut reader).expect("component map");
+    comp.iter()
+        .zip(0u32..)
+        .filter(|&(&root, i)| root == i)
+        .count()
+}
+
+/// CC's IncEval joins a fragment's classes through other fragments (pointer
+/// jumping), so a converged partial's component map is coarser than the
+/// fragment's local components. A warm start adopts that map as its
+/// union-find forest: the snapshot must restore, and an insert-only batch
+/// seeded from it must answer exactly as the cold run does.
+#[test]
+fn cc_warm_start_adopts_the_forest_pointer_jumping_left() {
+    use grape::algo::cc::sequential_cc;
+    use grape::core::IncrementalSeed;
+    use grape::graph::generators::{road_network, RoadNetworkConfig};
+    use std::sync::Arc;
+    let config = RoadNetworkConfig {
+        width: 32,
+        height: 32,
+        removal_prob: 0.2,
+        ..Default::default()
+    };
+    let grid = road_network(config, 5).expect("generator");
+    for k in [2, 4] {
+        let assignment = BuiltinStrategy::Hash.partition(&grid, k);
+        let fragments = build_fragments(&grid, &assignment);
+        let engine = GrapeEngine::new(CcProgram);
+        let (partials, _) = engine
+            .run_partials(&CcQuery, &fragments, &[])
+            .expect("cold");
+        let mut snapshots = Vec::new();
+        let mut joined = false;
+        for (partial, fragment) in partials.iter().zip(&fragments) {
+            let snapshot = CcProgram.snapshot_partial(partial).expect("cc snapshots");
+            assert!(CcProgram.restore_partial(&snapshot).is_some(), "k={k}");
+            let local: HashSet<_> = sequential_cc(&fragment.graph).into_values().collect();
+            let classes = cc_snapshot_classes(&snapshot);
+            assert!(classes <= local.len(), "k={k}");
+            joined |= classes < local.len();
+            snapshots.push(Arc::new(snapshot));
+        }
+        assert!(joined, "k={k}: no fragment joined classes");
+
+        // Far-apart pairs under one owner: every fragment keeps its vertex
+        // set, so each warm start adopts its old forest as it stands.
+        let ids: Vec<VertexId> = grid.vertices().collect();
+        let owner = |v: VertexId| assignment.fragment_of(v).expect("assigned");
+        let batch: Vec<GraphMutation<(), f64>> = ids
+            .iter()
+            .step_by(61)
+            .filter_map(|&u| {
+                let v = *ids.iter().rev().find(|&&v| owner(v) == owner(u))?;
+                (v != u).then_some(GraphMutation::AddEdge {
+                    src: u,
+                    dst: v,
+                    data: 1.0,
+                })
+            })
+            .collect();
+        assert!(!batch.is_empty());
+        let mut delta = DeltaGraph::new(grid.clone());
+        delta.apply(&batch).expect("insert batch applies");
+        let updated = delta.snapshot(grid.has_reverse());
+        let updated_fragments = build_fragments(&updated, &assignment);
+        for (old, new) in fragments.iter().zip(&updated_fragments) {
+            assert_eq!(old.graph.vertex_ids(), new.graph.vertex_ids());
+        }
+        let mut dirty: Vec<VertexId> = batch
+            .iter()
+            .flat_map(|m| match m {
+                GraphMutation::AddEdge { src, dst, .. } => [*src, *dst],
+                _ => unreachable!("an insert-only batch of edges"),
+            })
+            .collect();
+        dirty.sort_unstable();
+        dirty.dedup();
+        let dirty = Arc::new(dirty);
+        let profile = MutationProfile {
+            edge_inserts: batch.len(),
+            ..Default::default()
+        };
+        let seeds: Vec<IncrementalSeed> = snapshots
+            .into_iter()
+            .map(|snapshot| IncrementalSeed {
+                snapshot,
+                dirty: Arc::clone(&dirty),
+                profile,
+            })
+            .collect();
+        for (fragment, seed) in updated_fragments.iter().zip(&seeds) {
+            let mut ctx = PieContext::new();
+            let slots: Vec<u32> = (0..fragment.border_vertices().len() as u32).collect();
+            ctx.configure_borders(fragment.border_vertices(), &slots);
+            let seeded = CcProgram.seed_partial(
+                &CcQuery,
+                fragment,
+                &seed.snapshot,
+                &seed.dirty,
+                &seed.profile,
+                &mut ctx,
+            );
+            assert!(seeded.is_some(), "k={k}: the seed is declined");
+        }
+        let warm = engine
+            .run_incremental(&CcQuery, &updated_fragments, &seeds)
+            .expect("warm");
+        let cold = engine.run(&CcQuery, &updated_fragments).expect("cold");
+        assert_eq!(warm.output, cold.output, "k={k}");
+        assert_eq!(cold.output, sequential_cc(&updated), "k={k}");
+        assert_ne!(
+            cold.output,
+            sequential_cc(&grid),
+            "the batch joins components"
+        );
+    }
+}
+
 /// Monotonically increasing suffix so concurrent / repeated cases never
 /// collide on a Unix socket path.
 static CASE: AtomicUsize = AtomicUsize::new(0);

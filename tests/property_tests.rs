@@ -146,16 +146,45 @@ proptest! {
 
     #[test]
     fn cc_answers_are_partition_invariant(
-        graph in arb_graph(80, 250),
-        k in 1usize..6,
+        dense in arb_graph(60, 200),
+        sparse in arb_graph(120, 40),
+        k in 1usize..9,
     ) {
-        let expected = sequential_cc(&graph);
-        let assignment = BuiltinStrategy::MetisLike.partition(&graph, k);
-        let result = GrapeEngine::new(CcProgram)
-            .run_on_graph(&CcQuery, &graph, &assignment)
-            .unwrap();
-        for v in graph.vertices() {
-            prop_assert_eq!(result.output[&v], expected[&v]);
+        // IncEval joins classes by pointer jumping, so which classes merge
+        // in which superstep depends on the cut. The answer must not: it is
+        // the sequential labeling under every strategy, and one cut's run is
+        // the same run — answers, supersteps, messages — on every thread
+        // count and transport. The sparse graph brings many components and
+        // isolated vertices.
+        for graph in [&dense, &sparse] {
+            let expected = sequential_cc(graph);
+            for strategy in BuiltinStrategy::all() {
+                let assignment = strategy.partition(graph, k);
+                let run = |threads: u32, transport: TransportKind| {
+                    let config = EngineConfig::builder()
+                        .transport(transport)
+                        .threads_per_worker(ThreadCount::Fixed(threads))
+                        .check_monotonicity(true)
+                        .build();
+                    GrapeEngine::new(CcProgram)
+                        .with_config(config)
+                        .run_on_graph(&CcQuery, graph, &assignment)
+                        .unwrap()
+                };
+                let base = run(1, TransportKind::InProcess);
+                prop_assert_eq!(&base.output, &expected, "{} k={}", strategy.name(), k);
+                prop_assert_eq!(base.stats.monotonicity_violations, 0);
+                for threads in [1u32, 2, 4] {
+                    for transport in [TransportKind::InProcess, TransportKind::Framed] {
+                        let got = run(threads, transport);
+                        let context =
+                            format!("{} k={} t={} {:?}", strategy.name(), k, threads, transport);
+                        prop_assert_eq!(&got.output, &base.output, "{}", context);
+                        prop_assert_eq!(got.stats.supersteps, base.stats.supersteps, "{}", context);
+                        prop_assert_eq!(got.stats.messages, base.stats.messages, "{}", context);
+                    }
+                }
+            }
         }
     }
 
