@@ -25,6 +25,16 @@ impl PartitionAssignment {
         }
     }
 
+    /// Creates an empty assignment targeting `num_fragments` fragments, with
+    /// room for `vertices` vertices: a partitioner that knows `n` assigns
+    /// them without regrowing the map.
+    pub fn with_capacity(num_fragments: usize, vertices: usize) -> Self {
+        Self {
+            num_fragments,
+            assignment: HashMap::with_capacity(vertices),
+        }
+    }
+
     /// Assigns a vertex to a fragment.
     ///
     /// # Panics

@@ -15,11 +15,28 @@
 //! community-structured graphs, produces edge cuts several times smaller
 //! than hash or streaming placement — exactly the property the paper's
 //! partition-strategy experiment depends on.
+//!
+//! Every level is a flat CSR (`Level`): row offsets, `u32` neighbour
+//! columns and `u64` edge weights, each row ascending by neighbour, plus
+//! one weight per vertex. Level 0 is the input's undirected view, built from
+//! each vertex's out- and in-neighbour slices by sort and run-length count.
+//! A coarse row sums its one or two fine members' rows in a dense
+//! accumulator indexed by coarse vertex, with a list of the slots it touched;
+//! refinement counts a vertex's edges per fragment the same way. Nothing is
+//! hashed, scratch arrays are reused across vertices, and a level costs
+//! O(edges) to build and per refinement pass, plus a sort of each row's
+//! touched entries.
+//!
+//! The cut is pinned: every vertex lands on the fragment the earlier
+//! per-vertex `HashMap` implementation gave it, for every graph, `k` and
+//! knob value. `tests/property_tests.rs`'s
+//! `metis_like_equals_the_reference_partitioner` holds this against a copy
+//! of that implementation, so a change here that moves one vertex fails
+//! there.
 
 use crate::assignment::{FragmentId, PartitionAssignment};
 use crate::strategy::Partitioner;
-use grape_graph::{CsrGraph, VertexId};
-use std::collections::HashMap;
+use grape_graph::CsrGraph;
 
 /// Multilevel METIS-like partitioner.
 #[derive(Debug, Clone, Copy)]
@@ -44,129 +61,208 @@ impl Default for MetisLikePartitioner {
     }
 }
 
-/// A small weighted graph used internally during coarsening. Vertices are
-/// dense `usize` indices; `weight[v]` counts how many original vertices the
-/// coarse vertex represents.
-#[derive(Debug, Clone)]
-struct CoarseGraph {
-    /// Adjacency: for each vertex, (neighbour, edge weight) pairs.
-    adj: Vec<Vec<(usize, u64)>>,
+/// Marks a vertex the matching has not reached yet.
+const UNMATCHED: u32 = u32::MAX;
+
+/// One level of the hierarchy: an undirected weighted graph over dense
+/// indices `0..n`, as a CSR without self-loops.
+#[derive(Debug)]
+struct Level {
+    /// `offsets[v]..offsets[v + 1]` is `v`'s row in `targets` / `weights`.
+    offsets: Vec<usize>,
+    /// Neighbours, ascending within each row.
+    targets: Vec<u32>,
+    /// Edge weights aligned with `targets`, each at least 1.
+    weights: Vec<u64>,
     /// Vertex weights (number of collapsed original vertices).
-    weight: Vec<u64>,
+    vertex_weight: Vec<u64>,
 }
 
-impl CoarseGraph {
+impl Level {
+    /// An empty level with room for `vertices` rows of `entries` in all.
+    fn with_capacity(vertices: usize, entries: usize) -> Self {
+        let mut offsets = Vec::with_capacity(vertices + 1);
+        offsets.push(0);
+        Self {
+            offsets,
+            targets: Vec::with_capacity(entries),
+            weights: Vec::with_capacity(entries),
+            vertex_weight: Vec::with_capacity(vertices),
+        }
+    }
+
+    /// Closes the row being appended, for a vertex of weight `weight`.
+    fn end_row(&mut self, weight: u64) {
+        self.offsets.push(self.targets.len());
+        self.vertex_weight.push(weight);
+    }
+
     fn num_vertices(&self) -> usize {
-        self.adj.len()
+        self.vertex_weight.len()
+    }
+
+    fn degree(&self, v: usize) -> usize {
+        self.offsets[v + 1] - self.offsets[v]
+    }
+
+    /// `v`'s `(neighbour, edge weight)` pairs, ascending by neighbour.
+    fn row(&self, v: usize) -> impl Iterator<Item = (usize, u64)> + '_ {
+        let range = self.offsets[v]..self.offsets[v + 1];
+        self.targets[range.clone()]
+            .iter()
+            .map(|&u| u as usize)
+            .zip(self.weights[range].iter().copied())
     }
 
     fn total_weight(&self) -> u64 {
-        self.weight.iter().sum()
+        self.vertex_weight.iter().sum()
     }
 }
 
-impl MetisLikePartitioner {
-    /// Builds the level-0 coarse graph from the input CSR (undirected view,
-    /// parallel edges merged, self-loops dropped).
-    fn initial_coarse<V: Clone, E: Clone>(graph: &CsrGraph<V, E>) -> (CoarseGraph, Vec<VertexId>) {
-        let n = graph.num_vertices();
-        let ids: Vec<VertexId> = graph.vertices().collect();
-        let mut adj_maps: Vec<HashMap<usize, u64>> = vec![HashMap::new(); n];
-        for (s, d, _) in graph.edges() {
-            if s == d {
-                continue;
-            }
-            let si = graph.dense_index(s).unwrap() as usize;
-            let di = graph.dense_index(d).unwrap() as usize;
-            *adj_maps[si].entry(di).or_insert(0) += 1;
-            *adj_maps[di].entry(si).or_insert(0) += 1;
+/// The in-adjacency of a graph built without it, as `(offsets, sources)`:
+/// a counting sort of the out-edges by target, so each row lists its
+/// sources ascending.
+fn in_adjacency<V: Clone, E: Clone>(graph: &CsrGraph<V, E>) -> (Vec<usize>, Vec<u32>) {
+    let n = graph.num_vertices();
+    let mut offsets = vec![0usize; n + 1];
+    for u in 0..n as u32 {
+        for &v in graph.out_neighbors_dense(u) {
+            offsets[v as usize + 1] += 1;
         }
-        let adj = adj_maps
-            .into_iter()
-            .map(|m| {
-                let mut v: Vec<(usize, u64)> = m.into_iter().collect();
-                v.sort_unstable();
-                v
-            })
-            .collect();
-        (
-            CoarseGraph {
-                adj,
-                weight: vec![1; n],
-            },
-            ids,
-        )
+    }
+    for v in 0..n {
+        offsets[v + 1] += offsets[v];
+    }
+    let mut cursor = offsets[..n].to_vec();
+    let mut sources = vec![0u32; graph.num_edges()];
+    for u in 0..n as u32 {
+        for &v in graph.out_neighbors_dense(u) {
+            sources[cursor[v as usize]] = u;
+            cursor[v as usize] += 1;
+        }
+    }
+    (offsets, sources)
+}
+
+impl MetisLikePartitioner {
+    /// Builds level 0 from the input CSR: the undirected view, where the
+    /// pair `{u, v}` weighs `#(u→v) + #(v→u)`, self-loops dropped.
+    fn initial_level<V: Clone, E: Clone>(graph: &CsrGraph<V, E>) -> Level {
+        let n = graph.num_vertices();
+        let transposed = (!graph.has_reverse()).then(|| in_adjacency(graph));
+        let mut level = Level::with_capacity(n, 2 * graph.num_edges());
+        let mut row: Vec<u32> = Vec::new();
+        for u in 0..n as u32 {
+            let ins = match &transposed {
+                Some((offsets, sources)) => &sources[offsets[u as usize]..offsets[u as usize + 1]],
+                None => graph.in_neighbors_dense(u),
+            };
+            row.clear();
+            row.extend(
+                graph
+                    .out_neighbors_dense(u)
+                    .iter()
+                    .chain(ins)
+                    .copied()
+                    .filter(|&v| v != u),
+            );
+            row.sort_unstable();
+            for run in row.chunk_by(|a, b| a == b) {
+                level.targets.push(run[0]);
+                level.weights.push(run.len() as u64);
+            }
+            level.end_row(1);
+        }
+        level
     }
 
-    /// One round of heavy-edge-matching coarsening. Returns the coarser graph
+    /// One round of heavy-edge-matching coarsening. Returns the coarser level
     /// and the map from fine vertex to coarse vertex.
-    fn coarsen_once(graph: &CoarseGraph) -> (CoarseGraph, Vec<usize>) {
-        let n = graph.num_vertices();
-        let mut matched = vec![usize::MAX; n];
-        let mut coarse_of = vec![usize::MAX; n];
-        let mut next_coarse = 0usize;
-        // Visit vertices in order of increasing degree so low-degree vertices
-        // get matched before hubs swallow everything.
-        let mut order: Vec<usize> = (0..n).collect();
-        order.sort_by_key(|&v| graph.adj[v].len());
+    fn coarsen_once(level: &Level) -> (Level, Vec<u32>) {
+        let n = level.num_vertices();
+        // Visit vertices in order of increasing degree, ties by index, so
+        // low-degree vertices get matched before hubs swallow everything: a
+        // counting sort by degree, stable over the index order.
+        let max_degree = (0..n).map(|v| level.degree(v)).max().unwrap_or(0);
+        let mut bucket = vec![0usize; max_degree + 2];
+        for v in 0..n {
+            bucket[level.degree(v) + 1] += 1;
+        }
+        for d in 0..=max_degree {
+            bucket[d + 1] += bucket[d];
+        }
+        let mut order = vec![0u32; n];
+        for v in 0..n {
+            let slot = &mut bucket[level.degree(v)];
+            order[*slot] = v as u32;
+            *slot += 1;
+        }
+
+        // Match each unmatched vertex with its heaviest unmatched neighbour
+        // (the lowest such index on a tie); coarse ids follow the visit
+        // order.
+        let mut coarse_of = vec![UNMATCHED; n];
+        let mut members: Vec<(usize, usize)> = Vec::with_capacity(n);
         for &v in &order {
-            if matched[v] != usize::MAX {
+            let v = v as usize;
+            if coarse_of[v] != UNMATCHED {
                 continue;
             }
-            // Heaviest unmatched neighbour.
-            let mut best = usize::MAX;
+            let mut best = v;
             let mut best_w = 0u64;
-            for &(u, w) in &graph.adj[v] {
-                if matched[u] == usize::MAX && w > best_w {
+            for (u, w) in level.row(v) {
+                if coarse_of[u] == UNMATCHED && w > best_w {
                     best = u;
                     best_w = w;
                 }
             }
-            if best != usize::MAX {
-                matched[v] = best;
-                matched[best] = v;
-                coarse_of[v] = next_coarse;
-                coarse_of[best] = next_coarse;
-            } else {
-                matched[v] = v;
-                coarse_of[v] = next_coarse;
-            }
-            next_coarse += 1;
+            let c = members.len() as u32;
+            coarse_of[v] = c;
+            coarse_of[best] = c;
+            members.push((v, best));
         }
-        // Build the coarse graph.
-        let mut weight = vec![0u64; next_coarse];
-        for v in 0..n {
-            weight[coarse_of[v]] += graph.weight[v];
-        }
-        let mut adj_maps: Vec<HashMap<usize, u64>> = vec![HashMap::new(); next_coarse];
-        for v in 0..n {
-            let cv = coarse_of[v];
-            for &(u, w) in &graph.adj[v] {
-                let cu = coarse_of[u];
-                if cu != cv {
-                    *adj_maps[cv].entry(cu).or_insert(0) += w;
+
+        // Each coarse row sums its members' rows into `acc`, indexed by
+        // coarse neighbour; `touched` lists the slots in use (weights are at
+        // least 1, so a zero slot is an unused one).
+        let mut coarse = Level::with_capacity(members.len(), level.targets.len());
+        let mut acc = vec![0u64; members.len()];
+        let mut touched: Vec<u32> = Vec::new();
+        for (c, &(a, b)) in members.iter().enumerate() {
+            let pair = [a, b];
+            let fine = if a == b { &pair[..1] } else { &pair[..] };
+            let mut weight = 0u64;
+            for &v in fine {
+                weight += level.vertex_weight[v];
+                for (u, w) in level.row(v) {
+                    let cu = coarse_of[u];
+                    if cu as usize != c {
+                        if acc[cu as usize] == 0 {
+                            touched.push(cu);
+                        }
+                        acc[cu as usize] += w;
+                    }
                 }
             }
+            touched.sort_unstable();
+            for &cu in &touched {
+                coarse.targets.push(cu);
+                coarse.weights.push(std::mem::take(&mut acc[cu as usize]));
+            }
+            touched.clear();
+            coarse.end_row(weight);
         }
-        let adj = adj_maps
-            .into_iter()
-            .map(|m| {
-                let mut v: Vec<(usize, u64)> = m.into_iter().collect();
-                v.sort_unstable();
-                v
-            })
-            .collect();
-        (CoarseGraph { adj, weight }, coarse_of)
+        (coarse, coarse_of)
     }
 
-    /// Greedy region-growing partition of the coarsest graph.
-    fn initial_partition(graph: &CoarseGraph, k: usize) -> Vec<FragmentId> {
-        let n = graph.num_vertices();
+    /// Greedy region-growing partition of the coarsest level.
+    fn initial_partition(level: &Level, k: usize) -> Vec<FragmentId> {
+        let n = level.num_vertices();
         let mut part = vec![usize::MAX; n];
         if n == 0 {
             return part;
         }
-        let target = (graph.total_weight() as f64 / k as f64).ceil() as u64;
+        let target = (level.total_weight() as f64 / k as f64).ceil() as u64;
         let mut loads = vec![0u64; k];
         // Seeds: spread over the vertex order.
         for (f, load) in loads.iter_mut().enumerate() {
@@ -184,8 +280,8 @@ impl MetisLikePartitioner {
                     break;
                 }
                 part[v] = f;
-                *load += graph.weight[v];
-                for &(u, _) in &graph.adj[v] {
+                *load += level.vertex_weight[v];
+                for (u, _) in level.row(v) {
                     if part[u] == usize::MAX {
                         queue.push_back(u);
                     }
@@ -197,7 +293,7 @@ impl MetisLikePartitioner {
             if *p == usize::MAX {
                 let f = (0..k).min_by_key(|&f| loads[f]).unwrap_or(0);
                 *p = f;
-                loads[f] += graph.weight[v];
+                loads[f] += level.vertex_weight[v];
             }
         }
         part
@@ -206,35 +302,41 @@ impl MetisLikePartitioner {
     /// Boundary refinement: greedily move boundary vertices to the
     /// neighbouring fragment that most reduces the cut, while respecting the
     /// balance constraint.
-    fn refine(&self, graph: &CoarseGraph, part: &mut [FragmentId], k: usize, passes: usize) {
-        let n = graph.num_vertices();
+    fn refine(&self, level: &Level, part: &mut [FragmentId], k: usize) {
+        let n = level.num_vertices();
         if n == 0 {
             return;
         }
-        let max_load = (self.balance_slack * graph.total_weight() as f64 / k as f64).ceil() as u64;
+        let max_load = (self.balance_slack * level.total_weight() as f64 / k as f64).ceil() as u64;
         let mut loads = vec![0u64; k];
         for v in 0..n {
-            loads[part[v]] += graph.weight[v];
+            loads[part[v]] += level.vertex_weight[v];
         }
-        for _ in 0..passes {
+        // `edges_to[f]` is v's edge weight into fragment f; `touched` lists
+        // the fragments v reaches, so a vertex costs its degree, not k.
+        let mut edges_to = vec![0u64; k];
+        let mut touched: Vec<FragmentId> = Vec::new();
+        for _ in 0..self.refine_passes {
             let mut moved = 0usize;
             for v in 0..n {
                 let current = part[v];
-                // Gain of moving v to fragment f = (edges to f) - (edges to current).
-                let mut edges_to: HashMap<FragmentId, u64> = HashMap::new();
-                for &(u, w) in &graph.adj[v] {
-                    *edges_to.entry(part[u]).or_insert(0) += w;
+                let weight = level.vertex_weight[v];
+                for (u, w) in level.row(v) {
+                    let f = part[u];
+                    if edges_to[f] == 0 {
+                        touched.push(f);
+                    }
+                    edges_to[f] += w;
                 }
-                let internal = edges_to.get(&current).copied().unwrap_or(0);
+                touched.sort_unstable();
+                // Gain of moving v to fragment f = (edges to f) - (edges to
+                // current); the lowest f wins a tie.
+                let internal = edges_to[current];
                 let mut best_f = current;
                 let mut best_gain = 0i64;
-                let mut candidates: Vec<(FragmentId, u64)> = edges_to.into_iter().collect();
-                candidates.sort_unstable();
-                for (f, w) in candidates {
-                    if f == current {
-                        continue;
-                    }
-                    if loads[f] + graph.weight[v] > max_load {
+                for &f in &touched {
+                    let w = std::mem::take(&mut edges_to[f]);
+                    if f == current || loads[f] + weight > max_load {
                         continue;
                     }
                     let gain = w as i64 - internal as i64;
@@ -243,9 +345,10 @@ impl MetisLikePartitioner {
                         best_f = f;
                     }
                 }
+                touched.clear();
                 if best_f != current {
-                    loads[current] -= graph.weight[v];
-                    loads[best_f] += graph.weight[v];
+                    loads[current] -= weight;
+                    loads[best_f] += weight;
                     part[v] = best_f;
                     moved += 1;
                 }
@@ -264,8 +367,8 @@ impl Partitioner for MetisLikePartitioner {
         k: usize,
     ) -> PartitionAssignment {
         let k = k.max(1);
-        let mut assignment = PartitionAssignment::new(k);
         let n = graph.num_vertices();
+        let mut assignment = PartitionAssignment::with_capacity(k, n);
         if n == 0 {
             return assignment;
         }
@@ -278,9 +381,8 @@ impl Partitioner for MetisLikePartitioner {
 
         // 1. Coarsening: keep every level so refinement can run on each one
         // during the uncoarsening phase.
-        let (g0, ids) = Self::initial_coarse(graph);
-        let mut levels: Vec<CoarseGraph> = vec![g0];
-        let mut maps: Vec<Vec<usize>> = Vec::new();
+        let mut levels: Vec<Level> = vec![Self::initial_level(graph)];
+        let mut maps: Vec<Vec<u32>> = Vec::new();
         let stop = (self.coarsen_until * k).max(2 * k);
         let mut guard = 0;
         while levels.last().expect("non-empty").num_vertices() > stop && guard < 64 {
@@ -296,24 +398,19 @@ impl Partitioner for MetisLikePartitioner {
             levels.push(coarser);
         }
 
-        // 2. Initial partition of the coarsest graph + refinement there.
+        // 2. Initial partition of the coarsest level + refinement there.
         let coarsest = levels.last().expect("non-empty");
         let mut part = Self::initial_partition(coarsest, k);
-        self.refine(coarsest, &mut part, k, self.refine_passes);
+        self.refine(coarsest, &mut part, k);
 
         // 3. Uncoarsen with refinement at every level.
         for (level_idx, map) in maps.iter().enumerate().rev() {
-            let finer = &levels[level_idx];
-            let mut fine_part = vec![0usize; finer.num_vertices()];
-            for (v, p) in fine_part.iter_mut().enumerate() {
-                *p = part[map[v]];
-            }
-            part = fine_part;
-            self.refine(finer, &mut part, k, self.refine_passes);
+            part = map.iter().map(|&c| part[c as usize]).collect();
+            self.refine(&levels[level_idx], &mut part, k);
         }
 
-        for (dense, &frag) in part.iter().enumerate() {
-            assignment.assign(ids[dense], frag.min(k - 1));
+        for (&v, &frag) in graph.vertex_ids().iter().zip(&part) {
+            assignment.assign(v, frag.min(k - 1));
         }
         assignment
     }

@@ -63,7 +63,7 @@ impl Partitioner for HashPartitioner {
         k: usize,
     ) -> PartitionAssignment {
         let k = k.max(1);
-        let mut assignment = PartitionAssignment::new(k);
+        let mut assignment = PartitionAssignment::with_capacity(k, graph.num_vertices());
         for v in graph.vertices() {
             assignment.assign(v, hash_fragment_of(v, k));
         }
@@ -88,8 +88,8 @@ impl Partitioner for RangePartitioner {
         k: usize,
     ) -> PartitionAssignment {
         let k = k.max(1);
-        let mut assignment = PartitionAssignment::new(k);
         let n = graph.num_vertices();
+        let mut assignment = PartitionAssignment::with_capacity(k, n);
         if n == 0 {
             return assignment;
         }
@@ -120,8 +120,8 @@ impl Partitioner for Grid2DPartitioner {
         k: usize,
     ) -> PartitionAssignment {
         let k = k.max(1);
-        let mut assignment = PartitionAssignment::new(k);
         let n = graph.num_vertices();
+        let mut assignment = PartitionAssignment::with_capacity(k, n);
         if n == 0 {
             return assignment;
         }
@@ -220,20 +220,35 @@ mod tests {
 
     #[test]
     fn partitioners_handle_k_one_and_empty_graphs() {
-        let g = erdos_renyi(10, 0.2, 3).unwrap();
-        let single = [
-            HashPartitioner.partition(&g, 1),
-            RangePartitioner.partition(&g, 1),
-            Grid2DPartitioner.partition(&g, 1),
-        ];
-        for a in &single {
-            assert!(a.iter().all(|(_, f)| f == 0));
+        use crate::BuiltinStrategy;
+        use grape_graph::CsrGraph;
+        let ten = erdos_renyi(10, 0.2, 3).unwrap();
+        let empty = CsrGraph::<(), f64>::from_records(vec![], vec![], false).unwrap();
+        let edgeless = CsrGraph::<(), f64>::from_records(
+            (0..10u64).map(|v| (v * 3, ())).collect(),
+            vec![],
+            true,
+        )
+        .unwrap();
+        let single = CsrGraph::<(), f64>::from_records(vec![(7, ())], vec![], true).unwrap();
+        for strategy in BuiltinStrategy::all() {
+            let name = strategy.name();
+            assert!(
+                strategy.partition(&ten, 1).iter().all(|(_, f)| f == 0),
+                "{name}: k = 1"
+            );
+            assert_eq!(strategy.partition(&empty, 4).num_assigned(), 0, "{name}");
+            // An edgeless graph, a single vertex, and k above n.
+            for (graph, k) in [(&edgeless, 4), (&single, 4), (&single, 1), (&ten, 65)] {
+                let a = strategy.partition(graph, k);
+                assert_eq!(a.num_assigned(), graph.num_vertices(), "{name}, k = {k}");
+                assert!(
+                    graph.vertices().all(|v| a.fragment_of(v).is_some()),
+                    "{name}"
+                );
+                assert!(a.iter().all(|(_, f)| f < k), "{name}, k = {k}");
+            }
         }
-        let empty = grape_graph::CsrGraph::<(), ()>::from_records(vec![], vec![], false).unwrap();
-        let a = RangePartitioner.partition(&empty, 4);
-        assert_eq!(a.num_assigned(), 0);
-        let a = Grid2DPartitioner.partition(&empty, 4);
-        assert_eq!(a.num_assigned(), 0);
     }
 
     #[test]

@@ -39,7 +39,7 @@ impl Partitioner for LdgPartitioner {
     ) -> PartitionAssignment {
         let k = k.max(1);
         let n = graph.num_vertices();
-        let mut assignment = PartitionAssignment::new(k);
+        let mut assignment = PartitionAssignment::with_capacity(k, n);
         if n == 0 {
             return assignment;
         }
@@ -103,7 +103,7 @@ impl Partitioner for FennelPartitioner {
         let k = k.max(1);
         let n = graph.num_vertices();
         let m = graph.num_edges().max(1);
-        let mut assignment = PartitionAssignment::new(k);
+        let mut assignment = PartitionAssignment::with_capacity(k, n);
         if n == 0 {
             return assignment;
         }

@@ -989,6 +989,354 @@ proptest! {
     }
 }
 
+/// The reference for `MetisLikePartitioner`, written the way it first was:
+/// each level an adjacency list built through one `HashMap` per vertex,
+/// and refinement counting a vertex's edges per fragment in a `HashMap`.
+/// Same knobs, same recipe; the partitioner must give every vertex the
+/// fragment this gives it.
+fn reference_metis_like<V: Clone, E: Clone>(
+    graph: &CsrGraph<V, E>,
+    p: &MetisLikePartitioner,
+    k: usize,
+) -> PartitionAssignment {
+    struct Coarse {
+        adj: Vec<Vec<(usize, u64)>>,
+        weight: Vec<u64>,
+    }
+    fn sorted_rows(maps: Vec<HashMap<usize, u64>>) -> Vec<Vec<(usize, u64)>> {
+        maps.into_iter()
+            .map(|m| {
+                let mut v: Vec<(usize, u64)> = m.into_iter().collect();
+                v.sort_unstable();
+                v
+            })
+            .collect()
+    }
+    fn coarsen_once(graph: &Coarse) -> (Coarse, Vec<usize>) {
+        let n = graph.adj.len();
+        let mut matched = vec![usize::MAX; n];
+        let mut coarse_of = vec![usize::MAX; n];
+        let mut next_coarse = 0usize;
+        let mut order: Vec<usize> = (0..n).collect();
+        order.sort_by_key(|&v| graph.adj[v].len());
+        for &v in &order {
+            if matched[v] != usize::MAX {
+                continue;
+            }
+            let mut best = usize::MAX;
+            let mut best_w = 0u64;
+            for &(u, w) in &graph.adj[v] {
+                if matched[u] == usize::MAX && w > best_w {
+                    best = u;
+                    best_w = w;
+                }
+            }
+            if best != usize::MAX {
+                matched[v] = best;
+                matched[best] = v;
+                coarse_of[v] = next_coarse;
+                coarse_of[best] = next_coarse;
+            } else {
+                matched[v] = v;
+                coarse_of[v] = next_coarse;
+            }
+            next_coarse += 1;
+        }
+        let mut weight = vec![0u64; next_coarse];
+        for v in 0..n {
+            weight[coarse_of[v]] += graph.weight[v];
+        }
+        let mut adj_maps: Vec<HashMap<usize, u64>> = vec![HashMap::new(); next_coarse];
+        for v in 0..n {
+            let cv = coarse_of[v];
+            for &(u, w) in &graph.adj[v] {
+                let cu = coarse_of[u];
+                if cu != cv {
+                    *adj_maps[cv].entry(cu).or_insert(0) += w;
+                }
+            }
+        }
+        (
+            Coarse {
+                adj: sorted_rows(adj_maps),
+                weight,
+            },
+            coarse_of,
+        )
+    }
+    fn initial_partition(graph: &Coarse, k: usize) -> Vec<usize> {
+        let n = graph.adj.len();
+        let mut part = vec![usize::MAX; n];
+        let target = (graph.weight.iter().sum::<u64>() as f64 / k as f64).ceil() as u64;
+        let mut loads = vec![0u64; k];
+        for (f, load) in loads.iter_mut().enumerate() {
+            let seed = (f * n / k).min(n - 1);
+            let start = (seed..n).chain(0..seed).find(|&v| part[v] == usize::MAX);
+            let Some(start) = start else { break };
+            let mut queue = std::collections::VecDeque::from([start]);
+            while let Some(v) = queue.pop_front() {
+                if part[v] != usize::MAX {
+                    continue;
+                }
+                if *load >= target && f + 1 < k {
+                    break;
+                }
+                part[v] = f;
+                *load += graph.weight[v];
+                for &(u, _) in &graph.adj[v] {
+                    if part[u] == usize::MAX {
+                        queue.push_back(u);
+                    }
+                }
+            }
+        }
+        for (v, p) in part.iter_mut().enumerate() {
+            if *p == usize::MAX {
+                let f = (0..k).min_by_key(|&f| loads[f]).unwrap_or(0);
+                *p = f;
+                loads[f] += graph.weight[v];
+            }
+        }
+        part
+    }
+    fn refine(p: &MetisLikePartitioner, graph: &Coarse, part: &mut [usize], k: usize) {
+        let n = graph.adj.len();
+        let total = graph.weight.iter().sum::<u64>();
+        let max_load = (p.balance_slack * total as f64 / k as f64).ceil() as u64;
+        let mut loads = vec![0u64; k];
+        for v in 0..n {
+            loads[part[v]] += graph.weight[v];
+        }
+        for _ in 0..p.refine_passes {
+            let mut moved = 0usize;
+            for v in 0..n {
+                let current = part[v];
+                let mut edges_to: HashMap<usize, u64> = HashMap::new();
+                for &(u, w) in &graph.adj[v] {
+                    *edges_to.entry(part[u]).or_insert(0) += w;
+                }
+                let internal = edges_to.get(&current).copied().unwrap_or(0);
+                let mut best_f = current;
+                let mut best_gain = 0i64;
+                let mut candidates: Vec<(usize, u64)> = edges_to.into_iter().collect();
+                candidates.sort_unstable();
+                for (f, w) in candidates {
+                    if f == current || loads[f] + graph.weight[v] > max_load {
+                        continue;
+                    }
+                    let gain = w as i64 - internal as i64;
+                    if gain > best_gain {
+                        best_gain = gain;
+                        best_f = f;
+                    }
+                }
+                if best_f != current {
+                    loads[current] -= graph.weight[v];
+                    loads[best_f] += graph.weight[v];
+                    part[v] = best_f;
+                    moved += 1;
+                }
+            }
+            if moved == 0 {
+                break;
+            }
+        }
+    }
+
+    let k = k.max(1);
+    let mut assignment = PartitionAssignment::new(k);
+    let n = graph.num_vertices();
+    if n == 0 {
+        return assignment;
+    }
+    if k == 1 {
+        for v in graph.vertices() {
+            assignment.assign(v, 0);
+        }
+        return assignment;
+    }
+    let ids: Vec<VertexId> = graph.vertices().collect();
+    let mut adj_maps: Vec<HashMap<usize, u64>> = vec![HashMap::new(); n];
+    for (s, d, _) in graph.edges() {
+        if s == d {
+            continue;
+        }
+        let si = graph.dense_index(s).unwrap() as usize;
+        let di = graph.dense_index(d).unwrap() as usize;
+        *adj_maps[si].entry(di).or_insert(0) += 1;
+        *adj_maps[di].entry(si).or_insert(0) += 1;
+    }
+    let mut levels = vec![Coarse {
+        adj: sorted_rows(adj_maps),
+        weight: vec![1; n],
+    }];
+    let mut maps: Vec<Vec<usize>> = Vec::new();
+    let stop = (p.coarsen_until * k).max(2 * k);
+    let mut guard = 0;
+    while levels.last().unwrap().adj.len() > stop && guard < 64 {
+        guard += 1;
+        let current = levels.last().unwrap();
+        let before = current.adj.len();
+        let (coarser, map) = coarsen_once(current);
+        if coarser.adj.len() as f64 > 0.95 * before as f64 {
+            break;
+        }
+        maps.push(map);
+        levels.push(coarser);
+    }
+    let mut part = initial_partition(levels.last().unwrap(), k);
+    refine(p, levels.last().unwrap(), &mut part, k);
+    for (level_idx, map) in maps.iter().enumerate().rev() {
+        part = map.iter().map(|&c| part[c]).collect();
+        refine(p, &levels[level_idx], &mut part, k);
+    }
+    for (dense, &frag) in part.iter().enumerate() {
+        assignment.assign(ids[dense], frag.min(k - 1));
+    }
+    assignment
+}
+
+/// The knob settings the reference check runs: the defaults, then each knob
+/// pushed to both sides of them.
+fn metis_knobs() -> Vec<MetisLikePartitioner> {
+    let d = MetisLikePartitioner::default();
+    vec![
+        d,
+        MetisLikePartitioner {
+            coarsen_until: 1,
+            ..d
+        },
+        MetisLikePartitioner {
+            coarsen_until: 200,
+            ..d
+        },
+        MetisLikePartitioner {
+            refine_passes: 0,
+            ..d
+        },
+        MetisLikePartitioner {
+            refine_passes: 8,
+            ..d
+        },
+        MetisLikePartitioner {
+            balance_slack: 1.0,
+            ..d
+        },
+        MetisLikePartitioner {
+            balance_slack: 2.0,
+            ..d
+        },
+    ]
+}
+
+/// Checks `MetisLikePartitioner` against [`reference_metis_like`] on every
+/// knob setting and every `k`, vertex by vertex.
+fn check_metis_like_against_reference<V: Clone, E: Clone>(
+    graph: &CsrGraph<V, E>,
+    ks: &[usize],
+) -> Result<(), TestCaseError> {
+    for p in metis_knobs() {
+        for &k in ks {
+            let got = p.partition(graph, k);
+            let expected = reference_metis_like(graph, &p, k);
+            prop_assert_eq!(got.num_fragments(), expected.num_fragments());
+            prop_assert_eq!(got.num_assigned(), expected.num_assigned());
+            for v in graph.vertices() {
+                prop_assert_eq!(
+                    got.fragment_of(v),
+                    expected.fragment_of(v),
+                    "vertex {} of {} at k = {}, {:?}",
+                    v,
+                    graph.num_vertices(),
+                    k,
+                    p
+                );
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Strategy: a graph for the multilevel cut. `n` ids `i * stretch` (direct
+/// or sorted id index) split into `parts` components, each edge kept inside
+/// its source's component; self-loops, parallel and antiparallel edges come
+/// from the draw, `isolated` extra vertices have no edges, and the reverse
+/// adjacency is built or not.
+fn arb_metis_graph() -> impl Strategy<Value = CsrGraph<u32, f64>> {
+    (
+        2usize..400,
+        0usize..1200,
+        0usize..3,
+        1usize..5,
+        0usize..8,
+        0usize..2,
+    )
+        .prop_flat_map(|(n, m, shape, parts, isolated, reverse)| {
+            let stretch = [1u64, 3, 1000][shape];
+            let block = n.div_ceil(parts) as u64;
+            let edges = proptest::collection::vec((0..n as u64, 0..n as u64, 0usize..4), 0..m);
+            edges.prop_map(move |edges| {
+                let mut b = GraphBuilder::<u32, f64>::new().with_reverse(reverse == 1);
+                for v in 0..(n + isolated) as u64 {
+                    b.add_vertex(v * stretch, v as u32 % 7);
+                }
+                for (s, d, shape) in edges {
+                    let d = (s / block * block + d % block).min(n as u64 - 1);
+                    b.add_edge(s * stretch, d * stretch, 1.0);
+                    // Now and then a parallel or an antiparallel twin.
+                    match shape {
+                        0 => {
+                            b.add_edge(s * stretch, d * stretch, 2.0);
+                        }
+                        1 => {
+                            b.add_edge(d * stretch, s * stretch, 2.0);
+                        }
+                        _ => {}
+                    }
+                }
+                b.build().expect("valid edges")
+            })
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The CSR-level multilevel partitioner puts every vertex on the
+    /// fragment the per-vertex `HashMap` reference puts it on, for every
+    /// knob setting and every `k`, including `k` above `n`.
+    #[test]
+    fn metis_like_equals_the_reference_partitioner(graph in arb_metis_graph()) {
+        check_metis_like_against_reference(&graph, &[1, 2, 3, 4, 7, 65])?;
+    }
+}
+
+/// The same check on a road grid and a small R-MAT: the graph families the
+/// benchmark cuts with MetisLike, deep enough to coarsen several levels.
+#[test]
+fn metis_like_equals_the_reference_partitioner_on_road_and_rmat() {
+    use grape::graph::generators::{rmat, road_network, RmatConfig, RoadNetworkConfig};
+    let road = road_network(
+        RoadNetworkConfig {
+            width: 48,
+            height: 48,
+            ..Default::default()
+        },
+        5,
+    )
+    .unwrap();
+    let rmat = rmat(
+        RmatConfig {
+            scale: 11,
+            ..Default::default()
+        },
+        3,
+    )
+    .unwrap();
+    check_metis_like_against_reference(&road, &[2, 4, 7, 65]).unwrap();
+    check_metis_like_against_reference(&rmat, &[2, 4, 7, 65]).unwrap();
+}
+
 /// One drawn mutation: `(kind, a, b)` over ids `0..n + 8`, so draws name
 /// residents, strangers, and ids the stream removed before.
 type Draw = (u8, u64, u64);
