@@ -25,11 +25,10 @@
 //! "smallest dense index in the class" and "smallest global id in the class"
 //! coincide, which [`DenseUnionFind`] exploits.
 
-use grape_core::par::{for_each_slice_chunk, num_chunks, ThreadPool, CHUNK};
+use grape_core::par::for_each_slice_chunk;
 use grape_core::{Fragment, PieContext, PieProgram, VertexId};
 use grape_graph::{merge_join, strictly_ascending, CsrGraph, DenseBitset, VertexDenseMap};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU32, Ordering};
 
 /// CC query: no parameters (the whole graph is labeled).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -178,83 +177,21 @@ pub fn sequential_cc<V: Clone, E: Clone>(graph: &CsrGraph<V, E>) -> HashMap<Vert
     graph.vertices().map(|v| (v, uf.find(v))).collect()
 }
 
-/// Lock-free find with path halving over an atomic parent array. The halving
-/// CAS is a benign race: it only ever replaces a parent pointer with an
-/// ancestor, so concurrent interleavings cannot change which root is reached.
-#[inline]
-fn atomic_find(parent: &[AtomicU32], mut i: u32) -> u32 {
-    loop {
-        let p = parent[i as usize].load(Ordering::Acquire);
-        if p == i {
-            return i;
-        }
-        let gp = parent[p as usize].load(Ordering::Acquire);
-        if gp != p {
-            let _ = parent[i as usize].compare_exchange(p, gp, Ordering::AcqRel, Ordering::Acquire);
-        }
-        i = gp;
-    }
-}
-
-/// Min-hooking concurrent unite: roots only ever acquire *smaller* parents,
-/// so the forest stays acyclic and the final root of every class is its
-/// minimum element — the same representative the sequential
-/// [`DenseUnionFind`] picks, regardless of thread schedule.
-#[inline]
-fn atomic_unite(parent: &[AtomicU32], a: u32, b: u32) {
-    let mut ra = atomic_find(parent, a);
-    let mut rb = atomic_find(parent, b);
-    while ra != rb {
-        let (small, large) = if ra < rb { (ra, rb) } else { (rb, ra) };
-        match parent[large as usize].compare_exchange(
-            large,
-            small,
-            Ordering::AcqRel,
-            Ordering::Acquire,
-        ) {
-            Ok(_) => return,
-            Err(_) => {
-                ra = atomic_find(parent, large);
-                rb = atomic_find(parent, small);
-            }
-        }
-    }
-}
-
 /// Component roots (smallest dense index per weakly connected class) of the
-/// fragment's local graph, computed with the concurrent union-find when the
-/// pool has more than one thread. Bit-identical to the sequential pass for
-/// any thread count: both label a vertex with the minimum of its class.
-fn local_components(pool: &ThreadPool, g: &CsrGraph<(), f64>) -> Vec<u32> {
+/// fragment's local graph: one sequential [`DenseUnionFind`] pass over the
+/// local edges, whatever the worker's pool holds. A concurrent min-hooking
+/// union-find was deleted: on two threads it took 29.7 ms against 16.2 for
+/// this pass on road-512 and 6.7 against 3.8 on road-256
+/// (`core.cc.k1_par_ms` against `k1_ms`), and was within noise on R-MAT.
+fn local_components(g: &CsrGraph<(), f64>) -> Vec<u32> {
     let n = g.num_vertices();
-    if pool.threads() <= 1 || n <= CHUNK {
-        let mut uf = DenseUnionFind::new(n);
-        for u in 0..n as u32 {
-            for &w in g.out_neighbors_dense(u) {
-                uf.union(u, w);
-            }
+    let mut uf = DenseUnionFind::new(n);
+    for u in 0..n as u32 {
+        for &w in g.out_neighbors_dense(u) {
+            uf.union(u, w);
         }
-        return uf.into_roots();
     }
-    let parent: Vec<AtomicU32> = (0..n as u32).map(AtomicU32::new).collect();
-    let parent_ref: &[AtomicU32] = &parent;
-    let sweep = move |ci: usize| {
-        let start = ci * CHUNK;
-        let end = (start + CHUNK).min(n);
-        for u in start..end {
-            for &w in g.out_neighbors_dense(u as u32) {
-                atomic_unite(parent_ref, u as u32, w);
-            }
-        }
-    };
-    pool.run(num_chunks(n), &sweep);
-    let mut comp = vec![0u32; n];
-    for_each_slice_chunk(pool, &mut comp, |start, window| {
-        for (off, slot) in window.iter_mut().enumerate() {
-            *slot = atomic_find(parent_ref, (start + off) as u32);
-        }
-    });
-    comp
+    uf.into_roots()
 }
 
 /// Per-fragment partial state: the component label (smallest known global id)
@@ -307,12 +244,10 @@ impl PieProgram for CcProgram {
         fragment: &Fragment<(), f64>,
         ctx: &mut PieContext<VertexId>,
     ) -> CcPartial {
-        // Union-find over the local edges, entirely on dense indices —
-        // concurrent min-hooking when the context pool has threads to spare.
-        let pool = std::sync::Arc::clone(ctx.pool());
+        // Union-find over the local edges, entirely on dense indices.
         let g = &fragment.graph;
         let n = g.num_vertices();
-        let comp = local_components(&pool, g);
+        let comp = local_components(g);
         // Dense indices ascend with global ids, so the root's id is the
         // smallest global id of the class.
         let comp_label: Vec<VertexId> = (0..n as u32).map(|i| g.vertex_of(i)).collect();
@@ -469,7 +404,6 @@ impl PieProgram for CcProgram {
         // (often already final) upper bound. The warm run skips the
         // cross-fragment min propagation, which dominates the supersteps of a
         // cold run.
-        let pool = std::sync::Arc::clone(ctx.pool());
         let g = &fragment.graph;
         let n = g.num_vertices();
         let comp = if old.vertex_ids == g.vertex_ids() {
@@ -493,7 +427,7 @@ impl PieProgram for CcProgram {
         } else {
             // The local vertex set moved (new mirrors or inserted vertices):
             // dense indices shifted, rebuild from the edges.
-            local_components(&pool, g)
+            local_components(g)
         };
         let mut comp_label: Vec<VertexId> = (0..n as u32).map(|i| g.vertex_of(i)).collect();
         let old_labels = old.labels.as_slice();
@@ -769,23 +703,6 @@ mod tests {
         // range's first vertex names a vertex of an earlier range, never one
         // local to this range, so no classes join.
         assert!(result.stats.supersteps >= 10);
-    }
-
-    #[test]
-    fn parallel_union_find_matches_sequential_roots() {
-        let g = barabasi_albert(1500, 2, 17).unwrap();
-        let n = g.num_vertices();
-        let mut uf = DenseUnionFind::new(n);
-        for u in 0..n as u32 {
-            for &w in g.out_neighbors_dense(u) {
-                uf.union(u, w);
-            }
-        }
-        let expected: Vec<u32> = (0..n as u32).map(|i| uf.find(i)).collect();
-        for threads in [1usize, 2, 4, 8] {
-            let pool = ThreadPool::new(threads);
-            assert_eq!(local_components(&pool, &g), expected, "threads={threads}");
-        }
     }
 
     #[test]

@@ -16,9 +16,13 @@
 //!   with `min`; they decrease monotonically, so the Assurance Theorem
 //!   applies and the fixpoint is reached with correct answers.
 //!
-//! On a one-thread pool PEval and IncEval are one kernel, [`dense_relax`]:
+//! PEval, IncEval and a warm start's seeding are one kernel, [`dense_relax`]:
 //! Dijkstra over a monotone radix queue keyed by the distance's bit pattern,
-//! not a comparison heap.
+//! not a comparison heap. It runs on one thread whatever the worker's pool
+//! holds: a chunked Bellman–Ford sweep on two threads lost to it on road
+//! grids (`core.sssp.k1_par_ms` 417 against `k1_ms` 55 on road-512, 58
+//! against 16 on road-256) and won only on R-MAT (62 against 77), so it was
+//! deleted. Parallelism is across fragments.
 //!
 //! The PIE program keeps its per-fragment state in a [`VertexDenseMap`]
 //! keyed by the fragment's dense CSR indices and relaxes edges over the flat
@@ -27,7 +31,6 @@
 //! [`incremental_sssp`]) remain as the sequential references the tests and
 //! benches compare against.
 
-use grape_core::par::{map_chunks, ThreadPool};
 use grape_core::{Fragment, PieContext, PieProgram, VertexId};
 use grape_graph::{merge_join, strictly_ascending, CsrGraph, DenseBitset, VertexDenseMap};
 use std::collections::{BinaryHeap, HashMap};
@@ -257,89 +260,6 @@ pub fn dense_relax(
     changed
 }
 
-/// [`dense_relax`] with an intra-fragment thread pool: a single-threaded
-/// pool takes the sequential Dijkstra path unchanged; a larger pool runs
-/// chunked Bellman-Ford frontier rounds (`edge_map` over the frontier's
-/// index list, candidates applied in fixed chunk order). Both converge to
-/// the least fixpoint of `dist[v] = min(dist[u] + w(u, v))` over exactly the
-/// same f64 additions, and equal nonnegative f64s share one bit pattern, so
-/// the resulting distances are **bit-identical** for every thread count.
-///
-/// The returned change count says whether any distance improved (`> 0`) but
-/// its exact value is schedule-dependent between the two algorithms; the
-/// engine's observable protocol only branches on `changed == 0`.
-pub fn dense_relax_par(
-    pool: &ThreadPool,
-    graph: &CsrGraph<(), Distance>,
-    dist: &mut VertexDenseMap<Distance>,
-    seeds: &[(u32, Distance)],
-) -> usize {
-    if pool.threads() <= 1 {
-        return dense_relax(graph, dist, seeds);
-    }
-    let n = graph.num_vertices();
-    let mut changed = 0usize;
-    let mut in_frontier = DenseBitset::new(n);
-    let mut frontier: Vec<u32> = Vec::new();
-    for &(u, d) in seeds {
-        if d < dist[u] {
-            dist[u] = d;
-            changed += 1;
-            if !in_frontier.contains(u) {
-                in_frontier.set(u);
-                frontier.push(u);
-            }
-        }
-    }
-    frontier.sort_unstable();
-    let mut next: Vec<u32> = Vec::new();
-    while !frontier.is_empty() {
-        // Map phase: every chunk scans its slice of the frontier against a
-        // frozen distance snapshot and emits candidate improvements.
-        let snapshot: &VertexDenseMap<Distance> = dist;
-        let frontier_ref: &[u32] = &frontier;
-        let candidates = map_chunks(
-            pool,
-            frontier.len(),
-            |range, out: &mut Vec<(u32, Distance)>| {
-                for &u in &frontier_ref[range] {
-                    let d = snapshot[u];
-                    for (&v, &w) in graph
-                        .out_neighbors_dense(u)
-                        .iter()
-                        .zip(graph.out_edge_data_dense(u))
-                    {
-                        let nd = d + w;
-                        if nd < snapshot[v] {
-                            out.push((v, nd));
-                        }
-                    }
-                }
-            },
-        );
-        // Apply phase, sequential in chunk order: deterministic regardless
-        // of which thread produced which chunk.
-        for &u in &frontier {
-            in_frontier.clear(u);
-        }
-        next.clear();
-        for chunk in &candidates {
-            for &(v, nd) in chunk {
-                if nd < dist[v] {
-                    dist[v] = nd;
-                    changed += 1;
-                    if !in_frontier.contains(v) {
-                        in_frontier.set(v);
-                        next.push(v);
-                    }
-                }
-            }
-        }
-        std::mem::swap(&mut frontier, &mut next);
-    }
-    changed
-}
-
 /// Per-fragment partial result: the current distance estimates for every
 /// local vertex (inner and mirror), keyed by the fragment's dense indices.
 #[derive(Debug, Clone, Default)]
@@ -378,13 +298,8 @@ impl PieProgram for SsspProgram {
     ) -> SsspPartial {
         let g = &fragment.graph;
         // Dense SSSP on the local fragment (distances stay infinite when the
-        // source lives elsewhere): sequential Dijkstra on a 1-thread pool,
-        // chunked frontier rounds otherwise — bit-identical either way.
-        let pool = std::sync::Arc::clone(ctx.pool());
-        let mut dist = VertexDenseMap::for_graph(g, Distance::INFINITY);
-        if let Some(src) = g.dense_index(query.source) {
-            dense_relax_par(&pool, g, &mut dist, &[(src, 0.0)]);
-        }
+        // source lives elsewhere).
+        let dist = dense_sssp(g, g.dense_index(query.source));
         // Declare update parameters: the current distance of every border
         // vertex that is already reachable locally. `update_at` addresses
         // the context by border position — an indexed compare per vertex,
@@ -420,8 +335,7 @@ impl PieProgram for SsspProgram {
             .iter()
             .map(|&(pos, d)| (border[pos as usize], d))
             .collect();
-        let pool = std::sync::Arc::clone(ctx.pool());
-        let changed = dense_relax_par(&pool, g, &mut partial.dist, &seeds);
+        let changed = dense_relax(g, &mut partial.dist, &seeds);
         partial.inceval_changes += changed;
         if changed == 0 {
             return;
@@ -543,8 +457,7 @@ impl PieProgram for SsspProgram {
                 seeds.push((w_idx, d + w));
             }
         }
-        let pool = std::sync::Arc::clone(ctx.pool());
-        dense_relax_par(&pool, g, &mut dist, &seeds);
+        dense_relax(g, &mut dist, &seeds);
         for (pos, &i) in fragment.border_dense_indices().iter().enumerate() {
             let d = dist[i];
             if d.is_finite() {
@@ -745,23 +658,36 @@ mod tests {
     }
 
     #[test]
-    fn dense_relax_par_is_bit_identical_across_thread_counts() {
-        let g = barabasi_albert(600, 3, 23).unwrap();
-        let src = g.dense_index(0).unwrap();
-        let reference = dense_sssp(&g, Some(src));
-        for threads in [1, 2, 4, 8] {
-            let pool = ThreadPool::new(threads);
-            let mut dist = VertexDenseMap::for_graph(&g, Distance::INFINITY);
-            let changed = dense_relax_par(&pool, &g, &mut dist, &[(src, 0.0)]);
-            assert!(changed > 0);
-            for (i, (d, r)) in dist.as_slice().iter().zip(reference.as_slice()).enumerate() {
-                assert!(
-                    d.to_bits() == r.to_bits(),
-                    "threads={threads} dense index {i}: {d} vs {r}"
-                );
+    fn work_does_not_depend_on_the_thread_count() {
+        // One kernel at every pool size: not only the distances but the
+        // number of strict improvements IncEval makes, and the supersteps
+        // and messages of the run, are those of one thread.
+        use grape_core::par::ThreadCount;
+        let g = road_network(RoadNetworkConfig::default(), 7).unwrap();
+        let fragments = build_fragments(&g, &HashPartitioner.partition(&g, 2));
+        let run = |threads: u32| {
+            GrapeEngine::new(SsspProgram)
+                .with_config(EngineConfig {
+                    threads_per_worker: ThreadCount::Fixed(threads),
+                    ..Default::default()
+                })
+                .run_partials(&SsspQuery::new(g.vertex_ids()[0]), &fragments, &[])
+                .unwrap()
+        };
+        let bits = |p: &SsspPartial| -> Vec<u64> {
+            p.dist.as_slice().iter().map(|d| d.to_bits()).collect()
+        };
+        let (reference, stats) = run(1);
+        assert!(stats.supersteps > 2, "the cut makes IncEval work");
+        for threads in [2u32, 4] {
+            let (partials, got) = run(threads);
+            assert_eq!(got.supersteps, stats.supersteps, "threads={threads}");
+            assert_eq!(got.messages, stats.messages, "threads={threads}");
+            for (i, (p, r)) in partials.iter().zip(&reference).enumerate() {
+                let what = format!("fragment {i}, threads={threads}");
+                assert_eq!(p.inceval_changes, r.inceval_changes, "{what}");
+                assert_eq!(bits(p), bits(r), "{what}");
             }
-            // Idempotent under re-seeding, like the sequential path.
-            assert_eq!(dense_relax_par(&pool, &g, &mut dist, &[(src, 0.0)]), 0);
         }
     }
 

@@ -16,6 +16,26 @@
 //! and no observable state depends on it, so results are **bit-identical
 //! across `threads_per_worker` ∈ {1, 2, 4, 8, …}** — the same guarantee the
 //! Inline/Threads execution modes already pin across worker counts.
+//!
+//! A parallel kernel stays only while it beats one good thread; a loop that
+//! loses runs its sequential algorithm at every pool size. The users left,
+//! each with the measurement that keeps it (2-core box, two threads against
+//! one):
+//!
+//! * pagerank's chunked pull sweep (`pagerank.rs`, `local_iterate`):
+//!   `core.pagerank.k1_par_ms` 7.5 against `k1_ms` 10.2 on road-256, 18.5
+//!   against 19.1 on road-512;
+//! * sim's `refine_par`, Jacobi rounds over the refinement worklist: 2.2×
+//!   on `labeled_social` with 200 k persons;
+//! * keyword's `relax_keyword_par`, unit-weight frontier rounds, which are
+//!   BFS levels: 1.25× on the same graph;
+//! * cc's label rewrite in `inceval`, the sequential loop cut into chunks
+//!   (not a second algorithm), so it cannot lose much: `core.cc.k1_par_ms`
+//!   4.2 against `k1_ms` 4.6 on road-256, 23.5 against 22.0 on road-512.
+//!
+//! SSSP's chunked Bellman–Ford sweep (3.6–7.5× slower than Dijkstra on road
+//! grids) and CC's concurrent union-find (1.8× slower on road grids) lost
+//! and were deleted.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};

@@ -11,11 +11,48 @@
 //! * **Fennel**: interpolates between LDG and hash by charging a cost
 //!   `α · γ · size^(γ-1)` for fragment size.
 //!
-//! Both stream vertices in id order and are deterministic.
+//! Both stream vertices in id order and are deterministic. They share one
+//! loop, `stream_vertices`, over dense indices: the fragment of every
+//! placed vertex sits in a flat array, so counting a vertex's placed
+//! neighbours is one load per edge, not a map lookup. Each partitioner only
+//! scores the fragments.
 
-use crate::assignment::PartitionAssignment;
+use crate::assignment::{FragmentId, PartitionAssignment};
 use crate::strategy::Partitioner;
-use grape_graph::{CsrGraph, Direction};
+use grape_graph::CsrGraph;
+
+/// Streams `graph`'s vertices in id order and places each on the fragment
+/// `choose(counts, sizes)` returns, where `counts[f]` is how many of the
+/// vertex's already-placed neighbours, out-edges then in-edges with
+/// multiplicity, sit on `f` (in-edges only where the reverse adjacency is
+/// built), and `sizes[f]` is how many vertices `f` holds so far.
+fn stream_vertices<V: Clone, E: Clone>(
+    graph: &CsrGraph<V, E>,
+    k: usize,
+    mut choose: impl FnMut(&[usize], &[usize]) -> FragmentId,
+) -> PartitionAssignment {
+    const UNPLACED: u32 = u32::MAX;
+    let n = graph.num_vertices();
+    let mut assignment = PartitionAssignment::with_capacity(k, n);
+    let mut part = vec![UNPLACED; n];
+    let mut counts = vec![0usize; k];
+    let mut sizes = vec![0usize; k];
+    for u in 0..n as u32 {
+        let neighbours = graph.out_neighbors_dense(u).iter();
+        for &w in neighbours.chain(graph.in_neighbors_dense(u)) {
+            let f = part[w as usize];
+            if f != UNPLACED {
+                counts[f as usize] += 1;
+            }
+        }
+        let best = choose(&counts, &sizes);
+        counts.fill(0);
+        part[u as usize] = best as u32;
+        sizes[best] += 1;
+        assignment.assign(graph.vertex_of(u), best);
+    }
+    assignment
+}
 
 /// Linear Deterministic Greedy streaming partitioner.
 #[derive(Debug, Clone, Copy)]
@@ -39,25 +76,13 @@ impl Partitioner for LdgPartitioner {
     ) -> PartitionAssignment {
         let k = k.max(1);
         let n = graph.num_vertices();
-        let mut assignment = PartitionAssignment::with_capacity(k, n);
-        if n == 0 {
-            return assignment;
-        }
         let capacity = (self.slack * n as f64 / k as f64).ceil().max(1.0);
-        let mut sizes = vec![0usize; k];
-        for v in graph.vertices() {
-            // Count already-placed neighbours per fragment.
-            let mut neighbour_count = vec![0usize; k];
-            for (u, _) in graph.neighbours(v, Direction::Both) {
-                if let Some(f) = assignment.fragment_of(u) {
-                    neighbour_count[f] += 1;
-                }
-            }
+        stream_vertices(graph, k, |counts, sizes| {
             let mut best = 0usize;
             let mut best_score = f64::NEG_INFINITY;
             for f in 0..k {
                 let penalty = 1.0 - sizes[f] as f64 / capacity;
-                let score = neighbour_count[f] as f64 * penalty;
+                let score = counts[f] as f64 * penalty;
                 // Tie-break toward the emptiest fragment for balance.
                 let score = score - sizes[f] as f64 * 1e-9;
                 if score > best_score {
@@ -65,10 +90,8 @@ impl Partitioner for LdgPartitioner {
                     best = f;
                 }
             }
-            assignment.assign(v, best);
-            sizes[best] += 1;
-        }
-        assignment
+            best
+        })
     }
 
     fn name(&self) -> &'static str {
@@ -103,21 +126,10 @@ impl Partitioner for FennelPartitioner {
         let k = k.max(1);
         let n = graph.num_vertices();
         let m = graph.num_edges().max(1);
-        let mut assignment = PartitionAssignment::with_capacity(k, n);
-        if n == 0 {
-            return assignment;
-        }
         // α chosen as in the Fennel paper: m · k^(γ-1) / n^γ.
         let alpha = m as f64 * (k as f64).powf(self.gamma - 1.0) / (n as f64).powf(self.gamma);
         let capacity = (self.slack * n as f64 / k as f64).ceil().max(1.0) as usize;
-        let mut sizes = vec![0usize; k];
-        for v in graph.vertices() {
-            let mut neighbour_count = vec![0usize; k];
-            for (u, _) in graph.neighbours(v, Direction::Both) {
-                if let Some(f) = assignment.fragment_of(u) {
-                    neighbour_count[f] += 1;
-                }
-            }
+        stream_vertices(graph, k, |counts, sizes| {
             let mut best = 0usize;
             let mut best_score = f64::NEG_INFINITY;
             for f in 0..k {
@@ -126,7 +138,7 @@ impl Partitioner for FennelPartitioner {
                 }
                 let size_cost =
                     alpha * self.gamma * (sizes[f] as f64).max(0.0).powf(self.gamma - 1.0);
-                let score = neighbour_count[f] as f64 - size_cost;
+                let score = counts[f] as f64 - size_cost;
                 if score > best_score {
                     best_score = score;
                     best = f;
@@ -137,10 +149,8 @@ impl Partitioner for FennelPartitioner {
                 // fall back to the smallest fragment.
                 best = (0..k).min_by_key(|f| sizes[*f]).unwrap_or(0);
             }
-            assignment.assign(v, best);
-            sizes[best] += 1;
-        }
-        assignment
+            best
+        })
     }
 
     fn name(&self) -> &'static str {

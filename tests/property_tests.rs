@@ -21,6 +21,7 @@ use grape::core::ThreadCount;
 use grape::graph::labels::{LabeledVertex, PatternGraph};
 use grape::graph::types::EdgeRecord;
 use grape::graph::LabeledGraph;
+use grape::partition::{FennelPartitioner, LdgPartitioner};
 use grape::prelude::*;
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -1335,6 +1336,152 @@ fn metis_like_equals_the_reference_partitioner_on_road_and_rmat() {
     .unwrap();
     check_metis_like_against_reference(&road, &[2, 4, 7, 65]).unwrap();
     check_metis_like_against_reference(&rmat, &[2, 4, 7, 65]).unwrap();
+}
+
+/// The reference for `LdgPartitioner`, the loop as it first was: per vertex
+/// a fresh count array, filled from `neighbours(v, Both)` through the
+/// assignment's map.
+fn reference_ldg<V: Clone, E: Clone>(
+    graph: &CsrGraph<V, E>,
+    p: &LdgPartitioner,
+    k: usize,
+) -> PartitionAssignment {
+    use grape::graph::Direction;
+    let k = k.max(1);
+    let n = graph.num_vertices();
+    let mut assignment = PartitionAssignment::with_capacity(k, n);
+    if n == 0 {
+        return assignment;
+    }
+    let capacity = (p.slack * n as f64 / k as f64).ceil().max(1.0);
+    let mut sizes = vec![0usize; k];
+    for v in graph.vertices() {
+        let mut neighbour_count = vec![0usize; k];
+        for (u, _) in graph.neighbours(v, Direction::Both) {
+            if let Some(f) = assignment.fragment_of(u) {
+                neighbour_count[f] += 1;
+            }
+        }
+        let mut best = 0usize;
+        let mut best_score = f64::NEG_INFINITY;
+        for f in 0..k {
+            let penalty = 1.0 - sizes[f] as f64 / capacity;
+            let score = neighbour_count[f] as f64 * penalty;
+            let score = score - sizes[f] as f64 * 1e-9;
+            if score > best_score {
+                best_score = score;
+                best = f;
+            }
+        }
+        assignment.assign(v, best);
+        sizes[best] += 1;
+    }
+    assignment
+}
+
+/// The reference for `FennelPartitioner`, the loop as it first was.
+fn reference_fennel<V: Clone, E: Clone>(
+    graph: &CsrGraph<V, E>,
+    p: &FennelPartitioner,
+    k: usize,
+) -> PartitionAssignment {
+    use grape::graph::Direction;
+    let k = k.max(1);
+    let n = graph.num_vertices();
+    let m = graph.num_edges().max(1);
+    let mut assignment = PartitionAssignment::with_capacity(k, n);
+    if n == 0 {
+        return assignment;
+    }
+    let alpha = m as f64 * (k as f64).powf(p.gamma - 1.0) / (n as f64).powf(p.gamma);
+    let capacity = (p.slack * n as f64 / k as f64).ceil().max(1.0) as usize;
+    let mut sizes = vec![0usize; k];
+    for v in graph.vertices() {
+        let mut neighbour_count = vec![0usize; k];
+        for (u, _) in graph.neighbours(v, Direction::Both) {
+            if let Some(f) = assignment.fragment_of(u) {
+                neighbour_count[f] += 1;
+            }
+        }
+        let mut best = 0usize;
+        let mut best_score = f64::NEG_INFINITY;
+        for f in 0..k {
+            if sizes[f] >= capacity {
+                continue;
+            }
+            let size_cost = alpha * p.gamma * (sizes[f] as f64).max(0.0).powf(p.gamma - 1.0);
+            let score = neighbour_count[f] as f64 - size_cost;
+            if score > best_score {
+                best_score = score;
+                best = f;
+            }
+        }
+        if best_score == f64::NEG_INFINITY {
+            best = (0..k).min_by_key(|f| sizes[*f]).unwrap_or(0);
+        }
+        assignment.assign(v, best);
+        sizes[best] += 1;
+    }
+    assignment
+}
+
+/// Checks `got` against `expected` vertex by vertex.
+fn check_same_assignment<V: Clone, E: Clone>(
+    graph: &CsrGraph<V, E>,
+    got: &PartitionAssignment,
+    expected: &PartitionAssignment,
+    what: &str,
+) -> Result<(), TestCaseError> {
+    prop_assert_eq!(got.num_fragments(), expected.num_fragments());
+    prop_assert_eq!(got.num_assigned(), expected.num_assigned());
+    for v in graph.vertices() {
+        prop_assert_eq!(
+            got.fragment_of(v),
+            expected.fragment_of(v),
+            "vertex {} of {}, {}",
+            v,
+            graph.num_vertices(),
+            what
+        );
+    }
+    Ok(())
+}
+
+/// Checks LDG and Fennel against their references at every `k` in `ks`, at
+/// the default knobs, a tight slack and a slack below one (Fennel then finds
+/// every fragment full and falls back to the smallest).
+fn check_streaming_against_reference<V: Clone, E: Clone>(
+    graph: &CsrGraph<V, E>,
+    ks: &[usize],
+) -> Result<(), TestCaseError> {
+    for &k in ks {
+        for slack in [1.1, 1.0, 0.5] {
+            let ldg = LdgPartitioner { slack };
+            let what = format!("k = {k}, {ldg:?}");
+            let got = ldg.partition(graph, k);
+            check_same_assignment(graph, &got, &reference_ldg(graph, &ldg, k), &what)?;
+            for gamma in [1.5, 2.0] {
+                let fennel = FennelPartitioner { gamma, slack };
+                let what = format!("k = {k}, {fennel:?}");
+                let got = fennel.partition(graph, k);
+                check_same_assignment(graph, &got, &reference_fennel(graph, &fennel, k), &what)?;
+            }
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The dense streaming loop puts every vertex on the fragment the
+    /// per-vertex map loop puts it on: neighbour multiplicity, self-loops,
+    /// antiparallel twins, isolated vertices and graphs without a reverse
+    /// adjacency (where `Both` yields out-edges only) included.
+    #[test]
+    fn streaming_partitioners_equal_the_reference(graph in arb_metis_graph()) {
+        check_streaming_against_reference(&graph, &[1, 2, 3, 4, 7, 65])?;
+    }
 }
 
 /// One drawn mutation: `(kind, a, b)` over ids `0..n + 8`, so draws name
