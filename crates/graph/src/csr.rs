@@ -16,6 +16,7 @@
 
 use crate::delta::NetMutations;
 use crate::types::{Direction, EdgeRecord, GraphError, VertexId};
+use std::sync::Arc;
 
 /// Dense-index sentinel: a hole of the direct index, or a vertex with no
 /// counterpart on the other side of a patch in the patch remap tables.
@@ -31,8 +32,11 @@ const MAX_DENSE_WASTE: u64 = 8;
 enum VertexIndex {
     /// `table[id - first]` is the dense index of `id`; [`ABSENT`] marks a
     /// hole. Used when the ids span at most [`MAX_DENSE_WASTE`] times their
-    /// count.
-    Direct { first: VertexId, table: Vec<u32> },
+    /// count. Shared like the ids it indexes.
+    Direct {
+        first: VertexId,
+        table: Arc<Vec<u32>>,
+    },
     /// A binary search over `vertex_ids`, for sparser (or no) ids.
     Sorted,
 }
@@ -53,7 +57,10 @@ impl VertexIndex {
         for (dense, &id) in (0u32..).zip(ids) {
             table[(id - first) as usize] = dense;
         }
-        Self::Direct { first, table }
+        Self::Direct {
+            first,
+            table: Arc::new(table),
+        }
     }
 
     /// The dense index of `v` among `ids` (the slice the index was built on).
@@ -76,6 +83,13 @@ impl VertexIndex {
         }
     }
 }
+
+/// Edge positions per block of the shift table an edges-only patch remaps
+/// `in_edge_pos` through.
+const SHIFT_BLOCK: usize = 256;
+
+/// A shift-table block that holds a step of the shift function.
+const MIXED_SHIFTS: isize = isize::MIN;
 
 /// Dense indices are `u32` with [`ABSENT`] reserved, and `in_edge_pos` holds
 /// edge positions as `u32`: refuse a graph either would not fit.
@@ -100,12 +114,13 @@ fn check_dense_range(vertices: usize, edges: usize) -> Result<(), GraphError> {
 /// algorithms that want to use flat arrays keyed by vertex.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CsrGraph<V, E> {
-    /// Sorted list of global vertex ids; position = dense index.
-    vertex_ids: Vec<VertexId>,
+    /// Sorted list of global vertex ids; position = dense index. Shared
+    /// with the graphs an edges-only [`CsrGraph::patched`] derives.
+    vertex_ids: Arc<Vec<VertexId>>,
     /// Global id → dense index over `vertex_ids`.
     index: VertexIndex,
-    /// Per-vertex payloads, indexed densely.
-    vertex_data: Vec<V>,
+    /// Per-vertex payloads, indexed densely; shared like `vertex_ids`.
+    vertex_data: Arc<Vec<V>>,
     /// CSR offsets for out-edges (`len = n + 1`).
     out_offsets: Vec<usize>,
     /// Dense target indices for out-edges.
@@ -194,9 +209,9 @@ where
         };
 
         Ok(Self {
-            vertex_ids,
+            vertex_ids: Arc::new(vertex_ids),
             index,
-            vertex_data,
+            vertex_data: Arc::new(vertex_data),
             out_offsets,
             out_targets,
             out_data,
@@ -212,20 +227,34 @@ where
     /// The result is field for field what [`CsrGraph::from_records`] builds
     /// from the equivalent records (surviving vertices plus `added_vertices`;
     /// surviving edges in their CSR order, then `added_edges` in list order):
+    /// every source's adjacency run keeps its survivors in order (a removed
+    /// `(src, dst)` pair drops all parallel copies, a removed vertex drops its
+    /// incident edges) and appends its additions in insertion order.
     ///
-    /// * `vertex_ids` is sorted, so vertex inserts and removes are one sorted
-    ///   merge that also yields a monotone old → new dense-index remap;
-    /// * every source's adjacency run keeps its survivors in order (a removed
-    ///   `(src, dst)` pair drops all parallel copies, a removed vertex drops
-    ///   its incident edges) and appends its additions in insertion order;
-    /// * the id index is rebuilt by one linear pass over the new ids, and the
-    ///   reverse arrays are re-derived from the patched forward arrays by the
-    ///   counting pass `from_records` runs.
+    /// Two paths, by what the batch does to the vertex set:
+    ///
+    /// * **Edges only** (no vertex added or removed): the dense indices do
+    ///   not move, so the ids, payloads and id index are shared with this
+    ///   graph, not copied; every untouched adjacency run is copied whole
+    ///   with its offset shifted by a running count, and the reverse arrays
+    ///   are patched run by run — a new source joins its target's in-run in
+    ///   source order, and every `in_edge_pos` shifts by the net insertions
+    ///   before it, read from a table with one entry per 256 edge
+    ///   positions. Cost: one copy of the edge arrays plus
+    ///   O(batch · degree).
+    /// * **Vertex changes**: `vertex_ids` is sorted, so vertex inserts and
+    ///   removes are one sorted merge that also yields a monotone old → new
+    ///   dense-index remap; every edge is re-targeted through it, the id
+    ///   index is rebuilt by one linear pass over the new ids, and the reverse
+    ///   arrays are re-derived by the counting pass `from_records` runs.
     ///
     /// A removed vertex must be present, an added one must not be, and added
     /// edges must join vertices of the patched graph. Removed pairs that
     /// match no edge are ignored, as [`NetMutations`] allows.
     pub fn patched(&self, net: &NetMutations<V, E>) -> Result<Self, GraphError> {
+        if net.added_vertices.is_empty() && net.removed_vertices.is_empty() {
+            return self.patched_edges(net);
+        }
         let mut removed: Vec<u32> = Vec::with_capacity(net.removed_vertices.len());
         for &v in &net.removed_vertices {
             removed.push(self.dense_index(v).ok_or(GraphError::UnknownVertex(v))?);
@@ -336,9 +365,184 @@ where
             reverse_adjacency(&out_offsets, &out_targets)
         };
         Ok(Self {
-            vertex_ids,
+            vertex_ids: Arc::new(vertex_ids),
             index,
-            vertex_data,
+            vertex_data: Arc::new(vertex_data),
+            out_offsets,
+            out_targets,
+            out_data,
+            in_offsets,
+            in_sources,
+            in_edge_pos,
+        })
+    }
+
+    /// [`CsrGraph::patched`] for a batch that adds and removes no vertex.
+    fn patched_edges(&self, net: &NetMutations<V, E>) -> Result<Self, GraphError> {
+        // The batch's edges by dense index, grouped by source (the stable
+        // sort keeps each source's insertion order).
+        let mut dropped: Vec<(u32, u32)> = net
+            .removed_edges
+            .iter()
+            .filter_map(|(s, d)| Some((self.dense_index(*s)?, self.dense_index(*d)?)))
+            .collect();
+        dropped.sort_unstable();
+        dropped.dedup();
+        let dense = |v: &VertexId| self.dense_index(*v).ok_or(GraphError::UnknownVertex(*v));
+        let mut appended: Vec<(u32, u32, &E)> = Vec::with_capacity(net.added_edges.len());
+        for (s, d, data) in &net.added_edges {
+            appended.push((dense(s)?, dense(d)?, data));
+        }
+        appended.sort_by_key(|&(s, _, _)| s);
+        let n = self.num_vertices();
+
+        // Forward arrays: untouched runs are copied whole, touched ones are
+        // spliced. `moved` records, from each old edge position on, how far
+        // a surviving edge moves (`new - old`), wherever that changes.
+        let touched = sorted_distinct(
+            dropped
+                .iter()
+                .map(|p| p.0)
+                .chain(appended.iter().map(|a| a.0)),
+        );
+        let capacity = self.num_edges() + appended.len();
+        let mut out_offsets = Vec::with_capacity(n + 1);
+        let mut out_targets = Vec::with_capacity(capacity);
+        let mut out_data = Vec::with_capacity(capacity);
+        let mut moved: Vec<(usize, isize)> = Vec::new();
+        // `(target, source, new position)` of every added edge.
+        let mut added_in: Vec<(u32, u32, u32)> = Vec::with_capacity(appended.len());
+        out_offsets.push(0);
+        let mut copied = 0;
+        let (mut dropped_rest, mut appended_rest) = (dropped.as_slice(), appended.as_slice());
+        for s in touched.iter().map(|&s| s as usize).chain([n]) {
+            let (from, to) = (self.out_offsets[copied], self.out_offsets[s]);
+            let shift = out_targets.len() as isize - from as isize;
+            if moved.last().map_or(0, |&(_, m)| m) != shift {
+                moved.push((from, shift));
+            }
+            out_targets.extend_from_slice(&self.out_targets[from..to]);
+            out_data.extend_from_slice(&self.out_data[from..to]);
+            let shifted = self.out_offsets[copied + 1..=s].iter();
+            out_offsets.extend(shifted.map(|&o| o.wrapping_add_signed(shift)));
+            if s == n {
+                break;
+            }
+            let split = dropped_rest.partition_point(|&(src, _)| src as usize <= s);
+            let (dropped_here, rest) = dropped_rest.split_at(split);
+            dropped_rest = rest;
+            for pos in self.out_offsets[s]..self.out_offsets[s + 1] {
+                let target = self.out_targets[pos];
+                if dropped_here.iter().any(|&(_, d)| d == target) {
+                    continue;
+                }
+                let shift = out_targets.len() as isize - pos as isize;
+                if moved.last().map_or(0, |&(_, m)| m) != shift {
+                    moved.push((pos, shift));
+                }
+                out_targets.push(target);
+                out_data.push(self.out_data[pos].clone());
+            }
+            let split = appended_rest.partition_point(|a| a.0 as usize <= s);
+            let (appended_here, rest) = appended_rest.split_at(split);
+            appended_rest = rest;
+            for &(_, target, data) in appended_here {
+                added_in.push((target, s as u32, out_targets.len() as u32));
+                out_targets.push(target);
+                out_data.push(data.clone());
+            }
+            out_offsets.push(out_targets.len());
+            copied = s + 1;
+        }
+        check_dense_range(n, out_targets.len())?;
+
+        let (in_offsets, in_sources, in_edge_pos) = if self.in_offsets.is_empty() {
+            (Vec::new(), Vec::new(), Vec::new())
+        } else {
+            // Old edge position → new. `moved` is a step function; a block
+            // of positions with no step inside shares one shift, read from
+            // a small table, and only the blocks with a step search it.
+            let shift_at = |old: usize| {
+                let i = moved.partition_point(|&(from, _)| from <= old);
+                if i == 0 {
+                    0
+                } else {
+                    moved[i - 1].1
+                }
+            };
+            let block_shift: Vec<isize> = (0..self.num_edges().div_ceil(SHIFT_BLOCK))
+                .map(|b| {
+                    let (start, end) = (b * SHIFT_BLOCK, (b + 1) * SHIFT_BLOCK);
+                    let next = moved.partition_point(|&(from, _)| from <= start);
+                    match moved.get(next) {
+                        Some(&(from, _)) if from < end => MIXED_SHIFTS,
+                        _ => shift_at(start),
+                    }
+                })
+                .collect();
+            let new_pos = |old: u32| {
+                let old = old as usize;
+                let shift = match block_shift[old / SHIFT_BLOCK] {
+                    MIXED_SHIFTS => shift_at(old),
+                    shift => shift,
+                };
+                (old as isize + shift) as u32
+            };
+            added_in.sort_unstable();
+            let touched = sorted_distinct(
+                dropped
+                    .iter()
+                    .map(|p| p.1)
+                    .chain(added_in.iter().map(|a| a.0)),
+            );
+            let m = out_targets.len();
+            let mut in_offsets = Vec::with_capacity(n + 1);
+            let mut in_sources = Vec::with_capacity(m);
+            let mut in_edge_pos = Vec::with_capacity(m);
+            in_offsets.push(0);
+            let mut copied = 0;
+            let mut added_rest = added_in.as_slice();
+            for t in touched.iter().map(|&t| t as usize).chain([n]) {
+                let (from, to) = (self.in_offsets[copied], self.in_offsets[t]);
+                let shift = in_sources.len() as isize - from as isize;
+                in_sources.extend_from_slice(&self.in_sources[from..to]);
+                in_edge_pos.extend(self.in_edge_pos[from..to].iter().map(|&p| new_pos(p)));
+                let shifted = self.in_offsets[copied + 1..=t].iter();
+                in_offsets.extend(shifted.map(|&o| o.wrapping_add_signed(shift)));
+                if t == n {
+                    break;
+                }
+                // The in-run stays ordered by source, then by position: a new
+                // source goes after every surviving entry of a smaller or
+                // equal source.
+                let split = added_rest.partition_point(|a| a.0 as usize <= t);
+                let (added_here, rest) = added_rest.split_at(split);
+                added_rest = rest;
+                let mut added_here = added_here.iter().peekable();
+                for i in self.in_offsets[t]..self.in_offsets[t + 1] {
+                    let source = self.in_sources[i];
+                    while let Some(&(_, s, pos)) = added_here.next_if(|a| a.1 < source) {
+                        in_sources.push(s);
+                        in_edge_pos.push(pos);
+                    }
+                    if dropped.binary_search(&(source, t as u32)).is_err() {
+                        in_sources.push(source);
+                        in_edge_pos.push(new_pos(self.in_edge_pos[i]));
+                    }
+                }
+                for &(_, s, pos) in added_here {
+                    in_sources.push(s);
+                    in_edge_pos.push(pos);
+                }
+                in_offsets.push(in_sources.len());
+                copied = t + 1;
+            }
+            (in_offsets, in_sources, in_edge_pos)
+        };
+        Ok(Self {
+            vertex_ids: Arc::clone(&self.vertex_ids),
+            index: self.index.clone(),
+            vertex_data: Arc::clone(&self.vertex_data),
             out_offsets,
             out_targets,
             out_data,
@@ -587,6 +791,14 @@ where
             + (self.out_targets.len() + self.in_sources.len() + self.in_edge_pos.len()) * 4
             + self.out_data.len() * size_of::<E>()
     }
+}
+
+/// The distinct values of `values`, ascending.
+fn sorted_distinct(values: impl Iterator<Item = u32>) -> Vec<u32> {
+    let mut out: Vec<u32> = values.collect();
+    out.sort_unstable();
+    out.dedup();
+    out
 }
 
 /// Derives the reverse adjacency `(in_offsets, in_sources, in_edge_pos)` of

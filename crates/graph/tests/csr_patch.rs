@@ -100,7 +100,58 @@ fn expand(live: &DeltaGraph<u8, u32>, (kind, a, b, w): Draw) -> Vec<Mutation> {
     }
 }
 
+/// Expands a draw into mutations that add and remove no vertex, so the
+/// batch takes the edges-only splice: parallel copies of live edges,
+/// self-loops, removals, and pairs added and removed within the batch, which
+/// the net lists as removed although no edge of the graph matches them.
+fn expand_edges_only(live: &DeltaGraph<u8, u32>, (kind, a, b, w): Draw) -> Vec<Mutation> {
+    let vertices = live.vertices();
+    let edges = live.live_edges();
+    if vertices.is_empty() {
+        return Vec::new();
+    }
+    let vertex = |x: u64| vertices[x as usize % vertices.len()];
+    let add = |src, dst| GraphMutation::AddEdge { src, dst, data: w };
+    let remove = |src, dst| GraphMutation::RemoveEdge { src, dst };
+    match kind {
+        0 if !edges.is_empty() => {
+            let e = &edges[a as usize % edges.len()];
+            vec![add(e.src, e.dst)]
+        }
+        1 => vec![add(vertex(a), vertex(a))],
+        2 if !edges.is_empty() => {
+            let e = &edges[a as usize % edges.len()];
+            vec![remove(e.src, e.dst)]
+        }
+        3 => {
+            let (src, dst) = (vertex(a), vertex(b));
+            if live.out_edges(src).iter().any(|&(d, _)| d == dst) {
+                return Vec::new();
+            }
+            vec![add(src, dst), remove(src, dst)]
+        }
+        4 if !edges.is_empty() => {
+            let e = &edges[a as usize % edges.len()];
+            vec![remove(e.src, e.dst), add(e.src, e.dst)]
+        }
+        _ => vec![add(vertex(a), vertex(b))],
+    }
+}
+
 fn check(n: usize, edges: &[(u64, u64, u32)], batches: &[Vec<Draw>], with_reverse: bool) {
+    check_expanded(expand, n, edges, batches, with_reverse);
+}
+
+/// Replays the draws of every batch through `expand` against the evolving
+/// graph, and holds each splice equal to a rebuild; returns the net batches.
+fn check_expanded(
+    expand: fn(&DeltaGraph<u8, u32>, Draw) -> Vec<Mutation>,
+    n: usize,
+    edges: &[(u64, u64, u32)],
+    batches: &[Vec<Draw>],
+    with_reverse: bool,
+) -> Vec<grape_graph::NetMutations<u8, u32>> {
+    let mut nets = Vec::new();
     let mut patched = base_graph(n, edges, with_reverse);
     // The overlay keeps the live view, the splice keeps up.
     let mut live = DeltaGraph::new(patched.clone());
@@ -118,7 +169,9 @@ fn check(n: usize, edges: &[(u64, u64, u32)], batches: &[Vec<Draw>], with_revers
         let net = live.apply(&batch).expect("every kept draw was valid").net;
         patched = patched.patched(&net).expect("patch");
         assert_eq!(patched, live.snapshot(with_reverse), "batch {batch:?}");
+        nets.push(net);
     }
+    nets
 }
 
 proptest! {
@@ -129,6 +182,17 @@ proptest! {
         let (n, edges, batches) = case;
         check(n, &edges, &batches, true);
         check(n, &edges, &batches, false);
+    }
+
+    #[test]
+    fn edges_only_patches_equal_from_records(case in arb_case()) {
+        let (n, edges, batches) = case;
+        for with_reverse in [true, false] {
+            let nets = check_expanded(expand_edges_only, n, &edges, &batches, with_reverse);
+            for net in nets {
+                prop_assert!(net.added_vertices.is_empty() && net.removed_vertices.is_empty());
+            }
+        }
     }
 }
 

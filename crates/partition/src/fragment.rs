@@ -19,6 +19,7 @@ use crate::assignment::{FragmentId, PartitionAssignment};
 use grape_graph::types::EdgeRecord;
 use grape_graph::{CsrGraph, DenseBitset, VertexId};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// A graph fragment owned by one worker.
 #[derive(Debug, Clone, PartialEq)]
@@ -30,15 +31,26 @@ pub struct Fragment<V, E> {
     /// Local subgraph: inner vertices plus mirrored outer vertices, with all
     /// edges incident to at least one inner vertex.
     pub graph: CsrGraph<V, E>,
+    /// Owner fragment of each outer vertex. Shared, like `mirrored_at`,
+    /// with the fragments a splice derives until one changes it.
+    pub(crate) outer_owner: Arc<HashMap<VertexId, FragmentId>>,
+    /// For each inner vertex that is mirrored elsewhere, the fragments that
+    /// hold a mirror of it.
+    pub(crate) mirrored_at: Arc<HashMap<VertexId, Vec<FragmentId>>>,
+    /// The vertex and border tables, derived from the local vertex set and
+    /// the set of mirrored inner vertices. Shared with the fragments an
+    /// edges-only splice derives, which change neither.
+    tables: Arc<VertexTables>,
+}
+
+/// A fragment's vertex and border tables, all sorted or aligned with a
+/// sorted list.
+#[derive(Debug, PartialEq)]
+struct VertexTables {
     /// Vertices owned by this fragment (sorted).
     inner: Vec<VertexId>,
     /// Mirrors of remote vertices that appear in local edges (sorted).
     outer: Vec<VertexId>,
-    /// Owner fragment of each outer vertex.
-    pub(crate) outer_owner: HashMap<VertexId, FragmentId>,
-    /// For each inner vertex that is mirrored elsewhere, the fragments that
-    /// hold a mirror of it.
-    pub(crate) mirrored_at: HashMap<VertexId, Vec<FragmentId>>,
     /// Membership bitset over the local graph's dense indices: bit set =
     /// inner vertex, bit clear = outer (mirror). Replaces per-call
     /// `HashSet<VertexId>` probes on the hot paths.
@@ -64,44 +76,44 @@ pub struct Fragment<V, E> {
 impl<V: Clone, E: Clone> Fragment<V, E> {
     /// The vertices owned by this fragment, in ascending order.
     pub fn inner_vertices(&self) -> &[VertexId] {
-        &self.inner
+        &self.tables.inner
     }
 
     /// The mirror (outer) vertices, in ascending order.
     pub fn outer_vertices(&self) -> &[VertexId] {
-        &self.outer
+        &self.tables.outer
     }
 
     /// Dense indices (into [`Fragment::graph`]) of the inner vertices,
     /// aligned with [`Fragment::inner_vertices`].
     pub fn inner_dense_indices(&self) -> &[u32] {
-        &self.inner_dense
+        &self.tables.inner_dense
     }
 
     /// Dense indices (into [`Fragment::graph`]) of the outer vertices,
     /// aligned with [`Fragment::outer_vertices`].
     pub fn outer_dense_indices(&self) -> &[u32] {
-        &self.outer_dense
+        &self.tables.outer_dense
     }
 
     /// Whether `v` is owned by this fragment.
     pub fn is_inner(&self, v: VertexId) -> bool {
         self.graph
             .dense_index(v)
-            .is_some_and(|i| self.inner_mask.contains(i))
+            .is_some_and(|i| self.tables.inner_mask.contains(i))
     }
 
     /// Whether `v` is a mirror of a remote vertex.
     pub fn is_outer(&self, v: VertexId) -> bool {
         self.graph
             .dense_index(v)
-            .is_some_and(|i| !self.inner_mask.contains(i))
+            .is_some_and(|i| !self.tables.inner_mask.contains(i))
     }
 
     /// Whether the local vertex at dense index `i` is inner (owned here).
     #[inline]
     pub fn is_inner_dense(&self, i: u32) -> bool {
-        self.inner_mask.contains(i)
+        self.tables.inner_mask.contains(i)
     }
 
     /// The inner-membership bitset over the local graph's dense indices
@@ -109,13 +121,13 @@ impl<V: Clone, E: Clone> Fragment<V, E> {
     /// membership view borrow the precomputed bitset instead of rebuilding
     /// one from [`Fragment::inner_dense_indices`].
     pub fn inner_bitset(&self) -> &DenseBitset {
-        &self.inner_mask
+        &self.tables.inner_mask
     }
 
     /// Whether the local vertex at dense index `i` is an outer mirror.
     #[inline]
     pub fn is_outer_dense(&self, i: u32) -> bool {
-        (i as usize) < self.graph.num_vertices() && !self.inner_mask.contains(i)
+        (i as usize) < self.graph.num_vertices() && !self.tables.inner_mask.contains(i)
     }
 
     /// The fragment that owns an outer vertex.
@@ -142,13 +154,13 @@ impl<V: Clone, E: Clone> Fragment<V, E> {
     /// precomputed at construction — algorithms call this in PEval and every
     /// IncEval round, so it must be allocation-free.
     pub fn border_vertices(&self) -> &[VertexId] {
-        &self.border
+        &self.tables.border
     }
 
     /// Dense indices (into [`Fragment::graph`]) of the border vertices,
     /// aligned with [`Fragment::border_vertices`].
     pub fn border_dense_indices(&self) -> &[u32] {
-        &self.border_dense
+        &self.tables.border_dense
     }
 
     /// Position of `v` in [`Fragment::border_vertices`], if it is a border
@@ -157,18 +169,18 @@ impl<V: Clone, E: Clone> Fragment<V, E> {
     /// border→slot mapping) can be addressed without a `HashMap`.
     #[inline]
     pub fn border_position(&self, v: VertexId) -> Option<u32> {
-        self.border.binary_search(&v).ok().map(|i| i as u32)
+        self.tables.border.binary_search(&v).ok().map(|i| i as u32)
     }
 
     /// Inner vertices mirrored at other fragments (the inner half of the
     /// border), in ascending order.
     pub fn mirrored_inner_vertices(&self) -> &[VertexId] {
-        &self.mirrored_inner
+        &self.tables.mirrored_inner
     }
 
     /// Dense indices aligned with [`Fragment::mirrored_inner_vertices`].
     pub fn mirrored_inner_dense_indices(&self) -> &[u32] {
-        &self.mirrored_inner_dense
+        &self.tables.mirrored_inner_dense
     }
 
     /// Positions of the mirrored-inner vertices in
@@ -177,7 +189,7 @@ impl<V: Clone, E: Clone> Fragment<V, E> {
     /// loops over the inner half of the border can address per-border side
     /// tables (e.g. `PieContext::update_at`) without any search.
     pub fn mirrored_inner_border_positions(&self) -> &[u32] {
-        &self.mirrored_inner_border_pos
+        &self.tables.mirrored_inner_border_pos
     }
 
     /// All fragments that must be informed when the value of `v` changes at
@@ -200,12 +212,12 @@ impl<V: Clone, E: Clone> Fragment<V, E> {
 
     /// Number of inner vertices.
     pub fn num_inner(&self) -> usize {
-        self.inner.len()
+        self.tables.inner.len()
     }
 
     /// Number of outer (mirror) vertices.
     pub fn num_outer(&self) -> usize {
-        self.outer.len()
+        self.tables.outer.len()
     }
 
     /// Number of local edges (edges with at least one inner endpoint,
@@ -249,8 +261,8 @@ impl<V: Clone, E: Clone> Fragment<V, E> {
             num_fragments: self.num_fragments,
             vertices,
             edges,
-            inner: self.inner.clone(),
-            outer: self.outer.clone(),
+            inner: self.tables.inner.clone(),
+            outer: self.tables.outer.clone(),
             outer_owner,
             mirrored_at,
         }
@@ -297,8 +309,8 @@ impl<V: Clone + Default, E: Clone> Fragment<V, E> {
             local_graph,
             inner,
             outer,
-            outer_owner,
-            mirrored,
+            Arc::new(outer_owner),
+            Arc::new(mirrored),
         ))
     }
 }
@@ -437,11 +449,38 @@ pub fn build_fragments<V: Clone + Default, E: Clone>(
             local_graph,
             std::mem::take(&mut inner[f]),
             std::mem::take(&mut outer[f]),
-            std::mem::take(&mut outer_owner[f]),
-            std::mem::take(&mut mirrored[f]),
+            Arc::new(std::mem::take(&mut outer_owner[f])),
+            Arc::new(std::mem::take(&mut mirrored[f])),
         ));
     }
     fragments
+}
+
+impl<V: Clone, E: Clone> Fragment<V, E> {
+    /// This fragment with `graph` and `mirrored_at` swapped in and every
+    /// other table carried over — for a splice that changes neither the
+    /// local vertex set nor which inner vertices are mirrored, whose dense
+    /// and border tables are then exactly what [`assemble_fragment`] would
+    /// derive again.
+    pub(crate) fn with_graph_and_mirrors(
+        &self,
+        graph: CsrGraph<V, E>,
+        mirrored_at: Arc<HashMap<VertexId, Vec<FragmentId>>>,
+    ) -> Fragment<V, E> {
+        debug_assert_eq!(graph.vertex_ids(), self.graph.vertex_ids());
+        debug_assert!(
+            mirrored_at.len() == self.mirrored_at.len()
+                && mirrored_at.keys().all(|v| self.mirrored_at.contains_key(v))
+        );
+        Fragment {
+            id: self.id,
+            num_fragments: self.num_fragments,
+            graph,
+            outer_owner: Arc::clone(&self.outer_owner),
+            mirrored_at,
+            tables: Arc::clone(&self.tables),
+        }
+    }
 }
 
 /// Derives every precomputed lookup table from a fragment's primary data and
@@ -455,8 +494,8 @@ pub(crate) fn assemble_fragment<V: Clone, E: Clone>(
     local_graph: CsrGraph<V, E>,
     inner_list: Vec<VertexId>,
     outer_list: Vec<VertexId>,
-    outer_owner: HashMap<VertexId, FragmentId>,
-    mirrored: HashMap<VertexId, Vec<FragmentId>>,
+    outer_owner: Arc<HashMap<VertexId, FragmentId>>,
+    mirrored: Arc<HashMap<VertexId, Vec<FragmentId>>>,
 ) -> Fragment<V, E> {
     // Precompute the dense lookup structures once, so the per-superstep
     // hot paths never rebuild or hash anything. Every id list here is sorted,
@@ -507,18 +546,20 @@ pub(crate) fn assemble_fragment<V: Clone, E: Clone>(
         id,
         num_fragments,
         graph: local_graph,
-        inner: inner_list,
-        outer: outer_list,
         outer_owner,
         mirrored_at: mirrored,
-        inner_mask,
-        inner_dense,
-        outer_dense,
-        border,
-        border_dense,
-        mirrored_inner,
-        mirrored_inner_dense,
-        mirrored_inner_border_pos,
+        tables: Arc::new(VertexTables {
+            inner: inner_list,
+            outer: outer_list,
+            inner_mask,
+            inner_dense,
+            outer_dense,
+            border,
+            border_dense,
+            mirrored_inner,
+            mirrored_inner_dense,
+            mirrored_inner_border_pos,
+        }),
     }
 }
 

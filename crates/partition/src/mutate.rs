@@ -22,15 +22,28 @@
 //! it owns, a removed edge it holds a copy of, a removed vertex it owns or
 //! mirrors) and otherwise stays as it is — holders keep sharing it. A
 //! touched fragment pays O(batch · degree) for mirror bookkeeping — only the
-//! batch's vertices are re-examined, each against its own adjacency run — plus
-//! one linear copy of its arrays: the local CSR is spliced from the old one
-//! ([`CsrGraph::patched`](grape_graph::CsrGraph::patched)), never re-hashed
-//! or rebuilt from edge records.
+//! batch's vertices are re-examined, each against its own adjacency run, and
+//! a mirror map is copied only when one of them changes it — plus one copy of
+//! its arrays, by one of two paths:
+//!
+//! * **Edges only**: the batch adds or drops no local vertex (no inserted
+//!   vertex, no new or vanished mirror, no removed vertex) and no inner
+//!   vertex starts or stops being mirrored. Dense indices stay put, so the
+//!   local CSR keeps its ids and id index, copies its untouched adjacency
+//!   runs whole and patches its reverse arrays in place
+//!   ([`CsrGraph::patched`](grape_graph::CsrGraph::patched)), and every dense
+//!   and border table carries over: the cost is a memory copy. Inserts that
+//!   parallel existing edges, as the service benchmark's do, take this path.
+//! * **Vertex changes**: the local CSR is spliced through a dense-index remap
+//!   that re-targets every edge and re-derives the reverse arrays, and the
+//!   dense and border tables are re-assembled as [`build_fragments`](crate::build_fragments) does.
+//!
+//! Neither path re-hashes anything or rebuilds from edge records.
 //!
 //! **Equivalence guarantee** (pinned by tests here and exercised end-to-end
 //! by the incremental engine path): applying resolved batches to the
 //! fragments of graph `G` yields fragments **bit-identical** to cutting the
-//! updated graph `G'` from scratch with [`build_fragments`] under the updated
+//! updated graph `G'` from scratch with [`build_fragments`](crate::build_fragments) under the updated
 //! assignment — same CSR edge order (surviving copies keep their order, net
 //! additions append in insertion order, exactly like
 //! [`DeltaGraph`](grape_graph::DeltaGraph)'s overlay), same
@@ -46,6 +59,7 @@ use grape_graph::delta::{LiveView, NetMutations};
 use grape_graph::{GraphError, VertexId};
 use std::borrow::Borrow;
 use std::collections::{BTreeSet, HashMap, HashSet};
+use std::sync::Arc;
 
 /// A resident fragment set read as the live graph, for staging a batch
 /// against it ([`LiveView`]).
@@ -248,16 +262,22 @@ impl<V: Clone + Default, E: Clone> Fragment<V, E> {
     ///
     /// Local and deterministic: surviving edges keep their CSR order and net
     /// additions relevant to this fragment (an endpoint owned here) append in
-    /// insertion order ([`CsrGraph::patched`]); the mirror tables are patched
-    /// for the batch's vertices only — each is re-derived from its own
+    /// insertion order
+    /// ([`CsrGraph::patched`](grape_graph::CsrGraph::patched)); the mirror
+    /// tables are patched for the batch's vertices only — each is re-derived from its own
     /// adjacency run, so a removed cut edge un-mirrors a vertex only if no
-    /// other edge still ties it to that fragment — and the dense and border
-    /// tables go through the same assembly as [`crate::build_fragments`]. The
-    /// result is bit-identical to a from-scratch cut of the updated graph
-    /// (see the [module docs](self)).
+    /// other edge still ties it to that fragment — and copied only when one
+    /// of them changes. When neither the local vertex set nor the set of
+    /// mirrored inner vertices changes, the dense and border tables carry
+    /// over from this fragment and only the graph and mirror map are new;
+    /// otherwise they go through the same assembly as
+    /// [`crate::build_fragments`]. The result is bit-identical to a
+    /// from-scratch cut of the updated graph (see the [module docs](self)).
     ///
-    /// Cost: O(batch · degree) bookkeeping plus one linear copy of this
-    /// fragment's arrays.
+    /// Cost: O(batch · degree) bookkeeping plus one copy of this fragment's
+    /// arrays — a memory copy on the edges-only path, a remap of every edge
+    /// and a re-assembly of the tables when the vertex set or the border
+    /// changes.
     pub fn splice_mutations(
         &self,
         batch: &ResolvedMutations<V, E>,
@@ -335,18 +355,24 @@ impl<V: Clone + Default, E: Clone> Fragment<V, E> {
                 .collect()
         };
 
-        // 3. Patch the mirror tables for those vertices only.
-        let mut outer_owner = self.outer_owner.clone();
-        let mut mirrored = self.mirrored_at.clone();
+        // 3. Patch the mirror tables for those vertices only, copying a
+        //    table the first time one of them changes it.
+        let mut outer_owner = Arc::clone(&self.outer_owner);
+        let mut mirrored = Arc::clone(&self.mirrored_at);
+        // Whether an inner vertex starts or stops being mirrored anywhere.
+        let mut mirrored_set_changed = false;
         let mut inner_gone: Vec<VertexId> = Vec::new();
         let mut outer_gone: Vec<VertexId> = Vec::new();
         let mut outer_new: Vec<VertexId> = Vec::new();
         for &v in &local.removed_vertices {
             if self.is_inner(v) {
-                mirrored.remove(&v);
+                if mirrored.contains_key(&v) {
+                    Arc::make_mut(&mut mirrored).remove(&v);
+                    mirrored_set_changed = true;
+                }
                 inner_gone.push(v);
             } else {
-                outer_owner.remove(&v);
+                Arc::make_mut(&mut outer_owner).remove(&v);
                 outer_gone.push(v);
             }
         }
@@ -361,25 +387,41 @@ impl<V: Clone + Default, E: Clone> Fragment<V, E> {
                 fragments.retain(|&f| f != my);
                 fragments.sort_unstable();
                 fragments.dedup();
+                let before = mirrored.get(&v).map_or(&[][..], Vec::as_slice);
+                if before == fragments.as_slice() {
+                    continue;
+                }
+                mirrored_set_changed |= before.is_empty() || fragments.is_empty();
                 if fragments.is_empty() {
-                    mirrored.remove(&v);
+                    Arc::make_mut(&mut mirrored).remove(&v);
                 } else {
-                    mirrored.insert(v, fragments);
+                    Arc::make_mut(&mut mirrored).insert(v, fragments);
                 }
             } else if neighbours.is_empty() {
                 // Its last cut edge went: un-mirror.
-                if outer_owner.remove(&v).is_some() {
+                if outer_owner.contains_key(&v) {
+                    Arc::make_mut(&mut outer_owner).remove(&v);
                     outer_gone.push(v);
                 }
-            } else if outer_owner.insert(v, home).is_none() {
+            } else if !outer_owner.contains_key(&v) {
+                Arc::make_mut(&mut outer_owner).insert(v, home);
                 outer_new.push(v);
             }
+        }
+        let mut inner_new: Vec<VertexId> = local.added_vertices.iter().map(|(v, _)| *v).collect();
+        let same_vertices = [&inner_gone, &outer_gone, &outer_new, &inner_new]
+            .iter()
+            .all(|list| list.is_empty());
+        if same_vertices && !mirrored_set_changed {
+            // Edges only, and the border stays: the dense and border tables
+            // carry over as they are.
+            let graph = self.graph.patched(&local)?;
+            return Ok(Some(self.with_graph_and_mirrors(graph, mirrored)));
         }
         for gone in [&mut inner_gone, &mut outer_gone] {
             gone.sort_unstable();
             gone.dedup();
         }
-        let mut inner_new: Vec<VertexId> = local.added_vertices.iter().map(|(v, _)| *v).collect();
         inner_new.sort_unstable();
         let inner = spliced_ids(self.inner_vertices(), &inner_gone, &inner_new);
         let outer = spliced_ids(self.outer_vertices(), &outer_gone, &outer_new);
@@ -578,6 +620,97 @@ mod tests {
             assert!(!after[0].graph.contains(mirror), "{strategy:?}: un-mirror");
             assert!(after.iter().any(|f| f.is_inner(newcomer)));
         }
+    }
+
+    /// Batches shaped like the service benchmark's updates: `count` inserts
+    /// `v -> v + 1` between row-neighbours of a `width`-wide grid, both
+    /// live, weights from 30 up, drawn from a seeded stream.
+    fn row_neighbour_batches(
+        g: &CsrGraph<(), f64>,
+        width: u64,
+        batches: usize,
+        count: usize,
+    ) -> Vec<Vec<GraphMutation<(), f64>>> {
+        let ids = g.vertex_ids();
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        (0..batches)
+            .map(|_| {
+                let mut batch = Vec::new();
+                while batch.len() < count {
+                    state ^= state << 13;
+                    state ^= state >> 7;
+                    state ^= state << 17;
+                    let p = (state % (ids.len() as u64 - 1)) as usize;
+                    let (src, dst) = (ids[p], ids[p + 1]);
+                    if dst == src + 1 && src / width == dst / width {
+                        let data = 30.0 + batch.len() as f64;
+                        batch.push(GraphMutation::AddEdge { src, dst, data });
+                    }
+                }
+                batch
+            })
+            .collect()
+    }
+
+    #[test]
+    fn row_neighbour_batches_match_a_fresh_cut_under_metis_and_hash() {
+        // The benchmark's update shape: every insert parallels a grid edge,
+        // so a batch mostly leaves every fragment's vertex set and border as
+        // they are and takes the carry-over path; the inserts that land
+        // where the grid lost its edge may still add a mirror.
+        let config = RoadNetworkConfig {
+            width: 96,
+            height: 96,
+            ..Default::default()
+        };
+        for strategy in [BuiltinStrategy::MetisLike, BuiltinStrategy::Hash] {
+            let g = road_network(config, 3).unwrap();
+            let assignment = strategy.partition(&g, 4);
+            let before = build_fragments(&g, &assignment);
+            let batches = row_neighbour_batches(&g, config.width as u64, 6, 8);
+            let after = check_batches_on(g, assignment, batches);
+            let kept = before.iter().zip(&after).filter(|(b, a)| {
+                b.graph.vertex_ids() == a.graph.vertex_ids()
+                    && b.border_vertices() == a.border_vertices()
+            });
+            assert!(
+                kept.count() > 0,
+                "{strategy:?}: some fragment keeps its tables"
+            );
+        }
+    }
+
+    #[test]
+    fn a_new_cut_edge_that_mirrors_an_inner_vertex_reassembles_the_border() {
+        // `here` is inner to fragment 0 and mirrored nowhere; `there` is
+        // already a mirror on fragment 0. The edge between them adds no
+        // local vertex to fragment 0, but makes `here` a border vertex: the
+        // carry-over path must not run there.
+        let config = RoadNetworkConfig {
+            width: 32,
+            height: 32,
+            ..Default::default()
+        };
+        let g = road_network(config, 31).unwrap();
+        let assignment = BuiltinStrategy::MetisLike.partition(&g, 3);
+        let fragments = build_fragments(&g, &assignment);
+        let f0 = &fragments[0];
+        let here = *f0
+            .inner_vertices()
+            .iter()
+            .find(|&&v| f0.mirrors_of(v).is_empty())
+            .expect("an inner vertex that is mirrored nowhere");
+        let there = f0.outer_vertices()[0];
+        let batch = vec![GraphMutation::AddEdge {
+            src: here,
+            dst: there,
+            data: 2.0,
+        }];
+        let after = check_batches_on(g, assignment, vec![batch]);
+        assert_eq!(after[0].graph.vertex_ids(), f0.graph.vertex_ids());
+        assert_eq!(after[0].mirrors_of(here), &[f0.owner_of(there).unwrap()]);
+        assert!(after[0].border_vertices().contains(&here));
+        assert!(!f0.border_vertices().contains(&here));
     }
 
     #[test]

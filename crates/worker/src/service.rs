@@ -593,6 +593,17 @@ pub struct UpdateReceipt {
     pub dirty: usize,
     /// Shape of the batch.
     pub profile: MutationProfile,
+    /// Seconds spent staging the batch against the resident fragments,
+    /// resolving it against the assignment, and encoding it for the wire
+    /// (once, for every daemon).
+    pub stage_seconds: f64,
+    /// Seconds spent splicing the batch into the session's own copies of the
+    /// fragments it touches.
+    pub splice_seconds: f64,
+    /// Seconds from the first daemon dialled to the last `TAG_UPDATED` ack
+    /// read. The daemons splice their resident fragments inside it, all at
+    /// once. Next to nothing in-process, where nothing ships.
+    pub ship_seconds: f64,
 }
 
 /// A graph made resident by [`Session::load`] and kept live across
@@ -646,6 +657,10 @@ struct StagedUpdate {
     vertices: u64,
     dirty: Vec<VertexId>,
     profile: MutationProfile,
+    /// [`UpdateReceipt`]'s split of the update's time.
+    stage_seconds: f64,
+    splice_seconds: f64,
+    ship_seconds: f64,
 }
 
 /// A ship that failed, possibly after some daemons applied the batch.
@@ -1710,6 +1725,9 @@ impl SessionInner {
             version,
             dirty: staged.dirty.len(),
             profile: staged.profile,
+            stage_seconds: staged.stage_seconds,
+            splice_seconds: staged.splice_seconds,
+            ship_seconds: staged.ship_seconds,
         };
         let recorded = loaded.log.record(staged.dirty, staged.profile);
         debug_assert_eq!(recorded, version);
@@ -1745,6 +1763,7 @@ impl SessionInner {
                  or load the graph again"
             ))
         };
+        let staging = Instant::now();
         let view = FragmentView::new(fragments, &base.assignment);
         let staged = stage_batch(&view, batch).map_err(|e| match base.in_doubt {
             Some(_) => in_doubt(),
@@ -1763,6 +1782,8 @@ impl SessionInner {
         {
             return Err(in_doubt());
         }
+        let stage_seconds = staging.elapsed().as_secs_f64();
+        let splicing = Instant::now();
         let mut next = fragments.to_vec();
         for (index, fragment) in fragments.iter().enumerate() {
             let updated = fragment
@@ -1772,8 +1793,10 @@ impl SessionInner {
                 next[index] = Arc::new(updated);
             }
         }
+        let splice_seconds = splicing.elapsed().as_secs_f64();
         spec.vertices = base.vertices + added - removed;
-        if let Err(error) = self.ship_updates(&spec, &resolved) {
+        let shipping = Instant::now();
+        if let Err(error) = self.ship_updates(&spec, &encoded) {
             return Ok(Err(InDoubt {
                 error,
                 resolved: encoded,
@@ -1785,6 +1808,9 @@ impl SessionInner {
             vertices: spec.vertices,
             dirty: staged.dirty,
             profile: staged.profile,
+            stage_seconds,
+            splice_seconds,
+            ship_seconds: shipping.elapsed().as_secs_f64(),
         }))
     }
 
@@ -1812,24 +1838,19 @@ impl SessionInner {
             .dial(&self.config.engine.auth_token)
     }
 
-    /// Ships one resolved batch to every daemon-resident fragment (no-op for
-    /// in-process sessions): per worker, a versioned `TAG_UPDATE` frame
-    /// answered by `TAG_UPDATED`. The version fence makes retries after a
-    /// lost ack idempotent on the daemon.
-    fn ship_updates<V, E>(
-        &self,
-        spec: &UpdateSpec,
-        resolved: &ResolvedMutations<V, E>,
-    ) -> io::Result<()>
-    where
-        V: Wire + Clone + Default,
-        E: Wire + Clone,
-    {
+    /// Ships one resolved batch, wire-encoded once as `batch`, to every
+    /// daemon-resident fragment (no-op for in-process sessions): per worker,
+    /// a versioned `TAG_UPDATE` frame answered by `TAG_UPDATED`. Every frame
+    /// is written before the first ack is read, so the daemons splice their
+    /// fragments at once rather than one after another. The version fence
+    /// makes retries after a lost ack idempotent on the daemon.
+    fn ship_updates(&self, spec: &UpdateSpec, batch: &[u8]) -> io::Result<()> {
         if self.config.endpoints.is_empty() {
             return Ok(());
         }
         let (graph_id, version) = (spec.graph_id, spec.version);
         let mut frame = Vec::new();
+        let mut streams = Vec::with_capacity(self.config.workers);
         for index in 0..self.config.workers {
             let spec = UpdateSpec {
                 index: index as u32,
@@ -1838,10 +1859,13 @@ impl SessionInner {
             frame.clear();
             wire::encode_frame_with_epoch(TAG_UPDATE, version as u32, &mut frame, |out| {
                 spec.encode(out);
-                resolved.encode(out);
+                out.extend_from_slice(batch);
             });
             let mut stream = self.dial(index)?;
             send(&mut stream, &frame)?;
+            streams.push(stream);
+        }
+        for mut stream in streams {
             let ack = read_ack(&mut stream, TAG_UPDATED, &format!("update {version}"))?;
             let (acked_graph, acked_version): (u64, u64) = decode_body(&ack, "update ack")?;
             if acked_graph != graph_id || acked_version != version {

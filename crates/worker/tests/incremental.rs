@@ -731,6 +731,34 @@ fn updates_reject_family_mismatches_and_advance_versions() {
     );
 }
 
+#[test]
+fn an_update_receipt_splits_its_time_within_the_wall_time() {
+    let daemon = GrapeService::bind("127.0.0.1:0", ServiceOptions::default())
+        .expect("bind")
+        .spawn()
+        .expect("spawn");
+    let remote = SessionConfig::remote(3, vec![daemon.endpoint().clone()]);
+    for config in [SessionConfig::in_process(3), remote] {
+        let session = Session::connect(config).expect("connect");
+        session
+            .load(&weighted_graph(), BuiltinStrategy::Hash)
+            .expect("load");
+        for batch in [weighted_inserts(), weighted_inserts_round_two()] {
+            let started = std::time::Instant::now();
+            let receipt = session.update(batch).expect("update");
+            let wall = started.elapsed().as_secs_f64();
+            let split = [
+                receipt.stage_seconds,
+                receipt.splice_seconds,
+                receipt.ship_seconds,
+            ];
+            assert!(split.iter().all(|&s| s >= 0.0), "{split:?}");
+            assert!(split.iter().sum::<f64>() <= wall, "{split:?} over {wall} s");
+        }
+    }
+    daemon.shutdown().expect("shutdown");
+}
+
 /// A TCP proxy in front of `upstream` that pipes every connection through,
 /// except that once armed it drops the next one it accepts.
 fn dropping_proxy(upstream: &Endpoint) -> (Endpoint, Arc<AtomicBool>) {

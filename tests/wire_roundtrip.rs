@@ -738,3 +738,117 @@ fn a_result_frame_is_the_snapshot_and_nothing_else() {
     let served = served.join().expect("worker thread");
     served.expect("the worker saw a clean hang-up");
 }
+
+#[test]
+fn an_update_frame_is_the_spec_then_the_resolved_batch() {
+    // Two workers on one daemon, every connection through a recording
+    // proxy: the bytes a session writes for `Session::update` are, per
+    // worker, a hello and one `TAG_UPDATE` frame whose body is the
+    // `UpdateSpec` followed by the resolved batch.
+    use grape::prelude::*;
+    use grape::worker::{Endpoint, GrapeService, ServiceOptions, Session, SessionConfig};
+    use std::io::{Read, Write};
+    use std::net::{Shutdown, TcpListener, TcpStream};
+    use std::sync::mpsc;
+
+    let daemon = GrapeService::bind("127.0.0.1:0", ServiceOptions::default())
+        .expect("bind")
+        .spawn()
+        .expect("spawn");
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind proxy");
+    let proxy = Endpoint::parse(&listener.local_addr().expect("addr").to_string());
+    let upstream = daemon.endpoint().to_string();
+    let (recorded, connections) = mpsc::channel::<Vec<u8>>();
+    std::thread::spawn(move || {
+        for client in listener.incoming().flatten() {
+            let server = TcpStream::connect(&upstream).expect("upstream");
+            let (mut from_server, mut to_client) =
+                (server.try_clone().unwrap(), client.try_clone().unwrap());
+            std::thread::spawn(move || {
+                let _ = std::io::copy(&mut from_server, &mut to_client);
+                let _ = to_client.shutdown(Shutdown::Write);
+            });
+            let (mut client, mut server, recorded) = (client, server, recorded.clone());
+            std::thread::spawn(move || {
+                let (mut bytes, mut chunk) = (Vec::new(), [0u8; 4096]);
+                while let Ok(n @ 1..) = client.read(&mut chunk) {
+                    bytes.extend_from_slice(&chunk[..n]);
+                    if server.write_all(&chunk[..n]).is_err() {
+                        break;
+                    }
+                }
+                let _ = server.shutdown(Shutdown::Write);
+                let _ = recorded.send(bytes);
+            });
+        }
+    });
+
+    let mut builder = GraphBuilder::<(), f64>::new();
+    builder.add_edge(0, 1, 1.0);
+    builder.add_edge(1, 2, 2.0);
+    builder.add_edge(2, 3, 3.0);
+    let graph = builder.build().expect("graph");
+    let session = Session::connect(SessionConfig::remote(2, vec![proxy])).expect("connect");
+    session
+        .load(&graph.into(), BuiltinStrategy::Hash)
+        .expect("load");
+    let receipt = session
+        .update(vec![
+            GraphMutation::AddEdge {
+                src: 0,
+                dst: 3,
+                data: 0.5,
+            },
+            GraphMutation::RemoveEdge { src: 1, dst: 2 },
+        ])
+        .expect("update");
+    assert_eq!(receipt.version, 1);
+
+    // Every connection the session opened and closed: probes, loads, and
+    // the two update connections, each closed once it has its ack.
+    let mut frames = Vec::new();
+    while frames.len() < 2 {
+        let bytes = connections
+            .recv_timeout(std::time::Duration::from_secs(30))
+            .expect("a recorded connection");
+        let (hello, _, _, hello_len) = wire::decode_frame_epoch(&bytes).expect("hello");
+        assert_eq!(hello, wire::TAG_HELLO);
+        let next = wire::decode_frame_epoch(&bytes[hello_len..]);
+        if let Ok((wire::TAG_UPDATE, _, _, len)) = next {
+            assert_eq!(
+                hello_len + len,
+                bytes.len(),
+                "one update frame per connection"
+            );
+            frames.push(bytes[hello_len..].to_vec());
+        }
+    }
+    frames.sort_by_key(|frame| frame[HEADER_LEN + 9]);
+    for (index, frame) in frames.iter_mut().enumerate() {
+        // Graph ids are drawn fresh at every load: blank them out.
+        frame[HEADER_LEN..HEADER_LEN + 8].fill(0);
+        #[rustfmt::skip]
+        let golden: &[u8] = &[
+            b'G', b'W', 2, 0x34, 1, 0, 0, 0, 133, 0, 0, 0,  // header: epoch = version 1, 133-byte body
+            0, 0, 0, 0, 0, 0, 0, 0,                         // spec: graph id (blanked)
+            0,                                              //   family: weighted
+            index as u8, 0, 0, 0,                           //   fragment index
+            1, 0, 0, 0, 0, 0, 0, 0,                         //   version
+            4, 0, 0, 0, 0, 0, 0, 0,                         //   vertices after the update
+            0, 0, 0, 0,                                     // net: no added vertices
+            1, 0, 0, 0,                                     //   added edges: 0 -> 3, weight 0.5
+            0, 0, 0, 0, 0, 0, 0, 0,  3, 0, 0, 0, 0, 0, 0, 0,  0, 0, 0, 0, 0, 0, 0xe0, 0x3f,
+            1, 0, 0, 0,                                     //   removed pairs: 1 -> 2
+            1, 0, 0, 0, 0, 0, 0, 0,  2, 0, 0, 0, 0, 0, 0, 0,
+            0, 0, 0, 0,                                     //   no removed vertices
+            2, 0, 0, 0,                                     // owners: 0 on fragment 0,
+            0, 0, 0, 0, 0, 0, 0, 0,  0, 0, 0, 0,            //   3 on fragment 1
+            3, 0, 0, 0, 0, 0, 0, 0,  1, 0, 0, 0,
+            2, 0, 0, 0,                                     // endpoint payloads of 0 and 3: unit
+            0, 0, 0, 0, 0, 0, 0, 0,  3, 0, 0, 0, 0, 0, 0, 0,
+        ];
+        assert_eq!(&frame[..], golden, "worker {index}");
+    }
+    drop(session);
+    daemon.shutdown().expect("shutdown");
+}
