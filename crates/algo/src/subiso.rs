@@ -24,7 +24,7 @@
 //!   to exactly one fragment, so no embedding is reported twice.
 //!
 //! The extension knowledge received from other fragments is kept in an
-//! [`ExtIndex`]: flat sorted-id tables with CSR-style out/in adjacency
+//! `ExtIndex`: flat sorted-id tables with CSR-style out/in adjacency
 //! slices, rebuilt only when a superstep actually grows the knowledge. The
 //! matcher's adjacency queries are a local CSR slice chained with an indexed
 //! extension slice — the per-call linear scans over an edge `HashSet` (and

@@ -1,6 +1,6 @@
 //! All-to-all in-process "network" between workers and the coordinator.
 //!
-//! [`CommNetwork::new(n)`] creates `n` worker endpoints plus one coordinator
+//! [`CommNetwork::new`]`(n)` creates `n` worker endpoints plus one coordinator
 //! endpoint (address [`COORDINATOR`]). Each endpoint is a [`WorkerLink`] that
 //! can be moved into its worker thread. Sends are unbounded and never block;
 //! receives drain whatever has arrived, which matches BSP semantics where a

@@ -964,7 +964,7 @@ impl<P: PieProgram> GrapeEngine<P> {
     /// deduplicated, so recovered runs are bit-identical to undisturbed ones
     /// for any cadence: same supersteps, same folded values, same final
     /// answer. A replacement dying mid-replay re-enters recovery through the
-    /// same path; each worker has a crash-loop budget of [`MAX_RECOVERIES`]
+    /// same path; each worker has a crash-loop budget of `MAX_RECOVERIES`
     /// attempts with deterministic exponential backoff between repeated
     /// respawns.
     pub fn run_coordinator(

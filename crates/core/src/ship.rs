@@ -96,7 +96,7 @@ where
 {
     let parts = decode_fragment_parts::<V, E>(tag, body)?;
     Fragment::from_parts(parts)
-        .map_err(|_| WireError::Malformed("shipped fragment references unknown vertices"))
+        .map_err(|_| WireError::Malformed("shipped fragment parts are inconsistent"))
 }
 
 #[cfg(test)]

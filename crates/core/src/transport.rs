@@ -457,7 +457,7 @@ impl<V: Wire + Send + 'static> FramedStreamCoord<V> {
     /// instead of 0 — the service path, where each query's connections are
     /// fenced by its own run id. The epoch must be a constructor parameter
     /// (not a post-hoc setter) because each reader thread captures it for
-    /// the [`StreamEvent::Disconnected`] it emits: a reader spawned at the
+    /// the `StreamEvent::Disconnected` it emits: a reader spawned at the
     /// wrong epoch would report a loss the coordinator then ignores as
     /// stale, turning a fast worker-loss signal into a read-timeout stall.
     pub fn new_at_epoch<S: SplitStream>(

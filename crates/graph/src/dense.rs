@@ -1,6 +1,6 @@
 //! Flat per-vertex state keyed by dense CSR indices.
 //!
-//! [`CsrGraph`](crate::CsrGraph) maps arbitrary global [`VertexId`]s to dense
+//! [`CsrGraph`] maps arbitrary global [`VertexId`]s to dense
 //! indices `0..n`. Algorithms that keep per-vertex state in a
 //! `HashMap<VertexId, T>` pay a hash + probe on every edge relaxation; the
 //! types in this module replace that with a single indexed load:

@@ -1,41 +1,42 @@
-//! Vertex → fragment assignments.
+//! Vertex → fragment assignments, kept as two aligned columns: the assigned
+//! ids, ascending, and the owner of each. A partitioner assigns in the
+//! graph's ascending order, so each `assign` is an append.
 
 use grape_graph::VertexId;
-use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// Identifier of a fragment / worker. The paper uses `P_1 … P_n`.
 pub type FragmentId = usize;
 
 /// The result of a partitioning pass: a total map from vertices to fragments.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct PartitionAssignment {
     /// Requested number of fragments.
     num_fragments: usize,
-    /// Vertex → fragment map.
-    assignment: HashMap<VertexId, FragmentId>,
+    /// Assigned vertices, ascending.
+    ids: Vec<VertexId>,
+    /// Owner fragment of each vertex, aligned with `ids`.
+    owner: Vec<u32>,
 }
 
 impl PartitionAssignment {
     /// Creates an empty assignment targeting `num_fragments` fragments.
     pub fn new(num_fragments: usize) -> Self {
-        Self {
-            num_fragments,
-            assignment: HashMap::new(),
-        }
+        Self::with_capacity(num_fragments, 0)
     }
 
     /// Creates an empty assignment targeting `num_fragments` fragments, with
     /// room for `vertices` vertices: a partitioner that knows `n` assigns
-    /// them without regrowing the map.
+    /// them without regrowing the columns.
     pub fn with_capacity(num_fragments: usize, vertices: usize) -> Self {
         Self {
             num_fragments,
-            assignment: HashMap::with_capacity(vertices),
+            ids: Vec::with_capacity(vertices),
+            owner: Vec::with_capacity(vertices),
         }
     }
 
-    /// Assigns a vertex to a fragment.
+    /// Assigns a vertex to a fragment, or moves it there: an append for an
+    /// id above every assigned one, a binary search for any other.
     ///
     /// # Panics
     /// Panics if `fragment >= num_fragments`, which would indicate a buggy
@@ -46,12 +47,25 @@ impl PartitionAssignment {
             "fragment id {fragment} out of range (k = {})",
             self.num_fragments
         );
-        self.assignment.insert(vertex, fragment);
+        let fragment = u32::try_from(fragment).expect("fragment ids fit a u32, as shipped");
+        if self.ids.last().is_none_or(|&last| last < vertex) {
+            self.ids.push(vertex);
+            self.owner.push(fragment);
+            return;
+        }
+        match self.ids.binary_search(&vertex) {
+            Ok(i) => self.owner[i] = fragment,
+            Err(i) => {
+                self.ids.insert(i, vertex);
+                self.owner.insert(i, fragment);
+            }
+        }
     }
 
     /// The fragment that owns `vertex`, if assigned.
     pub fn fragment_of(&self, vertex: VertexId) -> Option<FragmentId> {
-        self.assignment.get(&vertex).copied()
+        let i = self.ids.binary_search(&vertex).ok()?;
+        Some(self.owner[i] as FragmentId)
     }
 
     /// Number of fragments this assignment targets.
@@ -61,22 +75,25 @@ impl PartitionAssignment {
 
     /// Number of vertices assigned so far.
     pub fn num_assigned(&self) -> usize {
-        self.assignment.len()
+        self.ids.len()
     }
 
-    /// Iterates over `(vertex, fragment)` pairs in unspecified order.
+    /// Iterates over `(vertex, fragment)` pairs in ascending vertex order.
     pub fn iter(&self) -> impl Iterator<Item = (VertexId, FragmentId)> + '_ {
-        self.assignment.iter().map(|(v, f)| (*v, *f))
+        let owners = self.owner.iter().map(|&f| f as FragmentId);
+        self.ids.iter().copied().zip(owners)
+    }
+
+    /// The assigned ids, ascending, and the owner of each.
+    pub(crate) fn columns(&self) -> (&[VertexId], &[u32]) {
+        (&self.ids, &self.owner)
     }
 
     /// Vertices owned by each fragment, as sorted vectors.
     pub fn members(&self) -> Vec<Vec<VertexId>> {
         let mut out = vec![Vec::new(); self.num_fragments];
-        for (&v, &f) in &self.assignment {
+        for (v, f) in self.iter() {
             out[f].push(v);
-        }
-        for m in &mut out {
-            m.sort_unstable();
         }
         out
     }
@@ -84,8 +101,8 @@ impl PartitionAssignment {
     /// Sizes (vertex counts) of each fragment.
     pub fn sizes(&self) -> Vec<usize> {
         let mut sizes = vec![0usize; self.num_fragments];
-        for &f in self.assignment.values() {
-            sizes[f] += 1;
+        for &f in &self.owner {
+            sizes[f as usize] += 1;
         }
         sizes
     }

@@ -13,12 +13,15 @@
 //!
 //! [`build_fragments`] cuts a global [`CsrGraph`] according to a
 //! [`PartitionAssignment`] and computes all of this routing information once,
-//! so the engine never has to consult the global graph again.
+//! so the engine never has to consult the global graph again. Every table is
+//! a sorted id list or a column aligned with one: a lookup by id is a binary
+//! search, and nothing is hashed.
 
 use crate::assignment::{FragmentId, PartitionAssignment};
 use grape_graph::types::EdgeRecord;
-use grape_graph::{CsrGraph, DenseBitset, VertexId};
-use std::collections::HashMap;
+use grape_graph::{
+    merge_join, merge_walk, strictly_ascending, CsrGraph, DenseBitset, GraphError, VertexId,
+};
 use std::sync::Arc;
 
 /// A graph fragment owned by one worker.
@@ -31,12 +34,10 @@ pub struct Fragment<V, E> {
     /// Local subgraph: inner vertices plus mirrored outer vertices, with all
     /// edges incident to at least one inner vertex.
     pub graph: CsrGraph<V, E>,
-    /// Owner fragment of each outer vertex. Shared, like `mirrored_at`,
-    /// with the fragments a splice derives until one changes it.
-    pub(crate) outer_owner: Arc<HashMap<VertexId, FragmentId>>,
-    /// For each inner vertex that is mirrored elsewhere, the fragments that
-    /// hold a mirror of it.
-    pub(crate) mirrored_at: Arc<HashMap<VertexId, Vec<FragmentId>>>,
+    /// The fragments mirroring each mirrored inner vertex, aligned with the
+    /// tables' `mirrored_inner`. Shared with the fragments a splice derives
+    /// until one changes a run.
+    pub(crate) mirrored_at: Arc<MirrorRuns>,
     /// The vertex and border tables, derived from the local vertex set and
     /// the set of mirrored inner vertices. Shared with the fragments an
     /// edges-only splice derives, which change neither.
@@ -51,6 +52,8 @@ struct VertexTables {
     inner: Vec<VertexId>,
     /// Mirrors of remote vertices that appear in local edges (sorted).
     outer: Vec<VertexId>,
+    /// Owner fragment of each outer vertex, aligned with `outer`.
+    outer_owner: Vec<u32>,
     /// Membership bitset over the local graph's dense indices: bit set =
     /// inner vertex, bit clear = outer (mirror). Replaces per-call
     /// `HashSet<VertexId>` probes on the hot paths.
@@ -71,6 +74,26 @@ struct VertexTables {
     /// Position of each mirrored-inner vertex in `border`, aligned with
     /// `mirrored_inner`.
     mirrored_inner_border_pos: Vec<u32>,
+}
+
+/// The fragments that mirror each vertex of a sorted list, as flat runs
+/// aligned with it: run `i` ends at `ends[i]` in `at` and is ascending.
+#[derive(Debug, Default, PartialEq)]
+pub(crate) struct MirrorRuns {
+    ends: Vec<usize>,
+    at: Vec<FragmentId>,
+}
+
+impl MirrorRuns {
+    fn run(&self, i: usize) -> &[FragmentId] {
+        let start = i.checked_sub(1).map_or(0, |j| self.ends[j]);
+        &self.at[start..self.ends[i]]
+    }
+
+    fn push(&mut self, run: impl IntoIterator<Item = FragmentId>) {
+        self.at.extend(run);
+        self.ends.push(self.at.len());
+    }
 }
 
 impl<V: Clone, E: Clone> Fragment<V, E> {
@@ -130,22 +153,28 @@ impl<V: Clone, E: Clone> Fragment<V, E> {
         (i as usize) < self.graph.num_vertices() && !self.tables.inner_mask.contains(i)
     }
 
-    /// The fragment that owns an outer vertex.
+    /// The fragment that owns a local vertex: this one for an inner vertex,
+    /// the owner column's entry for an outer one.
     pub fn owner_of(&self, v: VertexId) -> Option<FragmentId> {
         if self.is_inner(v) {
-            Some(self.id)
-        } else {
-            self.outer_owner.get(&v).copied()
+            return Some(self.id);
         }
+        let i = self.tables.outer.binary_search(&v).ok()?;
+        Some(self.tables.outer_owner[i] as FragmentId)
+    }
+
+    /// The owner of each outer vertex, aligned with `outer_vertices`.
+    pub(crate) fn outer_owners(&self) -> &[u32] {
+        &self.tables.outer_owner
     }
 
     /// Fragments that hold a mirror of the inner vertex `v` (empty slice if
     /// none or if `v` is not inner).
     pub fn mirrors_of(&self, v: VertexId) -> &[FragmentId] {
-        self.mirrored_at
-            .get(&v)
-            .map(|f| f.as_slice())
-            .unwrap_or(&[])
+        match self.tables.mirrored_inner.binary_search(&v) {
+            Ok(i) => self.mirrored_at.run(i),
+            Err(_) => &[],
+        }
     }
 
     /// Border nodes in the paper's sense: vertices of this fragment that
@@ -196,15 +225,12 @@ impl<V: Clone, E: Clone> Fragment<V, E> {
     /// this fragment: the owner of `v` (if remote) plus every fragment that
     /// mirrors `v`.
     pub fn recipients_of(&self, v: VertexId) -> Vec<FragmentId> {
-        let mut out = Vec::new();
-        if let Some(owner) = self.outer_owner.get(&v) {
-            out.push(*owner);
-        }
-        for f in self.mirrors_of(v) {
-            if *f != self.id {
-                out.push(*f);
-            }
-        }
+        let mut out: Vec<FragmentId> = self
+            .owner_of(v)
+            .filter(|&f| f != self.id)
+            .into_iter()
+            .collect();
+        out.extend(self.mirrors_of(v).iter().filter(|&&f| f != self.id));
         out.sort_unstable();
         out.dedup();
         out
@@ -228,9 +254,10 @@ impl<V: Clone, E: Clone> Fragment<V, E> {
 
     /// Flattens this fragment into its transport-friendly parts: everything
     /// a remote worker needs to rebuild it with [`Fragment::from_parts`],
-    /// with no `HashMap`s and a canonical (sorted) order throughout, so the
-    /// round trip is deterministic.
+    /// in a canonical (sorted) order throughout, so the round trip is
+    /// deterministic.
     pub fn to_parts(&self) -> FragmentParts<V, E> {
+        let tables = &self.tables;
         let vertices: Vec<(VertexId, V)> = self
             .graph
             .vertex_ids()
@@ -244,27 +271,22 @@ impl<V: Clone, E: Clone> Fragment<V, E> {
             .into_iter()
             .map(|r| (r.src, r.dst, r.data))
             .collect();
-        let mut outer_owner: Vec<(VertexId, u32)> = self
-            .outer_owner
+        let outer_owner = tables.outer.iter().copied().zip(tables.outer_owner.clone());
+        let run = |i: usize| self.mirrored_at.run(i).iter().map(|&f| f as u32).collect();
+        let mirrored_at = tables
+            .mirrored_inner
             .iter()
-            .map(|(&v, &f)| (v, f as u32))
-            .collect();
-        outer_owner.sort_unstable_by_key(|&(v, _)| v);
-        let mut mirrored_at: Vec<(VertexId, Vec<u32>)> = self
-            .mirrored_at
-            .iter()
-            .map(|(&v, fs)| (v, fs.iter().map(|&f| f as u32).collect()))
-            .collect();
-        mirrored_at.sort_unstable_by_key(|&(v, _)| v);
+            .enumerate()
+            .map(|(i, &v)| (v, run(i)));
         FragmentParts {
             id: self.id,
             num_fragments: self.num_fragments,
             vertices,
             edges,
-            inner: self.tables.inner.clone(),
-            outer: self.tables.outer.clone(),
-            outer_owner,
-            mirrored_at,
+            inner: tables.inner.clone(),
+            outer: tables.outer.clone(),
+            outer_owner: outer_owner.collect(),
+            mirrored_at: mirrored_at.collect(),
         }
     }
 }
@@ -274,7 +296,14 @@ impl<V: Clone + Default, E: Clone> Fragment<V, E> {
     /// derived table are reconstructed through the exact same code path as
     /// [`build_fragments`], so a round trip through
     /// [`Fragment::to_parts`] yields a bit-identical fragment.
-    pub fn from_parts(parts: FragmentParts<V, E>) -> Result<Self, grape_graph::GraphError> {
+    ///
+    /// Parts come from outside, so they are checked first: `id` is below
+    /// `num_fragments`; `inner` and `outer` split the local vertices between
+    /// them; `outer_owner` names a remote fragment for exactly the `outer`
+    /// vertices; and `mirrored_at` names inner vertices only, each with a
+    /// non-empty, ascending list of remote fragments. Parts that break a
+    /// rule are a [`GraphError::InvalidParameter`].
+    pub fn from_parts(parts: FragmentParts<V, E>) -> Result<Self, GraphError> {
         let FragmentParts {
             id,
             num_fragments,
@@ -282,35 +311,69 @@ impl<V: Clone + Default, E: Clone> Fragment<V, E> {
             edges,
             mut inner,
             mut outer,
-            outer_owner,
-            mirrored_at,
+            mut outer_owner,
+            mut mirrored_at,
         } = parts;
-        // Shipped parts come from outside and the assembly below walks these
-        // lists in order: restore their documented sortedness if it was lost
-        // (lists that kept it cost one linear pass).
+        // Restore the documented order of the lists if it was lost (lists
+        // that kept it cost one linear pass).
         inner.sort_unstable();
         outer.sort_unstable();
+        outer_owner.sort_unstable_by_key(|&(v, _)| v);
+        mirrored_at.sort_unstable_by_key(|(v, _)| *v);
         let edge_records: Vec<EdgeRecord<E>> = edges
             .into_iter()
             .map(|(s, d, w)| EdgeRecord::new(s, d, w))
             .collect();
         let local_graph = CsrGraph::from_records(vertices, edge_records, true)?;
-        let outer_owner: HashMap<VertexId, FragmentId> = outer_owner
-            .into_iter()
-            .map(|(v, f)| (v, f as FragmentId))
-            .collect();
-        let mirrored: HashMap<VertexId, Vec<FragmentId>> = mirrored_at
-            .into_iter()
-            .map(|(v, fs)| (v, fs.into_iter().map(|f| f as FragmentId).collect()))
-            .collect();
+
+        let malformed = |rule: &str| {
+            let at = format!("fragment {id} of {num_fragments}");
+            Err(GraphError::InvalidParameter(format!("{at}: {rule}")))
+        };
+        let remote = |f: u32| (f as usize) < num_fragments && f as usize != id;
+        let is_inner = |v: &VertexId| inner.binary_search(v).is_ok();
+        if id >= num_fragments {
+            return malformed("its id is out of range");
+        }
+        if !(strictly_ascending(&inner) && strictly_ascending(&outer))
+            || inner.len() + outer.len() != local_graph.num_vertices()
+            || !inner.iter().chain(&outer).all(|&v| local_graph.contains(v))
+            || outer.iter().any(is_inner)
+        {
+            return malformed("inner and outer do not split the local vertices");
+        }
+        if !outer_owner
+            .iter()
+            .map(|&(v, _)| v)
+            .eq(outer.iter().copied())
+            || !outer_owner.iter().all(|&(_, f)| remote(f))
+        {
+            return malformed("outer_owner does not name a remote owner for each outer vertex");
+        }
+        let mirrored_inner: Vec<VertexId> = mirrored_at.iter().map(|(v, _)| *v).collect();
+        if !strictly_ascending(&mirrored_inner)
+            || !mirrored_inner.iter().all(is_inner)
+            || !mirrored_at.iter().all(|(_, at)| {
+                !at.is_empty()
+                    && at.windows(2).all(|w| w[0] < w[1])
+                    && at.iter().all(|&f| remote(f))
+            })
+        {
+            return malformed("mirrored_at does not list remote fragments for inner vertices");
+        }
+
+        let outer_owner = outer_owner.into_iter().map(|(_, f)| f).collect();
+        let mut runs = MirrorRuns::default();
+        for (_, at) in mirrored_at {
+            runs.push(at.into_iter().map(|f| f as FragmentId));
+        }
         Ok(assemble_fragment(
             id,
             num_fragments,
             local_graph,
             inner,
-            outer,
-            Arc::new(outer_owner),
-            Arc::new(mirrored),
+            (outer, outer_owner),
+            (mirrored_inner, runs),
         ))
     }
 }
@@ -342,60 +405,114 @@ pub struct FragmentParts<V, E> {
     pub mirrored_at: Vec<(VertexId, Vec<u32>)>,
 }
 
+/// One pass of a cut over the graph's dense order: the owner of every vertex
+/// and the fragments that mirror it. Shared by [`build_fragments`] and
+/// [`evaluate_partition`](crate::evaluate_partition).
+pub(crate) struct Cut {
+    /// Number of fragments (at least one).
+    pub(crate) k: usize,
+    /// Owner fragment of each vertex, by dense index.
+    pub(crate) owner: Vec<u32>,
+    /// `words` words per vertex: bit `f` of vertex `v`'s mask = `v` is
+    /// mirrored at fragment `f`.
+    pub(crate) mirrors: Vec<u64>,
+    pub(crate) words: usize,
+    /// Local edges of each fragment: the out-edges of its vertices plus the
+    /// cross edges into them.
+    pub(crate) num_edges: Vec<usize>,
+}
+
+impl Cut {
+    pub(crate) fn new<V: Clone, E: Clone>(
+        graph: &CsrGraph<V, E>,
+        assignment: &PartitionAssignment,
+    ) -> Self {
+        let k = assignment.num_fragments().max(1);
+        let n = graph.num_vertices();
+        // The owner column, from one merge walk of the assignment's ids
+        // against the graph's: ids the graph lacks are skipped, and a vertex
+        // the assignment lacks goes to fragment 0.
+        let (ids, owners) = assignment.columns();
+        let mut owner = vec![0u32; n];
+        merge_join(ids, graph.vertex_ids(), |i, j| owner[j] = owners[i]);
+
+        // A cross edge mirrors each endpoint at the other's owner.
+        let words = k.div_ceil(64);
+        let mut mirrors = vec![0u64; n * words];
+        let mut mirror_at =
+            |v: usize, f: u32| mirrors[v * words + f as usize / 64] |= 1 << (f % 64);
+        let mut num_edges = vec![0usize; k];
+        for s in 0..n {
+            let fs = owner[s];
+            for &d in graph.out_neighbors_dense(s as u32) {
+                let fd = owner[d as usize];
+                num_edges[fs as usize] += 1;
+                if fd != fs {
+                    num_edges[fd as usize] += 1;
+                    mirror_at(s, fd);
+                    mirror_at(d as usize, fs);
+                }
+            }
+        }
+        Cut {
+            k,
+            owner,
+            mirrors,
+            words,
+            num_edges,
+        }
+    }
+}
+
+/// The fragments set in a mirror mask, ascending.
+fn fragments_in(mask: &[u64]) -> impl Iterator<Item = FragmentId> + '_ {
+    mask.iter().enumerate().flat_map(|(word, &bits)| {
+        let mut bits = bits;
+        std::iter::from_fn(move || {
+            let bit = bits.trailing_zeros() as usize;
+            bits &= bits.wrapping_sub(1);
+            (bit < 64).then_some(word * 64 + bit)
+        })
+    })
+}
+
 /// Cuts `graph` into fragments according to `assignment`.
 ///
 /// Every vertex must be assigned; vertices missing from the assignment are
-/// placed on fragment 0 so the engine never loses data.
+/// placed on fragment 0 so the engine never loses data, and assigned ids the
+/// graph lacks are skipped.
 ///
 /// Each fragment receives every edge whose source *or* destination it owns,
 /// so both out-edges of inner vertices and in-edges from remote vertices are
 /// locally visible (the latter are what IncEval needs to relax when a border
 /// value arrives).
 ///
-/// One assignment lookup per vertex, no hashing after: the cut works in the
-/// global graph's dense index space, with one owner per vertex and a bitmask
-/// of the fragments mirroring it. Only the finished fragment's own owner and
-/// mirror maps are filled by key, once per border vertex.
+/// No hashing: one merge walk reads the assignment into an owner per vertex
+/// of the global graph's dense order, one pass over the edges gives each
+/// vertex a bitmask of the fragments mirroring it, and one ascending scan
+/// of the vertices appends every fragment's sorted lists and the columns
+/// aligned with them (the owner of each outer vertex, the mirror run of
+/// each mirrored inner vertex).
 pub fn build_fragments<V: Clone + Default, E: Clone>(
     graph: &CsrGraph<V, E>,
     assignment: &PartitionAssignment,
 ) -> Vec<Fragment<V, E>> {
-    let k = assignment.num_fragments().max(1);
-    let n = graph.num_vertices();
-    let owner: Vec<FragmentId> = graph
-        .vertices()
-        .map(|v| assignment.fragment_of(v).unwrap_or(0))
-        .collect();
-
-    // Mirror discovery: bit `f` of vertex `v`'s mask = `v` is mirrored at
-    // fragment `f`. A cross edge mirrors each endpoint at the other's owner.
-    let words = k.div_ceil(64);
-    let mut mirrors = vec![0u64; n * words];
-    let mut mirror_at = |v: usize, f: FragmentId| mirrors[v * words + f / 64] |= 1 << (f % 64);
-    let mut num_edges = vec![0usize; k];
-    for s in 0..n {
-        let fs = owner[s];
-        for &d in graph.out_neighbors_dense(s as u32) {
-            let fd = owner[d as usize];
-            num_edges[fs] += 1;
-            if fd != fs {
-                num_edges[fd] += 1;
-                mirror_at(s, fd);
-                mirror_at(d as usize, fs);
-            }
-        }
-    }
+    let cut = Cut::new(graph, assignment);
+    let (k, n, owner) = (cut.k, graph.num_vertices(), &cut.owner);
 
     // Each fragment's edges in the global CSR order: its source's fragment
     // sees the edge, and so does its destination's if that is another one
     // (as an in-edge of its inner vertex from the mirror of the source).
-    let mut edges: Vec<Vec<EdgeRecord<E>>> =
-        num_edges.iter().map(|&m| Vec::with_capacity(m)).collect();
+    let mut edges: Vec<Vec<EdgeRecord<E>>> = cut
+        .num_edges
+        .iter()
+        .map(|&m| Vec::with_capacity(m))
+        .collect();
     for s in 0..n {
-        let fs = owner[s];
+        let fs = owner[s] as usize;
         let src = graph.vertex_id(s as u32);
         for (d, w) in graph.out_edges_dense(s as u32) {
-            let fd = owner[d as usize];
+            let fd = owner[d as usize] as usize;
             let record = EdgeRecord::new(src, graph.vertex_id(d), w.clone());
             if fd != fs {
                 edges[fd].push(record.clone());
@@ -409,51 +526,41 @@ pub fn build_fragments<V: Clone + Default, E: Clone>(
     // the global graph (mirrors keep the payload so label/keyword predicates
     // still work on them).
     let mut inner: Vec<Vec<VertexId>> = vec![Vec::new(); k];
-    let mut outer: Vec<Vec<VertexId>> = vec![Vec::new(); k];
+    let mut outer: Vec<(Vec<VertexId>, Vec<u32>)> = vec![Default::default(); k];
+    let mut mirrored: Vec<(Vec<VertexId>, MirrorRuns)> =
+        (0..k).map(|_| Default::default()).collect();
     let mut vertices: Vec<Vec<(VertexId, V)>> = vec![Vec::new(); k];
-    let mut outer_owner: Vec<HashMap<VertexId, FragmentId>> = vec![HashMap::new(); k];
-    let mut mirrored: Vec<HashMap<VertexId, Vec<FragmentId>>> = vec![HashMap::new(); k];
     for (i, &f) in owner.iter().enumerate() {
         let v = graph.vertex_id(i as u32);
         let data = graph.vertex_data_at(i as u32);
-        inner[f].push(v);
-        vertices[f].push((v, data.clone()));
-        let mut at = Vec::new();
-        let mask = &mirrors[i * words..(i + 1) * words];
-        for (word, mut bits) in mask.iter().copied().enumerate() {
-            while bits != 0 {
-                let g = word * 64 + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                outer[g].push(v);
-                vertices[g].push((v, data.clone()));
-                outer_owner[g].insert(v, f);
-                at.push(g);
-            }
+        inner[f as usize].push(v);
+        vertices[f as usize].push((v, data.clone()));
+        let mask = &cut.mirrors[i * cut.words..(i + 1) * cut.words];
+        for g in fragments_in(mask) {
+            outer[g].0.push(v);
+            outer[g].1.push(f);
+            vertices[g].push((v, data.clone()));
         }
-        if !at.is_empty() {
-            mirrored[f].insert(v, at);
+        if mask.iter().any(|&word| word != 0) {
+            mirrored[f as usize].0.push(v);
+            mirrored[f as usize].1.push(fragments_in(mask));
         }
     }
 
-    let mut fragments = Vec::with_capacity(k);
-    for f in 0..k {
-        let local_graph = CsrGraph::from_records(
-            std::mem::take(&mut vertices[f]),
-            std::mem::take(&mut edges[f]),
-            true,
-        )
-        .expect("fragment edges reference only local vertices");
-        fragments.push(assemble_fragment(
-            f,
-            k,
-            local_graph,
-            std::mem::take(&mut inner[f]),
-            std::mem::take(&mut outer[f]),
-            Arc::new(std::mem::take(&mut outer_owner[f])),
-            Arc::new(std::mem::take(&mut mirrored[f])),
-        ));
-    }
-    fragments
+    let pieces = vertices
+        .into_iter()
+        .zip(edges)
+        .zip(inner)
+        .zip(outer)
+        .zip(mirrored);
+    pieces
+        .enumerate()
+        .map(|(f, ((((vertices, edges), inner), outer), mirrored))| {
+            let local_graph = CsrGraph::from_records(vertices, edges, true)
+                .expect("fragment edges reference only local vertices");
+            assemble_fragment(f, k, local_graph, inner, outer, mirrored)
+        })
+        .collect()
 }
 
 impl<V: Clone, E: Clone> Fragment<V, E> {
@@ -465,92 +572,91 @@ impl<V: Clone, E: Clone> Fragment<V, E> {
     pub(crate) fn with_graph_and_mirrors(
         &self,
         graph: CsrGraph<V, E>,
-        mirrored_at: Arc<HashMap<VertexId, Vec<FragmentId>>>,
+        mirrored_at: Arc<MirrorRuns>,
     ) -> Fragment<V, E> {
         debug_assert_eq!(graph.vertex_ids(), self.graph.vertex_ids());
-        debug_assert!(
-            mirrored_at.len() == self.mirrored_at.len()
-                && mirrored_at.keys().all(|v| self.mirrored_at.contains_key(v))
-        );
+        debug_assert_eq!(mirrored_at.ends.len(), self.mirrored_at.ends.len());
         Fragment {
             id: self.id,
             num_fragments: self.num_fragments,
             graph,
-            outer_owner: Arc::clone(&self.outer_owner),
             mirrored_at,
             tables: Arc::clone(&self.tables),
         }
     }
+
+    /// The mirrored inner vertices and their mirror runs with `changes`
+    /// applied: each `(vertex, fragments)` gives its vertex a new run, and
+    /// an empty one drops it. `changes` is sorted by vertex.
+    pub(crate) fn mirrors_with(
+        &self,
+        changes: &[(VertexId, Vec<FragmentId>)],
+    ) -> (Vec<VertexId>, MirrorRuns) {
+        let changed: Vec<VertexId> = changes.iter().map(|(v, _)| *v).collect();
+        let (mut ids, mut runs) = (Vec::new(), MirrorRuns::default());
+        merge_walk(&self.tables.mirrored_inner, &changed, |v, i, j| {
+            let run = match (i, j) {
+                (_, Some(j)) => &changes[j].1[..],
+                (Some(i), None) => self.mirrored_at.run(i),
+                (None, None) => unreachable!("each id is in one list or both"),
+            };
+            if !run.is_empty() {
+                ids.push(v);
+                runs.push(run.iter().copied());
+            }
+        });
+        (ids, runs)
+    }
 }
 
 /// Derives every precomputed lookup table from a fragment's primary data and
-/// assembles the [`Fragment`]. Shared by [`build_fragments`] (the
-/// coordinator-side cut) and [`Fragment::from_parts`] (a shipped fragment
-/// rebuilt on a remote worker), so both construction paths are one code path
-/// and the results are bit-identical.
+/// assembles the [`Fragment`]: the sorted `inner` list, the sorted `outer`
+/// list with its owner column, and the sorted mirrored inner vertices with
+/// their mirror runs. Shared by [`build_fragments`] (the coordinator-side
+/// cut) and [`Fragment::from_parts`] (a shipped fragment rebuilt on a remote
+/// worker), so both construction paths are one code path and the results
+/// are bit-identical.
 pub(crate) fn assemble_fragment<V: Clone, E: Clone>(
     id: FragmentId,
     num_fragments: usize,
     local_graph: CsrGraph<V, E>,
     inner_list: Vec<VertexId>,
-    outer_list: Vec<VertexId>,
-    outer_owner: Arc<HashMap<VertexId, FragmentId>>,
-    mirrored: Arc<HashMap<VertexId, Vec<FragmentId>>>,
+    (outer_list, outer_owner): (Vec<VertexId>, Vec<u32>),
+    (mirrored_inner, mirrored_at): (Vec<VertexId>, MirrorRuns),
 ) -> Fragment<V, E> {
     // Precompute the dense lookup structures once, so the per-superstep
     // hot paths never rebuild or hash anything. Every id list here is sorted,
-    // like the local graph's own, so its dense indices fall out of one merge
-    // walk — no hashing either.
-    let local_ids = local_graph.vertex_ids();
-    let dense_of = |ids: &[VertexId]| -> Vec<u32> {
-        let mut cursor = 0usize;
-        ids.iter()
-            .map(|&v| {
-                cursor += local_ids[cursor..]
-                    .iter()
-                    .position(|&u| u == v)
-                    .expect("inner and outer vertices are in the local graph, in order");
-                cursor as u32
-            })
-            .collect()
+    // like the local graph's own, so the positions of one in another fall
+    // out of a merge walk — no hashing either.
+    let positions = |ids: &[VertexId], within: &[VertexId]| -> Vec<u32> {
+        let mut at = Vec::with_capacity(ids.len());
+        merge_join(ids, within, |_, j| at.push(j as u32));
+        debug_assert_eq!(at.len(), ids.len(), "a listed vertex is missing");
+        at
     };
+    let dense_of = |ids: &[VertexId]| positions(ids, local_graph.vertex_ids());
     let mut inner_mask = DenseBitset::new(local_graph.num_vertices());
     let inner_dense = dense_of(&inner_list);
     for &i in &inner_dense {
         inner_mask.set(i);
     }
     let outer_dense = dense_of(&outer_list);
-    let mut mirrored_inner: Vec<VertexId> = mirrored.keys().copied().collect();
-    mirrored_inner.sort_unstable();
     let mirrored_inner_dense = dense_of(&mirrored_inner);
-    let mut border: Vec<VertexId> = outer_list
-        .iter()
-        .chain(mirrored_inner.iter())
-        .copied()
-        .collect();
-    border.sort_unstable();
-    border.dedup();
+    // The border is the union of two disjoint sorted lists.
+    let mut border = Vec::with_capacity(outer_list.len() + mirrored_inner.len());
+    merge_walk(&outer_list, &mirrored_inner, |v, _, _| border.push(v));
     let border_dense = dense_of(&border);
-    // `mirrored_inner` is a sorted subset of the sorted `border`, so its
-    // border positions fall out of one linear merge scan.
-    let mut mirrored_inner_border_pos = Vec::with_capacity(mirrored_inner.len());
-    let mut cursor = 0usize;
-    for &v in &mirrored_inner {
-        while border[cursor] != v {
-            cursor += 1;
-        }
-        mirrored_inner_border_pos.push(cursor as u32);
-    }
+    let mirrored_inner_border_pos = positions(&mirrored_inner, &border);
 
     Fragment {
         id,
         num_fragments,
         graph: local_graph,
-        outer_owner,
-        mirrored_at: mirrored,
+        mirrored_at: Arc::new(mirrored_at),
         tables: Arc::new(VertexTables {
             inner: inner_list,
             outer: outer_list,
+            outer_owner,
             inner_mask,
             inner_dense,
             outer_dense,
@@ -781,6 +887,54 @@ mod tests {
             shuffled.outer.reverse();
             assert!(Fragment::from_parts(shuffled).expect("rebuild") == f);
         }
+    }
+
+    /// The parts of fragment 0 of a 10-chain cut in two (0..=4 | 5..=9),
+    /// and a check that `from_parts` refuses them once `break_rule` broke
+    /// one rule.
+    fn refused(break_rule: impl Fn(&mut FragmentParts<(), f64>)) -> bool {
+        let frags = build_fragments(&chain(10), &RangePartitioner.partition(&chain(10), 2));
+        let mut parts = frags[0].to_parts();
+        assert!(Fragment::from_parts(parts.clone()).is_ok());
+        break_rule(&mut parts);
+        Fragment::from_parts(parts).is_err()
+    }
+
+    #[test]
+    fn parts_with_an_id_out_of_range_are_refused() {
+        assert!(refused(|p| p.id = 2));
+        assert!(refused(|p| p.num_fragments = 0));
+    }
+
+    #[test]
+    fn parts_whose_inner_and_outer_do_not_split_the_local_vertices_are_refused() {
+        assert!(refused(|p| p.inner.push(77)));
+        assert!(refused(|p| p.outer.push(77)));
+        assert!(refused(|p| p.inner.push(5)));
+        assert!(refused(|p| p.inner.push(4)));
+        assert!(refused(|p| {
+            p.inner.pop();
+        }));
+    }
+
+    #[test]
+    fn parts_whose_outer_owner_is_not_a_remote_owner_of_outer_are_refused() {
+        assert!(refused(|p| p.outer_owner[0].1 = 0));
+        assert!(refused(|p| p.outer_owner[0].1 = 2));
+        assert!(refused(|p| p.outer_owner[0].0 = 3));
+        assert!(refused(|p| p.outer_owner.clear()));
+        assert!(refused(|p| p.outer_owner.push((9, 1))));
+    }
+
+    #[test]
+    fn parts_whose_mirrored_at_is_not_remote_fragments_of_inner_vertices_are_refused() {
+        assert!(refused(|p| p.mirrored_at[0].0 = 77));
+        assert!(refused(|p| p.mirrored_at[0].0 = 5));
+        assert!(refused(|p| p.mirrored_at.push((4, vec![1]))));
+        assert!(refused(|p| p.mirrored_at[0].1 = vec![]));
+        assert!(refused(|p| p.mirrored_at[0].1 = vec![1, 1]));
+        assert!(refused(|p| p.mirrored_at[0].1 = vec![0]));
+        assert!(refused(|p| p.mirrored_at[0].1 = vec![2]));
     }
 
     #[test]

@@ -23,8 +23,8 @@
 //! mirrors) and otherwise stays as it is — holders keep sharing it. A
 //! touched fragment pays O(batch · degree) for mirror bookkeeping — only the
 //! batch's vertices are re-examined, each against its own adjacency run, and
-//! a mirror map is copied only when one of them changes it — plus one copy of
-//! its arrays, by one of two paths:
+//! the mirror runs are rebuilt, in one pass, only when one of them changes —
+//! plus one copy of its arrays, by one of two paths:
 //!
 //! * **Edges only**: the batch adds or drops no local vertex (no inserted
 //!   vertex, no new or vanished mirror, no removed vertex) and no inner
@@ -38,7 +38,8 @@
 //!   that re-targets every edge and re-derives the reverse arrays, and the
 //!   dense and border tables are re-assembled as [`build_fragments`](crate::build_fragments) does.
 //!
-//! Neither path re-hashes anything or rebuilds from edge records.
+//! Neither path hashes anything or rebuilds from edge records: the batch's
+//! own lists are sorted and searched by bisection.
 //!
 //! **Equivalence guarantee** (pinned by tests here and exercised end-to-end
 //! by the incremental engine path): applying resolved batches to the
@@ -56,9 +57,8 @@ use crate::fragment::{assemble_fragment, Fragment};
 use crate::strategy::hash_fragment_of;
 use grape_comm::wire::{Wire, WireError, WireReader};
 use grape_graph::delta::{LiveView, NetMutations};
-use grape_graph::{GraphError, VertexId};
+use grape_graph::{merge_walk, GraphError, VertexId};
 use std::borrow::Borrow;
-use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
 
 /// A resident fragment set read as the live graph, for staging a batch
@@ -181,16 +181,17 @@ impl<V: Clone, E: Clone> ResolvedMutations<V, E> {
         payload_of: impl Fn(VertexId) -> Option<V>,
     ) -> Self {
         let k = assignment.num_fragments();
-        let inserted: HashSet<VertexId> = net.added_vertices.iter().map(|(v, _)| *v).collect();
-        let mut referenced: BTreeSet<VertexId> = inserted.iter().copied().collect();
-        for (s, d, _) in &net.added_edges {
-            referenced.insert(*s);
-            referenced.insert(*d);
-        }
+        let mut inserted: Vec<VertexId> = net.added_vertices.iter().map(|(v, _)| *v).collect();
+        inserted.sort_unstable();
+        let is_inserted = |v: &VertexId| inserted.binary_search(v).is_ok();
+        let mut referenced = inserted.clone();
+        referenced.extend(net.added_edges.iter().flat_map(|&(s, d, _)| [s, d]));
+        referenced.sort_unstable();
+        referenced.dedup();
         let owners: Vec<(VertexId, u32)> = referenced
             .iter()
             .map(|&v| {
-                let fallback = if inserted.contains(&v) {
+                let fallback = if is_inserted(&v) {
                     hash_fragment_of(v, k)
                 } else {
                     0
@@ -200,7 +201,7 @@ impl<V: Clone, E: Clone> ResolvedMutations<V, E> {
             .collect();
         let endpoint_data: Vec<(VertexId, V)> = referenced
             .iter()
-            .filter(|v| !inserted.contains(v))
+            .filter(|v| !is_inserted(v))
             .filter_map(|&v| payload_of(v).map(|d| (v, d)))
             .collect();
         ResolvedMutations {
@@ -266,10 +267,10 @@ impl<V: Clone + Default, E: Clone> Fragment<V, E> {
     /// ([`CsrGraph::patched`](grape_graph::CsrGraph::patched)); the mirror
     /// tables are patched for the batch's vertices only — each is re-derived from its own
     /// adjacency run, so a removed cut edge un-mirrors a vertex only if no
-    /// other edge still ties it to that fragment — and copied only when one
+    /// other edge still ties it to that fragment — and rebuilt only when one
     /// of them changes. When neither the local vertex set nor the set of
     /// mirrored inner vertices changes, the dense and border tables carry
-    /// over from this fragment and only the graph and mirror map are new;
+    /// over from this fragment and only the graph and mirror runs are new;
     /// otherwise they go through the same assembly as
     /// [`crate::build_fragments`]. The result is bit-identical to a
     /// from-scratch cut of the updated graph (see the [module docs](self)).
@@ -323,60 +324,64 @@ impl<V: Clone + Default, E: Clone> Fragment<V, E> {
         }
 
         // 2. Vertices whose mirror status the batch can change: endpoints of
-        //    its local edges and the neighbours of its removed vertices.
-        let removed_v: HashSet<VertexId> = local.removed_vertices.iter().copied().collect();
-        let removed_e: HashSet<(VertexId, VertexId)> =
-            local.removed_edges.iter().copied().collect();
-        let mut gained: HashMap<VertexId, Vec<VertexId>> = HashMap::new();
-        let mut affected: BTreeSet<VertexId> = BTreeSet::new();
-        for (s, d, _) in &local.added_edges {
-            gained.entry(*s).or_default().push(*d);
-            gained.entry(*d).or_default().push(*s);
-            affected.extend([*s, *d]);
-        }
-        for &(s, d) in &local.removed_edges {
-            affected.extend([s, d]);
-        }
-        for &v in &local.removed_vertices {
+        //    its local edges and the neighbours of its removed vertices. The
+        //    batch's lists are sorted, for bisection.
+        let mut removed_v = local.removed_vertices.clone();
+        removed_v.sort_unstable();
+        removed_v.dedup();
+        let is_removed = |v: &VertexId| removed_v.binary_search(v).is_ok();
+        let mut removed_e = local.removed_edges.clone();
+        removed_e.sort_unstable();
+        // `(v, n)`: the batch adds an edge between `v` and `n`.
+        let mut gained: Vec<(VertexId, VertexId)> = (local.added_edges.iter())
+            .flat_map(|&(s, d, _)| [(s, d), (d, s)])
+            .collect();
+        gained.sort_unstable();
+        let mut affected: Vec<VertexId> = gained.iter().map(|&(v, _)| v).collect();
+        affected.extend(removed_e.iter().flat_map(|&(s, d)| [s, d]));
+        for &v in &removed_v {
             affected.extend(self.graph.out_edges(v).map(|(n, _)| n));
             affected.extend(self.graph.in_edges(v).map(|(n, _)| n));
         }
+        affected.sort_unstable();
+        affected.dedup();
+        affected.retain(|v| !is_removed(v));
         // The neighbours a vertex keeps or gains: its old adjacency run minus
         // the batch's removals, plus the batch's local additions.
         let neighbours = |v: VertexId| -> Vec<VertexId> {
             let graph = &self.graph;
             let kept_out = graph.out_edges(v).map(|(n, _)| (n, (v, n)));
             let kept_in = graph.in_edges(v).map(|(n, _)| (n, (n, v)));
+            let from = gained.partition_point(|&(u, _)| u < v);
+            let gained = gained[from..].iter().take_while(|&&(u, _)| u == v);
             kept_out
                 .chain(kept_in)
-                .filter(|(n, pair)| !removed_v.contains(n) && !removed_e.contains(pair))
+                .filter(|(n, pair)| !is_removed(n) && removed_e.binary_search(pair).is_err())
                 .map(|(n, _)| n)
-                .chain(gained.get(&v).into_iter().flatten().copied())
+                .chain(gained.map(|&(_, n)| n))
                 .collect()
         };
 
-        // 3. Patch the mirror tables for those vertices only, copying a
-        //    table the first time one of them changes it.
-        let mut outer_owner = Arc::clone(&self.outer_owner);
-        let mut mirrored = Arc::clone(&self.mirrored_at);
+        // 3. The mirror tables' changes, for those vertices only: a new
+        //    mirror run for an inner vertex, an outer vertex gone or new.
+        let mut changes: Vec<(VertexId, Vec<FragmentId>)> = Vec::new();
         // Whether an inner vertex starts or stops being mirrored anywhere.
         let mut mirrored_set_changed = false;
         let mut inner_gone: Vec<VertexId> = Vec::new();
         let mut outer_gone: Vec<VertexId> = Vec::new();
-        let mut outer_new: Vec<VertexId> = Vec::new();
-        for &v in &local.removed_vertices {
+        let mut outer_new: Vec<(VertexId, u32)> = Vec::new();
+        for &v in &removed_v {
             if self.is_inner(v) {
-                if mirrored.contains_key(&v) {
-                    Arc::make_mut(&mut mirrored).remove(&v);
+                if !self.mirrors_of(v).is_empty() {
+                    changes.push((v, Vec::new()));
                     mirrored_set_changed = true;
                 }
                 inner_gone.push(v);
             } else {
-                Arc::make_mut(&mut outer_owner).remove(&v);
                 outer_gone.push(v);
             }
         }
-        for &v in affected.iter().filter(|v| !removed_v.contains(v)) {
+        for &v in &affected {
             let home = owner(v)?;
             let neighbours = neighbours(v);
             if home == my {
@@ -387,93 +392,90 @@ impl<V: Clone + Default, E: Clone> Fragment<V, E> {
                 fragments.retain(|&f| f != my);
                 fragments.sort_unstable();
                 fragments.dedup();
-                let before = mirrored.get(&v).map_or(&[][..], Vec::as_slice);
+                let before = self.mirrors_of(v);
                 if before == fragments.as_slice() {
                     continue;
                 }
                 mirrored_set_changed |= before.is_empty() || fragments.is_empty();
-                if fragments.is_empty() {
-                    Arc::make_mut(&mut mirrored).remove(&v);
-                } else {
-                    Arc::make_mut(&mut mirrored).insert(v, fragments);
-                }
+                changes.push((v, fragments));
             } else if neighbours.is_empty() {
                 // Its last cut edge went: un-mirror.
-                if outer_owner.contains_key(&v) {
-                    Arc::make_mut(&mut outer_owner).remove(&v);
+                if self.is_outer(v) {
                     outer_gone.push(v);
                 }
-            } else if !outer_owner.contains_key(&v) {
-                Arc::make_mut(&mut outer_owner).insert(v, home);
-                outer_new.push(v);
+            } else if !self.is_outer(v) {
+                outer_new.push((v, home as u32));
             }
         }
+        changes.sort_unstable_by_key(|(v, _)| *v);
         let mut inner_new: Vec<VertexId> = local.added_vertices.iter().map(|(v, _)| *v).collect();
-        let same_vertices = [&inner_gone, &outer_gone, &outer_new, &inner_new]
+        let same_vertices = [&inner_gone, &outer_gone, &inner_new]
             .iter()
-            .all(|list| list.is_empty());
+            .all(|list| list.is_empty())
+            && outer_new.is_empty();
         if same_vertices && !mirrored_set_changed {
             // Edges only, and the border stays: the dense and border tables
-            // carry over as they are.
+            // carry over as they are, and so do the mirror runs unless one
+            // of them changed.
+            let mirrored_at = if changes.is_empty() {
+                Arc::clone(&self.mirrored_at)
+            } else {
+                Arc::new(self.mirrors_with(&changes).1)
+            };
             let graph = self.graph.patched(&local)?;
-            return Ok(Some(self.with_graph_and_mirrors(graph, mirrored)));
+            return Ok(Some(self.with_graph_and_mirrors(graph, mirrored_at)));
         }
-        for gone in [&mut inner_gone, &mut outer_gone] {
-            gone.sort_unstable();
-            gone.dedup();
-        }
+        outer_gone.sort_unstable();
         inner_new.sort_unstable();
-        let inner = spliced_ids(self.inner_vertices(), &inner_gone, &inner_new);
-        let outer = spliced_ids(self.outer_vertices(), &outer_gone, &outer_new);
 
         // 4. The local graph loses its un-mirrored vertices and gains the new
         //    mirrors, with the payloads the batch carries for them.
-        local.removed_vertices.extend(
-            outer_gone
-                .iter()
-                .copied()
-                .filter(|v| !removed_v.contains(v)),
-        );
-        let inserted: HashMap<VertexId, &V> =
+        local
+            .removed_vertices
+            .extend(outer_gone.iter().copied().filter(|v| !is_removed(v)));
+        let mut inserted: Vec<(VertexId, &V)> =
             net.added_vertices.iter().map(|(v, d)| (*v, d)).collect();
-        for &v in &outer_new {
+        inserted.sort_unstable_by_key(|&(v, _)| v);
+        for &(v, _) in &outer_new {
             let data = match batch.endpoint_data.binary_search_by_key(&v, |(u, _)| *u) {
                 Ok(i) => Some(&batch.endpoint_data[i].1),
-                Err(_) => inserted.get(&v).copied(),
+                Err(_) => {
+                    (inserted.binary_search_by_key(&v, |&(u, _)| u).ok()).map(|i| inserted[i].1)
+                }
             };
             local
                 .added_vertices
                 .push((v, data.cloned().unwrap_or_default()));
         }
         let graph = self.graph.patched(&local)?;
+        // The id lists without what went and with what came, new mirrors
+        // with the owners the batch names.
+        let (mut inner, mut outer) = (Vec::new(), (Vec::new(), Vec::new()));
+        let stays = |gone: &[VertexId], v| gone.binary_search(&v).is_err();
+        merge_walk(self.inner_vertices(), &inner_new, |v, _, new| {
+            if new.is_some() || stays(&inner_gone, v) {
+                inner.push(v);
+            }
+        });
+        let new_ids: Vec<VertexId> = outer_new.iter().map(|&(v, _)| v).collect();
+        merge_walk(self.outer_vertices(), &new_ids, |v, old, new| {
+            if new.is_some() || stays(&outer_gone, v) {
+                outer.0.push(v);
+                outer.1.push(match (old, new) {
+                    (_, Some(j)) => outer_new[j].1,
+                    _ => self.outer_owners()[old.expect("a kept mirror")],
+                });
+            }
+        });
         Ok(Some(assemble_fragment(
             my,
             self.num_fragments,
             graph,
             inner,
             outer,
-            outer_owner,
-            mirrored,
+            self.mirrors_with(&changes),
         )))
     }
-}
-
-/// The sorted id list `old` without `gone` and with `new` merged in (both
-/// sorted; `gone` ⊆ `old`, `new` disjoint from it) — one linear pass.
-fn spliced_ids(old: &[VertexId], gone: &[VertexId], new: &[VertexId]) -> Vec<VertexId> {
-    let mut out = Vec::with_capacity(old.len() + new.len());
-    let mut gone = gone.iter().peekable();
-    let mut new = new.iter().copied().peekable();
-    for &v in old {
-        while let Some(n) = new.next_if(|&n| n < v) {
-            out.push(n);
-        }
-        if gone.next_if_eq(&&v).is_none() {
-            out.push(v);
-        }
-    }
-    out.extend(new);
-    out
 }
 
 #[cfg(test)]
@@ -484,6 +486,7 @@ mod tests {
     use crate::BuiltinStrategy;
     use grape_graph::generators::{erdos_renyi, road_network, RoadNetworkConfig};
     use grape_graph::{CsrGraph, DeltaGraph, GraphMutation};
+    use std::collections::BTreeSet;
 
     fn assert_fragments_eq(
         incremental: &[Fragment<(), f64>],

@@ -7,8 +7,8 @@
 //! and vertex balance.
 
 use crate::assignment::PartitionAssignment;
-use grape_graph::{CsrGraph, VertexId};
-use std::collections::HashSet;
+use crate::fragment::Cut;
+use grape_graph::CsrGraph;
 
 /// Quality report for a partition of a specific graph.
 #[derive(Debug, Clone, PartialEq)]
@@ -29,40 +29,35 @@ pub struct PartitionQuality {
     pub sizes: Vec<usize>,
 }
 
-/// Evaluates the quality of `assignment` on `graph`.
+/// Evaluates the quality of `assignment` on `graph`, from the same pass
+/// over the graph that [`build_fragments`](crate::build_fragments) cuts by.
 pub fn evaluate_partition<V: Clone, E: Clone>(
     graph: &CsrGraph<V, E>,
     assignment: &PartitionAssignment,
 ) -> PartitionQuality {
-    let k = assignment.num_fragments().max(1);
-    let owner = |v: VertexId| assignment.fragment_of(v).unwrap_or(0);
-    let mut cut = 0usize;
-    // The set of (fragment, vertex) mirror pairs.
-    let mut mirrors: HashSet<(usize, VertexId)> = HashSet::new();
-    for (s, d, _) in graph.edges() {
-        let fs = owner(s);
-        let fd = owner(d);
-        if fs != fd {
-            cut += 1;
-            mirrors.insert((fd, s));
-            mirrors.insert((fs, d));
-        }
-    }
+    let cut = Cut::new(graph, assignment);
+    let (k, n, m) = (cut.k, graph.num_vertices(), graph.num_edges());
+    // Every edge is local to its source's fragment, and a cut edge to its
+    // destination's as well; every mirror copy is one bit of a mask.
+    let cut_edges = cut.num_edges.iter().sum::<usize>() - m;
+    let mirrors: usize = cut.mirrors.iter().map(|w| w.count_ones() as usize).sum();
     let sizes = assignment.sizes();
     let used = sizes.iter().filter(|s| **s > 0).count();
-    let n = graph.num_vertices();
-    let m = graph.num_edges();
     let ideal = if k == 0 { 0.0 } else { n as f64 / k as f64 };
     let max_size = sizes.iter().copied().max().unwrap_or(0);
     PartitionQuality {
         used_fragments: used,
-        cut_edges: cut,
-        cut_ratio: if m == 0 { 0.0 } else { cut as f64 / m as f64 },
-        mirror_vertices: mirrors.len(),
+        cut_edges,
+        cut_ratio: if m == 0 {
+            0.0
+        } else {
+            cut_edges as f64 / m as f64
+        },
+        mirror_vertices: mirrors,
         replication_factor: if n == 0 {
             1.0
         } else {
-            (n + mirrors.len()) as f64 / n as f64
+            (n + mirrors) as f64 / n as f64
         },
         balance: if ideal == 0.0 {
             1.0

@@ -1,7 +1,7 @@
 //! Streaming partition strategies.
 //!
-//! The paper's Play panel offers "a streaming-style partition algorithm [8]
-//! that reduces cross edges" — reference [8] is Stanton & Kliot (KDD 2012).
+//! The paper's Play panel offers "a streaming-style partition algorithm \[8\]
+//! that reduces cross edges" — reference \[8\] is Stanton & Kliot (KDD 2012).
 //! The two best-known heuristics from that line of work are implemented
 //! here:
 //!

@@ -2361,6 +2361,58 @@ mod tests {
     }
 
     #[test]
+    fn a_malformed_fragment_is_refused_and_the_daemon_keeps_serving() {
+        let daemon = GrapeService::bind("127.0.0.1:0", ServiceOptions::default())
+            .expect("bind")
+            .spawn()
+            .expect("spawn");
+        // A load whose fragment lists an inner vertex it does not hold.
+        let graph = barabasi_albert(30, 2, 1).expect("generator");
+        let (fragments, _) = SessionFragments::cut(&graph.into(), BuiltinStrategy::Hash, 2);
+        let SessionFragments::Weighted(fragments) = fragments else {
+            panic!("weighted graph expected")
+        };
+        let mut parts = fragments[0].to_parts();
+        parts.inner.push(1_000_000);
+        let spec = LoadSpec {
+            graph_id: 11,
+            family: 0,
+            index: 0,
+            workers: 2,
+            vertices: 30,
+        };
+        let mut frames = Vec::new();
+        wire::encode_frame_epoch(TAG_LOAD, 0, &spec, &mut frames);
+        grape_core::encode_fragment_parts(&parts, 0, &mut frames);
+
+        // What the frame loop says about it...
+        let (mut client, server) = std::os::unix::net::UnixStream::pair().expect("pair");
+        client.write_all(&frames).expect("write");
+        let err = serve_frames(server, &daemon.state).expect_err("malformed fragment");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("bad fragment frame"), "{err}");
+        assert!(daemon.state.registry.lock().unwrap().is_empty());
+
+        // ...and what a live daemon does: that connection is hung up on, and
+        // a session arriving afterwards is served as if nothing happened.
+        let mut stale = daemon.endpoint().dial(&None).expect("dial");
+        stale.write_all(&frames).expect("write");
+        let mut rest = Vec::new();
+        stale.read_to_end(&mut rest).expect("the daemon closes");
+        assert!(rest.is_empty(), "the daemon acked a malformed fragment");
+
+        let session = Session::connect(SessionConfig::remote(2, vec![daemon.endpoint().clone()]))
+            .expect("connect");
+        let graph = barabasi_albert(60, 2, 5).expect("generator");
+        session
+            .load(&graph.into(), BuiltinStrategy::Hash)
+            .expect("load");
+        let outcome = session.submit(Query::cc()).expect("submit").join();
+        assert!(outcome.is_ok(), "the daemon stopped serving: {outcome:?}");
+        daemon.shutdown().expect("shutdown");
+    }
+
+    #[test]
     fn hellos_are_checked_against_the_expected_token() {
         use std::os::unix::net::UnixStream;
         let greet = |token: Option<&str>, expected: Option<&str>| {

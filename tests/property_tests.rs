@@ -990,6 +990,149 @@ proptest! {
     }
 }
 
+/// The reference for `evaluate_partition`, written the way it first was:
+/// two assignment lookups per edge and a hash set of `(fragment, vertex)`
+/// mirror pairs.
+fn reference_quality<V: Clone, E: Clone>(
+    graph: &CsrGraph<V, E>,
+    assignment: &PartitionAssignment,
+) -> grape::partition::PartitionQuality {
+    use std::collections::HashSet;
+    let k = assignment.num_fragments().max(1);
+    let owner = |v: VertexId| assignment.fragment_of(v).unwrap_or(0);
+    let mut cut = 0usize;
+    let mut mirrors: HashSet<(usize, VertexId)> = HashSet::new();
+    for (s, d, _) in graph.edges() {
+        let (fs, fd) = (owner(s), owner(d));
+        if fs != fd {
+            cut += 1;
+            mirrors.insert((fd, s));
+            mirrors.insert((fs, d));
+        }
+    }
+    let sizes = assignment.sizes();
+    let (n, m) = (graph.num_vertices(), graph.num_edges());
+    let ideal = n as f64 / k as f64;
+    let max_size = sizes.iter().copied().max().unwrap_or(0);
+    grape::partition::PartitionQuality {
+        used_fragments: sizes.iter().filter(|s| **s > 0).count(),
+        cut_edges: cut,
+        cut_ratio: if m == 0 { 0.0 } else { cut as f64 / m as f64 },
+        mirror_vertices: mirrors.len(),
+        replication_factor: if n == 0 {
+            1.0
+        } else {
+            (n + mirrors.len()) as f64 / n as f64
+        },
+        balance: if ideal == 0.0 {
+            1.0
+        } else {
+            max_size as f64 / ideal
+        },
+        sizes,
+    }
+}
+
+/// Strategy: `k` and a sequence of `(reassign?, vertex, fragment)` calls
+/// whose ids run ascending, descending, over a handful of repeated ids, just
+/// below `u64::MAX`, or mix all four.
+fn arb_assign_calls() -> impl Strategy<Value = (usize, Vec<(bool, VertexId, usize)>)> {
+    let calls = proptest::collection::vec((0u8..2, 0u64..1_000, 0usize..64), 0..120);
+    (1usize..9, 0u64..5, calls).prop_map(|(k, shape, calls)| {
+        let calls = calls
+            .into_iter()
+            .enumerate()
+            .map(|(i, (op, x, f))| {
+                let i = i as u64;
+                let id = match if shape == 4 { x % 4 } else { shape } {
+                    0 => 3 * i + x % 3,
+                    1 => 10_000 - 3 * i - x % 3,
+                    2 => x % 8,
+                    _ => u64::MAX - x % 40,
+                };
+                (op == 1, id, f % k)
+            })
+            .collect();
+        (k, calls)
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The assignment's sorted columns answer like a map from id to
+    /// fragment, whatever order the ids come in.
+    #[test]
+    fn assignment_columns_equal_a_map_model(case in arb_assign_calls()) {
+        let (k, calls) = case;
+        let mut assignment = PartitionAssignment::new(k);
+        let mut model: HashMap<VertexId, usize> = HashMap::new();
+        for &(reassign, v, f) in &calls {
+            if reassign {
+                assignment.reassign(v, f);
+            } else {
+                assignment.assign(v, f);
+            }
+            model.insert(v, f);
+            prop_assert_eq!(assignment.fragment_of(v), Some(f));
+        }
+        prop_assert_eq!(assignment.num_assigned(), model.len());
+        for &(_, v, _) in &calls {
+            for probe in [v.wrapping_sub(1), v, v.wrapping_add(1)] {
+                prop_assert_eq!(assignment.fragment_of(probe), model.get(&probe).copied());
+            }
+        }
+        let mut pairs: Vec<(VertexId, usize)> = model.iter().map(|(&v, &f)| (v, f)).collect();
+        pairs.sort_unstable();
+        prop_assert_eq!(assignment.iter().collect::<Vec<_>>(), pairs.clone());
+        let mut members = vec![Vec::new(); k];
+        for &(v, f) in &pairs {
+            members[f].push(v);
+        }
+        let sizes: Vec<usize> = members.iter().map(Vec::len).collect();
+        prop_assert_eq!(assignment.members(), members);
+        prop_assert_eq!(assignment.sizes(), sizes);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// An assignment may name ids the graph lacks (a session's keeps the
+    /// vertices a batch removed): the cut skips them, and the quality
+    /// report counts them in the sizes only, as the reference cut and the
+    /// reference quality do.
+    #[test]
+    fn an_assignment_naming_absent_ids_cuts_like_the_reference(
+        graph in arb_cut_graph(),
+        extra in proptest::collection::vec(0u64..100_000, 0..40),
+    ) {
+        for k in [1usize, 2, 3, 4, 65] {
+            let mut assignment = PartitionAssignment::new(k);
+            for (i, v) in graph.vertices().enumerate() {
+                if i % 3 != 1 {
+                    assignment.assign(v, (v as usize / 7 + i) % k);
+                }
+            }
+            for (j, &v) in extra.iter().enumerate() {
+                if !graph.contains(v) {
+                    assignment.assign(v, j % k);
+                }
+            }
+            assignment.assign(u64::MAX, k - 1);
+            let fragments = build_fragments(&graph, &assignment);
+            let reference = reference_fragments(&graph, &assignment);
+            prop_assert_eq!(fragments.len(), reference.len());
+            for (fragment, expected) in fragments.iter().zip(&reference) {
+                prop_assert!(fragment == expected, "fragment {} of {}", fragment.id, k);
+                prop_assert!(fragment.to_parts() == expected.to_parts());
+            }
+            let quality = grape::partition::evaluate_partition(&graph, &assignment);
+            prop_assert_eq!(quality, reference_quality(&graph, &assignment));
+        }
+    }
+}
+
 /// The reference for `MetisLikePartitioner`, written the way it first was:
 /// each level an adjacency list built through one `HashMap` per vertex,
 /// and refinement counting a vertex's edges per fragment in a `HashMap`.
