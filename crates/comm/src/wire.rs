@@ -141,6 +141,9 @@ pub enum WireError {
     /// The bytes violated a value-level invariant (bad bool, invalid UTF-8,
     /// …).
     Malformed(&'static str),
+    /// The bytes decoded cleanly into values that break a rule of what they
+    /// rebuild (a fragment whose parts disagree, …); the text names the rule.
+    Refused(String),
 }
 
 impl fmt::Display for WireError {
@@ -163,6 +166,7 @@ impl fmt::Display for WireError {
                 write!(f, "stale frame epoch {found} (fencing on epoch {expected})")
             }
             WireError::Malformed(what) => write!(f, "malformed wire value: {what}"),
+            WireError::Refused(rule) => write!(f, "refused wire value: {rule}"),
         }
     }
 }

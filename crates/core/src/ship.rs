@@ -89,6 +89,8 @@ pub fn decode_fragment_parts<V: Wire, E: Wire>(
 }
 
 /// Decodes a [`TAG_FRAGMENT`] payload and rebuilds the full [`Fragment`].
+/// Parts that [`Fragment::from_parts`] refuses are a [`WireError::Refused`]
+/// naming the rule they break.
 pub fn decode_fragment<V, E>(tag: u8, body: &[u8]) -> Result<Fragment<V, E>, WireError>
 where
     V: Wire + Clone + Default,
@@ -96,7 +98,7 @@ where
 {
     let parts = decode_fragment_parts::<V, E>(tag, body)?;
     Fragment::from_parts(parts)
-        .map_err(|_| WireError::Malformed("shipped fragment parts are inconsistent"))
+        .map_err(|e| WireError::Refused(format!("shipped fragment parts: {e}")))
 }
 
 #[cfg(test)]

@@ -5,10 +5,11 @@
 //! which were never explicitly added (they receive the default payload),
 //! which matches how raw edge-list datasets are usually consumed.
 //!
-//! Insertions only append; [`GraphBuilder::build`] sorts and deduplicates
-//! the ids once, so no vertex id is hashed.
+//! Insertions only append; [`GraphBuilder::build`] sorts the explicit ids
+//! and the endpoints they miss once, so no vertex id is hashed.
 
-use crate::csr::CsrGraph;
+use crate::csr::{CsrGraph, VertexIndex};
+use crate::merge_walk;
 use crate::types::{EdgeRecord, GraphError, VertexId};
 
 /// Edge-at-a-time builder for [`CsrGraph`].
@@ -78,8 +79,9 @@ impl<V: Clone + Default, E: Clone> GraphBuilder<V, E> {
         self
     }
 
-    /// Number of distinct vertices currently known to the builder. Sorts a
-    /// copy of the ids: meant for checks, not for a per-insert loop.
+    /// Number of distinct vertices currently known to the builder. Copies
+    /// and sorts the explicit ids: meant for checks, not for a per-insert
+    /// loop.
     pub fn num_vertices(&self) -> usize {
         Self::distinct_ids(self.ids.clone(), &self.payloads, &self.edges).len()
     }
@@ -89,38 +91,58 @@ impl<V: Clone + Default, E: Clone> GraphBuilder<V, E> {
         self.edges.len()
     }
 
-    /// `ids` plus every id given a payload or touching an edge, sorted and
-    /// deduplicated.
+    /// Every id ensured, given a payload or touching an edge, ascending and
+    /// distinct. Only the explicit ids and the endpoints they miss are
+    /// sorted: each endpoint is looked up in the id index over the explicit
+    /// ids (one load when they are dense, a binary search otherwise).
     fn distinct_ids(
         mut ids: Vec<VertexId>,
         payloads: &[(VertexId, V)],
         edges: &[EdgeRecord<E>],
     ) -> Vec<VertexId> {
         ids.extend(payloads.iter().map(|&(id, _)| id));
-        ids.extend(edges.iter().flat_map(|e| [e.src, e.dst]));
         ids.sort_unstable();
         ids.dedup();
-        ids
+        let index = VertexIndex::build(&ids);
+        let mut missing: Vec<VertexId> = edges
+            .iter()
+            .flat_map(|e| [e.src, e.dst])
+            .filter(|&v| index.find(&ids, v).is_none())
+            .collect();
+        if missing.is_empty() {
+            return ids;
+        }
+        missing.sort_unstable();
+        missing.dedup();
+        let mut all = Vec::with_capacity(ids.len() + missing.len());
+        merge_walk(&ids, &missing, |v, _, _| all.push(v));
+        all
     }
 
     /// Finalizes into a [`CsrGraph`].
+    ///
+    /// Cost: a sort of the explicit ids (linear when they were ensured in
+    /// ascending order, as the generators do) and of the payloads, one
+    /// id-index lookup per endpoint to find the ids no one ensured, a sort
+    /// of those alone, then [`CsrGraph::from_records`] past its vertex sort:
+    /// one resolving pass and one counting-sort scatter of the records.
     pub fn build(mut self) -> Result<CsrGraph<V, E>, GraphError> {
         let ids = Self::distinct_ids(std::mem::take(&mut self.ids), &self.payloads, &self.edges);
         // A stable sort keeps each id's payloads in insertion order, so the
         // last of a run is the one that wins.
         self.payloads.sort_by_key(|&(id, _)| id);
         let mut payloads = self.payloads.into_iter().peekable();
-        let vertices: Vec<(VertexId, V)> = ids
-            .into_iter()
-            .map(|id| {
+        let data: Vec<V> = ids
+            .iter()
+            .map(|&id| {
                 let mut data = None;
                 while let Some((_, d)) = payloads.next_if(|&(p, _)| p == id) {
                     data = Some(d);
                 }
-                (id, data.unwrap_or_default())
+                data.unwrap_or_default()
             })
             .collect();
-        CsrGraph::from_records(vertices, self.edges, self.with_reverse)
+        CsrGraph::from_id_columns(ids, data, self.edges, self.with_reverse)
     }
 }
 

@@ -29,7 +29,7 @@ const MAX_DENSE_WASTE: u64 = 8;
 
 /// Global id → dense index, derived from the sorted `vertex_ids` it indexes.
 #[derive(Debug, Clone, PartialEq)]
-enum VertexIndex {
+pub(crate) enum VertexIndex {
     /// `table[id - first]` is the dense index of `id`; [`ABSENT`] marks a
     /// hole. Used when the ids span at most [`MAX_DENSE_WASTE`] times their
     /// count. Shared like the ids it indexes.
@@ -43,7 +43,7 @@ enum VertexIndex {
 
 impl VertexIndex {
     /// The index over `ids`, which must be sorted and distinct.
-    fn build(ids: &[VertexId]) -> Self {
+    pub(crate) fn build(ids: &[VertexId]) -> Self {
         let (Some(&first), Some(&last)) = (ids.first(), ids.last()) else {
             return Self::Sorted;
         };
@@ -65,7 +65,7 @@ impl VertexIndex {
 
     /// The dense index of `v` among `ids` (the slice the index was built on).
     #[inline]
-    fn find(&self, ids: &[VertexId], v: VertexId) -> Option<u32> {
+    pub(crate) fn find(&self, ids: &[VertexId], v: VertexId) -> Option<u32> {
         match self {
             Self::Direct { first, table } => {
                 let slot = usize::try_from(v.checked_sub(*first)?).ok()?;
@@ -146,23 +146,41 @@ where
     /// `vertices` supplies `(id, payload)` pairs in any order; every edge
     /// endpoint must be present. Each source's out-edges keep the order of
     /// `edges`. When `with_reverse` is true the in-adjacency is also built.
+    ///
+    /// Cost: one sort of the vertex records (linear when they come sorted),
+    /// one pass resolving both endpoints of every record through the id
+    /// index, and one stable counting-sort scatter of the targets and
+    /// payloads into CSR order; then the reverse arrays by one more counting
+    /// pass. No record is hashed and no edge is compared.
     pub fn from_records(
         mut vertices: Vec<(VertexId, V)>,
         edges: Vec<EdgeRecord<E>>,
         with_reverse: bool,
     ) -> Result<Self, GraphError> {
-        check_dense_range(vertices.len(), edges.len())?;
         vertices.sort_unstable_by_key(|&(id, _)| id);
         if vertices.windows(2).any(|w| w[0].0 == w[1].0) {
             return Err(GraphError::InvalidParameter(
                 "duplicate vertex ids supplied to CsrGraph::from_records".into(),
             ));
         }
-        let (vertex_ids, vertex_data): (Vec<VertexId>, Vec<V>) = vertices.into_iter().unzip();
+        let (vertex_ids, vertex_data) = vertices.into_iter().unzip();
+        Self::from_id_columns(vertex_ids, vertex_data, edges, with_reverse)
+    }
+
+    /// [`CsrGraph::from_records`] past its vertex sort: `vertex_ids` is
+    /// strictly ascending and `vertex_data` aligned with it.
+    pub(crate) fn from_id_columns(
+        vertex_ids: Vec<VertexId>,
+        vertex_data: Vec<V>,
+        edges: Vec<EdgeRecord<E>>,
+        with_reverse: bool,
+    ) -> Result<Self, GraphError> {
+        check_dense_range(vertex_ids.len(), edges.len())?;
+        debug_assert!(crate::strictly_ascending(&vertex_ids));
         let index = VertexIndex::build(&vertex_ids);
         let n = vertex_ids.len();
 
-        // Resolve both endpoints of every edge once, counting out-degrees.
+        // Resolve both endpoints of every record once, counting out-degrees.
         let m = edges.len();
         let mut sources = Vec::with_capacity(m);
         let mut targets = Vec::with_capacity(m);
@@ -181,34 +199,90 @@ where
         for i in 0..n {
             out_offsets[i + 1] += out_offsets[i];
         }
-        // Records already grouped by ascending source (a fragment's edges,
-        // gathered in its global graph's CSR order) are the CSR order as
-        // they stand; anything else takes a stable counting sort.
-        let (out_targets, out_data) = if sources.is_sorted() {
-            (targets, edges.into_iter().map(|e| e.data).collect())
-        } else {
-            let mut cursor = out_offsets.clone();
-            let mut record_at = vec![0u32; m];
-            for (record, &s) in (0u32..).zip(&sources) {
-                let p = &mut cursor[s as usize];
-                record_at[*p] = record;
-                *p += 1;
-            }
-            let out_targets = record_at.iter().map(|&r| targets[r as usize]).collect();
-            let out_data = record_at
-                .iter()
-                .map(|&r| edges[r as usize].data.clone())
-                .collect();
-            (out_targets, out_data)
+        // A stable counting sort: each record goes to the next free slot of
+        // its source's run. The payload column starts as clones of the first
+        // payload (a fill for plain-data payloads), each overwritten once.
+        let mut out_targets = vec![0u32; m];
+        let mut out_data = match edges.first() {
+            Some(e) => vec![e.data.clone(); m],
+            None => Vec::new(),
         };
+        let mut cursor = out_offsets[..n].to_vec();
+        for ((e, &s), t) in edges.into_iter().zip(&sources).zip(targets) {
+            let p = &mut cursor[s as usize];
+            out_targets[*p] = t;
+            out_data[*p] = e.data;
+            *p += 1;
+        }
+        Ok(Self::assemble(
+            vertex_ids,
+            index,
+            vertex_data,
+            (out_offsets, out_targets, out_data),
+            with_reverse,
+        ))
+    }
 
+    /// Builds a CSR graph from its sorted parts: the strictly ascending
+    /// `vertex_ids` with their payloads, and the forward adjacency in CSR
+    /// form — `out_offsets` (`n + 1` entries from 0), dense `out_targets`
+    /// and the payloads aligned with them. The id index and, when
+    /// `with_reverse` is true, the reverse arrays are derived.
+    ///
+    /// Cost: one linear check of the parts, the id index, and one counting
+    /// pass for the reverse arrays; the parts are moved in, not copied.
+    /// Parts that break a rule are a [`GraphError::InvalidParameter`].
+    pub fn from_sorted_parts(
+        vertex_ids: Vec<VertexId>,
+        vertex_data: Vec<V>,
+        (out_offsets, out_targets, out_data): (Vec<usize>, Vec<u32>, Vec<E>),
+        with_reverse: bool,
+    ) -> Result<Self, GraphError> {
+        let n = vertex_ids.len();
+        check_dense_range(n, out_targets.len())?;
+        let refuse = |rule: &str| {
+            Err(GraphError::InvalidParameter(format!(
+                "CsrGraph::from_sorted_parts: {rule}"
+            )))
+        };
+        if !crate::strictly_ascending(&vertex_ids) || vertex_data.len() != n {
+            return refuse("the ids are not strictly ascending or not aligned with the payloads");
+        }
+        if out_offsets.len() != n + 1
+            || out_offsets[0] != 0
+            || !out_offsets.is_sorted()
+            || out_offsets[n] != out_targets.len()
+            || out_data.len() != out_targets.len()
+        {
+            return refuse("the offsets do not split the targets and payloads into runs");
+        }
+        if out_targets.iter().any(|&t| t as usize >= n) {
+            return refuse("a target is not a dense index");
+        }
+        let index = VertexIndex::build(&vertex_ids);
+        Ok(Self::assemble(
+            vertex_ids,
+            index,
+            vertex_data,
+            (out_offsets, out_targets, out_data),
+            with_reverse,
+        ))
+    }
+
+    /// The graph over checked sorted parts and the index of their ids.
+    fn assemble(
+        vertex_ids: Vec<VertexId>,
+        index: VertexIndex,
+        vertex_data: Vec<V>,
+        (out_offsets, out_targets, out_data): (Vec<usize>, Vec<u32>, Vec<E>),
+        with_reverse: bool,
+    ) -> Self {
         let (in_offsets, in_sources, in_edge_pos) = if with_reverse {
             reverse_adjacency(&out_offsets, &out_targets)
         } else {
             (Vec::new(), Vec::new(), Vec::new())
         };
-
-        Ok(Self {
+        Self {
             vertex_ids: Arc::new(vertex_ids),
             index,
             vertex_data: Arc::new(vertex_data),
@@ -218,7 +292,7 @@ where
             in_offsets,
             in_sources,
             in_edge_pos,
-        })
+        }
     }
 
     /// The graph after a net mutation batch, spliced from this graph's arrays
@@ -358,23 +432,13 @@ where
             out_offsets.push(out_targets.len());
         }
         check_dense_range(n_new, out_targets.len())?;
-
-        let (in_offsets, in_sources, in_edge_pos) = if self.in_offsets.is_empty() {
-            (Vec::new(), Vec::new(), Vec::new())
-        } else {
-            reverse_adjacency(&out_offsets, &out_targets)
-        };
-        Ok(Self {
-            vertex_ids: Arc::new(vertex_ids),
+        Ok(Self::assemble(
+            vertex_ids,
             index,
-            vertex_data: Arc::new(vertex_data),
-            out_offsets,
-            out_targets,
-            out_data,
-            in_offsets,
-            in_sources,
-            in_edge_pos,
-        })
+            vertex_data,
+            (out_offsets, out_targets, out_data),
+            !self.in_offsets.is_empty(),
+        ))
     }
 
     /// [`CsrGraph::patched`] for a batch that adds and removes no vertex.
@@ -981,6 +1045,45 @@ mod tests {
             arrays,
             "the sorted index owns nothing"
         );
+    }
+
+    #[test]
+    fn sorted_parts_build_what_from_records_builds_and_bad_parts_are_refused() {
+        let g = diamond();
+        let parts = || {
+            let n = g.num_vertices() as u32;
+            let offsets = (0..=n).map(|u| g.out_offsets[u as usize]).collect();
+            (g.vertex_ids().to_vec(), vec![(); n as usize], offsets)
+        };
+        let (ids, data, offsets) = parts();
+        let run = (offsets, g.out_targets.clone(), g.out_data.clone());
+        assert_eq!(
+            CsrGraph::from_sorted_parts(ids, data, run, true).unwrap(),
+            g
+        );
+        type Edit = dyn Fn(&mut Vec<VertexId>, &mut Vec<usize>, &mut Vec<u32>);
+        let refused = |edit: &Edit| {
+            let (mut ids, data, mut offsets) = parts();
+            let mut targets = g.out_targets.clone();
+            edit(&mut ids, &mut offsets, &mut targets);
+            let run = (offsets, targets, g.out_data.clone());
+            matches!(
+                CsrGraph::from_sorted_parts(ids, data, run, true),
+                Err(GraphError::InvalidParameter(_))
+            )
+        };
+        assert!(refused(&|ids, _, _| ids.swap(0, 1)), "ids out of order");
+        assert!(refused(&|ids, _, _| ids[1] = ids[0]), "a repeated id");
+        assert!(refused(&|_, offsets, _| offsets[0] = 1), "offsets from 1");
+        assert!(
+            refused(&|_, offsets, _| offsets.swap(1, 2)),
+            "falling offsets"
+        );
+        assert!(
+            refused(&|_, offsets, _| offsets.truncate(4)),
+            "short offsets"
+        );
+        assert!(refused(&|_, _, targets| targets[3] = 4), "a target past n");
     }
 
     #[test]

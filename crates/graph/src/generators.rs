@@ -198,13 +198,28 @@ impl Default for RmatConfig {
 }
 
 /// Generates an R-MAT graph (Graph500-style skewed random graph).
+///
+/// Each of the `edge_factor · 2^scale` edges descends `scale` levels of the
+/// adjacency matrix, one uniform draw per level: the draw picks a quadrant
+/// by counting the thresholds `a`, `a + b`, `a + b + c` it reaches, and the
+/// quadrant's two bits are the next bits of the source and target ids, so
+/// the descent has no data-dependent branch. One more draw gives the weight
+/// in `[1, 10)`. Cost: `(scale + 1) · m` draws and `m` builder appends,
+/// then [`GraphBuilder::build`] on ids `0..2^scale`, all ensured.
+///
+/// `a`, `b` and `c` must be probabilities with `a + b + c ≤ 1`; anything
+/// else (a negative or NaN value included) is a
+/// [`GraphError::InvalidParameter`].
 pub fn rmat(config: RmatConfig, seed: u64) -> Result<WeightedGraph, GraphError> {
-    let d = 1.0 - config.a - config.b - config.c;
-    if !(0.0..=1.0).contains(&d) {
+    let RmatConfig { a, b, c, .. } = config;
+    let probability = |p: f64| (0.0..=1.0).contains(&p);
+    if ![a, b, c, 1.0 - a - b - c].into_iter().all(probability) {
         return Err(GraphError::InvalidParameter(
-            "rmat: a + b + c must be <= 1".into(),
+            "rmat: a, b and c must lie in [0, 1] with a + b + c <= 1".into(),
         ));
     }
+    // Ascending, as the quadrant count needs: b and c are not negative.
+    let (ab, abc) = (a + b, a + b + c);
     let n: u64 = 1u64 << config.scale;
     let m = (n as usize) * config.edge_factor;
     let mut rng = StdRng::seed_from_u64(seed);
@@ -213,34 +228,17 @@ pub fn rmat(config: RmatConfig, seed: u64) -> Result<WeightedGraph, GraphError> 
         builder.ensure_vertex(v);
     }
     for _ in 0..m {
-        let (mut x0, mut x1) = (0u64, n - 1);
-        let (mut y0, mut y1) = (0u64, n - 1);
-        while x0 < x1 {
+        // Quadrant 0 keeps both halves low, 1 takes the right (target)
+        // half, 2 the lower (source) half, 3 both.
+        let (mut src, mut dst) = (0u64, 0u64);
+        for bit in (0..config.scale).rev() {
             let r = rng.random::<f64>();
-            let (right, down) = if r < config.a {
-                (false, false)
-            } else if r < config.a + config.b {
-                (true, false)
-            } else if r < config.a + config.b + config.c {
-                (false, true)
-            } else {
-                (true, true)
-            };
-            let xm = (x0 + x1) / 2;
-            let ym = (y0 + y1) / 2;
-            if right {
-                y0 = ym + 1;
-            } else {
-                y1 = ym;
-            }
-            if down {
-                x0 = xm + 1;
-            } else {
-                x1 = xm;
-            }
+            let quadrant = u64::from(r >= a) + u64::from(r >= ab) + u64::from(r >= abc);
+            dst |= (quadrant & 1) << bit;
+            src |= (quadrant >> 1) << bit;
         }
         let weight = 1.0 + rng.random::<f64>() * 9.0;
-        builder.add_edge(x0, y0, weight);
+        builder.add_edge(src, dst, weight);
     }
     builder.build()
 }
@@ -551,13 +549,26 @@ mod tests {
 
     #[test]
     fn rmat_rejects_bad_probabilities() {
-        let cfg = RmatConfig {
-            a: 0.6,
-            b: 0.3,
-            c: 0.3,
-            ..Default::default()
+        let refused = |a, b, c| {
+            let cfg = RmatConfig {
+                a,
+                b,
+                c,
+                ..Default::default()
+            };
+            matches!(rmat(cfg, 1), Err(GraphError::InvalidParameter(_)))
         };
-        assert!(rmat(cfg, 1).is_err());
+        assert!(refused(0.6, 0.3, 0.3), "a + b + c > 1");
+        assert!(refused(-0.1, 0.6, 0.3), "negative a");
+        assert!(refused(0.6, -0.1, 0.3), "negative b");
+        assert!(refused(0.6, 0.3, -0.1), "negative c");
+        assert!(refused(f64::NAN, 0.2, 0.2), "NaN a");
+        assert!(refused(0.2, f64::NAN, 0.2), "NaN b");
+        assert!(refused(0.2, 0.2, f64::NAN), "NaN c");
+        assert!(refused(1.5, -0.25, -0.25), "a above 1");
+        assert!(!refused(0.57, 0.19, 0.19));
+        assert!(!refused(1.0, 0.0, 0.0));
+        assert!(!refused(0.0, 0.0, 0.0));
     }
 
     #[test]

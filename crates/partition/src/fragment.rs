@@ -487,12 +487,20 @@ fn fragments_in(mask: &[u64]) -> impl Iterator<Item = FragmentId> + '_ {
 /// locally visible (the latter are what IncEval needs to relax when a border
 /// value arrives).
 ///
-/// No hashing: one merge walk reads the assignment into an owner per vertex
-/// of the global graph's dense order, one pass over the edges gives each
-/// vertex a bitmask of the fragments mirroring it, and one ascending scan
-/// of the vertices appends every fragment's sorted lists and the columns
-/// aligned with them (the owner of each outer vertex, the mirror run of
-/// each mirrored inner vertex).
+/// No hashing, no edge records and no sort: one merge walk reads the
+/// assignment into an owner per vertex of the global graph's dense order,
+/// one pass over the edges gives each vertex a bitmask of the fragments
+/// mirroring it, and one ascending scan of the vertices appends every
+/// fragment's sorted lists and the columns aligned with them (the owner of
+/// each outer vertex, the mirror run of each mirrored inner vertex). A
+/// fragment's CSR is then cut straight from the global rows of its local
+/// vertices, which are ascending in both graphs: an inner vertex's row is
+/// copied whole, an outer vertex's row keeps the edges into this fragment's
+/// inner vertices, and one table from global to local dense index, which
+/// also marks the inner vertices, maps every target and decides which
+/// edges of a row to keep. [`CsrGraph::from_sorted_parts`] derives the id index
+/// and the reverse arrays. Cost: O(n · ⌈k/64⌉) for the masks and lists,
+/// plus one read of each local vertex's global row per fragment holding it.
 pub fn build_fragments<V: Clone + Default, E: Clone>(
     graph: &CsrGraph<V, E>,
     assignment: &PartitionAssignment,
@@ -500,46 +508,23 @@ pub fn build_fragments<V: Clone + Default, E: Clone>(
     let cut = Cut::new(graph, assignment);
     let (k, n, owner) = (cut.k, graph.num_vertices(), &cut.owner);
 
-    // Each fragment's edges in the global CSR order: its source's fragment
-    // sees the edge, and so does its destination's if that is another one
-    // (as an in-edge of its inner vertex from the mirror of the source).
-    let mut edges: Vec<Vec<EdgeRecord<E>>> = cut
-        .num_edges
-        .iter()
-        .map(|&m| Vec::with_capacity(m))
-        .collect();
-    for s in 0..n {
-        let fs = owner[s] as usize;
-        let src = graph.vertex_id(s as u32);
-        for (d, w) in graph.out_edges_dense(s as u32) {
-            let fd = owner[d as usize] as usize;
-            let record = EdgeRecord::new(src, graph.vertex_id(d), w.clone());
-            if fd != fs {
-                edges[fd].push(record.clone());
-            }
-            edges[fs].push(record);
-        }
-    }
-
     // Vertex memberships from one ascending scan, so every list comes out
-    // sorted. Local vertices are inner + outer, each with its payload from
-    // the global graph (mirrors keep the payload so label/keyword predicates
-    // still work on them).
+    // sorted. `members` holds each fragment's local vertices (inner and
+    // outer) by global dense index, which is also their local order.
+    let mut members: Vec<Vec<u32>> = vec![Vec::new(); k];
     let mut inner: Vec<Vec<VertexId>> = vec![Vec::new(); k];
     let mut outer: Vec<(Vec<VertexId>, Vec<u32>)> = vec![Default::default(); k];
     let mut mirrored: Vec<(Vec<VertexId>, MirrorRuns)> =
         (0..k).map(|_| Default::default()).collect();
-    let mut vertices: Vec<Vec<(VertexId, V)>> = vec![Vec::new(); k];
     for (i, &f) in owner.iter().enumerate() {
         let v = graph.vertex_id(i as u32);
-        let data = graph.vertex_data_at(i as u32);
         inner[f as usize].push(v);
-        vertices[f as usize].push((v, data.clone()));
+        members[f as usize].push(i as u32);
         let mask = &cut.mirrors[i * cut.words..(i + 1) * cut.words];
         for g in fragments_in(mask) {
             outer[g].0.push(v);
             outer[g].1.push(f);
-            vertices[g].push((v, data.clone()));
+            members[g].push(i as u32);
         }
         if mask.iter().any(|&word| word != 0) {
             mirrored[f as usize].0.push(v);
@@ -547,20 +532,57 @@ pub fn build_fragments<V: Clone + Default, E: Clone>(
         }
     }
 
-    let pieces = vertices
-        .into_iter()
-        .zip(edges)
-        .zip(inner)
-        .zip(outer)
-        .zip(mirrored);
-    pieces
-        .enumerate()
-        .map(|(f, ((((vertices, edges), inner), outer), mirrored))| {
-            let local_graph = CsrGraph::from_records(vertices, edges, true)
-                .expect("fragment edges reference only local vertices");
-            assemble_fragment(f, k, local_graph, inner, outer, mirrored)
-        })
-        .collect()
+    // Global dense index → `local index << 1 | inner` in the fragment being
+    // cut, for its members; 0 (not inner) elsewhere.
+    let mut local = vec![0u32; n];
+    let mut fragments = Vec::with_capacity(k);
+    let pieces = members.into_iter().zip(inner).zip(outer).zip(mirrored);
+    for (f, (((members, inner), outer), mirrored)) in pieces.enumerate() {
+        assert!(
+            members.len() <= (u32::MAX >> 1) as usize,
+            "fragment {f} is too large"
+        );
+        for (l, &v) in (0u32..).zip(&members) {
+            local[v as usize] = l << 1 | u32::from(owner[v as usize] as usize == f);
+        }
+        // Local vertices, with their payloads from the global graph (mirrors
+        // keep the payload so label/keyword predicates still work on them).
+        let ids = members.iter().map(|&v| graph.vertex_id(v)).collect();
+        let data = members
+            .iter()
+            .map(|&v| graph.vertex_data_at(v).clone())
+            .collect();
+        // An inner vertex sees all its out-edges; the mirror of a remote
+        // vertex sees the edges into this fragment's inner vertices (what
+        // IncEval relaxes when a border value arrives).
+        let mut offsets = Vec::with_capacity(members.len() + 1);
+        let mut targets = Vec::with_capacity(cut.num_edges[f]);
+        let mut weights = Vec::with_capacity(cut.num_edges[f]);
+        offsets.push(0);
+        for &s in &members {
+            let row = graph.out_neighbors_dense(s);
+            let row_data = graph.out_edge_data_dense(s);
+            if local[s as usize] & 1 == 1 {
+                targets.extend(row.iter().map(|&d| local[d as usize] >> 1));
+                weights.extend_from_slice(row_data);
+            } else {
+                for (&d, w) in row.iter().zip(row_data) {
+                    if local[d as usize] & 1 == 1 {
+                        targets.push(local[d as usize] >> 1);
+                        weights.push(w.clone());
+                    }
+                }
+            }
+            offsets.push(targets.len());
+        }
+        for &v in &members {
+            local[v as usize] = 0;
+        }
+        let local_graph = CsrGraph::from_sorted_parts(ids, data, (offsets, targets, weights), true)
+            .expect("a fragment's rows are CSR runs over its local vertices");
+        fragments.push(assemble_fragment(f, k, local_graph, inner, outer, mirrored));
+    }
+    fragments
 }
 
 impl<V: Clone, E: Clone> Fragment<V, E> {

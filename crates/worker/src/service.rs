@@ -2391,6 +2391,11 @@ mod tests {
         let err = serve_frames(server, &daemon.state).expect_err("malformed fragment");
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("bad fragment frame"), "{err}");
+        assert!(
+            err.to_string()
+                .contains("inner and outer do not split the local vertices"),
+            "the error names the rule the fragment broke: {err}"
+        );
         assert!(daemon.state.registry.lock().unwrap().is_empty());
 
         // ...and what a live daemon does: that connection is hung up on, and
