@@ -2,11 +2,11 @@
 //!
 //! The communication substrate of GRAPE-RS — the stand-in for the paper's
 //! *MPI Controller* (MPICH2). Workers in this reproduction are threads in
-//! one process, so "message passing" is implemented with crossbeam channels;
-//! what matters for reproducing the paper's experiments is that every message
-//! and every byte that *would* have crossed the network is **accounted**:
-//! Table 1 reports communication volume in MB, and the partition-strategy
-//! experiment reports message counts.
+//! one process, so "message passing" is implemented with `std::sync::mpsc`
+//! channels; what matters for reproducing the paper's experiments is that
+//! every message and every byte that *would* have crossed the network is
+//! **accounted**: Table 1 reports communication volume in MB, and the
+//! partition-strategy experiment reports message counts.
 //!
 //! The crate provides:
 //!

@@ -13,7 +13,7 @@
 
 use crate::size::MessageSize;
 use crate::stats::CommStats;
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
 
 /// The address of the coordinator endpoint (`P_0` in the paper).
@@ -113,7 +113,6 @@ impl<T: MessageSize> WorkerLink<T> {
     /// lost peer or just a slow superstep — and `Some(vec![])` if every
     /// sender has disconnected.
     pub fn recv_blocking_timeout(&self, timeout: std::time::Duration) -> Option<Vec<Envelope<T>>> {
-        use crossbeam::channel::RecvTimeoutError;
         match self.inbox.recv_timeout(timeout) {
             Ok(first) => {
                 let mut out = vec![first];
@@ -144,11 +143,11 @@ impl<T: MessageSize> CommNetwork<T> {
         let mut worker_senders = Vec::with_capacity(n);
         let mut worker_receivers = Vec::with_capacity(n);
         for _ in 0..n {
-            let (tx, rx) = unbounded();
+            let (tx, rx) = channel();
             worker_senders.push(tx);
             worker_receivers.push(rx);
         }
-        let (coord_tx, coord_rx) = unbounded();
+        let (coord_tx, coord_rx) = channel();
 
         let workers = worker_receivers
             .into_iter()

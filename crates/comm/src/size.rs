@@ -8,8 +8,6 @@
 //! payload for strings and vectors), which is what a compact MPI encoding of
 //! the same data would occupy.
 
-use bytes::Bytes;
-
 /// Estimated serialized size of a message, in bytes.
 pub trait MessageSize {
     /// Number of bytes this value would occupy on the wire.
@@ -48,12 +46,6 @@ impl MessageSize for String {
 }
 
 impl MessageSize for &str {
-    fn size_bytes(&self) -> usize {
-        4 + self.len()
-    }
-}
-
-impl MessageSize for Bytes {
     fn size_bytes(&self) -> usize {
         4 + self.len()
     }
@@ -122,7 +114,6 @@ mod tests {
     fn string_and_bytes_sizes() {
         assert_eq!("abc".size_bytes(), 7);
         assert_eq!(String::from("abcd").size_bytes(), 8);
-        assert_eq!(Bytes::from_static(b"xy").size_bytes(), 6);
         assert_eq!(Box::new(3u64).size_bytes(), 8);
     }
 

@@ -7,8 +7,8 @@
 //! total volume in MB (Table 1 reports 0.05 MB for GRAPE vs 10^5 MB for the
 //! vertex-centric systems).
 
-use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 
 /// Per-superstep communication snapshot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -59,7 +59,7 @@ impl CommStats {
     /// Closes the current superstep: records a history entry containing the
     /// traffic since the previous snapshot and returns it.
     pub fn end_superstep(&self, superstep: usize) -> SuperstepStats {
-        let mut history = self.history.lock();
+        let mut history = self.history.lock().unwrap();
         let (prev_m, prev_b) = history
             .iter()
             .fold((0u64, 0u64), |(m, b), s| (m + s.messages, b + s.bytes));
@@ -74,14 +74,14 @@ impl CommStats {
 
     /// The per-superstep history recorded by [`CommStats::end_superstep`].
     pub fn history(&self) -> Vec<SuperstepStats> {
-        self.history.lock().clone()
+        self.history.lock().unwrap().clone()
     }
 
     /// Resets all counters and the history.
     pub fn reset(&self) {
         self.messages.store(0, Ordering::Relaxed);
         self.bytes.store(0, Ordering::Relaxed);
-        self.history.lock().clear();
+        self.history.lock().unwrap().clear();
     }
 }
 

@@ -36,10 +36,10 @@
 //! locating a value copies nothing. Every decoded value is owned, so its
 //! bytes are copied once, out of the frame; encoding copies once, into the
 //! caller's buffer. A `Vec` of fixed-width numbers (`u8`…`u64`,
-//! `i8`…`i64`, `f32`, `f64`) is coded as one run, not element by element
-//! ([`Wire::encode_slice`], [`Wire::decode_many`]): one bounds check for the
-//! whole length, then one pass over contiguous bytes; a `Vec<u8>` is a
-//! single `memcpy` each way. Other element types, the `(u32, V)` superstep
+//! `i8`…`i64`, `usize`, `f32`, `f64`) is coded as one run, not element by
+//! element ([`Wire::encode_slice`], [`Wire::decode_many`]): one bounds check
+//! for the whole length, then one pass over contiguous bytes; a `Vec<u8>` is
+//! a single `memcpy` each way. Other element types, the `(u32, V)` superstep
 //! messages included, still go one element at a time.
 //!
 //! Truncated input, bad magic/version, unknown tags and trailing garbage all
@@ -361,6 +361,17 @@ impl Wire for usize {
     }
     fn decode(reader: &mut WireReader<'_>) -> Result<Self, WireError> {
         usize::try_from(reader.u64()?).map_err(|_| WireError::Malformed("usize overflow"))
+    }
+    fn encode_slice(items: &[Self], out: &mut Vec<u8>) {
+        out.reserve(items.len() * 8);
+        for &item in items {
+            out.extend_from_slice(&(item as u64).to_le_bytes());
+        }
+    }
+    fn decode_many(reader: &mut WireReader<'_>, len: usize) -> Result<Vec<Self>, WireError> {
+        let run = u64::decode_many(reader, len)?.into_iter();
+        run.map(|v| usize::try_from(v).map_err(|_| WireError::Malformed("usize overflow")))
+            .collect()
     }
 }
 

@@ -2,17 +2,20 @@
 //! a remote worker.
 //!
 //! The coordinator cuts the global graph once ([`build_fragments`]) and
-//! ships each worker its [`Fragment`] as one [`TAG_FRAGMENT`] frame during
-//! the job handshake, so remote workers no longer regenerate the seeded
-//! graph locally — and, crucially, a *lost* fragment can be re-placed on a
-//! replacement worker during recovery.
+//! ships each worker its [`Fragment`] as one [`TAG_FRAGMENT`] frame, also to
+//! a replacement worker during recovery.
 //!
-//! The payload is the fragment's flat [`FragmentParts`] view (sorted
-//! vectors only, canonical order), encoded field by field with the same
-//! [`Wire`] primitives as every other frame. Rebuilding goes through
-//! [`Fragment::from_parts`], which shares its assembly code with
-//! [`build_fragments`] — a shipped fragment is bit-identical to a locally
-//! cut one.
+//! The payload is the fragment's [`FragmentParts`] columns in field order,
+//! each a [`Wire`] run. Only `ids`, `targets`, `mirrored_inner` and
+//! `mirror_at` carry a `u32` length: every other column is aligned with one
+//! of them (`offsets` has one entry more than `ids`) and is read with its
+//! length, so alignment is a property of the layout and no peer-written
+//! length drives a loop over a zero-sized payload such as `()`. A local edge
+//! costs 12 bytes, a `u32` dense target and an `f64` weight (the earlier
+//! `(src, dst, weight)` tuples cost 24); a local vertex costs 20 plus its
+//! payload, a `u64` id and offset and a `u32` owner. [`Fragment::from_parts`]
+//! rebuilds through the constructors [`build_fragments`] ends in, so a
+//! shipped fragment is bit-identical to a locally cut one.
 //!
 //! [`build_fragments`]: grape_partition::build_fragments
 
@@ -25,11 +28,10 @@ pub const TAG_FRAGMENT: u8 = 0x22;
 
 /// Appends `fragment` as one complete epoch-0 [`TAG_FRAGMENT`] frame to
 /// `out`.
-pub fn encode_fragment<V, E>(fragment: &Fragment<V, E>, out: &mut Vec<u8>)
-where
-    V: Wire + Clone,
-    E: Wire + Clone,
-{
+pub fn encode_fragment<V: Wire + Clone, E: Wire + Clone>(
+    fragment: &Fragment<V, E>,
+    out: &mut Vec<u8>,
+) {
     encode_fragment_epoch(fragment, 0, out)
 }
 
@@ -44,8 +46,7 @@ where
     encode_fragment_parts(&fragment.to_parts(), epoch, out)
 }
 
-/// Appends already-flattened parts as one [`TAG_FRAGMENT`] frame stamped
-/// with `epoch` to `out`.
+/// Appends `parts` as one [`TAG_FRAGMENT`] frame stamped with `epoch`.
 pub fn encode_fragment_parts<V: Wire, E: Wire>(
     parts: &FragmentParts<V, E>,
     epoch: u32,
@@ -54,12 +55,15 @@ pub fn encode_fragment_parts<V: Wire, E: Wire>(
     wire::encode_frame_with_epoch(TAG_FRAGMENT, epoch, out, |out| {
         parts.id.encode(out);
         parts.num_fragments.encode(out);
-        parts.vertices.encode(out);
-        parts.edges.encode(out);
-        parts.inner.encode(out);
-        parts.outer.encode(out);
-        parts.outer_owner.encode(out);
-        parts.mirrored_at.encode(out);
+        wire::encode_seq(&parts.ids, out);
+        V::encode_slice(&parts.data, out);
+        u32::encode_slice(&parts.owner, out);
+        usize::encode_slice(&parts.offsets, out);
+        wire::encode_seq(&parts.targets, out);
+        E::encode_slice(&parts.weights, out);
+        wire::encode_seq(&parts.mirrored_inner, out);
+        usize::encode_slice(&parts.mirror_ends, out);
+        wire::encode_seq(&parts.mirror_at, out);
     })
 }
 
@@ -74,30 +78,42 @@ pub fn decode_fragment_parts<V: Wire, E: Wire>(
         return Err(WireError::BadTag { found: tag });
     }
     let mut reader = WireReader::new(body);
-    let parts = FragmentParts {
-        id: usize::decode(&mut reader)?,
-        num_fragments: usize::decode(&mut reader)?,
-        vertices: Vec::<(VertexId, V)>::decode(&mut reader)?,
-        edges: Vec::<(VertexId, VertexId, E)>::decode(&mut reader)?,
-        inner: Vec::<VertexId>::decode(&mut reader)?,
-        outer: Vec::<VertexId>::decode(&mut reader)?,
-        outer_owner: Vec::<(VertexId, u32)>::decode(&mut reader)?,
-        mirrored_at: Vec::<(VertexId, Vec<u32>)>::decode(&mut reader)?,
-    };
+    let r = &mut reader;
+    let id = usize::decode(r)?;
+    let num_fragments = usize::decode(r)?;
+    let ids = Vec::<VertexId>::decode(r)?;
+    let data = V::decode_many(r, ids.len())?;
+    let owner = u32::decode_many(r, ids.len())?;
+    let offsets = usize::decode_many(r, ids.len() + 1)?;
+    let targets = Vec::<u32>::decode(r)?;
+    let weights = E::decode_many(r, targets.len())?;
+    let mirrored_inner = Vec::<VertexId>::decode(r)?;
+    let mirror_ends = usize::decode_many(r, mirrored_inner.len())?;
+    let mirror_at = Vec::<u32>::decode(r)?;
     reader.finish()?;
-    Ok(parts)
+    Ok(FragmentParts {
+        id,
+        num_fragments,
+        ids,
+        data,
+        owner,
+        offsets,
+        targets,
+        weights,
+        mirrored_inner,
+        mirror_ends,
+        mirror_at,
+    })
 }
 
 /// Decodes a [`TAG_FRAGMENT`] payload and rebuilds the full [`Fragment`].
 /// Parts that [`Fragment::from_parts`] refuses are a [`WireError::Refused`]
 /// naming the rule they break.
-pub fn decode_fragment<V, E>(tag: u8, body: &[u8]) -> Result<Fragment<V, E>, WireError>
-where
-    V: Wire + Clone + Default,
-    E: Wire + Clone,
-{
-    let parts = decode_fragment_parts::<V, E>(tag, body)?;
-    Fragment::from_parts(parts)
+pub fn decode_fragment<V: Wire + Clone + Default, E: Wire + Clone>(
+    tag: u8,
+    body: &[u8],
+) -> Result<Fragment<V, E>, WireError> {
+    Fragment::from_parts(decode_fragment_parts(tag, body)?)
         .map_err(|e| WireError::Refused(format!("shipped fragment parts: {e}")))
 }
 

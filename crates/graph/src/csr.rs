@@ -820,11 +820,15 @@ where
         })
     }
 
-    /// Collects all edges into owned [`EdgeRecord`]s (used by partitioners).
-    pub fn edge_records(&self) -> Vec<EdgeRecord<E>> {
-        self.edges()
-            .map(|(s, d, w)| EdgeRecord::new(s, d, w.clone()))
-            .collect()
+    /// The parts [`CsrGraph::from_sorted_parts`] takes, borrowed: ids,
+    /// payloads, and the forward offsets, targets and edge payloads.
+    #[allow(clippy::type_complexity)]
+    pub fn sorted_parts(&self) -> (&[VertexId], &[V], (&[usize], &[u32], &[E])) {
+        (
+            &self.vertex_ids,
+            &self.vertex_data,
+            (&self.out_offsets, &self.out_targets, &self.out_data),
+        )
     }
 
     /// Returns the subgraph induced by `keep`, preserving payloads.

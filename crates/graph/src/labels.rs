@@ -11,10 +11,9 @@
 use crate::csr::CsrGraph;
 use crate::types::{GraphError, VertexId};
 use grape_comm::wire::{Wire, WireError, WireReader};
-use serde::{Deserialize, Serialize};
 
 /// A vertex label: an interned small string such as `"person"`.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct VertexLabel(pub String);
 
 impl From<&str> for VertexLabel {
@@ -30,7 +29,7 @@ impl std::fmt::Display for VertexLabel {
 }
 
 /// Per-vertex payload of a labeled graph: a label plus keyword attributes.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct LabeledVertex {
     /// The type label of the vertex (`person`, `product`, …).
     pub label: VertexLabel,
@@ -103,7 +102,7 @@ pub type LabeledGraph = CsrGraph<LabeledVertex, EdgeRelation>;
 ///
 /// Pattern vertices are numbered `0..n` and carry a label predicate; pattern
 /// edges optionally constrain the relation type.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PatternGraph {
     /// Label required at each pattern vertex, indexed by pattern-vertex id.
     pub labels: Vec<VertexLabel>,

@@ -18,7 +18,6 @@
 //! search, and nothing is hashed.
 
 use crate::assignment::{FragmentId, PartitionAssignment};
-use grape_graph::types::EdgeRecord;
 use grape_graph::{
     merge_join, merge_walk, strictly_ascending, CsrGraph, DenseBitset, GraphError, VertexId,
 };
@@ -252,120 +251,86 @@ impl<V: Clone, E: Clone> Fragment<V, E> {
         self.graph.num_edges()
     }
 
-    /// Flattens this fragment into its transport-friendly parts: everything
-    /// a remote worker needs to rebuild it with [`Fragment::from_parts`],
-    /// in a canonical (sorted) order throughout, so the round trip is
-    /// deterministic.
+    /// This fragment's columns: a copy of the local graph's sorted parts, the
+    /// owner of each local vertex and the mirror runs.
     pub fn to_parts(&self) -> FragmentParts<V, E> {
-        let tables = &self.tables;
-        let vertices: Vec<(VertexId, V)> = self
-            .graph
-            .vertex_ids()
-            .iter()
-            .enumerate()
-            .map(|(i, &v)| (v, self.graph.vertex_data_at(i as u32).clone()))
-            .collect();
-        let edges: Vec<(VertexId, VertexId, E)> = self
-            .graph
-            .edge_records()
-            .into_iter()
-            .map(|r| (r.src, r.dst, r.data))
-            .collect();
-        let outer_owner = tables.outer.iter().copied().zip(tables.outer_owner.clone());
-        let run = |i: usize| self.mirrored_at.run(i).iter().map(|&f| f as u32).collect();
-        let mirrored_at = tables
-            .mirrored_inner
-            .iter()
-            .enumerate()
-            .map(|(i, &v)| (v, run(i)));
+        let (ids, data, (offsets, targets, weights)) = self.graph.sorted_parts();
+        let mut owner = vec![self.id as u32; ids.len()];
+        for (&i, &f) in self.tables.outer_dense.iter().zip(&self.tables.outer_owner) {
+            owner[i as usize] = f;
+        }
         FragmentParts {
             id: self.id,
             num_fragments: self.num_fragments,
-            vertices,
-            edges,
-            inner: tables.inner.clone(),
-            outer: tables.outer.clone(),
-            outer_owner: outer_owner.collect(),
-            mirrored_at: mirrored_at.collect(),
+            ids: ids.to_vec(),
+            data: data.to_vec(),
+            owner,
+            offsets: offsets.to_vec(),
+            targets: targets.to_vec(),
+            weights: weights.to_vec(),
+            mirrored_inner: self.tables.mirrored_inner.clone(),
+            mirror_ends: self.mirrored_at.ends.clone(),
+            mirror_at: self.mirrored_at.at.iter().map(|&f| f as u32).collect(),
         }
     }
 }
 
 impl<V: Clone + Default, E: Clone> Fragment<V, E> {
-    /// Rebuilds a fragment from its shipped parts. The local graph and every
-    /// derived table are reconstructed through the exact same code path as
-    /// [`build_fragments`], so a round trip through
-    /// [`Fragment::to_parts`] yields a bit-identical fragment.
-    ///
-    /// Parts come from outside, so they are checked first: `id` is below
-    /// `num_fragments`; `inner` and `outer` split the local vertices between
-    /// them; `outer_owner` names a remote fragment for exactly the `outer`
-    /// vertices; and `mirrored_at` names inner vertices only, each with a
-    /// non-empty, ascending list of remote fragments. Parts that break a
-    /// rule are a [`GraphError::InvalidParameter`].
+    /// Rebuilds a fragment from its columns through the constructors
+    /// [`build_fragments`] ends in, so a round trip through
+    /// [`Fragment::to_parts`] yields a bit-identical fragment. The inner and
+    /// outer lists come from one pass over `(ids, owner)`, so they split the
+    /// local vertices by construction. The rest is checked, not repaired:
+    /// `id` and every owner are below `num_fragments`; the graph columns pass
+    /// [`CsrGraph::from_sorted_parts`]; `mirror_ends` splits `mirror_at` into
+    /// one non-empty, ascending run of remote fragments for each ascending
+    /// inner vertex of `mirrored_inner`. Else a [`GraphError::InvalidParameter`].
     pub fn from_parts(parts: FragmentParts<V, E>) -> Result<Self, GraphError> {
-        let FragmentParts {
-            id,
-            num_fragments,
-            vertices,
-            edges,
-            mut inner,
-            mut outer,
-            mut outer_owner,
-            mut mirrored_at,
-        } = parts;
-        // Restore the documented order of the lists if it was lost (lists
-        // that kept it cost one linear pass).
-        inner.sort_unstable();
-        outer.sort_unstable();
-        outer_owner.sort_unstable_by_key(|&(v, _)| v);
-        mirrored_at.sort_unstable_by_key(|(v, _)| *v);
-        let edge_records: Vec<EdgeRecord<E>> = edges
-            .into_iter()
-            .map(|(s, d, w)| EdgeRecord::new(s, d, w))
-            .collect();
-        let local_graph = CsrGraph::from_records(vertices, edge_records, true)?;
-
+        let (id, num_fragments, owner) = (parts.id, parts.num_fragments, parts.owner);
         let malformed = |rule: &str| {
             let at = format!("fragment {id} of {num_fragments}");
             Err(GraphError::InvalidParameter(format!("{at}: {rule}")))
         };
-        let remote = |f: u32| (f as usize) < num_fragments && f as usize != id;
-        let is_inner = |v: &VertexId| inner.binary_search(v).is_ok();
         if id >= num_fragments {
             return malformed("its id is out of range");
         }
-        if !(strictly_ascending(&inner) && strictly_ascending(&outer))
-            || inner.len() + outer.len() != local_graph.num_vertices()
-            || !inner.iter().chain(&outer).all(|&v| local_graph.contains(v))
-            || outer.iter().any(is_inner)
-        {
-            return malformed("inner and outer do not split the local vertices");
+        if owner.len() != parts.ids.len() || owner.iter().any(|&f| f as usize >= num_fragments) {
+            return malformed("owner does not name a fragment for each local vertex");
         }
-        if !outer_owner
-            .iter()
-            .map(|&(v, _)| v)
-            .eq(outer.iter().copied())
-            || !outer_owner.iter().all(|&(_, f)| remote(f))
-        {
-            return malformed("outer_owner does not name a remote owner for each outer vertex");
-        }
-        let mirrored_inner: Vec<VertexId> = mirrored_at.iter().map(|(v, _)| *v).collect();
-        if !strictly_ascending(&mirrored_inner)
-            || !mirrored_inner.iter().all(is_inner)
-            || !mirrored_at.iter().all(|(_, at)| {
-                !at.is_empty()
-                    && at.windows(2).all(|w| w[0] < w[1])
-                    && at.iter().all(|&f| remote(f))
-            })
-        {
-            return malformed("mirrored_at does not list remote fragments for inner vertices");
-        }
+        let run = (parts.offsets, parts.targets, parts.weights);
+        let local_graph = CsrGraph::from_sorted_parts(parts.ids, parts.data, run, true)?;
 
-        let outer_owner = outer_owner.into_iter().map(|(_, f)| f).collect();
-        let mut runs = MirrorRuns::default();
-        for (_, at) in mirrored_at {
-            runs.push(at.into_iter().map(|f| f as FragmentId));
+        let (mut inner, mut outer, mut outer_owner) = (Vec::new(), Vec::new(), Vec::new());
+        for (&v, &f) in local_graph.vertex_ids().iter().zip(&owner) {
+            if f as usize == id {
+                inner.push(v);
+            } else {
+                outer.push(v);
+                outer_owner.push(f);
+            }
+        }
+        let (mirrored_inner, mirror_ends) = (parts.mirrored_inner, parts.mirror_ends);
+        if mirror_ends.len() != mirrored_inner.len()
+            || !mirror_ends.is_sorted()
+            || mirror_ends.last().map_or(0, |&end| end) != parts.mirror_at.len()
+        {
+            return malformed("mirror_ends does not split mirror_at into runs");
+        }
+        let is_inner = |v: &VertexId| inner.binary_search(v).is_ok();
+        if !strictly_ascending(&mirrored_inner) || !mirrored_inner.iter().all(is_inner) {
+            return malformed("mirrored_inner does not list inner vertices in order");
+        }
+        let at = parts.mirror_at.into_iter().map(|f| f as FragmentId);
+        let runs = MirrorRuns {
+            ends: mirror_ends,
+            at: at.collect(),
+        };
+        let remote = |&f: &FragmentId| f < num_fragments && f != id;
+        if !(0..runs.ends.len()).all(|i| {
+            let run = runs.run(i);
+            !run.is_empty() && run.windows(2).all(|w| w[0] < w[1]) && run.iter().all(remote)
+        }) {
+            return malformed("a mirror run is empty, unsorted or names no remote fragment");
         }
         Ok(assemble_fragment(
             id,
@@ -378,31 +343,34 @@ impl<V: Clone + Default, E: Clone> Fragment<V, E> {
     }
 }
 
-/// The flat, transport-friendly view of a [`Fragment`]: plain sorted vectors
-/// only (no `HashMap`s), so it has a canonical byte encoding. Produced by
-/// [`Fragment::to_parts`], consumed by [`Fragment::from_parts`]; the wire
-/// codec lives in `grape-core` (`ship` module) next to the other frame
-/// codecs.
+/// A fragment's primary columns: the inputs of [`CsrGraph::from_sorted_parts`]
+/// and of the table assembly, made by [`Fragment::to_parts`] and taken by
+/// [`Fragment::from_parts`]. Its frame codec is `grape_core::ship`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FragmentParts<V, E> {
     /// The fragment's id.
     pub id: FragmentId,
     /// Total number of fragments in the job.
     pub num_fragments: usize,
-    /// `(vertex, payload)` pairs of the local graph, in ascending vertex-id
-    /// order (the local graph's canonical dense order).
-    pub vertices: Vec<(VertexId, V)>,
-    /// Local edges in the local graph's CSR order.
-    pub edges: Vec<(VertexId, VertexId, E)>,
-    /// Inner (owned) vertices, sorted.
-    pub inner: Vec<VertexId>,
-    /// Outer (mirror) vertices, sorted.
-    pub outer: Vec<VertexId>,
-    /// `(outer vertex, owner fragment)`, sorted by vertex.
-    pub outer_owner: Vec<(VertexId, u32)>,
-    /// `(inner vertex, fragments mirroring it)`, sorted by vertex; the
-    /// per-vertex fragment lists are sorted too.
-    pub mirrored_at: Vec<(VertexId, Vec<u32>)>,
+    /// The local vertices, strictly ascending: position = dense index.
+    pub ids: Vec<VertexId>,
+    /// The payload of each local vertex, aligned with `ids`; mirrors keep theirs.
+    pub data: Vec<V>,
+    /// The owner of each local vertex, aligned with `ids`: `id` for an
+    /// inner vertex, another fragment for an outer (mirror) one.
+    pub owner: Vec<u32>,
+    /// Local CSR offsets: `ids.len() + 1` entries from 0.
+    pub offsets: Vec<usize>,
+    /// Dense local targets of the local edges, in CSR order.
+    pub targets: Vec<u32>,
+    /// Edge payloads, aligned with `targets`.
+    pub weights: Vec<E>,
+    /// The inner vertices mirrored at other fragments, strictly ascending.
+    pub mirrored_inner: Vec<VertexId>,
+    /// The end of each mirrored vertex's run in `mirror_at`, aligned with `mirrored_inner`.
+    pub mirror_ends: Vec<usize>,
+    /// The fragments mirroring each mirrored inner vertex, run after run.
+    pub mirror_at: Vec<u32>,
 }
 
 /// One pass of a cut over the graph's dense order: the owner of every vertex
@@ -903,60 +871,126 @@ mod tests {
             }
             // And re-flattening yields the same canonical parts.
             assert_eq!(back.to_parts(), f.to_parts());
-            // Parts whose id lists lost their order are still accepted.
+            // Parts whose ids lost their order are refused, not repaired.
             let mut shuffled = parts;
-            shuffled.inner.reverse();
-            shuffled.outer.reverse();
-            assert!(Fragment::from_parts(shuffled).expect("rebuild") == f);
+            shuffled.ids.reverse();
+            assert!(Fragment::from_parts(shuffled).is_err());
         }
     }
 
-    /// The parts of fragment 0 of a 10-chain cut in two (0..=4 | 5..=9),
-    /// and a check that `from_parts` refuses them once `break_rule` broke
-    /// one rule.
-    fn refused(break_rule: impl Fn(&mut FragmentParts<(), f64>)) -> bool {
+    /// The parts of fragment 0 of a 10-chain cut in two (0..=4 | 5..=9):
+    /// ids 0..=5, vertex 5 an outer vertex owned by fragment 1, and vertex 4
+    /// mirrored at fragment 1. Returns the error `from_parts` gives once
+    /// `break_rule` broke one rule.
+    fn refusal(break_rule: impl Fn(&mut FragmentParts<(), f64>)) -> String {
         let frags = build_fragments(&chain(10), &RangePartitioner.partition(&chain(10), 2));
         let mut parts = frags[0].to_parts();
+        assert_eq!(parts.owner, [0, 0, 0, 0, 0, 1]);
+        assert_eq!(
+            (
+                &parts.mirrored_inner[..],
+                &parts.mirror_ends[..],
+                &parts.mirror_at[..]
+            ),
+            (&[4][..], &[1][..], &[1][..])
+        );
         assert!(Fragment::from_parts(parts.clone()).is_ok());
         break_rule(&mut parts);
-        Fragment::from_parts(parts).is_err()
+        match Fragment::from_parts(parts) {
+            Err(GraphError::InvalidParameter(rule)) => rule,
+            other => panic!("broken parts were accepted: {other:?}"),
+        }
     }
 
     #[test]
     fn parts_with_an_id_out_of_range_are_refused() {
-        assert!(refused(|p| p.id = 2));
-        assert!(refused(|p| p.num_fragments = 0));
-    }
-
-    #[test]
-    fn parts_whose_inner_and_outer_do_not_split_the_local_vertices_are_refused() {
-        assert!(refused(|p| p.inner.push(77)));
-        assert!(refused(|p| p.outer.push(77)));
-        assert!(refused(|p| p.inner.push(5)));
-        assert!(refused(|p| p.inner.push(4)));
-        assert!(refused(|p| {
-            p.inner.pop();
-        }));
+        assert!(refusal(|p| p.id = 2).contains("its id is out of range"));
+        assert!(refusal(|p| p.num_fragments = 0).contains("its id is out of range"));
     }
 
     #[test]
     fn parts_whose_outer_owner_is_not_a_remote_owner_of_outer_are_refused() {
-        assert!(refused(|p| p.outer_owner[0].1 = 0));
-        assert!(refused(|p| p.outer_owner[0].1 = 2));
-        assert!(refused(|p| p.outer_owner[0].0 = 3));
-        assert!(refused(|p| p.outer_owner.clear()));
-        assert!(refused(|p| p.outer_owner.push((9, 1))));
+        let rule = "owner does not name a fragment for each local vertex";
+        assert!(refusal(|p| p.owner[5] = 2).contains(rule));
+        assert!(refusal(|p| p.owner[0] = u32::MAX).contains(rule));
+        assert!(refusal(|p| {
+            p.owner.pop();
+        })
+        .contains(rule));
+    }
+
+    #[test]
+    fn parts_whose_ids_are_out_of_order_are_refused() {
+        let rule = "the ids are not strictly ascending";
+        assert!(refusal(|p| p.ids.swap(0, 1)).contains(rule));
+        assert!(refusal(|p| p.ids[1] = p.ids[0]).contains(rule));
+        assert!(refusal(|p| {
+            p.data.pop();
+        })
+        .contains(rule));
+    }
+
+    #[test]
+    fn parts_whose_offsets_do_not_split_the_targets_are_refused() {
+        let rule = "the offsets do not split the targets";
+        assert!(refusal(|p| p.offsets[0] = 1).contains(rule));
+        assert!(refusal(|p| p.offsets.swap(1, 2)).contains(rule));
+        assert!(refusal(|p| {
+            p.offsets.pop();
+        })
+        .contains(rule));
+        assert!(refusal(|p| {
+            p.targets.pop();
+        })
+        .contains(rule));
+        assert!(refusal(|p| {
+            p.weights.pop();
+        })
+        .contains(rule));
+    }
+
+    #[test]
+    fn parts_with_a_target_out_of_range_are_refused() {
+        assert!(refusal(|p| p.targets[0] = 6).contains("a target is not a dense index"));
     }
 
     #[test]
     fn parts_whose_mirrored_at_is_not_remote_fragments_of_inner_vertices_are_refused() {
-        assert!(refused(|p| p.mirrored_at[0].0 = 77));
-        assert!(refused(|p| p.mirrored_at[0].0 = 5));
-        assert!(refused(|p| p.mirrored_at.push((4, vec![1]))));
-        assert!(refused(|p| p.mirrored_at[0].1 = vec![]));
-        assert!(refused(|p| p.mirrored_at[0].1 = vec![1, 1]));
-        assert!(refused(|p| p.mirrored_at[0].1 = vec![0]));
-        assert!(refused(|p| p.mirrored_at[0].1 = vec![2]));
+        let rule = "mirrored_inner does not list inner vertices in order";
+        assert!(refusal(|p| p.mirrored_inner[0] = 77).contains(rule));
+        assert!(refusal(|p| p.mirrored_inner[0] = 5).contains(rule));
+        let rule = "a mirror run is empty, unsorted or names no remote fragment";
+        assert!(refusal(|p| {
+            p.mirror_ends[0] = 0;
+            p.mirror_at.clear();
+        })
+        .contains(rule));
+        assert!(refusal(|p| {
+            p.num_fragments = 3;
+            p.mirror_at = vec![2, 1];
+            p.mirror_ends[0] = 2;
+        })
+        .contains(rule));
+        assert!(refusal(|p| {
+            p.mirror_at.push(1);
+            p.mirror_ends[0] = 2;
+        })
+        .contains(rule));
+        assert!(refusal(|p| p.mirror_at[0] = 0).contains(rule));
+        assert!(refusal(|p| p.mirror_at[0] = 2).contains(rule));
+    }
+
+    #[test]
+    fn parts_whose_run_ends_do_not_split_the_mirror_runs_are_refused() {
+        let rule = "mirror_ends does not split mirror_at";
+        assert!(refusal(|p| p.mirror_ends[0] = 2).contains(rule));
+        assert!(refusal(|p| p.mirror_at.push(1)).contains(rule));
+        assert!(refusal(|p| p.mirror_ends.push(1)).contains(rule));
+        assert!(refusal(|p| {
+            p.mirrored_inner.insert(0, 3);
+            p.mirror_ends = vec![1, 0];
+        })
+        .contains(rule));
     }
 
     #[test]

@@ -1059,17 +1059,23 @@ fn load_fragment<S: ServiceStream>(
     epoch: u32,
     state: &ServiceState,
 ) -> io::Result<()> {
-    fn decode<V, E>(body: &[u8], index: u32) -> io::Result<Arc<Fragment<V, E>>>
+    fn decode<V, E>(body: &[u8], spec: &LoadSpec) -> io::Result<Arc<Fragment<V, E>>>
     where
         V: Wire + Clone + Default,
         E: Wire + Clone,
     {
         let fragment: Fragment<V, E> = decode_fragment(TAG_FRAGMENT, body)
             .map_err(|e| bad_data(format!("bad fragment frame: {e}")))?;
-        if fragment.id != index as usize {
+        if fragment.id != spec.index as usize {
             return Err(bad_data(format!(
-                "shipped fragment {} under load index {index}",
-                fragment.id
+                "shipped fragment {} under load index {}",
+                fragment.id, spec.index
+            )));
+        }
+        if fragment.num_fragments != spec.workers as usize {
+            return Err(bad_data(format!(
+                "shipped fragment of {} under a load spec of {} workers",
+                fragment.num_fragments, spec.workers
             )));
         }
         Ok(Arc::new(fragment))
@@ -1097,8 +1103,8 @@ fn load_fragment<S: ServiceStream>(
         )));
     }
     let fragment = match spec.family {
-        0 => FragmentHandle::Weighted(decode(&fbody, spec.index)?),
-        _ => FragmentHandle::Labeled(decode(&fbody, spec.index)?),
+        0 => FragmentHandle::Weighted(decode(&fbody, &spec)?),
+        _ => FragmentHandle::Labeled(decode(&fbody, &spec)?),
     };
 
     {
@@ -2361,19 +2367,62 @@ mod tests {
     }
 
     #[test]
+    fn a_fragment_cut_for_another_worker_count_is_refused() {
+        let daemon = GrapeService::bind("127.0.0.1:0", ServiceOptions::default())
+            .expect("bind")
+            .spawn()
+            .expect("spawn");
+        // Fragment 0 of a three-way cut, loaded under a two-worker spec: its
+        // outer owners and mirror runs may name fragment 2.
+        let graph = barabasi_albert(30, 2, 1).expect("generator");
+        let (fragments, _) = SessionFragments::cut(&graph.into(), BuiltinStrategy::Hash, 3);
+        let SessionFragments::Weighted(fragments) = fragments else {
+            panic!("weighted graph expected")
+        };
+        assert!(fragments[0].to_parts().owner.contains(&2));
+        let spec = LoadSpec {
+            graph_id: 12,
+            family: 0,
+            index: 0,
+            workers: 2,
+            vertices: 30,
+        };
+        let mut frames = Vec::new();
+        wire::encode_frame_epoch(TAG_LOAD, 0, &spec, &mut frames);
+        encode_fragment_epoch(&fragments[0], 0, &mut frames);
+
+        // The client sends nothing more, so a daemon that took the fragment
+        // returns at end of stream instead of waiting for the next frame.
+        let (mut client, server) = std::os::unix::net::UnixStream::pair().expect("pair");
+        client.write_all(&frames).expect("write");
+        client
+            .shutdown(std::net::Shutdown::Write)
+            .expect("shutdown");
+        let err = serve_frames(server, &daemon.state).expect_err("mismatched cut");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(
+            err.to_string()
+                .contains("shipped fragment of 3 under a load spec of 2 workers"),
+            "{err}"
+        );
+        assert!(daemon.state.registry.lock().unwrap().is_empty());
+        daemon.shutdown().expect("shutdown");
+    }
+
+    #[test]
     fn a_malformed_fragment_is_refused_and_the_daemon_keeps_serving() {
         let daemon = GrapeService::bind("127.0.0.1:0", ServiceOptions::default())
             .expect("bind")
             .spawn()
             .expect("spawn");
-        // A load whose fragment lists an inner vertex it does not hold.
+        // A load whose fragment names an owner outside the cut.
         let graph = barabasi_albert(30, 2, 1).expect("generator");
         let (fragments, _) = SessionFragments::cut(&graph.into(), BuiltinStrategy::Hash, 2);
         let SessionFragments::Weighted(fragments) = fragments else {
             panic!("weighted graph expected")
         };
         let mut parts = fragments[0].to_parts();
-        parts.inner.push(1_000_000);
+        parts.owner[0] = 7;
         let spec = LoadSpec {
             graph_id: 11,
             family: 0,
@@ -2393,7 +2442,7 @@ mod tests {
         assert!(err.to_string().contains("bad fragment frame"), "{err}");
         assert!(
             err.to_string()
-                .contains("inner and outer do not split the local vertices"),
+                .contains("owner does not name a fragment for each local vertex"),
             "the error names the rule the fragment broke: {err}"
         );
         assert!(daemon.state.registry.lock().unwrap().is_empty());

@@ -872,8 +872,9 @@ proptest! {
 
 /// The reference cut for `build_fragments`, written the straightforward way:
 /// two assignment lookups per edge, hash sets of outer vertices and of
-/// mirror locations, assembled through [`Fragment::from_parts`] (the
-/// assembly `build_fragments` shares).
+/// mirror locations, each local graph built by [`CsrGraph::from_records`],
+/// and its columns assembled through [`Fragment::from_parts`] (the assembly
+/// `build_fragments` shares).
 fn reference_fragments<V: Clone + Default, E: Clone>(
     graph: &CsrGraph<V, E>,
     assignment: &PartitionAssignment,
@@ -885,14 +886,14 @@ fn reference_fragments<V: Clone + Default, E: Clone>(
     for v in graph.vertices() {
         inner[owner(v)].push(v);
     }
-    let mut edges: Vec<Vec<(VertexId, VertexId, E)>> = vec![Vec::new(); k];
+    let mut edges: Vec<Vec<EdgeRecord<E>>> = vec![Vec::new(); k];
     let mut outer: Vec<HashSet<VertexId>> = vec![HashSet::new(); k];
     let mut mirrored_at: Vec<HashMap<VertexId, HashSet<usize>>> = vec![HashMap::new(); k];
     for (s, d, w) in graph.edges() {
         let (fs, fd) = (owner(s), owner(d));
-        edges[fs].push((s, d, w.clone()));
+        edges[fs].push(EdgeRecord::new(s, d, w.clone()));
         if fd != fs {
-            edges[fd].push((s, d, w.clone()));
+            edges[fd].push(EdgeRecord::new(s, d, w.clone()));
             outer[fd].insert(s);
             outer[fs].insert(d);
             mirrored_at[fs].entry(s).or_default().insert(fd);
@@ -901,14 +902,14 @@ fn reference_fragments<V: Clone + Default, E: Clone>(
     }
     (0..k)
         .map(|f| {
-            let mut outer_list: Vec<VertexId> = outer[f].iter().copied().collect();
-            outer_list.sort_unstable();
             let vertices = inner[f]
                 .iter()
-                .chain(&outer_list)
+                .chain(&outer[f])
                 .map(|&v| (v, graph.vertex_data(v).cloned().unwrap_or_default()))
                 .collect();
-            let outer_owner = outer_list.iter().map(|&v| (v, owner(v) as u32)).collect();
+            let local = CsrGraph::from_records(vertices, std::mem::take(&mut edges[f]), true)
+                .expect("reference local graph");
+            let (ids, data, (offsets, targets, weights)) = local.sorted_parts();
             let mut mirrored: Vec<(VertexId, Vec<u32>)> = mirrored_at[f]
                 .iter()
                 .map(|(&v, at)| {
@@ -918,15 +919,24 @@ fn reference_fragments<V: Clone + Default, E: Clone>(
                 })
                 .collect();
             mirrored.sort_unstable_by_key(|&(v, _)| v);
+            let mut mirror_ends = Vec::new();
+            let mut mirror_at = Vec::new();
+            for (_, at) in &mirrored {
+                mirror_at.extend(at);
+                mirror_ends.push(mirror_at.len());
+            }
             Fragment::from_parts(grape::partition::FragmentParts {
                 id: f,
                 num_fragments: k,
-                vertices,
-                edges: std::mem::take(&mut edges[f]),
-                inner: std::mem::take(&mut inner[f]),
-                outer: outer_list,
-                outer_owner,
-                mirrored_at: mirrored,
+                ids: ids.to_vec(),
+                data: data.to_vec(),
+                owner: ids.iter().map(|&v| owner(v) as u32).collect(),
+                offsets: offsets.to_vec(),
+                targets: targets.to_vec(),
+                weights: weights.to_vec(),
+                mirrored_inner: mirrored.iter().map(|&(v, _)| v).collect(),
+                mirror_ends,
+                mirror_at,
             })
             .expect("reference fragment")
         })

@@ -100,38 +100,50 @@ fn arb_checkpoint() -> impl Strategy<Value = Option<CheckpointState<f64>>> {
     )
 }
 
-/// Strategy: arbitrary flattened fragment parts — the codec must roundtrip
-/// any well-typed payload, whether or not it is a structurally valid graph
-/// (structural validation is [`Fragment::from_parts`]' job, not the wire's).
+/// Strategy: arbitrary fragment columns, aligned as the frame lays them out
+/// (`data`, `owner` and `offsets` with `ids`, `weights` with `targets`,
+/// `mirror_ends` with `mirrored_inner`). The codec must roundtrip any such
+/// payload, whether or not it is a structurally valid fragment (structural
+/// validation is [`Fragment::from_parts`]' job, not the wire's).
 fn arb_fragment_parts() -> impl Strategy<Value = FragmentParts<(), f64>> {
-    let vid = 0u64..200;
-    (
+    (0usize..16, 0usize..24, 0usize..8).prop_flat_map(|(n, m, k)| {
+        let vids = |len| proptest::collection::vec(0u64..200, len..len + 1);
+        let column =
+            |len, range: std::ops::Range<u32>| proptest::collection::vec(range, len..len + 1);
+        let ends = |len| proptest::collection::vec(0usize..32, len..len + 1);
         (
-            (0usize..8, 1usize..8),
-            proptest::collection::vec(vid.clone().prop_map(|v| (v, ())), 0..16),
-            proptest::collection::vec((vid.clone(), vid.clone(), arb_f64_bits()), 0..24),
-        ),
-        (
-            proptest::collection::vec(vid.clone(), 0..16),
-            proptest::collection::vec(vid.clone(), 0..16),
-            proptest::collection::vec((vid.clone(), 0u32..8), 0..16),
-            proptest::collection::vec((vid, proptest::collection::vec(0u32..8, 0..4)), 0..8),
-        ),
-    )
-        .prop_map(
-            |(((id, num_fragments), vertices, edges), (inner, outer, outer_owner, mirrored_at))| {
-                FragmentParts {
+            (
+                (0usize..8, 1usize..8),
+                vids(n),
+                column(n, 0..8),
+                ends(n + 1),
+            ),
+            (
+                column(m, 0..20),
+                proptest::collection::vec(arb_f64_bits(), m..m + 1),
+            ),
+            (vids(k), ends(k), proptest::collection::vec(0u32..8, 0..16)),
+        )
+            .prop_map(
+                |(
+                    ((id, num_fragments), ids, owner, offsets),
+                    (targets, weights),
+                    (mirrored_inner, mirror_ends, mirror_at),
+                )| FragmentParts {
                     id,
                     num_fragments,
-                    vertices,
-                    edges,
-                    inner,
-                    outer,
-                    outer_owner,
-                    mirrored_at,
-                }
-            },
-        )
+                    data: vec![(); ids.len()],
+                    ids,
+                    owner,
+                    offsets,
+                    targets,
+                    weights,
+                    mirrored_inner,
+                    mirror_ends,
+                    mirror_at,
+                },
+            )
+    })
 }
 
 fn arb_command() -> impl Strategy<Value = CoordCommand<f64>> {
@@ -548,6 +560,7 @@ fn check_every_width(raw: &[u64]) -> Result<(), TestCaseError> {
     check_run(raw.iter().map(|&b| b as i16).collect(), |v| v as u64)?;
     check_run(raw.iter().map(|&b| b as i32).collect(), |v| v as u64)?;
     check_run(raw.iter().map(|&b| b as i64).collect(), |v| v as u64)?;
+    check_run(raw.iter().map(|&b| b as usize).collect(), |v| v as u64)?;
     check_run(
         raw.iter().map(|&b| f32::from_bits(b as u32)).collect(),
         |v| v.to_bits() as u64,
@@ -564,6 +577,70 @@ proptest! {
     #[test]
     fn fixed_width_runs_are_their_elements_back_to_back(raw in arb_bit_runs()) {
         check_every_width(&raw)?;
+    }
+}
+
+/// A valid fragment frame's body, weighted or labeled, with `cut` bytes
+/// kept (all of them when `cut` is past the end) and `hits` overwritten:
+/// `decode_fragment` must refuse it or return a fragment that re-encodes to
+/// exactly the bytes it read, and never panic.
+fn check_hostile_body<V, E>(
+    fragment: &grape::partition::Fragment<V, E>,
+    cut: usize,
+    hits: &[(usize, u8)],
+) -> Result<(), TestCaseError>
+where
+    V: Wire + Clone + Default + std::fmt::Debug,
+    E: Wire + Clone + std::fmt::Debug,
+{
+    use grape::core::ship::{decode_fragment, encode_fragment};
+    let mut frame = Vec::new();
+    encode_fragment(fragment, &mut frame);
+    let mut body = frame[HEADER_LEN..].to_vec();
+    body.truncate(cut);
+    for &(at, byte) in hits {
+        if !body.is_empty() {
+            let at = at % body.len();
+            body[at] = byte;
+        }
+    }
+    if let Ok(back) = decode_fragment::<V, E>(TAG_FRAGMENT, &body) {
+        let mut again = Vec::new();
+        encode_fragment(&back, &mut again);
+        prop_assert_eq!(&again[HEADER_LEN..], &body[..]);
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn hostile_fragment_frames_are_refused_or_reencode_exactly(
+        seed in 0u64..1_000,
+        k in 1usize..4,
+        cut in 0usize..4_000,
+        hits in proptest::collection::vec((0usize..100_000, 0u8..255), 0..4),
+        labeled in 0u8..2,
+    ) {
+        use grape::graph::generators::{erdos_renyi, labeled_social, SocialGraphConfig};
+        use grape::prelude::*;
+        let cut = if cut % 2 == 0 { usize::MAX } else { cut };
+        if labeled == 1 {
+            let config = SocialGraphConfig {
+                num_persons: 12,
+                num_products: 3,
+                follows_per_person: 2,
+                ..Default::default()
+            };
+            let graph = labeled_social(config, seed).expect("social graph");
+            let fragments = build_fragments(&graph, &BuiltinStrategy::Hash.partition(&graph, k));
+            check_hostile_body(&fragments[seed as usize % k], cut, &hits)?;
+        } else {
+            let graph = erdos_renyi(24, 0.15, seed).expect("graph");
+            let fragments = build_fragments(&graph, &BuiltinStrategy::Hash.partition(&graph, k));
+            check_hostile_body(&fragments[seed as usize % k], cut, &hits)?;
+        }
     }
 }
 
@@ -637,6 +714,49 @@ fn a_query_frame_carrying_a_seed_is_pinned() {
         7, 0, 0, 0, 0, 0, 0, 0,  9, 0, 0, 0, 0, 0, 0, 0,
         2, 0, 0, 0, 0, 0, 0, 0,  0, 0, 0, 0, 0, 0, 0, 0, //  profile: edge inserts, edge deletes,
         0, 0, 0, 0, 0, 0, 0, 0,  0, 0, 0, 0, 0, 0, 0, 0, //  vertex inserts, vertex deletes
+    ];
+    assert_eq!(frame, golden);
+}
+
+#[test]
+fn a_fragment_frame_is_pinned() {
+    // Fragment 0 of the chain 0 → 1 → … → 5 cut in two (0..=2 | 3..=5):
+    // vertex 3 is a mirror owned by fragment 1, and vertex 2 is mirrored
+    // there. Aligned columns carry no length of their own.
+    use grape::prelude::*;
+    let mut builder = GraphBuilder::<(), f64>::new();
+    for v in 0..5u64 {
+        builder.add_edge(v, v + 1, v as f64 + 0.5);
+    }
+    let graph = builder.build().expect("graph");
+    let mut assignment = PartitionAssignment::new(2);
+    for v in 0..6u64 {
+        assignment.assign(v, usize::from(v >= 3));
+    }
+    let fragments = build_fragments(&graph, &assignment);
+    let mut frame = Vec::new();
+    grape::core::ship::encode_fragment(&fragments[0], &mut frame);
+    #[rustfmt::skip]
+    let golden: &[u8] = &[
+        b'G', b'W', 2, 0x22, 0, 0, 0, 0, 176, 0, 0, 0, // header: epoch 0, 176-byte body
+        0, 0, 0, 0, 0, 0, 0, 0,                         // id
+        2, 0, 0, 0, 0, 0, 0, 0,                         // num_fragments
+        4, 0, 0, 0,                                     // ids: 4 local vertices
+        0, 0, 0, 0, 0, 0, 0, 0,  1, 0, 0, 0, 0, 0, 0, 0,
+        2, 0, 0, 0, 0, 0, 0, 0,  3, 0, 0, 0, 0, 0, 0, 0,
+                                                        // data: () takes no bytes
+        0, 0, 0, 0,  0, 0, 0, 0,  0, 0, 0, 0,  1, 0, 0, 0, // owner
+        0, 0, 0, 0, 0, 0, 0, 0,  1, 0, 0, 0, 0, 0, 0, 0, // offsets: 4 + 1
+        2, 0, 0, 0, 0, 0, 0, 0,  3, 0, 0, 0, 0, 0, 0, 0,
+        3, 0, 0, 0, 0, 0, 0, 0,
+        3, 0, 0, 0,                                     // targets: 3 local edges
+        1, 0, 0, 0,  2, 0, 0, 0,  3, 0, 0, 0,
+        0, 0, 0, 0, 0, 0, 0xe0, 0x3f,                   // weights 0.5, 1.5, 2.5
+        0, 0, 0, 0, 0, 0, 0xf8, 0x3f,
+        0, 0, 0, 0, 0, 0, 0x04, 0x40,
+        1, 0, 0, 0,  2, 0, 0, 0, 0, 0, 0, 0,            // mirrored_inner: [2]
+        1, 0, 0, 0, 0, 0, 0, 0,                         // mirror_ends: [1]
+        1, 0, 0, 0,  1, 0, 0, 0,                        // mirror_at: [1]
     ];
     assert_eq!(frame, golden);
 }
