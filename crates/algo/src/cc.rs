@@ -26,9 +26,12 @@
 //! coincide, which [`DenseUnionFind`] exploits.
 
 use grape_core::par::for_each_slice_chunk;
-use grape_core::{Fragment, PieContext, PieProgram, VertexId};
+use grape_core::{
+    encode_owner_column, owner_columns, Fragment, PieContext, PieProgram, VertexId, WireError,
+};
 use grape_graph::{merge_join, strictly_ascending, CsrGraph, DenseBitset, VertexDenseMap};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// CC query: no parameters (the whole graph is labeled).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -332,6 +335,30 @@ impl PieProgram for CcProgram {
             }
         }
         out
+    }
+
+    fn encode_answer(&self, fragment: &Fragment<(), f64>, partial: &CcPartial) -> Option<Vec<u8>> {
+        // Assemble reads the owners' labels and nothing else.
+        Some(encode_owner_column(fragment, |i| partial.labels[i]))
+    }
+
+    fn assemble_answers(
+        &self,
+        fragments: &[Arc<Fragment<(), f64>>],
+        answers: &[Vec<u8>],
+    ) -> Result<HashMap<VertexId, VertexId>, WireError> {
+        let columns = owner_columns::<_, _, VertexId>(fragments, answers)?;
+        let mut out = HashMap::with_capacity(columns.iter().map(Vec::len).sum());
+        for (fragment, column) in fragments.iter().zip(&columns) {
+            out.extend(
+                fragment
+                    .inner_vertices()
+                    .iter()
+                    .copied()
+                    .zip(column.iter().copied()),
+            );
+        }
+        Ok(out)
     }
 
     fn aggregate(&self, a: &VertexId, b: &VertexId) -> VertexId {

@@ -32,9 +32,12 @@
 //! normalizes the merged ranks once.
 
 use grape_core::par::{map_chunks, ThreadPool};
-use grape_core::{Fragment, PieContext, PieProgram, VertexId};
+use grape_core::{
+    encode_owner_column, owner_columns, Fragment, PieContext, PieProgram, VertexId, WireError,
+};
 use grape_graph::{merge_join, strictly_ascending, CsrGraph, DenseBitset, VertexDenseMap};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// PageRank query parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -398,6 +401,33 @@ impl PieProgram for PageRankProgram {
             }
         }
         out
+    }
+
+    fn encode_answer(
+        &self,
+        fragment: &Fragment<(), f64>,
+        partial: &PageRankPartial,
+    ) -> Option<Vec<u8>> {
+        // Assemble reads the owners' ranks and nothing else.
+        Some(encode_owner_column(fragment, |i| partial.rank[i]))
+    }
+
+    fn assemble_answers(
+        &self,
+        fragments: &[Arc<Fragment<(), f64>>],
+        answers: &[Vec<u8>],
+    ) -> Result<HashMap<VertexId, f64>, WireError> {
+        let columns = owner_columns::<_, _, f64>(fragments, answers)?;
+        // The total in `assemble`'s fragment-then-inner order, so the
+        // rescaled ranks match it bit for bit.
+        let total: f64 = columns.iter().flatten().fold(0.0, |sum, &r| sum + r);
+        let mut out = HashMap::with_capacity(columns.iter().map(Vec::len).sum());
+        for (fragment, column) in fragments.iter().zip(&columns) {
+            for (&v, &r) in fragment.inner_vertices().iter().zip(column) {
+                out.insert(v, if total > 0.0 { r / total } else { r });
+            }
+        }
+        Ok(out)
     }
 
     fn aggregate(&self, a: &f64, b: &f64) -> f64 {

@@ -31,9 +31,12 @@
 //! [`incremental_sssp`]) remain as the sequential references the tests and
 //! benches compare against.
 
-use grape_core::{Fragment, PieContext, PieProgram, VertexId};
+use grape_core::{
+    encode_owner_column, owner_columns, Fragment, PieContext, PieProgram, VertexId, WireError,
+};
 use grape_graph::{merge_join, strictly_ascending, CsrGraph, DenseBitset, VertexDenseMap};
 use std::collections::{BinaryHeap, HashMap};
+use std::sync::Arc;
 
 /// Distance value used throughout: `f64` seconds/metres/weights.
 pub type Distance = f64;
@@ -365,6 +368,32 @@ impl PieProgram for SsspProgram {
             }
         }
         out
+    }
+
+    fn encode_answer(
+        &self,
+        fragment: &Fragment<(), Distance>,
+        partial: &SsspPartial,
+    ) -> Option<Vec<u8>> {
+        // Assemble reads the owners' distances and nothing else.
+        Some(encode_owner_column(fragment, |i| partial.dist[i]))
+    }
+
+    fn assemble_answers(
+        &self,
+        fragments: &[Arc<Fragment<(), Distance>>],
+        answers: &[Vec<u8>],
+    ) -> Result<HashMap<VertexId, Distance>, WireError> {
+        let columns = owner_columns::<_, _, Distance>(fragments, answers)?;
+        let mut out = HashMap::with_capacity(columns.iter().map(Vec::len).sum());
+        for (fragment, column) in fragments.iter().zip(&columns) {
+            for (&v, &d) in fragment.inner_vertices().iter().zip(column) {
+                if d.is_finite() {
+                    out.insert(v, d);
+                }
+            }
+        }
+        Ok(out)
     }
 
     fn aggregate(&self, a: &Distance, b: &Distance) -> Distance {

@@ -3,19 +3,22 @@
 //! A query service that keeps fragments resident can answer a repeated query
 //! after a mutation batch *from the old fixpoint* instead of from scratch:
 //!
-//! 1. A converged run hands back every fragment's final partial
-//!    ([`crate::GrapeEngine::run_partials`]); the holder snapshots them as
-//!    bytes into a [`ConvergedState`].
+//! 1. A converged run leaves every fragment's final partial, serialized with
+//!    [`crate::PieProgram::snapshot_partial`], where that fragment's worker
+//!    runs: a daemon keeps it beside its resident fragment, an in-process
+//!    holder in a [`ConvergedState`]. Either stamps it with the graph version
+//!    the run converged at.
 //! 2. Each mutation batch records its dirty set and profile in a
 //!    [`DeltaLog`]; [`DeltaLog::since`] merges everything applied since the
 //!    cached state was captured.
-//! 3. The next run of that query gives each worker an [`IncrementalSeed`].
-//!    A cold run is a warm run with no seed: a worker's PEval step restores
-//!    the old partial and re-evaluates only from the dirty vertices
-//!    ([`crate::PieProgram::seed_partial`]) when it holds a seed whose
-//!    profile the program declares eligible, and runs the cold PEval
-//!    otherwise; the BSP fixpoint then proceeds unchanged and lands on a
-//!    state bit-identical to a cold run on the mutated graph.
+//! 3. The next run of that query names the version it may start from in a
+//!    [`WarmHandle`]; a worker holding a partial of exactly that version turns
+//!    the two into an [`IncrementalSeed`]. A cold run is a warm run with no
+//!    seed: a worker's PEval step restores the old partial and re-evaluates
+//!    only from the dirty vertices ([`crate::PieProgram::seed_partial`]) when
+//!    it holds a seed whose profile the program declares eligible, and runs
+//!    the cold PEval otherwise; the BSP fixpoint then proceeds unchanged and
+//!    lands on a state bit-identical to a cold run on the mutated graph.
 
 use grape_comm::{Wire, WireError, WireReader};
 use grape_graph::delta::MutationProfile;
@@ -25,8 +28,8 @@ use std::sync::Arc;
 
 /// The converged dense state of one finished run: every fragment's final
 /// partial, serialized with [`crate::PieProgram::snapshot_partial`], plus the
-/// graph version the run observed. A service caches one per
-/// `(graph, query)` pair and seeds later runs from it.
+/// graph version the run observed. A holder whose workers all run in its own
+/// process caches one per `(graph, query)` pair and seeds later runs from it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ConvergedState {
     /// The [`DeltaLog::version`] of the graph the run converged on.
@@ -84,9 +87,9 @@ impl DeltaLog {
 
 /// Warm start for one fragment: its snapshot-encoded converged partial from
 /// the previous run of the same query, and the merged dirty set + mutation
-/// profile of every update applied since that run converged. Rides on a
-/// query job to a remote worker, or goes straight to
-/// [`crate::GrapeEngine::run_incremental`].
+/// profile of every update applied since that run converged. Built where the
+/// partial is kept ([`WarmHandle::seed`]) and handed to
+/// [`crate::engine::run_worker`] or [`crate::GrapeEngine::run_incremental`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct IncrementalSeed {
     /// Snapshot-encoded converged partial of the fragment, shared with the
@@ -100,16 +103,44 @@ pub struct IncrementalSeed {
     pub profile: MutationProfile,
 }
 
-impl Wire for IncrementalSeed {
+/// What a warm query ships to a worker instead of its converged partial: the
+/// graph version the worker's kept partial must have converged at, and the
+/// merged dirty set and profile of every update applied since
+/// ([`DeltaLog::since`]). A worker holding a partial of exactly that version
+/// seeds its PEval from it; any other worker runs cold.
+#[derive(Debug, Clone, PartialEq)]
+pub struct WarmHandle {
+    /// The [`DeltaLog::version`] the kept partial converged at.
+    pub version: u64,
+    /// Union of the dirty sets of the updates applied since (global ids,
+    /// sorted); one list shared by every fragment's handle.
+    pub dirty: Arc<Vec<VertexId>>,
+    /// Merged shape of those updates.
+    pub profile: MutationProfile,
+}
+
+impl WarmHandle {
+    /// The seed this handle makes of a kept `snapshot` that converged at
+    /// [`WarmHandle::version`].
+    pub fn seed(&self, snapshot: Arc<Vec<u8>>) -> IncrementalSeed {
+        IncrementalSeed {
+            snapshot,
+            dirty: Arc::clone(&self.dirty),
+            profile: self.profile,
+        }
+    }
+}
+
+impl Wire for WarmHandle {
     fn encode(&self, out: &mut Vec<u8>) {
-        self.snapshot.encode(out);
+        self.version.encode(out);
         self.dirty.encode(out);
         self.profile.encode(out);
     }
 
     fn decode(reader: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(IncrementalSeed {
-            snapshot: Arc::new(Vec::decode(reader)?),
+        Ok(WarmHandle {
+            version: u64::decode(reader)?,
             dirty: Arc::new(Vec::decode(reader)?),
             profile: MutationProfile::decode(reader)?,
         })

@@ -309,6 +309,8 @@ struct WorkerRuntime<'a, P: PieProgram> {
     reported_window: Option<usize>,
     /// Warm start consulted by the PEval step; `None` is a cold run.
     seed: Option<&'a IncrementalSeed>,
+    /// Whether the last PEval step started from `seed`.
+    warm: bool,
 }
 
 /// What [`WorkerRuntime::handle`] asks the surrounding loop to do.
@@ -343,6 +345,7 @@ impl<'a, P: PieProgram> WorkerRuntime<'a, P> {
             checkpoint_every,
             reported_window: None,
             seed,
+            warm: false,
         }
     }
 
@@ -370,6 +373,7 @@ impl<'a, P: PieProgram> WorkerRuntime<'a, P> {
             ),
             _ => None,
         };
+        self.warm = seeded.is_some();
         let partial =
             seeded.unwrap_or_else(|| self.program.peval(self.query, self.fragment, &mut self.ctx));
         let eval_seconds = t0.elapsed().as_secs_f64();
@@ -482,11 +486,13 @@ impl<'a, P: PieProgram> WorkerRuntime<'a, P> {
         }
     }
 
-    /// Takes the partial result after the run — `None` when the run was
-    /// torn down before PEval ever produced one (e.g. a worker whose
-    /// connection died at its Init command).
-    fn into_partial(self) -> Option<P::Partial> {
-        self.partial
+    /// Takes the partial result after the run, and whether its PEval step
+    /// started from the seed — `None` when the run was torn down before
+    /// PEval ever produced one (e.g. a worker whose connection died at its
+    /// Init command).
+    fn into_partial(self) -> Option<(P::Partial, bool)> {
+        let warm = self.warm;
+        self.partial.map(|partial| (partial, warm))
     }
 }
 
@@ -520,6 +526,30 @@ pub fn run_worker<P: PieProgram>(
     checkpoint_every: usize,
     seed: Option<&IncrementalSeed>,
 ) -> Option<P::Partial> {
+    run_seeded_worker(
+        program,
+        query,
+        fragment,
+        transport,
+        threads,
+        checkpoint_every,
+        seed,
+    )
+    .map(|(partial, _)| partial)
+}
+
+/// [`run_worker`], also telling whether the worker's PEval step started from
+/// `seed`: `false` for a cold run, and for a seed the program refused (an
+/// ineligible profile, or [`PieProgram::seed_partial`] declining it).
+pub fn run_seeded_worker<P: PieProgram>(
+    program: &P,
+    query: &P::Query,
+    fragment: &Fragment<P::VertexData, P::EdgeData>,
+    transport: &impl WorkerTransport<P::Value>,
+    threads: usize,
+    checkpoint_every: usize,
+    seed: Option<&IncrementalSeed>,
+) -> Option<(P::Partial, bool)> {
     let pool = Arc::new(ThreadPool::new(threads));
     let mut worker = WorkerRuntime::new(program, query, fragment, pool, checkpoint_every, seed);
     loop {
@@ -1194,10 +1224,11 @@ impl<P: PieProgram> GrapeEngine<P> {
                 stats_out.slot_build_seconds = slot_build_seconds;
                 stats_out.num_workers = n;
                 stats_out.program = program.name().to_string();
-                let partials = workers
+                let (partials, warm): (Vec<_>, Vec<bool>) = workers
                     .into_iter()
                     .map(|w| w.into_partial().expect("every worker ran PEval"))
-                    .collect();
+                    .unzip();
+                stats_out.warm_fragments = warm.into_iter().filter(|&w| w).count();
                 (partials, stats_out)
             })
         } else {
@@ -1210,7 +1241,7 @@ impl<P: PieProgram> GrapeEngine<P> {
                     let program = Arc::clone(&program);
                     let seed = seeds.get(f);
                     handles.push(scope.spawn(move || {
-                        run_worker(
+                        run_seeded_worker(
                             &*program,
                             query,
                             fragment,
@@ -1228,10 +1259,14 @@ impl<P: PieProgram> GrapeEngine<P> {
                 // can join them.
                 let coordination = self.run_coordinator(fragments, &coord, None);
                 let mut partials = Vec::with_capacity(n);
+                let mut warm_fragments = 0;
                 let mut panic_message = None;
                 for handle in handles {
                     match handle.join() {
-                        Ok(partial) => partials.push(partial),
+                        Ok((partial, warm)) => {
+                            partials.push(partial);
+                            warm_fragments += usize::from(warm);
+                        }
                         Err(payload) => {
                             let msg = payload
                                 .downcast_ref::<&str>()
@@ -1245,7 +1280,9 @@ impl<P: PieProgram> GrapeEngine<P> {
                 if let Some(msg) = panic_message {
                     return Err(RunError::WorkerPanic(msg));
                 }
-                Ok((partials, coordination?))
+                let mut stats_out = coordination?;
+                stats_out.warm_fragments = warm_fragments;
+                Ok((partials, stats_out))
             })
         }
     }

@@ -46,14 +46,14 @@ pub mod transport;
 
 pub use chaos::{ChaosConfig, ChaosCoordTransport, ChaosWorkerTransport, DeterministicRng};
 pub use context::PieContext;
-pub use converged::{ConvergedState, DeltaLog, IncrementalSeed};
+pub use converged::{ConvergedState, DeltaLog, IncrementalSeed, WarmHandle};
 pub use engine::{
-    run_worker, EngineConfig, EngineConfigBuilder, ExecutionMode, GrapeEngine, GrapeResult,
-    RunError,
+    run_seeded_worker, run_worker, EngineConfig, EngineConfigBuilder, ExecutionMode, GrapeEngine,
+    GrapeResult, RunError,
 };
 pub use message::VertexValue;
 pub use par::{ThreadCount, ThreadPool};
-pub use program::PieProgram;
+pub use program::{encode_owner_column, owner_columns, PieProgram};
 pub use ship::{
     decode_fragment, decode_fragment_parts, encode_fragment, encode_fragment_epoch,
     encode_fragment_parts, TAG_FRAGMENT,

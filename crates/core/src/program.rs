@@ -1,11 +1,12 @@
 //! The PIE program trait.
 
 use crate::context::PieContext;
-use grape_comm::{MessageSize, Wire};
+use grape_comm::{MessageSize, Wire, WireError, WireReader};
 use grape_graph::delta::MutationProfile;
 use grape_graph::VertexId;
 use grape_partition::Fragment;
 use std::fmt::Debug;
+use std::sync::Arc;
 
 /// A PIE program: three sequential functions (PEval, IncEval, Assemble) plus
 /// the declarations that the paper adds to them — the update-parameter value
@@ -127,10 +128,95 @@ pub trait PieProgram: Send + Sync {
         None
     }
 
+    /// Encodes what Assemble needs of one fragment's converged partial, for
+    /// a worker that sends its result across a process boundary. The default
+    /// is the whole partial ([`PieProgram::snapshot_partial`]). A program
+    /// whose answer is one value per vertex sends only its owners' values
+    /// ([`encode_owner_column`]). `None` when the program can do neither.
+    fn encode_answer(
+        &self,
+        _fragment: &Fragment<Self::VertexData, Self::EdgeData>,
+        partial: &Self::Partial,
+    ) -> Option<Vec<u8>> {
+        self.snapshot_partial(partial)
+    }
+
+    /// Assembles `Q(G)` from every fragment's [`PieProgram::encode_answer`]
+    /// bytes, given in fragment order beside the fragments they came from.
+    /// The bytes come from a peer, so an answer that does not decode is an
+    /// error, never a panic. The default restores each partial and runs
+    /// [`PieProgram::assemble`]; either way the output equals `assemble` of
+    /// the partials the answers were encoded from.
+    fn assemble_answers(
+        &self,
+        fragments: &[Arc<Fragment<Self::VertexData, Self::EdgeData>>],
+        answers: &[Vec<u8>],
+    ) -> Result<Self::Output, WireError> {
+        debug_assert_eq!(fragments.len(), answers.len());
+        let partials = answers
+            .iter()
+            .enumerate()
+            .map(|(f, bytes)| {
+                self.restore_partial(bytes).ok_or_else(|| {
+                    WireError::Refused(format!("the answer of fragment {f} does not restore"))
+                })
+            })
+            .collect::<Result<_, _>>()?;
+        Ok(self.assemble(partials))
+    }
+
     /// Human-readable name used in statistics and benchmark tables.
     fn name(&self) -> &str {
         "pie-program"
     }
+}
+
+/// Encodes one value per inner vertex of `fragment`, in
+/// [`Fragment::inner_dense_indices`] order, as a `Vec<T>` — the answer of a
+/// program whose output holds each vertex once, from its owner.
+/// `value_at(i)` reads the value of local dense index `i`.
+pub fn encode_owner_column<V: Clone, E: Clone, T: Wire>(
+    fragment: &Fragment<V, E>,
+    value_at: impl Fn(u32) -> T,
+) -> Vec<u8> {
+    let inner = fragment.inner_dense_indices();
+    let mut out = Vec::with_capacity(4 + inner.len() * std::mem::size_of::<T>());
+    (inner.len() as u32).encode(&mut out);
+    for &i in inner {
+        value_at(i).encode(&mut out);
+    }
+    out
+}
+
+/// Decodes the [`encode_owner_column`] answers of every fragment, in
+/// fragment order. Each must hold exactly one value per inner vertex of its
+/// fragment ([`Fragment::num_inner`]) and nothing after them; anything else
+/// is refused with the fragment named.
+pub fn owner_columns<V: Clone, E: Clone, T: Wire>(
+    fragments: &[Arc<Fragment<V, E>>],
+    answers: &[Vec<u8>],
+) -> Result<Vec<Vec<T>>, WireError> {
+    fragments
+        .iter()
+        .zip(answers)
+        .enumerate()
+        .map(|(f, (fragment, bytes))| {
+            let mut reader = WireReader::new(bytes);
+            let column = Vec::<T>::decode(&mut reader)
+                .and_then(|column| reader.finish().map(|()| column))
+                .map_err(|e| {
+                    WireError::Refused(format!("the answer of fragment {f} does not decode: {e}"))
+                })?;
+            if column.len() != fragment.num_inner() {
+                return Err(WireError::Refused(format!(
+                    "the answer of fragment {f} holds {} values for its {} inner vertices",
+                    column.len(),
+                    fragment.num_inner()
+                )));
+            }
+            Ok(column)
+        })
+        .collect()
 }
 
 #[cfg(test)]

@@ -73,27 +73,33 @@ pub struct RunStats {
     /// Coordinator seconds in the IncEval send loop, likewise: building each
     /// command, encoding it on a framed transport, handing it over.
     pub send_seconds: f64,
-    /// Seconds Assemble took to combine the partials into the answer; `0`
+    /// Seconds Assemble took to combine the partials — or, through daemons,
+    /// to decode the workers' answers and combine them — into the answer; `0`
     /// from the entry points that stop before it
     /// ([`crate::GrapeEngine::run_partials`], `run_coordinator`).
     pub assemble_seconds: f64,
     /// Seconds a query through daemons spent handing each worker its job:
     /// dialling (or taking the connection), encoding the `TAG_QUERY` frame,
-    /// warm seed included, and sending it, summed over workers (a batch run
+    /// warm handle included, and sending it, summed over workers (a batch run
     /// ships the fragment in the same step). Reconnects after a worker loss
     /// count too; those run inside [`RunStats::wall_time`]. `0` when the
     /// workers are in-process.
     pub dispatch_seconds: f64,
-    /// Seconds from the end of the BSP run until the workers' converged
-    /// partials are in hand on a query through daemons: waiting for every
-    /// `TAG_RESULT` frame, then `restore_partial` on each. `0` when the
-    /// workers are in-process.
+    /// Seconds from the end of the BSP run until every worker's answer is in
+    /// hand on a query through daemons: the wait for its `TAG_RESULT` frame.
+    /// Decoding the answers is Assemble's ([`RunStats::assemble_seconds`]).
+    /// `0` when the workers are in-process.
     pub collect_seconds: f64,
     /// Bytes of the query's `TAG_QUERY` frames sent plus its `TAG_RESULT`
     /// frames received, headers included: the per-query state that crosses
-    /// the service boundary outside the supersteps. Not part of
+    /// the service boundary outside the supersteps. A warm job carries a
+    /// handle, not a partial, and a result what Assemble reads. Not part of
     /// [`RunStats::bytes`]. `0` when the workers are in-process.
     pub boundary_bytes: u64,
+    /// Fragments whose PEval started from a converged partial kept where
+    /// their worker runs, instead of running cold: `0` on a cold run, the
+    /// worker count when every fragment was warm.
+    pub warm_fragments: usize,
     /// Total messages shipped through the coordinator.
     pub messages: u64,
     /// Total bytes shipped.
@@ -159,6 +165,7 @@ mod tests {
             dispatch_seconds: 0.0,
             collect_seconds: 0.0,
             boundary_bytes: 0,
+            warm_fragments: 0,
             messages: 1000,
             bytes: 2_000_000,
             monotonicity_violations: 0,

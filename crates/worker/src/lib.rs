@@ -49,7 +49,7 @@ use std::time::Duration;
 
 pub mod service;
 
-pub use grape_core::IncrementalSeed;
+pub use grape_core::WarmHandle;
 pub use service::{
     Endpoint, GrapeService, QueryHandle, QueryOutcome, ServiceHandle, ServiceListener,
     ServiceOptions, Session, SessionConfig, SessionGraph, SessionUpdate, UpdateReceipt, UpdateSpec,
@@ -381,9 +381,15 @@ impl<S: ServiceStream> ClassVisitor for Batch<'_, '_, S> {
                 })?;
             Ok((stream, sent))
         };
-        let (partials, _, stats) = coordinate(&engine, fragments, recoverable, &mut open)?;
+        let (answers, mut stats) = coordinate(&engine, fragments, recoverable, &mut open)?;
+        let assemble_started = std::time::Instant::now();
+        let output = engine
+            .program()
+            .assemble_answers(fragments, &answers)
+            .map_err(|e| bad_data(e.to_string()))?;
+        stats.assemble_seconds = assemble_started.elapsed().as_secs_f64();
         Ok(QueryOutcome {
-            result: wrap(engine.program().assemble(partials)),
+            result: wrap(output),
             stats,
         })
     }

@@ -38,14 +38,21 @@
 //!    graph). The worker stores the fragment in its registry and acks with
 //!    `TAG_LOADED`.
 //! 2. `TAG_QUERY` carries a [`QueryJob`] — the typed query, its run id and,
-//!    for a warm start, the worker's [`IncrementalSeed`] — stamped with that
-//!    run id as the frame epoch. The worker resolves the resident fragment
-//!    and enters the ordinary BSP worker loop at that epoch (`Init` → PEval
-//!    report → (`IncEval` → report)* → `Finish`); the coordinator drives the
-//!    ordinary fixpoint over a per-query slot table.
-//! 3. After `Finish`, the worker answers with one `TAG_RESULT` frame whose
-//!    body is its snapshot-encoded partial and nothing else; the coordinator
-//!    restores the k partials and assembles them into the typed output.
+//!    for a warm start, a [`WarmHandle`] naming the graph version the
+//!    worker's kept partial must have converged at — stamped with that run id
+//!    as the frame epoch. The worker resolves the resident fragment, and the
+//!    converged partial it keeps beside it for this query when that partial
+//!    is of the handle's version, and enters the ordinary BSP worker loop at
+//!    that epoch (`Init` → PEval report → (`IncEval` → report)* → `Finish`);
+//!    the coordinator drives the ordinary fixpoint over a per-query slot
+//!    table.
+//! 3. After `Finish`, the worker keeps its converged partial's snapshot
+//!    beside the fragment, stamped with the fragment's version, and answers
+//!    with one `TAG_RESULT` frame: [`PieProgram::encode_answer`] of its
+//!    partial — for sssp, cc and pagerank one value per inner vertex — then a
+//!    `bool` telling whether its PEval started warm. The coordinator
+//!    assembles the k answers into the typed output
+//!    ([`PieProgram::assemble_answers`]).
 //! 4. `TAG_UPDATE` (sessions only) carries a versioned mutation batch for one
 //!    resident fragment, acked with `TAG_UPDATED`.
 //!
@@ -73,12 +80,12 @@ use grape_comm::wire::{
 };
 use grape_comm::CommStats;
 use grape_core::chaos::{ChaosConfig, ChaosWorkerTransport};
-use grape_core::engine::run_worker;
 use grape_core::par::ThreadCount;
 use grape_core::transport::{FramedStreamCoord, FramedStreamWorker, SplitStream};
 use grape_core::{
-    decode_fragment, encode_fragment_epoch, ConvergedState, DeltaLog, EngineConfig, GrapeEngine,
-    IncrementalSeed, MutationProfile, PieProgram, RunStats, VertexId, TAG_FRAGMENT,
+    decode_fragment, encode_fragment_epoch, run_seeded_worker, ConvergedState, DeltaLog,
+    EngineConfig, GrapeEngine, IncrementalSeed, MutationProfile, PieProgram, RunStats, VertexId,
+    WarmHandle, TAG_FRAGMENT,
 };
 use grape_graph::delta::{stage_batch, GraphMutation, LiveView};
 use grape_graph::generators::{
@@ -126,6 +133,10 @@ impl Endpoint {
     /// ahead of whatever the caller sends next.
     fn dial(&self, token: &Option<String>) -> io::Result<ServiceSocket> {
         let mut stream = self.connect()?;
+        // A session writes small frames back to back (a job, then its first
+        // command) on a socket that has already been answered: neither may
+        // wait on a delayed ACK.
+        stream.set_nodelay()?;
         wire::write_frame_io_epoch(&mut stream, TAG_HELLO, 0, token)?;
         Ok(stream)
     }
@@ -349,10 +360,11 @@ pub struct QueryJob {
     /// Chaos drill: the worker dies upon receiving this command index — a
     /// daemon severs the connection, a dialled-in process SIGKILLs itself.
     pub kill_at: Option<u32>,
-    /// Warm start: the worker's converged partial from a previous run of the
-    /// same query, plus the dirty set of the updates applied since. `None`
-    /// runs the ordinary cold PEval.
-    pub seed: Option<IncrementalSeed>,
+    /// Warm start: the graph version at which the worker's kept partial of
+    /// this query must have converged, plus the dirty set of the updates
+    /// applied since. `None`, or a version the worker does not hold, runs the
+    /// ordinary cold PEval.
+    pub seed: Option<WarmHandle>,
 }
 
 impl Wire for QueryJob {
@@ -378,7 +390,7 @@ impl Wire for QueryJob {
             checkpoint_every: reader.u32()?,
             query: Query::decode(reader)?,
             kill_at: Option::<u32>::decode(reader)?,
-            seed: Option::<IncrementalSeed>::decode(reader)?,
+            seed: Option::<WarmHandle>::decode(reader)?,
         })
     }
 }
@@ -624,13 +636,17 @@ struct LoadedGraph {
     /// snapshot is gone.
     assignment: Arc<PartitionAssignment>,
     /// Update history: per-version dirty sets + profiles, so a converged
-    /// state cached at version `v` can be re-seeded across any number of
-    /// later updates.
+    /// state kept at version `v` can be re-seeded across any number of later
+    /// updates.
     log: DeltaLog,
-    /// Converged states keyed by the query's wire encoding: the per-fragment
-    /// snapshot-encoded partials of the last completed run of that query,
-    /// and the graph version they converged at.
-    converged: HashMap<Vec<u8>, ConvergedState>,
+    /// The graph version the last completed run of each query converged at,
+    /// keyed by the query's wire encoding. The converged partials stay where
+    /// the workers ran: beside the daemons' resident fragments, or in
+    /// `local`.
+    converged: HashMap<Vec<u8>, u64>,
+    /// In-process sessions only: each converged query's per-fragment
+    /// snapshots, under the same key and version as `converged`.
+    local: HashMap<Vec<u8>, ConvergedState>,
     /// The wire encoding of a resolved batch whose ship to the daemons
     /// failed: some of them may hold version `log.version() + 1` already,
     /// and their version fence would skip any other batch sent under that
@@ -723,6 +739,17 @@ struct ResidentGraph {
     /// Kept per slot because one daemon may host several fragments of the
     /// same graph, each updated over its own connection.
     versions: Vec<u64>,
+    /// The converged partial of the last run of each query on each slot,
+    /// keyed by fragment index and the query's wire encoding: what a warm
+    /// [`QueryJob::seed`] names by its version.
+    converged: HashMap<(u32, Vec<u8>), KeptPartial>,
+}
+
+/// A converged partial kept beside its resident fragment: the snapshot bytes
+/// of the run, and the fragment version the run converged at.
+struct KeptPartial {
+    version: u64,
+    snapshot: Arc<Vec<u8>>,
 }
 
 /// Daemon knobs.
@@ -759,6 +786,35 @@ impl ServiceState {
             stop: AtomicBool::new(false),
             chaos,
             on_kill,
+        }
+    }
+
+    /// Keeps a query's converged `snapshot` beside fragment `index` of graph
+    /// `graph_id`, stamped with the fragment `version` the run converged at.
+    /// Never replaces a fresher entry: a concurrent run of the same query
+    /// may have converged on a later version.
+    fn keep_converged(
+        &self,
+        graph_id: u64,
+        index: u32,
+        key: Vec<u8>,
+        version: u64,
+        snapshot: Vec<u8>,
+    ) {
+        let mut registry = self.registry.lock().unwrap();
+        let Some(resident) = registry.get_mut(&graph_id) else {
+            return;
+        };
+        let key = (index, key);
+        if resident
+            .converged
+            .get(&key)
+            .is_none_or(|kept| kept.version <= version)
+        {
+            let snapshot = Arc::new(snapshot);
+            resident
+                .converged
+                .insert(key, KeptPartial { version, snapshot });
         }
     }
 }
@@ -988,6 +1044,9 @@ fn read_ack(stream: &mut impl Read, tag: u8, what: &str) -> io::Result<Vec<u8>> 
 /// One accepted connection's life in a daemon: authenticate the client, then
 /// serve its frames.
 fn serve_connection<S: ServiceStream>(mut stream: S, state: &ServiceState) -> io::Result<()> {
+    // The answers to a session are small frames written back to back (a
+    // result after the last report): none may wait on a delayed ACK.
+    stream.set_nodelay()?;
     expect_hello(
         &mut stream,
         state.options.token.as_deref(),
@@ -1120,6 +1179,7 @@ fn load_fragment<S: ServiceStream>(
                     FragmentHandle::Labeled(_) => ResidentFragments::Labeled(vec![None; n]),
                 },
                 versions: vec![0; n],
+                converged: HashMap::new(),
             });
         let fits = entry.workers == spec.workers && entry.vertices == spec.vertices;
         if !(fits && entry.fragments.put(spec.index as usize, fragment)) {
@@ -1128,6 +1188,9 @@ fn load_fragment<S: ServiceStream>(
                 spec.graph_id
             )));
         }
+        // What converged on the fragment this one replaces says nothing
+        // about it.
+        entry.converged.retain(|&(index, _), _| index != spec.index);
     }
 
     wire::write_frame_io_epoch(stream, TAG_LOADED, epoch, &spec.graph_id)?;
@@ -1234,16 +1297,19 @@ fn apply_update<S: ServiceStream>(
     stream.flush()
 }
 
-/// Handles one `TAG_QUERY`: resolves the resident fragment and runs the BSP
-/// worker loop for it at the query's epoch, then ships the result home.
+/// Handles one `TAG_QUERY`: resolves the resident fragment, and the warm
+/// start its job names, and runs the BSP worker loop for it at the query's
+/// epoch, then ships the result home.
 fn serve_query<S: ServiceStream>(
     stream: &S,
     job: QueryJob,
     state: &ServiceState,
 ) -> io::Result<()> {
-    // Clone the fragment handle out and release the lock before evaluating:
-    // concurrent queries must not serialize on the registry.
-    let (fragment_slot, vertices) = {
+    let key = job.query.encode_to_vec();
+    // Clone the fragment handle and the kept snapshot out and release the
+    // lock before evaluating: concurrent queries must not serialize on the
+    // registry.
+    let (fragment_slot, vertices, version, seed) = {
         let registry = state.registry.lock().unwrap();
         let resident = registry.get(&job.graph_id).ok_or_else(|| {
             bad_data(format!(
@@ -1257,9 +1323,18 @@ fn serve_query<S: ServiceStream>(
                 job.index, job.workers, job.graph_id, resident.workers
             )));
         }
+        // Warm only from a partial of exactly the handle's version: the
+        // handle's dirty set covers the updates since that one alone.
+        let seed = job.seed.as_ref().and_then(|handle| {
+            let kept = resident.converged.get(&(job.index, key.clone()))?;
+            (kept.version == handle.version).then(|| handle.seed(Arc::clone(&kept.snapshot)))
+        });
+        let index = job.index as usize;
         (
-            resident.fragments.handle(job.index as usize),
+            resident.fragments.handle(index),
             resident.vertices,
+            resident.versions[index],
+            seed,
         )
     };
     let Some(fragment) = fragment_slot else {
@@ -1276,6 +1351,8 @@ fn serve_query<S: ServiceStream>(
         stream,
         state,
         job: &job,
+        seed,
+        kept: (key, version),
     };
     dispatch(&job.query, vertices, fragments, answer)
 }
@@ -1293,6 +1370,11 @@ struct Answer<'a, S> {
     stream: &'a S,
     state: &'a ServiceState,
     job: &'a QueryJob,
+    /// The warm start resolved from the job's handle; `None` runs cold.
+    seed: Option<IncrementalSeed>,
+    /// The query's key and the fragment version its converged partial is
+    /// kept under.
+    kept: (Vec<u8>, u64),
 }
 
 impl<S: ServiceStream> ClassVisitor for Answer<'_, S> {
@@ -1302,8 +1384,8 @@ impl<S: ServiceStream> ClassVisitor for Answer<'_, S> {
     /// the connection at the query's epoch; the outer frame loop keeps the
     /// original for the next frame, which is safe because the protocol is
     /// strictly request-response (the coordinator sends nothing after
-    /// `Finish` until it has our `TAG_RESULT`). A seed on the job goes to the
-    /// worker loop as it is.
+    /// `Finish` until it has our `TAG_RESULT`). The converged partial is kept
+    /// before the result goes out, so the next warm job finds it.
     fn visit<P: PieProgram>(
         self,
         program: P,
@@ -1311,7 +1393,13 @@ impl<S: ServiceStream> ClassVisitor for Answer<'_, S> {
         _wrap: impl Fn(P::Output) -> QueryResult,
         fragments: &[Arc<Fragment<P::VertexData, P::EdgeData>>],
     ) -> io::Result<()> {
-        let Answer { stream, state, job } = self;
+        let Answer {
+            stream,
+            state,
+            job,
+            seed,
+            kept: (key, version),
+        } = self;
         let fragment = &*fragments[0];
         let run_id = job.run_id;
         let threads = ThreadCount::from(job.threads).resolve(job.workers as usize, false);
@@ -1334,14 +1422,14 @@ impl<S: ServiceStream> ClassVisitor for Answer<'_, S> {
             }
         };
         let transport = ChaosWorkerTransport::new(transport, chaos, Box::new(on_kill));
-        let partial = run_worker(
+        let outcome = run_seeded_worker(
             &program,
             &query,
             fragment,
             &transport,
             threads,
             checkpoint_every,
-            job.seed.as_ref(),
+            seed.as_ref(),
         );
         // The worker loop also stops on connection failure; only a clean
         // Finish-terminated run may report a result.
@@ -1350,19 +1438,23 @@ impl<S: ServiceStream> ClassVisitor for Answer<'_, S> {
                 "query {run_id} torn down: {reason}"
             )));
         }
-        let Some(partial) = partial else {
+        let Some((partial, warm)) = outcome else {
             return Err(io::Error::other(format!(
                 "query {run_id} torn down before PEval"
             )));
         };
-        // The result goes home as the snapshot-encoded partial and nothing
-        // else: the coordinator restores and assembles.
-        let snapshot = program
-            .snapshot_partial(&partial)
-            .ok_or_else(|| io::Error::other("program cannot snapshot its partial result"))?;
-        let mut frame = Vec::with_capacity(wire::HEADER_LEN + snapshot.len());
+        if let Some(snapshot) = program.snapshot_partial(&partial) {
+            state.keep_converged(job.graph_id, job.index, key, version, snapshot);
+        }
+        // The result goes home as what Assemble reads of the partial, then
+        // the flag that says whether PEval started warm.
+        let answer = program
+            .encode_answer(fragment, &partial)
+            .ok_or_else(|| io::Error::other("program cannot encode its answer"))?;
+        let mut frame = Vec::with_capacity(wire::HEADER_LEN + 1 + answer.len());
         wire::encode_frame_with_epoch(TAG_RESULT, run_id, &mut frame, |out| {
-            out.extend_from_slice(&snapshot)
+            out.extend_from_slice(&answer);
+            warm.encode(out);
         });
         send(&mut stream.try_clone_stream()?, &frame)
     }
@@ -1554,6 +1646,7 @@ impl Session {
             assignment: Arc::new(assignment),
             log: DeltaLog::new(),
             converged: HashMap::new(),
+            local: HashMap::new(),
             in_doubt: None,
         });
         Ok(())
@@ -1577,10 +1670,11 @@ impl Session {
     /// session refuses any other batch and every query, naming the version
     /// in doubt. In-process sessions ship nothing and are never in doubt.
     ///
-    /// Subsequent [`Session::submit`] calls of a query class that has already
-    /// converged on this session are transparently **incremental**: they
-    /// re-seed IncEval from the cached converged state and the batch's dirty
-    /// set instead of re-running PEval cold, with bit-identical results.
+    /// Subsequent [`Session::submit`] calls of a query that has already
+    /// converged on this session are transparently **incremental**: each
+    /// worker re-seeds from the converged state it keeps and the batch's
+    /// dirty set instead of re-running PEval cold, with bit-identical
+    /// results ([`RunStats::warm_fragments`] counts the fragments that did).
     pub fn update(&self, batch: impl Into<SessionUpdate>) -> io::Result<UpdateReceipt> {
         self.inner.apply_session_update(batch.into())
     }
@@ -1904,25 +1998,32 @@ impl SessionInner {
                     loaded.log.version() + 1
                 )));
             }
-            let mut key = Vec::new();
-            query.encode(&mut key);
-            // Warm start: the cached converged state of this exact query (if
-            // any), one seed per fragment, re-based across every update
-            // applied since it converged. Only built when updates actually
-            // happened — a plain resubmission stays cold, so its stats
-            // (supersteps, messages) reproduce exactly.
-            let mut seeds = Vec::new();
-            let cached = loaded.converged.get(&key);
-            if let Some(entry) = cached.filter(|entry| entry.version < loaded.log.version()) {
-                if let Some((dirty, profile)) = loaded.log.since(entry.version) {
-                    let dirty = Arc::new(dirty);
-                    seeds.extend(entry.partials.iter().map(|snapshot| IncrementalSeed {
-                        snapshot: Arc::clone(snapshot),
-                        dirty: Arc::clone(&dirty),
+            let key = query.encode_to_vec();
+            // Warm start: the version this exact query last converged at (if
+            // any), re-based across every update applied since. Only built
+            // when updates actually happened — a plain resubmission stays
+            // cold, so its stats (supersteps, messages) reproduce exactly.
+            let handle = loaded
+                .converged
+                .get(&key)
+                .filter(|&&converged| converged < loaded.log.version())
+                .and_then(|&converged| {
+                    let (dirty, profile) = loaded.log.since(converged)?;
+                    Some(WarmHandle {
+                        version: converged,
+                        dirty: Arc::new(dirty),
                         profile,
-                    }));
-                }
-            }
+                    })
+                });
+            // In-process workers keep their partials here.
+            let seeds = match (&handle, loaded.local.get(&key)) {
+                (Some(handle), Some(kept)) if kept.version == handle.version => kept
+                    .partials
+                    .iter()
+                    .map(|snapshot| handle.seed(Arc::clone(snapshot)))
+                    .collect(),
+                _ => Vec::new(),
+            };
             (
                 loaded.graph_id,
                 loaded.vertices,
@@ -1930,6 +2031,7 @@ impl SessionInner {
                 WarmContext {
                     cache_key: key,
                     version: loaded.log.version(),
+                    handle,
                     seeds,
                 },
             )
@@ -1945,28 +2047,29 @@ impl SessionInner {
         dispatch(query, vertices, fragments.as_family(), run)
     }
 
-    /// Caches a run's converged partials under its query key, stamped with
-    /// the graph version the run started at — so later submissions re-seed
-    /// across exactly the updates applied since. Never replaces a fresher
-    /// entry (a concurrent query may have finished on newer fragments), and
-    /// drops the write if the graph was replaced mid-run.
-    fn store_converged(&self, graph_id: u64, warm: &WarmContext, partials: Vec<Vec<u8>>) {
+    /// Records that a run of the query converged, stamped with the graph
+    /// version the run started at — so later submissions re-seed across
+    /// exactly the updates applied since — and, for in-process workers,
+    /// keeps their `snapshots`. Never replaces a fresher entry (a concurrent
+    /// query may have finished on newer fragments), and drops the write if
+    /// the graph was replaced mid-run.
+    fn store_converged(&self, graph_id: u64, warm: &WarmContext, snapshots: Option<Vec<Vec<u8>>>) {
         let mut guard = self.graph.lock().unwrap();
         let Some(loaded) = guard.as_mut() else { return };
         if loaded.graph_id != graph_id {
             return;
         }
-        match loaded.converged.get(&warm.cache_key) {
-            Some(existing) if existing.version > warm.version => {}
-            _ => {
-                loaded.converged.insert(
-                    warm.cache_key.clone(),
-                    ConvergedState {
-                        version: warm.version,
-                        partials: partials.into_iter().map(Arc::new).collect(),
-                    },
-                );
-            }
+        let key = &warm.cache_key;
+        if loaded.converged.get(key).is_some_and(|&v| v > warm.version) {
+            return;
+        }
+        loaded.converged.insert(key.clone(), warm.version);
+        if let Some(snapshots) = snapshots {
+            let kept = ConvergedState {
+                version: warm.version,
+                partials: snapshots.into_iter().map(Arc::new).collect(),
+            };
+            loaded.local.insert(key.clone(), kept);
         }
     }
 }
@@ -1986,11 +2089,11 @@ impl ClassVisitor for SessionRun<'_> {
     type Out = QueryOutcome;
 
     /// Drives the query in-process over the resident fragments, or as a
-    /// coordinator over per-query daemon connections. With cached seeds the
-    /// run is incremental — PEval warm-starts from the cached converged
-    /// partials and the dirty set of the updates applied since; either way
-    /// both backends end in the same tail: the converged partials of this run
-    /// are cached for the next submission, then assembled.
+    /// coordinator over per-query daemon connections. With a warm handle the
+    /// run is incremental — each worker's PEval warm-starts from the
+    /// converged partial it keeps and the dirty set of the updates applied
+    /// since; either way the run's convergence is recorded for the next
+    /// submission, and the answer assembled.
     fn visit<P: PieProgram>(
         self,
         program: P,
@@ -2012,17 +2115,22 @@ impl ClassVisitor for SessionRun<'_> {
         if kill.is_some() && config.checkpoint_every == 0 {
             config.checkpoint_every = 1;
         }
-        // Do not ship a seed that will be refused: the worker decides, but an
-        // update shape the program cannot replay from its old fixpoint runs
-        // cold either way (and still refreshes the converged cache).
-        let seeds = match warm.seeds.first() {
-            Some(seed) if program.incremental_eligible(&seed.profile) => &warm.seeds[..],
-            _ => &[],
+        // Do not ship a handle that will be refused: the worker decides, but
+        // an update shape the program cannot replay from its old fixpoint
+        // runs cold either way (and still refreshes the converged state).
+        let handle = warm
+            .handle
+            .as_ref()
+            .filter(|handle| program.incremental_eligible(&handle.profile));
+        let seeds = if handle.is_some() {
+            &warm.seeds[..]
+        } else {
+            &[]
         };
         let engine = GrapeEngine::new(program).with_config(config);
         let program = engine.program();
 
-        let (partials, snapshots, mut stats) = if remote {
+        let (output, snapshots, stats) = if remote {
             // A stream to worker `i` at epoch `e`: a fresh connection to its
             // daemon, which holds the fragment resident — reconnecting after
             // a loss re-ships nothing.
@@ -2042,9 +2150,9 @@ impl ClassVisitor for SessionRun<'_> {
                     kill_at: kill
                         .filter(|&(victim, _)| victim == worker && epoch == run_id)
                         .map(|(_, at)| at as u32),
-                    // The seed rides on the job itself, so a worker replaced
-                    // mid-run re-enters with the same warm start.
-                    seed: seeds.get(worker).cloned(),
+                    // The handle rides on the job itself, so a worker
+                    // replaced mid-run re-enters with the same warm start.
+                    seed: handle.cloned(),
                 };
                 frame.clear();
                 wire::encode_frame_epoch(TAG_QUERY, epoch, &job, &mut frame);
@@ -2052,9 +2160,16 @@ impl ClassVisitor for SessionRun<'_> {
                 send(&mut stream, &frame)?;
                 Ok((stream, frame.len()))
             };
-            coordinate(&engine, fragments, config.checkpoint_every > 0, &mut open)?
+            let (answers, mut stats) =
+                coordinate(&engine, fragments, config.checkpoint_every > 0, &mut open)?;
+            let assemble_started = Instant::now();
+            let output = program
+                .assemble_answers(fragments, &answers)
+                .map_err(|e| bad_data(format!("query {run_id}: {e}")))?;
+            stats.assemble_seconds = assemble_started.elapsed().as_secs_f64();
+            (output, None, stats)
         } else {
-            let (partials, stats) = engine
+            let (partials, mut stats) = engine
                 .run_partials(&typed, fragments, seeds)
                 .map_err(|e| io::Error::other(e.to_string()))?;
             let snapshots = partials
@@ -2062,12 +2177,12 @@ impl ClassVisitor for SessionRun<'_> {
                 .map(|partial| program.snapshot_partial(partial))
                 .collect::<Option<Vec<_>>>()
                 .ok_or_else(|| io::Error::other("program cannot snapshot its partial result"))?;
-            (partials, snapshots, stats)
+            let assemble_started = Instant::now();
+            let output = program.assemble(partials);
+            stats.assemble_seconds = assemble_started.elapsed().as_secs_f64();
+            (output, Some(snapshots), stats)
         };
         session.store_converged(graph_id, warm, snapshots);
-        let assemble_started = Instant::now();
-        let output = program.assemble(partials);
-        stats.assemble_seconds = assemble_started.elapsed().as_secs_f64();
         Ok(QueryOutcome {
             result: wrap(output),
             stats,
@@ -2119,9 +2234,9 @@ impl<S: ServiceStream> Drop for Hangup<S> {
 
 /// The coordinator side of one query over remote workers: opens a stream per
 /// worker, drives the BSP fixpoint over them, and collects one `TAG_RESULT`
-/// per worker. Returns, in worker order, the workers' converged partials —
-/// restored, ready for Assemble — and the frame bodies they came as (their
-/// snapshots), plus the run's stats.
+/// per worker. Returns, in worker order, the workers' answers — the
+/// [`PieProgram::encode_answer`] bytes [`PieProgram::assemble_answers`]
+/// reads — plus the run's stats, [`RunStats::warm_fragments`] included.
 ///
 /// `open(worker, epoch)` is the only thing that differs between callers: it
 /// must return a stream on which worker `worker` has been sent its
@@ -2131,15 +2246,18 @@ impl<S: ServiceStream> Drop for Hangup<S> {
 /// the batch coordinator takes an accepted connection (or respawns a
 /// process) and ships the fragment first. The stats carry the service
 /// boundary's share: time in `open` ([`RunStats::dispatch_seconds`]), the
-/// result wait and restore ([`RunStats::collect_seconds`]), and the query
-/// and result frame bytes ([`RunStats::boundary_bytes`]).
-#[allow(clippy::type_complexity)]
+/// result wait ([`RunStats::collect_seconds`]), and the query and result
+/// frame bytes ([`RunStats::boundary_bytes`]).
+///
+/// A result frame is a peer's: one that does not end in a warm flag, or
+/// that comes from a worker which already answered, is an `InvalidData`
+/// error; [`PieProgram::assemble_answers`] checks the answers themselves.
 pub(crate) fn coordinate<P, S>(
     engine: &GrapeEngine<P>,
     fragments: &[Arc<Fragment<P::VertexData, P::EdgeData>>],
     recoverable: bool,
     open: &mut dyn FnMut(usize, u32) -> io::Result<(S, usize)>,
-) -> io::Result<(Vec<P::Partial>, Vec<Vec<u8>>, RunStats)>
+) -> io::Result<(Vec<Vec<u8>>, RunStats)>
 where
     P: PieProgram,
     S: ServiceStream,
@@ -2184,12 +2302,13 @@ where
         .run_coordinator(fragments, &transport, recover)
         .map_err(|e| io::Error::other(e.to_string()))?;
 
-    // Collect one TAG_RESULT per worker (any order); its body is the
-    // snapshot, taken as it arrived.
+    // Collect one TAG_RESULT per worker (any order): the answer, taken as it
+    // arrived, then the warm flag.
     let collect_started = Instant::now();
-    let mut snapshots: Vec<Option<Vec<u8>>> = vec![None; n];
-    while snapshots.iter().any(Option::is_none) {
-        let (from, tag, payload) = transport.recv_oob_blocking().ok_or_else(|| {
+    let mut answers: Vec<Option<Vec<u8>>> = vec![None; n];
+    let mut result_bytes = 0;
+    while answers.iter().any(Option::is_none) {
+        let (from, tag, mut payload) = transport.recv_oob_blocking().ok_or_else(|| {
             io::Error::other("connection closed before every worker reported a result")
         })?;
         if tag != TAG_RESULT {
@@ -2197,38 +2316,41 @@ where
                 "expected TAG_RESULT from worker {from}, got tag {tag:#04x}"
             )));
         }
-        snapshots[from] = Some(payload);
+        if answers[from].is_some() {
+            return Err(bad_data(format!("worker {from} answered twice")));
+        }
+        result_bytes += HEADER_LEN + payload.len();
+        let warm = match payload.pop() {
+            Some(0) => false,
+            Some(1) => true,
+            _ => {
+                return Err(bad_data(format!(
+                    "worker {from} sent a result without its warm flag"
+                )))
+            }
+        };
+        stats.warm_fragments += usize::from(warm);
+        answers[from] = Some(payload);
     }
-    let snapshots: Vec<Vec<u8>> = snapshots.into_iter().flatten().collect();
-    let partials = snapshots
-        .iter()
-        .enumerate()
-        .map(|(worker, snapshot)| {
-            engine.program().restore_partial(snapshot).ok_or_else(|| {
-                bad_data(format!(
-                    "worker {worker} returned an undecodable result snapshot"
-                ))
-            })
-        })
-        .collect::<io::Result<_>>()?;
     stats.collect_seconds = collect_started.elapsed().as_secs_f64();
     stats.dispatch_seconds = dispatch_seconds;
-    let result_bytes: usize = snapshots.iter().map(|s| HEADER_LEN + s.len()).sum();
     stats.boundary_bytes = (query_bytes + result_bytes) as u64;
-    Ok((partials, snapshots, stats))
+    Ok((answers.into_iter().flatten().collect(), stats))
 }
 
-/// Context a query carries for the converged-state cache: its cache key, the
-/// graph version its fragments correspond to, and — on a cache hit — the
-/// warm start.
+/// Context a query carries for converged state: its key, the graph version
+/// its fragments correspond to, and — when the query converged before an
+/// update — the warm start.
 struct WarmContext {
-    /// The query's wire encoding: one cache slot per distinct query.
+    /// The query's wire encoding: one converged state per distinct query.
     cache_key: Vec<u8>,
     /// Graph version of the fragments this query runs on.
     version: u64,
-    /// The cached converged state re-based to this version, one seed per
-    /// fragment: its partial plus the merged dirty set and profile of every
-    /// update applied since it converged. Empty on a cache miss.
+    /// The version the query last converged at, and the merged dirty set
+    /// and profile of every update applied since; `None` runs cold.
+    handle: Option<WarmHandle>,
+    /// In-process workers only: the handle made into one seed per fragment
+    /// from the partials the session keeps. Empty without a handle.
     seeds: Vec<IncrementalSeed>,
 }
 
@@ -2466,6 +2588,136 @@ mod tests {
         daemon.shutdown().expect("shutdown");
     }
 
+    /// How [`answer_proxy`] spoils the first `TAG_RESULT` it forwards.
+    #[derive(Clone, Copy, Debug)]
+    enum Spoil {
+        /// The owner column one value short of the fragment's inner count.
+        Short,
+        /// A byte of the column cut off.
+        Truncated,
+        /// A byte after the column.
+        Trailing,
+        /// Sent twice; every other worker's result is held back.
+        Twice,
+    }
+
+    /// A fake daemon: a proxy in front of `upstream` that passes every frame
+    /// through, but spoils the first result frame a session gets through it.
+    fn answer_proxy(upstream: Endpoint, spoil: Spoil) -> Endpoint {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind proxy");
+        let endpoint = Endpoint::Tcp(listener.local_addr().expect("addr").to_string());
+        let fired = Arc::new(AtomicBool::new(false));
+        std::thread::spawn(move || {
+            for client in listener.incoming() {
+                let Ok(mut client) = client else { return };
+                let mut daemon = upstream.connect().expect("upstream");
+                let (mut to_daemon, mut from_client) = (
+                    daemon.try_clone_stream().unwrap(),
+                    client.try_clone().unwrap(),
+                );
+                std::thread::spawn(move || {
+                    let _ = io::copy(&mut from_client, &mut to_daemon);
+                    let _ = to_daemon.shutdown_both();
+                });
+                let fired = Arc::clone(&fired);
+                std::thread::spawn(move || {
+                    while let Ok(Some((tag, epoch, mut body))) =
+                        wire::read_frame_io_epoch(&mut daemon)
+                    {
+                        let mut copies = 1;
+                        if tag == TAG_RESULT {
+                            if fired.swap(true, Ordering::SeqCst) {
+                                copies = usize::from(!matches!(spoil, Spoil::Twice));
+                            } else {
+                                // The column, then the warm flag.
+                                let flag = body.len() - 1;
+                                match spoil {
+                                    Spoil::Short => {
+                                        let len = u32::from_le_bytes(body[..4].try_into().unwrap());
+                                        body[..4].copy_from_slice(&(len - 1).to_le_bytes());
+                                        body.drain(flag - 8..flag);
+                                    }
+                                    Spoil::Truncated => drop(body.remove(flag - 1)),
+                                    Spoil::Trailing => body.insert(flag, 0),
+                                    Spoil::Twice => copies = 2,
+                                }
+                            }
+                        }
+                        let mut frame = Vec::new();
+                        for _ in 0..copies {
+                            wire::encode_frame_with_epoch(tag, epoch, &mut frame, |out| {
+                                out.extend_from_slice(&body)
+                            });
+                        }
+                        if client.write_all(&frame).is_err() {
+                            break;
+                        }
+                    }
+                    let _ = client.shutdown(std::net::Shutdown::Both);
+                });
+            }
+        });
+        endpoint
+    }
+
+    #[test]
+    fn hostile_answer_frames_are_refused_and_the_daemon_keeps_serving() {
+        let daemon = GrapeService::bind("127.0.0.1:0", ServiceOptions::default())
+            .expect("bind")
+            .spawn()
+            .expect("spawn");
+        let graph: SessionGraph = barabasi_albert(60, 2, 5).expect("generator").into();
+        let cases = [
+            (Spoil::Short, "values for its"),
+            (Spoil::Truncated, "truncated"),
+            (Spoil::Trailing, "trailing bytes"),
+            (Spoil::Twice, "answered twice"),
+        ];
+        for (spoil, says) in cases {
+            let proxy = answer_proxy(daemon.endpoint().clone(), spoil);
+            let session = Session::connect(SessionConfig::remote(2, vec![proxy])).expect("connect");
+            session.load(&graph, BuiltinStrategy::Hash).expect("load");
+            let err = session
+                .submit(Query::sssp(0))
+                .expect("submit")
+                .join()
+                .expect_err("a spoilt answer is refused");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{spoil:?}: {err}");
+            assert!(err.to_string().contains(says), "{spoil:?}: {err}");
+        }
+        // The daemon behind the proxies serves a session of its own as if
+        // nothing happened.
+        let session = Session::connect(SessionConfig::remote(2, vec![daemon.endpoint().clone()]))
+            .expect("connect");
+        session.load(&graph, BuiltinStrategy::Hash).expect("load");
+        let outcome = session.submit(Query::sssp(0)).expect("submit").join();
+        assert!(outcome.is_ok(), "the daemon stopped serving: {outcome:?}");
+        daemon.shutdown().expect("shutdown");
+    }
+
+    #[test]
+    fn both_ends_of_a_session_connection_send_without_delay() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let endpoint = Endpoint::Tcp(listener.local_addr().expect("addr").to_string());
+        let ServiceSocket::Tcp(client) = endpoint.dial(&None).expect("dial") else {
+            unreachable!("a TCP endpoint dials TCP")
+        };
+        let (server, _) = listener.accept().expect("accept");
+        let probe = server.try_clone().expect("alias");
+        // The hello is in, and nothing follows: the daemon's side serves the
+        // connection to its end.
+        client
+            .shutdown(std::net::Shutdown::Write)
+            .expect("shutdown");
+        let state = ServiceState::new(ServiceOptions::default(), ChaosConfig::default(), None);
+        serve_connection(server, &state).expect("served");
+        assert!(
+            client.nodelay().expect("client option"),
+            "the session's end"
+        );
+        assert!(probe.nodelay().expect("daemon option"), "the daemon's end");
+    }
+
     #[test]
     fn hellos_are_checked_against_the_expected_token() {
         use std::os::unix::net::UnixStream;
@@ -2526,12 +2778,32 @@ mod tests {
         assert_eq!((tag, epoch), (TAG_FRAGMENT, 0));
     }
 
-    /// The converged partials a session caches for `query`, per fragment.
-    fn cached_partials(session: &Session, query: &Query) -> Vec<Vec<u8>> {
+    /// The converged partials kept for `query`, per fragment, and the version
+    /// they converged at: an in-process session keeps them itself, a remote
+    /// one's daemon beside its resident fragments.
+    fn kept_partials(
+        session: &Session,
+        daemon: &ServiceHandle,
+        query: &Query,
+    ) -> (u64, Vec<Vec<u8>>) {
+        let key = query.encode_to_vec();
         let guard = session.inner.graph.lock().unwrap();
-        let cache = &guard.as_ref().expect("graph loaded").converged;
-        let entry = cache.get(&query.encode_to_vec()).expect("query converged");
-        entry.partials.iter().map(|p| p.to_vec()).collect()
+        let loaded = guard.as_ref().expect("graph loaded");
+        let version = loaded.converged[&key];
+        if let Some(kept) = loaded.local.get(&key) {
+            assert_eq!(kept.version, version);
+            return (version, kept.partials.iter().map(|p| p.to_vec()).collect());
+        }
+        let registry = daemon.state.registry.lock().unwrap();
+        let resident = &registry[&loaded.graph_id];
+        let partials = (0..resident.workers)
+            .map(|index| {
+                let kept = &resident.converged[&(index, key.clone())];
+                assert_eq!(kept.version, version, "fragment {index}");
+                kept.snapshot.to_vec()
+            })
+            .collect();
+        (version, partials)
     }
 
     #[test]
@@ -2550,21 +2822,28 @@ mod tests {
                 .load(&graph.clone().into(), BuiltinStrategy::MetisLike)
                 .expect("load");
         }
-        // Both end in one tail — snapshots, cache, assemble — so after a cold
-        // run and after a warm one they hold the same bytes per fragment.
-        let agree = |stage: &str| {
+        // The in-process session keeps its workers' partials, the daemon its
+        // own beside their fragments: after a cold run and after a warm one
+        // both hold the same bytes per fragment, at the same version.
+        let agree = |stage: &str, warm: usize| {
             for query in [Query::sssp(0), Query::cc(), Query::pagerank()] {
                 let [local, remote] = sessions.each_ref().map(|session| {
                     let outcome = session.submit(query.clone()).expect("submit").join();
-                    let result = outcome.expect("query").result;
-                    (result, cached_partials(session, &query))
+                    let outcome = outcome.expect("query");
+                    assert_eq!(
+                        outcome.stats.warm_fragments,
+                        warm,
+                        "{stage} {:?}",
+                        query.class()
+                    );
+                    (outcome.result, kept_partials(session, &daemon, &query))
                 });
                 assert_eq!(local.0, remote.0, "{stage} {:?}: answers", query.class());
-                assert_eq!(local.1.len(), workers);
+                assert_eq!(local.1 .1.len(), workers);
                 assert!(local.1 == remote.1, "{stage} {:?}: partials", query.class());
             }
         };
-        agree("cold");
+        agree("cold", 0);
         let inserts: Vec<GraphMutation<(), f64>> = (1..7)
             .map(|i| GraphMutation::AddEdge {
                 src: i * 7,
@@ -2575,7 +2854,7 @@ mod tests {
         for session in &sessions {
             session.update(inserts.clone()).expect("update");
         }
-        agree("warm");
+        agree("warm", workers);
         daemon.shutdown().expect("shutdown");
     }
 
@@ -2612,8 +2891,8 @@ mod tests {
             checkpoint_every: 0,
             query: Query::canonical_keyword(),
             kill_at: None,
-            seed: Some(IncrementalSeed {
-                snapshot: Arc::new(vec![1, 2, 3, 250]),
+            seed: Some(WarmHandle {
+                version: 3,
                 dirty: Arc::new(vec![7, 9]),
                 profile: MutationProfile {
                     edge_inserts: 2,

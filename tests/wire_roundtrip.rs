@@ -675,7 +675,9 @@ fn frame_header_layout_is_pinned() {
 
 #[test]
 fn a_query_frame_carrying_a_seed_is_pinned() {
-    use grape::core::IncrementalSeed;
+    // The seed is a warm handle: the version the worker's kept partial must
+    // have converged at, and what changed since — never the partial itself.
+    use grape::core::WarmHandle;
     use grape::graph::MutationProfile;
     use grape::worker::service::QueryJob;
     use std::sync::Arc;
@@ -689,8 +691,8 @@ fn a_query_frame_carrying_a_seed_is_pinned() {
         checkpoint_every: 1,
         query: grape::Query::cc(),
         kill_at: Some(4),
-        seed: Some(IncrementalSeed {
-            snapshot: Arc::new(vec![0xaa, 0xbb]),
+        seed: Some(WarmHandle {
+            version: 0x0a0b,
             dirty: Arc::new(vec![7, 9]),
             profile: MutationProfile {
                 edge_inserts: 2,
@@ -702,14 +704,14 @@ fn a_query_frame_carrying_a_seed_is_pinned() {
     wire::encode_frame_epoch(wire::TAG_QUERY, job.run_id, &job, &mut frame);
     #[rustfmt::skip]
     let golden: &[u8] = &[
-        b'G', b'W', 2, 0x32, 17, 0, 0, 0, 93, 0, 0, 0, // header: epoch = run id, 93-byte body
+        b'G', b'W', 2, 0x32, 17, 0, 0, 0, 95, 0, 0, 0, // header: epoch = run id, 95-byte body
         2, 1, 0, 0, 0, 0, 0, 0,                         // graph id
         1, 0, 0, 0,  3, 0, 0, 0,                        // index, workers
         17, 0, 0, 0,  2, 0, 0, 0,  1, 0, 0, 0,          // run id, threads, checkpoint cadence
         1,                                              // query: cc
         1, 4, 0, 0, 0,                                  // kill_at: Some(4)
         1,                                              // seed: Some
-        2, 0, 0, 0, 0xaa, 0xbb,                         //   snapshot bytes
+        0x0b, 0x0a, 0, 0, 0, 0, 0, 0,                   //   converged-at version
         2, 0, 0, 0,                                     //   dirty vertices
         7, 0, 0, 0, 0, 0, 0, 0,  9, 0, 0, 0, 0, 0, 0, 0,
         2, 0, 0, 0, 0, 0, 0, 0,  0, 0, 0, 0, 0, 0, 0, 0, //  profile: edge inserts, edge deletes,
@@ -764,8 +766,9 @@ fn a_fragment_frame_is_pinned() {
 #[test]
 fn a_result_frame_is_the_snapshot_and_nothing_else() {
     // One dialled-in worker holding the whole path 0 - 1 - 2, driven frame
-    // by frame: what comes back after Finish is the header and the bytes of
-    // `snapshot_partial`, which the coordinator restores and assembles.
+    // by frame: what comes back after Finish is the header, the owners'
+    // distances `assemble_answers` reads — not the snapshot the worker
+    // keeps — and the flag saying PEval ran cold.
     use grape::core::ship::encode_fragment_epoch;
     use grape::prelude::*;
     use grape::worker::service::{LoadSpec, QueryJob};
@@ -835,24 +838,28 @@ fn a_result_frame_is_the_snapshot_and_nothing_else() {
     let (partials, _) = engine
         .run_partials(&SsspQuery::new(0), &fragments, &[])
         .expect("local run");
-    let snapshot = SsspProgram
-        .snapshot_partial(&partials[0])
-        .expect("snapshot");
-    assert_eq!(body, snapshot, "the body is the snapshot, bare");
+    let answer = SsspProgram
+        .encode_answer(&fragments[0], &partials[0])
+        .expect("answer");
+    assert_eq!(
+        body,
+        [&answer[..], &[0]].concat(),
+        "the answer, then the flag"
+    );
     #[rustfmt::skip]
     let golden: &[u8] = &[
-        b'G', b'W', 2, 0x33, 23, 0, 0, 0, 76, 0, 0, 0, // header: epoch = run id, 76-byte body
-        3, 0, 0, 0,                                     // distances by dense index
+        b'G', b'W', 2, 0x33, 23, 0, 0, 0, 29, 0, 0, 0, // header: epoch = run id, 29-byte body
+        3, 0, 0, 0,                                     // one distance per inner vertex
         0, 0, 0, 0, 0, 0, 0, 0,  0, 0, 0, 0, 0, 0, 0xf8, 0x3f,  0, 0, 0, 0, 0, 0, 0x0c, 0x40,
-        3, 0, 0, 0,                                     // vertex ids by dense index
-        0, 0, 0, 0, 0, 0, 0, 0,  1, 0, 0, 0, 0, 0, 0, 0,  2, 0, 0, 0, 0, 0, 0, 0,
-        3, 0, 0, 0,  0b111, 0, 0, 0, 0, 0, 0, 0,        // owner marker: bit length, then one word —
-                                                        // the only fragment owns all three vertices
-        0, 0, 0, 0, 0, 0, 0, 0,                         // IncEval change counter
+        0,                                              // warm: false
     ];
     assert_eq!([&header[..], &body[..]].concat(), golden);
-    let restored = SsspProgram.restore_partial(&body).expect("restores");
-    assert_eq!(SsspProgram.assemble(vec![restored])[&2], 3.5);
+    let shared: Vec<_> = fragments.into_iter().map(std::sync::Arc::new).collect();
+    let assembled = SsspProgram
+        .assemble_answers(&shared, &[answer])
+        .expect("assembles");
+    assert_eq!(assembled, SsspProgram.assemble(partials));
+    assert_eq!(assembled[&2], 3.5);
 
     drop(coordinator);
     let served = served.join().expect("worker thread");
