@@ -370,13 +370,22 @@ impl PieProgram for CcProgram {
     }
 
     fn snapshot_partial(&self, partial: &CcPartial) -> Option<Vec<u8>> {
-        use grape_core::{wire, Wire};
-        let mut out = Vec::new();
+        use grape_core::{wire, MessageSize, Wire};
+        use std::mem::size_of_val;
+        // Length-prefixed runs of fixed-width numbers: the length is known.
+        let len = 4 * 4
+            + size_of_val(partial.labels.as_slice())
+            + size_of_val(&partial.vertex_ids[..])
+            + partial.owned.size_bytes()
+            + size_of_val(&partial.comp[..])
+            + size_of_val(&partial.comp_label[..]);
+        let mut out = Vec::with_capacity(len);
         wire::encode_seq(partial.labels.as_slice(), &mut out);
         partial.vertex_ids.encode(&mut out);
         partial.owned.encode(&mut out);
         partial.comp.encode(&mut out);
         partial.comp_label.encode(&mut out);
+        debug_assert_eq!(out.len(), len);
         Some(out)
     }
 
@@ -489,14 +498,26 @@ mod tests {
     };
 
     #[test]
+    fn the_snapshot_is_allocated_at_its_encoded_length() {
+        let g = barabasi_albert(150, 2, 17).unwrap();
+        let frags = build_fragments(&g, &HashPartitioner.partition(&g, 2));
+        for fragment in &frags {
+            let mut ctx = PieContext::new();
+            ctx.configure_borders(fragment.border_vertices());
+            let partial = CcProgram.peval(&CcQuery, fragment, &mut ctx);
+            let bytes = CcProgram.snapshot_partial(&partial).expect("snapshots");
+            assert_eq!(bytes.capacity(), bytes.len());
+        }
+    }
+
+    #[test]
     fn partial_snapshot_roundtrips_bit_identically() {
         let g = barabasi_albert(150, 2, 17).unwrap();
         let assignment = HashPartitioner.partition(&g, 2);
         let frags = build_fragments(&g, &assignment);
         let program = CcProgram;
         let mut ctx = PieContext::new();
-        let slots: Vec<u32> = (0..frags[1].border_vertices().len() as u32).collect();
-        ctx.configure_borders(frags[1].border_vertices(), &slots);
+        ctx.configure_borders(frags[1].border_vertices());
         let partial = program.peval(&CcQuery, &frags[1], &mut ctx);
         let bytes = program.snapshot_partial(&partial).expect("cc snapshots");
         let back = program.restore_partial(&bytes).expect("restore");
@@ -567,8 +588,7 @@ mod tests {
         let g = barabasi_albert(60, 2, 17).unwrap();
         let frags = build_fragments(&g, &HashPartitioner.partition(&g, 2));
         let mut ctx = PieContext::new();
-        let slots: Vec<u32> = (0..frags[1].border_vertices().len() as u32).collect();
-        ctx.configure_borders(frags[1].border_vertices(), &slots);
+        ctx.configure_borders(frags[1].border_vertices());
         let good = CcProgram.peval(&CcQuery, &frags[1], &mut ctx);
         let n = good.labels.len();
         let refused = |corrupt: &dyn Fn(&mut CcPartial)| {

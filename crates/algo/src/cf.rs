@@ -529,8 +529,7 @@ mod tests {
                 let mut cut_ratings = 0usize;
                 for fragment in &fragments {
                     let mut ctx = PieContext::new();
-                    let slots: Vec<u32> = (0..fragment.border_vertices().len() as u32).collect();
-                    ctx.configure_borders(fragment.border_vertices(), &slots);
+                    ctx.configure_borders(fragment.border_vertices());
                     let partial = program.peval(&CfQuery::default(), fragment, &mut ctx);
                     for &(u, i, _) in &partial.ratings {
                         let user = fragment.graph.vertex_of(u);

@@ -438,21 +438,37 @@ impl PieProgram for PageRankProgram {
 
     fn snapshot_partial(&self, partial: &PageRankPartial) -> Option<Vec<u8>> {
         use grape_core::{wire, Wire};
-        let mut out = Vec::new();
-        for dense in [&partial.rank, &partial.mirror_share, &partial.contrib] {
-            wire::encode_seq(dense.as_slice(), &mut out);
+        use std::mem::size_of_val;
+        let dense = [&partial.rank, &partial.mirror_share, &partial.contrib];
+        let pending = partial.pending.count_ones();
+        // Length-prefixed runs of fixed-width numbers: the length is known.
+        let len = dense
+            .iter()
+            .map(|d| 4 + size_of_val(d.as_slice()))
+            .sum::<usize>()
+            + 4
+            + size_of_val(&partial.inner_ids[..])
+            + 4
+            + size_of_val(&partial.inner_dense[..])
+            + 4
+            + 4
+            + 4 * pending;
+        let mut out = Vec::with_capacity(len);
+        for d in dense {
+            wire::encode_seq(d.as_slice(), &mut out);
         }
         partial.inner_ids.encode(&mut out);
         partial.inner_dense.encode(&mut out);
-        // The pending frontier: domain size, then the set indices. Restoring
-        // it exactly matters — a replacement with a stale frontier would
-        // re-sweep (or skip) different vertices than the lost worker.
+        // The pending frontier: domain size, then the set indices as a
+        // `Vec<u32>` would code them. Restoring it exactly matters — a
+        // replacement with a stale frontier would re-sweep (or skip)
+        // different vertices than the lost worker.
         (partial.pending.len() as u32).encode(&mut out);
-        partial
-            .pending
-            .iter_ones()
-            .collect::<Vec<u32>>()
-            .encode(&mut out);
+        (pending as u32).encode(&mut out);
+        for i in partial.pending.iter_ones() {
+            i.encode(&mut out);
+        }
+        debug_assert_eq!(out.len(), len);
         Some(out)
     }
 
@@ -581,6 +597,23 @@ mod tests {
     use grape_partition::{BuiltinStrategy, HashPartitioner, Partitioner};
 
     #[test]
+    fn the_snapshot_is_allocated_at_its_encoded_length() {
+        let g = barabasi_albert(150, 2, 17).unwrap();
+        let frags = grape_partition::build_fragments(&g, &HashPartitioner.partition(&g, 2));
+        let program = PageRankProgram::new(g.num_vertices());
+        for fragment in &frags {
+            let mut ctx = PieContext::new();
+            ctx.configure_borders(fragment.border_vertices());
+            let mut partial = program.peval(&PageRankQuery::default(), fragment, &mut ctx);
+            for &i in fragment.inner_dense_indices().iter().take(3) {
+                partial.pending.set(i);
+            }
+            let bytes = program.snapshot_partial(&partial).expect("snapshots");
+            assert_eq!(bytes.capacity(), bytes.len());
+        }
+    }
+
+    #[test]
     fn partial_snapshot_roundtrips_bit_identically() {
         let g = barabasi_albert(150, 2, 17).unwrap();
         let assignment = HashPartitioner.partition(&g, 2);
@@ -589,8 +622,7 @@ mod tests {
             global_vertices: g.num_vertices(),
         };
         let mut ctx = PieContext::new();
-        let slots: Vec<u32> = (0..frags[1].border_vertices().len() as u32).collect();
-        ctx.configure_borders(frags[1].border_vertices(), &slots);
+        ctx.configure_borders(frags[1].border_vertices());
         let mut partial = program.peval(&PageRankQuery::default(), &frags[1], &mut ctx);
         // Leave a non-trivial pending frontier in the snapshot.
         for &i in frags[1].inner_dense_indices().iter().take(3) {
@@ -622,8 +654,7 @@ mod tests {
         let frags = grape_partition::build_fragments(&g, &HashPartitioner.partition(&g, 2));
         let program = PageRankProgram::new(g.num_vertices());
         let mut ctx = PieContext::new();
-        let slots: Vec<u32> = (0..frags[0].border_vertices().len() as u32).collect();
-        ctx.configure_borders(frags[0].border_vertices(), &slots);
+        ctx.configure_borders(frags[0].border_vertices());
         let good = program.peval(&PageRankQuery::default(), &frags[0], &mut ctx);
         let n = good.rank.len();
         let refused = |corrupt: &dyn Fn(&mut PageRankPartial)| {

@@ -405,13 +405,22 @@ impl PieProgram for SsspProgram {
     }
 
     fn snapshot_partial(&self, partial: &SsspPartial) -> Option<Vec<u8>> {
-        use grape_core::{wire, Wire};
-        let mut out = Vec::new();
+        use grape_core::{wire, MessageSize, Wire};
+        use std::mem::size_of_val;
+        // Length-prefixed runs of fixed-width numbers: the length is known.
+        let len = 4
+            + size_of_val(partial.dist.as_slice())
+            + 4
+            + size_of_val(&partial.vertex_ids[..])
+            + partial.owned.size_bytes()
+            + 8;
+        let mut out = Vec::with_capacity(len);
         // Raw f64 bits: infinities (unreached vertices) survive exactly.
         wire::encode_seq(partial.dist.as_slice(), &mut out);
         partial.vertex_ids.encode(&mut out);
         partial.owned.encode(&mut out);
         partial.inceval_changes.encode(&mut out);
+        debug_assert_eq!(out.len(), len);
         Some(out)
     }
 
@@ -536,14 +545,26 @@ mod tests {
     }
 
     #[test]
+    fn the_snapshot_is_allocated_at_its_encoded_length() {
+        let g = barabasi_albert(200, 3, 13).unwrap();
+        let frags = build_fragments(&g, &HashPartitioner.partition(&g, 2));
+        for fragment in &frags {
+            let mut ctx = PieContext::new();
+            ctx.configure_borders(fragment.border_vertices());
+            let partial = SsspProgram.peval(&SsspQuery::new(0), fragment, &mut ctx);
+            let bytes = SsspProgram.snapshot_partial(&partial).expect("snapshots");
+            assert_eq!(bytes.capacity(), bytes.len());
+        }
+    }
+
+    #[test]
     fn partial_snapshot_roundtrips_bit_identically() {
         let g = barabasi_albert(200, 3, 13).unwrap();
         let assignment = HashPartitioner.partition(&g, 2);
         let frags = build_fragments(&g, &assignment);
         let program = SsspProgram;
         let mut ctx = PieContext::new();
-        let slots: Vec<u32> = (0..frags[0].border_vertices().len() as u32).collect();
-        ctx.configure_borders(frags[0].border_vertices(), &slots);
+        ctx.configure_borders(frags[0].border_vertices());
         let partial = program.peval(&SsspQuery::new(0), &frags[0], &mut ctx);
         let bytes = program.snapshot_partial(&partial).expect("sssp snapshots");
         let back = program.restore_partial(&bytes).expect("restore");
@@ -633,8 +654,7 @@ mod tests {
         let g = barabasi_albert(60, 2, 13).unwrap();
         let frags = build_fragments(&g, &HashPartitioner.partition(&g, 2));
         let mut ctx = PieContext::new();
-        let slots: Vec<u32> = (0..frags[0].border_vertices().len() as u32).collect();
-        ctx.configure_borders(frags[0].border_vertices(), &slots);
+        ctx.configure_borders(frags[0].border_vertices());
         let good = SsspProgram.peval(&SsspQuery::new(0), &frags[0], &mut ctx);
         let n = good.dist.len();
         let refused = |corrupt: &dyn Fn(&mut SsspPartial)| {

@@ -62,27 +62,25 @@ fn bus_counts_match_message_size_estimates() {
 fn bus_counts_match_slot_addressed_engine_messages() {
     use grape_core::message::{CoordCommand, WorkerReport};
 
-    // Push the engine's actual slot-addressed wire types through the bus and
-    // check the recorded bytes equal their MessageSize estimates: slot ids
-    // cost 4 bytes where the PR 2 vertex-id format cost 8.
+    // Push the engine's actual position-addressed wire types through the bus
+    // and check the recorded bytes equal their MessageSize estimates: border
+    // positions cost 4 bytes where vertex ids cost 8.
     let stats = Arc::new(CommStats::new());
     let net = CommNetwork::<CoordCommand<f64>>::with_stats(2, Arc::clone(&stats));
     let (coord, workers) = net.split();
 
-    let init: CoordCommand<f64> = CoordCommand::Init {
-        border_slots: vec![0, 1, 2],
-    };
+    let init: CoordCommand<f64> = CoordCommand::Init;
     let inceval: CoordCommand<f64> = CoordCommand::IncEval {
         superstep: 1,
         updates: vec![(0, 1.5), (2, 2.5)],
     };
     let finish: CoordCommand<f64> = CoordCommand::Finish;
     let expected = (init.size_bytes() + inceval.size_bytes() + finish.size_bytes()) as u64;
-    assert_eq!(init.size_bytes(), 4 + 3 * 4, "length prefix + 3 u32 slots");
+    assert_eq!(init.size_bytes(), 1, "the handshake carries no mapping");
     assert_eq!(
         inceval.size_bytes(),
         8 + 4 + 2 * (4 + 8),
-        "superstep + length prefix + (u32 slot, f64 value) pairs"
+        "superstep + length prefix + (u32 position, f64 value) pairs"
     );
     assert!(coord.send(0, init));
     assert!(coord.send(1, inceval));
@@ -106,7 +104,7 @@ fn bus_counts_match_slot_addressed_engine_messages() {
     assert_eq!(
         expected,
         8 + 4 + 12 + 4 + 16 + 1,
-        "superstep + slot changes + vertex-addressed strays + absent checkpoint"
+        "superstep + position changes + vertex-addressed strays + absent checkpoint"
     );
     assert!(workers[0].send(COORDINATOR, report));
     assert_eq!(stats.bytes(), expected);
@@ -118,7 +116,7 @@ fn framed_encoding_matches_the_estimates_for_slot_messages() {
     use grape_comm::wire::{Wire, HEADER_LEN};
     use grape_core::message::{CoordCommand, WorkerReport};
 
-    // The satellite invariant: for `(u32 slot, f64 value)` traffic — the
+    // The satellite invariant: for `(u32 position, f64 value)` traffic — the
     // bulk of every superstep — the MessageSize *estimate* equals the
     // *actual* encoded payload length, byte for byte.
     for len in [0usize, 1, 2, 17, 256] {

@@ -15,13 +15,13 @@ use std::sync::Arc;
 /// [`PieContext::get`].
 ///
 /// Inside the engine the context is configured with the fragment's border
-/// list and the coordinator-assigned slot ids
-/// ([`PieContext::configure_borders`]). Border updates then live in flat
+/// list ([`PieContext::configure_borders`]). Border updates then live in flat
 /// arrays indexed by the **border position** — the index into
 /// `Fragment::border_vertices()`, the address space of
-/// [`PieContext::update_at`] and of the messages IncEval receives —
-/// dirtiness is a [`DenseBitset`] plus an insertion-ordered index list, and
-/// [`PieContext::drain_dirty_into`] drains in O(changed). Updates outside the
+/// [`PieContext::update_at`], of the messages IncEval receives and of the
+/// pairs [`PieContext::drain_dirty_into`] reports (only the coordinator
+/// knows slots). Dirtiness is a [`DenseBitset`] plus an insertion-ordered
+/// index list, so a drain is O(changed). Updates outside the
 /// border (possible only in buggy or diagnostic programs) fall back to a
 /// `HashMap` side table and are reported as *strays*. An unconfigured
 /// context — the state of a standalone driver or test — treats every vertex
@@ -36,9 +36,6 @@ pub struct PieContext<V> {
     /// Sorted global ids of the fragment's border vertices (empty until
     /// [`PieContext::configure_borders`]).
     border_ids: Vec<VertexId>,
-    /// Coordinator-assigned slot of each border vertex, aligned with
-    /// `border_ids`.
-    border_slots: Vec<u32>,
     /// Current value of each border vertex (`None` = not declared yet),
     /// aligned with `border_ids`.
     border_values: Vec<Option<V>>,
@@ -70,7 +67,6 @@ impl<V: Clone + PartialEq> PieContext<V> {
     pub fn new() -> Self {
         Self {
             border_ids: Vec::new(),
-            border_slots: Vec::new(),
             border_values: Vec::new(),
             border_dirty: DenseBitset::default(),
             dirty_list: Vec::new(),
@@ -94,15 +90,13 @@ impl<V: Clone + PartialEq> PieContext<V> {
         &self.pool
     }
 
-    /// Installs the fragment's border list and its coordinator-assigned slot
-    /// ids (the run-start handshake). `ids` must be sorted ascending —
-    /// exactly what `Fragment::border_vertices()` provides — and `slots`
-    /// aligned with it. Called once per run by the engine before PEval.
-    pub fn configure_borders(&mut self, ids: &[VertexId], slots: &[u32]) {
-        debug_assert_eq!(ids.len(), slots.len());
+    /// Installs the fragment's border list, whose positions address every
+    /// border value from now on. `ids` must be sorted ascending — exactly
+    /// what `Fragment::border_vertices()` provides. Called once per run by
+    /// the engine before PEval.
+    pub fn configure_borders(&mut self, ids: &[VertexId]) {
         debug_assert!(ids.windows(2).all(|w| w[0] < w[1]), "border ids sorted");
         self.border_ids = ids.to_vec();
-        self.border_slots = slots.to_vec();
         self.border_values = vec![None; ids.len()];
         self.border_dirty = DenseBitset::new(ids.len());
         self.dirty_list.clear();
@@ -238,7 +232,7 @@ impl<V: Clone + PartialEq> PieContext<V> {
         out
     }
 
-    /// Drains the changed border values as `(slot, value)` pairs into
+    /// Drains the changed border values as `(position, value)` pairs into
     /// `changes` and the changed non-border (stray) values into `strays`,
     /// reusing the callers' buffers. Border draining walks only the dirty
     /// positions — O(changed), not O(border). Called by the engine after
@@ -254,7 +248,7 @@ impl<V: Clone + PartialEq> PieContext<V> {
                 let value = self.border_values[pos as usize]
                     .clone()
                     .expect("dirty implies present");
-                changes.push((self.border_slots[pos as usize], value));
+                changes.push((pos, value));
             }
         }
         if !self.dirty.is_empty() {
@@ -351,8 +345,8 @@ mod tests {
     #[test]
     fn configured_borders_use_the_slot_path() {
         let mut ctx = PieContext::<u64>::new();
-        // Border vertices 10, 20, 30 carry slots 5, 2, 9.
-        ctx.configure_borders(&[10, 20, 30], &[5, 2, 9]);
+        // Border vertices 10, 20, 30 sit at positions 0, 1, 2.
+        ctx.configure_borders(&[10, 20, 30]);
         ctx.update(20, 7);
         ctx.update(10, 1);
         ctx.update(20, 7); // unchanged: not re-dirtied
@@ -363,8 +357,8 @@ mod tests {
         let mut changes = Vec::new();
         let mut strays = Vec::new();
         ctx.drain_dirty_into(&mut changes, &mut strays);
-        // Slot-addressed, in first-touch order; no strays.
-        assert_eq!(changes, vec![(2, 7), (5, 1)]);
+        // Position-addressed, in first-touch order; no strays.
+        assert_eq!(changes, vec![(1, 7), (0, 1)]);
         assert!(strays.is_empty());
 
         // Drained: nothing left.
@@ -376,7 +370,7 @@ mod tests {
     #[test]
     fn non_border_updates_become_strays() {
         let mut ctx = PieContext::<u64>::new();
-        ctx.configure_borders(&[10], &[0]);
+        ctx.configure_borders(&[10]);
         ctx.update(10, 1);
         ctx.update(99, 2); // not a border vertex
         ctx.update(42, 3); // not a border vertex
@@ -390,7 +384,7 @@ mod tests {
     #[test]
     fn an_adopted_delivery_is_not_reported() {
         let mut ctx = PieContext::<u64>::new();
-        ctx.configure_borders(&[10, 20, 30], &[0, 1, 2]);
+        ctx.configure_borders(&[10, 20, 30]);
         let mut changes = Vec::new();
         let mut strays = Vec::new();
         // The command delivered 3 for position 0 and 9 for position 1; the
@@ -417,7 +411,7 @@ mod tests {
     #[test]
     fn absorb_compares_with_the_value_held_after_the_call() {
         let mut ctx = PieContext::<u64>::new();
-        ctx.configure_borders(&[10, 20], &[0, 1]);
+        ctx.configure_borders(&[10, 20]);
         // Moving away from the delivered value and back is still an echo; a
         // delivery the program did not adopt leaves its own report alone.
         ctx.update_at(0, 5);
@@ -434,7 +428,7 @@ mod tests {
     #[test]
     fn border_snapshot_roundtrips_without_dirtiness() {
         let mut ctx = PieContext::<u64>::new();
-        ctx.configure_borders(&[10, 20, 30], &[0, 1, 2]);
+        ctx.configure_borders(&[10, 20, 30]);
         ctx.update(10, 5);
         ctx.update(30, 7);
         let mut changes = Vec::new();
@@ -446,7 +440,7 @@ mod tests {
         // A fresh context restored from the snapshot sees the same values
         // but reports nothing (the coordinator already has them)...
         let mut restored = PieContext::<u64>::new();
-        restored.configure_borders(&[10, 20, 30], &[0, 1, 2]);
+        restored.configure_borders(&[10, 20, 30]);
         restored.restore_border_values(snapshot);
         assert_eq!(restored.get(10), Some(&5));
         assert_eq!(restored.get(30), Some(&7));
@@ -467,7 +461,7 @@ mod tests {
     #[test]
     fn take_dirty_merges_border_and_stray_updates_sorted() {
         let mut ctx = PieContext::<u64>::new();
-        ctx.configure_borders(&[20], &[0]);
+        ctx.configure_borders(&[20]);
         ctx.update(20, 2);
         ctx.update(5, 1); // stray
         assert_eq!(ctx.take_dirty(), vec![(5, 1), (20, 2)]);

@@ -2,22 +2,29 @@
 //!
 //! [`GrapeEngine::run`] implements the workflow of Fig. 1 / Section 2.2:
 //!
-//! 1. **Handshake** — the coordinator assigns every distinct border vertex a
-//!    stable `u32` slot id — by merging the fragments' sorted border lists,
-//!    not by hashing ids; [`RunStats::slot_build_seconds`] — and ships each
-//!    fragment its local border→slot mapping ([`CoordCommand::Init`]). All
-//!    later traffic is slot-addressed.
+//! 1. **Handshake** — the coordinator takes the fragment set's
+//!    [`ExchangeLayout`]: one stable `u32` slot per distinct border vertex,
+//!    numbered by merging the fragments' sorted border lists (no hashing),
+//!    with each fragment's border-position→slot column and each slot's
+//!    position at every fragment that has it. The layout depends on the
+//!    border lists alone, so it is built the first time a fragment set runs
+//!    and kept with the fragments ([`RunStats::slot_build_seconds`] is ~0 on
+//!    every later run). It then sends each worker an empty
+//!    [`CoordCommand::Init`]: a worker addresses its border by *position* in
+//!    its own fragment and needs no mapping.
 //! 2. **PEval superstep** — every worker runs PEval on its fragment in
-//!    parallel and reports its changed update parameters (as `(slot, value)`
-//!    pairs) to the coordinator.
-//! 3. **IncEval supersteps** — the coordinator folds the changed values into
-//!    its flat slot table (using the program's aggregate function; no
+//!    parallel and reports its changed update parameters as
+//!    `(border position, value)` pairs.
+//! 3. **IncEval supersteps** — the coordinator turns each reported position
+//!    into its slot (one indexed load), folds the changed values into its
+//!    flat per-run fold state (using the program's aggregate function; no
 //!    hashing per superstep) and routes the results to every fragment that
-//!    has the vertex on its border and does not hold the value yet. A worker
-//!    turns each routed slot into a *border position* (one indexed load),
-//!    runs IncEval on `(position, value)` messages — no global id in either
-//!    direction — and reports its changed values, minus any pair the command
-//!    just delivered (the echo rule, [`PieContext::absorb`]).
+//!    has the vertex on its border and does not hold the value yet, each
+//!    pair carrying the vertex's position in the receiver's border (one more
+//!    indexed load). A worker runs IncEval on those `(position, value)`
+//!    messages — no global id and no slot in either direction — and reports
+//!    its changed values, minus any pair the command just delivered (the
+//!    echo rule, [`PieContext::absorb`]).
 //! 4. **Termination** — when a superstep produces no changed update
 //!    parameters (every worker is inactive), the coordinator collects the
 //!    partial results and Assemble combines them into `Q(G)`
@@ -54,8 +61,8 @@ use crate::transport::{
     self, CoordTransport, DrainableWorkerTransport, TransportError, TransportKind, WorkerTransport,
 };
 use grape_comm::CommStats;
-use grape_graph::{union_ranks, CsrGraph, VertexId};
-use grape_partition::{build_fragments, Fragment, PartitionAssignment};
+use grape_graph::{CsrGraph, VertexId};
+use grape_partition::{build_fragments, ExchangeLayout, Fragment, PartitionAssignment};
 use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::fmt;
@@ -63,97 +70,58 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// One worker's superstep report as gathered by the coordinator:
-/// `(worker id, changed border slots, stray updates, eval seconds)`.
+/// `(worker id, changed border positions, stray updates, eval seconds)`.
 type GatheredReport<V> = (usize, Vec<(u32, V)>, Vec<(VertexId, V)>, f64);
 
-/// The coordinator's aggregation table: one stable slot per border vertex,
-/// built once per run from the fragments' border lists.
+/// The coordinator's per-run fold state over a fragment set's
+/// [`ExchangeLayout`].
 ///
-/// Every superstep the coordinator folds the workers' slot-addressed
-/// proposals straight into flat arrays — no global id is hashed, neither
-/// here nor while the table is built — and routing is one mask per slot
-/// word: the fragments that have the vertex (`homes`) minus those already
-/// holding the fold (`holders`).
-struct SlotTable<V> {
-    /// Packed per-slot fragment bitmask, shaped like `holders`: bit `f` of
-    /// slot `s` set means fragment `f` has the vertex on its border.
-    homes: Vec<u64>,
+/// Every superstep the coordinator turns each reported `(position, value)`
+/// pair into its slot and folds it into flat arrays — no global id is
+/// hashed — and routing is one mask per slot word: the fragments that have
+/// the vertex (the layout's `homes`) minus those already holding the fold
+/// (`holders`). Each routed pair is then given the vertex's position in its
+/// receiver's border, a pass of its own per receiver
+/// ([`ExchangeLayout::to_positions`]).
+struct FoldState<V> {
+    layout: Arc<ExchangeLayout>,
     /// Folded value of each slot in the current superstep (`None` =
     /// untouched this superstep).
     value: Vec<Option<V>>,
     /// Folded value of each slot in any previous superstep, for the
-    /// monotonicity check.
+    /// monotonicity check (empty when the run does not check).
     last_value: Vec<Option<V>>,
-    /// Packed per-slot worker bitmask: bit `f` of slot `s` set means worker
-    /// `f` already holds the folded value of `s` (no echo needed).
+    /// Packed per-slot worker bitmask, shaped like the layout's `homes`: bit
+    /// `f` of slot `s` set means worker `f` already holds the folded value
+    /// of `s` (no echo needed).
     holders: Vec<u64>,
-    /// 64-bit words per slot in `holders`.
-    words_per_slot: usize,
     /// Slots touched in the current superstep, so clearing is O(touched).
     touched: Vec<u32>,
 }
 
-impl<V: Clone> SlotTable<V> {
-    /// Builds the table from the borders of `fragments`, assigning each
-    /// distinct border vertex a slot. Also returns, per fragment, the slot
-    /// of each of its border vertices (aligned with
-    /// `Fragment::border_vertices()`) — the mapping the handshake ships to
-    /// the workers. Workers are addressed by their position in `fragments`,
-    /// here as in every later send, whatever `Fragment::id` says.
-    ///
-    /// The border lists are sorted, so [`union_ranks`] ranks the distinct
-    /// vertices by id with a tree of two-list merges — O(total borders ·
-    /// log k), no hashing; the ranks are then renumbered in the order a scan
-    /// of fragment 0's borders, then fragment 1's, … first meets each vertex,
-    /// which is the numbering every `Init` frame has always carried.
-    fn build<VD, ED>(fragments: &[impl Borrow<Fragment<VD, ED>>]) -> (Self, Vec<Vec<u32>>)
-    where
-        VD: Clone,
-        ED: Clone,
-    {
-        let borders: Vec<&[VertexId]> = fragments
-            .iter()
-            .map(|fragment| fragment.borrow().border_vertices())
-            .collect();
-        let (mut fragment_slots, num_slots) = union_ranks(&borders);
-        // Renumber by a scan in fragment order: a rank takes the next slot
-        // the first time it is met.
-        let words_per_slot = fragments.len().div_ceil(64).max(1);
-        let mut homes = vec![0u64; num_slots * words_per_slot];
-        let mut slot_of_rank = vec![u32::MAX; num_slots];
-        let mut next_slot = 0u32;
-        for (f, local) in fragment_slots.iter_mut().enumerate() {
-            for slot in local {
-                let assigned = &mut slot_of_rank[*slot as usize];
-                if *assigned == u32::MAX {
-                    *assigned = next_slot;
-                    next_slot += 1;
-                }
-                *slot = *assigned;
-                homes[*slot as usize * words_per_slot + f / 64] |= 1u64 << (f % 64);
-            }
-        }
-        let table = Self {
-            homes,
+impl<V: Clone> FoldState<V> {
+    fn new(layout: Arc<ExchangeLayout>, check_monotonicity: bool) -> Self {
+        let num_slots = layout.num_slots();
+        Self {
             value: vec![None; num_slots],
-            last_value: vec![None; num_slots],
-            holders: vec![0u64; num_slots * words_per_slot],
-            words_per_slot,
+            last_value: vec![None; if check_monotonicity { num_slots } else { 0 }],
+            holders: vec![0u64; num_slots * layout.words_per_slot()],
             touched: Vec::new(),
-        };
-        (table, fragment_slots)
+            layout,
+        }
     }
 
     #[inline]
     fn set_holder(&mut self, slot: u32, worker: usize) {
-        let base = slot as usize * self.words_per_slot;
+        let base = slot as usize * self.layout.words_per_slot();
         self.holders[base + worker / 64] |= 1u64 << (worker % 64);
     }
 
     #[inline]
     fn clear_holders(&mut self, slot: u32) {
-        let base = slot as usize * self.words_per_slot;
-        self.holders[base..base + self.words_per_slot].fill(0);
+        let words = self.layout.words_per_slot();
+        let base = slot as usize * words;
+        self.holders[base..base + words].fill(0);
     }
 
     /// Resets the per-superstep state (folded values + holder bits) of every
@@ -166,14 +134,12 @@ impl<V: Clone> SlotTable<V> {
         }
     }
 
-    /// Folds `proposal` from `worker` into `slot` using `aggregate`. Slot
-    /// ids were assigned by this table at build time, so this is a pair of
-    /// indexed loads — no hashing.
+    /// Folds `proposal` from `worker` into `slot` using `aggregate`: a pair
+    /// of indexed loads, no hashing.
     fn fold(&mut self, slot: u32, worker: usize, proposal: &V, aggregate: impl Fn(&V, &V) -> V)
     where
         V: PartialEq,
     {
-        debug_assert!((slot as usize) < self.value.len(), "slot out of range");
         match &self.value[slot as usize] {
             None => {
                 self.value[slot as usize] = Some(proposal.clone());
@@ -201,16 +167,18 @@ impl<V: Clone> SlotTable<V> {
 
     /// Queues the folded value of every touched slot for every fragment
     /// that has the vertex and does not hold the fold yet (`homes &
-    /// !holders`); O(changed). Returns the number of pairs queued.
+    /// !holders`), addressed by the vertex's position in that fragment's
+    /// border; O(changed). Returns the number of pairs queued.
     fn route(&self, outbox: &mut [Vec<(u32, V)>]) -> usize {
+        let words = self.layout.words_per_slot();
         let mut published = 0usize;
         for &slot in &self.touched {
             let value = self.value[slot as usize]
                 .as_ref()
                 .expect("touched slots carry values");
-            let base = slot as usize * self.words_per_slot;
-            for word in 0..self.words_per_slot {
-                let mut waiting = self.homes[base + word] & !self.holders[base + word];
+            let held = &self.holders[slot as usize * words..][..words];
+            for (word, (&home, &held)) in self.layout.homes(slot).iter().zip(held).enumerate() {
+                let mut waiting = home & !held;
                 while waiting != 0 {
                     let f = word * 64 + waiting.trailing_zeros() as usize;
                     outbox[f].push((slot, value.clone()));
@@ -219,82 +187,23 @@ impl<V: Clone> SlotTable<V> {
                 }
             }
         }
+        for (f, pairs) in outbox.iter_mut().enumerate() {
+            self.layout.to_positions(f, pairs);
+        }
         published
-    }
-}
-
-/// Worker-side slot→border-position translation, sized to the fragment
-/// rather than the job: a dense table when the fragment's slots span a modest
-/// range, a sorted list otherwise. Slot ids are assigned job-wide in fragment
-/// order, so a late fragment in a large job may hold slots scattered across a
-/// huge id space — a dense table indexed by global slot id would then be
-/// O(total borders) per worker. The dense fast path (one indexed load) covers
-/// the common small-k case; the sparse fallback is a binary search over
-/// O(local border) memory.
-enum SlotTranslation {
-    /// `table[slot] = position`; unfilled entries are `u32::MAX`.
-    Dense(Vec<u32>),
-    /// `(slot, position)` sorted by slot.
-    Sparse(Vec<(u32, u32)>),
-}
-
-impl SlotTranslation {
-    /// How many dense entries we are willing to allocate per border vertex
-    /// before switching to the sparse form.
-    const MAX_DENSE_WASTE: usize = 8;
-
-    /// `border_slots[pos]` is the slot of the fragment's `pos`-th border
-    /// vertex, as shipped by the handshake.
-    fn build(border_slots: &[u32]) -> Self {
-        let slot_space = border_slots
-            .iter()
-            .map(|&s| s as usize + 1)
-            .max()
-            .unwrap_or(0);
-        let by_slot = border_slots.iter().zip(0u32..).map(|(&s, pos)| (s, pos));
-        if slot_space <= border_slots.len().saturating_mul(Self::MAX_DENSE_WASTE) {
-            let mut table = vec![u32::MAX; slot_space];
-            for (s, pos) in by_slot {
-                table[s as usize] = pos;
-            }
-            SlotTranslation::Dense(table)
-        } else {
-            let mut pairs: Vec<(u32, u32)> = by_slot.collect();
-            pairs.sort_unstable_by_key(|&(s, _)| s);
-            SlotTranslation::Sparse(pairs)
-        }
-    }
-
-    /// The border position carried by `slot`; `None` for a slot that is not
-    /// on this fragment's border (the coordinator never routes one here).
-    #[inline]
-    fn position(&self, slot: u32) -> Option<u32> {
-        match self {
-            SlotTranslation::Dense(table) => {
-                table.get(slot as usize).copied().filter(|&p| p != u32::MAX)
-            }
-            SlotTranslation::Sparse(pairs) => pairs
-                .binary_search_by_key(&slot, |&(s, _)| s)
-                .ok()
-                .map(|i| pairs[i].1),
-        }
     }
 }
 
 /// One worker's execution state, shared by the threaded and inline drivers
 /// and the remote worker loop ([`run_worker`]): the program context, the
-/// slot-translation table installed by the Init handshake, and the buffers
-/// that circulate across supersteps. Transport-agnostic — commands go in,
-/// reports come out, and the caller moves both across whatever fabric it
-/// runs on.
+/// partial result, and the buffers that circulate across supersteps.
+/// Transport-agnostic — commands go in, reports come out, and the caller
+/// moves both across whatever fabric it runs on.
 struct WorkerRuntime<'a, P: PieProgram> {
     program: &'a P,
     query: &'a P::Query,
     fragment: &'a Fragment<P::VertexData, P::EdgeData>,
     ctx: PieContext<P::Value>,
-    /// Slot -> border position for this fragment's border slots, which is
-    /// exactly the set the coordinator may route here.
-    slot_translation: SlotTranslation,
     /// The fragment's partial result; `Some` once PEval has run.
     partial: Option<P::Partial>,
     /// Checkpoint cadence: a [`CheckpointState`] is attached to the *first*
@@ -340,20 +249,12 @@ impl<'a, P: PieProgram> WorkerRuntime<'a, P> {
             query,
             fragment,
             ctx,
-            slot_translation: SlotTranslation::Dense(Vec::new()),
             partial: None,
             checkpoint_every,
             reported_window: None,
             seed,
             warm: false,
         }
-    }
-
-    /// Installs the border→slot mapping (the Init/Resume handshake state).
-    fn install_borders(&mut self, border_slots: &[u32]) {
-        self.ctx
-            .configure_borders(self.fragment.border_vertices(), border_slots);
-        self.slot_translation = SlotTranslation::build(border_slots);
     }
 
     /// The PEval step and its superstep-0 report: the seed's partial when
@@ -384,19 +285,18 @@ impl<'a, P: PieProgram> WorkerRuntime<'a, P> {
     /// Handles one coordinator command.
     fn handle(&mut self, command: CoordCommand<P::Value>) -> HandleOutcome<P::Value> {
         match command {
-            CoordCommand::Init { border_slots } => {
-                // Handshake: install the border→slot mapping, then run PEval.
-                self.install_borders(&border_slots);
+            CoordCommand::Init => {
+                // Handshake: address the border by position, then run PEval.
+                self.ctx.configure_borders(self.fragment.border_vertices());
                 HandleOutcome::Reply(self.run_peval())
             }
             CoordCommand::Resume {
                 superstep: _,
-                border_slots,
                 checkpoint,
             } => {
                 // Recovery handshake for a replacement worker: install the
                 // lost worker's checkpointed state instead of recomputing it.
-                self.install_borders(&border_slots);
+                self.ctx.configure_borders(self.fragment.border_vertices());
                 match checkpoint {
                     Some(cp) => {
                         let partial = self
@@ -417,14 +317,12 @@ impl<'a, P: PieProgram> WorkerRuntime<'a, P> {
                 superstep,
                 mut updates,
             } => {
-                // Rewrite the routed slots in place into border positions
-                // (one indexed load each on the dense path, no global ids);
-                // a slot that is not this fragment's (a corrupt frame) is
-                // dropped, so the program and `absorb` index unchecked.
-                updates.retain_mut(|(slot, _)| {
-                    let position = self.slot_translation.position(*slot);
-                    position.map(|pos| *slot = pos).is_some()
-                });
+                // The coordinator addressed each pair by its position in this
+                // fragment's border; a position past the border (a corrupt
+                // frame) is dropped, so the program and `absorb` index
+                // unchecked.
+                let border = self.fragment.border_vertices().len();
+                updates.retain(|&(position, _)| (position as usize) < border);
                 let t0 = Instant::now();
                 let partial = self.partial.as_mut().expect("IncEval before PEval");
                 self.program
@@ -443,7 +341,7 @@ impl<'a, P: PieProgram> WorkerRuntime<'a, P> {
         }
     }
 
-    /// Drains the context's dirty border slots into `changes` (a recycled
+    /// Drains the context's dirty border positions into `changes` (a recycled
     /// buffer) and builds the superstep report, attaching a checkpoint on
     /// the cadence the run asked for. The checkpoint is taken *after* the
     /// drain, so it captures exactly the state the coordinator will believe
@@ -587,7 +485,7 @@ fn blocking_pump<V>(
 /// How the engine executes its workers.
 ///
 /// The BSP exchange is identical in every mode — same handshake, same
-/// slot-addressed messages, same accounting, bit-identical results — only
+/// position-addressed messages, same accounting, bit-identical results — only
 /// the scheduling differs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecutionMode {
@@ -797,14 +695,11 @@ impl fmt::Display for RunError {
 impl std::error::Error for RunError {}
 
 /// Bookkeeping the coordinator keeps while a run is recoverable: everything
-/// needed to rebuild a lost worker's world — its border→slot mapping, its
-/// last accepted checkpoint, and the log of commands sent since that
-/// checkpoint — plus the run epoch that fences stale traffic. Built by
-/// [`GrapeEngine::run_coordinator`] when it is given a recovery hook.
+/// needed to rebuild a lost worker's world — its last accepted checkpoint
+/// and the log of commands sent since that checkpoint — plus the run epoch
+/// that fences stale traffic. Built by [`GrapeEngine::run_coordinator`] when
+/// it is given a recovery hook.
 struct RecoveryCtx<'a, V> {
-    /// Per-fragment border→slot mapping (what Init shipped), re-shipped via
-    /// [`CoordCommand::Resume`] to a replacement worker.
-    fragment_slots: Vec<Vec<u32>>,
     /// Each worker's checkpoint from its last accepted checkpoint-bearing
     /// report.
     checkpoints: Vec<Option<CheckpointState<V>>>,
@@ -974,8 +869,9 @@ impl<P: PieProgram> GrapeEngine<P> {
 
     /// Runs only the coordinator half of the fixpoint over an external
     /// transport whose workers live elsewhere (other processes or hosts, via
-    /// [`transport::FramedStreamCoord`]). The fragments are used for the
-    /// slot handshake and routing tables; evaluation happens wherever the
+    /// [`transport::FramedStreamCoord`]). The fragments are used for their
+    /// exchange layout (found or built once per fragment set, see
+    /// [`ExchangeLayout::of`]); evaluation happens wherever the
     /// workers run [`run_worker`] on their own fragment replicas. Returns the
     /// run statistics; partial results stay with the workers (shipping them
     /// home is the driver's job — see `grape-worker`'s result frames).
@@ -1008,11 +904,10 @@ impl<P: PieProgram> GrapeEngine<P> {
             return Err(RunError::NoFragments);
         }
         let started = Instant::now();
-        let (mut slots, fragment_slots): (SlotTable<P::Value>, Vec<Vec<u32>>) =
-            SlotTable::build(fragments);
+        let layout = ExchangeLayout::of(fragments);
         let slot_build_seconds = started.elapsed().as_secs_f64();
+        let mut folds = FoldState::new(layout, self.config.check_monotonicity);
         let mut rec = recover.map(|recover| RecoveryCtx {
-            fragment_slots: fragment_slots.clone(),
             checkpoints: (0..n).map(|_| None).collect(),
             log: (0..n).map(|_| Vec::new()).collect(),
             attempts: vec![0; n],
@@ -1020,15 +915,15 @@ impl<P: PieProgram> GrapeEngine<P> {
             recoveries: 0,
             recover,
         });
-        for (f, border_slots) in fragment_slots.into_iter().enumerate() {
-            transport.send(f, CoordCommand::Init { border_slots });
+        for f in 0..n {
+            transport.send(f, CoordCommand::Init);
         }
         let program = Arc::clone(&self.program);
         let coordination = Self::coordinate(
             &program,
             &self.config,
             n,
-            &mut slots,
+            &mut folds,
             transport,
             false,
             rec.as_mut(),
@@ -1129,7 +1024,6 @@ impl<P: PieProgram> GrapeEngine<P> {
                 w,
                 CoordCommand::Resume {
                     superstep,
-                    border_slots: rec.fragment_slots[w].clone(),
                     checkpoint: rec.checkpoints[w].clone(),
                 },
             );
@@ -1175,18 +1069,12 @@ impl<P: PieProgram> GrapeEngine<P> {
             // through the same transport so the accounting and the message
             // protocol are identical to the threaded mode. The workers run
             // serialized, so they share one intra-fragment pool.
-            //
-            // Stable aggregation slots: one per border vertex, with its
-            // routing targets. Built once; reused every superstep.
-            // `fragment_slots[f]` is the border→slot mapping the one-time
-            // Init handshake ships to worker `f`, so that all superstep
-            // traffic is slot-addressed.
             let build_started = Instant::now();
-            let (mut slots, fragment_slots): (SlotTable<P::Value>, Vec<Vec<u32>>) =
-                SlotTable::build(fragments);
+            let layout = ExchangeLayout::of(fragments);
             let slot_build_seconds = build_started.elapsed().as_secs_f64();
-            for (f, border_slots) in fragment_slots.into_iter().enumerate() {
-                coord.send(f, CoordCommand::Init { border_slots });
+            let mut folds = FoldState::new(layout, config.check_monotonicity);
+            for f in 0..n {
+                coord.send(f, CoordCommand::Init);
             }
             let pool = Arc::new(ThreadPool::new(threads));
             let mut workers: Vec<WorkerRuntime<'_, P>> = fragments
@@ -1204,7 +1092,7 @@ impl<P: PieProgram> GrapeEngine<P> {
                 })
                 .collect();
             let coordination =
-                Self::coordinate(&program, &config, n, &mut slots, &coord, true, None, || {
+                Self::coordinate(&program, &config, n, &mut folds, &coord, true, None, || {
                     // Run every worker with queued commands, then hand their
                     // reports to the coordinator.
                     for (worker, wt) in workers.iter_mut().zip(&worker_transports) {
@@ -1301,7 +1189,7 @@ impl<P: PieProgram> GrapeEngine<P> {
         program: &Arc<P>,
         config: &EngineConfig,
         n: usize,
-        slots: &mut SlotTable<P::Value>,
+        folds: &mut FoldState<P::Value>,
         transport: &impl CoordTransport<P::Value>,
         serialized: bool,
         mut recovery: Option<&mut RecoveryCtx<'_, P::Value>>,
@@ -1311,7 +1199,7 @@ impl<P: PieProgram> GrapeEngine<P> {
         let mut run_stats = RunStats::default();
         // Last folded value of each non-border vertex a program proposed,
         // kept only for the monotonicity diagnostic (border vertices use the
-        // slot table's `last_value`).
+        // fold state's `last_value`).
         let mut stray_last: HashMap<VertexId, P::Value> = HashMap::new();
         let mut pending = n;
         let mut superstep = 0usize;
@@ -1383,10 +1271,10 @@ impl<P: PieProgram> GrapeEngine<P> {
                 }
             }
 
-            // Fold the slot-addressed proposals into the per-border-vertex
-            // slots — two indexed loads per changed value, no hashing. Each
-            // slot keeps the aggregated value plus a worker bitmask of who
-            // already holds it (those workers do not need an echo).
+            // Fold the position-addressed proposals into the per-border-vertex
+            // slots — indexed loads per changed value, no hashing. Each slot
+            // keeps the aggregated value plus a worker bitmask of who already
+            // holds it (those workers do not need an echo).
             //
             // Fold in worker order, not arrival order: concurrent transports
             // deliver reports in whatever order the wire produced them, and
@@ -1394,7 +1282,7 @@ impl<P: PieProgram> GrapeEngine<P> {
             // still fold identically to the serialized reference.
             let fold_started = Instant::now();
             reports.sort_unstable_by_key(|&(from, ..)| from);
-            slots.begin_superstep();
+            folds.begin_superstep();
             let mut changed_parameters = 0usize;
             let mut max_eval = 0.0f64;
             let mut total_eval = 0.0f64;
@@ -1407,8 +1295,9 @@ impl<P: PieProgram> GrapeEngine<P> {
                 max_eval = max_eval.max(eval_seconds);
                 total_eval += eval_seconds;
                 changed_parameters += changes.len() + strays.len();
+                folds.layout.to_slots(from, &mut changes);
                 for &(slot, ref value) in &changes {
-                    slots.fold(slot, from, value, |a, b| program.aggregate(a, b));
+                    folds.fold(slot, from, value, |a, b| program.aggregate(a, b));
                 }
                 // Recycle the report buffer into the command-buffer pool.
                 changes.clear();
@@ -1427,17 +1316,17 @@ impl<P: PieProgram> GrapeEngine<P> {
             run_stats.fold_seconds += fold_started.elapsed().as_secs_f64();
 
             if config.check_monotonicity {
-                for idx in 0..slots.touched.len() {
-                    let slot = slots.touched[idx] as usize;
-                    let value = slots.value[slot]
+                for idx in 0..folds.touched.len() {
+                    let slot = folds.touched[idx] as usize;
+                    let value = folds.value[slot]
                         .as_ref()
                         .expect("touched slots carry values");
-                    if let Some(old) = &slots.last_value[slot] {
+                    if let Some(old) = &folds.last_value[slot] {
                         if program.monotonic(old, value) == Some(false) {
                             run_stats.monotonicity_violations += 1;
                         }
                     }
-                    slots.last_value[slot] = Some(value.clone());
+                    folds.last_value[slot] = Some(value.clone());
                 }
                 for (v, value) in stray {
                     if let Some(old) = stray_last.get(&v) {
@@ -1461,7 +1350,7 @@ impl<P: PieProgram> GrapeEngine<P> {
                 max_eval_seconds: max_eval,
                 total_eval_seconds: total_eval,
                 changed_parameters,
-                changed_slots: slots.touched.len(),
+                changed_slots: folds.touched.len(),
                 published_updates: 0,
                 messages: comm.messages,
                 bytes: comm.bytes,
@@ -1486,7 +1375,7 @@ impl<P: PieProgram> GrapeEngine<P> {
             // vertex on its border, except fragments already holding the
             // aggregated value.
             let route_started = Instant::now();
-            let published = slots.route(&mut outbox);
+            let published = folds.route(&mut outbox);
             run_stats.route_seconds += route_started.elapsed().as_secs_f64();
             run_stats
                 .history
@@ -2077,8 +1966,8 @@ mod tests {
 
     /// The slot table as it was built before the merge: slots handed out by
     /// a `HashMap` in the order a scan of the fragments' borders first meets
-    /// each vertex. Kept as the oracle of [`SlotTable::build`]; returns the
-    /// per-fragment slots and the `homes` masks.
+    /// each vertex. Kept as the oracle of the exchange layout's numbering;
+    /// returns the per-fragment slots and the `homes` masks.
     fn build_hashed(fragments: &[Fragment<(), f64>]) -> (Vec<Vec<u32>>, Vec<u64>) {
         let mut slot_of: HashMap<VertexId, u32> = HashMap::new();
         let mut fragment_slots: Vec<Vec<u32>> = Vec::with_capacity(fragments.len());
@@ -2103,8 +1992,7 @@ mod tests {
     #[test]
     fn the_merge_built_slot_table_is_the_hash_built_one() {
         // A road grid plus isolated vertices: at large k some fragment draws
-        // only isolated ones (or nothing) and has no border at all, and the
-        // late fragments' slots scatter widely enough for the sparse form.
+        // only isolated ones (or nothing) and has no border at all.
         let mut b = GraphBuilder::<(), f64>::new();
         let road = road_network(
             RoadNetworkConfig {
@@ -2122,23 +2010,23 @@ mod tests {
             b.ensure_vertex(v);
         }
         let g = b.build().unwrap();
-        let (mut empty_borders, mut sparse) = (0, 0);
+        let mut empty_borders = 0;
         for &strategy in BuiltinStrategy::all() {
             for k in [1usize, 2, 4, 16, 64, 130] {
                 let fragments = build_fragments(&g, &strategy.partition(&g, k));
-                let (table, fragment_slots) = SlotTable::<u64>::build(&fragments);
+                let layout = ExchangeLayout::of(&fragments);
+                let fragment_slots: Vec<Vec<u32>> =
+                    (0..k).map(|f| layout.border_slots(f).to_vec()).collect();
+                let homes: Vec<u64> = (0..layout.num_slots() as u32)
+                    .flat_map(|slot| layout.homes(slot).iter().copied())
+                    .collect();
                 let (expected_slots, expected_homes) = build_hashed(&fragments);
                 assert_eq!(fragment_slots, expected_slots, "{strategy:?} k={k}");
-                assert_eq!(table.homes, expected_homes, "{strategy:?} k={k}");
-                assert_eq!(table.words_per_slot, k.div_ceil(64));
-                assert_eq!(table.value.len() * table.words_per_slot, table.homes.len());
+                assert_eq!(homes, expected_homes, "{strategy:?} k={k}");
+                assert_eq!(layout.words_per_slot(), k.div_ceil(64));
                 empty_borders += fragments
                     .iter()
                     .filter(|f| f.border_vertices().is_empty())
-                    .count();
-                sparse += fragment_slots
-                    .iter()
-                    .filter(|s| matches!(SlotTranslation::build(s), SlotTranslation::Sparse(_)))
                     .count();
             }
         }
@@ -2146,7 +2034,6 @@ mod tests {
             empty_borders > 0,
             "no fragment without a border was covered"
         );
-        assert!(sparse > 0, "no sparse slot translation was covered");
     }
 
     #[test]
@@ -2162,10 +2049,10 @@ mod tests {
         let tail = engine.run(&(), &fragments[2..]).unwrap();
         assert_eq!(tail.stats.num_workers, 2);
         fragments.reverse();
-        let (table, fragment_slots) = SlotTable::<u64>::build(&fragments);
-        for (position, slots) in fragment_slots.iter().enumerate() {
-            for &slot in slots {
-                assert_ne!(table.homes[slot as usize] & (1 << position), 0);
+        let layout = ExchangeLayout::of(&fragments);
+        for position in 0..fragments.len() {
+            for &slot in layout.border_slots(position) {
+                assert_ne!(layout.homes(slot)[0] & (1 << position), 0);
             }
         }
         let reversed = engine.run(&(), &fragments).unwrap();
@@ -2175,52 +2062,22 @@ mod tests {
     }
 
     #[test]
-    fn slot_translation_dense_and_sparse_agree() {
-        // A compact slot range stays dense; a scattered one (a late fragment
-        // of a big job) switches to the sorted form. Both translate a slot
-        // to the border position it was shipped for.
-        let compact = [2, 0, 1];
-        let scattered = [900_000, 5, 400_000];
-        let dense = SlotTranslation::build(&compact);
-        assert!(matches!(dense, SlotTranslation::Dense(_)));
-        let sparse = SlotTranslation::build(&scattered);
-        assert!(matches!(sparse, SlotTranslation::Sparse(_)));
-        for pos in 0..3u32 {
-            assert_eq!(dense.position(compact[pos as usize]), Some(pos));
-            assert_eq!(sparse.position(scattered[pos as usize]), Some(pos));
-        }
-        // A slot that is not the fragment's translates to nothing.
-        let gappy = SlotTranslation::build(&[0, 5, 2]);
-        assert!(matches!(gappy, SlotTranslation::Dense(_)));
-        assert_eq!(gappy.position(1), None);
-        assert_eq!(gappy.position(6), None);
-        assert_eq!(sparse.position(6), None);
-        // Sparse memory stays O(border), not O(slot space).
-        if let SlotTranslation::Sparse(pairs) = &sparse {
-            assert_eq!(pairs.len(), 3);
-        }
-    }
-
-    #[test]
-    fn a_slot_that_is_not_the_fragments_is_dropped_before_inceval() {
-        // A coordinator frame arrives over TCP in service mode; a slot the
-        // handshake never assigned to this fragment must not reach the
-        // program as an out-of-range position.
+    fn a_position_past_the_border_is_dropped_before_inceval() {
+        // A coordinator frame arrives over TCP in service mode; a position at
+        // or past the fragment's border length must not reach the program as
+        // an out-of-range index.
         let g = barabasi_albert(60, 2, 3).unwrap();
         let fragments = build_fragments(&g, &HashPartitioner.partition(&g, 2));
         let fragment = &fragments[0];
-        // Even slots only: odd ones are gaps of the dense table.
-        let border_slots: Vec<u32> = (0..fragment.border_vertices().len() as u32)
-            .map(|pos| pos * 2)
-            .collect();
         let pool = Arc::new(ThreadPool::new(1));
         let mut worker = WorkerRuntime::new(&MinLabelCc, &(), fragment, pool, 0, None);
         assert!(matches!(
-            worker.handle(CoordCommand::Init { border_slots }),
+            worker.handle(CoordCommand::Init),
             HandleOutcome::Reply(_)
         ));
-        let last = fragment.border_vertices().len() - 1;
-        let updates = vec![(1, 0), (2 * last as u32, 0), (1_000_000, 0)];
+        let border = fragment.border_vertices().len() as u32;
+        let last = border - 1;
+        let updates = vec![(border, 0), (last, 0), (u32::MAX, 0)];
         let HandleOutcome::Reply(WorkerReport::Done { changes, .. }) =
             worker.handle(CoordCommand::IncEval {
                 superstep: 1,
@@ -2229,20 +2086,26 @@ mod tests {
         else {
             panic!("IncEval replies");
         };
-        // Only the fragment's own slot was delivered — and adopted, so the
-        // echo rule keeps it out of the report.
+        // Only the fragment's own position was delivered — and adopted, so
+        // the echo rule keeps it out of the report.
         assert_eq!(
-            worker.partial.as_ref().unwrap()[&fragment.border_vertices()[last]],
+            worker.partial.as_ref().unwrap()[&fragment.border_vertices()[last as usize]],
             0
         );
-        assert!(changes.iter().all(|&(slot, _)| slot != 2 * last as u32));
+        assert!(changes.iter().all(|&(pos, _)| pos != last));
+        // The coordinator drops a reported position past the border alike.
+        let mut reported = vec![(border, 0u64), (last, 0), (u32::MAX, 0)];
+        ExchangeLayout::of(&fragments).to_slots(0, &mut reported);
+        assert_eq!(reported.len(), 1);
     }
 
     #[test]
     fn inceval_positions_name_the_routed_vertex_on_both_translation_forms() {
         /// PEval proposes `vertex * 100 + fragment` for every border vertex,
         /// so the fold (min) of a slot names its vertex; IncEval checks every
-        /// delivered position against it.
+        /// delivered position against it. Both of the coordinator's
+        /// translations are on the path: reported position → slot, and slot
+        /// → the receiver's position.
         struct PositionProbe;
         impl PieProgram for PositionProbe {
             type Query = ();
@@ -2283,7 +2146,8 @@ mod tests {
             }
         }
         // 32 fragments of a 16x16 grid: early fragments draw compact slot
-        // ranges, late ones a few slots scattered over the whole space.
+        // ranges, late ones a few slots scattered over the whole space, and
+        // most vertices have homes beside the proposer.
         let g = road_network(
             RoadNetworkConfig {
                 width: 16,
@@ -2294,15 +2158,6 @@ mod tests {
         )
         .unwrap();
         let fragments = build_fragments(&g, &HashPartitioner.partition(&g, 32));
-        let (_, fragment_slots) = SlotTable::<u64>::build(&fragments);
-        let sparse = fragment_slots
-            .iter()
-            .filter(|slots| matches!(SlotTranslation::build(slots), SlotTranslation::Sparse(_)))
-            .count();
-        assert!(
-            0 < sparse && sparse < fragments.len(),
-            "{sparse} sparse of 32"
-        );
         let engine = GrapeEngine::new(PositionProbe).with_config(EngineConfig {
             execution: ExecutionMode::Inline,
             ..Default::default()

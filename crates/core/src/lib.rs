@@ -66,5 +66,5 @@ pub use grape_comm::{wire, MessageSize, Wire, WireError, WireReader};
 pub use grape_graph::delta::MutationProfile;
 pub use grape_graph::VertexId;
 pub use grape_partition::{
-    build_fragments, Fragment, FragmentId, FragmentParts, PartitionAssignment,
+    build_fragments, ExchangeLayout, Fragment, FragmentId, FragmentParts, PartitionAssignment,
 };

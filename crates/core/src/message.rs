@@ -1,14 +1,15 @@
 //! Messages exchanged between the coordinator and the workers.
 //!
-//! Since PR 3 the superstep traffic is **slot-addressed**: at run start the
-//! coordinator assigns every distinct border vertex a stable `u32` slot id
-//! and ships each fragment its local border→slot mapping in a one-time
-//! [`CoordCommand::Init`] handshake. All subsequent reports and routed
-//! updates identify border vertices by slot (`(u32, V)` pairs), which both
-//! halves the id bytes on the wire (`u32` vs `u64`) and lets both endpoints
-//! fold updates into flat arrays with no hashing per superstep (a worker
-//! turns a slot into a border position, never into a global id). A report
-//! never repeats a pair its command delivered ([`crate::PieContext::absorb`]).
+//! Superstep traffic is **position-addressed**: a worker names a border
+//! vertex by its position in its own `Fragment::border_vertices()`, in the
+//! pairs it reports and in the pairs it receives. Only the coordinator knows
+//! the slots — one per distinct border vertex of the fragment set — and
+//! translates both ways through the set's `ExchangeLayout`, so the
+//! [`CoordCommand::Init`] handshake ships nothing but the go-ahead. A `u32`
+//! position halves the id bytes on the wire (`u32` vs `u64`), and both
+//! endpoints fold updates into flat arrays with no hashing per superstep. A
+//! report never repeats a pair its command delivered
+//! ([`crate::PieContext::absorb`]).
 
 use grape_comm::wire::{self, Wire, WireError, WireReader, HEADER_LEN};
 use grape_comm::MessageSize;
@@ -63,12 +64,13 @@ impl<V: Wire> Wire for CheckpointState<V> {
 
 /// A `(vertex, value)` pair: one changed update parameter, addressed by
 /// global vertex id. Used for stray (unroutable) updates only; routed
-/// traffic is slot-addressed, and position-addressed at the program.
+/// traffic is position-addressed.
 pub type VertexValue<V> = (VertexId, V);
 
-/// A `(slot, value)` pair: one changed update parameter, addressed by the
-/// coordinator-assigned border slot. The wire format of superstep traffic.
-pub type SlotValue<V> = (u32, V);
+/// A `(position, value)` pair: one changed update parameter, addressed by
+/// its position in the worker's border list. The wire format of superstep
+/// traffic, in both directions.
+pub type PositionValue<V> = (u32, V);
 
 /// Message from a worker to the coordinator at the end of a superstep.
 #[derive(Debug, Clone, PartialEq)]
@@ -77,8 +79,8 @@ pub enum WorkerReport<V> {
     Done {
         /// Superstep the report belongs to.
         superstep: usize,
-        /// Border slots whose value changed during the call.
-        changes: Vec<SlotValue<V>>,
+        /// Border positions whose value changed during the call.
+        changes: Vec<PositionValue<V>>,
         /// Updates to vertices outside this fragment's border (no slot, so
         /// unroutable). Empty for correct programs; carried so the
         /// coordinator's monotonicity diagnostic still sees them.
@@ -94,7 +96,7 @@ pub enum WorkerReport<V> {
 impl<V: MessageSize> MessageSize for WorkerReport<V> {
     fn size_bytes(&self) -> usize {
         match self {
-            // superstep (8) + length-prefixed slot/value and stray vectors +
+            // superstep (8) + length-prefixed position/value and stray vectors +
             // the optional checkpoint; the timing is bookkeeping a real
             // deployment would not ship, so it is not charged.
             WorkerReport::Done {
@@ -154,7 +156,7 @@ impl<V: Wire> WorkerReport<V> {
         }
         let mut reader = WireReader::new(body);
         let superstep = usize::decode(&mut reader)?;
-        let changes = Vec::<SlotValue<V>>::decode(&mut reader)?;
+        let changes = Vec::<PositionValue<V>>::decode(&mut reader)?;
         let strays = Vec::<VertexValue<V>>::decode(&mut reader)?;
         let checkpoint = Option::<CheckpointState<V>>::decode(&mut reader)?;
         let eval_seconds = f64::decode(&mut reader)?;
@@ -172,36 +174,27 @@ impl<V: Wire> WorkerReport<V> {
 /// Message from the coordinator to a worker.
 #[derive(Debug, Clone, PartialEq)]
 pub enum CoordCommand<V> {
-    /// One-time handshake sent before PEval: the slot id of each of the
-    /// fragment's border vertices, aligned with
-    /// `Fragment::border_vertices()`. Every later report and routed update
-    /// is expressed in these slots.
-    Init {
-        /// `border_slots[i]` is the slot of the fragment's `i`-th border
-        /// vertex (ascending vertex-id order, the fragment's own border
-        /// order).
-        border_slots: Vec<u32>,
-    },
+    /// Start of a run: run PEval and report. It carries nothing — the
+    /// worker addresses its border by position in its own fragment, which it
+    /// already holds — so its one-byte body is the whole handshake.
+    Init,
     /// Run IncEval with these aggregated border values.
     IncEval {
         /// Superstep being started.
         superstep: usize,
-        /// Aggregated `(slot, value)` updates relevant to this fragment.
-        updates: Vec<SlotValue<V>>,
+        /// Aggregated `(position, value)` updates for this fragment, each
+        /// position an index into its `Fragment::border_vertices()`.
+        updates: Vec<PositionValue<V>>,
     },
-    /// Recovery handshake for a replacement worker: like [`Init`] it ships
-    /// the border→slot mapping, but instead of running PEval the worker
-    /// restores the checkpointed state and waits for the next command (the
-    /// coordinator replays the in-flight superstep's `IncEval`, or sends
-    /// `Finish`). No report is produced.
-    ///
-    /// [`Init`]: CoordCommand::Init
+    /// Recovery handshake for a replacement worker: instead of running PEval
+    /// it restores the checkpointed state and waits for the next command
+    /// (the coordinator replays the in-flight superstep's `IncEval`, or sends
+    /// `Finish`). No report is produced. Like [`CoordCommand::Init`] it ships
+    /// no border mapping.
     Resume {
         /// Superstep the checkpoint was taken after; the next `IncEval`
         /// carries `superstep + 1`.
         superstep: usize,
-        /// Border→slot mapping, exactly as in [`CoordCommand::Init`].
-        border_slots: Vec<u32>,
         /// The lost worker's last checkpoint. `None` only when the worker
         /// died before its PEval report landed — the replacement then runs
         /// PEval from scratch instead of restoring.
@@ -214,14 +207,9 @@ pub enum CoordCommand<V> {
 impl<V: MessageSize> MessageSize for CoordCommand<V> {
     fn size_bytes(&self) -> usize {
         match self {
-            CoordCommand::Init { border_slots } => border_slots.size_bytes(),
+            CoordCommand::Init | CoordCommand::Finish => 1,
             CoordCommand::IncEval { updates, .. } => 8 + updates.size_bytes(),
-            CoordCommand::Resume {
-                border_slots,
-                checkpoint,
-                ..
-            } => 8 + border_slots.size_bytes() + checkpoint.size_bytes(),
-            CoordCommand::Finish => 1,
+            CoordCommand::Resume { checkpoint, .. } => 8 + checkpoint.size_bytes(),
         }
     }
 }
@@ -241,9 +229,9 @@ impl<V: Wire> CoordCommand<V> {
     /// workers fence commands whose epoch differs from their connection's.
     pub fn encode_frame_epoch(&self, epoch: u32, out: &mut Vec<u8>) {
         match self {
-            CoordCommand::Init { border_slots } => {
-                wire::encode_frame_epoch(TAG_INIT, epoch, border_slots, out)
-            }
+            // One-byte bodies, so the framed payload length equals the
+            // MessageSize estimate of 1.
+            CoordCommand::Init => wire::encode_frame_epoch(TAG_INIT, epoch, &0u8, out),
             CoordCommand::IncEval { superstep, updates } => {
                 wire::encode_frame_with_epoch(TAG_INCEVAL, epoch, out, |out| {
                     superstep.encode(out);
@@ -252,15 +240,11 @@ impl<V: Wire> CoordCommand<V> {
             }
             CoordCommand::Resume {
                 superstep,
-                border_slots,
                 checkpoint,
             } => wire::encode_frame_with_epoch(TAG_RESUME, epoch, out, |out| {
                 superstep.encode(out);
-                border_slots.encode(out);
                 checkpoint.encode(out);
             }),
-            // A one-byte body, so the framed payload length equals the
-            // MessageSize estimate of 1.
             CoordCommand::Finish => wire::encode_frame_epoch(TAG_FINISH, epoch, &0u8, out),
         }
     }
@@ -279,16 +263,16 @@ impl<V: Wire> CoordCommand<V> {
     pub fn decode_body(tag: u8, body: &[u8]) -> Result<Self, WireError> {
         let mut reader = WireReader::new(body);
         let command = match tag {
-            TAG_INIT => CoordCommand::Init {
-                border_slots: Vec::<u32>::decode(&mut reader)?,
-            },
+            TAG_INIT => {
+                reader.u8()?;
+                CoordCommand::Init
+            }
             TAG_INCEVAL => CoordCommand::IncEval {
                 superstep: usize::decode(&mut reader)?,
-                updates: Vec::<SlotValue<V>>::decode(&mut reader)?,
+                updates: Vec::<PositionValue<V>>::decode(&mut reader)?,
             },
             TAG_RESUME => CoordCommand::Resume {
                 superstep: usize::decode(&mut reader)?,
-                border_slots: Vec::<u32>::decode(&mut reader)?,
                 checkpoint: Option::<CheckpointState<V>>::decode(&mut reader)?,
             },
             TAG_FINISH => {
@@ -350,38 +334,32 @@ mod tests {
             updates: vec![(1, 9)],
         };
         assert_eq!(c.size_bytes(), 8 + 4 + (4 + 8));
-        let i: CoordCommand<u64> = CoordCommand::Init {
-            border_slots: vec![0, 1, 2],
-        };
-        assert_eq!(i.size_bytes(), 4 + 3 * 4);
+        let i: CoordCommand<u64> = CoordCommand::Init;
+        assert_eq!(i.size_bytes(), 1);
         let f: CoordCommand<u64> = CoordCommand::Finish;
         assert_eq!(f.size_bytes(), 1);
-        // Resume = superstep (8) + border_slots (4 + 2×4) + checkpoint
-        // (1 Some + 4 + 1 partial + 4 + 9 border).
+        // Resume = superstep (8) + checkpoint (1 Some + 4 + 1 partial + 4 +
+        // 9 border).
         let r: CoordCommand<u64> = CoordCommand::Resume {
             superstep: 2,
-            border_slots: vec![0, 1],
             checkpoint: Some(CheckpointState {
                 partial: vec![7],
                 border: vec![Some(9)],
             }),
         };
-        assert_eq!(r.size_bytes(), 8 + (4 + 8) + (1 + 4 + 1 + 4 + 9));
+        assert_eq!(r.size_bytes(), 8 + (1 + 4 + 1 + 4 + 9));
     }
 
     #[test]
     fn command_frames_roundtrip_bit_identically() {
         let commands: Vec<CoordCommand<f64>> = vec![
-            CoordCommand::Init {
-                border_slots: vec![3, 1, 4, 1, 5],
-            },
+            CoordCommand::Init,
             CoordCommand::IncEval {
                 superstep: 42,
                 updates: vec![(7, 2.5), (9, f64::INFINITY)],
             },
             CoordCommand::Resume {
                 superstep: 5,
-                border_slots: vec![2, 7, 1],
                 checkpoint: Some(CheckpointState {
                     partial: vec![1, 2, 3, 4],
                     border: vec![None, Some(0.5), Some(f64::NEG_INFINITY)],
@@ -389,7 +367,6 @@ mod tests {
             },
             CoordCommand::Resume {
                 superstep: 0,
-                border_slots: vec![],
                 checkpoint: None,
             },
             CoordCommand::Finish,
@@ -477,10 +454,10 @@ mod tests {
 
     #[test]
     fn slot_addressing_is_smaller_than_vertex_addressing() {
-        // The PR 2 wire shape was (u64 id, value); the slot shape is
-        // (u32 slot, value). For f64 values that is 12 vs 16 bytes per
-        // changed parameter.
-        let slot: Vec<SlotValue<f64>> = vec![(7, 1.5)];
+        // Addressing by global id is (u64 id, value); addressing by border
+        // position is (u32 position, value). For f64 values that is 12 vs 16
+        // bytes per changed parameter.
+        let slot: Vec<PositionValue<f64>> = vec![(7, 1.5)];
         let vertex: Vec<VertexValue<f64>> = vec![(7, 1.5)];
         assert_eq!(slot.size_bytes() + 4, vertex.size_bytes());
     }

@@ -129,20 +129,23 @@ pub trait PieProgram: Send + Sync {
     }
 
     /// Encodes what Assemble needs of one fragment's converged partial, for
-    /// a worker that sends its result across a process boundary. The default
-    /// is the whole partial ([`PieProgram::snapshot_partial`]). A program
-    /// whose answer is one value per vertex sends only its owners' values
-    /// ([`encode_owner_column`]). `None` when the program can do neither.
+    /// a worker that sends its result across a process boundary, when that
+    /// is less than the whole partial: a program whose answer is one value
+    /// per vertex sends only its owners' values ([`encode_owner_column`]).
+    /// The default `None` means the answer is the whole partial, its
+    /// [`PieProgram::snapshot_partial`] bytes — which a daemon that keeps the
+    /// snapshot anyway ships without taking a second one.
     fn encode_answer(
         &self,
         _fragment: &Fragment<Self::VertexData, Self::EdgeData>,
-        partial: &Self::Partial,
+        _partial: &Self::Partial,
     ) -> Option<Vec<u8>> {
-        self.snapshot_partial(partial)
+        None
     }
 
-    /// Assembles `Q(G)` from every fragment's [`PieProgram::encode_answer`]
-    /// bytes, given in fragment order beside the fragments they came from.
+    /// Assembles `Q(G)` from every fragment's answer — its
+    /// [`PieProgram::encode_answer`] bytes, or its snapshot where that
+    /// declines — given in fragment order beside the fragments they came from.
     /// The bytes come from a peer, so an answer that does not decode is an
     /// error, never a panic. The default restores each partial and runs
     /// [`PieProgram::assemble`]; either way the output equals `assemble` of

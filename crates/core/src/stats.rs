@@ -58,8 +58,10 @@ pub struct RunStats {
     /// Wall-clock seconds spent in IncEval supersteps (critical path, see
     /// [`RunStats::peval_seconds`]).
     pub inceval_seconds: f64,
-    /// Coordinator seconds building the border slot table, before the first
-    /// `Init` goes out.
+    /// Coordinator seconds finding the fragment set's exchange layout — the
+    /// border slot numbering, built the first time a set runs and kept with
+    /// its fragments ([`grape_partition::ExchangeLayout::of`]) — before the
+    /// first `Init` goes out.
     pub slot_build_seconds: f64,
     /// Coordinator seconds folding gathered reports, summed over supersteps.
     pub fold_seconds: f64,

@@ -619,10 +619,13 @@ impl<V: Wire + Send + 'static> FramedStreamCoord<V> {
     }
 
     /// Blocks until an out-of-band frame (any non-report tag) arrives from
-    /// any worker. Returns `None` when every connection has closed first.
+    /// any worker. Returns `Ok(None)` when every connection has closed first.
     /// (Connection closes are expected here — this runs after the BSP loop,
-    /// when workers finish and hang up.)
-    pub fn recv_oob_blocking(&self) -> Option<OobFrame> {
+    /// when workers finish and hang up.) Like a report, the frame must come
+    /// within the read timeout ([`FramedStreamCoord::with_read_timeout`]):
+    /// silence past it is a [`TransportError::WorkerLost`] naming no worker.
+    pub fn recv_oob_blocking(&self) -> Result<Option<OobFrame>, TransportError> {
+        let deadline = self.read_timeout.map(|t| Instant::now() + t);
         loop {
             if let Some(frame) = {
                 let mut oob = self.oob.lock().unwrap();
@@ -632,29 +635,50 @@ impl<V: Wire + Send + 'static> FramedStreamCoord<V> {
                     Some(oob.remove(0))
                 }
             } {
-                return Some(frame);
+                return Ok(Some(frame));
             }
             // The struct itself holds a sender, so the channel never
             // disconnects on its own: once the last reader has exited, drain
             // what is queued and then report end-of-traffic.
             if self.live.load(Ordering::SeqCst) == 0 {
                 match self.inbox.try_recv() {
-                    Ok(StreamEvent::Oob(frame)) => return Some(frame),
+                    Ok(StreamEvent::Oob(frame)) => return Ok(Some(frame)),
                     Ok(_) => continue,
-                    Err(_) => return None,
+                    Err(_) => return Ok(None),
                 }
             }
-            match self.inbox.recv() {
-                Ok(StreamEvent::Oob(frame)) => return Some(frame),
-                Ok(StreamEvent::Report(from, _)) => {
+            let event = match deadline {
+                Some(deadline) => {
+                    let remaining = deadline.saturating_duration_since(Instant::now());
+                    match self.inbox.recv_timeout(remaining) {
+                        Ok(event) => event,
+                        Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
+                            return Err(TransportError::WorkerLost {
+                                worker: None,
+                                reason: format!(
+                                    "no out-of-band frame within the {:?} read timeout",
+                                    self.read_timeout.expect("deadline implies timeout")
+                                ),
+                            })
+                        }
+                        Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => return Ok(None),
+                    }
+                }
+                None => match self.inbox.recv() {
+                    Ok(event) => event,
+                    Err(_) => return Ok(None),
+                },
+            };
+            match event {
+                StreamEvent::Oob(frame) => return Ok(Some(frame)),
+                StreamEvent::Report(from, _) => {
                     // A late report while waiting for OOB traffic would be a
                     // protocol error by the worker; drop it loudly.
                     eprintln!("discarding post-run report from worker {from}");
                 }
                 // Normal post-run hang-up; the `live` check above notices
                 // when the last reader is gone.
-                Ok(StreamEvent::Disconnected(..)) => {}
-                Err(_) => return None,
+                StreamEvent::Disconnected(..) => {}
             }
         }
     }
@@ -1052,15 +1076,17 @@ mod tests {
             .with_epoch(1);
         let mut writer = BufWriter::new(accepted);
         let stale = CoordCommand::<f64>::Finish;
-        let current = CoordCommand::<f64>::Init {
-            border_slots: vec![4],
+        let current = CoordCommand::<f64>::IncEval {
+            superstep: 4,
+            updates: vec![(0, 1.5)],
         };
         let mut bytes = Vec::new();
         stale.encode_frame_epoch(0, &mut bytes); // pre-recovery epoch
         current.encode_frame_epoch(1, &mut bytes);
         writer.write_all(&bytes).unwrap();
         writer.flush().unwrap();
-        // One receive call: the stale Finish is skipped, the Init delivered.
+        // One receive call: the stale Finish is skipped, the IncEval
+        // delivered.
         assert_eq!(worker.recv_blocking(), vec![current]);
         assert_eq!(worker.fenced_frames(), 1);
     }
@@ -1084,15 +1110,10 @@ mod tests {
         let (accepted, _) = listener.accept().unwrap();
         let stats = Arc::new(CommStats::new());
         let coord = FramedStreamCoord::<f64>::new(vec![accepted], Arc::clone(&stats)).unwrap();
-        coord.send(
-            0,
-            CoordCommand::Init {
-                border_slots: vec![0, 1],
-            },
-        );
+        coord.send(0, CoordCommand::Init);
         let reports = coord.recv_blocking();
         assert_eq!(reports, vec![(0usize, report(0, vec![(1, 9.0)]))]);
-        let (from, tag, body) = coord.recv_oob_blocking().unwrap();
+        let (from, tag, body) = coord.recv_oob_blocking().unwrap().unwrap();
         assert_eq!((from, tag), (0, 0x77));
         let mut reader = wire::WireReader::new(&body);
         assert_eq!(String::decode(&mut reader).unwrap(), "digest");

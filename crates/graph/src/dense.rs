@@ -14,6 +14,7 @@
 use crate::csr::CsrGraph;
 use crate::types::VertexId;
 use grape_comm::wire::{Wire, WireError, WireReader};
+use grape_comm::MessageSize;
 use std::borrow::Cow;
 use std::ops::Range;
 
@@ -344,6 +345,12 @@ impl DenseBitset {
                 Some(wi as u32 * 64 + bit)
             })
         })
+    }
+}
+
+impl MessageSize for DenseBitset {
+    fn size_bytes(&self) -> usize {
+        4 + std::mem::size_of_val(&self.words[..])
     }
 }
 

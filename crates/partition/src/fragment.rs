@@ -18,6 +18,7 @@
 //! search, and nothing is hashed.
 
 use crate::assignment::{FragmentId, PartitionAssignment};
+use crate::exchange::LayoutMemo;
 use grape_graph::{
     merge_join, merge_walk, strictly_ascending, CsrGraph, DenseBitset, GraphError, VertexId,
 };
@@ -46,7 +47,7 @@ pub struct Fragment<V, E> {
 /// A fragment's vertex and border tables, all sorted or aligned with a
 /// sorted list.
 #[derive(Debug, PartialEq)]
-struct VertexTables {
+pub(crate) struct VertexTables {
     /// Vertices owned by this fragment (sorted).
     inner: Vec<VertexId>,
     /// Mirrors of remote vertices that appear in local edges (sorted).
@@ -63,7 +64,7 @@ struct VertexTables {
     outer_dense: Vec<u32>,
     /// Border vertices (outer ∪ mirrored inner), sorted; precomputed once at
     /// construction instead of re-sorted on every `border_vertices()` call.
-    border: Vec<VertexId>,
+    pub(crate) border: Vec<VertexId>,
     /// Dense index of each border vertex, aligned with `border`.
     border_dense: Vec<u32>,
     /// Inner vertices that are mirrored at other fragments, sorted.
@@ -73,6 +74,9 @@ struct VertexTables {
     /// Position of each mirrored-inner vertex in `border`, aligned with
     /// `mirrored_inner`.
     mirrored_inner_border_pos: Vec<u32>,
+    /// The exchange layout of the last fragment set these tables led
+    /// ([`crate::ExchangeLayout::of`]).
+    pub(crate) layout: LayoutMemo,
 }
 
 /// The fragments that mirror each vertex of a sorted list, as flat runs
@@ -162,6 +166,12 @@ impl<V: Clone, E: Clone> Fragment<V, E> {
         Some(self.tables.outer_owner[i] as FragmentId)
     }
 
+    /// The vertex and border tables, shared with the fragments an
+    /// edges-only splice derives.
+    pub(crate) fn tables(&self) -> &Arc<VertexTables> {
+        &self.tables
+    }
+
     /// The owner of each outer vertex, aligned with `outer_vertices`.
     pub(crate) fn outer_owners(&self) -> &[u32] {
         &self.tables.outer_owner
@@ -193,8 +203,8 @@ impl<V: Clone, E: Clone> Fragment<V, E> {
 
     /// Position of `v` in [`Fragment::border_vertices`], if it is a border
     /// vertex. A binary search over the sorted border list — no hashing —
-    /// so per-run side tables aligned with the border (such as the engine's
-    /// border→slot mapping) can be addressed without a `HashMap`.
+    /// so side tables aligned with the border (such as the exchange layout's
+    /// border→slot column) can be addressed without a `HashMap`.
     #[inline]
     pub fn border_position(&self, v: VertexId) -> Option<u32> {
         self.tables.border.binary_search(&v).ok().map(|i| i as u32)
@@ -655,6 +665,7 @@ pub(crate) fn assemble_fragment<V: Clone, E: Clone>(
             mirrored_inner,
             mirrored_inner_dense,
             mirrored_inner_border_pos,
+            layout: LayoutMemo::default(),
         }),
     }
 }

@@ -15,6 +15,7 @@
 #![warn(missing_docs)]
 
 pub mod assignment;
+pub mod exchange;
 pub mod fragment;
 pub mod multilevel;
 pub mod mutate;
@@ -23,6 +24,7 @@ pub mod strategy;
 pub mod streaming;
 
 pub use assignment::{FragmentId, PartitionAssignment};
+pub use exchange::ExchangeLayout;
 pub use fragment::{build_fragments, Fragment, FragmentParts};
 pub use multilevel::MetisLikePartitioner;
 pub use mutate::{resolve_net_mutations, FragmentView, ResolvedMutations};

@@ -238,7 +238,12 @@ pub fn run_worker<S: ServiceStream>(mut stream: S, options: WorkerOptions) -> io
     // ship a byte until the greeting passes validation.
     wire::write_frame_io_epoch(&mut stream, TAG_HELLO, 0, &options.token)?;
     stream.flush()?;
-    let state = ServiceState::new(ServiceOptions::default(), options.chaos, options.on_kill);
+    let state = ServiceState::new(
+        ServiceOptions::default(),
+        options.chaos,
+        options.on_kill,
+        false,
+    );
     serve_frames(stream, &state)
 }
 

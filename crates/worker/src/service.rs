@@ -44,13 +44,18 @@
 //!    converged partial it keeps beside it for this query when that partial
 //!    is of the handle's version, and enters the ordinary BSP worker loop at
 //!    that epoch (`Init` → PEval report → (`IncEval` → report)* → `Finish`);
-//!    the coordinator drives the ordinary fixpoint over a per-query slot
-//!    table.
-//! 3. After `Finish`, the worker keeps its converged partial's snapshot
-//!    beside the fragment, stamped with the fragment's version, and answers
-//!    with one `TAG_RESULT` frame: [`PieProgram::encode_answer`] of its
-//!    partial — for sssp, cc and pagerank one value per inner vertex — then a
-//!    `bool` telling whether its PEval started warm. The coordinator
+//!    the `Init` carries nothing, since the worker addresses its border by
+//!    position in the fragment it holds, and the coordinator drives the
+//!    ordinary fixpoint over a per-query fold state on the fragment set's
+//!    exchange layout (built once per set, see
+//!    [`grape_partition::ExchangeLayout`]).
+//! 3. After `Finish`, a daemon keeps its converged partial's snapshot beside
+//!    the fragment, stamped with the fragment's version (a dialled-in batch
+//!    worker keeps nothing), and answers with one `TAG_RESULT` frame: what
+//!    Assemble reads of its partial — for sssp, cc and pagerank one value per
+//!    inner vertex ([`PieProgram::encode_answer`]), for the other classes
+//!    the snapshot, taken once for both — then a `bool` telling whether its
+//!    PEval started warm. The coordinator
 //!    assembles the k answers into the typed output
 //!    ([`PieProgram::assemble_answers`]).
 //! 4. `TAG_UPDATE` (sessions only) carries a versioned mutation batch for one
@@ -776,16 +781,26 @@ pub(crate) struct ServiceState {
     /// connection and keeps serving the others; a dialled-in worker process
     /// SIGKILLs itself ([`crate::kill_self`]).
     on_kill: Option<fn()>,
+    /// Whether a query's converged partial is kept for later warm queries:
+    /// a daemon keeps it, a dialled-in batch worker — one query, then gone —
+    /// keeps nothing.
+    keeps_converged: bool,
 }
 
 impl ServiceState {
-    pub(crate) fn new(options: ServiceOptions, chaos: ChaosConfig, on_kill: Option<fn()>) -> Self {
+    pub(crate) fn new(
+        options: ServiceOptions,
+        chaos: ChaosConfig,
+        on_kill: Option<fn()>,
+        keeps_converged: bool,
+    ) -> Self {
         ServiceState {
             registry: Mutex::new(HashMap::new()),
             options,
             stop: AtomicBool::new(false),
             chaos,
             on_kill,
+            keeps_converged,
         }
     }
 
@@ -894,7 +909,12 @@ impl GrapeService {
     fn on(endpoint: &Endpoint, options: ServiceOptions) -> io::Result<GrapeService> {
         Ok(GrapeService {
             listener: ServiceListener::bind(endpoint)?,
-            state: Arc::new(ServiceState::new(options, ChaosConfig::default(), None)),
+            state: Arc::new(ServiceState::new(
+                options,
+                ChaosConfig::default(),
+                None,
+                true,
+            )),
         })
     }
 
@@ -1443,21 +1463,50 @@ impl<S: ServiceStream> ClassVisitor for Answer<'_, S> {
                 "query {run_id} torn down before PEval"
             )));
         };
-        if let Some(snapshot) = program.snapshot_partial(&partial) {
+        let (frame, snapshot) = result_frame(
+            &program,
+            fragment,
+            &partial,
+            warm,
+            run_id,
+            state.keeps_converged,
+        )?;
+        if let Some(snapshot) = snapshot {
             state.keep_converged(job.graph_id, job.index, key, version, snapshot);
         }
-        // The result goes home as what Assemble reads of the partial, then
-        // the flag that says whether PEval started warm.
-        let answer = program
-            .encode_answer(fragment, &partial)
-            .ok_or_else(|| io::Error::other("program cannot encode its answer"))?;
-        let mut frame = Vec::with_capacity(wire::HEADER_LEN + 1 + answer.len());
-        wire::encode_frame_with_epoch(TAG_RESULT, run_id, &mut frame, |out| {
-            out.extend_from_slice(&answer);
-            warm.encode(out);
-        });
         send(&mut stream.try_clone_stream()?, &frame)
     }
+}
+
+/// A finished query's `TAG_RESULT` frame — what Assemble reads of the
+/// partial, then the flag that says whether PEval started warm — and, when
+/// `keep` asks for it, the partial's snapshot to keep. One snapshot at most:
+/// a program whose answer is its snapshot ([`PieProgram::encode_answer`]
+/// declines) ships the one it keeps.
+fn result_frame<P: PieProgram>(
+    program: &P,
+    fragment: &Fragment<P::VertexData, P::EdgeData>,
+    partial: &P::Partial,
+    warm: bool,
+    run_id: u32,
+    keep: bool,
+) -> io::Result<(Vec<u8>, Option<Vec<u8>>)> {
+    let owners = program.encode_answer(fragment, partial);
+    let snapshot = if keep || owners.is_none() {
+        program.snapshot_partial(partial)
+    } else {
+        None
+    };
+    let answer = owners
+        .as_deref()
+        .or(snapshot.as_deref())
+        .ok_or_else(|| io::Error::other("program cannot encode its answer"))?;
+    let mut frame = Vec::with_capacity(wire::HEADER_LEN + 1 + answer.len());
+    wire::encode_frame_with_epoch(TAG_RESULT, run_id, &mut frame, |out| {
+        out.extend_from_slice(answer);
+        warm.encode(out);
+    });
+    Ok((frame, snapshot.filter(|_| keep)))
 }
 
 // ---------------------------------------------------------------------------
@@ -1509,10 +1558,10 @@ impl SessionConfig {
 /// A session holds a graph resident — partitioned once, fragments kept by
 /// in-process workers or shipped once to remote [`GrapeService`] daemons —
 /// and serves a stream of typed queries over it. Each submitted query gets a
-/// fresh run id (its wire epoch), its own slot table, and its own
-/// [`RunStats`]; queries run concurrently on their own threads and
-/// connections, so two in-flight queries of different classes never share
-/// mutable state. Cloning a [`Session`] yields another handle to the same
+/// fresh run id (its wire epoch), its own fold state over the fragments'
+/// shared exchange layout, and its own [`RunStats`]; queries run
+/// concurrently on their own threads and connections, so two in-flight
+/// queries of different classes never share mutable state. Cloning a [`Session`] yields another handle to the same
 /// resident graph (for multi-client drivers).
 ///
 /// ```no_run
@@ -1617,7 +1666,8 @@ impl Session {
     }
 
     /// Partitions `graph` with `strategy` and makes it resident: fragments
-    /// are built once, kept for every subsequent query's slot table, and —
+    /// are built once, kept for every subsequent query (with the exchange
+    /// layout the first query builds over them), and —
     /// for remote sessions — shipped once to the daemons. Loading a new
     /// graph replaces the previous one for future queries; in-flight queries
     /// keep the fragments they started with.
@@ -2234,9 +2284,8 @@ impl<S: ServiceStream> Drop for Hangup<S> {
 
 /// The coordinator side of one query over remote workers: opens a stream per
 /// worker, drives the BSP fixpoint over them, and collects one `TAG_RESULT`
-/// per worker. Returns, in worker order, the workers' answers — the
-/// [`PieProgram::encode_answer`] bytes [`PieProgram::assemble_answers`]
-/// reads — plus the run's stats, [`RunStats::warm_fragments`] included.
+/// per worker. Returns, in worker order, the workers' answers — the bytes
+/// [`PieProgram::assemble_answers`] reads — plus the run's stats, [`RunStats::warm_fragments`] included.
 ///
 /// `open(worker, epoch)` is the only thing that differs between callers: it
 /// must return a stream on which worker `worker` has been sent its
@@ -2308,9 +2357,12 @@ where
     let mut answers: Vec<Option<Vec<u8>>> = vec![None; n];
     let mut result_bytes = 0;
     while answers.iter().any(Option::is_none) {
-        let (from, tag, mut payload) = transport.recv_oob_blocking().ok_or_else(|| {
-            io::Error::other("connection closed before every worker reported a result")
-        })?;
+        let (from, tag, mut payload) = transport
+            .recv_oob_blocking()
+            .map_err(|e| io::Error::new(io::ErrorKind::TimedOut, e.to_string()))?
+            .ok_or_else(|| {
+                io::Error::other("connection closed before every worker reported a result")
+            })?;
         if tag != TAG_RESULT {
             return Err(bad_data(format!(
                 "expected TAG_RESULT from worker {from}, got tag {tag:#04x}"
@@ -2599,6 +2651,8 @@ mod tests {
         Trailing,
         /// Sent twice; every other worker's result is held back.
         Twice,
+        /// Never forwarded, while the connection stays open.
+        Withheld,
     }
 
     /// A fake daemon: a proxy in front of `upstream` that passes every frame
@@ -2640,6 +2694,7 @@ mod tests {
                                     Spoil::Truncated => drop(body.remove(flag - 1)),
                                     Spoil::Trailing => body.insert(flag, 0),
                                     Spoil::Twice => copies = 2,
+                                    Spoil::Withheld => copies = 0,
                                 }
                             }
                         }
@@ -2695,6 +2750,129 @@ mod tests {
         daemon.shutdown().expect("shutdown");
     }
 
+    /// sssp, counting the snapshots it takes; with `owners` off it declines
+    /// `encode_answer`, like the classes whose answer is their snapshot.
+    struct CountingSssp {
+        owners: bool,
+        snapshots: AtomicU64,
+    }
+
+    impl PieProgram for CountingSssp {
+        type Query = grape_algo::SsspQuery;
+        type VertexData = ();
+        type EdgeData = f64;
+        type Value = f64;
+        type Partial = <grape_algo::SsspProgram as PieProgram>::Partial;
+        type Output = HashMap<VertexId, f64>;
+
+        fn peval(
+            &self,
+            query: &Self::Query,
+            fragment: &Fragment<(), f64>,
+            ctx: &mut grape_core::PieContext<f64>,
+        ) -> Self::Partial {
+            grape_algo::SsspProgram.peval(query, fragment, ctx)
+        }
+
+        fn inceval(
+            &self,
+            query: &Self::Query,
+            fragment: &Fragment<(), f64>,
+            partial: &mut Self::Partial,
+            messages: &[(u32, f64)],
+            ctx: &mut grape_core::PieContext<f64>,
+        ) {
+            grape_algo::SsspProgram.inceval(query, fragment, partial, messages, ctx)
+        }
+
+        fn assemble(&self, partials: Vec<Self::Partial>) -> Self::Output {
+            grape_algo::SsspProgram.assemble(partials)
+        }
+
+        fn aggregate(&self, a: &f64, b: &f64) -> f64 {
+            grape_algo::SsspProgram.aggregate(a, b)
+        }
+
+        fn snapshot_partial(&self, partial: &Self::Partial) -> Option<Vec<u8>> {
+            self.snapshots.fetch_add(1, Ordering::SeqCst);
+            grape_algo::SsspProgram.snapshot_partial(partial)
+        }
+
+        fn encode_answer(
+            &self,
+            fragment: &Fragment<(), f64>,
+            partial: &Self::Partial,
+        ) -> Option<Vec<u8>> {
+            self.owners
+                .then(|| grape_algo::SsspProgram.encode_answer(fragment, partial))
+                .flatten()
+        }
+    }
+
+    #[test]
+    fn a_query_takes_one_snapshot_at_most() {
+        let g = barabasi_albert(60, 2, 5).expect("generator");
+        let fragments = build_fragments(&g, &BuiltinStrategy::Hash.partition(&g, 2));
+        for owners in [true, false] {
+            let engine = GrapeEngine::new(CountingSssp {
+                owners,
+                snapshots: AtomicU64::new(0),
+            });
+            let query = grape_algo::SsspQuery::new(0);
+            let (partials, _) = engine.run_partials(&query, &fragments, &[]).unwrap();
+            let program = engine.program();
+            // A daemon keeps the snapshot; a dialled-in batch worker does not.
+            for keep in [true, false] {
+                program.snapshots.store(0, Ordering::SeqCst);
+                let (frame, kept) =
+                    result_frame(program, &fragments[0], &partials[0], false, 7, keep)
+                        .expect("frame");
+                let taken = program.snapshots.load(Ordering::SeqCst);
+                assert_eq!(
+                    taken,
+                    u64::from(keep || !owners),
+                    "owners {owners} keep {keep}"
+                );
+                assert_eq!(kept.is_some(), keep);
+                let (_, body, _) = wire::decode_frame(&frame).expect("a frame");
+                let answer = match owners {
+                    true => program.encode_answer(&fragments[0], &partials[0]),
+                    false => program.snapshot_partial(&partials[0]),
+                };
+                assert_eq!(body, [&answer.unwrap()[..], &[0]].concat());
+            }
+        }
+    }
+
+    #[test]
+    fn a_withheld_result_times_out_and_the_daemon_keeps_serving() {
+        let daemon = GrapeService::bind("127.0.0.1:0", ServiceOptions::default())
+            .expect("bind")
+            .spawn()
+            .expect("spawn");
+        let graph: SessionGraph = barabasi_albert(60, 2, 5).expect("generator").into();
+        // The proxy lets the BSP loop finish, then holds one result back.
+        let proxy = answer_proxy(daemon.endpoint().clone(), Spoil::Withheld);
+        let timeout = Duration::from_millis(500);
+        let engine = EngineConfig::builder().read_timeout(Some(timeout)).build();
+        let session = Session::connect(SessionConfig::remote(2, vec![proxy]).with_engine(engine))
+            .expect("connect");
+        session.load(&graph, BuiltinStrategy::Hash).expect("load");
+        let handle = session.submit(Query::sssp(0)).expect("submit");
+        let waited = Instant::now();
+        let err = handle.join().expect_err("a withheld result is an error");
+        assert_eq!(err.kind(), io::ErrorKind::TimedOut, "{err}");
+        assert!(err.to_string().contains("read timeout"), "{err}");
+        // The query ran its supersteps, then waited one timeout, not more.
+        assert!(waited.elapsed() < 8 * timeout, "{:?}", waited.elapsed());
+        let session = Session::connect(SessionConfig::remote(2, vec![daemon.endpoint().clone()]))
+            .expect("connect");
+        session.load(&graph, BuiltinStrategy::Hash).expect("load");
+        let outcome = session.submit(Query::sssp(0)).expect("submit").join();
+        assert!(outcome.is_ok(), "the daemon stopped serving: {outcome:?}");
+        daemon.shutdown().expect("shutdown");
+    }
+
     #[test]
     fn both_ends_of_a_session_connection_send_without_delay() {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
@@ -2709,7 +2887,12 @@ mod tests {
         client
             .shutdown(std::net::Shutdown::Write)
             .expect("shutdown");
-        let state = ServiceState::new(ServiceOptions::default(), ChaosConfig::default(), None);
+        let state = ServiceState::new(
+            ServiceOptions::default(),
+            ChaosConfig::default(),
+            None,
+            true,
+        );
         serve_connection(server, &state).expect("served");
         assert!(
             client.nodelay().expect("client option"),

@@ -860,8 +860,10 @@ where
             let mut answers = vec![Vec::new(); k];
             let mut warm = 0;
             for _ in 0..k {
-                let (from, tag, mut body) =
-                    transport.recv_oob_blocking().ok_or("no result frame")?;
+                let (from, tag, mut body) = transport
+                    .recv_oob_blocking()
+                    .map_err(|e| e.to_string())?
+                    .ok_or("no result frame")?;
                 assert_eq!(tag, TAG_RESULT);
                 warm += usize::from(body.pop() == Some(1));
                 answers[from] = body;

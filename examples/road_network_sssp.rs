@@ -101,11 +101,11 @@ fn main() {
         pregel_stats.bytes
     );
     // Where the PIE run's time went: evaluation on the critical path, and
-    // the coordinator's own work around it — the slot table before the first
-    // superstep; gather (blocked on reports), fold, route and send between
+    // the coordinator's own work around it — the exchange layout before the
+    // first superstep (built here, since the fragments are fresh); gather (blocked on reports), fold, route and send between
     // supersteps; Assemble after the last.
     println!(
-        "\ngrape (PIE) breakdown: {:.2} ms peval + {:.2} ms inceval, coordinator {:.2} ms slot table + {:.2} ms gather + {:.2} ms fold + {:.2} ms route + {:.2} ms send + {:.2} ms assemble",
+        "\ngrape (PIE) breakdown: {:.2} ms peval + {:.2} ms inceval, coordinator {:.2} ms exchange layout + {:.2} ms gather + {:.2} ms fold + {:.2} ms route + {:.2} ms send + {:.2} ms assemble",
         grape_run.stats.peval_seconds * 1e3,
         grape_run.stats.inceval_seconds * 1e3,
         grape_run.stats.slot_build_seconds * 1e3,

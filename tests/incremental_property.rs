@@ -270,8 +270,7 @@ fn cc_warm_start_adopts_the_forest_pointer_jumping_left() {
             .collect();
         for (fragment, seed) in updated_fragments.iter().zip(&seeds) {
             let mut ctx = PieContext::new();
-            let slots: Vec<u32> = (0..fragment.border_vertices().len() as u32).collect();
-            ctx.configure_borders(fragment.border_vertices(), &slots);
+            ctx.configure_borders(fragment.border_vertices());
             let seeded = CcProgram.seed_partial(
                 &CcQuery,
                 fragment,

@@ -547,3 +547,103 @@ fn partition_effect_shape() {
         hash.1
     );
 }
+
+#[test]
+fn the_exchange_layout_is_built_once_per_fragment_set() {
+    use grape::core::ExchangeLayout;
+    use grape::graph::delta::DeltaGraph;
+    use grape::partition::resolve_net_mutations;
+
+    let graph = road();
+    let mut assignment = BuiltinStrategy::MetisLike.partition(&graph, 4);
+    let fragments = build_fragments(&graph, &assignment);
+    let sssp = GrapeEngine::new(SsspProgram);
+    let cc = GrapeEngine::new(CcProgram);
+
+    // Two queries, and a query of another class between them, on one
+    // fragment set: the second run finds the layout the first one built.
+    sssp.run(&SsspQuery::new(0), &fragments).unwrap();
+    let layout = ExchangeLayout::of(&fragments);
+    cc.run(&CcQuery, &fragments).unwrap();
+    let second = sssp.run(&SsspQuery::new(7), &fragments).unwrap();
+    assert!(Arc::ptr_eq(&layout, &ExchangeLayout::of(&fragments)));
+    let config = EngineConfig::builder()
+        .transport(TransportKind::Framed)
+        .build();
+    let framed = GrapeEngine::new(SsspProgram)
+        .with_config(config)
+        .run(&SsspQuery::new(7), &fragments)
+        .unwrap();
+    assert_eq!(framed.output, second.output);
+    assert!(Arc::ptr_eq(&layout, &ExchangeLayout::of(&fragments)));
+
+    // Splices the batch into every fragment, checks the answers against a
+    // fresh cut of the updated graph, and hands back the spliced set.
+    let mut delta = DeltaGraph::new(graph.clone());
+    let mut splice = |fragments: &[Fragment<(), f64>], batch: Vec<GraphMutation<(), f64>>| {
+        let receipt = delta.apply(&batch).expect("valid batch");
+        let resolved = resolve_net_mutations(receipt.net, &mut assignment, |v| {
+            delta.vertex_data(v).cloned()
+        });
+        let spliced: Vec<Fragment<(), f64>> = fragments
+            .iter()
+            .map(|f| f.apply_mutations(&resolved).expect("splice"))
+            .collect();
+        let fresh = build_fragments(&delta.snapshot(true), &assignment);
+        for query in [SsspQuery::new(0), SsspQuery::new(7)] {
+            let on_splice = sssp.run(&query, &spliced).unwrap();
+            let on_fresh = sssp.run(&query, &fresh).unwrap();
+            assert_eq!(on_splice.output, on_fresh.output);
+            assert_eq!(on_splice.stats.supersteps, on_fresh.stats.supersteps);
+            assert_eq!(on_splice.stats.messages, on_fresh.stats.messages);
+        }
+        assert_eq!(
+            cc.run(&CcQuery, &spliced).unwrap().output,
+            cc.run(&CcQuery, &fresh).unwrap().output
+        );
+        spliced
+    };
+
+    // An edge between two inner vertices of fragment 0 that are on no
+    // border: every fragment keeps its tables, so the layout stays.
+    let f0 = &fragments[0];
+    let quiet: Vec<VertexId> = f0
+        .inner_vertices()
+        .iter()
+        .copied()
+        .filter(|&v| f0.border_position(v).is_none())
+        .collect();
+    let (u, v) = (quiet[0], *quiet.last().unwrap());
+    assert!(f0.graph.out_edges(u).all(|(n, _)| n != v));
+    let edges_only = splice(
+        &fragments,
+        vec![GraphMutation::AddEdge {
+            src: u,
+            dst: v,
+            data: 3.0,
+        }],
+    );
+    assert!(Arc::ptr_eq(&layout, &ExchangeLayout::of(&edges_only)));
+
+    // An edge from fragment 0 to a vertex it has never seen adds an outer
+    // copy: the border changes, and so does the layout.
+    let stranger = graph
+        .vertices()
+        .find(|&v| !edges_only[0].graph.contains(v))
+        .unwrap();
+    let with_copy = splice(
+        &edges_only,
+        vec![GraphMutation::AddEdge {
+            src: u,
+            dst: stranger,
+            data: 2.5,
+        }],
+    );
+    assert!(with_copy[0].outer_vertices().contains(&stranger));
+    let rebuilt = ExchangeLayout::of(&with_copy);
+    assert!(!Arc::ptr_eq(&layout, &rebuilt));
+    assert_eq!(
+        rebuilt.border_slots(0).len(),
+        with_copy[0].border_vertices().len()
+    );
+}

@@ -797,8 +797,7 @@ fn audit_snapshot_roundtrip<P: grape::core::PieProgram>(
     use grape::core::PieContext;
     for fragment in fragments {
         let mut ctx = PieContext::new();
-        let slots: Vec<u32> = (0..fragment.border_vertices().len() as u32).collect();
-        ctx.configure_borders(fragment.border_vertices(), &slots);
+        ctx.configure_borders(fragment.border_vertices());
         let partial = program.peval(query, fragment, &mut ctx);
         let bytes = program
             .snapshot_partial(&partial)

@@ -154,13 +154,10 @@ fn arb_command() -> impl Strategy<Value = CoordCommand<f64>> {
         arb_checkpoint(),
     )
         .prop_map(|(kind, superstep, updates, checkpoint)| match kind {
-            0 => CoordCommand::Init {
-                border_slots: updates.iter().map(|&(s, _)| s).collect(),
-            },
+            0 => CoordCommand::Init,
             1 => CoordCommand::IncEval { superstep, updates },
             2 => CoordCommand::Resume {
                 superstep,
-                border_slots: updates.iter().map(|&(s, _)| s).collect(),
                 checkpoint,
             },
             _ => CoordCommand::Finish,
@@ -210,12 +207,7 @@ fn checkpoints_equal(a: &Option<CheckpointState<f64>>, b: &Option<CheckpointStat
 
 fn commands_equal(a: &CoordCommand<f64>, b: &CoordCommand<f64>) -> bool {
     match (a, b) {
-        (
-            CoordCommand::Init { border_slots: left },
-            CoordCommand::Init {
-                border_slots: right,
-            },
-        ) => left == right,
+        (CoordCommand::Init, CoordCommand::Init) => true,
         (
             CoordCommand::IncEval {
                 superstep: s1,
@@ -236,15 +228,13 @@ fn commands_equal(a: &CoordCommand<f64>, b: &CoordCommand<f64>) -> bool {
         (
             CoordCommand::Resume {
                 superstep: s1,
-                border_slots: b1,
                 checkpoint: c1,
             },
             CoordCommand::Resume {
                 superstep: s2,
-                border_slots: b2,
                 checkpoint: c2,
             },
-        ) => s1 == s2 && b1 == b2 && checkpoints_equal(c1, c2),
+        ) => s1 == s2 && checkpoints_equal(c1, c2),
         (CoordCommand::Finish, CoordCommand::Finish) => true,
         _ => false,
     }
@@ -823,10 +813,7 @@ fn a_result_frame_is_the_snapshot_and_nothing_else() {
     };
     out.clear();
     wire::encode_frame_epoch(wire::TAG_QUERY, RUN, &job, &mut out);
-    CoordCommand::<Value>::Init {
-        border_slots: Vec::new(),
-    }
-    .encode_frame_epoch(RUN, &mut out);
+    CoordCommand::<Value>::Init.encode_frame_epoch(RUN, &mut out);
     let (report, _) = next_frame(&mut coordinator, &out);
     assert_eq!(report[3], grape::core::message::TAG_REPORT);
 
