@@ -1,6 +1,6 @@
 //! Single-source shortest paths (SSSP) — Example 1 of the paper.
 //!
-//! * **PEval** is textbook Dijkstra run on the local fragment.
+//! * **PEval** relaxes the local fragment from the source, if it is local.
 //! * **IncEval** is the bounded incremental shortest-path algorithm of
 //!   Ramalingam & Reps: when border distances drop, only the affected
 //!   vertices are re-relaxed, so the relaxation costs the size of the change
@@ -16,13 +16,17 @@
 //!   with `min`; they decrease monotonically, so the Assurance Theorem
 //!   applies and the fixpoint is reached with correct answers.
 //!
-//! PEval, IncEval and a warm start's seeding are one kernel, [`dense_relax`]:
-//! Dijkstra over a monotone radix queue keyed by the distance's bit pattern,
-//! not a comparison heap. It runs on one thread whatever the worker's pool
-//! holds: a chunked Bellman–Ford sweep on two threads lost to it on road
-//! grids (`core.sssp.k1_par_ms` 417 against `k1_ms` 55 on road-512, 58
-//! against 16 on road-256) and won only on R-MAT (62 against 77), so it was
-//! deleted. Parallelism is across fragments.
+//! PEval, IncEval and a warm start's seeding are one kernel ([`dense_relax`])
+//! that relaxes in distance bands as wide as the fragment's largest finite
+//! weight, drained in order and FIFO within a band (GBBS's bucketing): an
+//! entry costs a push, not the radix queue's walk down its buckets, which on
+//! `road_comm` made 17–31 M moves for IncEval's 2.8–5.1 M improvements per
+//! query. Bands cut `core.sssp.inceval_ms` there 138 → 70 ms for 2–3 % more
+//! improvements, at the same bit-exact fixpoint. The kernel runs on one
+//! thread: a chunked Bellman–Ford sweep on two threads lost on road grids
+//! (`core.sssp.k1_par_ms` 417 against `k1_ms` 55 on road-512) and won only
+//! on R-MAT (62 against 77), so it was deleted. Parallelism is across
+//! fragments.
 //!
 //! The PIE program keeps its per-fragment state in a [`VertexDenseMap`]
 //! keyed by the fragment's dense CSR indices and relaxes edges over the flat
@@ -75,78 +79,6 @@ impl Ord for HeapEntry {
 impl PartialOrd for HeapEntry {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
-    }
-}
-
-/// Monotone radix queue (Ahuja, Mehlhorn, Orlin & Tarjan, 1990) over dense
-/// indices: the priority queue of the hot path.
-///
-/// The key is the distance's `f64::to_bits`, which orders every non-negative
-/// distance as the distance does. Dijkstra only pushes `d + w ≥ d`, never
-/// below the last key popped (`last`), so an entry lives in bucket
-/// `64 − leading_zeros(key ^ last)`: bucket 0 holds keys equal to `last`, and
-/// bucket `b > 0` keys that first differ from `last` at bit `b − 1`. Popping
-/// drains bucket 0; when it runs dry, `last` moves to the minimum of the
-/// lowest non-empty bucket, whose entries then all fall into lower buckets.
-/// Each entry moves down at most 64 times, and a push is one `Vec::push`.
-struct RadixQueue {
-    last: u64,
-    buckets: [Vec<(u64, u32)>; 65],
-    /// Bit `b > 0` set = bucket `b` is non-empty, so the next bucket is one
-    /// `trailing_zeros`; bit 0 may be stale — bucket 0 is asked directly.
-    occupied: u128,
-}
-
-impl RadixQueue {
-    fn new() -> Self {
-        Self {
-            last: 0,
-            buckets: std::array::from_fn(|_| Vec::new()),
-            occupied: 0,
-        }
-    }
-
-    fn push(&mut self, d: Distance, v: u32) {
-        self.push_key(d.to_bits(), v);
-    }
-
-    fn push_key(&mut self, key: u64, v: u32) {
-        let bucket = (64 - (key ^ self.last).leading_zeros()) as usize;
-        self.buckets[bucket].push((key, v));
-        self.occupied |= 1 << bucket;
-    }
-
-    /// Removes an entry with the smallest distance; among equal distances,
-    /// any.
-    fn pop(&mut self) -> Option<(Distance, u32)> {
-        if self.buckets[0].is_empty() {
-            self.occupied &= !1;
-            if self.occupied == 0 {
-                return None;
-            }
-            let lowest = self.occupied.trailing_zeros() as usize;
-            self.occupied &= !(1 << lowest);
-            let mut entries = std::mem::take(&mut self.buckets[lowest]);
-            self.last = entries
-                .iter()
-                .map(|&(key, _)| key)
-                .min()
-                .expect("an occupied bucket holds entries");
-            for &(key, v) in &entries {
-                self.push_key(key, v);
-            }
-            // Hand the emptied bucket its allocation back — unless entries
-            // landed there again, which takes a push below `last` (only a
-            // negative weight makes one): the queue is then not monotone,
-            // but it loses nothing, and relaxation still ends at the
-            // fixpoint.
-            entries.clear();
-            if self.buckets[lowest].is_empty() {
-                self.buckets[lowest] = entries;
-            }
-        }
-        let (key, v) = self.buckets[0].pop()?;
-        Some((f64::from_bits(key), v))
     }
 }
 
@@ -214,8 +146,8 @@ pub fn incremental_sssp(
     changed
 }
 
-/// Dense Dijkstra from the dense index `source` (if any), writing distances
-/// into a flat per-vertex array. The fast path used by PEval.
+/// Dense SSSP from the dense index `source` (if any) by PEval's kernel,
+/// writing distances into a flat per-vertex array.
 pub fn dense_sssp(graph: &CsrGraph<(), Distance>, source: Option<u32>) -> VertexDenseMap<Distance> {
     let mut dist = VertexDenseMap::for_graph(graph, Distance::INFINITY);
     if let Some(src) = source {
@@ -224,41 +156,90 @@ pub fn dense_sssp(graph: &CsrGraph<(), Distance>, source: Option<u32>) -> Vertex
     dist
 }
 
-/// Dense bounded incremental SSSP: seeds whose distance improves are pushed
-/// and relaxed over the flat CSR neighbour/weight slices, popped from a
-/// monotone radix queue. Returns `|ΔO|` counted with repeats, the number of
-/// strict improvements: which vertices improve is fixed, how often each does
-/// depends on the pop order among equal distances.
+/// Dense bounded incremental SSSP: relaxes the seeds that improve `dist` in
+/// distance bands. Returns `|ΔO|` counted with repeats, the number of strict
+/// improvements: which vertices improve is fixed, how often each does
+/// depends on the order within a band.
 pub fn dense_relax(
     graph: &CsrGraph<(), Distance>,
     dist: &mut VertexDenseMap<Distance>,
     seeds: &[(u32, Distance)],
 ) -> usize {
-    let mut queue = RadixQueue::new();
+    relax_in_bands(graph, dist, seeds, &mut None)
+}
+
+/// The kernel of [`dense_relax`], PEval, IncEval and warm seeding. Band
+/// `⌊(d − base) / width⌋`, capped at the vertex count, `base` the least
+/// improving seed; bands drain in order, FIFO within one. A relaxation at or
+/// below the band being drained joins it: label correcting, so zero and
+/// negative weights reach the least fixpoint too. `width`, the largest finite
+/// positive weight (1.0 if none), is measured once a call has seeds.
+fn relax_in_bands(
+    graph: &CsrGraph<(), Distance>,
+    dist: &mut VertexDenseMap<Distance>,
+    seeds: &[(u32, Distance)],
+    width: &mut Option<Distance>,
+) -> usize {
+    let base = seeds
+        .iter()
+        .filter(|&&(u, d)| d < dist[u])
+        .fold(Distance::INFINITY, |base, &(_, d)| base.min(d));
+    if base == Distance::INFINITY {
+        return 0;
+    }
+    let width = *width.get_or_insert_with(|| {
+        let (_, _, (_, _, weights)) = graph.sorted_parts();
+        let finite = weights.iter().copied().filter(|w| w.is_finite());
+        Some(finite.fold(0.0, Distance::max))
+            .filter(|&w| w > 0.0)
+            .unwrap_or(1.0)
+    });
+    let cap = graph.num_vertices();
+    let mut bands: Vec<Vec<(Distance, u32)>> = Vec::new();
+    // A drained band's buffer serves the next band opened: fresh buffers per
+    // band slowed the queries run after sssp (`rmat_compute` cc +6 %).
+    let mut spare = Vec::new();
+    let push = |bands: &mut Vec<Vec<_>>, spare: &mut Vec<_>, current, (d, v): (Distance, u32)| {
+        // The cast saturates: an offset below `current`, or NaN (infinite
+        // `d − base`), joins the band being drained.
+        let b = (((d - base) / width) as usize).clamp(current, cap);
+        if b >= bands.len() {
+            bands.resize_with(b + 1, || std::mem::take(spare));
+        }
+        bands[b].push((d, v));
+    };
     let mut changed = 0usize;
     for &(u, d) in seeds {
         if d < dist[u] {
             dist[u] = d;
             changed += 1;
-            queue.push(d, u);
+            push(&mut bands, &mut spare, 0, (d, u));
         }
     }
-    while let Some((d, u)) = queue.pop() {
-        if d > dist[u] {
-            continue;
-        }
-        for (&v, &w) in graph
-            .out_neighbors_dense(u)
-            .iter()
-            .zip(graph.out_edge_data_dense(u))
-        {
-            let nd = d + w;
-            if nd < dist[v] {
-                dist[v] = nd;
-                changed += 1;
-                queue.push(nd, v);
+    let mut current = 0;
+    while current < bands.len() {
+        let mut next = 0;
+        while let Some(&(d, u)) = bands[current].get(next) {
+            next += 1;
+            if d > dist[u] {
+                continue;
+            }
+            for (&v, &w) in graph
+                .out_neighbors_dense(u)
+                .iter()
+                .zip(graph.out_edge_data_dense(u))
+            {
+                let nd = d + w;
+                if nd < dist[v] {
+                    dist[v] = nd;
+                    changed += 1;
+                    push(&mut bands, &mut spare, current, (nd, v));
+                }
             }
         }
+        spare = std::mem::take(&mut bands[current]);
+        spare.clear();
+        current += 1;
     }
     changed
 }
@@ -272,13 +253,17 @@ pub struct SsspPartial {
     pub dist: VertexDenseMap<Distance>,
     /// Global ids aligned with `dist` (the local graph's vertex-id table),
     /// kept so Assemble can translate without the fragments at hand.
-    vertex_ids: Vec<VertexId>,
+    vertex_ids: Arc<Vec<VertexId>>,
     /// The owner marker: bit `i` set = local vertex `i` is inner, so this
     /// partial is the one Assemble reads its distance from.
     owned: DenseBitset,
     /// Total number of distance changes applied by IncEval calls; used by the
     /// boundedness experiment (F-inc).
     pub inceval_changes: usize,
+    /// The band width of `relax_in_bands` on this fragment (`None` until a
+    /// relaxation had seeds): kept so IncEval and a warm start make no pass
+    /// over the weights.
+    width: Option<Distance>,
 }
 
 /// The SSSP PIE program.
@@ -302,7 +287,10 @@ impl PieProgram for SsspProgram {
         let g = &fragment.graph;
         // Dense SSSP on the local fragment (distances stay infinite when the
         // source lives elsewhere).
-        let dist = dense_sssp(g, g.dense_index(query.source));
+        let mut dist = VertexDenseMap::for_graph(g, Distance::INFINITY);
+        let mut width = None;
+        let source = g.dense_index(query.source).map(|src| (src, 0.0));
+        relax_in_bands(g, &mut dist, source.as_slice(), &mut width);
         // Declare update parameters: the current distance of every border
         // vertex that is already reachable locally. `update_at` addresses
         // the context by border position — an indexed compare per vertex,
@@ -315,9 +303,10 @@ impl PieProgram for SsspProgram {
         }
         SsspPartial {
             dist,
-            vertex_ids: g.vertex_ids().to_vec(),
+            vertex_ids: Arc::clone(g.shared_vertex_ids()),
             owned: fragment.inner_bitset().clone(),
             inceval_changes: 0,
+            width,
         }
     }
 
@@ -338,7 +327,7 @@ impl PieProgram for SsspProgram {
             .iter()
             .map(|&(pos, d)| (border[pos as usize], d))
             .collect();
-        let changed = dense_relax(g, &mut partial.dist, &seeds);
+        let changed = relax_in_bands(g, &mut partial.dist, &seeds, &mut partial.width);
         partial.inceval_changes += changed;
         if changed == 0 {
             return;
@@ -413,13 +402,15 @@ impl PieProgram for SsspProgram {
             + 4
             + size_of_val(&partial.vertex_ids[..])
             + partial.owned.size_bytes()
-            + 8;
+            + 8
+            + partial.width.size_bytes();
         let mut out = Vec::with_capacity(len);
         // Raw f64 bits: infinities (unreached vertices) survive exactly.
         wire::encode_seq(partial.dist.as_slice(), &mut out);
         partial.vertex_ids.encode(&mut out);
         partial.owned.encode(&mut out);
         partial.inceval_changes.encode(&mut out);
+        partial.width.encode(&mut out);
         debug_assert_eq!(out.len(), len);
         Some(out)
     }
@@ -431,16 +422,20 @@ impl PieProgram for SsspProgram {
         let vertex_ids = Vec::<VertexId>::decode(&mut reader).ok()?;
         let owned = DenseBitset::decode(&mut reader).ok()?;
         let inceval_changes = usize::decode(&mut reader).ok()?;
+        let width = Option::<Distance>::decode(&mut reader).ok()?;
         reader.finish().ok()?;
         // The bytes may be a peer's: Assemble indexes `dist` and `vertex_ids`
         // by the owner marker and a warm start merge-joins `vertex_ids`, so
-        // the three must agree in length and the ids must ascend.
+        // the three must agree in length and the ids must ascend; a band
+        // width is finite and positive.
         let aligned = dist.len() == vertex_ids.len() && owned.len() == dist.len();
-        (aligned && strictly_ascending(&vertex_ids)).then(|| SsspPartial {
+        let banded = width.is_none_or(|w| w.is_finite() && w > 0.0);
+        (aligned && banded && strictly_ascending(&vertex_ids)).then(|| SsspPartial {
             dist: VertexDenseMap::from_vec(dist),
-            vertex_ids,
+            vertex_ids: Arc::new(vertex_ids),
             owned,
             inceval_changes,
+            width,
         })
     }
 
@@ -476,7 +471,9 @@ impl PieProgram for SsspProgram {
         // covers the fragment that just gained it. Min-relaxation converges
         // to the unique least fixpoint from any upper bound, and equal
         // nonnegative f64s share one bit pattern — hence bit-identity with a
-        // cold run on the updated graph.
+        // cold run on the updated graph. The band width grows by the weights
+        // read here (an inserted edge a seed crosses), not by a pass.
+        let mut width = old.width;
         let mut seeds: Vec<(u32, Distance)> = Vec::new();
         if let Some(src) = g.dense_index(query.source) {
             seeds.push((src, 0.0));
@@ -492,10 +489,11 @@ impl PieProgram for SsspProgram {
                 .iter()
                 .zip(g.out_edge_data_dense(u))
             {
+                width = width.map(|m| if w.is_finite() { m.max(w) } else { m });
                 seeds.push((w_idx, d + w));
             }
         }
-        dense_relax(g, &mut dist, &seeds);
+        relax_in_bands(g, &mut dist, &seeds, &mut width);
         for (pos, &i) in fragment.border_dense_indices().iter().enumerate() {
             let d = dist[i];
             if d.is_finite() {
@@ -504,9 +502,10 @@ impl PieProgram for SsspProgram {
         }
         Some(SsspPartial {
             dist,
-            vertex_ids: g.vertex_ids().to_vec(),
+            vertex_ids: Arc::clone(g.shared_vertex_ids()),
             owned: fragment.inner_bitset().clone(),
             inceval_changes: 0,
+            width,
         })
     }
 
@@ -665,13 +664,21 @@ mod tests {
         };
         assert!(!refused(&|_| {}), "the untouched snapshot restores");
         assert!(refused(&|p| p.dist = VertexDenseMap::new(n - 1, 0.0)));
-        assert!(refused(&|p| p.vertex_ids.push(u64::MAX)));
+        assert!(refused(&|p| Arc::make_mut(&mut p.vertex_ids).push(u64::MAX)));
         assert!(refused(&|p| p.owned = DenseBitset::new(n + 64)));
-        assert!(refused(&|p| p.vertex_ids.swap(0, 1)), "unsorted ids");
         assert!(
-            refused(&|p| p.vertex_ids[1] = p.vertex_ids[0]),
+            refused(&|p| Arc::make_mut(&mut p.vertex_ids).swap(0, 1)),
+            "unsorted ids"
+        );
+        assert!(
+            refused(&|p| Arc::make_mut(&mut p.vertex_ids)[1] = p.vertex_ids[0]),
             "a repeated id"
         );
+        for width in [0.0, -0.0, -1.0, Distance::INFINITY, Distance::NAN] {
+            assert!(refused(&|p| p.width = Some(width)), "width {width}");
+        }
+        assert!(!refused(&|p| p.width = Some(2.5)));
+        assert!(!refused(&|p| p.width = None), "a width not measured yet");
     }
 
     #[test]
@@ -750,133 +757,65 @@ mod tests {
         assert_eq!(dense_relax(&g, &mut dist, &[(src, 0.0)]), 0);
     }
 
-    /// Pops everything left, checking the order, and returns the pops.
-    fn drain_in_order(queue: &mut RadixQueue, floor: Distance) -> Vec<(Distance, u32)> {
-        let mut popped = Vec::new();
-        let mut last = floor;
-        while let Some((d, v)) = queue.pop() {
-            assert!(d >= last, "popped {d} after {last}");
-            last = d;
-            popped.push((d, v));
-        }
-        popped
-    }
-
     #[test]
-    fn radix_queue_pops_are_non_decreasing_under_dijkstra_pushes() {
-        // A Dijkstra-shaped stream: every push is the last pop plus a
-        // non-negative step (zero included), interleaved with pops.
-        let mut state = 0x2545_F491_4F6C_DD1Du64;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        let mut queue = RadixQueue::new();
-        let mut pushed: Vec<(u64, u32)> = Vec::new();
-        let mut popped: Vec<(u64, u32)> = Vec::new();
-        for v in 0..50u32 {
-            let d = (next() % 1000) as f64 * 0.37;
-            queue.push(d, v);
-            pushed.push((d.to_bits(), v));
-        }
-        let mut last = 0.0;
-        let mut id = 50u32;
-        while let Some((d, v)) = queue.pop() {
-            assert!(d >= last, "popped {d} after {last}");
-            last = d;
-            popped.push((d.to_bits(), v));
-            for _ in 0..(next() % 3) {
-                if id < 5_000 {
-                    let step = [0.0, 0.1, 1.0, 7.25, 1e6][(next() % 5) as usize];
-                    queue.push(d + step, id);
-                    pushed.push(((d + step).to_bits(), id));
-                    id += 1;
-                }
+    fn the_band_width_is_the_largest_finite_weight_and_a_warm_start_widens_it() {
+        let graph = |edges: &[(VertexId, VertexId, Distance)]| {
+            let mut b = GraphBuilder::<(), f64>::new();
+            for &(s, d, w) in edges {
+                b.add_edge(s, d, w);
             }
-        }
-        pushed.sort_unstable();
-        popped.sort_unstable();
-        assert_eq!(popped, pushed, "every entry comes out exactly once");
-    }
+            b.build().unwrap()
+        };
+        let one_fragment = |g: &CsrGraph<(), Distance>| {
+            build_fragments(g, &RangePartitioner.partition(g, 1)).remove(0)
+        };
+        let peval = |fragment: &Fragment<(), Distance>, source: VertexId| {
+            let mut ctx = PieContext::new();
+            ctx.configure_borders(fragment.border_vertices());
+            SsspProgram.peval(&SsspQuery::new(source), fragment, &mut ctx)
+        };
+        let edges = [
+            (0, 1, 0.5),
+            (1, 2, 3.0),
+            (2, 3, Distance::INFINITY),
+            (3, 4, 0.0),
+            (4, 5, 2.0),
+        ];
+        let before = one_fragment(&graph(&edges));
+        let partial = peval(&before, 0);
+        assert_eq!(partial.width, Some(3.0), "+∞ is not a width");
+        assert_eq!(peval(&before, 99).width, None, "no seeds, no pass");
+        let flat = one_fragment(&graph(&[(0, 1, 0.0), (1, 2, Distance::INFINITY)]));
+        assert_eq!(
+            peval(&flat, 0).width,
+            Some(1.0),
+            "no finite positive weight"
+        );
 
-    #[test]
-    fn radix_queue_keeps_equal_keys_pushed_while_their_bucket_drains() {
-        let mut queue = RadixQueue::new();
-        for v in 0..3 {
-            queue.push(1.5, v);
-        }
-        queue.push(4.0, 9);
-        assert_eq!(queue.pop().map(|(d, _)| d), Some(1.5));
-        // A zero-weight edge out of the vertex just popped: key == last.
-        queue.push(1.5, 3);
-        queue.push(1.5 + 0.0, 4);
-        let rest = drain_in_order(&mut queue, 1.5);
-        let ids: Vec<u32> = rest
-            .iter()
-            .filter(|&&(d, _)| d == 1.5)
-            .map(|&(_, v)| v)
-            .collect();
-        assert_eq!(
-            ids.len(),
-            4,
-            "two left of the first three, plus two zero-weight pushes"
-        );
-        assert_eq!(rest.last(), Some(&(4.0, 9)));
-        assert!(queue.pop().is_none());
-    }
-
-    #[test]
-    fn radix_queue_refill_empties_the_top_bucket() {
-        let mut queue = RadixQueue::new();
-        // 2.0 and 3.0 share their highest bit differing from 0.0, so both
-        // sit in one (the top occupied) bucket until the refill splits them.
-        queue.push(3.0, 1);
-        queue.push(0.0, 0);
-        queue.push(2.0, 2);
-        assert_eq!(queue.pop(), Some((0.0, 0)));
-        assert_eq!(
-            queue.pop(),
-            Some((2.0, 2)),
-            "refill moved `last` to the minimum"
-        );
-        assert_eq!(
-            queue.occupied >> 1,
-            1 << 51,
-            "the top bucket is empty; 3.0 moved to bucket 52, where it first differs from 2.0"
-        );
-        queue.push(2.0, 4);
-        assert_eq!(drain_in_order(&mut queue, 2.0), vec![(2.0, 4), (3.0, 1)]);
-        assert_eq!(queue.occupied >> 1, 0, "every bucket is empty again");
-        // A drained queue takes new keys at or above where it stopped.
-        queue.push(3.5, 5);
-        assert_eq!(queue.pop(), Some((3.5, 5)));
-        assert!(queue.pop().is_none());
-    }
-
-    #[test]
-    fn radix_queue_orders_infinite_keys_last() {
-        let mut queue = RadixQueue::new();
-        queue.push(Distance::INFINITY, 0);
-        queue.push(Distance::MAX, 1);
-        queue.push(0.0, 2);
-        queue.push(Distance::INFINITY, 3);
-        queue.push(f64::MIN_POSITIVE, 4);
-        let order: Vec<Distance> = drain_in_order(&mut queue, 0.0)
-            .into_iter()
-            .map(|(d, _)| d)
-            .collect();
-        assert_eq!(
-            order,
-            [
-                0.0,
-                f64::MIN_POSITIVE,
-                Distance::MAX,
-                Distance::INFINITY,
-                Distance::INFINITY
-            ]
-        );
+        // An inserted edge out of a reached vertex, heavier than any before.
+        let inserted = [edges.as_slice(), &[(2, 6, 7.0)]].concat();
+        let after = one_fragment(&graph(&inserted));
+        let snapshot = SsspProgram.snapshot_partial(&partial).unwrap();
+        let mut ctx = PieContext::new();
+        ctx.configure_borders(after.border_vertices());
+        let profile = grape_core::MutationProfile {
+            edge_inserts: 1,
+            ..Default::default()
+        };
+        let warm = SsspProgram
+            .seed_partial(
+                &SsspQuery::new(0),
+                &after,
+                &snapshot,
+                &[2, 6],
+                &profile,
+                &mut ctx,
+            )
+            .expect("an insert-only seed");
+        assert_eq!(warm.width, Some(7.0));
+        let cold = peval(&after, 0);
+        assert_eq!(cold.width, Some(7.0));
+        assert_eq!(warm.dist.as_slice(), cold.dist.as_slice());
     }
 
     #[test]

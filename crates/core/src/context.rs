@@ -15,7 +15,7 @@ use std::sync::Arc;
 /// [`PieContext::get`].
 ///
 /// Inside the engine the context is configured with the fragment's border
-/// list ([`PieContext::configure_borders`]). Border updates then live in flat
+/// list ([`PieContext::configure_shared_borders`]). Border updates then live in flat
 /// arrays indexed by the **border position** — the index into
 /// `Fragment::border_vertices()`, the address space of
 /// [`PieContext::update_at`], of the messages IncEval receives and of the
@@ -34,8 +34,8 @@ use std::sync::Arc;
 #[derive(Debug, Clone)]
 pub struct PieContext<V> {
     /// Sorted global ids of the fragment's border vertices (empty until
-    /// [`PieContext::configure_borders`]).
-    border_ids: Vec<VertexId>,
+    /// [`PieContext::configure_borders`]); the fragment's own list, shared.
+    border_ids: Arc<Vec<VertexId>>,
     /// Current value of each border vertex (`None` = not declared yet),
     /// aligned with `border_ids`.
     border_values: Vec<Option<V>>,
@@ -66,7 +66,7 @@ impl<V: Clone + PartialEq> PieContext<V> {
     /// Creates an empty context.
     pub fn new() -> Self {
         Self {
-            border_ids: Vec::new(),
+            border_ids: Arc::default(),
             border_values: Vec::new(),
             border_dirty: DenseBitset::default(),
             dirty_list: Vec::new(),
@@ -92,14 +92,21 @@ impl<V: Clone + PartialEq> PieContext<V> {
 
     /// Installs the fragment's border list, whose positions address every
     /// border value from now on. `ids` must be sorted ascending — exactly
-    /// what `Fragment::border_vertices()` provides. Called once per run by
-    /// the engine before PEval.
+    /// what `Fragment::border_vertices()` provides. Copies the list; for
+    /// standalone drivers and tests.
     pub fn configure_borders(&mut self, ids: &[VertexId]) {
+        self.configure_shared_borders(Arc::new(ids.to_vec()));
+    }
+
+    /// [`PieContext::configure_borders`] with the list held, not copied.
+    /// Called once per run by the engine before PEval, with
+    /// `Fragment::shared_border_vertices()`.
+    pub fn configure_shared_borders(&mut self, ids: Arc<Vec<VertexId>>) {
         debug_assert!(ids.windows(2).all(|w| w[0] < w[1]), "border ids sorted");
-        self.border_ids = ids.to_vec();
         self.border_values = vec![None; ids.len()];
         self.border_dirty = DenseBitset::new(ids.len());
         self.dirty_list.clear();
+        self.border_ids = ids;
     }
 
     /// The border position of `vertex`, if it is a configured border vertex.

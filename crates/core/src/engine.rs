@@ -287,7 +287,8 @@ impl<'a, P: PieProgram> WorkerRuntime<'a, P> {
         match command {
             CoordCommand::Init => {
                 // Handshake: address the border by position, then run PEval.
-                self.ctx.configure_borders(self.fragment.border_vertices());
+                let border = self.fragment.shared_border_vertices();
+                self.ctx.configure_shared_borders(Arc::clone(border));
                 HandleOutcome::Reply(self.run_peval())
             }
             CoordCommand::Resume {
@@ -296,7 +297,8 @@ impl<'a, P: PieProgram> WorkerRuntime<'a, P> {
             } => {
                 // Recovery handshake for a replacement worker: install the
                 // lost worker's checkpointed state instead of recomputing it.
-                self.ctx.configure_borders(self.fragment.border_vertices());
+                let border = self.fragment.shared_border_vertices();
+                self.ctx.configure_shared_borders(Arc::clone(border));
                 match checkpoint {
                     Some(cp) => {
                         let partial = self

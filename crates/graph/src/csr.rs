@@ -725,6 +725,12 @@ where
         &self.vertex_ids
     }
 
+    /// The vertex-id column itself, for holders that keep it beside state
+    /// aligned with it and would otherwise copy it.
+    pub fn shared_vertex_ids(&self) -> &Arc<Vec<VertexId>> {
+        &self.vertex_ids
+    }
+
     /// Payload of a vertex.
     pub fn vertex_data(&self, v: VertexId) -> Option<&V> {
         self.dense_index(v).map(|i| &self.vertex_data[i as usize])

@@ -63,8 +63,9 @@ pub(crate) struct VertexTables {
     /// Dense indices of the outer vertices, aligned with `outer`.
     outer_dense: Vec<u32>,
     /// Border vertices (outer ∪ mirrored inner), sorted; precomputed once at
-    /// construction instead of re-sorted on every `border_vertices()` call.
-    pub(crate) border: Vec<VertexId>,
+    /// construction instead of re-sorted on every `border_vertices()` call,
+    /// and shared with the worker contexts that address it by position.
+    pub(crate) border: Arc<Vec<VertexId>>,
     /// Dense index of each border vertex, aligned with `border`.
     border_dense: Vec<u32>,
     /// Inner vertices that are mirrored at other fragments, sorted.
@@ -192,6 +193,12 @@ impl<V: Clone, E: Clone> Fragment<V, E> {
     /// precomputed at construction — algorithms call this in PEval and every
     /// IncEval round, so it must be allocation-free.
     pub fn border_vertices(&self) -> &[VertexId] {
+        &self.tables.border
+    }
+
+    /// [`Fragment::border_vertices`] as the shared list itself, for holders
+    /// that keep it for a whole run.
+    pub fn shared_border_vertices(&self) -> &Arc<Vec<VertexId>> {
         &self.tables.border
     }
 
@@ -660,7 +667,7 @@ pub(crate) fn assemble_fragment<V: Clone, E: Clone>(
             inner_mask,
             inner_dense,
             outer_dense,
-            border,
+            border: Arc::new(border),
             border_dense,
             mirrored_inner,
             mirrored_inner_dense,

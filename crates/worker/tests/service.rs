@@ -909,8 +909,8 @@ fn corrupt_snapshots(class: &str, snapshot: &[u8]) -> Vec<(&'static str, Vec<u8>
         edits.into_iter().map(corrupt).collect()
     }
     type Ids = Vec<u64>;
-    // distances, ids, owner marker, IncEval counter
-    type Sssp = (Vec<f64>, Ids, DenseBitset, usize);
+    // distances, ids, owner marker, (IncEval counter, band width)
+    type Sssp = (Vec<f64>, Ids, DenseBitset, (usize, Option<f64>));
     // labels, ids, owner marker, (forest, root labels)
     type Cc = (Ids, Ids, DenseBitset, (Vec<u32>, Ids));
     // (rank, mirror share, contrib), (inner ids, inner indices), frontier
@@ -928,6 +928,10 @@ fn corrupt_snapshots(class: &str, snapshot: &[u8]) -> Vec<(&'static str, Vec<u8>
                     p.2 = DenseBitset::new(p.0.len() + 64)
                 }),
                 ("unsorted ids", &|p| p.1.swap(0, 1)),
+                ("a zero band width", &|p| p.3 .1 = Some(0.0)),
+                ("a negative band width", &|p| p.3 .1 = Some(-2.5)),
+                ("an infinite band width", &|p| p.3 .1 = Some(f64::INFINITY)),
+                ("a NaN band width", &|p| p.3 .1 = Some(f64::NAN)),
             ],
         ),
         "cc" => edited::<Cc>(

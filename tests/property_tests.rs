@@ -581,6 +581,142 @@ proptest! {
     }
 }
 
+/// Weight regimes that stress the band kernel under [`dense_relax`]: its
+/// band width is the largest finite positive weight, so each regime puts a
+/// different distance between that width and the steps paths really take.
+#[derive(Debug, Clone, Copy)]
+enum WeightRegime {
+    /// Mostly zero-weight edges: whole cycles inside one band.
+    Zeros,
+    /// One edge 10⁶× heavier than the rest: every other step is far below
+    /// the width, so nearly everything drains FIFO in one band.
+    OneHeavy,
+    /// Weights and seed distances from 10⁻⁶ to 10⁶: seeds far beyond the
+    /// width land in the capped last band.
+    Spanning,
+    /// Only 10⁻⁶-scale weights under seeds up to 4.9 apart: the band cap.
+    Tiny,
+    /// `+∞` weights beside finite ones: ignored by the width, never relaxed.
+    Infinite,
+    /// One weight everywhere: a band per hop.
+    Equal,
+}
+
+impl WeightRegime {
+    const ALL: [WeightRegime; 6] = [
+        Self::Zeros,
+        Self::OneHeavy,
+        Self::Spanning,
+        Self::Tiny,
+        Self::Infinite,
+        Self::Equal,
+    ];
+
+    /// The weight of edge number `i` drawn as `r`.
+    fn weight(self, i: usize, r: u32) -> f64 {
+        match self {
+            Self::Zeros => [0.0, 0.0, 0.0, 0.5][r as usize % 4],
+            Self::OneHeavy if i == 0 => 1e6 * 1.75,
+            Self::OneHeavy => 1.0 + (r % 8) as f64 * 0.125,
+            Self::Spanning => spanning(r),
+            Self::Tiny => 1e-6 * (1 + r % 3) as f64,
+            Self::Infinite => [1.0, 2.5, f64::INFINITY, 0.1][r as usize % 4],
+            Self::Equal => 1.5,
+        }
+    }
+
+    /// A seed distance drawn as `r`.
+    fn seed(self, r: u32) -> f64 {
+        match self {
+            Self::Spanning => spanning(r),
+            _ => (r % 8) as f64 * 0.7,
+        }
+    }
+}
+
+/// `r` mapped onto 10⁻⁶…10⁶, non-dyadic values included.
+fn spanning(r: u32) -> f64 {
+    10f64.powi((r % 13) as i32 - 6) * [1.0, 0.3, 1.0 / 3.0, 7.5][(r / 13) as usize % 4]
+}
+
+/// Strategy: a graph over `0..n` weighted by one [`WeightRegime`], plus a
+/// PEval-shaped and an IncEval-shaped seed batch, as in `arb_relax_case`.
+#[allow(clippy::type_complexity)]
+fn arb_adversarial_relax_case() -> impl Strategy<
+    Value = (
+        WeightRegime,
+        WeightedGraph,
+        Vec<(u64, f64)>,
+        Vec<(u64, f64)>,
+    ),
+> {
+    (0..WeightRegime::ALL.len(), 2usize..40, 1usize..120).prop_flat_map(|(regime, n, m)| {
+        let regime = WeightRegime::ALL[regime];
+        let edges =
+            proptest::collection::vec((0..n as u64, 0..n as u64, 0u32..1 << 16), 1..m.max(2));
+        let seeds = || proptest::collection::vec((0..n as u64, 0u32..1 << 16), 1..5);
+        (edges, seeds(), seeds()).prop_map(move |(edges, first, second)| {
+            let mut b = GraphBuilder::<(), f64>::new();
+            for v in 0..n as u64 {
+                b.ensure_vertex(v);
+            }
+            for (i, (s, d, r)) in edges.into_iter().enumerate() {
+                b.add_edge(s, d, regime.weight(i, r));
+            }
+            let at = |seeds: Vec<(u64, u32)>| -> Vec<(u64, f64)> {
+                seeds
+                    .into_iter()
+                    .map(|(v, r)| (v, regime.seed(r)))
+                    .collect()
+            };
+            (
+                regime,
+                b.build().expect("valid edges"),
+                at(first),
+                at(second),
+            )
+        })
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(192))]
+
+    #[test]
+    fn dense_relax_reaches_the_fixpoint_under_adversarial_weights(
+        case in arb_adversarial_relax_case()
+    ) {
+        let (regime, graph, first, mut second) = case;
+        let dense = |seeds: &[(u64, f64)]| -> Vec<(u32, f64)> {
+            seeds
+                .iter()
+                .map(|&(v, d)| (graph.dense_index(v).expect("seeds are vertices"), d))
+                .collect()
+        };
+        let mismatch = |dist: &VertexDenseMap<f64>, seeds: &[(u64, f64)]| {
+            let reference = multi_seed_reference(&graph, seeds);
+            graph.vertices().find(|&v| {
+                let want = reference.get(&v).copied().unwrap_or(f64::INFINITY);
+                dist[graph.dense_index(v).unwrap()].to_bits() != want.to_bits()
+            })
+        };
+        let mut dist = VertexDenseMap::for_graph(&graph, f64::INFINITY);
+        dense_relax(&graph, &mut dist, &dense(&first));
+        let wrong = mismatch(&dist, &first);
+        prop_assert!(wrong.is_none(), "{:?}, first call, vertex {:?}", regime, wrong);
+        for &(v, _) in &first {
+            let settled = dist[graph.dense_index(v).unwrap()];
+            second.push((v, settled));
+            second.push((v, settled * 2.0 + 1.0));
+        }
+        dense_relax(&graph, &mut dist, &dense(&second));
+        let all: Vec<(u64, f64)> = first.iter().chain(&second).copied().collect();
+        let wrong = mismatch(&dist, &all);
+        prop_assert!(wrong.is_none(), "{:?}, second call, vertex {:?}", regime, wrong);
+        prop_assert_eq!(dense_relax(&graph, &mut dist, &dense(&all)), 0);
+    }
+}
+
 // The pattern/keyword parity suites enumerate embeddings and run three
 // programs per strategy, so they get a smaller case budget than the numeric
 // suites above.
