@@ -202,11 +202,13 @@ fn local_components(g: &CsrGraph<(), f64>) -> Vec<u32> {
 #[derive(Debug, Clone, Default)]
 pub struct CcPartial {
     labels: VertexDenseMap<VertexId>,
-    /// Global ids aligned with `labels`, for Assemble.
-    vertex_ids: Vec<VertexId>,
+    /// Global ids aligned with `labels`, for Assemble: the local graph's
+    /// own column, shared rather than copied.
+    vertex_ids: Arc<Vec<VertexId>>,
     /// The owner marker: bit `i` set = local vertex `i` is inner, so this
-    /// partial is the one Assemble reads its label from.
-    owned: DenseBitset,
+    /// partial is the one Assemble reads its label from. The fragment's own
+    /// bitset, shared.
+    owned: Arc<DenseBitset>,
     /// Root dense index (the smallest) of each vertex's class, canonical:
     /// `comp[i]` is the root itself, so `comp[i] <= i`. PEval starts from
     /// the components of the local edges; IncEval joins two classes when a
@@ -258,8 +260,8 @@ impl PieProgram for CcProgram {
         Self::publish_borders(fragment, &labels, ctx);
         CcPartial {
             labels,
-            vertex_ids: g.vertex_ids().to_vec(),
-            owned: fragment.inner_bitset().clone(),
+            vertex_ids: Arc::clone(g.shared_vertex_ids()),
+            owned: Arc::clone(fragment.shared_inner_bitset()),
             comp,
             comp_label,
         }
@@ -410,8 +412,8 @@ impl PieProgram for CcProgram {
             && comp.iter().zip(0u32..).all(|(&root, i)| root <= i);
         valid.then(|| CcPartial {
             labels: VertexDenseMap::from_vec(labels),
-            vertex_ids,
-            owned,
+            vertex_ids: Arc::new(vertex_ids),
+            owned: Arc::new(owned),
             comp,
             comp_label,
         })
@@ -442,7 +444,7 @@ impl PieProgram for CcProgram {
         // cold run.
         let g = &fragment.graph;
         let n = g.num_vertices();
-        let comp = if old.vertex_ids == g.vertex_ids() {
+        let comp = if *old.vertex_ids == g.vertex_ids() {
             // Edge-only batches keep the fragment's dense-index space, so the
             // old canonical component map is a valid forest over the new
             // graph. Its classes are local components joined by IncEval
@@ -475,8 +477,8 @@ impl PieProgram for CcProgram {
         Self::publish_borders(fragment, &labels, ctx);
         Some(CcPartial {
             labels,
-            vertex_ids: g.vertex_ids().to_vec(),
-            owned: fragment.inner_bitset().clone(),
+            vertex_ids: Arc::clone(g.shared_vertex_ids()),
+            owned: Arc::clone(fragment.shared_inner_bitset()),
             comp,
             comp_label,
         })
@@ -599,7 +601,7 @@ mod tests {
         };
         assert!(!refused(&|_| {}), "the untouched snapshot restores");
         assert!(refused(&|p| p.labels = VertexDenseMap::new(n + 1, 0)));
-        assert!(refused(&|p| p.owned = DenseBitset::new(n - 1)));
+        assert!(refused(&|p| p.owned = Arc::new(DenseBitset::new(n - 1))));
         assert!(refused(&|p| p.comp_label.truncate(1)));
         assert!(refused(&|p| {
             p.comp.pop();
@@ -608,7 +610,10 @@ mod tests {
         // close a cycle) must not reach `DenseUnionFind::from_parents`.
         assert!(refused(&|p| p.comp[0] = n as u32));
         assert!(refused(&|p| p.comp[3] = 4));
-        assert!(refused(&|p| p.vertex_ids.swap(2, 3)), "unsorted ids");
+        assert!(
+            refused(&|p| Arc::make_mut(&mut p.vertex_ids).swap(2, 3)),
+            "unsorted ids"
+        );
     }
 
     #[test]

@@ -41,6 +41,7 @@
 use grape_core::{Fragment, PieContext, PieProgram, VertexId};
 use grape_graph::VertexDenseMap;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// A collaborative-filtering query/training job description.
 #[derive(Debug, Clone, PartialEq)]
@@ -199,8 +200,9 @@ pub struct CfPartial {
     /// — as dense `(user, item, score)` triples.
     ratings: Vec<(u32, u32, f64)>,
     /// Global ids aligned with the dense indices (the local graph's id
-    /// table), for deterministic initialization and Assemble.
-    vertex_ids: Vec<VertexId>,
+    /// table, shared rather than copied), for deterministic initialization
+    /// and Assemble.
+    vertex_ids: Arc<Vec<VertexId>>,
     epochs_done: usize,
 }
 
@@ -272,7 +274,7 @@ impl PieProgram for CfProgram {
         let mut partial = CfPartial {
             factors: VertexDenseMap::new(g.num_vertices(), Vec::new()),
             ratings,
-            vertex_ids: g.vertex_ids().to_vec(),
+            vertex_ids: Arc::clone(g.shared_vertex_ids()),
             epochs_done: 0,
         };
         sgd_epoch_dense(
@@ -377,7 +379,7 @@ impl PieProgram for CfProgram {
         Some(CfPartial {
             factors: VertexDenseMap::from_vec(factors),
             ratings,
-            vertex_ids,
+            vertex_ids: Arc::new(vertex_ids),
             epochs_done,
         })
     }

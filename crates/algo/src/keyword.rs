@@ -31,6 +31,7 @@ use grape_core::{Fragment, PieContext, PieProgram, VertexId};
 use grape_graph::labels::LabeledVertex;
 use grape_graph::{CsrGraph, DenseBitset, VertexDenseMap};
 use std::collections::{BinaryHeap, HashMap};
+use std::sync::Arc;
 
 /// A keyword-search query.
 #[derive(Debug, Clone, PartialEq)]
@@ -186,8 +187,9 @@ pub struct KeywordPartial {
     /// holder of keyword `k`.
     dist: Vec<VertexDenseMap<f64>>,
     /// Global ids aligned with the dense indices (the local graph's id
-    /// table), kept so Assemble can translate without the fragments at hand.
-    vertex_ids: Vec<VertexId>,
+    /// table, shared rather than copied), kept so Assemble can translate
+    /// without the fragments at hand.
+    vertex_ids: Arc<Vec<VertexId>>,
     /// The query's distance bound, carried into Assemble so the merged
     /// answers are filtered exactly like the sequential reference.
     max_total_distance: f64,
@@ -197,7 +199,7 @@ impl Default for KeywordPartial {
     fn default() -> Self {
         Self {
             dist: Vec::new(),
-            vertex_ids: Vec::new(),
+            vertex_ids: Arc::default(),
             max_total_distance: f64::INFINITY,
         }
     }
@@ -345,7 +347,7 @@ impl PieProgram for KeywordProgram {
         let n = g.num_vertices();
         let mut partial = KeywordPartial {
             dist: vec![VertexDenseMap::new(n, f64::INFINITY); query.keywords.len()],
-            vertex_ids: g.vertex_ids().to_vec(),
+            vertex_ids: Arc::clone(g.shared_vertex_ids()),
             max_total_distance: query.max_total_distance,
         };
         let pool = std::sync::Arc::clone(ctx.pool());
@@ -461,7 +463,7 @@ impl PieProgram for KeywordProgram {
         reader.finish().ok()?;
         Some(KeywordPartial {
             dist,
-            vertex_ids,
+            vertex_ids: Arc::new(vertex_ids),
             max_total_distance,
         })
     }

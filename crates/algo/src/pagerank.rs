@@ -141,10 +141,11 @@ pub struct PageRankPartial {
     /// index, as received from its owner (0.0 until the first message).
     mirror_share: VertexDenseMap<f64>,
     /// Global ids of the inner vertices, aligned with `inner_dense`, so
-    /// Assemble can translate without the fragments at hand.
-    inner_ids: Vec<VertexId>,
-    /// Dense indices of the inner vertices.
-    inner_dense: Vec<u32>,
+    /// Assemble can translate without the fragments at hand. The fragment's
+    /// own list, shared rather than copied.
+    inner_ids: Arc<Vec<VertexId>>,
+    /// Dense indices of the inner vertices; the fragment's own, shared.
+    inner_dense: Arc<Vec<u32>>,
     /// Damping-scaled per-edge contribution of every local vertex: for inner
     /// vertices `damping * rank / outdeg` (0 for sinks), for mirrors
     /// `damping * mirror_share`. Kept in lockstep with `rank`/`mirror_share`
@@ -328,8 +329,8 @@ impl PieProgram for PageRankProgram {
         let mut partial = PageRankPartial {
             rank: VertexDenseMap::for_graph(g, 1.0 / n),
             mirror_share: VertexDenseMap::for_graph(g, 0.0),
-            inner_ids: fragment.inner_vertices().to_vec(),
-            inner_dense: fragment.inner_dense_indices().to_vec(),
+            inner_ids: Arc::clone(fragment.shared_inner_vertices()),
+            inner_dense: Arc::clone(fragment.shared_inner_dense_indices()),
             contrib: VertexDenseMap::new(n_local, 0.0),
             pending: DenseBitset::new(n_local),
         };
@@ -390,12 +391,12 @@ impl PieProgram for PageRankProgram {
         // per-iteration reductions.
         let mut total = 0.0f64;
         for partial in &partials {
-            for &i in &partial.inner_dense {
+            for &i in partial.inner_dense.iter() {
                 total += partial.rank[i];
             }
         }
         for partial in partials {
-            for (&v, &i) in partial.inner_ids.iter().zip(&partial.inner_dense) {
+            for (&v, &i) in partial.inner_ids.iter().zip(partial.inner_dense.iter()) {
                 let r = partial.rank[i];
                 out.insert(v, if total > 0.0 { r / total } else { r });
             }
@@ -506,8 +507,8 @@ impl PieProgram for PageRankProgram {
         Some(PageRankPartial {
             rank: VertexDenseMap::from_vec(rank),
             mirror_share: VertexDenseMap::from_vec(mirror_share),
-            inner_ids,
-            inner_dense,
+            inner_ids: Arc::new(inner_ids),
+            inner_dense: Arc::new(inner_dense),
             contrib: VertexDenseMap::from_vec(contrib),
             pending,
         })
@@ -540,8 +541,8 @@ impl PieProgram for PageRankProgram {
         let mut partial = PageRankPartial {
             rank: VertexDenseMap::for_graph(g, 1.0 / n),
             mirror_share: VertexDenseMap::for_graph(g, 0.0),
-            inner_ids: fragment.inner_vertices().to_vec(),
-            inner_dense: fragment.inner_dense_indices().to_vec(),
+            inner_ids: Arc::clone(fragment.shared_inner_vertices()),
+            inner_dense: Arc::clone(fragment.shared_inner_dense_indices()),
             contrib: VertexDenseMap::new(n_local, 0.0),
             pending: DenseBitset::new(n_local),
         };
@@ -671,13 +672,16 @@ mod tests {
         assert!(refused(&|p| p.contrib = VertexDenseMap::new(0, 0.0)));
         assert!(refused(&|p| p.pending = DenseBitset::new(n + 1)));
         assert!(refused(&|p| {
-            p.inner_dense.pop();
+            Arc::make_mut(&mut p.inner_dense).pop();
         }));
         assert!(
-            refused(&|p| p.inner_dense[0] = n as u32),
+            refused(&|p| Arc::make_mut(&mut p.inner_dense)[0] = n as u32),
             "an owner past the ranks"
         );
-        assert!(refused(&|p| p.inner_ids.swap(0, 1)), "unsorted ids");
+        assert!(
+            refused(&|p| Arc::make_mut(&mut p.inner_ids).swap(0, 1)),
+            "unsorted ids"
+        );
     }
 
     #[test]

@@ -255,8 +255,9 @@ pub struct SsspPartial {
     /// kept so Assemble can translate without the fragments at hand.
     vertex_ids: Arc<Vec<VertexId>>,
     /// The owner marker: bit `i` set = local vertex `i` is inner, so this
-    /// partial is the one Assemble reads its distance from.
-    owned: DenseBitset,
+    /// partial is the one Assemble reads its distance from. The fragment's
+    /// own bitset, shared rather than copied.
+    owned: Arc<DenseBitset>,
     /// Total number of distance changes applied by IncEval calls; used by the
     /// boundedness experiment (F-inc).
     pub inceval_changes: usize,
@@ -304,7 +305,7 @@ impl PieProgram for SsspProgram {
         SsspPartial {
             dist,
             vertex_ids: Arc::clone(g.shared_vertex_ids()),
-            owned: fragment.inner_bitset().clone(),
+            owned: Arc::clone(fragment.shared_inner_bitset()),
             inceval_changes: 0,
             width,
         }
@@ -433,7 +434,7 @@ impl PieProgram for SsspProgram {
         (aligned && banded && strictly_ascending(&vertex_ids)).then(|| SsspPartial {
             dist: VertexDenseMap::from_vec(dist),
             vertex_ids: Arc::new(vertex_ids),
-            owned,
+            owned: Arc::new(owned),
             inceval_changes,
             width,
         })
@@ -503,7 +504,7 @@ impl PieProgram for SsspProgram {
         Some(SsspPartial {
             dist,
             vertex_ids: Arc::clone(g.shared_vertex_ids()),
-            owned: fragment.inner_bitset().clone(),
+            owned: Arc::clone(fragment.shared_inner_bitset()),
             inceval_changes: 0,
             width,
         })
@@ -665,7 +666,7 @@ mod tests {
         assert!(!refused(&|_| {}), "the untouched snapshot restores");
         assert!(refused(&|p| p.dist = VertexDenseMap::new(n - 1, 0.0)));
         assert!(refused(&|p| Arc::make_mut(&mut p.vertex_ids).push(u64::MAX)));
-        assert!(refused(&|p| p.owned = DenseBitset::new(n + 64)));
+        assert!(refused(&|p| p.owned = Arc::new(DenseBitset::new(n + 64))));
         assert!(
             refused(&|p| Arc::make_mut(&mut p.vertex_ids).swap(0, 1)),
             "unsorted ids"

@@ -96,6 +96,14 @@ pub const TAG_UPDATE: u8 = 0x34;
 /// batch. Sent once per [`TAG_UPDATE`] request.
 pub const TAG_UPDATED: u8 = 0x35;
 
+/// Frame tag of a client→service **graph unload**: the graph id whose
+/// resident fragments and kept partials the service drops.
+pub const TAG_UNLOAD: u8 = 0x36;
+
+/// Frame tag of the service→client **unload acknowledgement**: the graph id
+/// named by the [`TAG_UNLOAD`] it answers, resident or not.
+pub const TAG_UNLOADED: u8 = 0x37;
+
 /// Size of the frame header: magic (2) + version (1) + tag (1) + epoch (4) +
 /// length (4).
 pub const HEADER_LEN: usize = 12;

@@ -5,9 +5,9 @@
 //!
 //! 1. A converged run leaves every fragment's final partial, serialized with
 //!    [`crate::PieProgram::snapshot_partial`], where that fragment's worker
-//!    runs: a daemon keeps it beside its resident fragment, an in-process
-//!    holder in a [`ConvergedState`]. Either stamps it with the graph version
-//!    the run converged at.
+//!    runs: the daemon keeps it beside its resident fragment, stamped with
+//!    the graph version the run converged at. The client keeps only that
+//!    version.
 //! 2. Each mutation batch records its dirty set and profile in a
 //!    [`DeltaLog`]; [`DeltaLog::since`] merges everything applied since the
 //!    cached state was captured.
@@ -26,24 +26,12 @@ use grape_graph::VertexId;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-/// The converged dense state of one finished run: every fragment's final
-/// partial, serialized with [`crate::PieProgram::snapshot_partial`], plus the
-/// graph version the run observed. A holder whose workers all run in its own
-/// process caches one per `(graph, query)` pair and seeds later runs from it.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ConvergedState {
-    /// The [`DeltaLog::version`] of the graph the run converged on.
-    pub version: u64,
-    /// Per-fragment snapshot bytes, indexed by fragment id — shared, so a
-    /// warm plan hands them to a run without copying them.
-    pub partials: Arc<[Arc<Vec<u8>>]>,
-}
-
 /// An append-only log of applied mutation batches: per batch, the dirty
 /// vertex set and the [`MutationProfile`]. The log's length is the graph
 /// *version*; [`DeltaLog::since`] folds every batch applied after a given
 /// version into one merged dirty set + profile, which is exactly what a
-/// warm run seeded from a version-`v` [`ConvergedState`] must re-evaluate.
+/// warm run seeded from partials that converged at version `v` must
+/// re-evaluate.
 #[derive(Debug, Default, Clone)]
 pub struct DeltaLog {
     entries: Vec<(Vec<VertexId>, MutationProfile)>,
@@ -178,14 +166,5 @@ mod tests {
         assert!(profile.insert_only());
 
         assert!(log.since(3).is_none(), "future versions are stale caches");
-    }
-
-    #[test]
-    fn converged_state_is_plain_data() {
-        let s = ConvergedState {
-            version: 3,
-            partials: [vec![1, 2], vec![]].map(Arc::new).into(),
-        };
-        assert_eq!(s.clone(), s);
     }
 }

@@ -46,7 +46,7 @@ pub mod transport;
 
 pub use chaos::{ChaosConfig, ChaosCoordTransport, ChaosWorkerTransport, DeterministicRng};
 pub use context::PieContext;
-pub use converged::{ConvergedState, DeltaLog, IncrementalSeed, WarmHandle};
+pub use converged::{DeltaLog, IncrementalSeed, WarmHandle};
 pub use engine::{
     run_seeded_worker, run_worker, EngineConfig, EngineConfigBuilder, ExecutionMode, GrapeEngine,
     GrapeResult, RunError,

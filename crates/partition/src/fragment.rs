@@ -48,18 +48,20 @@ pub struct Fragment<V, E> {
 /// sorted list.
 #[derive(Debug, PartialEq)]
 pub(crate) struct VertexTables {
-    /// Vertices owned by this fragment (sorted).
-    inner: Vec<VertexId>,
+    /// Vertices owned by this fragment (sorted); shared with the partials
+    /// that keep it beside state aligned with it.
+    inner: Arc<Vec<VertexId>>,
     /// Mirrors of remote vertices that appear in local edges (sorted).
     outer: Vec<VertexId>,
     /// Owner fragment of each outer vertex, aligned with `outer`.
     outer_owner: Vec<u32>,
     /// Membership bitset over the local graph's dense indices: bit set =
     /// inner vertex, bit clear = outer (mirror). Replaces per-call
-    /// `HashSet<VertexId>` probes on the hot paths.
-    inner_mask: DenseBitset,
-    /// Dense indices of the inner vertices, aligned with `inner`.
-    inner_dense: Vec<u32>,
+    /// `HashSet<VertexId>` probes on the hot paths. Shared like `inner`.
+    inner_mask: Arc<DenseBitset>,
+    /// Dense indices of the inner vertices, aligned with `inner`. Shared
+    /// like `inner`.
+    inner_dense: Arc<Vec<u32>>,
     /// Dense indices of the outer vertices, aligned with `outer`.
     outer_dense: Vec<u32>,
     /// Border vertices (outer ∪ mirrored inner), sorted; precomputed once at
@@ -117,6 +119,18 @@ impl<V: Clone, E: Clone> Fragment<V, E> {
         &self.tables.inner_dense
     }
 
+    /// [`Fragment::inner_vertices`] as the shared list itself, for holders
+    /// that keep it beside state aligned with it and would otherwise copy it.
+    pub fn shared_inner_vertices(&self) -> &Arc<Vec<VertexId>> {
+        &self.tables.inner
+    }
+
+    /// [`Fragment::inner_dense_indices`] as the shared list itself, like
+    /// [`Fragment::shared_inner_vertices`].
+    pub fn shared_inner_dense_indices(&self) -> &Arc<Vec<u32>> {
+        &self.tables.inner_dense
+    }
+
     /// Dense indices (into [`Fragment::graph`]) of the outer vertices,
     /// aligned with [`Fragment::outer_vertices`].
     pub fn outer_dense_indices(&self) -> &[u32] {
@@ -148,6 +162,12 @@ impl<V: Clone, E: Clone> Fragment<V, E> {
     /// membership view borrow the precomputed bitset instead of rebuilding
     /// one from [`Fragment::inner_dense_indices`].
     pub fn inner_bitset(&self) -> &DenseBitset {
+        &self.tables.inner_mask
+    }
+
+    /// [`Fragment::inner_bitset`] as the shared bitset itself, like
+    /// [`Fragment::shared_inner_vertices`].
+    pub fn shared_inner_bitset(&self) -> &Arc<DenseBitset> {
         &self.tables.inner_mask
     }
 
@@ -661,11 +681,11 @@ pub(crate) fn assemble_fragment<V: Clone, E: Clone>(
         graph: local_graph,
         mirrored_at: Arc::new(mirrored_at),
         tables: Arc::new(VertexTables {
-            inner: inner_list,
+            inner: Arc::new(inner_list),
             outer: outer_list,
             outer_owner,
-            inner_mask,
-            inner_dense,
+            inner_mask: Arc::new(inner_mask),
+            inner_dense: Arc::new(inner_dense),
             outer_dense,
             border: Arc::new(border),
             border_dense,

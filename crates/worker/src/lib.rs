@@ -30,7 +30,8 @@
 //!   tolerance");
 //! * [`run_local_framed`] and [`run_local_recoverable_tcp`] are the
 //!   in-process reference and recovery drill the tests and benches pin the
-//!   multi-process path against, both built on the pieces above.
+//!   multi-process path against: a one-shot engine run over the framed
+//!   channel, and a batch run over the pieces above.
 
 #![warn(missing_docs)]
 
@@ -404,19 +405,45 @@ impl<S: ServiceStream> ClassVisitor for Batch<'_, '_, S> {
 // In-process reference + recovery drill
 // ---------------------------------------------------------------------------
 
-/// Runs the identical job fully in-process — an in-process [`Session`] over
-/// the framed *channel* transport: the reference the multi-process path must
-/// match bit for bit (typed result, supersteps, message and wire-byte
-/// counts).
+/// Runs the identical job fully in-process — a one-shot [`GrapeEngine`] run
+/// over the framed *channel* transport, no socket anywhere: the reference
+/// the multi-process path must match bit for bit (typed result, supersteps,
+/// message and wire-byte counts).
 pub fn run_local_framed(job: &JobSpec) -> io::Result<QueryOutcome> {
-    let engine = job.engine_config(&EngineConfig {
+    let query = job.query()?;
+    let graph = SessionGraph::generate(&job.graph)?;
+    let (fragments, _) = SessionFragments::cut(&graph, job.strategy()?, job.workers as usize);
+    let config = job.engine_config(&EngineConfig {
         transport: TransportKind::Framed,
         ..Default::default()
     });
-    let session =
-        Session::connect(SessionConfig::in_process(job.workers as usize).with_engine(engine))?;
-    session.load(&SessionGraph::generate(&job.graph)?, job.strategy()?)?;
-    session.submit(job.query()?)?.join()
+    let vertices = graph.num_vertices() as u64;
+    dispatch(&query, vertices, fragments.as_family(), OneShot(config))
+}
+
+/// One one-shot engine run, for whichever class [`dispatch`] resolves its
+/// query to.
+struct OneShot(EngineConfig);
+
+impl ClassVisitor for OneShot {
+    type Out = QueryOutcome;
+
+    fn visit<P: PieProgram>(
+        self,
+        program: P,
+        query: P::Query,
+        wrap: impl Fn(P::Output) -> QueryResult,
+        fragments: &[Arc<Fragment<P::VertexData, P::EdgeData>>],
+    ) -> io::Result<QueryOutcome> {
+        let run = GrapeEngine::new(program)
+            .with_config(self.0)
+            .run(&query, fragments)
+            .map_err(|e| io::Error::other(e.to_string()))?;
+        Ok(QueryOutcome {
+            result: wrap(run.output),
+            stats: run.stats,
+        })
+    }
 }
 
 /// Runs `job` over real TCP sockets with worker threads in this process,

@@ -13,8 +13,9 @@
 //!   ([`crate::run_worker`]) runs the same frame loop over a private
 //!   one-connection registry.
 //! * [`Session`] is the client facade, `connect → load → submit`:
-//!   [`Session::connect`] picks the backend (in-process resident engine, or
-//!   remote daemons), [`Session::load`] partitions and ships a graph once,
+//!   [`Session::connect`] dials the daemons it is given — or, given none,
+//!   spawns a private one in this process, so every session runs the same
+//!   code — [`Session::load`] partitions and ships a graph once,
 //!   and [`Session::submit`] returns a [`QueryHandle`] whose
 //!   [`QueryHandle::join`] yields the typed [`QueryResult`] plus per-query
 //!   [`RunStats`]. Queries of different classes run concurrently over the
@@ -60,6 +61,10 @@
 //!    ([`PieProgram::assemble_answers`]).
 //! 4. `TAG_UPDATE` (sessions only) carries a versioned mutation batch for one
 //!    resident fragment, acked with `TAG_UPDATED`.
+//! 5. `TAG_UNLOAD` (sessions only) names a graph id whose fragments and kept
+//!    partials the daemon drops, acked with `TAG_UNLOADED`. A session sends
+//!    it for the graph a new load replaces, and for its graph when its last
+//!    handle drops; an unknown graph id is acked all the same.
 //!
 //! ## Fault tolerance
 //!
@@ -81,16 +86,15 @@ use crate::{bad_data, UdsPathGuard};
 use grape_algo::{dispatch, ClassVisitor, FamilyFragments, Query, QueryResult};
 use grape_comm::wire::{
     self, Wire, WireError, WireReader, HEADER_LEN, TAG_HELLO, TAG_LOAD, TAG_LOADED, TAG_QUERY,
-    TAG_RESULT, TAG_UPDATE, TAG_UPDATED,
+    TAG_RESULT, TAG_UNLOAD, TAG_UNLOADED, TAG_UPDATE, TAG_UPDATED,
 };
 use grape_comm::CommStats;
 use grape_core::chaos::{ChaosConfig, ChaosWorkerTransport};
 use grape_core::par::ThreadCount;
 use grape_core::transport::{FramedStreamCoord, FramedStreamWorker, SplitStream};
 use grape_core::{
-    decode_fragment, encode_fragment_epoch, run_seeded_worker, ConvergedState, DeltaLog,
-    EngineConfig, GrapeEngine, IncrementalSeed, MutationProfile, PieProgram, RunStats, VertexId,
-    WarmHandle, TAG_FRAGMENT,
+    decode_fragment, encode_fragment_epoch, run_seeded_worker, DeltaLog, EngineConfig, GrapeEngine,
+    IncrementalSeed, MutationProfile, PieProgram, RunStats, VertexId, WarmHandle, TAG_FRAGMENT,
 };
 use grape_graph::delta::{stage_batch, GraphMutation, LiveView};
 use grape_graph::generators::{
@@ -619,7 +623,7 @@ pub struct UpdateReceipt {
     pub splice_seconds: f64,
     /// Seconds from the first daemon dialled to the last `TAG_UPDATED` ack
     /// read. The daemons splice their resident fragments inside it, all at
-    /// once. Next to nothing in-process, where nothing ships.
+    /// once; a session's private daemon is one of them, over loopback.
     pub ship_seconds: f64,
 }
 
@@ -646,12 +650,8 @@ struct LoadedGraph {
     log: DeltaLog,
     /// The graph version the last completed run of each query converged at,
     /// keyed by the query's wire encoding. The converged partials stay where
-    /// the workers ran: beside the daemons' resident fragments, or in
-    /// `local`.
+    /// the workers ran, beside the daemons' resident fragments.
     converged: HashMap<Vec<u8>, u64>,
-    /// In-process sessions only: each converged query's per-fragment
-    /// snapshots, under the same key and version as `converged`.
-    local: HashMap<Vec<u8>, ConvergedState>,
     /// The wire encoding of a resolved batch whose ship to the daemons
     /// failed: some of them may hold version `log.version() + 1` already,
     /// and their version fence would skip any other batch sent under that
@@ -956,7 +956,8 @@ impl GrapeService {
     }
 }
 
-/// Handle to a daemon spawned with [`GrapeService::spawn`].
+/// Handle to a daemon spawned with [`GrapeService::spawn`]. Dropping it
+/// shuts the daemon down, as [`ServiceHandle::shutdown`] does.
 pub struct ServiceHandle {
     endpoint: Endpoint,
     state: Arc<ServiceState>,
@@ -972,15 +973,25 @@ impl ServiceHandle {
     /// Stops accepting connections and joins the daemon thread. In-flight
     /// connections finish on their own threads.
     pub fn shutdown(mut self) -> io::Result<()> {
+        self.stop()
+    }
+
+    fn stop(&mut self) -> io::Result<()> {
+        let Some(thread) = self.thread.take() else {
+            return Ok(());
+        };
         self.state.stop.store(true, Ordering::SeqCst);
         // Poke the accept loop so it observes the stop flag.
         let _ = self.endpoint.connect();
-        match self.thread.take() {
-            Some(thread) => thread
-                .join()
-                .map_err(|_| io::Error::other("service thread panicked"))?,
-            None => Ok(()),
-        }
+        thread
+            .join()
+            .map_err(|_| io::Error::other("service thread panicked"))?
+    }
+}
+
+impl Drop for ServiceHandle {
+    fn drop(&mut self) {
+        let _ = self.stop();
     }
 }
 
@@ -1077,9 +1088,9 @@ fn serve_connection<S: ServiceStream>(mut stream: S, state: &ServiceState) -> io
 }
 
 /// The worker side of the job protocol, from "frame read" to "`TAG_RESULT`
-/// written": serves `TAG_LOAD`, `TAG_QUERY` and `TAG_UPDATE` frames until the
-/// peer closes. A daemon runs it per accepted connection, a dialled-in batch
-/// worker over its one connection to the coordinator.
+/// written": serves `TAG_LOAD`, `TAG_QUERY`, `TAG_UPDATE` and `TAG_UNLOAD`
+/// frames until the peer closes. A daemon runs it per accepted connection, a
+/// dialled-in batch worker over its one connection to the coordinator.
 pub(crate) fn serve_frames<S: ServiceStream>(
     mut stream: S,
     state: &ServiceState,
@@ -1114,6 +1125,15 @@ pub(crate) fn serve_frames<S: ServiceStream>(
                     )));
                 }
                 apply_update(&mut stream, spec, reader, state)?;
+            }
+            TAG_UNLOAD => {
+                let graph_id: u64 = decode_body(&body, "unload")?;
+                // Freed outside the registry lock: other graphs' queries
+                // need not wait for it.
+                let unloaded = state.registry.lock().unwrap().remove(&graph_id);
+                drop(unloaded);
+                wire::write_frame_io_epoch(&mut stream, TAG_UNLOADED, epoch, &graph_id)?;
+                stream.flush()?;
             }
             other => {
                 return Err(bad_data(format!(
@@ -1519,17 +1539,21 @@ pub struct SessionConfig {
     /// Number of fragments/workers.
     pub workers: usize,
     /// Daemon endpoints; worker `i` is served by `endpoints[i % len]`, so a
-    /// single daemon can host the whole fleet. Empty = resident in-process
-    /// workers (the engine's `Threads`/`Inline` scheduling).
+    /// single daemon can host the whole fleet. Empty = a private daemon that
+    /// [`Session::connect`] spawns on a loopback port of this process.
     pub endpoints: Vec<Endpoint>,
-    /// Per-query engine knobs (transport read timeout, checkpoint cadence,
-    /// auth token, execution mode, …). [`EngineConfig::run_id`] is stamped
-    /// per query by the session and need not be set here.
+    /// Per-query engine knobs (read timeout, checkpoint cadence, auth token,
+    /// threads per worker). [`EngineConfig::transport`] and
+    /// [`EngineConfig::execution`] apply to one-shot runs only: a session's
+    /// workers always speak framed streams to their daemon.
+    /// [`EngineConfig::run_id`] is stamped per query by the session and need
+    /// not be set here.
     pub engine: EngineConfig,
 }
 
 impl SessionConfig {
-    /// A session whose workers are resident in this process.
+    /// A session whose workers are resident in this process, served by a
+    /// private daemon.
     pub fn in_process(workers: usize) -> SessionConfig {
         SessionConfig {
             workers,
@@ -1555,14 +1579,16 @@ impl SessionConfig {
 
 /// The unified entry point of the engine: `connect → load → submit`.
 ///
-/// A session holds a graph resident — partitioned once, fragments kept by
-/// in-process workers or shipped once to remote [`GrapeService`] daemons —
-/// and serves a stream of typed queries over it. Each submitted query gets a
-/// fresh run id (its wire epoch), its own fold state over the fragments'
-/// shared exchange layout, and its own [`RunStats`]; queries run
-/// concurrently on their own threads and connections, so two in-flight
-/// queries of different classes never share mutable state. Cloning a [`Session`] yields another handle to the same
-/// resident graph (for multi-client drivers).
+/// A session holds a graph resident — partitioned once, fragments shipped
+/// once to [`GrapeService`] daemons: remote ones, or the private one an
+/// in-process session spawns — and serves a stream of typed queries over
+/// it. Each submitted query gets a fresh run id (its wire epoch), its own
+/// fold state over the fragments' shared exchange layout, and its own
+/// [`RunStats`]; queries run concurrently on their own threads and
+/// connections, so two in-flight queries of different classes never share
+/// mutable state. Cloning a [`Session`] yields another handle to the same
+/// resident graph (for multi-client drivers); when the last handle drops,
+/// the daemons unload the graph and a private daemon shuts down.
 ///
 /// ```no_run
 /// use grape_worker::service::{Session, SessionConfig, SessionGraph};
@@ -1585,14 +1611,33 @@ pub struct Session {
 }
 
 struct SessionInner {
+    /// Never without endpoints: an in-process session's one endpoint is its
+    /// private `daemon`'s.
     config: SessionConfig,
     graph: Mutex<Option<LoadedGraph>>,
-    /// Orders remote queries against updates: a query holds it shared from
-    /// its snapshot of `graph` until its workers reported, an update holds it
-    /// exclusively while it ships — daemons keep one version per fragment, so
-    /// a query must not straddle one. Taken before `graph`, never after.
+    /// Orders queries against updates and loads: a query holds it shared
+    /// from its snapshot of `graph` until its workers reported; an update
+    /// holds it exclusively while it ships, a load while it unloads the graph
+    /// it replaces — daemons keep one version per fragment, so a query must
+    /// not straddle one. Taken before `graph`, never after.
     resident: RwLock<()>,
     next_run_id: AtomicU32,
+    /// The private daemon of an in-process session, shut down when the
+    /// session drops (after its graph is unloaded).
+    daemon: Option<ServiceHandle>,
+}
+
+impl Drop for SessionInner {
+    /// Unloads the graph from the daemons, best effort: a daemon that is
+    /// gone has nothing left to free. Then shuts a private daemon down.
+    fn drop(&mut self) {
+        if let Some(loaded) = self.graph.get_mut().ok().and_then(Option::take) {
+            let _ = self.unload(loaded.graph_id);
+        }
+        if let Some(daemon) = self.daemon.take() {
+            let _ = daemon.shutdown();
+        }
+    }
 }
 
 /// Process-wide graph id sequence; combined with the pid so ids from
@@ -1641,12 +1686,27 @@ impl QueryHandle {
 }
 
 impl Session {
-    /// Opens a session. Remote endpoints are probed (connect + hello) so a
-    /// dead daemon fails here, not on the first query.
-    pub fn connect(config: SessionConfig) -> io::Result<Session> {
+    /// Opens a session. Without endpoints, spawns a private daemon on a
+    /// loopback port, bound with the session's auth token, and serves the
+    /// session from it. Endpoints are probed (connect + hello) so a dead
+    /// daemon fails here, not on the first query.
+    pub fn connect(mut config: SessionConfig) -> io::Result<Session> {
         if config.workers == 0 {
             return Err(bad_data("a session needs at least one worker"));
         }
+        // The one place that tells the two kinds of session apart.
+        let daemon = match config.endpoints[..] {
+            [] => {
+                let options = ServiceOptions {
+                    token: config.engine.auth_token.clone(),
+                    ..Default::default()
+                };
+                let daemon = GrapeService::bind("127.0.0.1:0", options)?.spawn()?;
+                config.endpoints.push(daemon.endpoint().clone());
+                Some(daemon)
+            }
+            _ => None,
+        };
         for endpoint in &config.endpoints {
             endpoint
                 .dial(&config.engine.auth_token)
@@ -1661,55 +1721,62 @@ impl Session {
                 graph: Mutex::new(None),
                 resident: RwLock::new(()),
                 next_run_id: AtomicU32::new(1),
+                daemon,
             }),
         })
     }
 
     /// Partitions `graph` with `strategy` and makes it resident: fragments
-    /// are built once, kept for every subsequent query (with the exchange
-    /// layout the first query builds over them), and —
-    /// for remote sessions — shipped once to the daemons. Loading a new
-    /// graph replaces the previous one for future queries; in-flight queries
-    /// keep the fragments they started with.
+    /// are built once, shipped once to the daemons, and kept for every
+    /// subsequent query (with the exchange layout the first query builds
+    /// over them). Loading a new graph replaces the previous one: once the
+    /// queries in flight on it finish, the daemons unload it. On `Err` from
+    /// that unload the new graph is loaded all the same.
     pub fn load(&self, graph: &SessionGraph, strategy: BuiltinStrategy) -> io::Result<()> {
         let n = self.inner.config.workers;
         let graph_id = fresh_graph_id();
         let vertices = graph.num_vertices() as u64;
         let (fragments, assignment) = SessionFragments::cut(graph, strategy, n);
-        if !self.inner.config.endpoints.is_empty() {
-            let spec = LoadSpec {
-                graph_id,
-                family: fragments.family(),
-                index: 0, // set per fragment
-                workers: n as u32,
-                vertices,
-            };
-            match &fragments {
-                SessionFragments::Weighted(frags) => self.inner.ship_fragments(spec, frags)?,
-                SessionFragments::Labeled(frags) => self.inner.ship_fragments(spec, frags)?,
-            }
+        let spec = LoadSpec {
+            graph_id,
+            family: fragments.family(),
+            index: 0, // set per fragment
+            workers: n as u32,
+            vertices,
+        };
+        let shipped = match &fragments {
+            SessionFragments::Weighted(frags) => self.inner.ship_fragments(spec, frags),
+            SessionFragments::Labeled(frags) => self.inner.ship_fragments(spec, frags),
+        };
+        if let Err(e) = shipped {
+            // The daemons that took a fragment would keep it for good.
+            let _ = self.inner.unload(graph_id);
+            return Err(e);
         }
-        *self.inner.graph.lock().unwrap() = Some(LoadedGraph {
+        let _exclusive = self.inner.resident.write().unwrap();
+        let replaced = self.inner.graph.lock().unwrap().replace(LoadedGraph {
             graph_id,
             vertices,
             fragments,
             assignment: Arc::new(assignment),
             log: DeltaLog::new(),
             converged: HashMap::new(),
-            local: HashMap::new(),
             in_doubt: None,
         });
-        Ok(())
+        match replaced {
+            Some(old) => self.inner.unload(old.graph_id),
+            None => Ok(()),
+        }
     }
 
     /// Applies a mutation batch to the resident graph, atomically for every
     /// subsequent query. The batch is checked and netted against the
     /// resident fragments without changing them, spliced into new copies of
     /// the fragments it touches (bit-identical to re-cutting the updated
-    /// graph), and, for remote sessions, shipped to every daemon's resident
-    /// fragment over versioned `TAG_UPDATE` frames. Only then does the
-    /// session commit the new version. Queries already in flight keep the
-    /// fragments they started with.
+    /// graph), and shipped to every daemon's resident fragment over
+    /// versioned `TAG_UPDATE` frames. Only then does the session commit the
+    /// new version. The update waits for the queries in flight; the ones
+    /// submitted after it run on the new version.
     ///
     /// On `Err` the session is at its old version: an invalid batch, a
     /// failed splice and a failed ship all leave its fragments, assignment
@@ -1718,7 +1785,7 @@ impl Session {
     /// the batch as *in doubt*. Until the same batch is retried (it is
     /// shipped again, and committed) or a graph is loaded afresh, the
     /// session refuses any other batch and every query, naming the version
-    /// in doubt. In-process sessions ship nothing and are never in doubt.
+    /// in doubt.
     ///
     /// Subsequent [`Session::submit`] calls of a query that has already
     /// converged on this session are transparently **incremental**: each
@@ -1730,8 +1797,8 @@ impl Session {
     }
 
     /// Submits one query; returns immediately with a handle. The query runs
-    /// on its own thread (and, for remote sessions, its own connections),
-    /// concurrently with every other in-flight query.
+    /// on its own thread and its own connections, concurrently with every
+    /// other in-flight query.
     pub fn submit(&self, query: Query) -> io::Result<QueryHandle> {
         self.submit_inner(query, None)
     }
@@ -1739,16 +1806,13 @@ impl Session {
     /// [`Session::submit`] with a chaos schedule: worker `kill_worker`'s
     /// connection is severed upon receiving command `kill_at` — the
     /// transport-level SIGKILL of the recovery drills. Forces a checkpoint
-    /// cadence of at least 1 so the query recovers; remote sessions only.
+    /// cadence of at least 1 so the query recovers.
     pub fn submit_with_kill(
         &self,
         query: Query,
         kill_worker: usize,
         kill_at: usize,
     ) -> io::Result<QueryHandle> {
-        if self.inner.config.endpoints.is_empty() {
-            return Err(bad_data("kill drills need a remote service session"));
-        }
         if kill_worker >= self.inner.config.workers {
             return Err(bad_data(format!(
                 "kill drill names worker {kill_worker}, but the session has {} workers",
@@ -1764,7 +1828,6 @@ impl Session {
     /// waves of different classes run concurrently. Handles come back in
     /// submission order.
     pub fn submit_batch(&self, queries: Vec<Query>) -> io::Result<Vec<QueryHandle>> {
-        type Wave = Vec<(Query, u32, mpsc::Sender<io::Result<QueryOutcome>>)>;
         let mut waves: Vec<(grape_algo::QueryClass, Wave)> = Vec::new();
         let mut handles = Vec::with_capacity(queries.len());
         for query in queries {
@@ -1778,12 +1841,7 @@ impl Session {
             }
         }
         for (_, wave) in waves {
-            let inner = Arc::clone(&self.inner);
-            std::thread::spawn(move || {
-                for (query, run_id, tx) in wave {
-                    let _ = tx.send(inner.run_query(&query, run_id, None));
-                }
-            });
+            spawn_wave(Arc::clone(&self.inner), wave, None);
         }
         Ok(handles)
     }
@@ -1792,20 +1850,39 @@ impl Session {
         let run_id = self.inner.next_run_id.fetch_add(1, Ordering::Relaxed);
         let class = query.class();
         let (tx, rx) = mpsc::channel();
-        let inner = Arc::clone(&self.inner);
-        std::thread::spawn(move || {
-            let outcome = inner.run_query(&query, run_id, kill);
-            let _ = tx.send(outcome);
-        });
+        spawn_wave(Arc::clone(&self.inner), vec![(query, run_id, tx)], kill);
         Ok(QueryHandle { run_id, class, rx })
     }
+}
+
+/// Queries run back to back on one thread, each with its run id and the
+/// sender its [`QueryHandle`] receives from.
+type Wave = Vec<(Query, u32, mpsc::Sender<io::Result<QueryOutcome>>)>;
+
+/// Runs `wave` on a thread of its own, answering each query as it finishes.
+/// The thread lets go of the session before it answers the last one, so a
+/// caller that joins every handle and then drops its [`Session`] drops the
+/// last handle: the graph is unloaded by the time that drop returns.
+fn spawn_wave(inner: Arc<SessionInner>, wave: Wave, kill: Option<(usize, usize)>) {
+    std::thread::spawn(move || {
+        let mut wave = wave.into_iter();
+        while let Some((query, run_id, tx)) = wave.next() {
+            let outcome = inner.run_query(&query, run_id, kill);
+            if wave.len() == 0 {
+                drop(inner);
+                let _ = tx.send(outcome);
+                return;
+            }
+            let _ = tx.send(outcome);
+        }
+    });
 }
 
 impl SessionInner {
     /// Applies one update batch end to end; see [`Session::update`].
     fn apply_session_update(&self, batch: SessionUpdate) -> io::Result<UpdateReceipt> {
-        // Remote queries read the daemons' fragments, not this session's:
-        // wait for the ones in flight, so none sees a half-shipped version.
+        // Queries read the daemons' fragments, not this session's: wait for
+        // the ones in flight, so none sees a half-shipped version.
         // Holding it also keeps updates one at a time.
         let _exclusive = self.resident.write().unwrap();
         let (graph_id, version, fragments, base) = {
@@ -1989,15 +2066,12 @@ impl SessionInner {
     }
 
     /// Ships one resolved batch, wire-encoded once as `batch`, to every
-    /// daemon-resident fragment (no-op for in-process sessions): per worker,
-    /// a versioned `TAG_UPDATE` frame answered by `TAG_UPDATED`. Every frame
-    /// is written before the first ack is read, so the daemons splice their
-    /// fragments at once rather than one after another. The version fence
-    /// makes retries after a lost ack idempotent on the daemon.
+    /// daemon-resident fragment: per worker, a versioned `TAG_UPDATE` frame
+    /// answered by `TAG_UPDATED`. Every frame is written before the first
+    /// ack is read, so the daemons splice their fragments at once rather
+    /// than one after another. The version fence makes retries after a lost
+    /// ack idempotent on the daemon.
     fn ship_updates(&self, spec: &UpdateSpec, batch: &[u8]) -> io::Result<()> {
-        if self.config.endpoints.is_empty() {
-            return Ok(());
-        }
         let (graph_id, version) = (spec.graph_id, spec.version);
         let mut frame = Vec::new();
         let mut streams = Vec::with_capacity(self.config.workers);
@@ -2028,6 +2102,30 @@ impl SessionInner {
         Ok(())
     }
 
+    /// Tells every daemon to drop graph `graph_id`: one `TAG_UNLOAD` frame
+    /// per endpoint, all written before the first `TAG_UNLOADED` ack is
+    /// read.
+    fn unload(&self, graph_id: u64) -> io::Result<()> {
+        let mut frame = Vec::new();
+        wire::encode_frame_epoch(TAG_UNLOAD, 0, &graph_id, &mut frame);
+        let mut streams = Vec::with_capacity(self.config.endpoints.len());
+        for endpoint in &self.config.endpoints {
+            let mut stream = endpoint.dial(&self.config.engine.auth_token)?;
+            send(&mut stream, &frame)?;
+            streams.push(stream);
+        }
+        for mut stream in streams {
+            let ack = read_ack(&mut stream, TAG_UNLOADED, &format!("unload {graph_id:#x}"))?;
+            let acked: u64 = decode_body(&ack, "unload ack")?;
+            if acked != graph_id {
+                return Err(bad_data(format!(
+                    "daemon acked the unload of graph {acked:#x}, expected {graph_id:#x}"
+                )));
+            }
+        }
+        Ok(())
+    }
+
     /// Runs one submitted query to completion over the resident graph.
     fn run_query(
         &self,
@@ -2035,7 +2133,7 @@ impl SessionInner {
         run_id: u32,
         kill: Option<(usize, usize)>,
     ) -> io::Result<QueryOutcome> {
-        let _shared = (!self.config.endpoints.is_empty()).then(|| self.resident.read().unwrap());
+        let _shared = self.resident.read().unwrap();
         let (graph_id, vertices, fragments, warm) = {
             let guard = self.graph.lock().unwrap();
             let loaded = guard
@@ -2065,15 +2163,6 @@ impl SessionInner {
                         profile,
                     })
                 });
-            // In-process workers keep their partials here.
-            let seeds = match (&handle, loaded.local.get(&key)) {
-                (Some(handle), Some(kept)) if kept.version == handle.version => kept
-                    .partials
-                    .iter()
-                    .map(|snapshot| handle.seed(Arc::clone(snapshot)))
-                    .collect(),
-                _ => Vec::new(),
-            };
             (
                 loaded.graph_id,
                 loaded.vertices,
@@ -2082,7 +2171,6 @@ impl SessionInner {
                     cache_key: key,
                     version: loaded.log.version(),
                     handle,
-                    seeds,
                 },
             )
         };
@@ -2099,11 +2187,10 @@ impl SessionInner {
 
     /// Records that a run of the query converged, stamped with the graph
     /// version the run started at — so later submissions re-seed across
-    /// exactly the updates applied since — and, for in-process workers,
-    /// keeps their `snapshots`. Never replaces a fresher entry (a concurrent
-    /// query may have finished on newer fragments), and drops the write if
-    /// the graph was replaced mid-run.
-    fn store_converged(&self, graph_id: u64, warm: &WarmContext, snapshots: Option<Vec<Vec<u8>>>) {
+    /// exactly the updates applied since. Never replaces a fresher entry (a
+    /// concurrent query may have finished on newer fragments), and drops the
+    /// write if the graph was replaced mid-run.
+    fn store_converged(&self, graph_id: u64, warm: &WarmContext) {
         let mut guard = self.graph.lock().unwrap();
         let Some(loaded) = guard.as_mut() else { return };
         if loaded.graph_id != graph_id {
@@ -2114,13 +2201,6 @@ impl SessionInner {
             return;
         }
         loaded.converged.insert(key.clone(), warm.version);
-        if let Some(snapshots) = snapshots {
-            let kept = ConvergedState {
-                version: warm.version,
-                partials: snapshots.into_iter().map(Arc::new).collect(),
-            };
-            loaded.local.insert(key.clone(), kept);
-        }
     }
 }
 
@@ -2138,16 +2218,15 @@ struct SessionRun<'a> {
 impl ClassVisitor for SessionRun<'_> {
     type Out = QueryOutcome;
 
-    /// Drives the query in-process over the resident fragments, or as a
-    /// coordinator over per-query daemon connections. With a warm handle the
-    /// run is incremental — each worker's PEval warm-starts from the
-    /// converged partial it keeps and the dirty set of the updates applied
-    /// since; either way the run's convergence is recorded for the next
-    /// submission, and the answer assembled.
+    /// Drives the query as a coordinator over per-query daemon connections.
+    /// With a warm handle the run is incremental — each worker's PEval
+    /// warm-starts from the converged partial it keeps and the dirty set of
+    /// the updates applied since; either way the run's convergence is
+    /// recorded for the next submission, and the answer assembled.
     fn visit<P: PieProgram>(
         self,
         program: P,
-        typed: P::Query,
+        _typed: P::Query,
         wrap: impl Fn(P::Output) -> QueryResult,
         fragments: &[Arc<Fragment<P::VertexData, P::EdgeData>>],
     ) -> io::Result<QueryOutcome> {
@@ -2159,7 +2238,6 @@ impl ClassVisitor for SessionRun<'_> {
             warm,
             kill,
         } = self;
-        let remote = !session.config.endpoints.is_empty();
         let mut config = session.config.engine.clone();
         config.run_id = run_id;
         if kill.is_some() && config.checkpoint_every == 0 {
@@ -2172,67 +2250,46 @@ impl ClassVisitor for SessionRun<'_> {
             .handle
             .as_ref()
             .filter(|handle| program.incremental_eligible(&handle.profile));
-        let seeds = if handle.is_some() {
-            &warm.seeds[..]
-        } else {
-            &[]
-        };
         let engine = GrapeEngine::new(program).with_config(config);
-        let program = engine.program();
+        let config = engine.config();
 
-        let (output, snapshots, stats) = if remote {
-            // A stream to worker `i` at epoch `e`: a fresh connection to its
-            // daemon, which holds the fragment resident — reconnecting after
-            // a loss re-ships nothing.
-            let config = engine.config();
-            let mut frame = Vec::new();
-            let mut open = |worker: usize, epoch: u32| -> io::Result<(ServiceSocket, usize)> {
-                let job = QueryJob {
-                    graph_id,
-                    index: worker as u32,
-                    workers: fragments.len() as u32,
-                    run_id: epoch,
-                    threads: config.threads_per_worker.into(),
-                    checkpoint_every: config.checkpoint_every as u32,
-                    query: query.clone(),
-                    // Only the first connection of the victim carries the
-                    // kill; its replacement must live.
-                    kill_at: kill
-                        .filter(|&(victim, _)| victim == worker && epoch == run_id)
-                        .map(|(_, at)| at as u32),
-                    // The handle rides on the job itself, so a worker
-                    // replaced mid-run re-enters with the same warm start.
-                    seed: handle.cloned(),
-                };
-                frame.clear();
-                wire::encode_frame_epoch(TAG_QUERY, epoch, &job, &mut frame);
-                let mut stream = session.dial(worker)?;
-                send(&mut stream, &frame)?;
-                Ok((stream, frame.len()))
+        // A stream to worker `i` at epoch `e`: a fresh connection to its
+        // daemon, which holds the fragment resident — reconnecting after a
+        // loss re-ships nothing.
+        let mut frame = Vec::new();
+        let mut open = |worker: usize, epoch: u32| -> io::Result<(ServiceSocket, usize)> {
+            let job = QueryJob {
+                graph_id,
+                index: worker as u32,
+                workers: fragments.len() as u32,
+                run_id: epoch,
+                threads: config.threads_per_worker.into(),
+                checkpoint_every: config.checkpoint_every as u32,
+                query: query.clone(),
+                // Only the first connection of the victim carries the kill;
+                // its replacement must live.
+                kill_at: kill
+                    .filter(|&(victim, _)| victim == worker && epoch == run_id)
+                    .map(|(_, at)| at as u32),
+                // The handle rides on the job itself, so a worker replaced
+                // mid-run re-enters with the same warm start.
+                seed: handle.cloned(),
             };
-            let (answers, mut stats) =
-                coordinate(&engine, fragments, config.checkpoint_every > 0, &mut open)?;
-            let assemble_started = Instant::now();
-            let output = program
-                .assemble_answers(fragments, &answers)
-                .map_err(|e| bad_data(format!("query {run_id}: {e}")))?;
-            stats.assemble_seconds = assemble_started.elapsed().as_secs_f64();
-            (output, None, stats)
-        } else {
-            let (partials, mut stats) = engine
-                .run_partials(&typed, fragments, seeds)
-                .map_err(|e| io::Error::other(e.to_string()))?;
-            let snapshots = partials
-                .iter()
-                .map(|partial| program.snapshot_partial(partial))
-                .collect::<Option<Vec<_>>>()
-                .ok_or_else(|| io::Error::other("program cannot snapshot its partial result"))?;
-            let assemble_started = Instant::now();
-            let output = program.assemble(partials);
-            stats.assemble_seconds = assemble_started.elapsed().as_secs_f64();
-            (output, Some(snapshots), stats)
+            frame.clear();
+            wire::encode_frame_epoch(TAG_QUERY, epoch, &job, &mut frame);
+            let mut stream = session.dial(worker)?;
+            send(&mut stream, &frame)?;
+            Ok((stream, frame.len()))
         };
-        session.store_converged(graph_id, warm, snapshots);
+        let (answers, mut stats) =
+            coordinate(&engine, fragments, config.checkpoint_every > 0, &mut open)?;
+        let assemble_started = Instant::now();
+        let output = engine
+            .program()
+            .assemble_answers(fragments, &answers)
+            .map_err(|e| bad_data(format!("query {run_id}: {e}")))?;
+        stats.assemble_seconds = assemble_started.elapsed().as_secs_f64();
+        session.store_converged(graph_id, warm);
         Ok(QueryOutcome {
             result: wrap(output),
             stats,
@@ -2401,9 +2458,6 @@ struct WarmContext {
     /// The version the query last converged at, and the merged dirty set
     /// and profile of every update applied since; `None` runs cold.
     handle: Option<WarmHandle>,
-    /// In-process workers only: the handle made into one seed per fragment
-    /// from the partials the session keeps. Empty without a handle.
-    seeds: Vec<IncrementalSeed>,
 }
 
 #[cfg(test)]
@@ -2962,8 +3016,8 @@ mod tests {
     }
 
     /// The converged partials kept for `query`, per fragment, and the version
-    /// they converged at: an in-process session keeps them itself, a remote
-    /// one's daemon beside its resident fragments.
+    /// they converged at, beside the resident fragments: in an in-process
+    /// session's private daemon, or in `daemon`.
     fn kept_partials(
         session: &Session,
         daemon: &ServiceHandle,
@@ -2973,10 +3027,7 @@ mod tests {
         let guard = session.inner.graph.lock().unwrap();
         let loaded = guard.as_ref().expect("graph loaded");
         let version = loaded.converged[&key];
-        if let Some(kept) = loaded.local.get(&key) {
-            assert_eq!(kept.version, version);
-            return (version, kept.partials.iter().map(|p| p.to_vec()).collect());
-        }
+        let daemon = session.inner.daemon.as_ref().unwrap_or(daemon);
         let registry = daemon.state.registry.lock().unwrap();
         let resident = &registry[&loaded.graph_id];
         let partials = (0..resident.workers)
@@ -3005,9 +3056,10 @@ mod tests {
                 .load(&graph.clone().into(), BuiltinStrategy::MetisLike)
                 .expect("load");
         }
-        // The in-process session keeps its workers' partials, the daemon its
-        // own beside their fragments: after a cold run and after a warm one
-        // both hold the same bytes per fragment, at the same version.
+        // Each session's daemon — the in-process one's private daemon, and
+        // `daemon` — keeps its workers' partials beside their fragments: after
+        // a cold run and after a warm one both hold the same bytes per
+        // fragment, at the same version.
         let agree = |stage: &str, warm: usize| {
             for query in [Query::sssp(0), Query::cc(), Query::pagerank()] {
                 let [local, remote] = sessions.each_ref().map(|session| {
@@ -3038,6 +3090,56 @@ mod tests {
             session.update(inserts.clone()).expect("update");
         }
         agree("warm", workers);
+        daemon.shutdown().expect("shutdown");
+    }
+
+    #[test]
+    fn a_replaced_or_dropped_graph_leaves_its_daemon() {
+        let daemon = GrapeService::bind("127.0.0.1:0", ServiceOptions::default())
+            .expect("bind")
+            .spawn()
+            .expect("spawn");
+        let resident = || -> Vec<u64> {
+            let registry = daemon.state.registry.lock().unwrap();
+            registry.keys().copied().collect()
+        };
+        let remote = SessionConfig::remote(3, vec![daemon.endpoint().clone()]);
+        let session = Session::connect(remote.clone()).expect("connect");
+        let graph: SessionGraph = barabasi_albert(60, 2, 5).expect("generator").into();
+        for _ in 0..2 {
+            session.load(&graph, BuiltinStrategy::Hash).expect("load");
+            // A kept partial, to go with the fragments.
+            let outcome = session.submit(Query::cc()).expect("submit").join();
+            outcome.expect("query");
+        }
+        let current = session
+            .inner
+            .graph
+            .lock()
+            .unwrap()
+            .as_ref()
+            .unwrap()
+            .graph_id;
+        assert_eq!(resident(), vec![current], "the replaced graph stayed");
+        let other = session.clone();
+        drop(session);
+        assert_eq!(resident(), vec![current], "a handle is left");
+        drop(other);
+        assert!(resident().is_empty(), "the dropped session's graph stayed");
+
+        // An unload naming a graph the daemon does not hold is acked.
+        let session = Session::connect(remote).expect("connect");
+        session.inner.unload(current).expect("unknown graph acked");
+
+        // A private daemon goes with its session.
+        let private = Session::connect(SessionConfig::in_process(2)).expect("connect");
+        let endpoint = private.inner.config.endpoints[0].clone();
+        private.load(&graph, BuiltinStrategy::Hash).expect("load");
+        drop(private);
+        assert!(
+            endpoint.connect().is_err(),
+            "the private daemon still listens"
+        );
         daemon.shutdown().expect("shutdown");
     }
 

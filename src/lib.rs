@@ -23,7 +23,9 @@
 //!
 //! [`Session`] is the unified entry point: load a graph once, keep the
 //! fragments resident, and serve a stream of typed queries — concurrently,
-//! bit-identical to cold one-shot runs:
+//! bit-identical to cold one-shot runs. An in-process session spawns a
+//! private [`GrapeService`] daemon on a loopback port and is served by it,
+//! through the same code as a remote session:
 //!
 //! ```
 //! use grape::prelude::*;
@@ -41,12 +43,14 @@
 //! ```
 //!
 //! Pass [`SessionConfig::remote`] with daemon endpoints (`grape-worker
-//! daemon --listen …`) to serve the same session over framed TCP or
-//! Unix-domain sockets, with checkpoint-based worker recovery intact.
+//! daemon --listen …`) to serve the same session from other processes or
+//! machines over framed TCP or Unix-domain sockets; checkpoint-based worker
+//! recovery works the same on both.
 //!
 //! ## Quickstart — one-shot engine
 //!
-//! The engine layer remains available for single fixpoints:
+//! The engine layer remains available for single fixpoints, with no
+//! daemon, socket or wire codec in between:
 //!
 //! ```
 //! use grape::prelude::*;
