@@ -14,8 +14,9 @@
 //!   one-connection registry.
 //! * [`Session`] is the client facade, `connect → load → submit`:
 //!   [`Session::connect`] dials the daemons it is given — or, given none,
-//!   spawns a private one in this process, so every session runs the same
-//!   code — [`Session::load`] partitions and ships a graph once,
+//!   spawns a private one in this process, bound with a token only the
+//!   session knows, so every session runs the same code —
+//!   [`Session::load`] partitions and ships a graph once,
 //!   and [`Session::submit`] returns a [`QueryHandle`] whose
 //!   [`QueryHandle::join`] yields the typed [`QueryResult`] plus per-query
 //!   [`RunStats`]. Queries of different classes run concurrently over the
@@ -63,8 +64,11 @@
 //!    resident fragment, acked with `TAG_UPDATED`.
 //! 5. `TAG_UNLOAD` (sessions only) names a graph id whose fragments and kept
 //!    partials the daemon drops, acked with `TAG_UNLOADED`. A session sends
-//!    it for the graph a new load replaces, and for its graph when its last
-//!    handle drops; an unknown graph id is acked all the same.
+//!    it, best effort, for the graph a new load replaces, and for its graph
+//!    when its last handle drops; an unknown graph id is acked all the same.
+//!
+//! A session bounds each of its load, update and unload requests — the
+//! connect, the write and the ack — by [`EngineConfig::read_timeout`].
 //!
 //! ## Fault tolerance
 //!
@@ -106,10 +110,12 @@ use grape_partition::{
     build_fragments, BuiltinStrategy, Fragment, FragmentId, FragmentView, PartitionAssignment,
     ResolvedMutations,
 };
+use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasher, Hasher};
 use std::io::{self, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
@@ -141,7 +147,39 @@ impl Endpoint {
     /// Opens a connection and greets the daemon with the [`TAG_HELLO`] frame,
     /// ahead of whatever the caller sends next.
     fn dial(&self, token: &Option<String>) -> io::Result<ServiceSocket> {
-        let mut stream = self.connect()?;
+        self.dial_within(token, None)
+    }
+
+    /// [`Endpoint::dial`], with connecting, every write and every read of
+    /// the connection bounded by `timeout` (`None` blocks). A Unix-domain
+    /// connect is local and not bounded.
+    fn dial_within(
+        &self,
+        token: &Option<String>,
+        timeout: Option<Duration>,
+    ) -> io::Result<ServiceSocket> {
+        // A zero duration is not a timeout the sockets accept.
+        let timeout = timeout.filter(|t| !t.is_zero());
+        let mut stream = match (self, timeout) {
+            (Endpoint::Tcp(addr), Some(timeout)) => {
+                let mut last = io::Error::other(format!("{addr} names no address"));
+                let mut connected = None;
+                for addr in addr.to_socket_addrs()? {
+                    match TcpStream::connect_timeout(&addr, timeout) {
+                        Ok(stream) => {
+                            connected = Some(ServiceSocket::Tcp(stream));
+                            break;
+                        }
+                        Err(e) => last = e,
+                    }
+                }
+                connected.ok_or(last)?
+            }
+            _ => self.connect()?,
+        };
+        if timeout.is_some() {
+            stream.set_timeouts(timeout)?;
+        }
         // A session writes small frames back to back (a job, then its first
         // command) on a socket that has already been answered: neither may
         // wait on a delayed ACK.
@@ -181,6 +219,23 @@ pub enum ServiceSocket {
     /// Unix-domain connection.
     #[cfg(unix)]
     Uds(std::os::unix::net::UnixStream),
+}
+
+impl ServiceSocket {
+    /// Bounds every read and every write by `timeout` (`None` blocks).
+    fn set_timeouts(&self, timeout: Option<Duration>) -> io::Result<()> {
+        match self {
+            ServiceSocket::Tcp(s) => {
+                s.set_read_timeout(timeout)?;
+                s.set_write_timeout(timeout)
+            }
+            #[cfg(unix)]
+            ServiceSocket::Uds(s) => {
+                s.set_read_timeout(timeout)?;
+                s.set_write_timeout(timeout)
+            }
+        }
+    }
 }
 
 impl Read for ServiceSocket {
@@ -1035,7 +1090,7 @@ pub(crate) fn expect_hello<S: SplitStream>(
     let denied = |message: String| io::Error::new(io::ErrorKind::PermissionDenied, message);
     match (expected, token) {
         (None, _) => Ok(()),
-        (Some(want), Some(got)) if got == want => Ok(()),
+        (Some(want), Some(got)) if same_secret(&got, want) => Ok(()),
         (Some(_), Some(_)) => Err(denied(format!(
             "worker {index} presented a mismatched auth token"
         ))),
@@ -1043,6 +1098,23 @@ pub(crate) fn expect_hello<S: SplitStream>(
             "worker {index} presented no auth token, but this coordinator requires one"
         ))),
     }
+}
+
+/// Whether two tokens are equal, in a time that depends on their lengths
+/// only: how long a refusal takes tells a guesser nothing of the token.
+fn same_secret(a: &str, b: &str) -> bool {
+    a.len() == b.len()
+        && a.bytes()
+            .zip(b.bytes())
+            .fold(0, |diff, (x, y)| diff | (x ^ y))
+            == 0
+}
+
+/// A fresh 128-bit secret: two words from the hashers std keys randomly,
+/// from the operating system, per process.
+fn fresh_token() -> String {
+    let word = || RandomState::new().build_hasher().finish();
+    format!("{:016x}{:016x}", word(), word())
 }
 
 /// Decodes a whole frame body as one `T`; trailing bytes are an error.
@@ -1062,7 +1134,14 @@ fn send(stream: &mut impl Write, frames: &[u8]) -> io::Result<()> {
 
 /// Reads the one frame that acknowledges a request, checking its tag.
 fn read_ack(stream: &mut impl Read, tag: u8, what: &str) -> io::Result<Vec<u8>> {
-    let (found, _epoch, body) = wire::read_frame_io_epoch(stream)?
+    let (found, _epoch, body) = wire::read_frame_io_epoch(stream)
+        .map_err(|e| match e.kind() {
+            io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut => io::Error::new(
+                io::ErrorKind::TimedOut,
+                format!("no ack of {what} within the read timeout"),
+            ),
+            _ => e,
+        })?
         .ok_or_else(|| io::Error::other(format!("connection closed before the ack of {what}")))?;
     if found != tag {
         return Err(bad_data(format!(
@@ -1540,7 +1619,8 @@ pub struct SessionConfig {
     pub workers: usize,
     /// Daemon endpoints; worker `i` is served by `endpoints[i % len]`, so a
     /// single daemon can host the whole fleet. Empty = a private daemon that
-    /// [`Session::connect`] spawns on a loopback port of this process.
+    /// [`Session::connect`] spawns on a loopback port of this process and
+    /// binds with [`EngineConfig::auth_token`], or a fresh random token.
     pub endpoints: Vec<Endpoint>,
     /// Per-query engine knobs (read timeout, checkpoint cadence, auth token,
     /// threads per worker). [`EngineConfig::transport`] and
@@ -1622,20 +1702,19 @@ struct SessionInner {
     /// not straddle one. Taken before `graph`, never after.
     resident: RwLock<()>,
     next_run_id: AtomicU32,
-    /// The private daemon of an in-process session, shut down when the
-    /// session drops (after its graph is unloaded).
+    /// The private daemon of an in-process session. Fields drop after
+    /// [`Drop::drop`], so dropping this handle shuts the daemon down once
+    /// the graph is unloaded. Held for that; only unit tests read it.
+    #[cfg_attr(not(test), allow(dead_code))]
     daemon: Option<ServiceHandle>,
 }
 
 impl Drop for SessionInner {
-    /// Unloads the graph from the daemons, best effort: a daemon that is
-    /// gone has nothing left to free. Then shuts a private daemon down.
+    /// Unloads the graph from the daemons, best effort and within the read
+    /// timeout: a daemon that is gone has nothing left to free.
     fn drop(&mut self) {
         if let Some(loaded) = self.graph.get_mut().ok().and_then(Option::take) {
             let _ = self.unload(loaded.graph_id);
-        }
-        if let Some(daemon) = self.daemon.take() {
-            let _ = daemon.shutdown();
         }
     }
 }
@@ -1687,9 +1766,11 @@ impl QueryHandle {
 
 impl Session {
     /// Opens a session. Without endpoints, spawns a private daemon on a
-    /// loopback port, bound with the session's auth token, and serves the
-    /// session from it. Endpoints are probed (connect + hello) so a dead
-    /// daemon fails here, not on the first query.
+    /// loopback port and serves the session from it. The daemon is bound
+    /// with the session's auth token; a session without one gets a fresh
+    /// random token, so no other process can reach its graph. Endpoints are
+    /// probed (connect + hello) so a dead daemon fails here, not on the
+    /// first query.
     pub fn connect(mut config: SessionConfig) -> io::Result<Session> {
         if config.workers == 0 {
             return Err(bad_data("a session needs at least one worker"));
@@ -1697,9 +1778,10 @@ impl Session {
         // The one place that tells the two kinds of session apart.
         let daemon = match config.endpoints[..] {
             [] => {
+                let token = config.engine.auth_token.get_or_insert_with(fresh_token);
                 let options = ServiceOptions {
-                    token: config.engine.auth_token.clone(),
-                    ..Default::default()
+                    token: Some(token.clone()),
+                    handshake_timeout: config.engine.read_timeout,
                 };
                 let daemon = GrapeService::bind("127.0.0.1:0", options)?.spawn()?;
                 config.endpoints.push(daemon.endpoint().clone());
@@ -1730,8 +1812,9 @@ impl Session {
     /// are built once, shipped once to the daemons, and kept for every
     /// subsequent query (with the exchange layout the first query builds
     /// over them). Loading a new graph replaces the previous one: once the
-    /// queries in flight on it finish, the daemons unload it. On `Err` from
-    /// that unload the new graph is loaded all the same.
+    /// queries in flight on it finish, the daemons unload it, best effort —
+    /// a daemon that does not ack the unload within the read timeout keeps
+    /// the old graph, and the load still succeeds.
     pub fn load(&self, graph: &SessionGraph, strategy: BuiltinStrategy) -> io::Result<()> {
         let n = self.inner.config.workers;
         let graph_id = fresh_graph_id();
@@ -1763,10 +1846,10 @@ impl Session {
             converged: HashMap::new(),
             in_doubt: None,
         });
-        match replaced {
-            Some(old) => self.inner.unload(old.graph_id),
-            None => Ok(()),
+        if let Some(old) = replaced {
+            let _ = self.inner.unload(old.graph_id);
         }
+        Ok(())
     }
 
     /// Applies a mutation batch to the resident graph, atomically for every
@@ -2054,7 +2137,7 @@ impl SessionInner {
     {
         for (index, fragment) in fragments.iter().enumerate() {
             spec.index = index as u32;
-            ship_fragment(&mut self.dial(index)?, &spec, 0, fragment)?;
+            ship_fragment(&mut self.dial_control(index)?, &spec, 0, fragment)?;
         }
         Ok(())
     }
@@ -2063,6 +2146,16 @@ impl SessionInner {
     fn dial(&self, index: usize) -> io::Result<ServiceSocket> {
         self.config.endpoints[index % self.config.endpoints.len()]
             .dial(&self.config.engine.auth_token)
+    }
+
+    /// [`SessionInner::dial`] for a request answered by one ack (a load, an
+    /// update, an unload): connecting, writing and the ack are bounded by
+    /// the read timeout, so a daemon that never answers fails the request
+    /// instead of stalling it, and the queries waiting behind it, for good.
+    fn dial_control(&self, index: usize) -> io::Result<ServiceSocket> {
+        let engine = &self.config.engine;
+        self.config.endpoints[index % self.config.endpoints.len()]
+            .dial_within(&engine.auth_token, engine.read_timeout)
     }
 
     /// Ships one resolved batch, wire-encoded once as `batch`, to every
@@ -2085,7 +2178,7 @@ impl SessionInner {
                 spec.encode(out);
                 out.extend_from_slice(batch);
             });
-            let mut stream = self.dial(index)?;
+            let mut stream = self.dial_control(index)?;
             send(&mut stream, &frame)?;
             streams.push(stream);
         }
@@ -2104,13 +2197,14 @@ impl SessionInner {
 
     /// Tells every daemon to drop graph `graph_id`: one `TAG_UNLOAD` frame
     /// per endpoint, all written before the first `TAG_UNLOADED` ack is
-    /// read.
+    /// read. A daemon older than the unload frame hangs up on it: an `Err`
+    /// that leaves its graph resident, as it always was there.
     fn unload(&self, graph_id: u64) -> io::Result<()> {
         let mut frame = Vec::new();
         wire::encode_frame_epoch(TAG_UNLOAD, 0, &graph_id, &mut frame);
         let mut streams = Vec::with_capacity(self.config.endpoints.len());
-        for endpoint in &self.config.endpoints {
-            let mut stream = endpoint.dial(&self.config.engine.auth_token)?;
+        for index in 0..self.config.endpoints.len() {
+            let mut stream = self.dial_control(index)?;
             send(&mut stream, &frame)?;
             streams.push(stream);
         }
@@ -3141,6 +3235,96 @@ mod tests {
             "the private daemon still listens"
         );
         daemon.shutdown().expect("shutdown");
+    }
+
+    #[test]
+    fn a_private_daemon_refuses_a_dialler_without_the_session_token() {
+        let graph: SessionGraph = barabasi_albert(60, 2, 5).expect("generator").into();
+        let session = Session::connect(SessionConfig::in_process(2)).expect("connect");
+        session.load(&graph, BuiltinStrategy::Hash).expect("load");
+        let token = session.inner.config.engine.auth_token.clone();
+        let token = token.expect("a private daemon is bound with a token");
+        let graph_id = session
+            .inner
+            .graph
+            .lock()
+            .unwrap()
+            .as_ref()
+            .unwrap()
+            .graph_id;
+        let resident = || {
+            let daemon = session.inner.daemon.as_ref().expect("a private daemon");
+            let registry = daemon.state.registry.lock().unwrap();
+            registry.contains_key(&graph_id)
+        };
+
+        // Another process that found the port and guessed the graph id, with
+        // no token or a wrong one, is hung up on before its frame is read.
+        let mut unload = Vec::new();
+        wire::encode_frame_epoch(TAG_UNLOAD, 0, &graph_id, &mut unload);
+        for guess in [None, Some("0".repeat(token.len()))] {
+            let endpoint = &session.inner.config.endpoints[0];
+            let mut stranger = endpoint
+                .dial_within(&guess, Some(Duration::from_secs(5)))
+                .expect("dial");
+            let _ = stranger.write_all(&unload);
+            let mut answer = Vec::new();
+            let _ = stranger.read_to_end(&mut answer);
+            assert!(answer.is_empty(), "the daemon answered token {guess:?}");
+            assert!(resident(), "a dialler without the token unloaded the graph");
+        }
+
+        // Every private daemon has a token of its own; the session's own
+        // queries are served; a token the session was given is the one used.
+        let other = Session::connect(SessionConfig::in_process(2)).expect("connect");
+        assert_ne!(other.inner.config.engine.auth_token.as_ref(), Some(&token));
+        session
+            .submit(Query::cc())
+            .expect("submit")
+            .join()
+            .expect("query");
+        let given = EngineConfig::builder().auth_token("given").build();
+        let chosen =
+            Session::connect(SessionConfig::in_process(2).with_engine(given)).expect("connect");
+        let daemon = chosen.inner.daemon.as_ref().expect("a private daemon");
+        assert_eq!(daemon.state.options.token.as_deref(), Some("given"));
+    }
+
+    #[test]
+    fn a_daemon_that_never_acks_fails_a_load_within_the_read_timeout() {
+        // Accepts every connection, reads nothing and answers nothing; the
+        // channel keeps the accepted sockets open.
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let endpoint = Endpoint::Tcp(listener.local_addr().expect("addr").to_string());
+        let (held, accepted) = mpsc::channel();
+        std::thread::spawn(move || {
+            for stream in listener.incoming().flatten() {
+                if held.send(stream).is_err() {
+                    break;
+                }
+            }
+        });
+        let timeout = Duration::from_millis(200);
+        let engine = EngineConfig::builder().read_timeout(Some(timeout)).build();
+        let session =
+            Session::connect(SessionConfig::remote(2, vec![endpoint]).with_engine(engine))
+                .expect("connect");
+        let graph: SessionGraph = barabasi_albert(60, 2, 5).expect("generator").into();
+        let started = Instant::now();
+        let err = session
+            .load(&graph, BuiltinStrategy::Hash)
+            .expect_err("no ack");
+        assert_eq!(err.kind(), io::ErrorKind::TimedOut, "{err}");
+        assert!(err.to_string().contains("within the read timeout"), "{err}");
+        // The ack of the first fragment, then the unload of the partly
+        // shipped graph: each waits one timeout, not for good.
+        assert!(
+            started.elapsed() < Duration::from_secs(10),
+            "{:?}",
+            started.elapsed()
+        );
+        drop(session);
+        drop(accepted);
     }
 
     #[test]
