@@ -223,6 +223,13 @@ pub struct CcPartial {
 pub struct CcProgram;
 
 impl CcProgram {
+    /// Offers the label of every border vertex. PEval and IncEval both call
+    /// it, so unlike sssp and pagerank cc's IncEval still walks every border
+    /// position after a change, not only the positions whose label moved.
+    /// On `road_comm` that is 3 supersteps and ~1.5 ms of IncEval, too
+    /// little to bound yet; ROADMAP's root → members index, which lets a
+    /// lowered root rewrite and publish its members only, is the bounded
+    /// fix.
     fn publish_borders(
         fragment: &Fragment<(), f64>,
         labels: &VertexDenseMap<VertexId>,

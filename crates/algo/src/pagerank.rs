@@ -155,6 +155,12 @@ pub struct PageRankPartial {
     /// recomputed. Invariant between sweeps: a vertex *not* in this set would
     /// recompute to its current rank bit-for-bit, so it can be skipped.
     pending: DenseBitset,
+    /// Scratch kept between calls and out of the snapshot: a sweep's
+    /// frontier, and the border positions of the inner vertices whose rank
+    /// `local_iterate` rewrote (empty between calls; sized by the first
+    /// sweep).
+    frontier: Vec<u32>,
+    moved: DenseBitset,
 }
 
 /// The PageRank PIE program.
@@ -219,7 +225,8 @@ impl PageRankProgram {
     /// the same argument makes the result independent of the pool's thread
     /// count. The frontier persists across PEval/IncEval calls, so a
     /// superstep that only moves a few mirror shares touches only the cone
-    /// those shares reach instead of re-sweeping the whole fragment.
+    /// those shares reach instead of re-sweeping the whole fragment. Marks
+    /// the border position of every rank it rewrites in `moved`.
     fn local_iterate(
         &self,
         query: &PageRankQuery,
@@ -230,8 +237,14 @@ impl PageRankProgram {
         let g = &fragment.graph;
         debug_assert!(g.has_reverse(), "PageRank pulls over reverse adjacency");
         let base = (1.0 - query.damping) / self.global_vertices.max(1) as f64;
+        let border_len = fragment.border_dense_indices().len();
+        if partial.moved.len() != border_len {
+            partial.moved = DenseBitset::new(border_len);
+        }
+        let mut frontier = std::mem::take(&mut partial.frontier);
         for _ in 0..query.max_local_iterations {
-            let frontier: Vec<u32> = partial.pending.iter_ones().collect();
+            frontier.clear();
+            frontier.extend(partial.pending.iter_ones());
             if frontier.is_empty() {
                 break;
             }
@@ -263,6 +276,9 @@ impl PageRankProgram {
             for chunk in &updates {
                 for &(v, new) in chunk {
                     partial.rank[v] = new;
+                    if let Some(pos) = fragment.border_position_dense(v) {
+                        partial.moved.set(pos);
+                    }
                     let out = g.out_degree_dense(v);
                     let contrib = if out == 0 {
                         0.0
@@ -280,17 +296,20 @@ impl PageRankProgram {
                 }
             }
         }
+        partial.frontier = frontier;
     }
 
     /// Posts the rank share of every inner border vertex (vertices mirrored
-    /// at other fragments).
+    /// at other fragments): PEval's and a warm start's declaration. Clears
+    /// the marks `local_iterate` left, which it covers.
     fn emit_shares(
         &self,
         query: &PageRankQuery,
         fragment: &Fragment<(), f64>,
-        partial: &PageRankPartial,
+        partial: &mut PageRankPartial,
         ctx: &mut PieContext<f64>,
     ) {
+        partial.moved.clear_all();
         // Position-addressed via the precomputed border positions of the
         // mirrored-inner vertices: an indexed compare per vertex, no lookup.
         for (&pos, &i) in fragment
@@ -298,13 +317,45 @@ impl PageRankProgram {
             .iter()
             .zip(fragment.mirrored_inner_dense_indices())
         {
-            let out = fragment.graph.out_degree_dense(i);
-            if out == 0 {
-                continue;
-            }
-            let share = partial.rank[i] / out as f64;
-            ctx.update_at(pos, quantize(share, query.tolerance));
+            post_share(query, fragment, &partial.rank, pos, i, ctx);
         }
+    }
+
+    /// Posts the rank share of the inner border vertices whose rank
+    /// `local_iterate` rewrote since the last emit, in ascending border
+    /// position, and clears their marks: IncEval's publication. Exact,
+    /// because an unmoved rank would re-post the share the context already
+    /// holds.
+    fn emit_moved_shares(
+        &self,
+        query: &PageRankQuery,
+        fragment: &Fragment<(), f64>,
+        partial: &mut PageRankPartial,
+        ctx: &mut PieContext<f64>,
+    ) {
+        let border = fragment.border_dense_indices();
+        let rank = &partial.rank;
+        partial.moved.drain_ones(|pos| {
+            post_share(query, fragment, rank, pos, border[pos as usize], ctx);
+        });
+    }
+}
+
+/// Posts the quantized per-edge rank share of inner vertex `i` at border
+/// position `pos`; a sink has no share to post.
+#[inline]
+fn post_share(
+    query: &PageRankQuery,
+    fragment: &Fragment<(), f64>,
+    rank: &VertexDenseMap<f64>,
+    pos: u32,
+    i: u32,
+    ctx: &mut PieContext<f64>,
+) {
+    let out = fragment.graph.out_degree_dense(i);
+    if out > 0 {
+        let share = rank[i] / out as f64;
+        ctx.update_at(pos, quantize(share, query.tolerance));
     }
 }
 
@@ -333,6 +384,8 @@ impl PieProgram for PageRankProgram {
             inner_dense: Arc::clone(fragment.shared_inner_dense_indices()),
             contrib: VertexDenseMap::new(n_local, 0.0),
             pending: DenseBitset::new(n_local),
+            frontier: Vec::new(),
+            moved: DenseBitset::default(),
         };
         for i in 0..n_local as u32 {
             partial.contrib[i] = self.contribution_of(query, fragment, &partial, i);
@@ -341,7 +394,7 @@ impl PieProgram for PageRankProgram {
             partial.pending.set(i);
         }
         self.local_iterate(query, fragment, &mut partial, &pool);
-        self.emit_shares(query, fragment, &partial, ctx);
+        self.emit_shares(query, fragment, &mut partial, ctx);
         partial
     }
 
@@ -378,7 +431,7 @@ impl PieProgram for PageRankProgram {
         }
         let pool = std::sync::Arc::clone(ctx.pool());
         self.local_iterate(query, fragment, partial, &pool);
-        self.emit_shares(query, fragment, partial, ctx);
+        self.emit_moved_shares(query, fragment, partial, ctx);
     }
 
     fn assemble(&self, partials: Vec<PageRankPartial>) -> HashMap<VertexId, f64> {
@@ -511,6 +564,8 @@ impl PieProgram for PageRankProgram {
             inner_dense: Arc::new(inner_dense),
             contrib: VertexDenseMap::from_vec(contrib),
             pending,
+            frontier: Vec::new(),
+            moved: DenseBitset::default(),
         })
     }
 
@@ -545,6 +600,8 @@ impl PieProgram for PageRankProgram {
             inner_dense: Arc::clone(fragment.shared_inner_dense_indices()),
             contrib: VertexDenseMap::new(n_local, 0.0),
             pending: DenseBitset::new(n_local),
+            frontier: Vec::new(),
+            moved: DenseBitset::default(),
         };
         // Carry the old converged inner ranks over by global id — both inner
         // lists ascend, so one merge-join does it; vertices inserted since
@@ -580,7 +637,7 @@ impl PieProgram for PageRankProgram {
             }
         }
         self.local_iterate(query, fragment, &mut partial, &pool);
-        self.emit_shares(query, fragment, &partial, ctx);
+        self.emit_shares(query, fragment, &mut partial, ctx);
         Some(partial)
     }
 

@@ -4,11 +4,10 @@
 //! * **IncEval** is the bounded incremental shortest-path algorithm of
 //!   Ramalingam & Reps: when border distances drop, only the affected
 //!   vertices are re-relaxed, so the relaxation costs the size of the change
-//!   (`|M| + |ΔO|`), not the fragment size. Publication does not: after any
-//!   change `inceval` re-reads every border position, O(|border|) — on a
-//!   hash cut nearly the whole fragment. Measured small: publishing from the
-//!   relaxation's changed list instead moved `road_comm` by 0–7 %, within
-//!   noise.
+//!   (`|M| + |ΔO|`), not the fragment size. Publication is bounded the same
+//!   way: the kernel marks the border position of every vertex it improves,
+//!   and `inceval` publishes the marked positions only, in ascending order,
+//!   not every border position — on a hash cut nearly the whole fragment.
 //! * **Assemble** takes every vertex's distance from the fragment that owns
 //!   it: at the fixpoint the owner holds the smallest distance any fragment
 //!   knows.
@@ -165,7 +164,7 @@ pub fn dense_relax(
     dist: &mut VertexDenseMap<Distance>,
     seeds: &[(u32, Distance)],
 ) -> usize {
-    relax_in_bands(graph, dist, seeds, &mut None)
+    relax_in_bands(graph, dist, seeds, &mut None, |_| {})
 }
 
 /// The kernel of [`dense_relax`], PEval, IncEval and warm seeding. Band
@@ -174,11 +173,13 @@ pub fn dense_relax(
 /// below the band being drained joins it: label correcting, so zero and
 /// negative weights reach the least fixpoint too. `width`, the largest finite
 /// positive weight (1.0 if none), is measured once a call has seeds.
+/// `improved` sees every vertex whose distance drops, once per drop.
 fn relax_in_bands(
     graph: &CsrGraph<(), Distance>,
     dist: &mut VertexDenseMap<Distance>,
     seeds: &[(u32, Distance)],
     width: &mut Option<Distance>,
+    mut improved: impl FnMut(u32),
 ) -> usize {
     let base = seeds
         .iter()
@@ -213,6 +214,7 @@ fn relax_in_bands(
         if d < dist[u] {
             dist[u] = d;
             changed += 1;
+            improved(u);
             push(&mut bands, &mut spare, 0, (d, u));
         }
     }
@@ -233,6 +235,7 @@ fn relax_in_bands(
                 if nd < dist[v] {
                     dist[v] = nd;
                     changed += 1;
+                    improved(v);
                     push(&mut bands, &mut spare, current, (nd, v));
                 }
             }
@@ -265,6 +268,11 @@ pub struct SsspPartial {
     /// relaxation had seeds): kept so IncEval and a warm start make no pass
     /// over the weights.
     width: Option<Distance>,
+    /// IncEval's scratch, kept between calls and out of the snapshot: the
+    /// seeds it builds from its messages, and the border positions of the
+    /// vertices it improved (empty between calls; sized by the first call).
+    seeds: Vec<(u32, Distance)>,
+    moved: DenseBitset,
 }
 
 /// The SSSP PIE program.
@@ -291,7 +299,7 @@ impl PieProgram for SsspProgram {
         let mut dist = VertexDenseMap::for_graph(g, Distance::INFINITY);
         let mut width = None;
         let source = g.dense_index(query.source).map(|src| (src, 0.0));
-        relax_in_bands(g, &mut dist, source.as_slice(), &mut width);
+        relax_in_bands(g, &mut dist, source.as_slice(), &mut width, |_| {});
         // Declare update parameters: the current distance of every border
         // vertex that is already reachable locally. `update_at` addresses
         // the context by border position — an indexed compare per vertex,
@@ -308,6 +316,8 @@ impl PieProgram for SsspProgram {
             owned: Arc::clone(fragment.shared_inner_bitset()),
             inceval_changes: 0,
             width,
+            seeds: Vec::new(),
+            moved: DenseBitset::default(),
         }
     }
 
@@ -319,26 +329,37 @@ impl PieProgram for SsspProgram {
         messages: &[(u32, Distance)],
         ctx: &mut PieContext<Distance>,
     ) {
-        let g = &fragment.graph;
+        let SsspPartial {
+            dist,
+            width,
+            seeds,
+            moved,
+            ..
+        } = partial;
         // Treat improved border distances as seeds for the incremental
         // algorithm. Messages arrive addressed by border position, so the
         // dense index is one load from the precomputed border table.
         let border = fragment.border_dense_indices();
-        let seeds: Vec<(u32, Distance)> = messages
-            .iter()
-            .map(|&(pos, d)| (border[pos as usize], d))
-            .collect();
-        let changed = relax_in_bands(g, &mut partial.dist, &seeds, &mut partial.width);
-        partial.inceval_changes += changed;
-        if changed == 0 {
-            return;
+        seeds.clear();
+        seeds.extend(messages.iter().map(|&(pos, d)| (border[pos as usize], d)));
+        if moved.len() != border.len() {
+            *moved = DenseBitset::new(border.len());
         }
-        for (pos, &i) in fragment.border_dense_indices().iter().enumerate() {
-            let d = partial.dist[i];
-            if d.is_finite() {
-                ctx.update_at(pos as u32, d);
+        // Only an improved border vertex can hold a value the context does
+        // not: every other finite one was published when it last moved.
+        let changed = relax_in_bands(&fragment.graph, dist, seeds, width, |v| {
+            if let Some(pos) = fragment.border_position_dense(v) {
+                moved.set(pos);
             }
-        }
+        });
+        partial.inceval_changes += changed;
+        // Ascending positions, as a walk over the border would publish them.
+        moved.drain_ones(|pos| {
+            let d = dist[border[pos as usize]];
+            if d.is_finite() {
+                ctx.update_at(pos, d);
+            }
+        });
     }
 
     fn assemble(&self, partials: Vec<SsspPartial>) -> HashMap<VertexId, Distance> {
@@ -437,6 +458,8 @@ impl PieProgram for SsspProgram {
             owned: Arc::new(owned),
             inceval_changes,
             width,
+            seeds: Vec::new(),
+            moved: DenseBitset::default(),
         })
     }
 
@@ -494,7 +517,7 @@ impl PieProgram for SsspProgram {
                 seeds.push((w_idx, d + w));
             }
         }
-        relax_in_bands(g, &mut dist, &seeds, &mut width);
+        relax_in_bands(g, &mut dist, &seeds, &mut width, |_| {});
         for (pos, &i) in fragment.border_dense_indices().iter().enumerate() {
             let d = dist[i];
             if d.is_finite() {
@@ -507,6 +530,8 @@ impl PieProgram for SsspProgram {
             owned: Arc::clone(fragment.shared_inner_bitset()),
             inceval_changes: 0,
             width,
+            seeds: Vec::new(),
+            moved: DenseBitset::default(),
         })
     }
 

@@ -51,6 +51,9 @@ pub struct PieContext<V> {
     /// Cumulative number of `update` calls that changed a value (used by the
     /// boundedness experiment to measure |ΔO| on the border).
     changed_updates: u64,
+    /// Cumulative number of `update` / `update_at` calls, changed or not:
+    /// the publication work the boundedness experiment holds to |ΔO|.
+    update_calls: u64,
     /// The worker's intra-fragment thread pool (inline/single-threaded by
     /// default); PIE programs hand it to the `grape_core::par` primitives.
     pool: Arc<ThreadPool>,
@@ -73,6 +76,7 @@ impl<V: Clone + PartialEq> PieContext<V> {
             values: HashMap::new(),
             dirty: HashSet::new(),
             changed_updates: 0,
+            update_calls: 0,
             pool: Arc::new(ThreadPool::inline()),
         }
     }
@@ -131,6 +135,7 @@ impl<V: Clone + PartialEq> PieContext<V> {
         if let Some(pos) = self.border_position(vertex) {
             return self.update_at(pos, value);
         }
+        self.update_calls += 1;
         match self.values.get(&vertex) {
             Some(existing) if *existing == value => {}
             _ => {
@@ -163,6 +168,7 @@ impl<V: Clone + PartialEq> PieContext<V> {
              with the fragment's border vertices before PEval",
             self.border_values.len()
         );
+        self.update_calls += 1;
         let stored = &mut self.border_values[pos as usize];
         if stored.as_ref() != Some(&value) {
             *stored = Some(value);
@@ -209,6 +215,14 @@ impl<V: Clone + PartialEq> PieContext<V> {
     /// Number of `update` calls that actually changed a value so far.
     pub fn changed_updates(&self) -> u64 {
         self.changed_updates
+    }
+
+    /// Number of `update` / `update_at` calls so far, whether or not they
+    /// changed a value: what publication cost, beside
+    /// [`PieContext::changed_updates`], what it found. Kept on the worker;
+    /// no frame carries it.
+    pub fn update_calls(&self) -> u64 {
+        self.update_calls
     }
 
     /// Drains the set of vertices whose value changed since the last call and
@@ -320,6 +334,7 @@ mod tests {
         ctx.update(2, 20);
         ctx.update(1, 10); // no change
         assert_eq!(ctx.changed_updates(), 2);
+        assert_eq!(ctx.update_calls(), 3);
         let dirty = ctx.take_dirty();
         assert_eq!(dirty, vec![(1, 10), (2, 20)]);
         assert!(ctx.take_dirty().is_empty(), "drained");
@@ -358,6 +373,7 @@ mod tests {
         ctx.update(10, 1);
         ctx.update(20, 7); // unchanged: not re-dirtied
         assert_eq!(ctx.changed_updates(), 2);
+        assert_eq!(ctx.update_calls(), 3, "every call counts");
         assert_eq!(ctx.get(20), Some(&7));
         assert_eq!(ctx.len(), 2);
 

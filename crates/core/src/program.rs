@@ -52,6 +52,12 @@ pub trait PieProgram: Send + Sync {
     /// on the superstep path. A position appears at most once per call. A
     /// value published here that equals the one delivered for its position
     /// is not reported back (the echo rule, see [`PieContext`]).
+    ///
+    /// Publish the positions whose value may have moved in this call, in
+    /// ascending position order. Re-publishing a value the context already
+    /// holds is harmless — it is not reported — but it is work: a walk over
+    /// every border position makes IncEval O(|border|) per superstep however
+    /// few values moved, where the paper's IncEval is bounded by the change.
     fn inceval(
         &self,
         query: &Self::Query,

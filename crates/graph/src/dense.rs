@@ -332,6 +332,18 @@ impl DenseBitset {
         self.words.fill(0);
     }
 
+    /// Calls `f` with every set index in ascending order and clears it: one
+    /// pass over the words, each taken as it is read.
+    pub fn drain_ones(&mut self, mut f: impl FnMut(u32)) {
+        for (wi, word) in self.words.iter_mut().enumerate() {
+            let mut w = std::mem::take(word);
+            while w != 0 {
+                f(wi as u32 * 64 + w.trailing_zeros());
+                w &= w - 1;
+            }
+        }
+    }
+
     /// Iterates over the set indices in ascending order.
     pub fn iter_ones(&self) -> impl Iterator<Item = u32> + '_ {
         self.words.iter().enumerate().flat_map(|(wi, &word)| {
@@ -515,6 +527,11 @@ mod tests {
         b.clear(64);
         assert!(!b.contains(64));
         assert_eq!(b.iter_ones().collect::<Vec<_>>(), vec![0, 129]);
+        let mut drained = Vec::new();
+        b.drain_ones(|i| drained.push(i));
+        assert_eq!(drained, vec![0, 129], "ascending");
+        assert_eq!(b.count_ones(), 0, "drained");
+        b.set(3);
         b.clear_all();
         assert_eq!(b.count_ones(), 0);
         assert!(DenseBitset::new(0).is_empty());

@@ -44,6 +44,9 @@ pub struct Fragment<V, E> {
     tables: Arc<VertexTables>,
 }
 
+/// The entry of `VertexTables::border_pos_dense` for a vertex off the border.
+const NOT_ON_BORDER: u32 = u32::MAX;
+
 /// A fragment's vertex and border tables, all sorted or aligned with a
 /// sorted list.
 #[derive(Debug, PartialEq)]
@@ -70,6 +73,9 @@ pub(crate) struct VertexTables {
     pub(crate) border: Arc<Vec<VertexId>>,
     /// Dense index of each border vertex, aligned with `border`.
     border_dense: Vec<u32>,
+    /// The inverse of `border_dense`: the border position of each local
+    /// vertex by dense index, `NOT_ON_BORDER` off the border.
+    border_pos_dense: Vec<u32>,
     /// Inner vertices that are mirrored at other fragments, sorted.
     mirrored_inner: Vec<VertexId>,
     /// Dense indices aligned with `mirrored_inner`.
@@ -235,6 +241,18 @@ impl<V: Clone, E: Clone> Fragment<V, E> {
     #[inline]
     pub fn border_position(&self, v: VertexId) -> Option<u32> {
         self.tables.border.binary_search(&v).ok().map(|i| i as u32)
+    }
+
+    /// Position in [`Fragment::border_vertices`] of the local vertex at
+    /// dense index `i`, if it is a border vertex: the inverse of
+    /// [`Fragment::border_dense_indices`], one load. Lets a program that
+    /// knows which local vertices moved publish their border positions
+    /// without walking the border. Ascending dense indices map to ascending
+    /// positions, since both order the same ids.
+    #[inline]
+    pub fn border_position_dense(&self, i: u32) -> Option<u32> {
+        let pos = *self.tables.border_pos_dense.get(i as usize)?;
+        (pos != NOT_ON_BORDER).then_some(pos)
     }
 
     /// Inner vertices mirrored at other fragments (the inner half of the
@@ -673,6 +691,10 @@ pub(crate) fn assemble_fragment<V: Clone, E: Clone>(
     let mut border = Vec::with_capacity(outer_list.len() + mirrored_inner.len());
     merge_walk(&outer_list, &mirrored_inner, |v, _, _| border.push(v));
     let border_dense = dense_of(&border);
+    let mut border_pos_dense = vec![NOT_ON_BORDER; local_graph.num_vertices()];
+    for (pos, &i) in border_dense.iter().enumerate() {
+        border_pos_dense[i as usize] = pos as u32;
+    }
     let mirrored_inner_border_pos = positions(&mirrored_inner, &border);
 
     Fragment {
@@ -689,6 +711,7 @@ pub(crate) fn assemble_fragment<V: Clone, E: Clone>(
             outer_dense,
             border: Arc::new(border),
             border_dense,
+            border_pos_dense,
             mirrored_inner,
             mirrored_inner_dense,
             mirrored_inner_border_pos,

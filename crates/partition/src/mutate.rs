@@ -717,6 +717,66 @@ mod tests {
     }
 
     #[test]
+    fn the_border_position_column_inverts_the_border_dense_indices() {
+        fn inverts(f: &Fragment<(), f64>) {
+            for (pos, &i) in f.border_dense_indices().iter().enumerate() {
+                assert_eq!(f.border_position_dense(i), Some(pos as u32));
+            }
+            let n = f.graph.num_vertices() as u32;
+            let on_border = (0..n).filter_map(|i| f.border_position_dense(i)).count();
+            assert_eq!(on_border, f.border_vertices().len(), "fragment {}", f.id);
+            assert_eq!(f.border_position_dense(n), None, "past the local vertices");
+        }
+        let config = RoadNetworkConfig {
+            width: 32,
+            height: 32,
+            ..Default::default()
+        };
+        for strategy in [BuiltinStrategy::Hash, BuiltinStrategy::MetisLike] {
+            let g = road_network(config, 11).unwrap();
+            let mut assignment = strategy.partition(&g, 4);
+            let fragments = build_fragments(&g, &assignment);
+            fragments.iter().for_each(inverts);
+            // Splices one edge out of `u` into every fragment; the column
+            // equals a fresh cut's, as every table does.
+            let mut delta = DeltaGraph::new(g.clone());
+            let mut splice = |fragments: &[Fragment<(), f64>], src, dst| {
+                let batch = [GraphMutation::AddEdge {
+                    src,
+                    dst,
+                    data: 3.0,
+                }];
+                let receipt = delta.apply(&batch).expect("valid batch");
+                let resolved = resolve_net_mutations(receipt.net, &mut assignment, |v| {
+                    delta.vertex_data(v).cloned()
+                });
+                let spliced: Vec<_> = fragments
+                    .iter()
+                    .map(|f| f.apply_mutations(&resolved).expect("apply"))
+                    .collect();
+                let fresh = build_fragments(&delta.snapshot(true), &assignment);
+                assert_fragments_eq(&spliced, &fresh, &format!("{strategy:?}"));
+                spliced.iter().for_each(inverts);
+                spliced
+            };
+
+            // An edge between two inner vertices of fragment 0: an
+            // edges-only splice, which keeps the tables and the column.
+            let f0 = &fragments[0];
+            let (u, v) = (f0.inner_vertices()[0], *f0.inner_vertices().last().unwrap());
+            let edges_only = splice(&fragments, u, v);
+            assert!(Arc::ptr_eq(edges_only[0].tables(), f0.tables()));
+
+            // An edge to a vertex fragment 0 has never seen adds an outer
+            // copy: fresh tables, a fresh column.
+            let stranger = g.vertices().find(|&v| !f0.graph.contains(v)).unwrap();
+            let with_copy = splice(&edges_only, u, stranger);
+            assert!(with_copy[0].is_outer(stranger), "{strategy:?}");
+            assert!(!Arc::ptr_eq(with_copy[0].tables(), f0.tables()));
+        }
+    }
+
+    #[test]
     fn pairs_added_and_removed_within_a_batch_match_a_fresh_cut() {
         // The net lists such a pair as removed although no pre-batch copy
         // exists, so its far endpoint may be unknown to the fragment — in

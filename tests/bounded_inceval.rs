@@ -7,10 +7,17 @@
 //!   to how a program publishes may make IncEval cheaper, never move a frame.
 //! * Each program leaves its IncEval pairs for `drain_dirty_into` in
 //!   ascending border position, the order a walk over the border gives.
+//! * The paper's F-inc experiment as an assertion: after PEval, one late
+//!   message costs IncEval at most one publication per local vertex whose
+//!   value changed, not a pass over the border.
 
+use grape::algo::pagerank::PageRankPartial;
 use grape::algo::query::digest_f64_map;
+use grape::algo::sssp::SsspPartial;
+use grape::core::{Wire, WireReader};
 use grape::graph::generators::{road_network, RoadNetworkConfig};
 use grape::prelude::*;
+use proptest::prelude::*;
 
 /// FNV-1a over the per-superstep exchange figures, in superstep order.
 fn trace_digest(stats: &RunStats) -> u64 {
@@ -199,5 +206,117 @@ fn inceval_leaves_its_pairs_in_ascending_position_order() {
             &mut ascending,
         );
         assert!(orders > 8, "{strategy:?}: {orders} reports had an order");
+    }
+}
+
+/// A directed chain of `size²` vertices, or a `size × size` grid with both
+/// directions of every edge; weights 1–5, a function of the endpoints.
+fn chain_or_grid(grid: bool, size: u64) -> WeightedGraph {
+    let mut b = GraphBuilder::<(), f64>::new();
+    let mut edge = |u: u64, v: u64| {
+        b.add_edge(u, v, 1.0 + ((u * 7 + v) % 5) as f64);
+    };
+    if grid {
+        for u in 0..size * size {
+            let right = (u % size + 1 < size).then_some(u + 1);
+            let down = (u + size < size * size).then_some(u + size);
+            for v in right.into_iter().chain(down) {
+                edge(u, v);
+                edge(v, u);
+            }
+        }
+    } else {
+        for u in 0..size * size - 1 {
+            edge(u, u + 1);
+        }
+    }
+    b.build().unwrap()
+}
+
+/// The F-inc experiment on one fragment set: PEval on every fragment, then
+/// one late message — a pair some fragment's PEval published, delivered to
+/// one other fragment holding that vertex on its border (`pick` chooses
+/// which) — and one IncEval there. Returns that IncEval's `update_calls`
+/// and the number of its local vertices whose value (`values`, as bits)
+/// changed; `None` when PEval published nothing another fragment holds.
+fn one_late_message<P: PieProgram>(
+    program: &P,
+    query: &P::Query,
+    fragments: &[Fragment<P::VertexData, P::EdgeData>],
+    pick: usize,
+    values: impl Fn(&P, &P::Partial) -> Vec<u64>,
+) -> Option<(u64, usize)> {
+    let mut ctxs: Vec<PieContext<P::Value>> = Vec::new();
+    let mut partials = Vec::new();
+    let mut late = Vec::new();
+    for (from, f) in fragments.iter().enumerate() {
+        let mut ctx = PieContext::new();
+        ctx.configure_borders(f.border_vertices());
+        partials.push(program.peval(query, f, &mut ctx));
+        let (mut changes, mut strays) = (Vec::new(), Vec::new());
+        ctx.drain_dirty_into(&mut changes, &mut strays);
+        for (pos, value) in changes {
+            let v = f.border_vertices()[pos as usize];
+            for (to, g) in fragments.iter().enumerate().filter(|&(to, _)| to != from) {
+                if let Some(at) = g.border_position(v) {
+                    late.push((to, at, value.clone()));
+                }
+            }
+        }
+        ctxs.push(ctx);
+    }
+    let (to, at, value) = late.get(pick % late.len().max(1))?.clone();
+    let (ctx, partial) = (&mut ctxs[to], &mut partials[to]);
+    let (calls, before) = (ctx.update_calls(), values(program, partial));
+    program.inceval(query, &fragments[to], partial, &[(at, value)], ctx);
+    let after = values(program, partial);
+    let changed = before.iter().zip(&after).filter(|(b, a)| b != a).count();
+    Some((ctx.update_calls() - calls, changed))
+}
+
+fn bits(values: &[f64]) -> Vec<u64> {
+    values.iter().map(|x| x.to_bits()).collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn one_late_message_costs_inceval_what_it_changes(
+        grid in 0u8..2,
+        size in 3u64..12,
+        k in 0usize..2,
+        cut in 0u8..2,
+        pick in 0usize..10_000,
+    ) {
+        let graph = chain_or_grid(grid == 1, size);
+        let k = [2, 4][k];
+        let strategy = [BuiltinStrategy::Hash, BuiltinStrategy::Range][cut as usize];
+        let fragments = build_fragments(&graph, &strategy.partition(&graph, k));
+        let what = format!("{strategy:?}, k = {k}, grid = {grid}, size = {size}");
+
+        // sssp: the vertices whose distance improved.
+        let dist = |_: &SsspProgram, p: &SsspPartial| bits(p.dist.as_slice());
+        let sssp = one_late_message(&SsspProgram, &SsspQuery::new(0), &fragments, pick, dist);
+        if let Some((calls, changed)) = sssp {
+            prop_assert!(calls <= changed as u64, "sssp, {what}: {calls} calls, {changed} changed");
+        }
+
+        // pagerank: the vertices whose rank was rewritten. PEval runs to
+        // its fixpoint, so IncEval sweeps the late share's cone only. The
+        // ranks are the snapshot's first column.
+        let program = PageRankProgram::new(graph.num_vertices());
+        let query = PageRankQuery { max_local_iterations: 1_000, ..Default::default() };
+        let rank = |program: &PageRankProgram, p: &PageRankPartial| {
+            let snapshot = program.snapshot_partial(p).unwrap();
+            bits(&Vec::<f64>::decode(&mut WireReader::new(&snapshot)).unwrap())
+        };
+        let pagerank = one_late_message(&program, &query, &fragments, pick, rank);
+        if let Some((calls, changed)) = pagerank {
+            prop_assert!(
+                calls <= changed as u64,
+                "pagerank, {what}: {calls} calls, {changed} changed"
+            );
+        }
     }
 }
