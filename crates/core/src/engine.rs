@@ -527,8 +527,8 @@ pub struct EngineConfig {
     pub threads_per_worker: ThreadCount,
     /// How long a stream-transport coordinator waits for the next report
     /// before declaring the silent workers lost
-    /// ([`transport::DEFAULT_READ_TIMEOUT`] by default; `None` waits
-    /// forever). Only stream transports enforce it — the in-process channel
+    /// ([`transport::DEFAULT_READ_TIMEOUT`] by default; `None` or zero waits
+    /// forever, see [`transport::effective_timeout`]). Only stream transports enforce it — the in-process channel
     /// backends cannot lose workers.
     pub read_timeout: Option<Duration>,
     /// Checkpoint cadence for recoverable runs: workers attach a

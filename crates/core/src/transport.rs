@@ -72,6 +72,14 @@ impl std::error::Error for TransportError {}
 /// before declaring the silent workers lost.
 pub const DEFAULT_READ_TIMEOUT: Duration = Duration::from_secs(30);
 
+/// A timeout as every socket and every wait of the stream transports reads
+/// it: `None` and a zero duration both wait forever. The OS refuses a zero
+/// socket timeout, and a zero deadline would declare every worker lost
+/// before it could speak, so zero gets the one meaning that works.
+pub fn effective_timeout(timeout: Option<Duration>) -> Option<Duration> {
+    timeout.filter(|t| !t.is_zero())
+}
+
 /// Which in-process transport backend the engine uses.
 ///
 /// Both backends run the identical BSP exchange — same handshake, same
@@ -363,7 +371,7 @@ pub trait SplitStream: Read + Write + Send + Sized + 'static {
     fn split(self) -> io::Result<(Self, Self)>;
 
     /// Applies an OS-level read timeout to the underlying connection
-    /// (`None` = block forever). Lets a worker notice a vanished
+    /// (`None` or zero = block forever, see [`effective_timeout`]). Lets a worker notice a vanished
     /// coordinator instead of waiting on a dead socket indefinitely.
     fn set_read_timeout(&self, timeout: Option<Duration>) -> io::Result<()>;
 }
@@ -375,7 +383,7 @@ impl SplitStream for std::net::TcpStream {
     }
 
     fn set_read_timeout(&self, timeout: Option<Duration>) -> io::Result<()> {
-        std::net::TcpStream::set_read_timeout(self, timeout)
+        std::net::TcpStream::set_read_timeout(self, effective_timeout(timeout))
     }
 }
 
@@ -387,7 +395,7 @@ impl SplitStream for std::os::unix::net::UnixStream {
     }
 
     fn set_read_timeout(&self, timeout: Option<Duration>) -> io::Result<()> {
-        std::os::unix::net::UnixStream::set_read_timeout(self, timeout)
+        std::os::unix::net::UnixStream::set_read_timeout(self, effective_timeout(timeout))
     }
 }
 
@@ -578,10 +586,10 @@ impl<V: Wire + Send + 'static> FramedStreamCoord<V> {
     }
 
     /// Overrides the coordinator-side read timeout (default
-    /// [`DEFAULT_READ_TIMEOUT`]); `None` restores the historical
+    /// [`DEFAULT_READ_TIMEOUT`]); `None` or zero restores the historical
     /// wait-forever behavior.
     pub fn with_read_timeout(mut self, timeout: Option<Duration>) -> Self {
-        self.read_timeout = timeout;
+        self.read_timeout = effective_timeout(timeout);
         self
     }
 

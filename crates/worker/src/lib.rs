@@ -14,45 +14,30 @@
 //! classes (`sim`, `subiso`, `keyword`, `marketing`) on labeled social
 //! graphs.
 //!
-//! There is one job protocol, described once in [`service`]: load a
-//! fragment, submit a typed query, get the typed result back. A resident
-//! [`GrapeService`] daemon serves it to any number of [`Session`]s; a
-//! **batch run** — what the `grape-worker serve` CLI does — is a one-query
-//! session whose workers dial in instead of being dialled:
-//!
-//! * [`run_worker`] is the worker side: it greets the coordinator and then
-//!   serves frames exactly as a daemon connection does, from a private
-//!   one-connection fragment registry;
-//! * [`run_coordinator`] is the coordinator side: it checks each accepted
-//!   connection's greeting, ships it its fragment and the query, and drives
-//!   the same open → drive → collect loop a remote [`Session`] query runs —
-//!   with a respawn hook, through worker loss (see [`service`]'s "Fault
-//!   tolerance");
-//! * [`run_local_framed`] and [`run_local_recoverable_tcp`] are the
-//!   in-process reference and recovery drill the tests and benches pin the
-//!   multi-process path against: a one-shot engine run over the framed
-//!   channel, and a batch run over the pieces above.
+//! There is one job protocol and one path through it, described in
+//! [`service`]: a [`Session`] is the coordinator, and [`GrapeService`]
+//! daemons hold the workers' fragments — in this process, or in
+//! `grape-worker daemon` processes ([`DaemonProcess`]). A batch run, which
+//! is what the `grape-worker serve` CLI does, is a one-query session
+//! ([`run_session`]); with [`SessionConfig::respawn`] it survives the loss
+//! of daemon processes. [`run_local_framed`] is the in-process reference
+//! the tests pin it against: a one-shot engine run over the framed channel.
 
 #![warn(missing_docs)]
 
 use grape_algo::{dispatch, ClassVisitor, Query, QueryClass, QueryResult};
-use grape_comm::wire::{self, Wire, TAG_HELLO, TAG_QUERY};
-use grape_core::chaos::ChaosConfig;
 use grape_core::{EngineConfig, Fragment, GrapeEngine, PieProgram, TransportKind};
 use grape_partition::BuiltinStrategy;
-use service::{
-    coordinate, expect_hello, serve_frames, ship_fragment, LoadSpec, QueryJob, ServiceSocket,
-    ServiceState, ServiceStream, SessionFragments,
-};
-use std::io;
+use service::SessionFragments;
+use std::io::{self, BufRead, BufReader};
+use std::process::{Child, ChildStdout, Command, Stdio};
 use std::sync::Arc;
-use std::time::Duration;
 
 pub mod service;
 
 pub use grape_core::WarmHandle;
 pub use service::{
-    Endpoint, GrapeService, QueryHandle, QueryOutcome, ServiceHandle, ServiceListener,
+    Endpoint, GrapeService, QueryHandle, QueryOutcome, Respawn, ServiceHandle, ServiceListener,
     ServiceOptions, Session, SessionConfig, SessionGraph, SessionUpdate, UpdateReceipt, UpdateSpec,
 };
 
@@ -148,7 +133,7 @@ pub struct JobSpec {
     pub threads: u32,
     /// Checkpoint cadence: each worker snapshots its dense local state onto
     /// the first accepted report of every `k`-superstep window. 0 disables
-    /// checkpoints; a run with a respawn hook forces at least 1.
+    /// checkpoints; a session with a respawn hook forces at least 1.
     pub checkpoint_every: u32,
 }
 
@@ -193,9 +178,22 @@ pub(crate) fn bad_data(message: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, message.into())
 }
 
-// ---------------------------------------------------------------------------
-// Worker side
-// ---------------------------------------------------------------------------
+/// Runs `job` as a one-query [`Session`] over `config`'s daemons: generates
+/// the graph, cuts it with the job's strategy into the job's worker count,
+/// ships it, submits the job's query and waits for the outcome. The job's
+/// thread count and checkpoint cadence override `config.engine`'s.
+pub fn run_session(job: &JobSpec, config: SessionConfig) -> io::Result<QueryOutcome> {
+    let query = job.query()?;
+    let strategy = job.strategy()?;
+    let graph = SessionGraph::generate(&job.graph)?;
+    let session = Session::connect(SessionConfig {
+        workers: job.workers as usize,
+        engine: job.engine_config(&config.engine),
+        ..config
+    })?;
+    session.load(&graph, strategy)?;
+    session.submit(query)?.join()
+}
 
 /// SIGKILLs the calling process: the real thing for multi-process chaos
 /// drills — no unwinding, no flushes, no goodbye frame.
@@ -209,200 +207,67 @@ pub fn kill_self() {
     std::process::abort();
 }
 
-/// The worker-side knob set of [`run_worker`].
-#[derive(Default)]
-pub struct WorkerOptions {
-    /// OS-level read timeout on the connection: a vanished coordinator then
-    /// surfaces as an error instead of a worker that waits forever.
-    pub read_timeout: Option<Duration>,
-    /// Auth token presented in the [`TAG_HELLO`] frame.
-    pub token: Option<String>,
-    /// Fault-injection schedule (kills, duplicated / muted / delayed
-    /// frames); [`ChaosConfig::default`] injects nothing. The kill index
-    /// counts the evaluation commands of a query (0 = its Init handshake).
-    pub chaos: ChaosConfig,
-    /// How a scheduled kill dies: the `grape-worker` binary passes
-    /// [`kill_self`]; `None` severs the connection, which is the same event
-    /// at the transport level and what in-process harnesses need.
-    pub on_kill: Option<fn()>,
+/// The line a `grape-worker daemon` prints on stdout once it listens,
+/// followed by its endpoint.
+pub const LISTENING: &str = "service listening on ";
+
+/// A `grape-worker daemon` child process, killed and reaped on drop.
+pub struct DaemonProcess {
+    child: Child,
+    endpoint: Endpoint,
+    /// Kept open: the daemon's stdout outlives the one line read from it.
+    _stdout: BufReader<ChildStdout>,
 }
 
-/// Runs one dialled-in worker over an established connection: sends the
-/// [`TAG_HELLO`] greeting, then serves the coordinator's frames — its
-/// fragment, its query, the BSP loop, the result — until the coordinator
-/// hangs up, exactly as a [`GrapeService`] daemon serves a connection.
-pub fn run_worker<S: ServiceStream>(mut stream: S, options: WorkerOptions) -> io::Result<()> {
-    if let Some(timeout) = options.read_timeout {
-        stream.set_read_timeout(Some(timeout))?;
-    }
-    // Present credentials before anything else: the coordinator will not
-    // ship a byte until the greeting passes validation.
-    wire::write_frame_io_epoch(&mut stream, TAG_HELLO, 0, &options.token)?;
-    stream.flush()?;
-    let state = ServiceState::new(
-        ServiceOptions::default(),
-        options.chaos,
-        options.on_kill,
-        false,
-    );
-    serve_frames(stream, &state)
-}
-
-// ---------------------------------------------------------------------------
-// Coordinator side
-// ---------------------------------------------------------------------------
-
-/// Runs `job` as the coordinator over `streams` — one accepted connection
-/// per dialled-in worker, in fragment order: authenticates each worker's
-/// hello against [`EngineConfig::auth_token`] (a mismatched or missing token
-/// is a typed `PermissionDenied` error before anything is shipped), ships it
-/// its fragment and the query, drives the BSP fixpoint, and assembles the
-/// typed result. [`EngineConfig::read_timeout`] bounds the handshake and
-/// every receive, so a silent worker surfaces as a typed
-/// [`grape_core::TransportError::WorkerLost`] instead of a hang.
-///
-/// With a `respawn` hook the run survives worker loss — including several
-/// workers in the same superstep, and replacements that die again
-/// mid-replay: `respawn(worker)` must produce a fresh accepted connection to
-/// a replacement worker process, which is shipped the lost fragment and the
-/// query at a bumped epoch and resumed from the last checkpoint. A
-/// [`JobSpec::checkpoint_every`] of 0 is then forced to 1 — recovery without
-/// snapshots would mean replaying the whole run's lineage on every loss.
-pub fn run_coordinator<S: ServiceStream>(
-    job: &JobSpec,
-    streams: Vec<S>,
-    config: &EngineConfig,
-    respawn: Option<&mut dyn FnMut(usize) -> io::Result<S>>,
-) -> io::Result<QueryOutcome> {
-    if streams.len() != job.workers as usize {
-        return Err(bad_data(format!(
-            "{} connections for {} workers",
-            streams.len(),
-            job.workers
-        )));
-    }
-    let query = job.query()?;
-    let graph = SessionGraph::generate(&job.graph)?;
-    let (fragments, _) = SessionFragments::cut(&graph, job.strategy()?, streams.len());
-    let mut config = job.engine_config(config);
-    if respawn.is_some() {
-        config.checkpoint_every = config.checkpoint_every.max(1);
-    }
-    let vertices = graph.num_vertices() as u64;
-    let batch = Batch {
-        query: &query,
-        load: LoadSpec {
-            graph_id: 0, // the only graph a dialled-in worker ever holds
-            family: fragments.family(),
-            index: 0, // set per connection
-            workers: job.workers,
-            vertices,
-        },
-        streams,
-        respawn,
-        config,
-    };
-    dispatch(&query, vertices, fragments.as_family(), batch)
-}
-
-/// One batch run, for whichever class [`dispatch`] resolves its query to.
-struct Batch<'q, 'r, S> {
-    query: &'q Query,
-    load: LoadSpec,
-    streams: Vec<S>,
-    respawn: Option<&'r mut dyn FnMut(usize) -> io::Result<S>>,
-    config: EngineConfig,
-}
-
-impl<S: ServiceStream> ClassVisitor for Batch<'_, '_, S> {
-    type Out = QueryOutcome;
-
-    fn visit<P>(
-        self,
-        program: P,
-        _typed: P::Query,
-        wrap: impl Fn(P::Output) -> QueryResult,
-        fragments: &[Arc<Fragment<P::VertexData, P::EdgeData>>],
-    ) -> io::Result<QueryOutcome>
-    where
-        P: PieProgram,
-        P::VertexData: Wire,
-        P::EdgeData: Wire,
-    {
-        let Batch {
-            query,
-            load,
-            streams,
-            mut respawn,
-            config,
-        } = self;
-        let recoverable = respawn.is_some();
-        let engine = GrapeEngine::new(program).with_config(config);
-        let config = engine.config();
-        let mut accepted: Vec<Option<S>> = streams.into_iter().map(Some).collect();
-        // A stream to worker `i` at epoch `e`: the connection accepted for it
-        // (or, after a loss, one to a respawned replacement), greeted, and —
-        // since a dialled-in worker starts empty — shipped its fragment.
-        let mut open = |worker: usize, epoch: u32| -> io::Result<(S, usize)> {
-            let mut stream = match (accepted[worker].take(), respawn.as_mut()) {
-                (Some(stream), _) => stream,
-                (None, Some(respawn)) => respawn(worker)?,
-                (None, None) => return Err(io::Error::other("no respawn hook")),
-            };
-            expect_hello(
-                &mut stream,
-                config.auth_token.as_deref(),
-                worker,
-                config.read_timeout,
-            )?;
-            let spec = LoadSpec {
-                index: worker as u32,
-                ..load.clone()
-            };
-            let job = QueryJob {
-                graph_id: spec.graph_id,
-                index: spec.index,
-                workers: spec.workers,
-                run_id: epoch,
-                threads: config.threads_per_worker.into(),
-                checkpoint_every: config.checkpoint_every as u32,
-                query: query.clone(),
-                kill_at: None,
-                seed: None,
-            };
-            // A dialled-in worker acks its load, and a socket that has
-            // answered once delays its TCP ACKs: the coordinator's
-            // back-to-back small writes (query then Init, Resume then the
-            // replayed commands) must not wait on those.
-            stream.set_nodelay()?;
-            // A connection dead before the handshake completes is a startup
-            // failure of that worker, not a mid-run loss.
-            stream.set_read_timeout(config.read_timeout)?;
-            let sent = ship_fragment(&mut stream, &spec, epoch, &fragments[worker])
-                .and_then(|()| stream.set_read_timeout(None))
-                .and_then(|()| wire::write_frame_io_epoch(&mut stream, TAG_QUERY, epoch, &job))
-                .and_then(|sent| stream.flush().map(|()| sent))
-                .map_err(|e| {
-                    io::Error::other(format!("worker {worker} lost during handshake: {e}"))
-                })?;
-            Ok((stream, sent))
+impl DaemonProcess {
+    /// Spawns `command` — a `grape-worker daemon` invocation — with its
+    /// stdout piped, and waits for the [`LISTENING`] line naming its
+    /// endpoint.
+    pub fn spawn(mut command: Command) -> io::Result<DaemonProcess> {
+        let mut child = command.stdout(Stdio::piped()).spawn()?;
+        let mut stdout = BufReader::new(child.stdout.take().expect("stdout is piped"));
+        let mut line = String::new();
+        stdout.read_line(&mut line)?;
+        let Some(endpoint) = line.trim_end().strip_prefix(LISTENING) else {
+            let _ = child.kill();
+            let status = child.wait()?;
+            return Err(io::Error::other(format!(
+                "daemon exited ({status}) before it listened"
+            )));
         };
-        let (answers, mut stats) = coordinate(&engine, fragments, recoverable, &mut open)?;
-        let assemble_started = std::time::Instant::now();
-        let output = engine
-            .program()
-            .assemble_answers(fragments, &answers)
-            .map_err(|e| bad_data(e.to_string()))?;
-        stats.assemble_seconds = assemble_started.elapsed().as_secs_f64();
-        Ok(QueryOutcome {
-            result: wrap(output),
-            stats,
+        Ok(DaemonProcess {
+            endpoint: Endpoint::parse(endpoint),
+            child,
+            _stdout: stdout,
         })
     }
+
+    /// The endpoint the daemon listens on.
+    pub fn endpoint(&self) -> &Endpoint {
+        &self.endpoint
+    }
+
+    /// Whether the process has exited (a chaos victim has).
+    pub fn exited(&mut self) -> io::Result<bool> {
+        Ok(self.child.try_wait()?.is_some())
+    }
+}
+
+impl Drop for DaemonProcess {
+    /// Kills the daemon and removes its Unix-domain socket, which a killed
+    /// daemon cannot remove itself.
+    fn drop(&mut self) {
+        let _ = self.child.kill();
+        let _ = self.child.wait();
+        #[cfg(unix)]
+        if let Endpoint::Uds(path) = &self.endpoint {
+            let _ = std::fs::remove_file(path);
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
-// In-process reference + recovery drill
+// In-process reference
 // ---------------------------------------------------------------------------
 
 /// Runs the identical job fully in-process — a one-shot [`GrapeEngine`] run
@@ -444,66 +309,6 @@ impl ClassVisitor for OneShot {
             stats: run.stats,
         })
     }
-}
-
-/// Runs `job` over real TCP sockets with worker threads in this process,
-/// killed on schedule — their sockets torn down, the SIGKILL event at the
-/// transport level — and recovered by [`run_coordinator`]. This is the
-/// deterministic in-process recovery drill the chaos tests and the
-/// `recovery_ms` benchmark column share.
-///
-/// `kills` schedules `(worker, kill_at)` deaths for the initial workers
-/// (several entries with the same `kill_at` exercise same-superstep batch
-/// recovery), and each `replacement_kills` entry `(worker, kill_at)` is
-/// consumed by one respawn of that worker, whose *replacement* then dies at
-/// its own command index — cascading failure mid-replay. Repeat a worker in
-/// `replacement_kills` to drive it into its crash-loop budget.
-pub fn run_local_recoverable_tcp(
-    job: &JobSpec,
-    kills: &[(usize, usize)],
-    replacement_kills: &[(usize, usize)],
-) -> io::Result<QueryOutcome> {
-    let listener = ServiceListener::bind(&Endpoint::Tcp("127.0.0.1:0".into()))?;
-    let endpoint = listener.endpoint()?;
-    let n = job.workers as usize;
-    for &(worker, _) in kills.iter().chain(replacement_kills) {
-        if worker >= n {
-            return Err(bad_data(format!(
-                "kill schedule names worker {worker}, but the job has {n} workers"
-            )));
-        }
-    }
-    std::thread::scope(|scope| {
-        // Connect + accept strictly in sequence so accepted-stream order is
-        // fragment order — the index mapping must be deterministic.
-        let spawn_worker = |kill_at: Option<usize>| -> io::Result<ServiceSocket> {
-            let connect = endpoint.connect()?;
-            let accepted = listener.accept()?;
-            let options = WorkerOptions {
-                chaos: ChaosConfig {
-                    kill_at,
-                    ..Default::default()
-                },
-                ..Default::default()
-            };
-            scope.spawn(move || {
-                // A killed worker exits with a torn-down connection; its
-                // replacement reports in its stead.
-                let _ = run_worker(connect, options);
-            });
-            Ok(accepted)
-        };
-        let scheduled = |plan: &[(usize, usize)], worker: usize| {
-            plan.iter().position(|&(victim, _)| victim == worker)
-        };
-        let streams = (0..n)
-            .map(|worker| spawn_worker(scheduled(kills, worker).map(|i| kills[i].1)))
-            .collect::<io::Result<Vec<_>>>()?;
-        let mut pending = replacement_kills.to_vec();
-        let mut respawn =
-            |worker: usize| spawn_worker(scheduled(&pending, worker).map(|i| pending.remove(i).1));
-        run_coordinator(job, streams, &EngineConfig::default(), Some(&mut respawn))
-    })
 }
 
 /// Owns a Unix-domain socket path for a listener's lifetime: unlinks a stale
@@ -558,6 +363,8 @@ impl Drop for UdsPathGuard {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use grape_core::chaos::ChaosConfig;
+    use std::sync::Mutex;
 
     #[test]
     fn graph_spec_parsing() {
@@ -679,6 +486,52 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// `job` as a session over in-process daemons on loopback TCP,
+    /// recovered by respawn. Each `kills` entry `(worker, kill_at)` arms
+    /// that worker's first daemon to sever its query connection at that
+    /// command — the SIGKILL event at the transport level — and several
+    /// entries with the same `kill_at` exercise same-superstep batch
+    /// recovery. Each `replacement_kills` entry is consumed by one respawn
+    /// of that worker, whose fresh daemon then kills at its own command
+    /// index — cascading failure mid-replay. Repeat a worker in
+    /// `replacement_kills` to drive it into its crash-loop budget.
+    fn run_local_recoverable_tcp(
+        job: &JobSpec,
+        kills: &[(usize, usize)],
+        replacement_kills: &[(usize, usize)],
+    ) -> io::Result<QueryOutcome> {
+        let daemon = |kill_at: Option<usize>| {
+            let chaos = ChaosConfig {
+                kill_at,
+                ..Default::default()
+            };
+            let options = ServiceOptions {
+                chaos,
+                ..Default::default()
+            };
+            GrapeService::bind("127.0.0.1:0", options)?.spawn()
+        };
+        let armed = |plan: &mut Vec<(usize, usize)>, worker: usize| {
+            let at = plan.iter().position(|&(victim, _)| victim == worker)?;
+            Some(plan.remove(at).1)
+        };
+        let mut kills = kills.to_vec();
+        let initial = (0..job.workers as usize)
+            .map(|worker| daemon(armed(&mut kills, worker)))
+            .collect::<io::Result<Vec<ServiceHandle>>>()?;
+        let endpoints = initial.iter().map(|d| d.endpoint().clone()).collect();
+        let pending = Mutex::new(replacement_kills.to_vec());
+        let respawned = Arc::new(Mutex::new(Vec::new()));
+        let kept = Arc::clone(&respawned);
+        let config = SessionConfig::remote(0, endpoints).with_respawn(move |worker| {
+            let fresh = daemon(armed(&mut pending.lock().unwrap(), worker))?;
+            let endpoint = fresh.endpoint().clone();
+            kept.lock().unwrap().push(fresh);
+            Ok(endpoint)
+        });
+        run_session(job, config)
     }
 
     #[test]

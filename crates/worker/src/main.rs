@@ -1,70 +1,70 @@
 //! The `grape-worker` binary: multi-process GRAPE over the framed wire
 //! protocol.
 //!
-//! A batch run is a one-query session whose workers dial in: the coordinator
-//! binds, ships each worker its fragment and the query over the service
-//! frames, drives the fixpoint and assembles the typed result:
+//! Resident query-service daemon (fragments loaded once, then an unbounded
+//! stream of queries served over them — connect with
+//! `grape_worker::Session`); it prints `service listening on ENDPOINT` on
+//! stdout once it listens:
 //!
 //! ```text
-//! grape-worker serve --listen 127.0.0.1:4817 --workers 4 \
-//!     --algo sssp --graph road:64x64:7 --strategy hash --source 0 \
-//!     [--checkpoint-every K] [--token SECRET] [--spawn] [--verify] \
-//!     [--chaos KILL_AT[,KILL_AT2,...]]
+//! grape-worker daemon --listen 127.0.0.1:4817 [--token SECRET] [--kill-at N]
+//! grape-worker daemon --uds /tmp/grape.sock   [--token SECRET] [--handshake-timeout SECS]
 //! ```
 //!
-//! Worker (connects, receives its fragment on the wire, evaluates):
+//! `--kill-at N` is the fault drill: the daemon SIGKILLs itself upon
+//! receiving the N-th command of a query (0 = its Init).
+//!
+//! A batch run is a one-query session over daemons: the coordinator
+//! generates and cuts the graph, ships each daemon its fragment, drives the
+//! fixpoint and assembles the typed result. It runs over daemons already
+//! listening, or over K `grape-worker daemon` children it starts itself:
 //!
 //! ```text
-//! grape-worker connect 127.0.0.1:4817 [--timeout SECS] [--token SECRET] [--kill-at N]
-//! grape-worker connect-uds /tmp/grape.sock        # Unix-domain variant
+//! grape-worker serve --daemons HOST:4817,uds:/tmp/grape.sock --workers 4 \
+//!     --algo sssp --graph road:64x64:7 --strategy hash --source 0 \
+//!     [--checkpoint-every K] [--token SECRET] [--verify]
+//! grape-worker serve --spawn [--listen 127.0.0.1:0 | --uds PATH] --workers 4 ... \
+//!     [--chaos KILL_AT[,KILL_AT2,...]]
 //! ```
 //!
 //! Algorithms: `sssp`, `cc`, `pagerank`, `cf` on weighted graphs
 //! (`road:WxH:SEED`, `ba:N:M:SEED`); `sim`, `subiso`, `keyword`, `marketing`
 //! on labeled social graphs (`social:PERSONS:PRODUCTS:SEED`).
 //!
-//! `--spawn` makes the coordinator fork the workers itself (k child
-//! processes of this same binary) — the one-command demo. `--verify` reruns
-//! the job in-process over the framed channel transport and asserts the
-//! typed result and superstep count match bit for bit. `--chaos K[,K2,...]`
-//! (requires `--spawn`) is the fault drill: worker i SIGKILLs itself upon
-//! receiving its Ki-th command — several victims exercise concurrent
-//! failure — and the coordinator recovers every one (respawn, re-ship,
-//! replay) with `--verify` still holding. `--token` makes the coordinator
-//! require (and the spawned workers present) the given auth token in the
-//! session handshake. A flag value that does not parse is a usage error
-//! (exit 2), never a silent default.
-//!
-//! Resident query-service daemon (fragments loaded once, then an unbounded
-//! stream of queries served over them — connect with
-//! `grape_worker::Session`):
-//!
-//! ```text
-//! grape-worker daemon --listen 127.0.0.1:4817 [--token SECRET]
-//! grape-worker daemon --uds /tmp/grape.sock   [--token SECRET]
-//! ```
+//! `--spawn` starts one daemon child of this same binary per worker, each
+//! listening on `--listen` (port 0 picks a free port) or on `--uds PATH.i`
+//! — the one-command demo. `--verify` reruns the job in-process over the
+//! framed channel transport and asserts the typed result and superstep count
+//! match bit for bit. `--chaos K[,K2,...]` (requires `--spawn`) is the fault
+//! drill: daemon i is started with `--kill-at Ki` — several victims exercise
+//! concurrent failure — and the session recovers every one (a fresh daemon,
+//! the fragment shipped again, replay) with `--verify` still holding.
+//! `--token` makes the spawned daemons require, and the session present, the
+//! given auth token in the handshake. A flag value that does not parse is a
+//! usage error (exit 2), never a silent default.
 
+use grape_core::chaos::ChaosConfig;
 use grape_core::EngineConfig;
 use grape_worker::{
-    kill_self, run_coordinator, run_local_framed, run_worker, Endpoint, GrapeService, GraphSpec,
-    JobSpec, ServiceListener, ServiceOptions, WorkerOptions,
+    kill_self, run_local_framed, run_session, DaemonProcess, Endpoint, GrapeService, GraphSpec,
+    JobSpec, ServiceOptions, SessionConfig, LISTENING,
 };
-use std::process::{Command, Stdio};
+use std::process::Command;
 use std::str::FromStr;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 fn usage() -> ! {
     eprintln!(
-        "usage:\n  grape-worker serve --listen ADDR [--uds PATH] --workers K\n      --algo \
-         sssp|cc|pagerank|cf|sim|subiso|keyword|marketing\n      --graph \
+        "usage:\n  grape-worker serve (--daemons EP[,EP...] | --spawn [--listen ADDR | --uds PATH])\n      \
+         --workers K --algo sssp|cc|pagerank|cf|sim|subiso|keyword|marketing\n      --graph \
          road:WxH:SEED|ba:N:M:SEED|social:P:R:SEED [--strategy NAME]\n      [--source V] \
-         [--threads T] [--timeout SECS] [--checkpoint-every K] [--token SECRET]\n      [--spawn] \
-         [--verify] [--chaos KILL_AT[,KILL_AT2,...]]\n        (--chaos requires --spawn: worker i \
-         SIGKILLs itself at its i-th schedule entry, run recovers)\n  grape-worker connect ADDR \
-         [--timeout SECS] [--token SECRET] [--kill-at N]\n  grape-worker connect-uds PATH \
-         [--timeout SECS] [--token SECRET] [--kill-at N]\n  grape-worker daemon [--listen ADDR | \
-         --uds PATH] [--token SECRET] [--handshake-timeout SECS]\n        (resident query service: \
-         load fragments once, serve concurrent queries; see grape_worker::Session)"
+         [--threads T] [--timeout SECS] [--checkpoint-every K] [--token SECRET]\n      [--verify] \
+         [--chaos KILL_AT[,KILL_AT2,...]]\n        (--chaos requires --spawn: daemon i \
+         SIGKILLs itself at its i-th schedule entry, run recovers)\n  grape-worker daemon \
+         [--listen ADDR | --uds PATH] [--token SECRET] [--handshake-timeout SECS]\n      \
+         [--kill-at N]\n        (resident query service: load fragments once, serve \
+         concurrent queries; see grape_worker::Session)"
     );
     std::process::exit(2);
 }
@@ -94,7 +94,8 @@ fn parsed<T: FromStr>(args: &[String], name: &str) -> Option<T> {
     })
 }
 
-/// Where `serve` and `daemon` listen: `--uds PATH`, else `--listen ADDR`.
+/// Where `daemon` (and `serve --spawn`'s daemons) listen: `--uds PATH`, else
+/// `--listen ADDR`.
 fn listen_endpoint(args: &[String]) -> Endpoint {
     match arg_value(args, "--uds") {
         #[cfg(unix)]
@@ -107,11 +108,7 @@ fn listen_endpoint(args: &[String]) -> Endpoint {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let target = || args.get(1).cloned().unwrap_or_else(|| usage());
     let result = match args.first().map(String::as_str) {
-        Some("connect") => worker(Endpoint::Tcp(target()), &args[1..]),
-        #[cfg(unix)]
-        Some("connect-uds") => worker(Endpoint::Uds(target().into()), &args[1..]),
         Some("serve") => serve(&args[1..]),
         Some("daemon") => daemon(&args[1..]),
         _ => usage(),
@@ -122,44 +119,38 @@ fn main() {
     }
 }
 
-/// Dials the coordinator at `endpoint` and serves it as one worker.
-fn worker(endpoint: Endpoint, args: &[String]) -> std::io::Result<()> {
-    let mut options = WorkerOptions {
-        read_timeout: parsed(args, "--timeout").map(Duration::from_secs),
-        token: arg_value(args, "--token"),
-        // This process is the worker: a scheduled kill is a real SIGKILL.
-        on_kill: Some(kill_self),
-        ..Default::default()
-    };
-    options.chaos.kill_at = parsed(args, "--kill-at");
-    run_worker(endpoint.connect()?, options)?;
-    println!("worker done");
-    Ok(())
-}
-
 /// Runs the resident query-service daemon until killed.
 fn daemon(args: &[String]) -> std::io::Result<()> {
     let options = ServiceOptions {
         token: arg_value(args, "--token"),
         handshake_timeout: parsed(args, "--handshake-timeout").map(Duration::from_secs),
+        chaos: ChaosConfig {
+            kill_at: parsed(args, "--kill-at"),
+            ..Default::default()
+        },
+        // This process is the worker: a scheduled kill is a real SIGKILL.
+        on_kill: Some(kill_self),
     };
     let service = match listen_endpoint(args) {
         Endpoint::Tcp(addr) => GrapeService::bind(&addr, options)?,
         #[cfg(unix)]
         Endpoint::Uds(path) => GrapeService::bind_uds(path, options)?,
     };
-    eprintln!("service listening on {}", service.endpoint()?);
+    println!("{LISTENING}{}", service.endpoint()?);
     service.serve()
 }
 
 fn serve(args: &[String]) -> std::io::Result<()> {
     let workers: u32 = parsed(args, "--workers").unwrap_or_else(|| usage());
+    if workers == 0 {
+        bad_usage("--workers must be at least 1".into());
+    }
     let graph = GraphSpec::parse(&arg_value(args, "--graph").unwrap_or_else(|| usage()))
         .unwrap_or_else(|e| bad_usage(e));
     let spawn = args.iter().any(|a| a == "--spawn");
     let verify = args.iter().any(|a| a == "--verify");
     let token = arg_value(args, "--token");
-    // The kill schedule: entry i is worker i's --kill-at. Several entries
+    // The kill schedule: entry i is daemon i's --kill-at. Several entries
     // exercise concurrent (same-run, possibly same-superstep) failures.
     let chaos: Option<Vec<usize>> = arg_value(args, "--chaos").map(|v| {
         v.split(',')
@@ -171,7 +162,7 @@ fn serve(args: &[String]) -> std::io::Result<()> {
     });
     if let Some(victims) = &chaos {
         if !spawn {
-            bad_usage("--chaos requires --spawn (the coordinator respawns the victims)".into());
+            bad_usage("--chaos requires --spawn (the session respawns the victims)".into());
         }
         if victims.is_empty() || victims.len() > workers as usize {
             bad_usage(format!("--chaos needs 1..={workers} kill entries"));
@@ -188,7 +179,7 @@ fn serve(args: &[String]) -> std::io::Result<()> {
         checkpoint_every: parsed(args, "--checkpoint-every").unwrap_or(chaos.is_some() as u32),
     };
     let timeout_secs: Option<u64> = parsed(args, "--timeout");
-    let config = EngineConfig {
+    let mut config = SessionConfig::default().with_engine(EngineConfig {
         read_timeout: Some(
             timeout_secs
                 .map(Duration::from_secs)
@@ -196,52 +187,56 @@ fn serve(args: &[String]) -> std::io::Result<()> {
         ),
         auth_token: token.clone(),
         ..Default::default()
-    };
+    });
 
-    let listener = ServiceListener::bind(&listen_endpoint(args))?;
-    let endpoint = listener.endpoint()?;
-    eprintln!("coordinator listening on {endpoint}");
-    // Both endpoints run the same timeout and token: the flags are forwarded
-    // to spawned workers so detection and auth are symmetric.
-    let mut connect_args = match &endpoint {
-        Endpoint::Tcp(addr) => vec!["connect".to_string(), addr.clone()],
-        #[cfg(unix)]
-        Endpoint::Uds(path) => vec!["connect-uds".to_string(), path.display().to_string()],
-    };
-    if let Some(secs) = timeout_secs {
-        connect_args.extend(["--timeout".into(), secs.to_string()]);
-    }
-    if let Some(token) = token {
-        connect_args.extend(["--token".into(), token]);
-    }
-
-    let mut children = Vec::new();
+    let daemons = Arc::new(Mutex::new(Vec::new()));
     if spawn {
-        // Under `--chaos`, victim worker i gets kill schedule entry i.
-        for index in 0..workers as usize {
-            let mut args = connect_args.clone();
-            if let Some(kill_at) = chaos.as_ref().and_then(|victims| victims.get(index)) {
-                args.extend(["--kill-at".to_string(), kill_at.to_string()]);
-            }
-            children.push(spawn_worker(&args)?);
+        // Both ends run the same timeout and token: the flags are forwarded
+        // to the daemons so detection and auth are symmetric.
+        let mut forwarded = Vec::new();
+        if let Some(secs) = timeout_secs {
+            forwarded.extend(["--handshake-timeout".to_string(), secs.to_string()]);
         }
+        if let Some(token) = token {
+            forwarded.extend(["--token".to_string(), token]);
+        }
+        let start = start_daemon(listen_endpoint(args), forwarded, Arc::clone(&daemons))?;
+        for index in 0..workers as usize {
+            let kill_at = chaos.as_ref().and_then(|victims| victims.get(index));
+            config.endpoints.push(start(kill_at.copied())?);
+        }
+        if chaos.is_some() {
+            config = config.with_respawn(move |_worker| start(None));
+        }
+    } else {
+        if args.iter().any(|a| a == "--listen" || a == "--uds") {
+            bad_usage("--listen and --uds name where --spawn's daemons listen".into());
+        }
+        let daemons = arg_value(args, "--daemons")
+            .unwrap_or_else(|| bad_usage("serve needs --daemons EP[,EP...] or --spawn".into()));
+        config.endpoints = daemons.split(',').map(Endpoint::parse).collect();
     }
-    let streams = (0..workers)
-        .map(|_| listener.accept())
-        .collect::<std::io::Result<Vec<_>>>()?;
-    let mut replacements = Vec::new();
-    let mut respawn = |_worker: usize| {
-        replacements.push(spawn_worker(&connect_args)?);
-        listener.accept()
-    };
-    let outcome = run_coordinator(
-        &job,
-        streams,
-        &config,
-        chaos.is_some().then_some(&mut respawn),
-    )?;
-    reap(children, chaos.as_ref().map_or(0, Vec::len))?;
-    reap(replacements, 0)?;
+    eprintln!(
+        "coordinator: daemons on {}",
+        config
+            .endpoints
+            .iter()
+            .map(Endpoint::to_string)
+            .collect::<Vec<_>>()
+            .join(", ")
+    );
+    let outcome = run_session(&job, config)?;
+    // Under chaos, the victims were SIGKILLed on purpose: exactly that many
+    // daemons may have exited; any other exit is a crash.
+    let mut exited = 0;
+    for daemon in daemons.lock().unwrap().iter_mut() {
+        exited += usize::from(daemon.exited()?);
+    }
+    if exited > chaos.as_ref().map_or(0, Vec::len) {
+        return Err(std::io::Error::other(format!(
+            "{exited} daemon processes exited during the run"
+        )));
+    }
 
     println!(
         "{}: {} supersteps, {} messages, {} wire bytes, {} recoveries, wall {:.2}ms",
@@ -281,30 +276,36 @@ fn serve(args: &[String]) -> std::io::Result<()> {
     Ok(())
 }
 
-/// Spawns one worker child of this binary with `connect_args`.
-fn spawn_worker(connect_args: &[String]) -> std::io::Result<std::process::Child> {
+/// What starts one daemon child of this binary listening on `listen` (a
+/// Unix-domain path gets the child's number appended), with `forwarded`
+/// flags and an optional `--kill-at`, and returns its endpoint. Every child
+/// is kept in `daemons`, which kills them when dropped.
+fn start_daemon(
+    listen: Endpoint,
+    forwarded: Vec<String>,
+    daemons: Arc<Mutex<Vec<DaemonProcess>>>,
+) -> std::io::Result<impl Fn(Option<usize>) -> std::io::Result<Endpoint> + Send + Sync> {
     let exe = std::env::current_exe()?;
-    Command::new(&exe)
-        .args(connect_args)
-        .stdout(Stdio::null())
-        .spawn()
-}
-
-/// Waits for the spawned workers. Under chaos, `expected_kills` children
-/// were SIGKILLed on purpose; exactly that many non-success exits are
-/// tolerated.
-fn reap(children: Vec<std::process::Child>, expected_kills: usize) -> std::io::Result<()> {
-    let mut failures = 0usize;
-    for mut child in children {
-        let status = child.wait()?;
-        if !status.success() {
-            failures += 1;
-            if failures > expected_kills {
-                return Err(std::io::Error::other(format!(
-                    "worker process exited with {status}"
-                )));
+    Ok(move |kill_at: Option<usize>| {
+        let mut daemons = daemons.lock().unwrap();
+        let mut command = Command::new(&exe);
+        command.arg("daemon");
+        match &listen {
+            Endpoint::Tcp(addr) => command.args(["--listen", addr]),
+            #[cfg(unix)]
+            Endpoint::Uds(path) => {
+                command
+                    .arg("--uds")
+                    .arg(format!("{}.{}", path.display(), daemons.len()))
             }
+        };
+        command.args(&forwarded);
+        if let Some(kill_at) = kill_at {
+            command.args(["--kill-at".to_string(), kill_at.to_string()]);
         }
-    }
-    Ok(())
+        let daemon = DaemonProcess::spawn(command)?;
+        let endpoint = daemon.endpoint().clone();
+        daemons.push(daemon);
+        Ok(endpoint)
+    })
 }

@@ -1,17 +1,15 @@
 //! The job protocol and both of its ends: resident fragments, a unified
 //! session API, and concurrent-query serving.
 //!
-//! There is one protocol for shipping work to a worker, and everything in
-//! this crate speaks it — a resident daemon serving many sessions, and the
-//! batch CLI, whose run is a one-query session whose workers dial in:
+//! There is one protocol for shipping work to a worker and one pair of ends
+//! that speak it; every remote query, the `grape-worker serve` CLI's
+//! included, is a [`Session`] query over [`GrapeService`] daemons:
 //!
 //! * [`GrapeService`] is the daemon: it accepts framed TCP (or Unix-domain)
 //!   connections, loads shipped fragments **once** into a registry keyed by
 //!   graph id, and then serves a stream of typed [`Query`] submissions over
 //!   those resident fragments — each query a fresh BSP session fenced by its
-//!   own run id in the wire epoch header. A dialled-in batch worker
-//!   ([`crate::run_worker`]) runs the same frame loop over a private
-//!   one-connection registry.
+//!   own run id in the wire epoch header.
 //! * [`Session`] is the client facade, `connect → load → submit`:
 //!   [`Session::connect`] dials the daemons it is given — or, given none,
 //!   spawns a private one in this process, bound with a token only the
@@ -21,51 +19,47 @@
 //!   [`QueryHandle::join`] yields the typed [`QueryResult`] plus per-query
 //!   [`RunStats`]. Queries of different classes run concurrently over the
 //!   same loaded fragments; results are bit-identical to cold one-shot runs.
-//!   The batch coordinator ([`crate::run_coordinator`]) drives the same
-//!   open → drive → collect loop over connections it accepted.
 //!
 //! ## Protocol
 //!
-//! Whoever dials sends one [`TAG_HELLO`] frame carrying its
-//! `Option<String>` auth token; the accepting side validates it (a
-//! mismatched or missing token is a typed `PermissionDenied` error) before
-//! anything else happens. A session dials the daemon; a batch worker dials
-//! the coordinator. After that the coordinator side sends and the worker
-//! side answers:
+//! The session dials: it sends one [`TAG_HELLO`] frame carrying its
+//! `Option<String>` auth token, and the daemon validates it (a mismatched or
+//! missing token is a typed `PermissionDenied` error on the daemon's side,
+//! which hangs up) before anything else happens. After that the session
+//! sends and the daemon answers:
 //!
 //! 1. `TAG_LOAD` carries a [`LoadSpec`] naming the graph id, payload family,
-//!    fragment index and global vertex count, immediately followed by one
-//!    [`TAG_FRAGMENT`] frame at the same epoch shipping the fragment itself
-//!    (CSR edges, border tables, payloads — workers never regenerate the
-//!    graph). The worker stores the fragment in its registry and acks with
-//!    `TAG_LOADED`.
+//!    fragment index, global vertex count and the graph version the fragment
+//!    is at, immediately followed by one [`TAG_FRAGMENT`] frame at the same
+//!    epoch shipping the fragment itself (CSR edges, border tables, payloads
+//!    — daemons never regenerate the graph). The daemon stores the fragment
+//!    in its registry and acks with `TAG_LOADED`.
 //! 2. `TAG_QUERY` carries a [`QueryJob`] — the typed query, its run id and,
 //!    for a warm start, a [`WarmHandle`] naming the graph version the
-//!    worker's kept partial must have converged at — stamped with that run id
-//!    as the frame epoch. The worker resolves the resident fragment, and the
-//!    converged partial it keeps beside it for this query when that partial
-//!    is of the handle's version, and enters the ordinary BSP worker loop at
-//!    that epoch (`Init` → PEval report → (`IncEval` → report)* → `Finish`);
-//!    the `Init` carries nothing, since the worker addresses its border by
-//!    position in the fragment it holds, and the coordinator drives the
-//!    ordinary fixpoint over a per-query fold state on the fragment set's
-//!    exchange layout (built once per set, see
+//!    daemon's kept partial must have converged at — stamped with that run
+//!    id as the frame epoch. The daemon resolves the resident fragment, and
+//!    the converged partial it keeps beside it for this query when that
+//!    partial is of the handle's version, and enters the ordinary BSP worker
+//!    loop at that epoch (`Init` → PEval report → (`IncEval` → report)* →
+//!    `Finish`); the `Init` carries nothing, since the worker addresses its
+//!    border by position in the fragment it holds, and the session drives
+//!    the ordinary fixpoint over a per-query fold state on the fragment
+//!    set's exchange layout (built once per set, see
 //!    [`grape_partition::ExchangeLayout`]).
-//! 3. After `Finish`, a daemon keeps its converged partial's snapshot beside
-//!    the fragment, stamped with the fragment's version (a dialled-in batch
-//!    worker keeps nothing), and answers with one `TAG_RESULT` frame: what
-//!    Assemble reads of its partial — for sssp, cc and pagerank one value per
-//!    inner vertex ([`PieProgram::encode_answer`]), for the other classes
-//!    the snapshot, taken once for both — then a `bool` telling whether its
-//!    PEval started warm. The coordinator
-//!    assembles the k answers into the typed output
+//! 3. After `Finish`, the daemon keeps its converged partial's snapshot
+//!    beside the fragment, stamped with the fragment's version, and answers
+//!    with one `TAG_RESULT` frame: what Assemble reads of its partial — for
+//!    sssp, cc and pagerank one value per inner vertex
+//!    ([`PieProgram::encode_answer`]), for the other classes the snapshot,
+//!    taken once for both — then a `bool` telling whether its PEval started
+//!    warm. The session assembles the k answers into the typed output
 //!    ([`PieProgram::assemble_answers`]).
-//! 4. `TAG_UPDATE` (sessions only) carries a versioned mutation batch for one
-//!    resident fragment, acked with `TAG_UPDATED`.
-//! 5. `TAG_UNLOAD` (sessions only) names a graph id whose fragments and kept
-//!    partials the daemon drops, acked with `TAG_UNLOADED`. A session sends
-//!    it, best effort, for the graph a new load replaces, and for its graph
-//!    when its last handle drops; an unknown graph id is acked all the same.
+//! 4. `TAG_UPDATE` carries a versioned mutation batch for one resident
+//!    fragment, acked with `TAG_UPDATED`.
+//! 5. `TAG_UNLOAD` names a graph id whose fragments and kept partials the
+//!    daemon drops, acked with `TAG_UNLOADED`. A session sends it, best
+//!    effort, for the graph a new load replaces, and for its graph when its
+//!    last handle drops; an unknown graph id is acked all the same.
 //!
 //! A session bounds each of its load, update and unload requests — the
 //! connect, the write and the ack — by [`EngineConfig::read_timeout`].
@@ -75,16 +69,19 @@
 //! With a checkpoint cadence k ≥ 1, every worker snapshots its dense local
 //! state onto the first accepted report of each k-superstep window, and a
 //! worker lost mid-query is replaced: the run epoch is bumped, a stream to a
-//! replacement is opened — a session reconnects to the same daemon, whose
-//! resident fragment is **not** re-shipped; the batch coordinator respawns a
-//! process and ships it the lost fragment again — the replacement resumes
-//! from the last checkpoint at the new epoch, and the (at most k) commands
-//! sent since are replayed in order. Frames still in flight from the dead
-//! connection are fenced by their stale epoch. Same-superstep losses recover
-//! as a batch; each worker has a crash-loop budget with exponential respawn
-//! backoff. Recovered runs are bit-identical to undisturbed ones for every
-//! query class and cadence, and other in-flight queries run on their own
-//! connections and epochs and are never disturbed.
+//! replacement is opened, the replacement resumes from the last checkpoint
+//! at the new epoch, and the (at most k) commands sent since are replayed in
+//! order. Without [`SessionConfig::respawn`] the session reconnects to the
+//! same daemon, whose resident fragment is **not** re-shipped. With it, the
+//! lost worker's daemon is taken for dead: the hook starts a fresh, empty
+//! one, the session ships it the worker's current fragment at the session's
+//! graph version and routes that worker there from then on. Frames still in
+//! flight from the dead connection are fenced by their stale epoch.
+//! Same-superstep losses recover as a batch; each worker has a crash-loop
+//! budget with exponential respawn backoff. Recovered runs are
+//! bit-identical to undisturbed ones for every query class and cadence, and
+//! other in-flight queries run on their own connections and epochs and are
+//! never disturbed.
 
 use crate::{bad_data, UdsPathGuard};
 use grape_algo::{dispatch, ClassVisitor, FamilyFragments, Query, QueryResult};
@@ -95,7 +92,9 @@ use grape_comm::wire::{
 use grape_comm::CommStats;
 use grape_core::chaos::{ChaosConfig, ChaosWorkerTransport};
 use grape_core::par::ThreadCount;
-use grape_core::transport::{FramedStreamCoord, FramedStreamWorker, SplitStream};
+use grape_core::transport::{
+    effective_timeout, FramedStreamCoord, FramedStreamWorker, SplitStream,
+};
 use grape_core::{
     decode_fragment, encode_fragment_epoch, run_seeded_worker, DeltaLog, EngineConfig, GrapeEngine,
     IncrementalSeed, MutationProfile, PieProgram, RunStats, VertexId, WarmHandle, TAG_FRAGMENT,
@@ -151,15 +150,14 @@ impl Endpoint {
     }
 
     /// [`Endpoint::dial`], with connecting, every write and every read of
-    /// the connection bounded by `timeout` (`None` blocks). A Unix-domain
+    /// the connection bounded by `timeout` (`None` or zero blocks). A Unix-domain
     /// connect is local and not bounded.
     fn dial_within(
         &self,
         token: &Option<String>,
         timeout: Option<Duration>,
     ) -> io::Result<ServiceSocket> {
-        // A zero duration is not a timeout the sockets accept.
-        let timeout = timeout.filter(|t| !t.is_zero());
+        let timeout = effective_timeout(timeout);
         let mut stream = match (self, timeout) {
             (Endpoint::Tcp(addr), Some(timeout)) => {
                 let mut last = io::Error::other(format!("{addr} names no address"));
@@ -379,6 +377,10 @@ pub struct LoadSpec {
     pub workers: u32,
     /// Global vertex count (PageRank and CF need |V|).
     pub vertices: u64,
+    /// The graph version the fragment is at: 0 for a fresh load, the
+    /// session's current version for a fragment shipped to a respawned
+    /// daemon, so the next [`UpdateSpec`] follows on without a gap.
+    pub version: u64,
 }
 
 impl Wire for LoadSpec {
@@ -388,6 +390,7 @@ impl Wire for LoadSpec {
         self.index.encode(out);
         self.workers.encode(out);
         self.vertices.encode(out);
+        self.version.encode(out);
     }
 
     fn decode(reader: &mut WireReader<'_>) -> Result<Self, WireError> {
@@ -397,6 +400,7 @@ impl Wire for LoadSpec {
             index: reader.u32()?,
             workers: reader.u32()?,
             vertices: reader.u64()?,
+            version: reader.u64()?,
         })
     }
 }
@@ -421,8 +425,10 @@ pub struct QueryJob {
     pub checkpoint_every: u32,
     /// The typed query itself.
     pub query: Query,
-    /// Chaos drill: the worker dies upon receiving this command index — a
-    /// daemon severs the connection, a dialled-in process SIGKILLs itself.
+    /// Chaos drill: the worker dies upon receiving this command index, as
+    /// its daemon's [`ServiceOptions::on_kill`] says — by default the query's
+    /// connection is severed; a `grape-worker daemon` process SIGKILLs
+    /// itself.
     pub kill_at: Option<u32>,
     /// Warm start: the graph version at which the worker's kept partial of
     /// this query must have converged, plus the dirty set of the updates
@@ -819,58 +825,49 @@ pub struct ServiceOptions {
     pub token: Option<String>,
     /// Read timeout on the hello handshake (resident connections block
     /// indefinitely between frames afterwards; their lifetime is the
-    /// client's).
+    /// client's). `None` or zero waits forever.
     pub handshake_timeout: Option<Duration>,
+    /// Fault injection applied to every query's BSP session (kills, muted,
+    /// duplicated or delayed frames); [`QueryJob::kill_at`] overrides its
+    /// kill index per query. [`ChaosConfig::default`] injects nothing.
+    pub chaos: ChaosConfig,
+    /// How a scheduled kill dies: `None` severs the query's connection and
+    /// keeps serving the others; the `grape-worker daemon` binary passes
+    /// [`crate::kill_self`].
+    pub on_kill: Option<fn()>,
 }
 
-/// What a worker-side frame loop serves from: the fragment registry, plus
-/// what a chaos drill's kill means here.
-pub(crate) struct ServiceState {
+/// What a daemon's frame loop serves from: the fragment registry and the
+/// daemon's options.
+struct ServiceState {
     registry: Mutex<HashMap<u64, ResidentGraph>>,
     options: ServiceOptions,
     stop: AtomicBool,
-    /// Fault injection applied to every query's BSP session;
-    /// [`QueryJob::kill_at`] overrides its kill index per query.
-    chaos: ChaosConfig,
-    /// How a scheduled kill dies. A daemon (`None`) severs the query's
-    /// connection and keeps serving the others; a dialled-in worker process
-    /// SIGKILLs itself ([`crate::kill_self`]).
-    on_kill: Option<fn()>,
-    /// Whether a query's converged partial is kept for later warm queries:
-    /// a daemon keeps it, a dialled-in batch worker — one query, then gone —
-    /// keeps nothing.
-    keeps_converged: bool,
 }
 
 impl ServiceState {
-    pub(crate) fn new(
-        options: ServiceOptions,
-        chaos: ChaosConfig,
-        on_kill: Option<fn()>,
-        keeps_converged: bool,
-    ) -> Self {
+    fn new(options: ServiceOptions) -> Self {
         ServiceState {
             registry: Mutex::new(HashMap::new()),
             options,
             stop: AtomicBool::new(false),
-            chaos,
-            on_kill,
-            keeps_converged,
         }
     }
 
     /// Keeps a query's converged `snapshot` beside fragment `index` of graph
     /// `graph_id`, stamped with the fragment `version` the run converged at.
     /// Never replaces a fresher entry: a concurrent run of the same query
-    /// may have converged on a later version.
+    /// may have converged on a later version. A program without snapshots
+    /// keeps nothing.
     fn keep_converged(
         &self,
         graph_id: u64,
         index: u32,
         key: Vec<u8>,
         version: u64,
-        snapshot: Vec<u8>,
+        snapshot: Option<Vec<u8>>,
     ) {
+        let Some(snapshot) = snapshot else { return };
         let mut registry = self.registry.lock().unwrap();
         let Some(resident) = registry.get_mut(&graph_id) else {
             return;
@@ -889,8 +886,7 @@ impl ServiceState {
     }
 }
 
-/// A bound listener of either transport: what a daemon serves from, and what
-/// a batch coordinator accepts its dialled-in workers on.
+/// A bound listener of either transport: what a daemon serves from.
 pub enum ServiceListener {
     /// TCP listener.
     Tcp(TcpListener),
@@ -964,12 +960,7 @@ impl GrapeService {
     fn on(endpoint: &Endpoint, options: ServiceOptions) -> io::Result<GrapeService> {
         Ok(GrapeService {
             listener: ServiceListener::bind(endpoint)?,
-            state: Arc::new(ServiceState::new(
-                options,
-                ChaosConfig::default(),
-                None,
-                true,
-            )),
+            state: Arc::new(ServiceState::new(options)),
         })
     }
 
@@ -1050,53 +1041,41 @@ impl Drop for ServiceHandle {
     }
 }
 
-/// Reads and validates a dialler's [`TAG_HELLO`] greeting within `timeout`.
-/// `expected = None` accepts any greeting; otherwise the presented token
-/// must match, and a mismatched or missing token is a typed
-/// `PermissionDenied` error.
-pub(crate) fn expect_hello<S: SplitStream>(
+/// Reads and validates a dialler's [`TAG_HELLO`] greeting within `timeout`
+/// (`None` or zero waits forever). `expected = None` accepts any greeting;
+/// otherwise the presented token must match, and a mismatched or missing
+/// token is a typed `PermissionDenied` error.
+fn expect_hello<S: SplitStream>(
     stream: &mut S,
     expected: Option<&str>,
-    index: usize,
     timeout: Option<Duration>,
 ) -> io::Result<()> {
     stream.set_read_timeout(timeout)?;
     let frame = wire::read_frame_io_epoch(stream);
     stream.set_read_timeout(None)?;
+    let lost = |why: String| io::Error::other(format!("dialler lost during handshake: {why}"));
     let (tag, _epoch, body) = frame
-        .map_err(|e| {
-            if matches!(
-                e.kind(),
-                io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-            ) {
-                io::Error::other(format!(
-                    "worker {index} lost during handshake: no hello frame within the read timeout"
-                ))
-            } else {
-                io::Error::other(format!("worker {index} lost during handshake: {e}"))
+        .map_err(|e| match e.kind() {
+            io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut => {
+                lost("no hello frame within the read timeout".into())
             }
+            _ => lost(e.to_string()),
         })?
-        .ok_or_else(|| {
-            io::Error::other(format!(
-                "worker {index} lost during handshake: connection closed before the hello frame"
-            ))
-        })?;
+        .ok_or_else(|| lost("connection closed before the hello frame".into()))?;
     if tag != TAG_HELLO {
         return Err(bad_data(format!(
-            "worker {index}: expected hello frame, got tag {tag:#04x}"
+            "expected hello frame, got tag {tag:#04x}"
         )));
     }
     let token: Option<String> = decode_body(&body, "hello frame")?;
-    let denied = |message: String| io::Error::new(io::ErrorKind::PermissionDenied, message);
+    let denied = |message: &str| io::Error::new(io::ErrorKind::PermissionDenied, message);
     match (expected, token) {
         (None, _) => Ok(()),
         (Some(want), Some(got)) if same_secret(&got, want) => Ok(()),
-        (Some(_), Some(_)) => Err(denied(format!(
-            "worker {index} presented a mismatched auth token"
-        ))),
-        (Some(_), None) => Err(denied(format!(
-            "worker {index} presented no auth token, but this coordinator requires one"
-        ))),
+        (Some(_), Some(_)) => Err(denied("the dialler presented a mismatched auth token")),
+        (Some(_), None) => Err(denied(
+            "the dialler presented no auth token, but this daemon requires one",
+        )),
     }
 }
 
@@ -1160,20 +1139,15 @@ fn serve_connection<S: ServiceStream>(mut stream: S, state: &ServiceState) -> io
     expect_hello(
         &mut stream,
         state.options.token.as_deref(),
-        0,
         state.options.handshake_timeout,
     )?;
     serve_frames(stream, state)
 }
 
-/// The worker side of the job protocol, from "frame read" to "`TAG_RESULT`
+/// The daemon side of the job protocol, from "frame read" to "`TAG_RESULT`
 /// written": serves `TAG_LOAD`, `TAG_QUERY`, `TAG_UPDATE` and `TAG_UNLOAD`
-/// frames until the peer closes. A daemon runs it per accepted connection, a
-/// dialled-in batch worker over its one connection to the coordinator.
-pub(crate) fn serve_frames<S: ServiceStream>(
-    mut stream: S,
-    state: &ServiceState,
-) -> io::Result<()> {
+/// frames of one accepted connection until the peer closes.
+fn serve_frames<S: ServiceStream>(mut stream: S, state: &ServiceState) -> io::Result<()> {
     loop {
         let Some((tag, epoch, body)) = wire::read_frame_io_epoch(&mut stream)? else {
             return Ok(()); // The peer is done with this connection.
@@ -1307,6 +1281,7 @@ fn load_fragment<S: ServiceStream>(
                 spec.graph_id
             )));
         }
+        entry.versions[spec.index as usize] = spec.version;
         // What converged on the fragment this one replaces says nothing
         // about it.
         entry.converged.retain(|&(index, _), _| index != spec.index);
@@ -1524,8 +1499,11 @@ impl<S: ServiceStream> ClassVisitor for Answer<'_, S> {
         let threads = ThreadCount::from(job.threads).resolve(job.workers as usize, false);
         let checkpoint_every = job.checkpoint_every as usize;
         let chaos = ChaosConfig {
-            kill_at: job.kill_at.map(|at| at as usize).or(state.chaos.kill_at),
-            ..state.chaos
+            kill_at: job
+                .kill_at
+                .map(|at| at as usize)
+                .or(state.options.chaos.kill_at),
+            ..state.options.chaos
         };
         let stats = Arc::new(CommStats::new());
         let transport = FramedStreamWorker::<P::Value>::new(stream.try_clone_stream()?, stats)?
@@ -1533,7 +1511,7 @@ impl<S: ServiceStream> ClassVisitor for Answer<'_, S> {
         // The fault schedule of a drill; empty (the default), the wrapper
         // passes every command and report through.
         let victim = stream.try_clone_stream()?;
-        let die = state.on_kill;
+        let die = state.options.on_kill;
         let on_kill = move || match die {
             Some(die) => die(),
             None => {
@@ -1562,40 +1540,26 @@ impl<S: ServiceStream> ClassVisitor for Answer<'_, S> {
                 "query {run_id} torn down before PEval"
             )));
         };
-        let (frame, snapshot) = result_frame(
-            &program,
-            fragment,
-            &partial,
-            warm,
-            run_id,
-            state.keeps_converged,
-        )?;
-        if let Some(snapshot) = snapshot {
-            state.keep_converged(job.graph_id, job.index, key, version, snapshot);
-        }
+        let (frame, snapshot) = result_frame(&program, fragment, &partial, warm, run_id)?;
+        state.keep_converged(job.graph_id, job.index, key, version, snapshot);
         send(&mut stream.try_clone_stream()?, &frame)
     }
 }
 
 /// A finished query's `TAG_RESULT` frame — what Assemble reads of the
-/// partial, then the flag that says whether PEval started warm — and, when
-/// `keep` asks for it, the partial's snapshot to keep. One snapshot at most:
-/// a program whose answer is its snapshot ([`PieProgram::encode_answer`]
-/// declines) ships the one it keeps.
+/// partial, then the flag that says whether PEval started warm — and the
+/// partial's snapshot to keep. One snapshot at most: a program whose answer
+/// is its snapshot ([`PieProgram::encode_answer`] declines) ships the one it
+/// keeps.
 fn result_frame<P: PieProgram>(
     program: &P,
     fragment: &Fragment<P::VertexData, P::EdgeData>,
     partial: &P::Partial,
     warm: bool,
     run_id: u32,
-    keep: bool,
 ) -> io::Result<(Vec<u8>, Option<Vec<u8>>)> {
     let owners = program.encode_answer(fragment, partial);
-    let snapshot = if keep || owners.is_none() {
-        program.snapshot_partial(partial)
-    } else {
-        None
-    };
+    let snapshot = program.snapshot_partial(partial);
     let answer = owners
         .as_deref()
         .or(snapshot.as_deref())
@@ -1605,20 +1569,25 @@ fn result_frame<P: PieProgram>(
         out.extend_from_slice(answer);
         warm.encode(out);
     });
-    Ok((frame, snapshot.filter(|_| keep)))
+    Ok((frame, snapshot))
 }
 
 // ---------------------------------------------------------------------------
 // The client: Session
 // ---------------------------------------------------------------------------
 
+/// Starts a fresh, empty daemon to serve worker `worker` of a session, and
+/// returns its endpoint; see [`SessionConfig::respawn`].
+pub type Respawn = Arc<dyn Fn(usize) -> io::Result<Endpoint> + Send + Sync>;
+
 /// Where a session's workers live.
-#[derive(Debug, Clone, Default)]
+#[derive(Clone, Default)]
 pub struct SessionConfig {
     /// Number of fragments/workers.
     pub workers: usize,
-    /// Daemon endpoints; worker `i` is served by `endpoints[i % len]`, so a
-    /// single daemon can host the whole fleet. Empty = a private daemon that
+    /// Daemon endpoints; worker `i` is served by `endpoints[i % len]` (until
+    /// a [`SessionConfig::respawn`] replaces its daemon), so a single daemon
+    /// can host the whole fleet. Empty = a private daemon that
     /// [`Session::connect`] spawns on a loopback port of this process and
     /// binds with [`EngineConfig::auth_token`], or a fresh random token.
     pub endpoints: Vec<Endpoint>,
@@ -1629,6 +1598,13 @@ pub struct SessionConfig {
     /// [`EngineConfig::run_id`] is stamped per query by the session and need
     /// not be set here.
     pub engine: EngineConfig,
+    /// Recovery by respawn: a worker lost mid-query is taken to have lost
+    /// its daemon, and `respawn(worker)` starts a fresh, empty one. The
+    /// session ships it the worker's fragment at the session's graph
+    /// version, serves that worker from it from then on, and resumes the
+    /// query there. Forces a checkpoint cadence of at least 1. `None`
+    /// reconnects to the same daemon, which still holds the fragment.
+    pub respawn: Option<Respawn>,
 }
 
 impl SessionConfig {
@@ -1653,6 +1629,15 @@ impl SessionConfig {
     /// Overrides the engine configuration.
     pub fn with_engine(mut self, engine: EngineConfig) -> SessionConfig {
         self.engine = engine;
+        self
+    }
+
+    /// Sets [`SessionConfig::respawn`].
+    pub fn with_respawn(
+        mut self,
+        respawn: impl Fn(usize) -> io::Result<Endpoint> + Send + Sync + 'static,
+    ) -> SessionConfig {
+        self.respawn = Some(Arc::new(respawn));
         self
     }
 }
@@ -1694,6 +1679,9 @@ struct SessionInner {
     /// Never without endpoints: an in-process session's one endpoint is its
     /// private `daemon`'s.
     config: SessionConfig,
+    /// The daemon serving each worker: `endpoints[i % len]`, until a
+    /// [`SessionConfig::respawn`] replaces it.
+    routes: Vec<Mutex<Endpoint>>,
     graph: Mutex<Option<LoadedGraph>>,
     /// Orders queries against updates and loads: a query holds it shared
     /// from its snapshot of `graph` until its workers reported; an update
@@ -1782,6 +1770,7 @@ impl Session {
                 let options = ServiceOptions {
                     token: Some(token.clone()),
                     handshake_timeout: config.engine.read_timeout,
+                    ..Default::default()
                 };
                 let daemon = GrapeService::bind("127.0.0.1:0", options)?.spawn()?;
                 config.endpoints.push(daemon.endpoint().clone());
@@ -1797,9 +1786,13 @@ impl Session {
                     io::Error::other(format!("service endpoint {endpoint} unreachable: {e}"))
                 })?;
         }
+        let routes = (0..config.workers)
+            .map(|i| Mutex::new(config.endpoints[i % config.endpoints.len()].clone()))
+            .collect();
         Ok(Session {
             inner: Arc::new(SessionInner {
                 config,
+                routes,
                 graph: Mutex::new(None),
                 resident: RwLock::new(()),
                 next_run_id: AtomicU32::new(1),
@@ -1826,6 +1819,7 @@ impl Session {
             index: 0, // set per fragment
             workers: n as u32,
             vertices,
+            version: 0,
         };
         let shipped = match &fragments {
             SessionFragments::Weighted(frags) => self.inner.ship_fragments(spec, frags),
@@ -1886,10 +1880,11 @@ impl Session {
         self.submit_inner(query, None)
     }
 
-    /// [`Session::submit`] with a chaos schedule: worker `kill_worker`'s
-    /// connection is severed upon receiving command `kill_at` — the
-    /// transport-level SIGKILL of the recovery drills. Forces a checkpoint
-    /// cadence of at least 1 so the query recovers.
+    /// [`Session::submit`] with a chaos schedule: worker `kill_worker` dies
+    /// upon receiving command `kill_at`, as its daemon's
+    /// [`ServiceOptions::on_kill`] says — by default its connection is
+    /// severed, the transport-level SIGKILL of the recovery drills. Forces a
+    /// checkpoint cadence of at least 1 so the query recovers.
     pub fn submit_with_kill(
         &self,
         query: Query,
@@ -2137,25 +2132,47 @@ impl SessionInner {
     {
         for (index, fragment) in fragments.iter().enumerate() {
             spec.index = index as u32;
-            ship_fragment(&mut self.dial_control(index)?, &spec, 0, fragment)?;
+            ship_fragment(&mut self.dial_control(&self.route(index))?, &spec, fragment)?;
         }
         Ok(())
     }
 
-    /// A greeted connection to the daemon hosting worker `index`.
-    fn dial(&self, index: usize) -> io::Result<ServiceSocket> {
-        self.config.endpoints[index % self.config.endpoints.len()]
-            .dial(&self.config.engine.auth_token)
+    /// The daemon serving worker `index` now.
+    fn route(&self, index: usize) -> Endpoint {
+        self.routes[index].lock().unwrap().clone()
     }
 
-    /// [`SessionInner::dial`] for a request answered by one ack (a load, an
-    /// update, an unload): connecting, writing and the ack are bounded by
-    /// the read timeout, so a daemon that never answers fails the request
-    /// instead of stalling it, and the queries waiting behind it, for good.
-    fn dial_control(&self, index: usize) -> io::Result<ServiceSocket> {
+    /// A greeted connection to `endpoint` for a request answered by one ack
+    /// (a load, an update, an unload): connecting, writing and the ack are
+    /// bounded by the read timeout, so a daemon that never answers fails the
+    /// request instead of stalling it, and the queries waiting behind it,
+    /// for good.
+    fn dial_control(&self, endpoint: &Endpoint) -> io::Result<ServiceSocket> {
         let engine = &self.config.engine;
-        self.config.endpoints[index % self.config.endpoints.len()]
-            .dial_within(&engine.auth_token, engine.read_timeout)
+        endpoint.dial_within(&engine.auth_token, engine.read_timeout)
+    }
+
+    /// Serves worker `spec.index` from a fresh daemon of the respawn hook,
+    /// shipped `fragment` at `spec`'s version — unless a concurrent query
+    /// already moved it off `lost`, the daemon this query lost it on.
+    fn respawn_worker<V, E>(
+        &self,
+        respawn: &Respawn,
+        lost: &Endpoint,
+        spec: &LoadSpec,
+        fragment: &Fragment<V, E>,
+    ) -> io::Result<()>
+    where
+        V: Wire + Clone,
+        E: Wire + Clone,
+    {
+        let mut route = self.routes[spec.index as usize].lock().unwrap();
+        if *route == *lost {
+            let fresh = respawn(spec.index as usize)?;
+            ship_fragment(&mut self.dial_control(&fresh)?, spec, fragment)?;
+            *route = fresh;
+        }
+        Ok(())
     }
 
     /// Ships one resolved batch, wire-encoded once as `batch`, to every
@@ -2178,7 +2195,7 @@ impl SessionInner {
                 spec.encode(out);
                 out.extend_from_slice(batch);
             });
-            let mut stream = self.dial_control(index)?;
+            let mut stream = self.dial_control(&self.route(index))?;
             send(&mut stream, &frame)?;
             streams.push(stream);
         }
@@ -2195,16 +2212,24 @@ impl SessionInner {
         Ok(())
     }
 
-    /// Tells every daemon to drop graph `graph_id`: one `TAG_UNLOAD` frame
-    /// per endpoint, all written before the first `TAG_UNLOADED` ack is
-    /// read. A daemon older than the unload frame hangs up on it: an `Err`
-    /// that leaves its graph resident, as it always was there.
+    /// Tells every daemon serving a worker to drop graph `graph_id`: one
+    /// `TAG_UNLOAD` frame per daemon, all written before the first
+    /// `TAG_UNLOADED` ack is read. A daemon older than the unload frame
+    /// hangs up on it: an `Err` that leaves its graph resident, as it always
+    /// was there.
     fn unload(&self, graph_id: u64) -> io::Result<()> {
         let mut frame = Vec::new();
         wire::encode_frame_epoch(TAG_UNLOAD, 0, &graph_id, &mut frame);
-        let mut streams = Vec::with_capacity(self.config.endpoints.len());
-        for index in 0..self.config.endpoints.len() {
-            let mut stream = self.dial_control(index)?;
+        let mut daemons: Vec<Endpoint> = Vec::new();
+        for index in 0..self.routes.len() {
+            let route = self.route(index);
+            if !daemons.contains(&route) {
+                daemons.push(route);
+            }
+        }
+        let mut streams = Vec::with_capacity(daemons.len());
+        for daemon in &daemons {
+            let mut stream = self.dial_control(daemon)?;
             send(&mut stream, &frame)?;
             streams.push(stream);
         }
@@ -2271,7 +2296,14 @@ impl SessionInner {
         let run = SessionRun {
             session: self,
             query,
-            graph_id,
+            load: LoadSpec {
+                graph_id,
+                family: fragments.family(),
+                index: 0, // set per respawned worker
+                workers: self.config.workers as u32,
+                vertices,
+                version: warm.version,
+            },
             run_id,
             warm: &warm,
             kill,
@@ -2303,7 +2335,8 @@ impl SessionInner {
 struct SessionRun<'a> {
     session: &'a SessionInner,
     query: &'a Query,
-    graph_id: u64,
+    /// The graph the query runs on, as a respawned daemon is loaded with it.
+    load: LoadSpec,
     run_id: u32,
     warm: &'a WarmContext,
     kill: Option<(usize, usize)>,
@@ -2317,24 +2350,30 @@ impl ClassVisitor for SessionRun<'_> {
     /// warm-starts from the converged partial it keeps and the dirty set of
     /// the updates applied since; either way the run's convergence is
     /// recorded for the next submission, and the answer assembled.
-    fn visit<P: PieProgram>(
+    fn visit<P>(
         self,
         program: P,
         _typed: P::Query,
         wrap: impl Fn(P::Output) -> QueryResult,
         fragments: &[Arc<Fragment<P::VertexData, P::EdgeData>>],
-    ) -> io::Result<QueryOutcome> {
+    ) -> io::Result<QueryOutcome>
+    where
+        P: PieProgram,
+        P::VertexData: Wire,
+        P::EdgeData: Wire,
+    {
         let SessionRun {
             session,
             query,
-            graph_id,
+            load,
             run_id,
             warm,
             kill,
         } = self;
+        let respawn = session.config.respawn.as_ref();
         let mut config = session.config.engine.clone();
         config.run_id = run_id;
-        if kill.is_some() && config.checkpoint_every == 0 {
+        if (kill.is_some() || respawn.is_some()) && config.checkpoint_every == 0 {
             config.checkpoint_every = 1;
         }
         // Do not ship a handle that will be refused: the worker decides, but
@@ -2347,13 +2386,22 @@ impl ClassVisitor for SessionRun<'_> {
         let engine = GrapeEngine::new(program).with_config(config);
         let config = engine.config();
 
-        // A stream to worker `i` at epoch `e`: a fresh connection to its
-        // daemon, which holds the fragment resident — reconnecting after a
-        // loss re-ships nothing.
+        // A stream to worker `i` at epoch `e`: a fresh connection to the
+        // daemon serving it, which holds the fragment resident. Reopening
+        // after a loss reconnects to that daemon and re-ships nothing — or,
+        // with a respawn hook, first moves the worker to a fresh daemon.
         let mut frame = Vec::new();
+        let mut dialled: Vec<Option<Endpoint>> = vec![None; fragments.len()];
         let mut open = |worker: usize, epoch: u32| -> io::Result<(ServiceSocket, usize)> {
+            if let (Some(respawn), Some(lost)) = (respawn, &dialled[worker]) {
+                let spec = LoadSpec {
+                    index: worker as u32,
+                    ..load.clone()
+                };
+                session.respawn_worker(respawn, lost, &spec, &fragments[worker])?;
+            }
             let job = QueryJob {
-                graph_id,
+                graph_id: load.graph_id,
                 index: worker as u32,
                 workers: fragments.len() as u32,
                 run_id: epoch,
@@ -2371,8 +2419,10 @@ impl ClassVisitor for SessionRun<'_> {
             };
             frame.clear();
             wire::encode_frame_epoch(TAG_QUERY, epoch, &job, &mut frame);
-            let mut stream = session.dial(worker)?;
+            let route = session.route(worker);
+            let mut stream = route.dial(&session.config.engine.auth_token)?;
             send(&mut stream, &frame)?;
+            dialled[worker] = Some(route);
             Ok((stream, frame.len()))
         };
         let (answers, mut stats) =
@@ -2383,7 +2433,7 @@ impl ClassVisitor for SessionRun<'_> {
             .assemble_answers(fragments, &answers)
             .map_err(|e| bad_data(format!("query {run_id}: {e}")))?;
         stats.assemble_seconds = assemble_started.elapsed().as_secs_f64();
-        session.store_converged(graph_id, warm);
+        session.store_converged(load.graph_id, warm);
         Ok(QueryOutcome {
             result: wrap(output),
             stats,
@@ -2392,11 +2442,10 @@ impl ClassVisitor for SessionRun<'_> {
 }
 
 /// Ships one fragment down a greeted connection and waits for the ack:
-/// `TAG_LOAD`, the fragment frame at the same `epoch`, then `TAG_LOADED`.
-pub(crate) fn ship_fragment<V, E>(
+/// `TAG_LOAD`, the fragment frame, both at epoch 0, then `TAG_LOADED`.
+fn ship_fragment<V, E>(
     stream: &mut (impl Read + Write),
     spec: &LoadSpec,
-    epoch: u32,
     fragment: &Fragment<V, E>,
 ) -> io::Result<()>
 where
@@ -2404,8 +2453,8 @@ where
     E: Wire + Clone,
 {
     let mut frames = Vec::new();
-    wire::encode_frame_epoch(TAG_LOAD, epoch, spec, &mut frames);
-    encode_fragment_epoch(fragment, epoch, &mut frames);
+    wire::encode_frame_epoch(TAG_LOAD, 0, spec, &mut frames);
+    encode_fragment_epoch(fragment, 0, &mut frames);
     send(stream, &frames)?;
     let ack = read_ack(stream, TAG_LOADED, &format!("fragment {}", spec.index))?;
     let acked: u64 = decode_body(&ack, "load ack")?;
@@ -2423,9 +2472,9 @@ where
 /// transport hold their own aliases of the sockets, so dropping the
 /// transport alone would leave each worker waiting for a next frame that
 /// never comes.
-struct Hangup<S: ServiceStream>(Vec<S>);
+struct Hangup(Vec<ServiceSocket>);
 
-impl<S: ServiceStream> Drop for Hangup<S> {
+impl Drop for Hangup {
     fn drop(&mut self) {
         for stream in &self.0 {
             let _ = stream.shutdown_both();
@@ -2436,37 +2485,32 @@ impl<S: ServiceStream> Drop for Hangup<S> {
 /// The coordinator side of one query over remote workers: opens a stream per
 /// worker, drives the BSP fixpoint over them, and collects one `TAG_RESULT`
 /// per worker. Returns, in worker order, the workers' answers — the bytes
-/// [`PieProgram::assemble_answers`] reads — plus the run's stats, [`RunStats::warm_fragments`] included.
+/// [`PieProgram::assemble_answers`] reads — plus the run's stats,
+/// [`RunStats::warm_fragments`] included.
 ///
-/// `open(worker, epoch)` is the only thing that differs between callers: it
-/// must return a stream on which worker `worker` has been sent its
-/// `TAG_QUERY` at `epoch`, and the bytes of that frame — called once per
-/// worker at [`EngineConfig::run_id`] and, when `recoverable`, again at a
-/// bumped epoch for every worker lost mid-run. A session dials the daemon;
-/// the batch coordinator takes an accepted connection (or respawns a
-/// process) and ships the fragment first. The stats carry the service
-/// boundary's share: time in `open` ([`RunStats::dispatch_seconds`]), the
-/// result wait ([`RunStats::collect_seconds`]), and the query and result
-/// frame bytes ([`RunStats::boundary_bytes`]).
+/// `open(worker, epoch)` must return a stream on which worker `worker` has
+/// been sent its `TAG_QUERY` at `epoch`, and the bytes of that frame —
+/// called once per worker at [`EngineConfig::run_id`] and, when
+/// `recoverable`, again at a bumped epoch for every worker lost mid-run.
+/// The stats carry the service boundary's share: time in `open`
+/// ([`RunStats::dispatch_seconds`]), the result wait
+/// ([`RunStats::collect_seconds`]), and the query and result frame bytes
+/// ([`RunStats::boundary_bytes`]).
 ///
 /// A result frame is a peer's: one that does not end in a warm flag, or
 /// that comes from a worker which already answered, is an `InvalidData`
 /// error; [`PieProgram::assemble_answers`] checks the answers themselves.
-pub(crate) fn coordinate<P, S>(
+fn coordinate<P: PieProgram>(
     engine: &GrapeEngine<P>,
     fragments: &[Arc<Fragment<P::VertexData, P::EdgeData>>],
     recoverable: bool,
-    open: &mut dyn FnMut(usize, u32) -> io::Result<(S, usize)>,
-) -> io::Result<(Vec<Vec<u8>>, RunStats)>
-where
-    P: PieProgram,
-    S: ServiceStream,
-{
+    open: &mut dyn FnMut(usize, u32) -> io::Result<(ServiceSocket, usize)>,
+) -> io::Result<(Vec<Vec<u8>>, RunStats)> {
     let n = fragments.len();
     let run_id = engine.config().run_id;
     let mut dispatch_seconds = 0.0;
     let mut query_bytes = 0;
-    let mut open = |worker: usize, epoch: u32| -> io::Result<S> {
+    let mut open = |worker: usize, epoch: u32| -> io::Result<ServiceSocket> {
         let started = Instant::now();
         let (stream, sent) = open(worker, epoch)?;
         dispatch_seconds += started.elapsed().as_secs_f64();
@@ -2708,6 +2752,7 @@ mod tests {
             index: 0,
             workers: 2,
             vertices: 30,
+            version: 0,
         };
         let mut frames = Vec::new();
         wire::encode_frame_epoch(TAG_LOAD, 0, &spec, &mut frames);
@@ -2751,6 +2796,7 @@ mod tests {
             index: 0,
             workers: 2,
             vertices: 30,
+            version: 0,
         };
         let mut frames = Vec::new();
         wire::encode_frame_epoch(TAG_LOAD, 0, &spec, &mut frames);
@@ -2969,26 +3015,22 @@ mod tests {
             let query = grape_algo::SsspQuery::new(0);
             let (partials, _) = engine.run_partials(&query, &fragments, &[]).unwrap();
             let program = engine.program();
-            // A daemon keeps the snapshot; a dialled-in batch worker does not.
-            for keep in [true, false] {
-                program.snapshots.store(0, Ordering::SeqCst);
-                let (frame, kept) =
-                    result_frame(program, &fragments[0], &partials[0], false, 7, keep)
-                        .expect("frame");
-                let taken = program.snapshots.load(Ordering::SeqCst);
-                assert_eq!(
-                    taken,
-                    u64::from(keep || !owners),
-                    "owners {owners} keep {keep}"
-                );
-                assert_eq!(kept.is_some(), keep);
-                let (_, body, _) = wire::decode_frame(&frame).expect("a frame");
-                let answer = match owners {
-                    true => program.encode_answer(&fragments[0], &partials[0]),
-                    false => program.snapshot_partial(&partials[0]),
-                };
-                assert_eq!(body, [&answer.unwrap()[..], &[0]].concat());
-            }
+            // The daemon keeps the snapshot, and ships it when it is the
+            // answer: one snapshot either way.
+            let (frame, kept) =
+                result_frame(program, &fragments[0], &partials[0], false, 7).expect("frame");
+            assert_eq!(
+                program.snapshots.load(Ordering::SeqCst),
+                1,
+                "owners {owners}"
+            );
+            assert!(kept.is_some());
+            let (_, body, _) = wire::decode_frame(&frame).expect("a frame");
+            let answer = match owners {
+                true => program.encode_answer(&fragments[0], &partials[0]),
+                false => program.snapshot_partial(&partials[0]),
+            };
+            assert_eq!(body, [&answer.unwrap()[..], &[0]].concat());
         }
     }
 
@@ -3035,12 +3077,7 @@ mod tests {
         client
             .shutdown(std::net::Shutdown::Write)
             .expect("shutdown");
-        let state = ServiceState::new(
-            ServiceOptions::default(),
-            ChaosConfig::default(),
-            None,
-            true,
-        );
+        let state = ServiceState::new(ServiceOptions::default());
         serve_connection(server, &state).expect("served");
         assert!(
             client.nodelay().expect("client option"),
@@ -3056,7 +3093,7 @@ mod tests {
             let (mut dialler, mut acceptor) = UnixStream::pair().expect("pair");
             let token = token.map(String::from);
             wire::write_frame_io_epoch(&mut dialler, TAG_HELLO, 0, &token).expect("write");
-            expect_hello(&mut acceptor, expected, 3, None)
+            expect_hello(&mut acceptor, expected, None)
         };
         assert!(greet(None, None).is_ok());
         assert!(greet(Some("anything"), None).is_ok());
@@ -3064,19 +3101,19 @@ mod tests {
         for presented in [Some("wrong"), None] {
             let err = greet(presented, Some("secret")).expect_err("rejected");
             assert_eq!(err.kind(), io::ErrorKind::PermissionDenied, "{err}");
-            assert!(err.to_string().contains("worker 3"), "{err}");
+            assert!(err.to_string().contains("auth token"), "{err}");
         }
 
         // Anything but a hello, a silent dialler and a hang-up are all typed.
         let (mut dialler, mut acceptor) = UnixStream::pair().expect("pair");
         wire::write_frame_io_epoch(&mut dialler, TAG_QUERY, 0, &0u8).expect("write");
-        let err = expect_hello(&mut acceptor, None, 0, None).expect_err("not a hello");
+        let err = expect_hello(&mut acceptor, None, None).expect_err("not a hello");
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         let timeout = Some(Duration::from_millis(20));
-        let err = expect_hello(&mut acceptor, None, 0, timeout).expect_err("silence");
+        let err = expect_hello(&mut acceptor, None, timeout).expect_err("silence");
         assert!(err.to_string().contains("read timeout"), "{err}");
         drop(dialler);
-        let err = expect_hello(&mut acceptor, None, 0, None).expect_err("hang-up");
+        let err = expect_hello(&mut acceptor, None, None).expect_err("hang-up");
         assert!(err.to_string().contains("lost during handshake"), "{err}");
     }
 
@@ -3094,11 +3131,11 @@ mod tests {
             index: 0,
             workers: 1,
             vertices: 30,
+            version: 0,
         };
         // A "worker" that acks graph 12 whatever it was sent.
         wire::write_frame_io_epoch(&mut worker, TAG_LOADED, 0, &12u64).expect("ack");
-        let err =
-            ship_fragment(&mut coordinator, &spec, 0, &fragments[0]).expect_err("foreign ack");
+        let err = ship_fragment(&mut coordinator, &spec, &fragments[0]).expect_err("foreign ack");
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("acked graph 0xc"), "{err}");
         // What went out is the load spec, then the fragment, at one epoch.
@@ -3328,6 +3365,35 @@ mod tests {
     }
 
     #[test]
+    fn a_zero_timeout_waits_forever_everywhere() {
+        // A daemon whose handshake timeout is zero, and an in-process session
+        // whose read timeout is: its private daemon's handshake, its load
+        // and unload acks and its coordinator's report deadline all read
+        // zero as no timeout, like `Endpoint::dial_within`, and serve.
+        let zero = Some(Duration::ZERO);
+        let options = ServiceOptions {
+            handshake_timeout: zero,
+            ..Default::default()
+        };
+        let daemon = GrapeService::bind("127.0.0.1:0", options)
+            .expect("bind")
+            .spawn()
+            .expect("spawn");
+        let engine = EngineConfig::builder().read_timeout(zero).build();
+        let graph: SessionGraph = barabasi_albert(60, 2, 5).expect("generator").into();
+        for config in [
+            SessionConfig::remote(2, vec![daemon.endpoint().clone()]),
+            SessionConfig::in_process(2).with_engine(engine),
+        ] {
+            let session = Session::connect(config).expect("connect");
+            session.load(&graph, BuiltinStrategy::Hash).expect("load");
+            let outcome = session.submit(Query::sssp(0)).expect("submit").join();
+            assert_eq!(outcome.expect("query").stats.recoveries, 0);
+        }
+        daemon.shutdown().expect("shutdown");
+    }
+
+    #[test]
     fn load_spec_wire_roundtrip() {
         roundtrip(&LoadSpec {
             graph_id: 0xdead_beef_0000_0001,
@@ -3335,6 +3401,7 @@ mod tests {
             index: 3,
             workers: 4,
             vertices: 5000,
+            version: 6,
         });
     }
 

@@ -1,15 +1,21 @@
-//! The two batch entry points on in-process socket pairs: what a run needs
-//! to start, and that no worker is left waiting when it fails.
+//! A batch run is a one-query session over daemons: that no daemon is left
+//! waiting when its query fails, and that listeners report the endpoint
+//! they accept on.
 
-use grape_comm::wire::{self, TAG_HELLO, TAG_LOADED};
+mod support;
+
+use grape_comm::wire::{self, TAG_QUERY};
 use grape_core::EngineConfig;
+use grape_worker::service::ServiceStream;
 use grape_worker::{
-    run_coordinator, run_worker, Endpoint, GraphSpec, JobSpec, ServiceListener, WorkerOptions,
+    run_session, Endpoint, GrapeService, GraphSpec, JobSpec, ServiceListener, ServiceOptions,
+    SessionConfig,
 };
-use std::io::{self, Read, Write};
-use std::os::unix::net::UnixStream;
+use std::io::{Read, Write};
+use std::net::TcpListener;
 use std::sync::mpsc;
 use std::time::Duration;
+use support::silent_daemon;
 
 fn weighted_job(algo: &str) -> JobSpec {
     JobSpec {
@@ -27,60 +33,78 @@ fn weighted_job(algo: &str) -> JobSpec {
     }
 }
 
-#[test]
-fn a_batch_run_needs_one_connection_per_worker() {
-    let (one, _other) = UnixStream::pair().unwrap();
-    let err = run_coordinator(
-        &weighted_job("cc"),
-        vec![one],
-        &EngineConfig::default(),
-        None,
-    )
-    .expect_err("1 connection for 3 workers");
-    assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-    assert!(err.to_string().contains("1 connections for 3 workers"));
+/// A proxy in front of `upstream` that passes every frame through and, for
+/// each connection that carried a query, sends `released` whether the
+/// session hung up on it.
+fn hangup_proxy(upstream: Endpoint, released: mpsc::Sender<bool>) -> Endpoint {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind proxy");
+    let endpoint = Endpoint::Tcp(listener.local_addr().expect("addr").to_string());
+    std::thread::spawn(move || {
+        for client in listener.incoming().flatten() {
+            let mut daemon = upstream.connect().expect("upstream");
+            let (mut to_client, mut from_daemon) = (
+                client.try_clone().unwrap(),
+                daemon.try_clone_stream().unwrap(),
+            );
+            std::thread::spawn(move || {
+                let _ = std::io::copy(&mut from_daemon, &mut to_client);
+            });
+            let (mut client, released) = (client, released.clone());
+            std::thread::spawn(move || {
+                let mut queried = false;
+                let hung_up = loop {
+                    match wire::read_frame_io_epoch(&mut client) {
+                        Ok(Some((tag, epoch, body))) => {
+                            queried |= tag == TAG_QUERY;
+                            let mut frame = Vec::new();
+                            wire::encode_frame_with_epoch(tag, epoch, &mut frame, |out| {
+                                out.extend_from_slice(&body)
+                            });
+                            let _ = daemon.write_all(&frame);
+                        }
+                        Ok(None) => break true,
+                        Err(_) => break false,
+                    }
+                };
+                let _ = daemon.shutdown_both();
+                if queried {
+                    let _ = released.send(hung_up);
+                }
+            });
+        }
+    });
+    endpoint
 }
 
 #[test]
 fn workers_are_hung_up_on_when_a_run_fails() {
-    // Worker 0 is real. "Worker 1" greets, acks its load and then never
-    // reports, so the run fails on the read timeout — after which both
-    // must see their connection closed instead of waiting forever. The real
-    // worker's claim is that it returns, not how: the hang-up can reach it
-    // between frames, as the clean end of stream `run_worker` answers with
-    // `Ok(())`.
-    let (real, real_accepted) = UnixStream::pair().unwrap();
-    let (mut fake, fake_accepted) = UnixStream::pair().unwrap();
-    let (done, joined) = mpsc::channel();
-    let real_done = done.clone();
-    std::thread::spawn(move || {
-        let _ = run_worker(real, WorkerOptions::default());
-        let _ = real_done.send(true);
-    });
-    std::thread::spawn(move || {
-        wire::write_frame_io_epoch(&mut fake, TAG_HELLO, 0, &None::<String>).unwrap();
-        for _ in 0..2 {
-            wire::read_frame_io_epoch(&mut fake)
-                .unwrap()
-                .expect("load, then fragment");
-        }
-        wire::write_frame_io_epoch(&mut fake, TAG_LOADED, 0, &0u64).unwrap();
-        let hung_up = fake.read_to_end(&mut Vec::new()).is_ok();
-        let _ = done.send(hung_up);
-    });
+    // Worker 0's daemon is real, behind a proxy. "Worker 1"'s takes its
+    // fragment and then never reports, so the query fails on the read
+    // timeout — after which both must see their query connection closed
+    // instead of waiting forever.
+    let daemon = GrapeService::bind("127.0.0.1:0", ServiceOptions::default())
+        .expect("bind")
+        .spawn()
+        .expect("spawn");
+    let (released, joined) = mpsc::channel();
+    let endpoints = vec![
+        hangup_proxy(daemon.endpoint().clone(), released.clone()),
+        silent_daemon(released),
+    ];
     let mut job = weighted_job("cc");
     job.workers = 2;
-    let config = EngineConfig {
+    let engine = EngineConfig {
         read_timeout: Some(Duration::from_millis(200)),
         ..Default::default()
     };
-    let err = run_coordinator(&job, vec![real_accepted, fake_accepted], &config, None)
-        .expect_err("a worker that never reports fails the run");
+    let config = SessionConfig::remote(0, endpoints).with_engine(engine);
+    let err = run_session(&job, config).expect_err("a worker that never reports fails the run");
     assert!(err.to_string().contains("read timeout"), "{err}");
     for _ in 0..2 {
         let released = joined.recv_timeout(Duration::from_secs(10));
         assert_eq!(released, Ok(true), "a worker was left waiting");
     }
+    daemon.shutdown().expect("shutdown");
 }
 
 #[test]

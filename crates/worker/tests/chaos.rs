@@ -1,8 +1,9 @@
-//! Multi-process fault drills: real `grape-worker` OS processes that SIGKILL
-//! themselves at scheduled supersteps, with the coordinator recovering —
-//! respawn, re-ship the fragment and the query at a bumped epoch, resume from
-//! the last checkpoint, replay the commands since — and every recovered
-//! typed result pinned bit-identical to an undisturbed run of the same job.
+//! Multi-process fault drills: real `grape-worker daemon` OS processes that
+//! SIGKILL themselves at scheduled supersteps, with the session recovering —
+//! a fresh daemon from its respawn hook, the fragment shipped there again
+//! and the query resent at a bumped epoch, resume from the last checkpoint,
+//! replay the commands since — and every recovered typed result pinned
+//! bit-identical to an undisturbed run of the same job.
 //!
 //! The kill schedule sweeps *every* superstep index of the run, over both
 //! TCP and Unix-domain sockets, for all eight query classes, at every
@@ -15,11 +16,11 @@
 use grape_core::chaos::ChaosConfig;
 use grape_core::EngineConfig;
 use grape_worker::{
-    run_coordinator, run_local_framed, run_worker, Endpoint, GraphSpec, JobSpec, QueryOutcome,
-    ServiceListener, WorkerOptions,
+    run_local_framed, run_session, DaemonProcess, Endpoint, GrapeService, GraphSpec, JobSpec,
+    QueryOutcome, ServiceHandle, ServiceOptions, SessionConfig,
 };
-use std::cell::RefCell;
-use std::process::{Child, Command, Stdio};
+use std::process::{Command, Stdio};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 fn worker_bin() -> &'static str {
@@ -67,69 +68,59 @@ fn job(algo: &str) -> JobSpec {
     }
 }
 
-fn spawn_worker(args: &[String]) -> Child {
-    Command::new(worker_bin())
-        .args(args)
-        .stdout(Stdio::null())
-        .stderr(Stdio::null())
-        .spawn()
-        .expect("spawn grape-worker")
+/// Takes the first entry of `plan` naming `worker` out of it: the command
+/// index that worker's next daemon dies at.
+fn armed(plan: &mut Vec<(usize, usize)>, worker: usize) -> Option<usize> {
+    let at = plan.iter().position(|&(victim, _)| victim == worker)?;
+    Some(plan.remove(at).1)
 }
 
-/// Waits for every child; victims died by SIGKILL on purpose, so exit
-/// statuses are not asserted — only that nothing is left running.
-fn reap_lenient(children: Vec<Child>) {
-    for mut child in children {
-        let _ = child.wait();
-    }
-}
-
-/// One drill over `endpoint` (TCP or Unix-domain) with an arbitrary kill
-/// plan: each `kills` entry `(worker, kill_at)` arms that initial worker to
-/// die at its `kill_at`-th evaluation command; each `replacement_kills` entry
-/// is consumed by one respawn of that worker, arming the *replacement* —
-/// cascading failure. Spawn/accept run strictly in sequence so
-/// accepted-stream order is fragment order.
+/// One drill over daemons listening like `listen` (TCP, or a Unix-domain
+/// path that gets each daemon's number appended) with an arbitrary kill
+/// plan: each `kills` entry `(worker, kill_at)` starts that worker's daemon
+/// with `--kill-at kill_at`; each `replacement_kills` entry is consumed by
+/// one respawn of that worker, arming the *replacement* — cascading
+/// failure.
 fn drill_plan(
     job: &JobSpec,
-    endpoint: &Endpoint,
+    listen: &Endpoint,
     kills: &[(usize, usize)],
     replacement_kills: &[(usize, usize)],
-) -> QueryOutcome {
-    let listener = ServiceListener::bind(endpoint).expect("bind");
-    let connect_args = match listener.endpoint().expect("endpoint") {
-        Endpoint::Tcp(addr) => vec!["connect".to_string(), addr],
-        #[cfg(unix)]
-        Endpoint::Uds(path) => vec![
-            "connect-uds".to_string(),
-            path.to_str().expect("utf-8 socket path").to_string(),
-        ],
-    };
-    let spawn_armed = |kill_at: Option<usize>| {
-        let mut args = connect_args.clone();
-        if let Some(kill_at) = kill_at {
-            args.extend(["--kill-at".to_string(), kill_at.to_string()]);
+) -> std::io::Result<QueryOutcome> {
+    let daemons = Arc::new(Mutex::new(Vec::new()));
+    let start = {
+        let (listen, daemons) = (listen.clone(), Arc::clone(&daemons));
+        move |kill_at: Option<usize>| {
+            let mut daemons = daemons.lock().unwrap();
+            let mut command = Command::new(worker_bin());
+            command.arg("daemon").stderr(Stdio::null());
+            match &listen {
+                Endpoint::Tcp(addr) => command.args(["--listen", addr]),
+                #[cfg(unix)]
+                Endpoint::Uds(path) => {
+                    command
+                        .arg("--uds")
+                        .arg(format!("{}.{}", path.display(), daemons.len()))
+                }
+            };
+            if let Some(kill_at) = kill_at {
+                command.args(["--kill-at".to_string(), kill_at.to_string()]);
+            }
+            let daemon = DaemonProcess::spawn(command)?;
+            let endpoint = daemon.endpoint().clone();
+            daemons.push(daemon);
+            Ok(endpoint)
         }
-        spawn_worker(&args)
     };
-    let mut streams = Vec::new();
-    let mut children = Vec::new();
-    for index in 0..job.workers as usize {
-        let armed = kills.iter().find(|&&(worker, _)| worker == index);
-        children.push(spawn_armed(armed.map(|&(_, kill_at)| kill_at)));
-        streams.push(listener.accept().expect("accept"));
-    }
-    let children = RefCell::new(children);
-    let mut pending = replacement_kills.to_vec();
-    let mut respawn = |worker: usize| {
-        let position = pending.iter().position(|&(w, _)| w == worker);
-        let kill_at = position.map(|i| pending.remove(i).1);
-        children.borrow_mut().push(spawn_armed(kill_at));
-        listener.accept()
-    };
-    let outcome = run_coordinator(job, streams, &EngineConfig::default(), Some(&mut respawn))
-        .expect("recoverable run");
-    reap_lenient(children.into_inner());
+    let mut kills = kills.to_vec();
+    let endpoints = (0..job.workers as usize)
+        .map(|worker| start(armed(&mut kills, worker)).expect("start daemon"))
+        .collect();
+    let pending = Mutex::new(replacement_kills.to_vec());
+    let config = SessionConfig::remote(0, endpoints)
+        .with_respawn(move |worker| start(armed(&mut pending.lock().unwrap(), worker)));
+    let outcome = run_session(job, config);
+    drop(daemons);
     outcome
 }
 
@@ -139,7 +130,7 @@ fn tcp_drill_plan(
     replacement_kills: &[(usize, usize)],
 ) -> QueryOutcome {
     let endpoint = Endpoint::Tcp("127.0.0.1:0".into());
-    drill_plan(job, &endpoint, kills, replacement_kills)
+    drill_plan(job, &endpoint, kills, replacement_kills).expect("recoverable run")
 }
 
 fn tcp_drill(job: &JobSpec, kill_at: usize) -> QueryOutcome {
@@ -153,7 +144,7 @@ fn uds_drill(job: &JobSpec, kill_at: usize, tag: &str) -> QueryOutcome {
         "grape-chaos-{}-{tag}-{kill_at}.sock",
         std::process::id()
     ));
-    drill_plan(job, &Endpoint::Uds(path), &[(0, kill_at)], &[])
+    drill_plan(job, &Endpoint::Uds(path), &[(0, kill_at)], &[]).expect("recoverable run")
 }
 
 /// Sweeps the kill schedule over every superstep of the reference run, at
@@ -333,55 +324,59 @@ fn a_replacement_dying_mid_replay_reenters_recovery() {
 }
 
 #[test]
+fn a_crash_looping_daemon_process_exhausts_its_recovery_budget() {
+    // Worker 1's daemon process dies, and so does every daemon the respawn
+    // hook starts for it, on its first command: after the per-worker budget
+    // the session gives up with a typed crash-loop error instead of
+    // respawning forever.
+    let endpoint = Endpoint::Tcp("127.0.0.1:0".into());
+    let replacement_kills = [(1usize, 0usize); 8];
+    let err = drill_plan(&job("sssp"), &endpoint, &[(1, 1)], &replacement_kills)
+        .expect_err("a crash-looping worker must exhaust its budget");
+    let message = err.to_string();
+    assert!(
+        message.contains("crash-loop budget"),
+        "expected a crash-loop budget error, got: {message}"
+    );
+}
+
+#[test]
 fn a_muted_worker_hits_the_timeout_path_and_is_replaced() {
     // A worker whose sends are all dropped (its reports simply never arrive)
     // is indistinguishable from a hung process: the coordinator's read
     // timeout must attribute the silence, replace the worker and recover
-    // bit-identical. In-process worker threads over real TCP sockets, so
-    // the chaos transport's mute mode is exercised end to end.
+    // bit-identical. In-process daemons over real TCP sockets, so the chaos
+    // transport's mute mode is exercised end to end.
     let job = job("sssp");
     let reference = run_local_framed(&job).expect("reference run");
-    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
-    let addr = listener.local_addr().expect("addr");
-    let outcome = std::thread::scope(|scope| {
-        let mut streams = Vec::new();
-        for index in 0..job.workers as usize {
-            let connect = std::net::TcpStream::connect(addr).expect("connect");
-            let (accepted, _) = listener.accept().expect("accept");
-            let options = if index == 0 {
-                WorkerOptions {
-                    // The mute victim keeps reading and evaluating; the short
-                    // read timeout bounds its life after it stops being fed.
-                    read_timeout: Some(Duration::from_secs(5)),
-                    chaos: ChaosConfig {
-                        mute_per_mille: 1000,
-                        ..Default::default()
-                    },
-                    ..Default::default()
-                }
-            } else {
-                WorkerOptions::default()
-            };
-            scope.spawn(move || {
-                let _ = run_worker(connect, options);
-            });
-            streams.push(accepted);
-        }
-        let listener = &listener;
-        let mut respawn = |_worker: usize| {
-            let connect = std::net::TcpStream::connect(addr)?;
-            let (accepted, _) = listener.accept()?;
-            scope.spawn(move || {
-                let _ = run_worker(connect, WorkerOptions::default());
-            });
-            Ok(accepted)
-        };
-        let config = EngineConfig {
-            read_timeout: Some(Duration::from_millis(300)),
+    let daemon = |chaos: ChaosConfig| -> std::io::Result<ServiceHandle> {
+        let options = ServiceOptions {
+            chaos,
             ..Default::default()
         };
-        run_coordinator(&job, streams, &config, Some(&mut respawn)).expect("recoverable run")
-    });
+        GrapeService::bind("127.0.0.1:0", options)?.spawn()
+    };
+    let mute = ChaosConfig {
+        mute_per_mille: 1000,
+        ..Default::default()
+    };
+    let fleet = [daemon(mute), daemon(ChaosConfig::default())].map(|d| d.expect("daemon"));
+    let endpoints = fleet.iter().map(|d| d.endpoint().clone()).collect();
+    let respawned = Arc::new(Mutex::new(Vec::new()));
+    let kept = Arc::clone(&respawned);
+    let engine = EngineConfig {
+        read_timeout: Some(Duration::from_millis(300)),
+        ..Default::default()
+    };
+    let config = SessionConfig::remote(0, endpoints)
+        .with_engine(engine)
+        .with_respawn(move |_worker| {
+            let fresh = daemon(ChaosConfig::default())?;
+            let endpoint = fresh.endpoint().clone();
+            kept.lock().unwrap().push(fresh);
+            Ok(endpoint)
+        });
+    let outcome = run_session(&job, config).expect("recoverable run");
     assert_eq!(outcome.result, reference.result);
     assert_eq!(outcome.stats.supersteps, reference.stats.supersteps);
     assert!(

@@ -1,24 +1,23 @@
-//! End-to-end multi-process tests: real `grape-worker` OS processes speaking
-//! the framed wire protocol over TCP and Unix-domain sockets, pinned
-//! bit-identical to the in-process framed reference — and, through it, to
-//! the in-process and remote-daemon sessions that share its code.
+//! End-to-end multi-process tests: real `grape-worker daemon` OS processes
+//! serving sessions over TCP and Unix-domain sockets, pinned bit-identical
+//! to the in-process framed reference — and, through it, to the in-process
+//! and in-thread daemon sessions that share their code.
 
-use grape_algo::{Query, QueryClass};
-use grape_core::EngineConfig;
+mod support;
+
+use grape_algo::{Query, QueryClass, QueryResult, SsspProgram, SsspQuery};
+use grape_core::{build_fragments, EngineConfig, GrapeEngine, TransportKind};
 use grape_graph::labels::PatternGraph;
+use grape_graph::{DeltaGraph, GraphMutation};
 use grape_partition::BuiltinStrategy;
 use grape_worker::{
-    run_coordinator, run_local_framed, GrapeService, GraphSpec, JobSpec, QueryOutcome,
-    ServiceOptions, Session, SessionConfig, SessionGraph,
+    run_local_framed, run_session, DaemonProcess, Endpoint, GrapeService, GraphSpec, JobSpec,
+    QueryOutcome, ServiceOptions, Session, SessionConfig, SessionGraph,
 };
-use std::io::Read;
-use std::net::{TcpListener, TcpStream};
-use std::process::{Child, Command, Stdio};
+use std::process::{Command, Stdio};
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
-
-fn worker_bin() -> &'static str {
-    env!("CARGO_BIN_EXE_grape-worker")
-}
+use support::{daemon_process, endpoints, silent_daemon, worker_bin};
 
 fn job(algo: &str, workers: u32) -> JobSpec {
     let labeled = matches!(algo, "sim" | "subiso" | "keyword" | "marketing");
@@ -52,36 +51,16 @@ fn config_with_timeout(timeout: Duration) -> EngineConfig {
     }
 }
 
-fn spawn_workers(connect_args: &[&str], n: u32) -> Vec<Child> {
-    (0..n)
-        .map(|_| {
-            Command::new(worker_bin())
-                .args(connect_args)
-                .stdout(Stdio::null())
-                .spawn()
-                .expect("spawn grape-worker")
-        })
-        .collect()
+/// `n` daemon processes, each started with `args`.
+fn daemon_processes(n: u32, args: &[&str]) -> Vec<DaemonProcess> {
+    (0..n).map(|_| daemon_process(args)).collect()
 }
 
-fn reap(children: Vec<Child>) {
-    for mut child in children {
-        let status = child.wait().expect("wait for worker");
-        assert!(status.success(), "worker exited with {status}");
-    }
-}
-
-/// A batch run of `job` over real worker processes dialling in over TCP.
+/// A batch run of `job`: a one-query session over daemon processes on TCP.
 fn batch_run(job: &JobSpec) -> QueryOutcome {
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-    let addr = listener.local_addr().expect("addr").to_string();
-    let children = spawn_workers(&["connect", &addr], job.workers);
-    let streams = (0..job.workers)
-        .map(|_| listener.accept().expect("accept").0)
-        .collect();
-    let outcome = run_coordinator(job, streams, &EngineConfig::default(), None).expect("batch");
-    reap(children);
-    outcome
+    let daemons = daemon_processes(job.workers, &[]);
+    let config = SessionConfig::remote(0, endpoints(&daemons));
+    run_session(job, config).expect("batch")
 }
 
 #[test]
@@ -119,18 +98,18 @@ fn tcp_workers_match_the_in_process_reference() {
 fn unix_domain_workers_match_the_in_process_reference() {
     let job = job("sssp", 2);
     let dir = std::env::temp_dir();
-    let path = dir.join(format!("grape-worker-test-{}.sock", std::process::id()));
-    let path_str = path.to_str().expect("utf-8 socket path");
-    let _ = std::fs::remove_file(&path);
-    let listener = std::os::unix::net::UnixListener::bind(&path).expect("bind uds");
-    let children = spawn_workers(&["connect-uds", path_str], job.workers);
-    let streams = (0..job.workers)
-        .map(|_| listener.accept().expect("accept").0)
+    let daemons: Vec<DaemonProcess> = (0..job.workers)
+        .map(|i| {
+            let path = dir.join(format!("grape-worker-test-{}-{i}.sock", std::process::id()));
+            let mut command = Command::new(worker_bin());
+            command.arg("daemon").arg("--uds").arg(&path);
+            DaemonProcess::spawn(command).expect("start daemon")
+        })
         .collect();
+    assert!(matches!(daemons[0].endpoint(), Endpoint::Uds(_)));
     let remote =
-        run_coordinator(&job, streams, &EngineConfig::default(), None).expect("remote run");
-    reap(children);
-    let _ = std::fs::remove_file(&path);
+        run_session(&job, SessionConfig::remote(0, endpoints(&daemons))).expect("remote run");
+    drop(daemons);
 
     let reference = run_local_framed(&job).expect("local run");
     assert_eq!(remote.result, reference.result);
@@ -141,22 +120,19 @@ fn unix_domain_workers_match_the_in_process_reference() {
 
 #[test]
 fn silent_workers_fail_the_run_with_a_typed_timeout_error() {
-    // Three "workers" connect but never speak the protocol: the coordinator
-    // must not hang on the missing PEval reports — it must surface a typed
-    // WorkerLost error once the configured read timeout elapses.
+    // Three "daemons" take their fragments but never answer a query: the
+    // coordinator must not hang on the missing PEval reports — it must
+    // surface a typed WorkerLost error once the configured read timeout
+    // elapses.
     let job = job("sssp", 3);
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-    let addr = listener.local_addr().expect("addr");
-    let mut held_clients = Vec::new();
-    let mut streams = Vec::new();
-    for _ in 0..job.workers {
-        held_clients.push(std::net::TcpStream::connect(addr).expect("connect"));
-        streams.push(listener.accept().expect("accept").0);
-    }
+    let (released, _) = mpsc::channel();
+    let fakes = (0..job.workers)
+        .map(|_| silent_daemon(released.clone()))
+        .collect();
     let timeout = Duration::from_millis(500);
+    let config = SessionConfig::remote(0, fakes).with_engine(config_with_timeout(timeout));
     let start = Instant::now();
-    let err = run_coordinator(&job, streams, &config_with_timeout(timeout), None)
-        .expect_err("a run with mute workers must fail");
+    let err = run_session(&job, config).expect_err("a run with mute workers must fail");
     let elapsed = start.elapsed();
     assert!(
         elapsed >= timeout,
@@ -171,32 +147,25 @@ fn silent_workers_fail_the_run_with_a_typed_timeout_error() {
         message.contains("lost") && message.contains("read timeout"),
         "expected a typed worker-lost timeout error, got: {message}"
     );
-    drop(held_clients);
 }
 
 #[cfg(unix)]
 #[test]
 fn a_killed_worker_surfaces_a_typed_error_quickly() {
-    // SIGKILL one real worker right after it connects: the coordinator's
-    // reader sees the closed socket and the run fails with a typed
-    // disconnect error immediately — not after the read timeout.
+    // One real daemon SIGKILLs itself on the query's Init: without a
+    // respawn hook or checkpoints, the coordinator's reader sees the closed
+    // socket and the run fails with a typed disconnect error immediately —
+    // not after the read timeout.
     let job = job("cc", 3);
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-    let addr = listener.local_addr().expect("addr").to_string();
-    let mut children = spawn_workers(&["connect", &addr], job.workers);
-    let streams = (0..job.workers)
-        .map(|_| listener.accept().expect("accept").0)
-        .collect();
-    children[0].kill().expect("kill worker");
-    children[0].wait().expect("reap killed worker");
+    let daemons = vec![
+        daemon_process(&["--kill-at", "0"]),
+        daemon_process(&[]),
+        daemon_process(&[]),
+    ];
+    let config = SessionConfig::remote(0, endpoints(&daemons))
+        .with_engine(config_with_timeout(Duration::from_secs(30)));
     let start = Instant::now();
-    let err = run_coordinator(
-        &job,
-        streams,
-        &config_with_timeout(Duration::from_secs(30)),
-        None,
-    )
-    .expect_err("a run missing a worker must fail");
+    let err = run_session(&job, config).expect_err("a run missing a worker must fail");
     assert!(
         start.elapsed() < Duration::from_secs(20),
         "disconnect took as long as a timeout: {:?}",
@@ -207,75 +176,78 @@ fn a_killed_worker_surfaces_a_typed_error_quickly() {
         message.contains("lost"),
         "expected a typed worker-lost error, got: {message}"
     );
-    for mut child in children.drain(1..) {
-        let _ = child.kill();
-        let _ = child.wait();
-    }
 }
 
 #[test]
 fn mismatched_or_missing_auth_tokens_are_rejected() {
-    // A coordinator with an auth token must refuse workers presenting the
-    // wrong token — or none — with a typed PermissionDenied error, before
-    // any job state is shipped.
-    for wrong_args in [
-        vec!["--token", "not-the-secret"], // mismatched
-        vec![],                            // missing entirely
+    // A daemon with an auth token must refuse sessions presenting the wrong
+    // token — or none — with a typed PermissionDenied error, which it logs,
+    // before any fragment is taken: the load fails.
+    for (presented, says) in [
+        (Some("not-the-secret"), "mismatched auth token"),
+        (None, "no auth token"),
     ] {
-        let job = job("sssp", 1);
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-        let addr = listener.local_addr().expect("addr").to_string();
-        let mut args = vec!["connect", &addr];
-        args.extend(wrong_args.iter());
-        let children = spawn_workers(&args, 1);
-        let streams = vec![listener.accept().expect("accept").0];
-        let config = EngineConfig {
+        let log = std::env::temp_dir().join(format!(
+            "grape-auth-test-{}-{}.log",
+            std::process::id(),
+            presented.is_some()
+        ));
+        let mut command = Command::new(worker_bin());
+        command
+            .args(["daemon", "--listen", "127.0.0.1:0", "--token", "the-secret"])
+            .stderr(Stdio::from(std::fs::File::create(&log).expect("log file")));
+        let daemon = DaemonProcess::spawn(command).expect("start daemon");
+        let engine = EngineConfig {
             read_timeout: Some(Duration::from_secs(10)),
-            auth_token: Some("the-secret".into()),
+            auth_token: presented.map(String::from),
             ..Default::default()
         };
-        let err = run_coordinator(&job, streams, &config, None)
-            .expect_err("a wrong token must be rejected");
-        assert_eq!(
-            err.kind(),
-            std::io::ErrorKind::PermissionDenied,
-            "want a typed PermissionDenied, got: {err}"
-        );
-        assert!(
-            err.to_string().contains("auth token"),
-            "unhelpful auth error: {err}"
-        );
-        // The rejected worker never gets a job and exits with an error of
-        // its own; just make sure it is gone.
-        for mut child in children {
-            let _ = child.wait();
-        }
+        let config = SessionConfig::remote(0, vec![daemon.endpoint().clone()]).with_engine(engine);
+        run_session(&job("sssp", 1), config).expect_err("a wrong token must be rejected");
+        // The daemon logs the typed refusal as it hangs up.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let logged = loop {
+            let logged = std::fs::read_to_string(&log).expect("read log");
+            if logged.contains(says) || Instant::now() > deadline {
+                break logged;
+            }
+            std::thread::sleep(Duration::from_millis(20));
+        };
+        assert!(logged.contains(says), "unhelpful auth error: {logged}");
+        drop(daemon);
+        let _ = std::fs::remove_file(&log);
     }
 }
 
 #[test]
 fn matching_auth_tokens_run_to_completion() {
     let job = job("sssp", 2);
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-    let addr = listener.local_addr().expect("addr").to_string();
-    let children = spawn_workers(&["connect", &addr, "--token", "the-secret"], job.workers);
-    let streams = (0..job.workers)
-        .map(|_| listener.accept().expect("accept").0)
-        .collect();
-    let config = EngineConfig {
+    let daemons = daemon_processes(job.workers, &["--token", "the-secret"]);
+    let engine = EngineConfig {
         auth_token: Some("the-secret".into()),
         ..Default::default()
     };
-    let remote = run_coordinator(&job, streams, &config, None).expect("authenticated run");
-    reap(children);
+    let config = SessionConfig::remote(0, endpoints(&daemons)).with_engine(engine);
+    let remote = run_session(&job, config).expect("authenticated run");
     let reference = run_local_framed(&job).expect("local run");
     assert_eq!(remote.result, reference.result);
     assert_eq!(remote.stats.supersteps, reference.stats.supersteps);
 }
 
 #[test]
+fn a_daemon_process_reads_a_zero_handshake_timeout_as_none() {
+    // `--handshake-timeout 0` once made the daemon refuse every connection
+    // (the OS takes no zero socket timeout); it now waits forever, as a
+    // zero timeout does everywhere.
+    let job = job("cc", 2);
+    let daemons = daemon_processes(job.workers, &["--handshake-timeout", "0"]);
+    let remote = run_session(&job, SessionConfig::remote(0, endpoints(&daemons))).expect("run");
+    assert_eq!(remote.result, run_local_framed(&job).expect("local").result);
+}
+
+#[test]
 fn self_spawning_coordinator_verifies_itself() {
-    // The one-command demo: `serve --spawn --verify` forks its own workers
+    // The one-command demo: `serve --spawn --verify` starts its own daemons
     // and asserts the multi-process digests equal the in-process reference.
     let output = Command::new(worker_bin())
         .args([
@@ -309,11 +281,11 @@ fn self_spawning_coordinator_verifies_itself() {
 
 #[test]
 fn batch_and_both_session_backends_agree_on_the_typed_result() {
-    // One job protocol, three ways to reach it: worker processes dialling a
-    // batch coordinator, a session over in-process workers, and a session
-    // over a resident daemon. All eight classes must produce the same typed
-    // `QueryResult` — not merely the same digest — and the same superstep
-    // count on each route.
+    // One job protocol, three places its daemons live: separate processes
+    // (a batch run), a session's private daemon, and a daemon thread of this
+    // process. All eight classes must produce the same typed `QueryResult`
+    // — not merely the same digest — and the same superstep count on each
+    // route.
     let daemon = GrapeService::bind("127.0.0.1:0", ServiceOptions::default())
         .expect("bind")
         .spawn()
@@ -348,41 +320,17 @@ fn batch_and_both_session_backends_agree_on_the_typed_result() {
     daemon.shutdown().expect("shutdown");
 }
 
-/// Connected socket pairs standing in for dialled-in workers: the
-/// coordinator's ends, and ours — on which nothing may ever arrive.
-fn idle_connections(n: u32) -> (Vec<TcpStream>, Vec<TcpStream>) {
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-    let addr = listener.local_addr().expect("addr");
-    (0..n)
-        .map(|_| {
-            let ours = TcpStream::connect(addr).expect("connect");
-            (listener.accept().expect("accept").0, ours)
-        })
-        .unzip()
-}
-
-fn assert_nothing_was_sent(ours: Vec<TcpStream>) {
-    for mut stream in ours {
-        stream.set_nonblocking(true).expect("nonblocking");
-        match stream.read(&mut [0u8; 1]) {
-            // The coordinator hung up without a byte, or is still silent.
-            Ok(0) => {}
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {}
-            other => panic!("the coordinator sent something: {other:?}"),
-        }
-    }
-}
-
 #[test]
 fn a_wrong_family_query_is_the_same_error_on_every_route() {
     // Every class against the graph family it does not run on: the
     // dispatcher refuses it — with one typed InvalidData error, worded the
-    // same whether the query came in through a batch run, an in-process
-    // session or a session on a daemon — and before anything is shipped.
+    // same whether the query came in through a batch run over daemon
+    // processes, an in-process session or a session on a daemon thread.
     let daemon = GrapeService::bind("127.0.0.1:0", ServiceOptions::default())
         .expect("bind")
         .spawn()
         .expect("spawn");
+    let processes = daemon_processes(2, &[]);
     for class in QueryClass::all() {
         let algo = class.name();
         // The job helper pairs a class with its own family: swap the graphs.
@@ -396,10 +344,8 @@ fn a_wrong_family_query_is_the_same_error_on_every_route() {
         let query = job.query().expect("canonical query");
         let graph = SessionGraph::generate(&job.graph).expect("graph");
 
-        let (streams, ours) = idle_connections(job.workers);
-        let batch = run_coordinator(&job, streams, &EngineConfig::default(), None)
+        let batch = run_session(&job, SessionConfig::remote(0, endpoints(&processes)))
             .expect_err("batch run of a wrong-family query");
-        assert_nothing_was_sent(ours);
 
         let session_error = |config: SessionConfig| {
             let session = Session::connect(config).expect("connect");
@@ -466,6 +412,97 @@ fn an_overwide_simulation_pattern_is_rejected_before_any_frame_is_sent() {
     );
 }
 
+/// The graph a cold reference sees after `batches`: the same batches applied
+/// to a delta overlay over the same base, then materialized.
+fn updated(graph: &SessionGraph, batches: &[Vec<GraphMutation<(), f64>>]) -> SessionGraph {
+    let SessionGraph::Weighted(g) = graph else {
+        panic!("weighted graph expected")
+    };
+    let mut delta = DeltaGraph::new(g.clone());
+    for batch in batches {
+        delta.apply(batch).expect("reference apply");
+    }
+    SessionGraph::Weighted(delta.snapshot(g.has_reverse()))
+}
+
+/// What [`run_local_framed`] runs, on a graph no recipe makes: a one-shot
+/// sssp over the framed channel transport, hash cut into `workers`.
+fn framed_sssp(graph: &SessionGraph, workers: usize) -> QueryOutcome {
+    let SessionGraph::Weighted(g) = graph else {
+        panic!("weighted graph expected")
+    };
+    let fragments = build_fragments(g, &BuiltinStrategy::Hash.partition(g, workers));
+    let config = EngineConfig {
+        transport: TransportKind::Framed,
+        ..Default::default()
+    };
+    let run = GrapeEngine::new(SsspProgram)
+        .with_config(config)
+        .run(&SsspQuery::new(0), &fragments)
+        .expect("framed run");
+    QueryOutcome {
+        result: QueryResult::Distances(run.output),
+        stats: run.stats,
+    }
+}
+
+#[test]
+fn a_killed_daemon_process_is_respawned_after_an_update() {
+    // Three daemon processes; worker 1's SIGKILLs itself on the first
+    // IncEval of the first query it serves. The graph is updated first, so
+    // the replacement the respawn hook starts must be shipped the fragment
+    // at version 1 — or the next update would be refused as a gap.
+    let workers = 3;
+    let graph =
+        SessionGraph::generate(&GraphSpec::parse("road:14x14:7").expect("spec")).expect("graph");
+    let respawned = Arc::new(Mutex::new(Vec::new()));
+    let kept = Arc::clone(&respawned);
+    let daemons = vec![
+        daemon_process(&[]),
+        daemon_process(&["--kill-at", "1"]),
+        daemon_process(&[]),
+    ];
+    let config = SessionConfig::remote(workers, endpoints(&daemons)).with_respawn(move |_| {
+        let fresh = daemon_process(&[]);
+        let endpoint = fresh.endpoint().clone();
+        kept.lock().unwrap().push(fresh);
+        Ok(endpoint)
+    });
+    let session = Session::connect(config).expect("connect");
+    session.load(&graph, BuiltinStrategy::Hash).expect("load");
+    let edge = |src, dst, data| GraphMutation::AddEdge { src, dst, data };
+    let batches = [
+        vec![edge(0, 100, 0.5), edge(50, 150, 0.25)],
+        vec![edge(20, 180, 0.125)],
+    ];
+
+    session.update(batches[0].clone()).expect("first update");
+    let recovered = session
+        .submit(Query::sssp(0))
+        .expect("submit")
+        .join()
+        .expect("the killed daemon's worker is respawned");
+    let reference = framed_sssp(&updated(&graph, &batches[..1]), workers);
+    assert!(recovered.stats.recoveries >= 1, "a daemon was killed");
+    assert_eq!(respawned.lock().unwrap().len(), recovered.stats.recoveries);
+    assert_eq!(recovered.result, reference.result);
+    assert_eq!(recovered.result.digest(), reference.result.digest());
+    assert_eq!(recovered.stats.supersteps, reference.stats.supersteps);
+
+    session
+        .update(batches[1].clone())
+        .expect("the replacement takes version 2");
+    let warm = session
+        .submit(Query::sssp(0))
+        .expect("submit")
+        .join()
+        .expect("warm resubmission");
+    assert_eq!(warm.stats.warm_fragments, workers, "every fragment warm");
+    let cold = framed_sssp(&updated(&graph, &batches), workers);
+    assert_eq!(warm.result, cold.result);
+    assert_eq!(warm.result.digest(), cold.result.digest());
+}
+
 #[test]
 fn unparseable_flag_values_are_usage_errors_not_silent_defaults() {
     // `--kill-at 1O` used to run a chaos drill with no kill and report
@@ -482,13 +519,13 @@ fn unparseable_flag_values_are_usage_errors_not_silent_defaults() {
         "road:4x4:1",
     ];
     let cases: [(&[&str], &str, &str); 7] = [
-        (&["connect", "127.0.0.1:1"], "--kill-at", "1O"),
-        (&["connect", "127.0.0.1:1"], "--timeout", "3s"),
+        (&["daemon"], "--kill-at", "1O"),
+        (&["daemon"], "--handshake-timeout", "3s"),
         (&serve, "--timeout", "3s"),
         (&serve, "--threads", "two"),
         (&serve, "--source", "-1"),
         (&serve, "--checkpoint-every", "1.5"),
-        (&["daemon"], "--handshake-timeout", "3s"),
+        (&["serve", "--algo", "sssp"], "--workers", "-2"),
     ];
     for (base, flag, value) in cases {
         let output = Command::new(worker_bin())
@@ -511,9 +548,27 @@ fn unparseable_flag_values_are_usage_errors_not_silent_defaults() {
 }
 
 #[test]
+fn zero_workers_is_a_usage_error() {
+    // `serve --workers 0` used to panic on an empty connection table.
+    let output = Command::new(worker_bin())
+        .args(["serve", "--workers", "0", "--algo", "sssp"])
+        .args(["--graph", "road:4x4:1", "--spawn", "--verify"])
+        .output()
+        .expect("run grape-worker");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(
+        output.status.code(),
+        Some(2),
+        "{:?}: {stderr}",
+        output.status
+    );
+    assert!(stderr.contains("--workers must be at least 1"), "{stderr}");
+}
+
+#[test]
 fn a_flag_missing_its_value_is_a_usage_error() {
     let output = Command::new(worker_bin())
-        .args(["connect", "127.0.0.1:1", "--kill-at"])
+        .args(["daemon", "--kill-at"])
         .output()
         .expect("run grape-worker");
     assert_eq!(output.status.code(), Some(2), "{:?}", output.status);

@@ -755,14 +755,14 @@ fn a_fragment_frame_is_pinned() {
 
 #[test]
 fn a_result_frame_is_the_snapshot_and_nothing_else() {
-    // One dialled-in worker holding the whole path 0 - 1 - 2, driven frame
-    // by frame: what comes back after Finish is the header, the owners'
-    // distances `assemble_answers` reads — not the snapshot the worker
-    // keeps — and the flag saying PEval ran cold.
+    // One daemon holding the whole path 0 - 1 - 2, driven frame by frame:
+    // what comes back after Finish is the header, the owners' distances
+    // `assemble_answers` reads — not the snapshot the daemon keeps — and
+    // the flag saying PEval ran cold.
     use grape::core::ship::encode_fragment_epoch;
     use grape::prelude::*;
-    use grape::worker::service::{LoadSpec, QueryJob};
-    use grape::worker::{run_worker, WorkerOptions};
+    use grape::worker::service::{LoadSpec, QueryJob, ServiceSocket};
+    use grape::worker::{GrapeService, ServiceOptions};
     use std::io::{Read, Write};
 
     const RUN: u32 = 23;
@@ -773,9 +773,14 @@ fn a_result_frame_is_the_snapshot_and_nothing_else() {
     let graph = builder.build().expect("graph");
     let fragments = build_fragments(&graph, &BuiltinStrategy::Hash.partition(&graph, 1));
 
-    let (mut coordinator, worker) = std::os::unix::net::UnixStream::pair().expect("pair");
-    let served = std::thread::spawn(move || run_worker(worker, WorkerOptions::default()));
-    let next_frame = |coordinator: &mut std::os::unix::net::UnixStream, out: &[u8]| {
+    let daemon = GrapeService::bind("127.0.0.1:0", ServiceOptions::default())
+        .expect("bind")
+        .spawn()
+        .expect("spawn");
+    let mut coordinator = daemon.endpoint().connect().expect("connect");
+    wire::write_frame_io_epoch(&mut coordinator, wire::TAG_HELLO, 0, &None::<String>)
+        .expect("hello");
+    let next_frame = |coordinator: &mut ServiceSocket, out: &[u8]| {
         coordinator.write_all(out).expect("write");
         let mut header = [0u8; HEADER_LEN];
         coordinator.read_exact(&mut header).expect("header");
@@ -784,15 +789,13 @@ fn a_result_frame_is_the_snapshot_and_nothing_else() {
         coordinator.read_exact(&mut body).expect("body");
         (header, body)
     };
-    let (hello, _) = next_frame(&mut coordinator, &[]);
-    assert_eq!(hello[3], wire::TAG_HELLO);
-
     let spec = LoadSpec {
         graph_id: 0,
         family: 0,
         index: 0,
         workers: 1,
         vertices: 3,
+        version: 0,
     };
     let mut out = Vec::new();
     wire::encode_frame_epoch(wire::TAG_LOAD, RUN, &spec, &mut out);
@@ -849,8 +852,7 @@ fn a_result_frame_is_the_snapshot_and_nothing_else() {
     assert_eq!(assembled[&2], 3.5);
 
     drop(coordinator);
-    let served = served.join().expect("worker thread");
-    served.expect("the worker saw a clean hang-up");
+    daemon.shutdown().expect("shutdown");
 }
 
 #[test]
